@@ -56,9 +56,8 @@ let schema_token =
 let create ?dir () =
   (match dir with
   | Some d ->
-    if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-    let sub = Filename.concat d (Lazy.force schema_token) in
-    if not (Sys.file_exists sub) then Sys.mkdir sub 0o755
+    (* concurrent processes may share [d]: whichever creates it first wins *)
+    Obs.Ledger.mkdir_p (Filename.concat d (Lazy.force schema_token))
   | None -> ());
   { dir; mem = Hashtbl.create 64; mutex = Mutex.create (); diags = [] }
 

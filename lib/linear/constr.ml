@@ -25,7 +25,8 @@ let mk expr op = I.intern { id = -1; expr; op }
    {!System.implies} is valid. *)
 let normalize expr op =
   let l = Expr.denominator_lcm expr in
-  let expr = Expr.scale (Rat.of_int l) expr in
+  (* scaling by 1 would only re-intern [expr] to itself *)
+  let expr = if l = 1 then expr else Expr.scale (Rat.of_int l) expr in
   let g =
     Expr.fold (fun _ c acc -> Rat.gcd acc (Rat.num c)) expr
       (Rat.num (Expr.constant expr))

@@ -13,7 +13,14 @@
     Tables are sharded by content hash to keep lock contention negligible
     under the engine's worker domains, and are never cleared: dropping a
     table while live values still carry its ids would let two structurally
-    equal terms intern to different ids. *)
+    equal terms intern to different ids.
+
+    Invariant: shard bits are disjoint from bucket-index bits.  Both come
+    from one avalanched copy of [H.hash]: the shard from its top 6 bits,
+    the bucket (inside the shard's [Hashtbl]) from its low bits.  Were the
+    shard drawn from the bits the bucket index reads, every key of a shard
+    would share them, 63 of every 64 buckets would stay empty, and each
+    lookup would walk a chain 64 times longer. *)
 
 module Make (H : sig
   type t
@@ -35,6 +42,11 @@ end) : sig
   (** [intern node] returns the canonical representative of [node]'s
       content: the previously interned value if one exists (the candidate
       is dropped), otherwise [node] with a fresh id, now canonical. *)
+
+  val stats : unit -> Hashtbl.statistics
+  (** Bucket statistics summed over the shards (bindings, buckets and the
+      histogram add up; [max_bucket_length] is the longest chain in any
+      shard).  Chain length is what each {!intern} walks with [H.equal]. *)
 end
 
 val mix : int -> int -> int

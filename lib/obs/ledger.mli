@@ -21,6 +21,11 @@ val new_run_id : unit -> string
     order is wall-clock start order; distinct across concurrent processes
     (pid) and across runs within one process (seq). *)
 
+val mkdir_p : string -> unit
+(** [mkdir_p dir] creates [dir] and any missing parents (mode 0o755).  A
+    directory that already exists, or that a concurrent process creates
+    first, is not an error. *)
+
 val record_path : cache_dir:string -> run_id:string -> string
 (** Where {!append} puts the record: [<cache-dir>/ledger/<run_id>.jsonl]. *)
 

@@ -174,4 +174,11 @@ dune exec bench/main.exe -- shard --json --out "$out/BENCH_shard.json" >/dev/nul
 test -s "$out/BENCH_shard.json"
 dune exec bench/main.exe -- check-json "$out/BENCH_shard.json"
 
+echo "== smoke: perfbench --smoke (fresh-process benchmark, gen-small) =="
+if command -v python3 >/dev/null 2>&1; then
+  python3 perfbench/run.py --smoke
+else
+  echo "== skipping perfbench (python3 not installed) =="
+fi
+
 echo "verify: OK"

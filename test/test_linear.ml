@@ -267,6 +267,30 @@ let prop_simplify_preserves =
     ~print:print_system (fun s ->
       System.equal_semantic s (System.simplify s))
 
+(* Shards and buckets must read disjoint hash bits.  Drawing the shard
+   from the low bits (which the bucket index also reads) left 63 of every
+   64 buckets empty and grew chains to ~100 at this size. *)
+module Toy = struct
+  type t = { id : int; v : int }
+
+  let equal a b = a.v = b.v
+  let hash t = Intern.mix 0x811c9dc5 t.v
+  let with_id t id = { t with id }
+  let name = "test_spread"
+end
+
+let test_intern_bucket_spread () =
+  let module T = Intern.Make (Toy) in
+  let n = 50_000 in
+  for v = 0 to n - 1 do
+    ignore (T.intern { Toy.id = -1; v })
+  done;
+  let st = T.stats () in
+  Alcotest.(check int) "bindings" n st.Hashtbl.num_bindings;
+  if st.max_bucket_length > 16 then
+    Alcotest.failf "longest chain %d > 16 (%d bindings in %d buckets)"
+      st.max_bucket_length st.num_bindings st.num_buckets
+
 let suite =
   [
     Alcotest.test_case "simplify" `Quick test_simplify;
@@ -290,4 +314,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_projection_rationally_exact;
     QCheck_alcotest.to_alcotest prop_includes_reflexive;
     QCheck_alcotest.to_alcotest prop_sample_satisfies;
+    Alcotest.test_case "intern buckets spread across shards" `Quick
+      test_intern_bucket_spread;
   ]

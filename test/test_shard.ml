@@ -276,10 +276,11 @@ let test_concurrent_writers () =
     let p2 = spawn 2 in
     let st1, out1 = drain_and_close p1 in
     let st2, out2 = drain_and_close p2 in
-    Alcotest.(check bool) "writer 1 exits 0" true (st1 = Unix.WEXITED 0);
-    Alcotest.(check bool) "writer 2 exits 0" true (st2 = Unix.WEXITED 0);
-    ignore out1;
-    ignore out2;
+    List.iter
+      (fun (n, st, out) ->
+        if st <> Unix.WEXITED 0 then
+          Alcotest.failf "writer %d failed; its output:\n%s" n out)
+      [ (1, st1, out1); (2, st2, out2) ];
     List.iter
       (fun f ->
         let read p =
