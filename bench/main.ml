@@ -24,8 +24,7 @@ let print_rows rows =
 let rows_matching result pred =
   List.filter pred result.Ipa.Analyze.r_rows
 
-(* Every section analyzes through the engine pipeline; the deprecated
-   [analyze_sources] entry point stays test-only. *)
+(* Every section analyzes through the engine pipeline. *)
 let analyze_module m = (Engine.run (Engine.config ()) m).Engine.e_result
 
 let analyze_sources files =
@@ -740,7 +739,8 @@ let bench_engine () =
      outputs are byte-identical in every mode (checked by test_engine)"
 
 (* ------------------------------------------------------------------ *)
-(* Solver: before/after micro-benchmarks and end-to-end feasible time *)
+(* Solver: the production core against the reference eliminator, end to
+   end and per query *)
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -757,70 +757,66 @@ let json_escape s =
   Buffer.contents b
 
 let bench_solver ~json ~out () =
-  header "Solver: packed integer FM, pruning, memoized queries (NAS LU)";
+  header "Solver: learned core vs the reference eliminator (NAS LU)";
   let files = Corpus.Nas_lu.files () in
   let lower () = Whirl.Lower.lower (Lang.Frontend.load ~files) in
   (* throwaway run so frontend/layout paths are hot *)
   ignore (analyze_module (lower ()));
-  (* ---- end-to-end: total feasible-query wall time per solver core *)
-  let run_mode core =
-    Linear.System.set_solver_core core;
+  (* ---- end-to-end: solver wall of the production core vs the oracle *)
+  let run_once ~oracle =
     Linear.System.clear_cache ();
     let s0 = Linear.Solver_stats.snapshot () in
     let t0 = Unix.gettimeofday () in
-    let res = analyze_module (lower ()) in
+    let analyze () = analyze_module (lower ()) in
+    let res =
+      if oracle then Linear.System.Reference.run analyze else analyze ()
+    in
     let wall = Unix.gettimeofday () -. t0 in
     let d = Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) s0 in
-    Linear.System.set_solver_core `Learned;
     (res, wall, d)
   in
-  let query_ns core (d : Linear.Solver_stats.t) =
-    if core = `Reference then d.Linear.Solver_stats.wall_reference_ns
-    else d.Linear.Solver_stats.wall_fast_ns
+  (* inside the oracle scope every query (implies included) bottoms out in
+     reference feasibility checks; the production core answers implies on
+     its own contexts, so its solver wall is both sums *)
+  let solver_ns ~oracle (d : Linear.Solver_stats.t) =
+    if oracle then d.Linear.Solver_stats.wall_reference_ns
+    else d.Linear.Solver_stats.wall_fast_ns + d.Linear.Solver_stats.implies_wall_ns
   in
-  let best_run core =
+  let best_run ~oracle =
     let best = ref None in
     for _ = 1 to 3 do
-      let (_, _, d) as r = run_mode core in
+      let (_, _, d) as r = run_once ~oracle in
       match !best with
-      | Some (_, _, d') when query_ns core d' <= query_ns core d -> ()
+      | Some (_, _, d') when solver_ns ~oracle d' <= solver_ns ~oracle d -> ()
       | _ -> best := Some r
     done;
     Option.get !best
   in
-  let _, wall_ref, d_ref = best_run `Reference in
-  let _, wall_fast, d_fast = best_run `Packed in
-  let res, wall_learned, d_learned = best_run `Learned in
+  let _, wall_ref, d_ref = best_run ~oracle:true in
+  let res, wall_learned, d_learned = best_run ~oracle:false in
   let open Linear.Solver_stats in
-  let ref_ns = d_ref.wall_reference_ns and fast_ns = d_fast.wall_fast_ns in
-  let learned_ns = d_learned.wall_fast_ns in
-  let speedup = float_of_int ref_ns /. float_of_int (max 1 fast_ns) in
+  let ref_ns = solver_ns ~oracle:true d_ref in
+  let learned_ns = solver_ns ~oracle:false d_learned in
+  let speedup = float_of_int ref_ns /. float_of_int (max 1 learned_ns) in
   Printf.printf
-    "end-to-end (feasible queries): reference %d queries %.3f ms, packed %d \
-     queries %.3f ms => %.1fx, learned %d queries %.3f ms\n"
+    "end-to-end solver wall: reference %d feasible queries %.3f ms, learned \
+     %d feasible + %d implies queries %.3f ms => %.1fx\n"
     d_ref.queries
     (float_of_int ref_ns /. 1e6)
-    d_fast.queries
-    (float_of_int fast_ns /. 1e6)
-    speedup d_learned.queries
-    (float_of_int learned_ns /. 1e6);
+    d_learned.queries d_learned.implies_queries
+    (float_of_int learned_ns /. 1e6)
+    speedup;
   Printf.printf
-    "fast-path breakdown: %d cache hit / %d miss, %d box-refuted, %d \
-     syntactic, %d FM runs (%d rows built, %d pruned), fallbacks: %d \
-     tighten / %d overflow; small path: %d\n"
-    d_fast.cache_hits d_fast.cache_misses d_fast.box_refutations
-    d_fast.syntactic_hits d_fast.fm_runs d_fast.fm_rows_built
-    d_fast.fm_rows_pruned d_fast.tighten_fallbacks d_fast.overflow_fallbacks
-    d_fast.small_runs;
-  Printf.printf
-    "learned core: %d contexts, %d cut hits, %d bound hits, %d proj hits, \
-     %d elims, %d reorders, %d L1 hits\n"
+    "learned core: %d box-refuted, %d syntactic, %d FM runs; %d contexts, %d \
+     cut hits, %d bound hits, %d proj hits, %d elims, %d reorders, %d L1 \
+     hits\n"
+    d_learned.box_refutations d_learned.syntactic_hits d_learned.fm_runs
     d_learned.ctx_contexts d_learned.ctx_cut_hits d_learned.ctx_bound_hits
     d_learned.ctx_proj_hits d_learned.ctx_elims
     d_learned.ctx_activity_reorders d_learned.implies_l1_hits;
-  Printf.printf "analysis wall: reference %.4fs, packed %.4fs, learned %.4fs\n"
-    wall_ref wall_fast wall_learned;
-  (* ---- micro: harvested region systems through each query, each mode *)
+  Printf.printf "analysis wall: reference %.4fs, learned %.4fs\n" wall_ref
+    wall_learned;
+  (* ---- micro: harvested region systems through each query *)
   let systems =
     List.concat_map
       (fun (_, info) ->
@@ -836,33 +832,23 @@ let bench_solver ~json ~out () =
   in
   let pairs = adjacent systems in
   let passes = 5 in
-  let wall f =
+  (* [f] runs [passes] times after one cache clear, so the production legs
+     measure a cold pass plus warm memo passes *)
+  let timed f =
+    Linear.System.clear_cache ();
+    let s0 = Linear.Solver_stats.snapshot () in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to passes do
       f ()
     done;
-    Unix.gettimeofday () -. t0
+    let t = Unix.gettimeofday () -. t0 in
+    (t, Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) s0)
   in
-  let timed_mode ~core ~cache f =
-    Linear.System.set_solver_core core;
-    Linear.System.set_cache_enabled cache;
-    Linear.System.clear_cache ();
-    let s0 = Linear.Solver_stats.snapshot () in
-    let t = wall f in
-    let d = Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) s0 in
-    Linear.System.set_solver_core `Learned;
-    Linear.System.set_cache_enabled true;
-    (t, d)
-  in
-  let feas_run () =
-    List.iter (fun s -> ignore (Linear.System.feasible s)) systems
-  in
-  let impl_run () =
+  let feas feasible () = List.iter (fun s -> ignore (feasible s)) systems in
+  let impl implies () =
     List.iter
       (fun (a, b) ->
-        List.iter
-          (fun c -> ignore (Linear.System.implies a c))
-          (Linear.System.to_list b))
+        List.iter (fun c -> ignore (implies a c)) (Linear.System.to_list b))
       pairs
   in
   let proj_run () =
@@ -874,29 +860,27 @@ let bench_solver ~json ~out () =
         ignore (Linear.System.project_onto keep s))
       systems
   in
-  let feas_reference, _ = timed_mode ~core:`Reference ~cache:false feas_run in
-  let feas_packed, d_feas_packed =
-    timed_mode ~core:`Packed ~cache:false feas_run
+  let feas_reference, _ = timed (feas Linear.System.Reference.feasible) in
+  let feas_cold, d_feas_cold =
+    timed (fun () ->
+        Linear.System.clear_cache ();
+        feas Linear.System.feasible ())
   in
-  let feas_memo, _ = timed_mode ~core:`Packed ~cache:true feas_run in
-  let impl_reference, _ = timed_mode ~core:`Reference ~cache:false impl_run in
-  let impl_fast, _ = timed_mode ~core:`Packed ~cache:true impl_run in
-  let impl_learned, d_impl_learned =
-    timed_mode ~core:`Learned ~cache:true impl_run
-  in
-  let proj, _ = timed_mode ~core:`Learned ~cache:true proj_run in
-  let small_runs = d_feas_packed.small_runs in
+  let feas_memo, _ = timed (feas Linear.System.feasible) in
+  let impl_reference, _ = timed (impl Linear.System.Reference.implies) in
+  let impl_learned, d_impl_learned = timed (impl Linear.System.implies) in
+  let proj, _ = timed proj_run in
+  let small_runs = d_feas_cold.small_runs in
   Printf.printf
     "micro (%d systems x %d passes):\n\
-    \  feasible: reference %.4fs, packed %.4fs (%d small-path), packed+memo \
-     %.4fs\n\
-    \  implies:  reference %.4fs, packed %.4fs, learned %.4fs (%d cut hits, \
-     %d bound hits, %d L1 hits)\n\
+    \  feasible: reference %.4fs, learned cold %.4fs (%d small-path), learned \
+     memo %.4fs\n\
+    \  implies:  reference %.4fs, learned %.4fs (%d cut hits, %d bound hits, \
+     %d L1 hits)\n\
     \  project:  %.4fs (exact eliminator, context-memoized)\n"
-    (List.length systems) passes feas_reference feas_packed small_runs
-    feas_memo impl_reference impl_fast impl_learned
-    d_impl_learned.ctx_cut_hits d_impl_learned.ctx_bound_hits
-    d_impl_learned.implies_l1_hits proj;
+    (List.length systems) passes feas_reference feas_cold small_runs feas_memo
+    impl_reference impl_learned d_impl_learned.ctx_cut_hits
+    d_impl_learned.ctx_bound_hits d_impl_learned.implies_l1_hits proj;
   (* ---- machine-readable record *)
   if json || out <> None then begin
     let path = Option.value out ~default:"BENCH_solver.json" in
@@ -909,28 +893,19 @@ let bench_solver ~json ~out () =
     bpf "    \"end_to_end\": {\n";
     bpf "      \"reference\": {\n";
     bpf "        \"feasible_queries\": %d,\n" d_ref.queries;
-    bpf "        \"feasible_wall_ns\": %d,\n" ref_ns;
+    bpf "        \"solver_wall_ns\": %d,\n" ref_ns;
     bpf "        \"analysis_wall_s\": %.6f\n" wall_ref;
-    bpf "      },\n";
-    bpf "      \"fast\": {\n";
-    bpf "        \"feasible_queries\": %d,\n" d_fast.queries;
-    bpf "        \"feasible_wall_ns\": %d,\n" fast_ns;
-    bpf "        \"analysis_wall_s\": %.6f,\n" wall_fast;
-    bpf "        \"cache_hits\": %d,\n" d_fast.cache_hits;
-    bpf "        \"cache_misses\": %d,\n" d_fast.cache_misses;
-    bpf "        \"box_refutations\": %d,\n" d_fast.box_refutations;
-    bpf "        \"syntactic_hits\": %d,\n" d_fast.syntactic_hits;
-    bpf "        \"fm_runs\": %d,\n" d_fast.fm_runs;
-    bpf "        \"fm_rows_built\": %d,\n" d_fast.fm_rows_built;
-    bpf "        \"fm_rows_pruned\": %d,\n" d_fast.fm_rows_pruned;
-    bpf "        \"tighten_fallbacks\": %d,\n" d_fast.tighten_fallbacks;
-    bpf "        \"overflow_fallbacks\": %d,\n" d_fast.overflow_fallbacks;
-    bpf "        \"small_runs\": %d\n" d_fast.small_runs;
     bpf "      },\n";
     bpf "      \"learned\": {\n";
     bpf "        \"feasible_queries\": %d,\n" d_learned.queries;
-    bpf "        \"feasible_wall_ns\": %d,\n" learned_ns;
+    bpf "        \"feasible_wall_ns\": %d,\n" d_learned.wall_fast_ns;
+    bpf "        \"implies_queries\": %d,\n" d_learned.implies_queries;
+    bpf "        \"implies_wall_ns\": %d,\n" d_learned.implies_wall_ns;
+    bpf "        \"solver_wall_ns\": %d,\n" learned_ns;
     bpf "        \"analysis_wall_s\": %.6f,\n" wall_learned;
+    bpf "        \"box_refutations\": %d,\n" d_learned.box_refutations;
+    bpf "        \"syntactic_hits\": %d,\n" d_learned.syntactic_hits;
+    bpf "        \"fm_runs\": %d,\n" d_learned.fm_runs;
     bpf "        \"small_runs\": %d,\n" d_learned.small_runs;
     bpf "        \"implies_l1_hits\": %d,\n" d_learned.implies_l1_hits;
     bpf "        \"ctx_contexts\": %d,\n" d_learned.ctx_contexts;
@@ -948,11 +923,10 @@ let bench_solver ~json ~out () =
     bpf "      \"systems\": %d,\n" (List.length systems);
     bpf "      \"passes\": %d,\n" passes;
     bpf "      \"feasible_reference_s\": %.6f,\n" feas_reference;
-    bpf "      \"feasible_packed_s\": %.6f,\n" feas_packed;
+    bpf "      \"feasible_cold_s\": %.6f,\n" feas_cold;
     bpf "      \"feasible_memo_s\": %.6f,\n" feas_memo;
     bpf "      \"small_runs\": %d,\n" small_runs;
     bpf "      \"implies_reference_s\": %.6f,\n" impl_reference;
-    bpf "      \"implies_fast_s\": %.6f,\n" impl_fast;
     bpf "      \"implies_learned_s\": %.6f,\n" impl_learned;
     bpf "      \"project_s\": %.6f\n" proj;
     bpf "    }\n";
@@ -1146,8 +1120,8 @@ let bench_gen ~json ~out () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Regions: hash-consed join path (interned systems, n-way unions, the
-   implies memo) against the pre-interning reference fold, on the joins
+(* Regions: the production join (interned systems, n-way unions, the
+   implies memo) against the reference-eliminator join fold, on the joins
    the NAS LU summary construction actually performs *)
 
 let bench_regions ~json ~out () =
@@ -1186,21 +1160,11 @@ let bench_regions ~json ~out () =
   in
   let total_regions = List.fold_left (fun a rs -> a + List.length rs) 0 buckets in
   let passes = 5 in
-  let fold_joins () =
-    List.map
-      (fun rs ->
-        List.fold_left Regions.Region.union_approx (List.hd rs) (List.tl rs))
-      buckets
-  in
-  let many_joins () = List.map Regions.Region.union_many buckets in
-  let set_mode fast =
-    Regions.Region.set_fast_join fast;
-    Linear.System.set_implies_memo_enabled fast
-  in
   let cget name = Obs.Metrics.Counter.get (Obs.Metrics.counter name) in
-  let run_mode ~fast ~core f =
-    set_mode fast;
-    Linear.System.set_solver_core core;
+  (* both legs run [passes] times after one cache clear, timed by the same
+     wall clock: the oracle fold has no memo to warm, the production join
+     keeps its implies memo across passes as the summary layer does *)
+  let timed f =
     Linear.System.clear_cache ();
     let s0 = Linear.Solver_stats.snapshot () in
     let u0 = cget "regions.union.calls" in
@@ -1218,91 +1182,66 @@ let bench_regions ~json ~out () =
         cget "regions.union_many.calls" - m0,
         cget "regions.union.implies_saved" - sv0 )
     in
-    set_mode true;
-    Linear.System.set_solver_core `Learned;
     (!r, wall, d, counters)
   in
-  let ref_res, ref_wall, d_ref, _ =
-    run_mode ~fast:false ~core:`Packed fold_joins
+  let sys (r : Regions.Region.t) = r.Regions.Region.sys in
+  let oracle_joins () =
+    List.map
+      (fun rs ->
+        List.fold_left
+          (fun acc r -> Regions.Region.Reference.join_sys acc (sys r))
+          (sys (List.hd rs)) (List.tl rs))
+      buckets
   in
-  let fast_res, fast_wall, d_fast, (unions, many, saved) =
-    run_mode ~fast:true ~core:`Packed many_joins
+  let many_joins () =
+    List.map (fun rs -> sys (Regions.Region.union_many rs)) buckets
   in
-  let learned_res, learned_wall, d_learned, _ =
-    run_mode ~fast:true ~core:`Learned many_joins
+  let ref_res, ref_wall, _, _ = timed oracle_joins in
+  let learned_res, learned_wall, d_learned, (unions, many, saved) =
+    timed many_joins
   in
-  (* the knobs trade nothing for speed: every path must build the very
-     same regions (interning makes that one id comparison per system) *)
-  let same =
-    List.for_all2
-      (fun (a : Regions.Region.t) (b : Regions.Region.t) ->
-        Regions.Region.equal_display a b
-        && Linear.System.equal a.Regions.Region.sys b.Regions.Region.sys
-        && a.Regions.Region.exact = b.Regions.Region.exact)
-  in
-  let identical = same ref_res fast_res && same fast_res learned_res in
+  (* the production join trades nothing for speed: it must build the very
+     same systems (interning makes that one id comparison each) *)
+  let identical = List.for_all2 Linear.System.equal ref_res learned_res in
   let open Linear.Solver_stats in
-  let speedup =
-    float_of_int d_ref.implies_wall_ns
-    /. float_of_int (max 1 d_fast.implies_wall_ns)
-  in
-  let learned_speedup =
-    float_of_int d_fast.implies_wall_ns
-    /. float_of_int (max 1 d_learned.implies_wall_ns)
-  in
+  let speedup = ref_wall /. Float.max 1e-9 learned_wall in
   Printf.printf
     "join workload: %d buckets, %d regions, %d passes\n"
     (List.length buckets) total_regions passes;
+  Printf.printf "reference fold (Region.Reference.join_sys): %.4fs\n" ref_wall;
   Printf.printf
-    "reference fold: %d implies queries, %.3f ms implies wall (%.4fs total)\n"
-    d_ref.implies_queries
-    (float_of_int d_ref.implies_wall_ns /. 1e6)
-    ref_wall;
-  Printf.printf
-    "packed fast:    %d implies queries (%d memo hits, %d saved by interned \
-     ids), %.3f ms implies wall (%.4fs total) => %.1fx%s\n"
-    d_fast.implies_queries d_fast.implies_memo_hits saved
-    (float_of_int d_fast.implies_wall_ns /. 1e6)
-    fast_wall speedup
-    (if speedup >= 2. then "" else "  (< 2x!)");
-  Printf.printf
-    "learned core:   %d implies queries (%d memo hits, %d L1 hits; %d cut \
-     hits, %d bound hits, %d elims, %d reorders), %.3f ms implies wall \
-     (%.4fs total) => %.1fx over packed%s\n"
+    "learned union_many: %d implies queries (%d memo hits, %d L1 hits, %d \
+     saved by interned ids; %d cut hits, %d bound hits, %d elims, %d \
+     reorders), %.3f ms implies wall, %.4fs => %.1fx%s\n"
     d_learned.implies_queries d_learned.implies_memo_hits
-    d_learned.implies_l1_hits d_learned.ctx_cut_hits d_learned.ctx_bound_hits
-    d_learned.ctx_elims d_learned.ctx_activity_reorders
+    d_learned.implies_l1_hits saved d_learned.ctx_cut_hits
+    d_learned.ctx_bound_hits d_learned.ctx_elims
+    d_learned.ctx_activity_reorders
     (float_of_int d_learned.implies_wall_ns /. 1e6)
-    learned_wall learned_speedup
-    (if learned_speedup >= 2. then "" else "  (< 2x!)");
+    learned_wall speedup
+    (if speedup >= 2. then "" else "  (< 2x!)");
   Printf.printf "union_approx calls: %d via %d union_many; results %s\n" unions
     many
     (if identical then "identical" else "DIFFER");
-  (* ---- end-to-end: whole NAS LU analysis under each join path/core *)
-  let run_analysis ~fast ~core =
-    set_mode fast;
-    Linear.System.set_solver_core core;
+  (* ---- end-to-end: whole NAS LU analysis, production vs the oracle *)
+  let run_analysis ~oracle =
     Linear.System.clear_cache ();
     let s0 = Linear.Solver_stats.snapshot () in
     let t0 = Unix.gettimeofday () in
-    ignore (analyze_module (lower ()));
+    let analyze () = ignore (analyze_module (lower ())) in
+    if oracle then Linear.System.Reference.run analyze else analyze ();
     let wall = Unix.gettimeofday () -. t0 in
     let d = Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) s0 in
-    set_mode true;
-    Linear.System.set_solver_core `Learned;
     (wall, d)
   in
-  let e2e_ref_wall, e2e_ref = run_analysis ~fast:false ~core:`Packed in
-  let e2e_fast_wall, e2e_fast = run_analysis ~fast:true ~core:`Packed in
-  let e2e_learned_wall, e2e_learned = run_analysis ~fast:true ~core:`Learned in
+  let e2e_ref_wall, e2e_ref = run_analysis ~oracle:true in
+  let e2e_learned_wall, e2e_learned = run_analysis ~oracle:false in
   Printf.printf
-    "end-to-end: reference %d implies queries %.3f ms (%.4fs), packed %d \
-     queries %.3f ms (%.4fs), learned %d queries %.3f ms (%.4fs)\n"
+    "end-to-end: reference %d implies queries %.3f ms (%.4fs), learned %d \
+     queries %.3f ms (%.4fs)\n"
     e2e_ref.implies_queries
     (float_of_int e2e_ref.implies_wall_ns /. 1e6)
-    e2e_ref_wall e2e_fast.implies_queries
-    (float_of_int e2e_fast.implies_wall_ns /. 1e6)
-    e2e_fast_wall e2e_learned.implies_queries
+    e2e_ref_wall e2e_learned.implies_queries
     (float_of_int e2e_learned.implies_wall_ns /. 1e6)
     e2e_learned_wall;
   (* ---- interner effectiveness (process lifetime: tables never drop) *)
@@ -1333,24 +1272,16 @@ let bench_regions ~json ~out () =
     bpf "      \"regions\": %d,\n" total_regions;
     bpf "      \"passes\": %d,\n" passes;
     bpf "      \"reference\": {\n";
-    bpf "        \"implies_queries\": %d,\n" d_ref.implies_queries;
-    bpf "        \"implies_wall_ns\": %d,\n" d_ref.implies_wall_ns;
     bpf "        \"wall_s\": %.6f\n" ref_wall;
-    bpf "      },\n";
-    bpf "      \"fast\": {\n";
-    bpf "        \"implies_queries\": %d,\n" d_fast.implies_queries;
-    bpf "        \"implies_memo_hits\": %d,\n" d_fast.implies_memo_hits;
-    bpf "        \"implies_wall_ns\": %d,\n" d_fast.implies_wall_ns;
-    bpf "        \"implies_saved\": %d,\n" saved;
-    bpf "        \"union_calls\": %d,\n" unions;
-    bpf "        \"union_many_calls\": %d,\n" many;
-    bpf "        \"wall_s\": %.6f\n" fast_wall;
     bpf "      },\n";
     bpf "      \"learned\": {\n";
     bpf "        \"implies_queries\": %d,\n" d_learned.implies_queries;
     bpf "        \"implies_memo_hits\": %d,\n" d_learned.implies_memo_hits;
     bpf "        \"implies_l1_hits\": %d,\n" d_learned.implies_l1_hits;
     bpf "        \"implies_wall_ns\": %d,\n" d_learned.implies_wall_ns;
+    bpf "        \"implies_saved\": %d,\n" saved;
+    bpf "        \"union_calls\": %d,\n" unions;
+    bpf "        \"union_many_calls\": %d,\n" many;
     bpf "        \"ctx_contexts\": %d,\n" d_learned.ctx_contexts;
     bpf "        \"ctx_cut_hits\": %d,\n" d_learned.ctx_cut_hits;
     bpf "        \"ctx_bound_hits\": %d,\n" d_learned.ctx_bound_hits;
@@ -1362,10 +1293,7 @@ let bench_regions ~json ~out () =
     bpf "      },\n";
     bpf "      \"implies_speedup\": %.2f,\n" speedup;
     bpf "      \"implies_speedup_floor\": %.2f,\n" 2.0;
-    bpf "      \"learned_speedup\": %.2f,\n" learned_speedup;
-    bpf "      \"learned_speedup_floor\": %.2f,\n" 2.0;
     bpf "      \"speedup_ok\": %b,\n" (speedup >= 2.);
-    bpf "      \"learned_speedup_ok\": %b,\n" (learned_speedup >= 2.);
     bpf "      \"identical\": %b\n" identical;
     bpf "    },\n";
     bpf "    \"end_to_end\": {\n";
@@ -1373,12 +1301,6 @@ let bench_regions ~json ~out () =
     bpf "        \"implies_queries\": %d,\n" e2e_ref.implies_queries;
     bpf "        \"implies_wall_ns\": %d,\n" e2e_ref.implies_wall_ns;
     bpf "        \"analysis_wall_s\": %.6f\n" e2e_ref_wall;
-    bpf "      },\n";
-    bpf "      \"fast\": {\n";
-    bpf "        \"implies_queries\": %d,\n" e2e_fast.implies_queries;
-    bpf "        \"implies_memo_hits\": %d,\n" e2e_fast.implies_memo_hits;
-    bpf "        \"implies_wall_ns\": %d,\n" e2e_fast.implies_wall_ns;
-    bpf "        \"analysis_wall_s\": %.6f\n" e2e_fast_wall;
     bpf "      },\n";
     bpf "      \"learned\": {\n";
     bpf "        \"implies_queries\": %d,\n" e2e_learned.implies_queries;
@@ -1443,7 +1365,8 @@ let check_solver_json path doc =
           | Some _ -> ()
           | None -> check_fail "solver.end_to_end.learned.%s missing" field)
         [
-          "feasible_wall_ns"; "small_runs"; "implies_l1_hits"; "ctx_contexts";
+          "feasible_wall_ns"; "implies_wall_ns"; "solver_wall_ns";
+          "small_runs"; "implies_l1_hits"; "ctx_contexts";
           "ctx_cut_hits"; "ctx_bound_hits"; "ctx_proj_hits"; "ctx_elims";
           "ctx_activity_reorders";
         ]
@@ -1485,11 +1408,9 @@ let check_regions_json path doc =
         ]
     | _ -> check_fail "regions.join.learned missing");
     let sp, spf = check_gate join ~where:"regions.join" "implies_speedup" in
-    let lsp, lspf = check_gate join ~where:"regions.join" "learned_speedup" in
     Printf.printf
-      "check-json: %s OK (regions; implies_speedup %.2f >= floor %.2f, \
-       learned_speedup %.2f >= floor %.2f)\n"
-      path sp spf lsp lspf
+      "check-json: %s OK (regions; implies_speedup %.2f >= floor %.2f)\n"
+      path sp spf
   | _ -> check_fail "regions.join / regions.end_to_end / regions.intern missing"
 
 let check_trace_json path raw =

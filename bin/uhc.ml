@@ -8,8 +8,7 @@
 let run paths corpus out_dir project dump_whirl dump_src dump_callgraph
     dump_summaries execute wopt ipl_dir fuse autopar emit_whirl loop_summaries
     jobs workers cache_dir stats stats_det trace metrics log_level keep_going
-    fault_specs diagnostics solver_budget join_path solver_core analyses report
-    ledger no_ledger =
+    fault_specs diagnostics solver_budget analyses report ledger no_ledger =
   let ledger =
     if no_ledger then Some false else if ledger then Some true else None
   in
@@ -20,7 +19,7 @@ let run paths corpus out_dir project dump_whirl dump_src dump_callgraph
          ?emit_whirl ~loop_summaries ~jobs ~workers ?cache_dir ~stats
          ~stats_det ?trace
          ?metrics ~log_level ~keep_going ~fault_specs ?diagnostics
-         ?solver_budget ~join_path ~solver_core ~analyses ?report ?ledger ())
+         ?solver_budget ~analyses ?report ?ledger ())
   in
   result.Pipeline.r_code
 
@@ -226,33 +225,6 @@ let solver_budget =
               conservatively from the interval box instead of running \
               Fourier-Motzkin.")
 
-let join_path =
-  Arg.(
-    value
-    & opt (enum [ ("fast", `Fast); ("reference", `Reference) ]) `Fast
-    & info [ "join-path" ] ~docv:"PATH"
-        ~doc:"Region-join implementation: fast (default) uses the \
-              hash-consed short-circuits, bucketed summaries and the \
-              entailment memo; reference restores the pre-interning join. \
-              Outputs are byte-identical either way (the knob exists for \
-              differential testing and bench regions).")
-
-let solver_core =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("learned", `Learned); ("packed", `Packed);
-             ("reference", `Reference) ])
-        `Learned
-    & info [ "solver-core" ] ~docv:"CORE"
-        ~doc:"Feasibility solver core: learned (default) adds persistent \
-              per-system contexts with Farkas-cut learning and \
-              activity-ordered elimination on top of the packed integer \
-              solver; packed is the packed solver alone; reference is the \
-              exact rational eliminator. Outputs are byte-identical across \
-              all three.")
-
 let analyses =
   let parse s =
     match Analyses.Registry.parse_selection s with
@@ -423,8 +395,7 @@ let cmd =
       $ autopar $ emit_whirl $ loop_summaries $ jobs $ workers $ cache_dir
       $ stats
       $ stats_det $ trace $ metrics $ log_level $ keep_going $ fault_specs
-      $ diagnostics $ solver_budget $ join_path $ solver_core $ analyses
-      $ report $ ledger $ no_ledger)
+      $ diagnostics $ solver_budget $ analyses $ report $ ledger $ no_ledger)
 
 (* [uhc gen ...] dispatches on the first word by hand: a [Cmd.group] with
    a default term would swallow positional source paths as (unknown)

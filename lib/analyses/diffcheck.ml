@@ -16,8 +16,8 @@
 
    Both counters must be zero for [ok=true].  The check is a pure
    function of the module and the analysis result, so its report is
-   byte-identical across --jobs settings and solver cores like every
-   other client. *)
+   byte-identical across --jobs and --workers settings like every other
+   client. *)
 
 open Whirl
 open Regions

@@ -310,10 +310,6 @@ let run (cfg : config) (m : Ir.module_) : result =
                in_fault_specs =
                  List.map Fault.spec_to_string (Fault.current_specs ());
                in_solver_budget = Linear.System.get_step_budget ();
-               in_solver_core =
-                 Engine_shard.core_name (Linear.System.solver_core ());
-               in_fast_join = Regions.Region.fast_join_enabled ();
-               in_implies_memo = Linear.System.implies_memo_enabled ();
                in_cache_dir = Option.bind cfg.store Engine_store.dir;
              }))
   in

@@ -1,9 +1,10 @@
 (** The parallel, incremental analysis engine.
 
-    [run] produces the same {!Ipa.Analyze.result} as the (deprecated)
-    serial [Ipa.Analyze.analyze] — byte-identical [.rgn]/[.dgn]/[.cfg]
-    contents — while fanning per-PU collection and CFG construction across
-    an OCaml domain pool and reusing content-addressed cached results:
+    [run] produces one {!Ipa.Analyze.result} — byte-identical
+    [.rgn]/[.dgn]/[.cfg] contents at every [jobs]/[workers] setting and
+    cache state — while fanning per-PU collection and CFG construction
+    across an OCaml domain pool and reusing content-addressed cached
+    results:
 
     - collection results are keyed by a digest of the global symbol table
       plus the PU's serialized WHIRL body;

@@ -54,9 +54,6 @@ type init = {
   in_keep_going : bool;
   in_fault_specs : string list;  (* [Fault.spec_to_string] forms *)
   in_solver_budget : int option;
-  in_solver_core : string;  (* "learned" | "packed" | "reference" *)
-  in_fast_join : bool;
-  in_implies_memo : bool;
   in_cache_dir : string option;  (* shared tier to publish summaries into *)
 }
 
@@ -213,9 +210,6 @@ let encode msg =
       put_list buf put_str i.in_fault_specs;
       put_bool buf (i.in_solver_budget <> None);
       put_u64 buf (match i.in_solver_budget with Some b -> b | None -> 0);
-      put_str buf i.in_solver_core;
-      put_bool buf i.in_fast_join;
-      put_bool buf i.in_implies_memo;
       put_opt_str buf i.in_cache_dir;
       'I'
     | Task t ->
@@ -236,47 +230,41 @@ let encode msg =
 
 let decode tag payload =
   let c = { src = payload; pos = 0 } in
-  match tag with
-  | 'H' ->
-    let pid = get_u64 c in
-    let schema = get_str c in
-    Hello (pid, schema)
-  | 'I' ->
-    let in_module = get_str c in
-    let in_keep_going = get_bool c in
-    let in_fault_specs = get_list c get_str in
-    let has_budget = get_bool c in
-    let budget = get_u64 c in
-    let in_solver_budget = if has_budget then Some budget else None in
-    let in_solver_core = get_str c in
-    let in_fast_join = get_bool c in
-    let in_implies_memo = get_bool c in
-    let in_cache_dir = get_opt_str c in
-    Init
-      {
-        in_module;
-        in_keep_going;
-        in_fault_specs;
-        in_solver_budget;
-        in_solver_core;
-        in_fast_join;
-        in_implies_memo;
-        in_cache_dir;
-      }
-  | 'T' ->
-    let t_id = get_u64 c in
-    let t_members = get_list c get_member in
-    let t_callees = get_list c get_pair in
-    Task { t_id; t_members; t_callees }
-  | 'R' ->
-    let r_id = get_u64 c in
-    let r_busy_ns = get_u64 c in
-    let r_degraded = get_u64 c in
-    let r_solver = get_str c in
-    let r_outcomes = get_list c get_named_outcome in
-    Result { r_id; r_busy_ns; r_degraded; r_solver; r_outcomes }
-  | 'Q' -> Shutdown
-  | ch -> failwith (Printf.sprintf "Engine_proto: bad message tag %C" ch)
+  let msg =
+    match tag with
+    | 'H' ->
+      let pid = get_u64 c in
+      let schema = get_str c in
+      Hello (pid, schema)
+    | 'I' ->
+      let in_module = get_str c in
+      let in_keep_going = get_bool c in
+      let in_fault_specs = get_list c get_str in
+      let has_budget = get_bool c in
+      let budget = get_u64 c in
+      let in_solver_budget = if has_budget then Some budget else None in
+      let in_cache_dir = get_opt_str c in
+      Init
+        { in_module; in_keep_going; in_fault_specs; in_solver_budget; in_cache_dir }
+    | 'T' ->
+      let t_id = get_u64 c in
+      let t_members = get_list c get_member in
+      let t_callees = get_list c get_pair in
+      Task { t_id; t_members; t_callees }
+    | 'R' ->
+      let r_id = get_u64 c in
+      let r_busy_ns = get_u64 c in
+      let r_degraded = get_u64 c in
+      let r_solver = get_str c in
+      let r_outcomes = get_list c get_named_outcome in
+      Result { r_id; r_busy_ns; r_degraded; r_solver; r_outcomes }
+    | 'Q' -> Shutdown
+    | ch -> failwith (Printf.sprintf "Engine_proto: bad message tag %C" ch)
+  in
+  (* leftover bytes mean the two ends disagree on a layout: fail loudly
+     rather than run on a half-understood message *)
+  if c.pos <> String.length payload then failwith "Engine_proto: trailing bytes";
+  msg
 
 (* ------------------------------------------------------------------ *)
 (* Framing over file descriptors *)

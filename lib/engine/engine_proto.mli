@@ -55,9 +55,6 @@ type init = {
   in_keep_going : bool;
   in_fault_specs : string list;  (** [Fault.spec_to_string] forms *)
   in_solver_budget : int option;
-  in_solver_core : string;  (** ["learned" | "packed" | "reference"] *)
-  in_fast_join : bool;
-  in_implies_memo : bool;
   in_cache_dir : string option;  (** shared tier to publish into *)
 }
 
@@ -83,4 +80,6 @@ val write_msg : Unix.file_descr -> msg -> unit
 
 val read_msg : Unix.file_descr -> msg option
 (** Blocking read of one message; [None] on end-of-stream at a message
-    boundary.  @raise Failure on a truncated or malformed stream. *)
+    boundary.  @raise Failure on a truncated or malformed stream, including
+    a payload with bytes left over after its tag's layout (coordinator and
+    worker disagree on the wire format). *)

@@ -41,17 +41,6 @@ let g_queue_depth = Obs.Metrics.gauge "shard.queue_depth"
 (* ------------------------------------------------------------------ *)
 (* Worker side *)
 
-let core_name = function
-  | `Learned -> "learned"
-  | `Packed -> "packed"
-  | `Reference -> "reference"
-
-let core_of_name = function
-  | "learned" -> `Learned
-  | "packed" -> `Packed
-  | "reference" -> `Reference
-  | s -> failwith ("shard worker: unknown solver core " ^ s)
-
 (* Mirrors [Engine]'s per-member summarize semantics exactly: members
    arrive in call-graph order; a pre-poisoned member installs the opaque
    summary at its position (so an earlier member of the cycle already saw
@@ -174,10 +163,6 @@ let worker_serve input output =
     | Ok specs -> Fault.configure specs
     | Error e -> failwith ("shard worker: bad fault spec: " ^ e));
     Linear.System.set_step_budget init.Engine_proto.in_solver_budget;
-    Linear.System.set_solver_core
-      (core_of_name init.Engine_proto.in_solver_core);
-    Regions.Region.set_fast_join init.Engine_proto.in_fast_join;
-    Linear.System.set_implies_memo_enabled init.Engine_proto.in_implies_memo;
     let store =
       Option.map
         (fun dir -> Engine_store.create ~dir ())

@@ -15,9 +15,6 @@
     ([shard.spawned]/[shard.tasks]/[shard.steals]/[shard.fallback_local]
     counters, [shard.queue_depth] gauge, {!stats}). *)
 
-val core_name : [ `Learned | `Packed | `Reference ] -> string
-(** The [Engine_proto.init] spelling of a solver core. *)
-
 val worker_check_argv : unit -> unit
 (** Call first thing in [main] of every binary that may coordinate a
     sharded run: when [Sys.argv.(1)] is the worker tag, this process

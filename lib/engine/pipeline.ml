@@ -2,8 +2,8 @@
 
    This is the paper's usage steps 1-2 (compile with interprocedural array
    analysis enabled, obtain the .dgn/.cfg/.rgn files Dragon loads) as a
-   library entry point: [bin/uhc] is now only command-line parsing over
-   [make]/[exec].  Analysis itself goes through [Engine.run], so every
+   library entry point: [bin/uhc] is only command-line parsing over
+   [make]/[run].  Analysis itself goes through [Engine.run], so every
    driver feature (--fuse re-analysis, repeated invocations with
    --cache-dir) is parallel and incremental for free. *)
 
@@ -35,8 +35,6 @@ type config = {
   fault_specs : string list;
   diagnostics : string option;
   solver_budget : int option;
-  join_path : [ `Fast | `Reference ];
-  solver_core : [ `Learned | `Packed | `Reference ];
   analyses : string list;
   report : string option;
   ledger : bool option;
@@ -57,8 +55,8 @@ let make ?(paths = []) ?corpus ?out_dir ?(project = "project")
     ?(jobs = 1) ?(workers = 0) ?cache_dir ?(stats = false)
     ?(stats_det = false) ?trace
     ?metrics ?(log_level = Obs.Log.Quiet) ?(keep_going = false)
-    ?(fault_specs = []) ?diagnostics ?solver_budget ?(join_path = `Fast)
-    ?(solver_core = `Learned) ?(analyses = []) ?report ?ledger () =
+    ?(fault_specs = []) ?diagnostics ?solver_budget ?(analyses = []) ?report
+    ?ledger () =
   {
     paths;
     corpus;
@@ -87,8 +85,6 @@ let make ?(paths = []) ?corpus ?out_dir ?(project = "project")
     fault_specs;
     diagnostics;
     solver_budget;
-    join_path;
-    solver_core;
     analyses;
     report;
     ledger;
@@ -429,13 +425,6 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
     Printf.eprintf "uhc: %s\n" msg;
     1
 
-let solver_core_name = function
-  | `Learned -> "learned"
-  | `Packed -> "packed"
-  | `Reference -> "reference"
-
-let join_path_name = function `Fast -> "fast" | `Reference -> "reference"
-
 (* Digest of the semantic configuration: two ledger records with equal
    config and corpus digests analyzed the same inputs the same way, so
    their deterministic counters are comparable.  [jobs], [workers] and
@@ -456,8 +445,6 @@ let config_digest (cfg : config) =
   add (string_of_bool cfg.keep_going);
   List.iter add cfg.fault_specs;
   add (match cfg.solver_budget with Some n -> string_of_int n | None -> "");
-  add (join_path_name cfg.join_path);
-  add (solver_core_name cfg.solver_core);
   List.iter add cfg.analyses;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -487,8 +474,6 @@ let ledger_record ~(cfg : config) ~run_id ~code ~wall_s ~corpus_digest ~pus
   bpf "\"corpus\":\"%s\","
     (Obs.Json.escape (Option.value cfg.corpus ~default:"-"));
   bpf "\"jobs\":%d," cfg.jobs;
-  bpf "\"solver_core\":\"%s\"," (solver_core_name cfg.solver_core);
-  bpf "\"join_path\":\"%s\"," (join_path_name cfg.join_path);
   bpf "\"analyses\":";
   strings cfg.analyses;
   bpf ",\"config_digest\":\"%s\"," (config_digest cfg);
@@ -649,22 +634,8 @@ let run (cfg : config) =
       false
   in
   Linear.System.set_step_budget cfg.solver_budget;
-  (* join-path selection: [`Reference] measures the pre-interning join
-     (per-entry summary folds, no id short-circuit, no implies memo);
-     outputs are byte-identical either way *)
-  (match cfg.join_path with
-  | `Fast ->
-    Regions.Region.set_fast_join true;
-    Linear.System.set_implies_memo_enabled true
-  | `Reference ->
-    Regions.Region.set_fast_join false;
-    Linear.System.set_implies_memo_enabled false);
-  (* solver-core selection ([--solver-core]): learned (default), packed
-     (no learned contexts) or reference — outputs are byte-identical
-     across all three, enforced by verify.sh and the solver tests *)
-  Linear.System.set_solver_core cfg.solver_core;
-  if cfg.solver_core <> `Learned || cfg.fault_specs <> []
-     || cfg.solver_budget <> None then
+  let degrading = cfg.fault_specs <> [] || cfg.solver_budget <> None in
+  if degrading then
     (* degraded answers are never memoized, but an earlier in-process run
        may have cached exact answers the faulted run should recompute (and
        vice versa for the run after) -- start from a cold solver cache *)
@@ -688,12 +659,7 @@ let run (cfg : config) =
     ~finally:(fun () ->
       Fault.clear ();
       Linear.System.set_step_budget None;
-      Regions.Region.set_fast_join true;
-      Linear.System.set_implies_memo_enabled true;
-      Linear.System.set_solver_core `Learned;
-      if cfg.solver_core <> `Learned || cfg.fault_specs <> []
-         || cfg.solver_budget <> None then
-        Linear.System.clear_cache ();
+      if degrading then Linear.System.clear_cache ();
       (* flush observation files even when the pipeline failed: a trace of a
          crashed run is exactly what one wants to look at *)
       (match trace_path with
@@ -766,8 +732,3 @@ let run (cfg : config) =
         r_diags = diags;
         r_reports = List.rev !reports;
       })
-
-let exec (cfg : config) = (run cfg).r_code
-let exec_full (cfg : config) =
-  let r = run cfg in
-  (r.r_code, r.r_diags)

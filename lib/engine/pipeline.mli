@@ -2,7 +2,7 @@
     output files) behind one configuration record.
 
     [bin/uhc] is a thin command-line wrapper over this module; programs
-    embedding the tool call [make]/[exec] directly instead of threading a
+    embedding the tool call [make]/[run] directly instead of threading a
     dozen positional flags around.  Analysis runs on {!Engine.run}, so
     [jobs]/[cache_dir]/[stats] select parallelism, the persistent
     content-addressed cache and per-phase statistics for every analysis the
@@ -53,7 +53,7 @@ type config = {
   fault_specs : string list;
       (** deterministic fault injection, [SITE:RATE:SEED[:ONLY]] per entry
           ({!Fault.parse_specs}); test/bench only — a malformed spec makes
-          {!exec} return 2 without running anything *)
+          {!run} return code 2 without running anything *)
   diagnostics : string option;
       (** write every recovery diagnostic of the run to this path as JSON
           ([{"diagnostics":[...]}], sorted; validated by
@@ -62,23 +62,6 @@ type config = {
       (** per-query step budget for {!Linear.System.feasible}; over-budget
           queries degrade to the interval-box answer
           ({!Linear.System.set_step_budget}) *)
-  join_path : [ `Fast | `Reference ];
-      (** region-join implementation: [`Fast] (default) uses the
-          hash-consed short-circuits, bucketed summary construction and
-          the global implies memo; [`Reference] restores the pre-interning
-          path ({!Regions.Region.set_fast_join},
-          {!Linear.System.set_implies_memo_enabled}).  Outputs are
-          byte-identical — the knob exists for differential tests and the
-          [bench regions] before/after comparison ([uhc --join-path]) *)
-  solver_core : [ `Learned | `Packed | `Reference ];
-      (** feasibility/implication solver core
-          ({!Linear.System.set_solver_core}): [`Learned] (default) adds
-          persistent per-system contexts — learned Farkas cuts, bound
-          witnesses, activity-ordered elimination and per-domain L1
-          implies tables — on top of the packed integer solver; [`Packed]
-          is the packed solver alone; [`Reference] the exact rational
-          eliminator.  Outputs are byte-identical across all three
-          ([uhc --solver-core], compared in verify.sh) *)
   analyses : string list;
       (** client analyses to run over the finished interprocedural result,
           in order ([uhc --analyses bounds,permissions,regions]); names
@@ -152,8 +135,6 @@ val make :
   ?fault_specs:string list ->
   ?diagnostics:string ->
   ?solver_budget:int ->
-  ?join_path:[ `Fast | `Reference ] ->
-  ?solver_core:[ `Learned | `Packed | `Reference ] ->
   ?analyses:string list ->
   ?report:string ->
   ?ledger:bool ->
@@ -168,13 +149,3 @@ val run : config -> result
     injection, the solver budget and the solver memo cache are reset on
     exit — including on exceptions — so subsequent in-process runs are
     unaffected. *)
-
-val exec : config -> int
-  [@@deprecated "use Pipeline.run; exec cfg = (run cfg).r_code"]
-(** @deprecated Thin wrapper kept for one release: [(run cfg).r_code]. *)
-
-val exec_full : config -> int * Fault.Diag.t list
-  [@@deprecated
-    "use Pipeline.run; exec_full cfg = ((run cfg).r_code, (run cfg).r_diags)"]
-(** @deprecated Thin wrapper kept for one release:
-    [((run cfg).r_code, (run cfg).r_diags)]. *)

@@ -129,12 +129,9 @@ module Builder = struct
 end
 
 let add_entries summary entries =
-  if Region.fast_join_enabled () then begin
-    let b = Builder.of_summary summary in
-    List.iter (Builder.add b) entries;
-    Builder.to_summary b
-  end
-  else List.fold_left add_entry summary entries
+  let b = Builder.of_summary summary in
+  List.iter (Builder.add b) entries;
+  Builder.to_summary b
 
 let formal_position pu st =
   let rec go i = function

@@ -31,11 +31,10 @@ val add_entry : t -> entry -> t
 
 val add_entries : t -> entry list -> t
 (** Same result as folding {!add_entry} left-to-right (that fold is the
-    definition, and the path taken when {!Regions.Region.fast_join_enabled}
-    is off).  The default fast path builds the summary through a
-    (key, mode)-bucketed index, replacing the per-insertion whole-list scan
-    with a bucket lookup, and collapses capped slots through
-    {!Regions.Region.union_many}. *)
+    definition, and the differential tests' oracle).  Builds the summary
+    through a (key, mode)-bucketed index, replacing the per-insertion
+    whole-list scan with a bucket lookup, and collapses capped slots
+    through {!Regions.Region.union_many}. *)
 
 val of_local :
   Whirl.Ir.module_ -> Whirl.Ir.pu -> Collect.access list -> t

@@ -181,15 +181,10 @@ let ref_equal_semantic a b = ref_includes a b && ref_includes b a
 
 (* ---------- fast query layer ---------- *)
 
+(* Oracle scope: inside [Reference.run] every answer-only query routes
+   through the reference eliminator and the memo layers are bypassed.  An
+   in-process test and bench switch only — production never sets it. *)
 let use_reference = Atomic.make false
-let use_cache = Atomic.make true
-let use_implies_memo = Atomic.make true
-
-(* Learned-core flag, kept orthogonal to [use_reference] so the historical
-   [set_reference_mode] toggling done by tests and the bench keeps its
-   meaning: the effective core is [`Reference] whenever reference mode is
-   on, otherwise [`Learned]/[`Packed] by this flag. *)
-let use_learned = Atomic.make true
 
 (* Step budget: a per-query cost cap (constraint count x variable count, a
    deterministic proxy for elimination work).  A query over budget — or one
@@ -203,61 +198,22 @@ let step_budget = Atomic.make (-1)
 
 (* Small-system threshold: at or below this [query_cost], packed setup
    (pack + box build + row allocation) is not worth paying and [feasible]
-   routes the query straight to the reference eliminator.  The balance is
-   host-dependent — a threshold sweep over the NAS LU region systems put
-   the crossover at cost 2 (single-row systems) on the reference host,
-   with larger values a mild pessimization — so the default stays at the
-   measured crossover and [set_small_threshold] exposes the knob.  Each
+   routes the query straight to the reference eliminator.  A threshold
+   sweep over the NAS LU region systems put the crossover at cost 2
+   (single-row systems), with larger values a mild pessimization.  Each
    routing is recorded in [Solver_stats.small_runs]. *)
-let small_threshold = Atomic.make 2
+let small_threshold = 2
 
-(* The guard below runs on every implies query, so the conjunction over
-   the cold knobs is cached in one atomic refreshed by the setters.
-   [Fault.enabled] cannot be folded in — the fault layer is configured
-   outside this module — but it is itself a single atomic load. *)
+(* The guard below runs on every implies query, so "no step budget and not
+   inside the oracle scope" is cached in one atomic refreshed by the two
+   writers.  [Fault.enabled] cannot be folded in — the fault layer is
+   configured outside this module — but it is itself a single atomic
+   load. *)
 let memo_ok_cached = Atomic.make true
 
 let refresh_memo_ok () =
   Atomic.set memo_ok_cached
-    (Atomic.get use_implies_memo && Atomic.get use_cache
-    && (not (Atomic.get use_reference))
-    && Atomic.get step_budget < 0)
-
-let set_reference_mode b =
-  Atomic.set use_reference b;
-  refresh_memo_ok ()
-
-let reference_mode () = Atomic.get use_reference
-
-let set_cache_enabled b =
-  Atomic.set use_cache b;
-  refresh_memo_ok ()
-
-let set_implies_memo_enabled b =
-  Atomic.set use_implies_memo b;
-  refresh_memo_ok ()
-
-let implies_memo_enabled () = Atomic.get use_implies_memo
-
-type core = [ `Learned | `Packed | `Reference ]
-
-let set_solver_core (c : core) =
-  (match c with
-  | `Reference ->
-    Atomic.set use_reference true;
-    Atomic.set use_learned false
-  | `Packed ->
-    Atomic.set use_reference false;
-    Atomic.set use_learned false
-  | `Learned ->
-    Atomic.set use_reference false;
-    Atomic.set use_learned true);
-  refresh_memo_ok ()
-
-let solver_core () : core =
-  if Atomic.get use_reference then `Reference
-  else if Atomic.get use_learned then `Learned
-  else `Packed
+    ((not (Atomic.get use_reference)) && Atomic.get step_budget < 0)
 
 let set_step_budget n =
   (match n with
@@ -268,8 +224,6 @@ let set_step_budget n =
 let get_step_budget () =
   let b = Atomic.get step_budget in
   if b < 0 then None else Some b
-
-let set_small_threshold n = Atomic.set small_threshold (max 0 n)
 
 let query_cost t = List.length t.cs * (1 + Var.Set.cardinal (vars t))
 
@@ -341,7 +295,7 @@ let seen_add sid =
    hits across domains is worth the lock, and the seen-registry discipline
    below keeps the hit/miss counts scheduling-independent.  Bypassed (and
    not consulted) whenever answers could be degraded (budget / fault
-   injection) or the run wants raw paths (reference mode, cache off). *)
+   injection) or inside the [Reference.run] oracle scope. *)
 let implies_memo : (int * int, bool) Hashtbl.t = Hashtbl.create 4096
 let implies_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 4096
 let implies_mutex = Mutex.create ()
@@ -440,7 +394,7 @@ let compute_feasible t =
     Solver_stats.reference_run ();
     (ref_feasible_l t.cs, `Eliminated)
   in
-  if query_cost t <= Atomic.get small_threshold then begin
+  if query_cost t <= small_threshold then begin
     (* tiny system: packed setup costs more than the reference eliminator
        spends solving it outright *)
     Solver_stats.small_run ();
@@ -501,30 +455,26 @@ let feasible t =
       (box_feasible t, `Prefilter)
     in
     let r, tag =
-      if Atomic.get use_cache then begin
+      if degrades () then degraded (seen_add t.id)
+      else
         let tbl = Domain.DLS.get cache_key in
-        if degrades () then degraded (seen_add t.id)
-        else
-          match Hashtbl.find_opt tbl t.id with
-          | Some r ->
-            Solver_stats.cache_hit ();
-            (r, `Hit)
-          | None ->
-            (* first domain to reach this system counts (and computes
-               loudly); later domains recompute quietly and count a hit, so
-               counters do not depend on pool scheduling *)
-            let fresh = seen_add t.id in
-            if fresh then Solver_stats.cache_miss ()
-            else Solver_stats.cache_hit ();
-            let r, tag =
-              if fresh then compute_feasible t
-              else Solver_stats.quiet (fun () -> compute_feasible t)
-            in
-            Hashtbl.replace tbl t.id r;
-            (r, tag)
-      end
-      else if degrades () then degraded true
-      else compute_feasible t
+        match Hashtbl.find_opt tbl t.id with
+        | Some r ->
+          Solver_stats.cache_hit ();
+          (r, `Hit)
+        | None ->
+          (* first domain to reach this system counts (and computes
+             loudly); later domains recompute quietly and count a hit, so
+             counters do not depend on pool scheduling *)
+          let fresh = seen_add t.id in
+          if fresh then Solver_stats.cache_miss ()
+          else Solver_stats.cache_hit ();
+          let r, tag =
+            if fresh then compute_feasible t
+            else Solver_stats.quiet (fun () -> compute_feasible t)
+          in
+          Hashtbl.replace tbl t.id r;
+          (r, tag)
     in
     let ns = now_ns () - t0 in
     Solver_stats.add_fast_ns ns;
@@ -533,8 +483,8 @@ let feasible t =
   end
 
 (* The compound queries below route every internal feasibility test through
-   [feasible] — in reference mode included — so the per-mode wall-clock
-   counters cover the same set of underlying queries in both modes. *)
+   [feasible] — inside the oracle scope included — so the reference and
+   fast wall-clock counters cover the same set of underlying queries. *)
 
 let implies_uncached t c =
   if Atomic.get use_reference then
@@ -718,14 +668,10 @@ let implies_learned t c =
           observe h_implies_eliminated;
           r))
 
-let implies_compute t c =
-  if Atomic.get use_learned then implies_learned t c else implies_uncached t c
-
-(* The memo only applies when every answer underneath is exact and the run
-   is not deliberately measuring raw paths: degraded answers (budget /
-   fault) must not be frozen, and reference / cache-off modes exist to
-   time the unmemoized paths.  The same guard gates the learned contexts
-   and the L1 tables — they are memo layers too. *)
+(* The memo only applies when every answer underneath is exact: degraded
+   answers (step budget / fault spec) must not be frozen, and the oracle
+   scope times the unmemoized reference paths.  The same guard gates the
+   learned contexts and the L1 table — they are memo layers too. *)
 let implies_memo_ok () = Atomic.get memo_ok_cached && not (Fault.enabled ())
 
 (* Per-domain L1 answer table for [implies], in front of the mutex-guarded
@@ -752,16 +698,9 @@ let implies t c =
     r
   end
   else begin
-    (* the L1 table belongs to the learned core: [--solver-core packed]
-       must reproduce the plain global-memo behavior it benchmarks *)
-    let l1 =
-      if Atomic.get use_learned then Some (Domain.DLS.get implies_l1_key)
-      else None
-    in
+    let l1 = Domain.DLS.get implies_l1_key in
     let lk = (t.id lsl 31) lor Constr.id c in
-    match
-      match l1 with Some l1 -> Hashtbl.find_opt l1 lk | None -> None
-    with
+    match Hashtbl.find_opt l1 lk with
     | Some r ->
       (* L1 hits are deliberately untimed: two clock reads would cost more
          than the lookup itself, and the wall sums are already excluded
@@ -782,13 +721,13 @@ let implies t c =
         | Some r -> r
         | None ->
           let r =
-            if fresh then implies_compute t c
-            else Solver_stats.quiet (fun () -> implies_compute t c)
+            if fresh then implies_learned t c
+            else Solver_stats.quiet (fun () -> implies_learned t c)
           in
           implies_memo_store key r;
           r
       in
-      (match l1 with Some l1 -> Hashtbl.replace l1 lk r | None -> ());
+      Hashtbl.replace l1 lk r;
       Solver_stats.add_implies_ns (now_ns () - t0);
       r
   end
@@ -885,32 +824,24 @@ let sample t =
    one reference computation produced — these are rendered into .rgn
    files, and byte-identity holds because a memo hit returns the identical
    interned value a recompute would. *)
-let ctx_memo_ok () = Atomic.get use_learned && Atomic.get use_cache
-
 let bounds v t =
-  if ctx_memo_ok () then begin
-    let ctx = Context.find t.id in
-    match Context.find_bounds ctx (Var.id v) with
-    | Some b -> b
-    | None ->
-      let b = bounds_raw v t in
-      Context.store_bounds ctx (Var.id v) b;
-      b
-  end
-  else bounds_raw v t
+  let ctx = Context.find t.id in
+  match Context.find_bounds ctx (Var.id v) with
+  | Some b -> b
+  | None ->
+    let b = bounds_raw v t in
+    Context.store_bounds ctx (Var.id v) b;
+    b
 
 let project_onto keep t =
-  if ctx_memo_ok () then begin
-    let ctx = Context.find t.id in
-    let key = List.map Var.id (Var.Set.elements keep) in
-    match Context.find_proj ctx key with
-    | Some cs -> intern_norm cs
-    | None ->
-      let r = project_onto_raw keep t in
-      Context.store_proj ctx key r.cs;
-      r
-  end
-  else project_onto_raw keep t
+  let ctx = Context.find t.id in
+  let key = List.map Var.id (Var.Set.elements keep) in
+  match Context.find_proj ctx key with
+  | Some cs -> intern_norm cs
+  | None ->
+    let r = project_onto_raw keep t in
+    Context.store_proj ctx key r.cs;
+    r
 
 module Reference = struct
   let feasible t = ref_feasible_l t.cs
@@ -920,6 +851,13 @@ module Reference = struct
   let equal_semantic = ref_equal_semantic
   let bounds = bounds_raw
   let sample = sample
+
+  let run f =
+    let prev = Atomic.exchange use_reference true in
+    refresh_memo_ok ();
+    Fun.protect f ~finally:(fun () ->
+        Atomic.set use_reference prev;
+        refresh_memo_ok ())
 end
 
 let pp ppf t =

@@ -96,55 +96,21 @@ val sample : t -> (Var.t -> Rat.t) option
 (** A rational point satisfying the system, if feasible: found by
     back-substitution through the elimination order. *)
 
-(** {2 Solver cores}
+(** {2 Solver core}
 
-    Three interchangeable query cores, all byte-identical in answers and
-    outputs:
+    One production query core: the packed integer solver plus persistent
+    per-system {!Context}s — learned direction thresholds (Farkas cuts /
+    feasibility witnesses) answer repeat assumption queries by one
+    rational comparison, eliminations are ordered by conflict activity,
+    and bounds/projections are memoized per system.  A per-domain L1 table
+    answers repeat implies queries without touching the global memo's
+    lock.  Feasibility queries of cost (constraint count times variable
+    count) at most 2 skip packed setup and run the reference eliminator
+    directly; routed queries are counted in [Solver_stats.small_runs].
 
-    - [`Learned] (the default): the packed solver plus persistent
-      per-system {!Context}s — learned direction thresholds (Farkas cuts /
-      feasibility witnesses) answer repeat assumption queries by one
-      rational comparison, eliminations are ordered by conflict activity,
-      and bounds/projections are memoized per system.  A per-domain L1
-      table answers repeat implies queries without touching the global
-      memo's lock.
-    - [`Packed]: the packed integer Fourier-Motzkin fast path without the
-      learned layer (PR 5 behavior; kept for benchmarking the learned
-      layer's contribution).
-    - [`Reference]: the exact rational reference eliminator everywhere.
-
-    The learned layer only engages when the implies memo may (cache on, no
-    budget, no fault injection, not reference mode): it is a memo layer
-    itself, so the same exactness conditions apply. *)
-
-type core = [ `Learned | `Packed | `Reference ]
-
-val set_solver_core : core -> unit
-val solver_core : unit -> core
-
-val set_small_threshold : int -> unit
-(** Feasibility queries whose cost (constraint count times variable count,
-    as for {!set_step_budget}) is at or below this threshold skip packed
-    setup and run the reference eliminator directly — on tiny systems the
-    packing and box construction cost more than the elimination they
-    accelerate.  Routed queries are counted in [Solver_stats.small_runs].
-    Default 2, the crossover a threshold sweep over the NAS LU region
-    systems measured (the balance is host-dependent, hence the knob). *)
-
-(** {2 Solver knobs}
-
-    The fast query layer can be disabled wholesale ([set_reference_mode
-    true] routes {!feasible}/{!implies}/{!includes}/{!disjoint} through the
-    reference eliminator) or partially ([set_cache_enabled false] keeps the
-    packed solver but skips memoization).  Both knobs exist for differential
-    testing and benchmarking; answers are identical in every configuration. *)
-
-val set_reference_mode : bool -> unit
-(** Equivalent to toggling between [`Reference] and the previously
-    selected non-reference core (the [`Learned]/[`Packed] choice is
-    remembered across toggles). *)
-
-val reference_mode : unit -> bool
+    The learned layer and the implies memo only engage when no step budget
+    and no fault spec is active: they are memo layers, and degraded answers
+    must not be frozen. *)
 
 val set_step_budget : int option -> unit
 (** Degradation valve for {!feasible} (and through it {!implies} /
@@ -156,28 +122,13 @@ val set_step_budget : int option -> unit
     (entailment and disjointness degrade to "cannot prove", so regions
     only grow).  Degraded answers are counted in the [solver.degraded]
     metric and never memoized; [None] (the default) restores exact
-    answers.  Reference mode ignores the budget.  Read back with
+    answers.  {!Reference.run} ignores the budget.  Read back with
     {!get_step_budget} (shard workers mirror the coordinator's knob).
     The fault-injection
     site ["solver"] ({!Fault.Solver}) forces the same degradation on the
     targeted queries. *)
 
 val get_step_budget : unit -> int option
-
-val set_cache_enabled : bool -> unit
-(** The memo cache for {!feasible} is per-domain (domain-local storage), so
-    parallel engine workers never contend on it. *)
-
-val set_implies_memo_enabled : bool -> unit
-(** The {!implies} memo is global, keyed by (system id, constraint id) —
-    an implies answer amortizes several eliminations, so hits are shared
-    across domains.  It is bypassed automatically whenever answers could
-    be degraded (step budget, fault injection) or the run measures raw
-    paths (reference mode, cache off); this knob additionally disables it
-    for the reference join path ([--join-path reference] and the regions
-    bench).  Answers are identical either way. *)
-
-val implies_memo_enabled : unit -> bool
 
 val clear_cache : unit -> unit
 (** Drop every domain's memo table (feasible memos and implies L1 tables),
@@ -187,9 +138,9 @@ val clear_cache : unit -> unit
     correctness since cached answers are immutable exact facts).  Only
     call while no other domain is querying. *)
 
-(** The pristine pre-optimization query paths, used as ground truth by the
-    solver equivalence tests and the before/after benchmarks.  [bounds] and
-    [sample] are aliases: those are output-sensitive and were not changed. *)
+(** The exact rational reference eliminator, used as ground truth by the
+    solver equivalence tests and the benchmarks.  [bounds] and [sample] are
+    aliases: those are output-sensitive and were not changed. *)
 module Reference : sig
   val feasible : t -> bool
   val implies : t -> Constr.t -> bool
@@ -198,6 +149,14 @@ module Reference : sig
   val equal_semantic : t -> t -> bool
   val bounds : Var.t -> t -> Rat.t option * Rat.t option
   val sample : t -> (Var.t -> Rat.t) option
+
+  val run : (unit -> 'a) -> 'a
+  (** [run f] evaluates [f] with every {!feasible}/{!implies}/{!includes}/
+      {!disjoint} answered by the reference eliminator and the memo layers
+      bypassed, restoring the previous mode on exit (exceptions included).
+      An in-process oracle for differential tests and benchmarks only: the
+      switch is process-global, so no other analysis may run concurrently,
+      and shard worker processes never see it. *)
 end
 
 val pp : Format.formatter -> t -> unit

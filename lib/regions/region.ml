@@ -26,16 +26,6 @@ type loop_ctx = {
   lc_step : int option;
 }
 
-(* Join-path selector.  [true] (the default) lets {!union_approx} skip the
-   per-constraint implies sweep when both operands carry the same interned
-   system — provably the same result, since an exact [System.implies]
-   entails every inequality of a system against itself.  [false] is the
-   pre-interning reference path, kept runtime-selectable for differential
-   tests and the regions bench ([--join-path reference]). *)
-let fast_join = Atomic.make true
-let set_fast_join b = Atomic.set fast_join b
-let fast_join_enabled () = Atomic.get fast_join
-
 let c_union_calls = Obs.Metrics.counter "regions.union.calls"
 let c_union_many_calls = Obs.Metrics.counter "regions.union_many.calls"
 let c_implies_saved = Obs.Metrics.counter "regions.union.implies_saved"
@@ -334,25 +324,28 @@ let union_strides la sa lb sb =
     | _ -> if g = 0 then Sconst 1 else Sconst g)
   | _ -> Sunknown
 
+(* Weak join: constraints of one side entailed by the other.  Equalities
+   are split into inequality pairs first, otherwise joining two distinct
+   points would keep nothing instead of their hull. *)
+let inequalities sys =
+  List.concat_map
+    (fun c ->
+      match Constr.op c with
+      | Constr.Le -> [ c ]
+      | Constr.Eq ->
+        let e = Constr.expr c in
+        [ Constr.make e Constr.Le; Constr.make (Expr.neg e) Constr.Le ])
+    (System.to_list sys)
+
+let weak_join keep_entailed a b =
+  System.of_list (keep_entailed a b @ keep_entailed b a)
+
 let union_approx a b =
   if a.ndims <> b.ndims then invalid_arg "Region.union_approx: rank mismatch";
   Obs.Metrics.Counter.incr c_union_calls;
-  (* weak join: constraints of one side entailed by the other.  Equalities
-     are split into inequality pairs first, otherwise joining two distinct
-     points would keep nothing instead of their hull. *)
-  let inequalities sys =
-    List.concat_map
-      (fun c ->
-        match Constr.op c with
-        | Constr.Le -> [ c ]
-        | Constr.Eq ->
-          let e = Constr.expr c in
-          [ Constr.make e Constr.Le; Constr.make (Expr.neg e) Constr.Le ])
-      (System.to_list sys)
-  in
   let keep_entailed src other =
     let ineqs = inequalities src in
-    if Atomic.get fast_join && System.equal src other then begin
+    if System.equal src other then begin
       (* joining a system with itself: [implies] is exact and complete, so
          every inequality derived from [src] is entailed by [other] — keep
          them all without a single solver query (same result by
@@ -362,10 +355,7 @@ let union_approx a b =
     end
     else List.filter (fun c -> System.implies other c) ineqs
   in
-  let sys =
-    System.of_list
-      (keep_entailed a.sys b.sys @ keep_entailed b.sys a.sys)
-  in
+  let sys = weak_join keep_entailed a.sys b.sys in
   let strides =
     List.map2
       (fun da db -> union_strides da.lb da.stride db.lb db.stride)
@@ -395,6 +385,12 @@ let union_many = function
        (display-equal accesses carry the very same interned system). *)
     Obs.Metrics.Counter.incr c_union_many_calls;
     List.fold_left union_approx r rest
+
+module Reference = struct
+  let join_sys =
+    weak_join (fun src other ->
+        List.filter (System.Reference.implies other) (inequalities src))
+end
 
 let includes a b =
   a.ndims = b.ndims

@@ -96,15 +96,13 @@ val union_many : t list -> t
     short-circuit and the [regions.union_many.calls] metric.
     @raise Invalid_argument on the empty list. *)
 
-val set_fast_join : bool -> unit
-(** Selects the join path.  [true] (default) lets {!union_approx} skip the
-    entailment sweep when both operands carry the same interned constraint
-    system, and lets the summary layer bucket entries by (array, mode)
-    instead of scanning linearly.  [false] restores the pre-interning
-    reference path; results are byte-identical either way (differential
-    tests and the regions bench rely on this knob). *)
-
-val fast_join_enabled : unit -> bool
+(** The join's constraint system computed the slow, obvious way: every
+    inequality filtered through {!Linear.System.Reference.implies}, with no
+    interned-id short-circuit and no memo.  A test and bench oracle only:
+    [(union_approx a b).sys] equals [Reference.join_sys a.sys b.sys]. *)
+module Reference : sig
+  val join_sys : Linear.System.t -> Linear.System.t -> Linear.System.t
+end
 
 val includes : t -> t -> bool
 (** Convex inclusion (ignores strides, hence conservative: [includes a b]

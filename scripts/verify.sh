@@ -24,6 +24,9 @@ dune exec bin/uhc.exe -- --corpus lu -o "$out" --jobs 4 --stats
 test -s "$out/project.rgn"
 test -s "$out/project.dgn"
 
+echo "== committed BENCH_*.json pass check-json =="
+dune exec bench/main.exe -- check-json BENCH_*.json
+
 echo "== smoke: bench solver --json =="
 dune exec bench/main.exe -- solver --json --out "$out/BENCH_solver.json"
 test -s "$out/BENCH_solver.json"
@@ -47,24 +50,6 @@ dune exec bin/uhc.exe -- --corpus lu --analyses bounds,permissions \
 cmp "$out/report1.json" "$out/report4.json"
 dune exec bench/main.exe -- check-json "$out/report1.json"
 dune exec bin/dragon.exe -- report "$out/report1.json" | grep -q "== analysis: bounds =="
-
-echo "== smoke: uhc --join-path reference is byte-identical =="
-dune exec bin/uhc.exe -- --corpus lu -o "$out/jfast" --jobs 4 >/dev/null
-dune exec bin/uhc.exe -- --corpus lu --join-path reference -o "$out/jref" \
-  --jobs 4 >/dev/null
-cmp "$out/jfast/project.rgn" "$out/jref/project.rgn"
-cmp "$out/jfast/project.dgn" "$out/jref/project.dgn"
-cmp "$out/jfast/project.cfg" "$out/jref/project.cfg"
-
-echo "== smoke: uhc --solver-core {learned,packed,reference} byte-identical =="
-# jfast above is the learned default; the other two cores must match it
-for core in packed reference; do
-  dune exec bin/uhc.exe -- --corpus lu --solver-core "$core" \
-    -o "$out/core_$core" --jobs 4 >/dev/null
-  cmp "$out/jfast/project.rgn" "$out/core_$core/project.rgn"
-  cmp "$out/jfast/project.dgn" "$out/core_$core/project.dgn"
-  cmp "$out/jfast/project.cfg" "$out/core_$core/project.cfg"
-done
 
 echo "== smoke: uhc --trace/--metrics + dragon profile =="
 dune exec bin/uhc.exe -- --corpus matrix --jobs 2 \

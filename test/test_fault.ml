@@ -288,6 +288,40 @@ let test_solver_budget () =
   in
   Test_engine.check_same_output "budget resets cleanly" exact again
 
+(* [Pipeline.run] owns the two process-global solver knobs for the length
+   of a run: a budgeted, faulted run must leave neither behind, and the
+   next default run must emit exactly what a fresh default run does *)
+let test_pipeline_resets_knobs () =
+  let run ?solver_budget ?(fault_specs = []) () =
+    let dir = Test_engine.fresh_dir () in
+    let cfg =
+      Pipeline.make ~corpus:"lu" ~out_dir:dir ?solver_budget ~fault_specs
+        ~keep_going:(fault_specs <> []) ()
+    in
+    let r = Test_analyses.with_quiet_stdout (fun () -> Pipeline.run cfg) in
+    Alcotest.(check int) "exit code" 0 r.Pipeline.r_code;
+    let bytes =
+      List.map
+        (fun ext ->
+          In_channel.with_open_bin
+            (Filename.concat dir ("project" ^ ext))
+            In_channel.input_all)
+        [ ".rgn"; ".dgn"; ".cfg" ]
+    in
+    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
+    bytes
+  in
+  let fresh = run () in
+  let d0 = mget "solver.degraded" in
+  ignore (run ~solver_budget:1 ~fault_specs:[ "solver:0.5:3" ] ());
+  Alcotest.(check bool) "the knobs were live" true
+    (mget "solver.degraded" - d0 > 0);
+  Alcotest.(check bool) "step budget reset" true
+    (Linear.System.get_step_budget () = None);
+  Alcotest.(check bool) "fault spec cleared" false (Fault.enabled ());
+  Alcotest.(check (list string)) "next default run = fresh default run" fresh
+    (run ())
+
 let suite =
   [
     Alcotest.test_case "spec grammar" `Quick test_spec_parsing;
@@ -305,4 +339,6 @@ let suite =
       `Slow test_zero_rate_identity;
     Alcotest.test_case "solver budget degrades and resets" `Slow
       test_solver_budget;
+    Alcotest.test_case "Pipeline.run resets budget and fault spec" `Slow
+      test_pipeline_resets_knobs;
   ]

@@ -1,21 +1,10 @@
 (* The hash-consed region algebra: interning soundness (equal ids iff
-   structurally equal after normalization), the n-way union and the
-   bucketed summary builder against their reference folds, and end-to-end
-   byte-identity of the fast and reference join paths on every corpus. *)
+   structurally equal after normalization), and the n-way union and the
+   bucketed summary builder against their reference folds.  End-to-end
+   byte-identity of the production join against the reference eliminator
+   lives in the solver and engine suites. *)
 
 open QCheck2
-
-(* Run [f] under the given join path, restoring the default afterwards.
-   [false] is the pre-interning reference configuration (per-entry summary
-   folds, no interned-id short-circuit, no implies memo). *)
-let with_join_path fast f =
-  Regions.Region.set_fast_join fast;
-  Linear.System.set_implies_memo_enabled fast;
-  Fun.protect
-    ~finally:(fun () ->
-      Regions.Region.set_fast_join true;
-      Linear.System.set_implies_memo_enabled true)
-    f
 
 let same_region (a : Regions.Region.t) (b : Regions.Region.t) =
   a.Regions.Region.ndims = b.Regions.Region.ndims
@@ -101,19 +90,20 @@ let prop_intern_sound =
 
 (* ---- differential: n-way union vs reference fold --------------------- *)
 
+(* the production join (interned-id short-circuit, implies memo) against
+   a fold of the oracle join over the bare systems *)
 let prop_union_many =
-  Test.make ~name:"union_many = reference fold of union_approx" ~count:200
+  Test.make ~name:"union_many = reference fold of unions (Reference.join_sys)"
+    ~count:200
     Gen.(list_size (int_range 1 6) gen_region)
     (fun rs ->
-      let fast =
-        with_join_path true (fun () -> Regions.Region.union_many rs)
-      in
+      let sys (r : Regions.Region.t) = r.Regions.Region.sys in
       let reference =
-        with_join_path false (fun () ->
-            List.fold_left Regions.Region.union_approx (List.hd rs)
-              (List.tl rs))
+        List.fold_left
+          (fun acc r -> Regions.Region.Reference.join_sys acc (sys r))
+          (sys (List.hd rs)) (List.tl rs)
       in
-      same_region fast reference)
+      Linear.System.equal (sys (Regions.Region.union_many rs)) reference)
 
 (* ---- differential: bucketed summary builder vs add_entry fold -------- *)
 
@@ -141,13 +131,8 @@ let prop_builder =
             })
           picks
       in
-      let fast =
-        with_join_path true (fun () -> Ipa.Summary.add_entries [] entries)
-      in
-      let reference =
-        with_join_path false (fun () ->
-            List.fold_left Ipa.Summary.add_entry [] entries)
-      in
+      let fast = Ipa.Summary.add_entries [] entries in
+      let reference = List.fold_left Ipa.Summary.add_entry [] entries in
       List.length fast = List.length reference
       && List.for_all2
            (fun (a : Ipa.Summary.entry) (b : Ipa.Summary.entry) ->
@@ -157,28 +142,6 @@ let prop_builder =
              && same_region a.Ipa.Summary.e_region b.Ipa.Summary.e_region)
            fast reference)
 
-(* ---- corpora: both join paths byte-identical at any --jobs ----------- *)
-
-let test_corpus_identity () =
-  List.iter
-    (fun corpus ->
-      let files = Test_engine.corpus_files corpus in
-      let render_with ~fast ~jobs =
-        with_join_path fast (fun () ->
-            Linear.System.clear_cache ();
-            Test_engine.render
-              (Engine.run (Engine.config ~jobs ()) (Test_engine.lower files))
-                .Engine.e_result)
-      in
-      let base = render_with ~fast:true ~jobs:1 in
-      Test_engine.check_same_output (corpus ^ " reference jobs=1") base
-        (render_with ~fast:false ~jobs:1);
-      Test_engine.check_same_output (corpus ^ " reference jobs=4") base
-        (render_with ~fast:false ~jobs:4);
-      Test_engine.check_same_output (corpus ^ " fast jobs=4") base
-        (render_with ~fast:true ~jobs:4))
-    [ "lu"; "matrix"; "fig1"; "stride" ]
-
 let suite =
   [
     Alcotest.test_case "interned terms are physically shared" `Quick
@@ -186,6 +149,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_intern_sound;
     QCheck_alcotest.to_alcotest prop_union_many;
     QCheck_alcotest.to_alcotest prop_builder;
-    Alcotest.test_case "corpora byte-identical (fast vs reference join)" `Slow
-      test_corpus_identity;
   ]

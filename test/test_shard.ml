@@ -1,6 +1,6 @@
-(* The shard subsystem's contract: the wire protocol round-trips exactly,
-   outputs are byte-identical at every worker topology (including degraded
-   solver cores and under fault isolation), and the shared cache tier is
+(* The shard subsystem's contract: the wire protocol round-trips exactly
+   and rejects layout skew, outputs are byte-identical at every worker
+   topology (including under fault isolation), and the shared cache tier is
    published exactly once — concurrent writers and corrupted entries
    self-heal without ever changing an output. *)
 
@@ -48,70 +48,65 @@ let check_no_litter where dir =
 
 (* ---- wire protocol -------------------------------------------------- *)
 
+let proto_msgs =
+  [
+    Engine_proto.Hello (1234, "abcdef012345");
+    Engine_proto.Init
+      {
+        Engine_proto.in_module = "MODULE image\nwith lines\n";
+        in_keep_going = true;
+        in_fault_specs = [ "pool:0.5:7:main"; "io_read:1:0" ];
+        in_solver_budget = Some 42;
+        in_cache_dir = Some "/tmp/shared-tier";
+      };
+    Engine_proto.Init
+      {
+        Engine_proto.in_module = "";
+        in_keep_going = false;
+        in_fault_specs = [];
+        in_solver_budget = None;
+        in_cache_dir = None;
+      };
+    Engine_proto.Task
+      {
+        Engine_proto.t_id = 3;
+        t_members =
+          [
+            {
+              Engine_proto.mb_name = "f";
+              mb_poisoned = false;
+              mb_collect = "\x00\x01collect-image\xff";
+              mb_key = String.make 16 '\x01';
+            };
+            {
+              Engine_proto.mb_name = "g";
+              mb_poisoned = true;
+              mb_collect = "";
+              mb_key = "";
+            };
+          ];
+        t_callees = [ ("h", "summary-image"); ("k", "\x00binary\x00") ];
+      };
+    Engine_proto.Result
+      {
+        Engine_proto.r_id = 3;
+        r_busy_ns = 98765;
+        r_degraded = 2;
+        r_solver = "\x00\x01marshal-blob";
+        r_outcomes =
+          [
+            ("f", Engine_proto.O_summary "SUM");
+            ("g", Engine_proto.O_opaque);
+            ("h", Engine_proto.O_poisoned ("summarize", "pool", "boom"));
+            ("k", Engine_proto.O_failed ("fatal", Some ("pool", "summarize:k")));
+            ("l", Engine_proto.O_failed ("fatal2", None));
+          ];
+      };
+    Engine_proto.Shutdown;
+  ]
+
 let test_proto_roundtrip () =
-  let msgs =
-    [
-      Engine_proto.Hello (1234, "abcdef012345");
-      Engine_proto.Init
-        {
-          Engine_proto.in_module = "MODULE image\nwith lines\n";
-          in_keep_going = true;
-          in_fault_specs = [ "pool:0.5:7:main"; "io_read:1:0" ];
-          in_solver_budget = Some 42;
-          in_solver_core = "packed";
-          in_fast_join = false;
-          in_implies_memo = true;
-          in_cache_dir = Some "/tmp/shared-tier";
-        };
-      Engine_proto.Init
-        {
-          Engine_proto.in_module = "";
-          in_keep_going = false;
-          in_fault_specs = [];
-          in_solver_budget = None;
-          in_solver_core = "learned";
-          in_fast_join = true;
-          in_implies_memo = false;
-          in_cache_dir = None;
-        };
-      Engine_proto.Task
-        {
-          Engine_proto.t_id = 3;
-          t_members =
-            [
-              {
-                Engine_proto.mb_name = "f";
-                mb_poisoned = false;
-                mb_collect = "\x00\x01collect-image\xff";
-                mb_key = String.make 16 '\x01';
-              };
-              {
-                Engine_proto.mb_name = "g";
-                mb_poisoned = true;
-                mb_collect = "";
-                mb_key = "";
-              };
-            ];
-          t_callees = [ ("h", "summary-image"); ("k", "\x00binary\x00") ];
-        };
-      Engine_proto.Result
-        {
-          Engine_proto.r_id = 3;
-          r_busy_ns = 98765;
-          r_degraded = 2;
-          r_solver = "\x00\x01marshal-blob";
-          r_outcomes =
-            [
-              ("f", Engine_proto.O_summary "SUM");
-              ("g", Engine_proto.O_opaque);
-              ("h", Engine_proto.O_poisoned ("summarize", "pool", "boom"));
-              ("k", Engine_proto.O_failed ("fatal", Some ("pool", "summarize:k")));
-              ("l", Engine_proto.O_failed ("fatal2", None));
-            ];
-        };
-      Engine_proto.Shutdown;
-    ]
-  in
+  let msgs = proto_msgs in
   let rd, wr = Unix.pipe () in
   List.iter (Engine_proto.write_msg wr) msgs;
   Unix.close wr;
@@ -126,6 +121,41 @@ let test_proto_roundtrip () =
     msgs;
   Alcotest.(check bool) "clean EOF" true (Engine_proto.read_msg rd = None);
   Unix.close rd
+
+(* a payload longer than its tag's layout means coordinator and worker
+   disagree on the wire format: the reader must fail, not ignore the
+   leftovers *)
+let test_proto_trailing_bytes () =
+  let frame tag payload =
+    let n = String.length payload in
+    String.make 1 tag
+    ^ String.init 8 (fun i -> Char.chr ((n lsr ((7 - i) * 8)) land 0xff))
+    ^ payload
+  in
+  let encoded msg =
+    let rd, wr = Unix.pipe () in
+    Engine_proto.write_msg wr msg;
+    Unix.close wr;
+    let ic = Unix.in_channel_of_descr rd in
+    let s = In_channel.input_all ic in
+    close_in ic;
+    String.sub s 9 (String.length s - 9)
+  in
+  let init_payload = encoded (List.nth proto_msgs 1) in
+  List.iter
+    (fun (what, bytes) ->
+      let rd, wr = Unix.pipe () in
+      ignore (Unix.write_substring wr bytes 0 (String.length bytes));
+      Unix.close wr;
+      (match Engine_proto.read_msg rd with
+      | exception Failure msg ->
+        Alcotest.(check string) what "Engine_proto: trailing bytes" msg
+      | _ -> Alcotest.failf "%s: decoded despite trailing bytes" what);
+      Unix.close rd)
+    [
+      ("Shutdown with a payload", frame 'Q' "junk");
+      ("Init with an extra byte", frame 'I' (init_payload ^ "\000"));
+    ]
 
 (* ---- byte-identity across topologies -------------------------------- *)
 
@@ -154,26 +184,6 @@ let test_workers_identical () =
           | None -> Alcotest.fail (corpus ^ ": shard stats missing"))
         topologies)
     [ "matrix"; "stride"; "fig1"; "lu"; "gen-small" ]
-
-let test_cores_identical () =
-  let files = corpus_files "matrix" in
-  let serial =
-    render (Engine.run (Engine.config ()) (lower files)).Engine.e_result
-  in
-  List.iter
-    (fun (core, name) ->
-      Linear.System.set_solver_core core;
-      Linear.System.clear_cache ();
-      Fun.protect ~finally:(fun () ->
-          Linear.System.set_solver_core `Learned;
-          Linear.System.clear_cache ())
-      @@ fun () ->
-      let r = Engine.run (Engine.config ~workers:2 ()) (lower files) in
-      check_same_output
-        (Printf.sprintf "matrix workers=2 core=%s" name)
-        serial
-        (render r.Engine.e_result))
-    [ (`Packed, "packed"); (`Reference, "reference") ]
 
 (* ---- fault isolation parity ------------------------------------------ *)
 
@@ -344,8 +354,8 @@ let suite =
       test_proto_roundtrip;
     Alcotest.test_case "outputs byte-identical across worker counts" `Quick
       test_workers_identical;
-    Alcotest.test_case "solver cores byte-identical at workers 2" `Quick
-      test_cores_identical;
+    Alcotest.test_case "wire protocol rejects trailing bytes" `Quick
+      test_proto_trailing_bytes;
     Alcotest.test_case "fault isolation parity workers 0 vs 2" `Quick
       test_fault_parity;
     Alcotest.test_case "shared tier published exactly once" `Quick

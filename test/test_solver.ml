@@ -1,5 +1,5 @@
 (* The fast solver's contract: the packed/pruned/memoized query layer must
-   be answer-identical to the pristine reference implementation kept in
+   be answer-identical to the reference eliminator kept in
    [Linear.System.Reference] — on random small systems (including ones with
    fractional coefficients, which exercise the reference fallback) and on
    every corpus end-to-end, where the emitted .rgn/.dgn/.cfg bytes must not
@@ -54,21 +54,19 @@ let gen_system =
 let print_system s = Format.asprintf "%a" System.pp s
 let print_constr c = Format.asprintf "%a" Constr.pp c
 
-(* run [f] once with the memo cache off and once with it on (cleared), and
-   require both to agree with the reference answer *)
-let both_cache_modes check =
-  System.set_cache_enabled false;
-  let off = check () in
-  System.set_cache_enabled true;
+(* run [check] cold (memos cleared: the compute path) and again warm (the
+   memo-hit path), and require both to agree with the reference answer *)
+let cold_then_warm check =
   System.clear_cache ();
-  let on = check () in
-  off && on
+  let cold = check () in
+  let warm = check () in
+  cold && warm
 
 let prop_feasible_agrees =
   QCheck2.Test.make ~name:"fast feasible = reference feasible" ~count:300
     gen_system ~print:print_system (fun s ->
       let expected = System.Reference.feasible s in
-      both_cache_modes (fun () -> System.feasible s = expected))
+      cold_then_warm (fun () -> System.feasible s = expected))
 
 let prop_implies_agrees =
   QCheck2.Test.make ~name:"fast implies = reference implies" ~count:300
@@ -76,7 +74,7 @@ let prop_implies_agrees =
     ~print:QCheck2.Print.(pair print_system print_constr)
     (fun (s, c) ->
       let expected = System.Reference.implies s c in
-      both_cache_modes (fun () -> System.implies s c = expected))
+      cold_then_warm (fun () -> System.implies s c = expected))
 
 let prop_includes_agrees =
   QCheck2.Test.make ~name:"fast includes = reference includes" ~count:200
@@ -84,7 +82,7 @@ let prop_includes_agrees =
     ~print:QCheck2.Print.(pair print_system print_system)
     (fun (a, b) ->
       let expected = System.Reference.includes a b in
-      both_cache_modes (fun () -> System.includes a b = expected))
+      cold_then_warm (fun () -> System.includes a b = expected))
 
 let prop_disjoint_agrees =
   QCheck2.Test.make ~name:"fast disjoint = reference disjoint" ~count:200
@@ -92,7 +90,7 @@ let prop_disjoint_agrees =
     ~print:QCheck2.Print.(pair print_system print_system)
     (fun (a, b) ->
       let expected = System.Reference.disjoint a b in
-      both_cache_modes (fun () -> System.disjoint a b = expected))
+      cold_then_warm (fun () -> System.disjoint a b = expected))
 
 let rat_opt_equal a b =
   match (a, b) with
@@ -113,7 +111,7 @@ let prop_bounds_sample_agree =
         List.for_all (fun v -> Rat.equal (a v) (b v)) [ x; y; z ]
       | _ -> false)
 
-(* ---------- end-to-end: corpora under reference mode ---------- *)
+(* ---------- end-to-end: corpora under the reference oracle ---------- *)
 
 let corpus_files = function
   | "lu" -> Corpus.Nas_lu.files ()
@@ -149,18 +147,27 @@ let check_same_output name (rgn_a, dgn_a, cfg_a) (rgn_b, dgn_b, cfg_b) =
   Alcotest.(check bool) (name ^ " .dgn byte-identical") true (dgn_a = dgn_b);
   Alcotest.(check bool) (name ^ " .cfg byte-identical") true (cfg_a = cfg_b)
 
+(* the production core and the reference eliminator, each at jobs 1 and
+   4, must emit the same project bytes *)
 let test_corpora_identical () =
   List.iter
     (fun corpus ->
       let files = corpus_files corpus in
-      let fast = render (Engine.analyze (lower files)) in
-      System.set_reference_mode true;
-      let reference =
-        Fun.protect
-          ~finally:(fun () -> System.set_reference_mode false)
-          (fun () -> render (Engine.analyze (lower files)))
+      let analyze jobs =
+        System.clear_cache ();
+        render (Engine.analyze ~jobs (lower files))
       in
-      check_same_output (corpus ^ " reference vs fast") reference fast)
+      let base = analyze 1 in
+      List.iter
+        (fun jobs ->
+          check_same_output
+            (Printf.sprintf "%s fast jobs=%d" corpus jobs)
+            base (analyze jobs);
+          check_same_output
+            (Printf.sprintf "%s reference jobs=%d" corpus jobs)
+            base
+            (System.Reference.run (fun () -> analyze jobs)))
+        [ 1; 4 ])
     [ "lu"; "matrix"; "fig1"; "stride" ]
 
 (* ---------- learned core: query sequences against shared systems ----------
@@ -178,7 +185,6 @@ let prop_learned_sequence =
     QCheck2.Gen.(pair gen_system (list_size (int_range 1 12) gen_constr))
     ~print:QCheck2.Print.(pair print_system (list print_constr))
     (fun (s, cs) ->
-      System.set_solver_core `Learned;
       System.clear_cache ();
       (* [s] contains [box] (x <= 6), so demanding x >= 10 is infeasible *)
       let infeas = System.add (Constr.ge (Expr.var x) (e_of_int 10)) s in
@@ -193,34 +199,6 @@ let prop_learned_sequence =
           && System.feasible s = System.Reference.feasible s
           && not (System.feasible infeas))
         cs)
-
-(* every solver core, at jobs 1 and 4, must emit the same project bytes *)
-let test_cores_jobs_identical () =
-  List.iter
-    (fun corpus ->
-      let files = corpus_files corpus in
-      let base = ref None in
-      List.iter
-        (fun (core, core_name) ->
-          List.iter
-            (fun jobs ->
-              System.set_solver_core core;
-              System.clear_cache ();
-              let out =
-                Fun.protect
-                  ~finally:(fun () -> System.set_solver_core `Learned)
-                  (fun () -> render (Engine.analyze ~jobs (lower files)))
-              in
-              let name =
-                Printf.sprintf "%s %s jobs=%d vs baseline" corpus core_name
-                  jobs
-              in
-              match !base with
-              | None -> base := Some out
-              | Some b -> check_same_output name b out)
-            [ 1; 4 ])
-        [ (`Learned, "learned"); (`Packed, "packed"); (`Reference, "reference") ])
-    [ "lu"; "matrix" ]
 
 (* [clear_cache] must flush the learned contexts and activity tables along
    with the memos: two identical runs from a cleared state produce the same
@@ -265,8 +243,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_learned_sequence;
     Alcotest.test_case "corpora byte-identical (reference vs fast)" `Quick
       test_corpora_identical;
-    Alcotest.test_case "corpora byte-identical (3 cores x jobs 1/4)" `Quick
-      test_cores_jobs_identical;
     Alcotest.test_case "clear_cache leaves no cross-run state" `Quick
       test_no_cross_run_leak;
     Alcotest.test_case "solver stats count queries and memo hits" `Quick
