@@ -1040,6 +1040,60 @@ let bench_bounds ~json ~out () =
    and the differential harness (static verdicts vs one interpreted run)
    on the pinned seed-42 standard workload *)
 
+(* The frontend with per-file artifacts on the gen corpus: the uncached
+   composition, a cold cached run (parse, check, lower, write every
+   artifact) and a warm run after a one-file edit (one file recomputed,
+   the rest read back).  Medians of 3 cold runs (each on an empty
+   directory) and 5 warm runs (each after a new edit). *)
+type frontend_walls = { fe_uncached : float; fe_cold : float; fe_warm : float }
+
+let bench_frontend files =
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    Unix.gettimeofday () -. t0
+  in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "uhc_bench_frontend_%d" (Unix.getpid ()))
+  in
+  let rm () =
+    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
+  in
+  let cached files () =
+    Frontend_cache.load ~store:(Engine_store.create ~dir ()) files
+  in
+  let uncached =
+    median
+      (List.init 3 (fun _ ->
+           time (fun () -> Whirl.Lower.lower (Lang.Frontend.load ~files))))
+  in
+  let cold =
+    median
+      (List.init 3 (fun _ ->
+           rm ();
+           time (cached files)))
+  in
+  (* trailing blanks: a new file key each time, same lines *)
+  let edit k =
+    match files with
+    | (name, src) :: rest -> (name, src ^ String.make (k + 1) ' ' ^ "\n") :: rest
+    | [] -> []
+  in
+  let warm = median (List.init 5 (fun k -> time (cached (edit k)))) in
+  rm ();
+  Printf.printf
+    "frontend: uncached %.1f ms  cold (artifacts written) %.1f ms  warm after \
+     a one-file edit %.1f ms  (%.1fx cold/warm)\n"
+    (uncached *. 1e3) (cold *. 1e3) (warm *. 1e3) (cold /. warm);
+  { fe_uncached = uncached; fe_cold = cold; fe_warm = warm }
+
 let bench_gen ~json ~out () =
   header "Gen: pinned seed-42 scale corpus + differential harness";
   let cfg = Corpus.Gen.standard () in
@@ -1083,6 +1137,7 @@ let bench_gen ~json ~out () =
      ok %s\n"
     (count diff "steps") (count diff "oob_events") (count diff "covered")
     (count diff "uncovered") (count diff "safe_faults") (count diff "ok");
+  let fe = bench_frontend files in
   if json || out <> None then begin
     let path = Option.value out ~default:"BENCH_gen.json" in
     let b = Buffer.create 2048 in
@@ -1103,6 +1158,11 @@ let bench_gen ~json ~out () =
     bpf "    \"sparse_proven\": %s,\n" (count bounds "sparse_proven");
     bpf "    \"sparse_proven_floor\": %d,\n" sparse_proven_floor;
     bpf "    \"inspector_entries\": %s,\n" (count bounds "inspector_entries");
+    bpf "    \"frontend_uncached_wall_s\": %.6f,\n" fe.fe_uncached;
+    bpf "    \"frontend_cold_wall_s\": %.6f,\n" fe.fe_cold;
+    bpf "    \"frontend_warm_edit_wall_s\": %.6f,\n" fe.fe_warm;
+    bpf "    \"frontend_speedup\": %.2f,\n" (fe.fe_cold /. fe.fe_warm);
+    bpf "    \"frontend_speedup_floor\": %.2f,\n" 2.0;
     bpf "    \"diffcheck\": {\n";
     bpf "      \"steps\": %s,\n" (count diff "steps");
     bpf "      \"oob_events\": %s,\n" (count diff "oob_events");
@@ -1552,6 +1612,7 @@ let check_gen_json path top doc =
   | Some d when String.length d = 32 -> ()
   | _ -> check_fail "gen.digest missing or not an md5 hex string");
   let proven, floor = check_gate doc ~where:"gen" "sparse_proven" in
+  let fe_speedup, fe_floor = check_gate doc ~where:"gen" "frontend_speedup" in
   let diff =
     match Obs.Json.member "diffcheck" doc with
     | Some (Obs.Json.Obj _ as d) -> d
@@ -1572,9 +1633,10 @@ let check_gen_json path top doc =
   | Some (Obs.Json.Bool true) -> ()
   | _ -> check_fail "gen.diffcheck.ok is not true");
   Printf.printf
-    "check-json: %s OK (gen; sparse_proven %.0f >= floor %.0f, diffcheck \
-     clean over %d oob events)\n"
-    path proven floor (dnum "oob_events")
+    "check-json: %s OK (gen; sparse_proven %.0f >= floor %.0f, \
+     frontend_speedup %.2f >= floor %.2f, diffcheck clean over %d oob \
+     events)\n"
+    path proven floor fe_speedup fe_floor (dnum "oob_events")
 
 let check_reports_json path top entries =
   check_schema_version ~what:"reports" ~expected:Analyses.Report.schema_version

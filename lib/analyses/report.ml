@@ -20,26 +20,33 @@ let make ~analysis ~summary ~columns rows =
     r_rows = rows }
 
 (* ------------------------------------------------------------------ *)
-(* JSON *)
+(* JSON: written straight into one buffer, escaping only cells that need
+   it (a report can hold tens of thousands of cells) *)
 
-let bpf b fmt = Printf.ksprintf (Buffer.add_string b) fmt
+let add_quoted b s =
+  Buffer.add_char b '"';
+  Obs.Json.add_escaped b s;
+  Buffer.add_char b '"'
 
 let add_string_array b cells =
   Buffer.add_char b '[';
   List.iteri
     (fun i c ->
       if i > 0 then Buffer.add_string b ", ";
-      bpf b "\"%s\"" (Obs.Json.escape c))
+      add_quoted b c)
     cells;
   Buffer.add_char b ']'
 
 let add_report b t =
-  bpf b "    {\n      \"analysis\": \"%s\",\n" (Obs.Json.escape t.r_analysis);
-  Buffer.add_string b "      \"summary\": {";
+  Buffer.add_string b "    {\n      \"analysis\": ";
+  add_quoted b t.r_analysis;
+  Buffer.add_string b ",\n      \"summary\": {";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string b ", ";
-      bpf b "\"%s\": \"%s\"" (Obs.Json.escape k) (Obs.Json.escape v))
+      add_quoted b k;
+      Buffer.add_string b ": ";
+      add_quoted b v)
     t.r_summary;
   Buffer.add_string b "},\n      \"columns\": ";
   add_string_array b t.r_columns;
@@ -54,8 +61,10 @@ let add_report b t =
   Buffer.add_string b "]\n    }"
 
 let json_of_reports reports =
-  let b = Buffer.create 4096 in
-  bpf b "{\n  \"schema_version\": %d,\n  \"reports\": [" schema_version;
+  let b = Buffer.create 65536 in
+  Buffer.add_string b "{\n  \"schema_version\": ";
+  Buffer.add_string b (string_of_int schema_version);
+  Buffer.add_string b ",\n  \"reports\": [";
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char b ',';
@@ -72,32 +81,51 @@ let save ~path reports =
   close_out oc
 
 (* ------------------------------------------------------------------ *)
-(* Text table *)
+(* Text table: each line is assembled in one reused buffer and handed to
+   the formatter whole *)
 
 let render ppf t =
   Format.fprintf ppf "== analysis: %s ==@," t.r_analysis;
-  if t.r_summary <> [] then
-    Format.fprintf ppf "%s@,"
-      (String.concat "  "
-         (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) t.r_summary));
+  let b = Buffer.create 256 in
+  let emit () =
+    Format.pp_print_string ppf (Buffer.contents b);
+    Format.pp_print_cut ppf ();
+    Buffer.clear b
+  in
+  if t.r_summary <> [] then begin
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_string b "  ";
+        Buffer.add_string b k;
+        Buffer.add_char b '=';
+        Buffer.add_string b v)
+      t.r_summary;
+    emit ()
+  end;
   if t.r_columns <> [] then begin
     let ncols = List.length t.r_columns in
     let widths = Array.make ncols 0 in
     let measure row =
       List.iteri
-        (fun i c -> if i < ncols then widths.(i) <- max widths.(i) (String.length c))
+        (fun i c ->
+          if i < ncols then widths.(i) <- max widths.(i) (String.length c))
         row
     in
     measure t.r_columns;
     List.iter measure t.r_rows;
-    let pad i c =
-      (* last column unpadded: keeps lines free of trailing spaces *)
-      if i = ncols - 1 then c
-      else c ^ String.make (widths.(i) - String.length c) ' '
-    in
     let line row =
-      String.concat "  " (List.mapi pad row)
+      List.iteri
+        (fun i c ->
+          if i > 0 then Buffer.add_string b "  ";
+          Buffer.add_string b c;
+          (* last column unpadded: keeps lines free of trailing spaces *)
+          if i < ncols - 1 then
+            for _ = String.length c to widths.(i) - 1 do
+              Buffer.add_char b ' '
+            done)
+        row;
+      emit ()
     in
-    Format.fprintf ppf "%s@," (line t.r_columns);
-    List.iter (fun row -> Format.fprintf ppf "%s@," (line row)) t.r_rows
+    line t.r_columns;
+    List.iter line t.r_rows
   end

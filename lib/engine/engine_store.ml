@@ -17,10 +17,11 @@
    Induction variables need no such treatment: they never escape their PU,
    so keeping their (counter-bumped) ids is enough.
 
-   On-disk entries live under [dir/<schema>/], where <schema> is derived
-   from the running executable — Marshal images are only safe to read back
-   into the binary layout that produced them, so a rebuilt tool simply
-   starts a fresh cache namespace. *)
+   On-disk entries live under [dir/<schema>/], where <schema> is the
+   build fingerprint (Build_info: a digest of the library sources, the
+   OCaml version and the build settings, taken at build time) — Marshal
+   images are only safe to read back into the layout that produced them,
+   so a changed build simply starts a fresh cache namespace. *)
 
 open Regions
 
@@ -48,10 +49,7 @@ type t = {
   mutable diags : Fault.Diag.t list; (* degradation events, newest first *)
 }
 
-let schema_token =
-  lazy
-    (try String.sub (Digest.to_hex (Digest.file Sys.executable_name)) 0 12
-     with Sys_error _ -> "noexe")
+let schema_token = lazy (String.sub Build_info.fingerprint 0 12)
 
 let create ?dir () =
   (match dir with
@@ -263,18 +261,15 @@ let backoff_s ~key attempt =
   in
   base *. (0.5 +. (Int64.to_float bits /. 9007199254740992.0))
 
-let seal payload = entry_magic ^ Digest.string payload ^ payload
+(* written before the payload, which is never copied into one blob *)
+let seal_header payload = entry_magic ^ Digest.string payload
 
-let unseal blob =
-  if
-    String.length blob >= header_len
-    && String.sub blob 0 (String.length entry_magic) = entry_magic
-  then begin
-    let payload = String.sub blob header_len (String.length blob - header_len) in
-    let stored = String.sub blob (String.length entry_magic) 16 in
-    if Digest.string payload = stored then Some payload else None
-  end
-  else None
+(* the payload starts at [header_len]; checked in place, not copied *)
+let sealed blob =
+  String.length blob >= header_len
+  && String.starts_with ~prefix:entry_magic blob
+  && Digest.substring blob header_len (String.length blob - header_len)
+     = String.sub blob (String.length entry_magic) 16
 
 let quarantine t ~path ~basename reason =
   Obs.Metrics.Counter.incr c_quarantined;
@@ -322,11 +317,13 @@ let read_file t path =
   in
   attempt 0
 
-let write_file_once path contents =
+let write_file_once path header payload =
   Fault.inject Fault.Io_write ~key:(Filename.basename path);
   let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
   let oc = open_out_bin tmp in
-  (try output_string oc contents
+  (try
+     output_string oc header;
+     output_string oc payload
    with e ->
      close_out_noerr oc;
      (try Sys.remove tmp with Sys_error _ -> ());
@@ -334,10 +331,10 @@ let write_file_once path contents =
   close_out oc;
   Sys.rename tmp path
 
-let write_file t path contents =
+let write_file t path header payload =
   let basename = Filename.basename path in
   let rec attempt k =
-    match write_file_once path contents with
+    match write_file_once path header payload with
     | () -> true
     | exception (Sys_error _ | Fault.Injected _) ->
       if k + 1 < max_attempts then begin
@@ -369,16 +366,17 @@ let observed h f =
     r
   end
 
-(* [find_raw] returns verified Marshal payloads: the in-memory tier holds
-   payloads that already passed the digest check, and a disk read whose
-   seal does not verify quarantines the file and reads as a miss. *)
-let find_raw t ns key =
+(* [find_raw] returns verified Marshal payloads, as (key, bytes, offset
+   of the payload in bytes): the in-memory tier holds payloads that
+   already passed the digest check, and a disk read whose seal does not
+   verify quarantines the file and reads as a miss. *)
+let find_raw ?(mem = true) t ns key =
   observed h_find @@ fun () ->
   let k = full_key ns key in
-  match mem_find t k with
+  match if mem then mem_find t k else None with
   | Some bytes ->
     Obs.Metrics.Counter.incr c_mem_hits;
-    Some (k, bytes)
+    Some (k, bytes, 0)
   | None -> (
     match path_of t ns key with
     | None ->
@@ -391,20 +389,27 @@ let find_raw t ns key =
         None
       | Some blob -> (
         Obs.Metrics.Counter.add c_disk_reads (String.length blob);
-        match unseal blob with
-        | None ->
+        if not (sealed blob) then begin
           quarantine t ~path ~basename:(Filename.basename path)
             "checksum mismatch (corrupt or truncated)";
           Obs.Metrics.Counter.incr c_misses;
           None
-        | Some payload ->
+        end
+        else begin
           Obs.Metrics.Counter.incr c_disk_hits;
-          mem_add t k payload;
-          Some (k, payload))))
+          if mem then begin
+            let payload =
+              String.sub blob header_len (String.length blob - header_len)
+            in
+            mem_add t k payload;
+            Some (k, payload, 0)
+          end
+          else Some (k, blob, header_len)
+        end)))
 
-let add_raw t ns key bytes =
+let add_raw ?(mem = true) t ns key bytes =
   observed h_add @@ fun () ->
-  mem_add t (full_key ns key) bytes;
+  if mem then mem_add t (full_key ns key) bytes;
   match path_of t ns key with
   | None -> ()
   | Some path ->
@@ -414,21 +419,20 @@ let add_raw t ns key bytes =
          whoever published first wins and everyone else skips the write *)
       Obs.Metrics.Counter.incr c_publish_skips
     else begin
-      let blob = seal bytes in
-      if write_file t path blob then begin
+      if write_file t path (seal_header bytes) bytes then begin
         Obs.Metrics.Counter.incr c_publishes;
-        Obs.Metrics.Counter.add c_disk_writes (String.length blob)
+        Obs.Metrics.Counter.add c_disk_writes (header_len + String.length bytes)
       end
     end
 
 (* Decode a verified payload; a decode failure (an injected marshal fault,
    or corruption the checksum cannot see such as a stale schema) evicts the
    memory entry, quarantines the disk file, and reads as a miss. *)
-let decode_entry (type a) t ns key (k : string) (bytes : string) :
-    a entry option =
+let decode_entry (type a) t ns key (k : string) (bytes : string) ofs : a option
+    =
   match
     Fault.inject Fault.Marshal ~key:(full_key ns key);
-    (Marshal.from_string bytes 0 : a entry)
+    (Marshal.from_string bytes ofs : a)
   with
   | entry -> Some entry
   | exception (Failure _ | Invalid_argument _ | Fault.Injected _) ->
@@ -507,8 +511,8 @@ let add_collect t ~key (p : collect_payload) =
 let find_collect t ~m ~key : collect_payload option =
   match find_raw t "c" key with
   | None -> None
-  | Some (k, bytes) -> (
-    match (decode_entry t "c" key k bytes : collect_payload entry option) with
+  | Some (k, bytes, ofs) -> (
+    match (decode_entry t "c" key k bytes ofs : collect_payload entry option) with
     | None -> None
     | Some entry -> Some (collect_of_entry ~m entry))
 
@@ -518,12 +522,36 @@ let add_summary t ~key (p : summary_payload) =
 let find_summary t ~m ~key : summary_payload option =
   match find_raw t "s" key with
   | None -> None
-  | Some (k, bytes) -> (
-    match (decode_entry t "s" key k bytes : summary_payload entry option) with
+  | Some (k, bytes, ofs) -> (
+    match (decode_entry t "s" key k bytes ofs : summary_payload entry option) with
     | None -> None
     | Some entry -> Some (summary_of_entry ~m entry))
 
 let publish_summary t ~key image = add_raw t "s" key image
+
+(* ------------------------------------------------------------------ *)
+(* Frontend artifacts: disk only.  Each is read at most once per process,
+   so the memory tier would only hold megabytes nobody reads again. *)
+
+type body_artifact = {
+  ba_body : Lang.Sema.body;
+  ba_pus : Whirl.Ir.pu list;
+}
+
+let find_artifact (type a) t ns key : a option =
+  match find_raw ~mem:false t ns key with
+  | None -> None
+  | Some (k, bytes, ofs) -> (decode_entry t ns key k bytes ofs : a option)
+
+let add_artifact t ns key v =
+  if t.dir <> None then add_raw ~mem:false t ns key (Marshal.to_string v [])
+
+let find_interface t ~key : Lang.Sema.interface option =
+  find_artifact t "fi" key
+
+let add_interface t ~key (i : Lang.Sema.interface) = add_artifact t "fi" key i
+let find_body t ~key : body_artifact option = find_artifact t "fb" key
+let add_body t ~key (b : body_artifact) = add_artifact t "fb" key b
 let dir t = t.dir
 let schema () = Lazy.force schema_token
 

@@ -37,9 +37,11 @@ type t
 
 val create : ?dir:string -> unit -> t
 (** With [~dir], entries are persisted under
-    [dir/<schema>/{c,s}-<digest>.bin]; the schema component fingerprints the
-    running executable, because Marshal images are only readable by the
-    build that wrote them.  The directories are created as needed. *)
+    [dir/<schema>/{c,s}-<digest>.bin]; the schema component is the build
+    fingerprint ({!Build_info.fingerprint}: library sources, OCaml version,
+    build settings), because Marshal images are only readable by a build
+    with the same type layouts.  Computed at build time, so opening a
+    store reads no executable.  The directories are created as needed. *)
 
 val in_memory : unit -> t
 (** [create ()] — caching within one process only (e.g. across [--fuse]
@@ -90,8 +92,8 @@ val dir : t -> string option
 (** The backing directory, if the store is disk-backed. *)
 
 val schema : unit -> string
-(** The running executable's schema fingerprint — the namespace component
-    of on-disk paths.  Shard workers must agree on it with their
+(** The build's schema fingerprint (12 hex digits of
+    {!Build_info.fingerprint}) — the namespace component of on-disk paths.  Shard workers must agree on it with their
     coordinator before any Marshal image crosses the wire. *)
 
 val entry_count : t -> int
@@ -100,3 +102,21 @@ val entry_count : t -> int
 val drain_diags : t -> Fault.Diag.t list
 (** Degradation events (quarantines, retry exhaustions) recorded since the
     last drain, oldest first.  {!Engine.run} drains them into its result. *)
+
+(** {2 Frontend artifacts}
+
+    Per-file results of separate compilation ({!Frontend_cache}), persisted
+    under [dir/<schema>/{fi,fb}-<digest>.bin] with the same seal,
+    quarantine, retry, publish and fault-injection paths as the analysis
+    entries.  They bypass the memory tier: a process reads each at most
+    once.  Without [~dir] every add is dropped and every find misses. *)
+
+type body_artifact = {
+  ba_body : Lang.Sema.body;
+  ba_pus : Whirl.Ir.pu list;  (** lowered, before {!Whirl.Layout} *)
+}
+
+val find_interface : t -> key:Digest.t -> Lang.Sema.interface option
+val add_interface : t -> key:Digest.t -> Lang.Sema.interface -> unit
+val find_body : t -> key:Digest.t -> body_artifact option
+val add_body : t -> key:Digest.t -> body_artifact -> unit

@@ -184,6 +184,14 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
         failwith "no analyzable input files survived"
       else exit 2
     end;
+    (* one store for the whole invocation, opened before the frontend: it
+       holds the per-file frontend artifacts too, and the --fuse
+       re-analysis hits it for every PU fusion left untouched *)
+    let store =
+      match cfg.cache_dir with
+      | Some dir -> Some (Engine_store.create ~dir ())
+      | None -> if cfg.fuse then Some (Engine_store.in_memory ()) else None
+    in
     let m0 =
       match from_whirl with
       | Some path -> (
@@ -191,23 +199,31 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
         | Ok m -> m
         | Error e -> failwith (Printf.sprintf "%s: %s" path e))
       | None ->
-        if not cfg.keep_going then Whirl.Lower.lower (Lang.Frontend.load ~files)
-        else begin
-          let prog, bad = Lang.Frontend.load_isolated ~files in
-          List.iter
-            (fun (file, d) ->
-              Printf.eprintf "%s (skipped under --keep-going)\n"
-                (Lang.Diag.to_string d);
-              diags :=
-                Fault.Diag.make ~severity:Fault.Diag.Error
-                  ~site:"frontend.parse" ~pu:(Filename.basename file)
-                  ~action:"skipped-file" (Lang.Diag.to_string d)
-                :: !diags)
-            bad;
-          if bad <> [] && List.length bad = List.length files then
-            failwith "all input files failed to parse";
-          Whirl.Lower.lower prog
-        end
+        let fr =
+          Frontend_cache.load ?store ~keep_going:cfg.keep_going files
+        in
+        List.iter
+          (fun (file, d) ->
+            Printf.eprintf "%s (skipped under --keep-going)\n"
+              (Lang.Diag.to_string d);
+            diags :=
+              Fault.Diag.make ~severity:Fault.Diag.Error ~site:"frontend.parse"
+                ~pu:(Filename.basename file) ~action:"skipped-file"
+                (Lang.Diag.to_string d)
+              :: !diags)
+          fr.Frontend_cache.fr_skipped;
+        if
+          fr.Frontend_cache.fr_skipped <> []
+          && List.length fr.Frontend_cache.fr_skipped = List.length files
+        then failwith "all input files failed to parse";
+        (match fr.Frontend_cache.fr_stats with
+        | Some st when cfg.stats ->
+          Printf.printf
+            "frontend: interface %d hit / %d miss, body %d hit / %d miss\n"
+            st.Frontend_cache.interface_hits st.Frontend_cache.interface_misses
+            st.Frontend_cache.body_hits st.Frontend_cache.body_misses
+        | _ -> ());
+        fr.Frontend_cache.fr_module
     in
     let m0 =
       if cfg.wopt then begin
@@ -227,13 +243,6 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
         m2
       end
       else m0
-    in
-    (* one store for the whole invocation: the --fuse re-analysis hits it
-       for every PU fusion left untouched *)
-    let store =
-      match cfg.cache_dir with
-      | Some dir -> Some (Engine_store.create ~dir ())
-      | None -> if cfg.fuse then Some (Engine_store.in_memory ()) else None
     in
     let engine_cfg =
       Engine.config ~jobs:cfg.jobs ~workers:cfg.workers ?store

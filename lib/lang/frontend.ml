@@ -34,19 +34,3 @@ let analyze asts =
 let load ~files =
   Obs.Span.with_ ~cat:"phase" ~name:"frontend" @@ fun () ->
   analyze (List.map (fun (file, src) -> parse_string ~file src) files)
-
-let load_isolated ~files =
-  Obs.Span.with_ ~cat:"phase" ~name:"frontend" @@ fun () ->
-  let asts, bad =
-    List.fold_left
-      (fun (asts, bad) (file, src) ->
-        match parse_string ~file src with
-        | ast -> (ast :: asts, bad)
-        | exception Diag.Frontend_error d -> (asts, (file, d) :: bad))
-      ([], []) files
-  in
-  (analyze (List.rev asts), List.rev bad)
-
-let load_paths paths =
-  Obs.Span.with_ ~cat:"phase" ~name:"frontend" @@ fun () ->
-  analyze (List.map parse_file paths)

@@ -11,16 +11,6 @@ val parse_string : file:string -> string -> Ast.unit_
     extension. *)
 
 val load : files:(string * string) list -> Sema.program
-(** [(name, contents)] pairs through parse + sema. *)
-
-val load_isolated :
-  files:(string * string) list -> Sema.program * (string * Diag.t) list
-(** Like {!load}, but a file whose parse raises {!Diag.Frontend_error} is
-    dropped from the program instead of aborting the batch; the returned
-    association lists each failed file with its diagnostic, in input
-    order.  Semantic analysis runs over the surviving files (and may still
-    raise, e.g. when a survivor calls into a dropped file).  Backs
-    [uhc --keep-going]. *)
-
-val load_paths : string list -> Sema.program
-(** Reads each path from disk. *)
+(** [(name, contents)] pairs through parse + sema ({!Sema.analyze}).  The
+    engine's cached frontend ([Frontend_cache]) runs the same per-file
+    functions and must build the same program. *)

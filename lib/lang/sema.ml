@@ -235,190 +235,334 @@ let rec rewrite_stmt env proc_names s =
 
 (* ------------------------------------------------------------------ *)
 
-let analyze units =
-  let warnings = ref [] in
-  let proc_names =
-    List.concat_map
-      (fun u -> List.map (fun p -> p.Ast.proc_name) u.Ast.unit_procs)
-      units
+(* Separate compilation.  Pass 1 (global registrations) reads one unit
+   alone and yields its [interface]; [link] merges the interfaces in unit
+   order into the [env] pass 2 reads; pass 2 ([check_unit]) then checks one
+   unit against that environment.  Everything pass 2 (and the lowering
+   after it) reads from other units is in [env], which is what lets a
+   caller reuse a unit's checked procedures while [env_digest] is
+   unchanged. *)
+
+type global_decl =
+  | G_scalar of string * Ast.dtype * string
+  | G_array of string * array_sig * string
+
+type interface = {
+  if_file : string;
+  if_globals : global_decl list;
+  if_procs : (string * Ast.proc_kind) list;
+}
+
+type env = {
+  env_globals : (array_sig * string) String_map.t;
+  env_global_scalars : (Ast.dtype * string) String_map.t;
+  env_procs : (string * Ast.proc_kind) list;
+}
+
+type body = {
+  b_file : string;
+  b_procs : proc_info list;
+  b_warnings : Diag.t list;
+}
+
+let unit_consts (u : Ast.unit_) =
+  List.fold_left
+    (fun env (n, e) ->
+      match const_eval env e with
+      | Some v -> String_map.add n (Sym_const v) env
+      | None -> env)
+    String_map.empty u.Ast.unit_consts
+
+(* pass 1 *)
+let interface (u : Ast.unit_) =
+  let regs = ref [] in
+  let register ~iprop env block (d : Ast.decl) =
+    regs :=
+      (if d.Ast.decl_dims = [] then
+         G_scalar (d.Ast.decl_name, d.Ast.decl_type, block)
+       else G_array (d.Ast.decl_name, sig_of_decl ~iprop env d, block))
+      :: !regs
   in
-  (* pass 1: global symbols (COMMON members, C file-scope) *)
+  let unit_consts = unit_consts u in
+  let iprop_of n = Iprop.lookup u.Ast.unit_iprops n in
+  List.iter
+    (fun (d : Ast.decl) ->
+      let block = Option.value d.Ast.decl_common ~default:"global" in
+      register ~iprop:(iprop_of d.Ast.decl_name) unit_consts block d)
+    u.Ast.unit_globals;
+  (* Fortran COMMON declarations live inside procedures *)
+  List.iter
+    (fun (p : Ast.proc) ->
+      let consts =
+        List.fold_left
+          (fun env (n, e) ->
+            match const_eval env e with
+            | Some v -> String_map.add n (Sym_const v) env
+            | None -> env)
+          unit_consts p.Ast.proc_consts
+      in
+      List.iter
+        (fun (d : Ast.decl) ->
+          match d.Ast.decl_common with
+          | Some block ->
+            register ~iprop:(iprop_of d.Ast.decl_name) consts block d
+          | None -> ())
+        p.Ast.proc_decls)
+    u.Ast.unit_procs;
+  {
+    if_file = u.Ast.unit_file;
+    if_globals = List.rev !regs;
+    if_procs =
+      List.map (fun p -> (p.Ast.proc_name, p.Ast.proc_kind)) u.Ast.unit_procs;
+  }
+
+let link ifaces =
   let globals = ref String_map.empty in
   let global_scalars = ref String_map.empty in
-  let register_global ~iprop env block (d : Ast.decl) =
-    if d.Ast.decl_dims = [] then
-      global_scalars :=
-        String_map.add d.Ast.decl_name (d.Ast.decl_type, block) !global_scalars
-    else begin
-      let s = sig_of_decl ~iprop env d in
-      match String_map.find_opt d.Ast.decl_name !globals with
+  let merge = function
+    | G_scalar (name, t, block) ->
+      global_scalars := String_map.add name (t, block) !global_scalars
+    | G_array (name, s, block) -> (
+      match String_map.find_opt name !globals with
       | Some (existing, _) when not (sig_equal existing s) ->
-        Diag.error d.Ast.decl_loc
-          "inconsistent COMMON declarations for %s" d.Ast.decl_name
+        Diag.error s.a_decl_loc "inconsistent COMMON declarations for %s" name
       | Some (existing, eblock) ->
         (* assertions from every declaring unit conjoin *)
         globals :=
-          String_map.add d.Ast.decl_name
-            ( { s with a_iprop = Iprop.meet existing.a_iprop s.a_iprop },
-              eblock )
+          String_map.add name
+            ({ s with a_iprop = Iprop.meet existing.a_iprop s.a_iprop }, eblock)
             !globals
-      | None -> globals := String_map.add d.Ast.decl_name (s, block) !globals
-    end
+      | None -> globals := String_map.add name (s, block) !globals)
+  in
+  List.iter (fun i -> List.iter merge i.if_globals) ifaces;
+  {
+    env_globals = !globals;
+    env_global_scalars = !global_scalars;
+    env_procs = List.concat_map (fun i -> i.if_procs) ifaces;
+  }
+
+(* A canonical image of [env]: maps are walked in key order, so the bytes
+   depend only on the bindings, never on the tree shape insertion order
+   left behind. *)
+let env_digest env =
+  let b = Buffer.create 4096 in
+  let str s =
+    Buffer.add_string b (string_of_int (String.length s));
+    Buffer.add_char b ':';
+    Buffer.add_string b s
+  in
+  let int n =
+    Buffer.add_string b (string_of_int n);
+    Buffer.add_char b ';'
+  in
+  let opt = function None -> Buffer.add_char b '?' | Some n -> int n in
+  let bool v = Buffer.add_char b (if v then 'T' else 'F') in
+  let dtype d = str (Ast.dtype_name d) in
+  let loc (l : Loc.t) =
+    str l.Loc.file;
+    int l.Loc.line;
+    int l.Loc.col
+  in
+  let iprop (p : Iprop.t) =
+    opt p.Iprop.ip_lo;
+    opt p.Iprop.ip_hi;
+    bool p.Iprop.ip_monotonic;
+    bool p.Iprop.ip_injective
+  in
+  Buffer.add_string b "arrays\n";
+  String_map.iter
+    (fun name (s, block) ->
+      str name;
+      str block;
+      dtype s.a_type;
+      int (List.length s.a_dims);
+      List.iter
+        (fun (lo, hi) ->
+          opt lo;
+          opt hi)
+        s.a_dims;
+      bool s.a_coarray;
+      bool s.a_contiguous;
+      iprop s.a_iprop;
+      loc s.a_decl_loc)
+    env.env_globals;
+  Buffer.add_string b "scalars\n";
+  String_map.iter
+    (fun name (t, block) ->
+      str name;
+      dtype t;
+      str block)
+    env.env_global_scalars;
+  Buffer.add_string b "procs\n";
+  List.iter
+    (fun (name, kind) ->
+      str name;
+      match kind with
+      | Ast.Program -> Buffer.add_char b 'P'
+      | Ast.Subroutine -> Buffer.add_char b 'S'
+      | Ast.Function t ->
+        Buffer.add_char b 'F';
+        dtype t)
+    env.env_procs;
+  Digest.string (Buffer.contents b)
+
+(* pass 2 over one procedure *)
+let check_proc linked ~proc_names ~warn (u : Ast.unit_) unit_consts
+    (p : Ast.proc) =
+  let env = ref unit_consts in
+  let add n sym = env := String_map.add n sym !env in
+  (* constants first: bounds may use them *)
+  List.iter
+    (fun (n, e) ->
+      match const_eval !env e with
+      | Some v -> add n (Sym_const v)
+      | None ->
+        warn
+          (Diag.warning p.Ast.proc_loc
+             "non-integer parameter %s ignored by the analysis" n))
+    p.Ast.proc_consts;
+  (* globals visible everywhere (Fortran COMMON is program-wide here: a
+     deliberate MiniF simplification) *)
+  String_map.iter
+    (fun n (s, block) -> add n (Sym_array (s, Global block)))
+    linked.env_globals;
+  String_map.iter
+    (fun n (t, block) -> add n (Sym_scalar (t, Global block)))
+    linked.env_global_scalars;
+  (* declarations *)
+  List.iter
+    (fun (d : Ast.decl) ->
+      let cls =
+        if List.mem d.Ast.decl_name p.Ast.proc_params then Formal
+        else
+          match d.Ast.decl_common with
+          | Some b -> Global b
+          | None -> Local
+      in
+      match cls with
+      | Global _ -> () (* already registered *)
+      | _ ->
+        if d.Ast.decl_dims = [] then begin
+          (* a PARAMETER constant may carry a type declaration too; the
+             constant binding wins *)
+          match String_map.find_opt d.Ast.decl_name !env with
+          | Some (Sym_const _) -> ()
+          | _ -> add d.Ast.decl_name (Sym_scalar (d.Ast.decl_type, cls))
+        end
+        else
+          add d.Ast.decl_name
+            (Sym_array
+               ( sig_of_decl
+                   ~iprop:(Iprop.lookup u.Ast.unit_iprops d.Ast.decl_name)
+                   !env d,
+                 cls )))
+    p.Ast.proc_decls;
+  (* undeclared formals: implicit typing *)
+  List.iter
+    (fun prm ->
+      if not (String_map.mem prm !env) then
+        add prm (Sym_scalar (implicit_dtype prm, Formal)))
+    p.Ast.proc_params;
+  (* function name acts as the return-value scalar *)
+  (match p.Ast.proc_kind with
+  | Ast.Function t -> add p.Ast.proc_name (Sym_scalar (t, Local))
+  | Ast.Program | Ast.Subroutine -> ());
+  (* undeclared referenced names: Fortran implicit scalars *)
+  let referenced =
+    List.fold_left stmt_names [] p.Ast.proc_body |> List.sort_uniq String.compare
   in
   List.iter
-    (fun u ->
-      let unit_consts =
-        List.fold_left
-          (fun env (n, e) ->
-            match const_eval env e with
-            | Some v -> String_map.add n (Sym_const v) env
-            | None -> env)
-          String_map.empty u.Ast.unit_consts
-      in
-      let iprop_of n = Iprop.lookup u.Ast.unit_iprops n in
-      List.iter
-        (fun (d : Ast.decl) ->
-          let iprop = iprop_of d.Ast.decl_name in
-          match d.Ast.decl_common with
-          | Some block -> register_global ~iprop unit_consts block d
-          | None -> register_global ~iprop unit_consts "global" d)
-        u.Ast.unit_globals;
-      (* Fortran COMMON declarations live inside procedures *)
-      List.iter
-        (fun (p : Ast.proc) ->
-          let consts =
-            List.fold_left
-              (fun env (n, e) ->
-                match const_eval env e with
-                | Some v -> String_map.add n (Sym_const v) env
-                | None -> env)
-              unit_consts p.Ast.proc_consts
-          in
-          List.iter
-            (fun (d : Ast.decl) ->
-              match d.Ast.decl_common with
-              | Some block ->
-                register_global ~iprop:(iprop_of d.Ast.decl_name) consts block d
-              | None -> ())
-            p.Ast.proc_decls)
-        u.Ast.unit_procs)
-    units;
-  (* pass 2: per-procedure environments and body rewriting *)
-  let procs = ref String_map.empty in
-  let order = ref [] in
-  List.iter
-    (fun u ->
-      let unit_consts =
-        List.fold_left
-          (fun env (n, e) ->
-            match const_eval env e with
-            | Some v -> String_map.add n (Sym_const v) env
-            | None -> env)
-          String_map.empty u.Ast.unit_consts
-      in
-      List.iter
-        (fun (p : Ast.proc) ->
-          let env = ref unit_consts in
-          let add n sym = env := String_map.add n sym !env in
-          (* constants first: bounds may use them *)
-          List.iter
-            (fun (n, e) ->
-              match const_eval !env e with
-              | Some v -> add n (Sym_const v)
-              | None ->
-                warnings :=
-                  Diag.warning p.Ast.proc_loc
-                    "non-integer parameter %s ignored by the analysis" n
-                  :: !warnings)
-            p.Ast.proc_consts;
-          (* globals visible everywhere (Fortran COMMON is program-wide
-             here: a deliberate MiniF simplification) *)
-          String_map.iter
-            (fun n (s, block) -> add n (Sym_array (s, Global block)))
-            !globals;
-          String_map.iter
-            (fun n (t, block) -> add n (Sym_scalar (t, Global block)))
-            !global_scalars;
-          (* declarations *)
-          List.iter
-            (fun (d : Ast.decl) ->
-              let cls =
-                if List.mem d.Ast.decl_name p.Ast.proc_params then Formal
-                else
-                  match d.Ast.decl_common with
-                  | Some b -> Global b
-                  | None -> Local
-              in
-              match cls with
-              | Global _ -> ()  (* already registered *)
-              | _ ->
-                if d.Ast.decl_dims = [] then begin
-                  (* a PARAMETER constant may carry a type declaration too;
-                     the constant binding wins *)
-                  match String_map.find_opt d.Ast.decl_name !env with
-                  | Some (Sym_const _) -> ()
-                  | _ -> add d.Ast.decl_name (Sym_scalar (d.Ast.decl_type, cls))
-                end
-                else
-                  add d.Ast.decl_name
-                    (Sym_array
-                       ( sig_of_decl
-                           ~iprop:(Iprop.lookup u.Ast.unit_iprops d.Ast.decl_name)
-                           !env d,
-                         cls )))
-            p.Ast.proc_decls;
-          (* undeclared formals: implicit typing *)
-          List.iter
-            (fun prm ->
-              if not (String_map.mem prm !env) then
-                add prm (Sym_scalar (implicit_dtype prm, Formal)))
-            p.Ast.proc_params;
-          (* function name acts as the return-value scalar *)
-          (match p.Ast.proc_kind with
-          | Ast.Function t -> add p.Ast.proc_name (Sym_scalar (t, Local))
-          | Ast.Program | Ast.Subroutine -> ());
-          (* undeclared referenced names: Fortran implicit scalars *)
-          let referenced =
-            List.fold_left stmt_names [] p.Ast.proc_body
-            |> List.sort_uniq String.compare
-          in
-          List.iter
-            (fun n ->
-              if
-                (not (String_map.mem n !env))
-                && (not (List.mem n proc_names))
-                && not (is_intrinsic n)
-              then
-                if u.Ast.unit_language = Ast.Fortran then
-                  add n (Sym_scalar (implicit_dtype n, Local))
-                else
-                  Diag.error p.Ast.proc_loc "undeclared identifier %s in %s" n
-                    p.Ast.proc_name)
-            referenced;
-          let body = List.map (rewrite_stmt !env proc_names) p.Ast.proc_body in
-          let info =
-            {
-              pi_proc = { p with Ast.proc_body = body };
-              pi_symbols = !env;
-              pi_file = u.Ast.unit_file;
-              pi_object = object_name u.Ast.unit_file;
-              pi_language = u.Ast.unit_language;
-            }
-          in
-          if String_map.mem p.Ast.proc_name !procs then
-            Diag.error p.Ast.proc_loc "duplicate procedure %s" p.Ast.proc_name;
-          procs := String_map.add p.Ast.proc_name info !procs;
-          order := p.Ast.proc_name :: !order)
-        u.Ast.unit_procs)
-    units;
+    (fun n ->
+      if
+        (not (String_map.mem n !env))
+        && (not (List.mem n proc_names))
+        && not (is_intrinsic n)
+      then
+        if u.Ast.unit_language = Ast.Fortran then
+          add n (Sym_scalar (implicit_dtype n, Local))
+        else
+          Diag.error p.Ast.proc_loc "undeclared identifier %s in %s" n
+            p.Ast.proc_name)
+    referenced;
+  let body = List.map (rewrite_stmt !env proc_names) p.Ast.proc_body in
   {
-    prog_procs = !procs;
-    prog_order = List.rev !order;
-    prog_globals = !globals;
-    prog_global_scalars = !global_scalars;
-    prog_files = List.map (fun u -> u.Ast.unit_file) units;
-    prog_warnings = List.rev !warnings;
+    pi_proc = { p with Ast.proc_body = body };
+    pi_symbols = !env;
+    pi_file = u.Ast.unit_file;
+    pi_object = object_name u.Ast.unit_file;
+    pi_language = u.Ast.unit_language;
   }
+
+type linker = {
+  l_env : env;
+  l_proc_names : string list;
+  mutable l_procs : proc_info String_map.t;
+  mutable l_order : string list;  (* newest first *)
+  mutable l_files : string list;  (* newest first *)
+  mutable l_warnings : Diag.t list;  (* newest first *)
+}
+
+let linker env =
+  {
+    l_env = env;
+    l_proc_names = List.map fst env.env_procs;
+    l_procs = String_map.empty;
+    l_order = [];
+    l_files = [];
+    l_warnings = [];
+  }
+
+let define l pi =
+  let p = pi.pi_proc in
+  if String_map.mem p.Ast.proc_name l.l_procs then
+    Diag.error p.Ast.proc_loc "duplicate procedure %s" p.Ast.proc_name;
+  l.l_procs <- String_map.add p.Ast.proc_name pi l.l_procs;
+  l.l_order <- p.Ast.proc_name :: l.l_order
+
+let note_unit l b =
+  l.l_files <- b.b_file :: l.l_files;
+  l.l_warnings <- List.rev_append b.b_warnings l.l_warnings
+
+(* Each procedure is defined as soon as it is checked, so a duplicate
+   fails before the next procedure's semantic errors, as in one pass. *)
+let check_unit l (u : Ast.unit_) =
+  let warnings = ref [] in
+  let warn d = warnings := d :: !warnings in
+  let consts = unit_consts u in
+  let procs =
+    List.map
+      (fun p ->
+        let pi =
+          check_proc l.l_env ~proc_names:l.l_proc_names ~warn u consts p
+        in
+        define l pi;
+        pi)
+      u.Ast.unit_procs
+  in
+  let b =
+    { b_file = u.Ast.unit_file; b_procs = procs; b_warnings = List.rev !warnings }
+  in
+  note_unit l b;
+  b
+
+let add_body l b =
+  List.iter (define l) b.b_procs;
+  note_unit l b
+
+let finish l =
+  {
+    prog_procs = l.l_procs;
+    prog_order = List.rev l.l_order;
+    prog_globals = l.l_env.env_globals;
+    prog_global_scalars = l.l_env.env_global_scalars;
+    prog_files = List.rev l.l_files;
+    prog_warnings = List.rev l.l_warnings;
+  }
+
+let analyze units =
+  let l = linker (link (List.map interface units)) in
+  List.iter (fun u -> ignore (check_unit l u)) units;
+  finish l
 
 let proc_arrays pi =
   String_map.fold

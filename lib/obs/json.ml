@@ -241,16 +241,30 @@ let to_int = function
   | Num f when Float.is_integer f -> Some (int_of_float f)
   | _ -> None
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let hex = "0123456789abcdef"
+
+let add_escaped b s =
+  if not (String.exists needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string b "\\u00";
+          Buffer.add_char b hex.[Char.code c lsr 4];
+          Buffer.add_char b hex.[Char.code c land 15]
+        | c -> Buffer.add_char b c)
+      s
+
 let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+  if not (String.exists needs_escape s) then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    add_escaped b s;
+    Buffer.contents b
+  end

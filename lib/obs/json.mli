@@ -33,3 +33,7 @@ val to_int : t -> int option
 val escape : string -> string
 (** Escape a string for embedding between double quotes in JSON output
     (shared by every emitter in the tree). *)
+
+val add_escaped : Buffer.t -> string -> unit
+(** [Buffer.add_string b (escape s)] without the intermediate string; a
+    string with nothing to escape is copied in one block. *)

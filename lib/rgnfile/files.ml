@@ -11,24 +11,34 @@ type cfg_block = {
   cb_succs : int list;
 }
 
-(* minimal CSV with double-quote escaping *)
+(* minimal CSV with double-quote escaping, written straight into the
+   output buffer; only fields that need it are quoted *)
 
-let needs_quoting s =
-  String.exists (fun c -> c = ',' || c = '"' || c = '\n') s
+let needs_quoting c = c = ',' || c = '"' || c = '\n'
 
-let quote s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let add_field buf f =
+  if not (String.exists needs_quoting f) then Buffer.add_string buf f
+  else begin
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
+      f;
+    Buffer.add_char buf '"'
+  end
+
+let add_row buf fields =
+  List.iteri
+    (fun i f ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_field buf f)
+    fields;
+  Buffer.add_char buf '\n'
 
 let join_csv fields =
-  String.concat ","
-    (List.map (fun f -> if needs_quoting f then quote f else f) fields)
+  let buf = Buffer.create 64 in
+  add_row buf fields;
+  Buffer.sub buf 0 (Buffer.length buf - 1)
 
 let split_csv line =
   let fields = ref [] in
@@ -69,22 +79,34 @@ let split_csv line =
   fields := Buffer.contents buf :: !fields;
   List.rev !fields
 
+(* Records are newline-terminated, except that a quoted field may itself
+   contain newlines; blank records are skipped. *)
 let lines_of s =
-  String.split_on_char '\n' s
-  |> List.filter (fun l -> String.trim l <> "")
+  let records = ref [] in
+  let n = String.length s in
+  let start = ref 0 in
+  let in_quotes = ref false in
+  let flush i =
+    let r = String.sub s !start (i - !start) in
+    if String.trim r <> "" then records := r :: !records;
+    start := i + 1
+  in
+  for i = 0 to n - 1 do
+    match s.[i] with
+    | '"' -> in_quotes := not !in_quotes
+    | '\n' when not !in_quotes -> flush i
+    | _ -> ()
+  done;
+  if !start < n then flush n;
+  List.rev !records
 
 (* ------------------------------------------------------------------ *)
 (* .rgn *)
 
 let write_rgn rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (join_csv Row.header);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun r ->
-      Buffer.add_string buf (join_csv (Row.to_fields r));
-      Buffer.add_char buf '\n')
-    rows;
+  let buf = Buffer.create (64 + (96 * List.length rows)) in
+  add_row buf Row.header;
+  List.iter (fun r -> add_row buf (Row.to_fields r)) rows;
   Buffer.contents buf
 
 let parse_rgn s =
@@ -112,19 +134,15 @@ let write_dgn d =
   let buf = Buffer.create 512 in
   List.iter
     (fun (path, lang) ->
-      Buffer.add_string buf (join_csv [ "source"; path; lang ]);
-      Buffer.add_char buf '\n')
+      add_row buf [ "source"; path; lang ])
     d.dgn_sources;
   List.iter
     (fun (name, file, line) ->
-      Buffer.add_string buf (join_csv [ "proc"; name; file; string_of_int line ]);
-      Buffer.add_char buf '\n')
+      add_row buf [ "proc"; name; file; string_of_int line ])
     d.dgn_procs;
   List.iter
     (fun (caller, callee, line) ->
-      Buffer.add_string buf
-        (join_csv [ "edge"; caller; callee; string_of_int line ]);
-      Buffer.add_char buf '\n')
+      add_row buf [ "edge"; caller; callee; string_of_int line ])
     d.dgn_edges;
   Buffer.contents buf
 
@@ -163,15 +181,13 @@ let write_cfg blocks =
   let buf = Buffer.create 512 in
   List.iter
     (fun b ->
-      Buffer.add_string buf
-        (join_csv
-           [
-             b.cb_proc;
-             string_of_int b.cb_id;
-             b.cb_label;
-             String.concat ";" (List.map string_of_int b.cb_succs);
-           ]);
-      Buffer.add_char buf '\n')
+      add_row buf
+        [
+          b.cb_proc;
+          string_of_int b.cb_id;
+          b.cb_label;
+          String.concat ";" (List.map string_of_int b.cb_succs);
+        ])
     blocks;
   Buffer.contents buf
 

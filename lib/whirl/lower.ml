@@ -206,8 +206,15 @@ and lower_block env loc stmts =
 
 (* ------------------------------------------------------------------ *)
 
-let lower (prog : Sema.program) : Ir.module_ =
-  Obs.Span.with_ ~cat:"phase" ~name:"lower" @@ fun () ->
+type globals = {
+  g_symtab : Symtab.t;
+  g_proc_text : (string, int) Hashtbl.t;
+}
+
+(* The global table reads only the linked environment (global arrays and
+   scalars, the ordered procedure entries), so every unit's PUs can be
+   lowered against it separately. *)
+let globals (prog : Sema.program) =
   let global = Symtab.create () in
   (* global arrays and scalars *)
   SM.iter
@@ -241,71 +248,81 @@ let lower (prog : Sema.program) : Ir.module_ =
       in
       Hashtbl.replace proc_text name (Ir.encode_global st))
     prog.Sema.prog_order;
-  (* each PU *)
-  let pus =
-    List.map
-      (fun name ->
-        let pi = SM.find name prog.Sema.prog_procs in
-        let p = pi.Sema.pi_proc in
-        let local = Symtab.create () in
-        let enter_local n sym sclass =
-          match sym with
-          | Sema.Sym_scalar (d, _) ->
-            ignore
-              (Symtab.enter_st local ~name:n
-                 ~ty:(Symtab.intern_ty local (Symtab.Ty_scalar d))
-                 ~sclass ~loc:p.Ast.proc_loc ())
-          | Sema.Sym_array (s, _) ->
-            ignore
-              (Symtab.enter_st local ~iprop:s.Sema.a_iprop ~name:n
-                 ~ty:(ty_of_sig local s) ~sclass ~loc:s.Sema.a_decl_loc ())
-          | Sema.Sym_const _ -> ()
-        in
-        (* formals first, in parameter order *)
-        let formal_idxs =
-          List.map
-            (fun prm ->
-              (match SM.find_opt prm pi.Sema.pi_symbols with
-              | Some sym -> enter_local prm sym Symtab.Sclass_formal
-              | None ->
-                Diag.error p.Ast.proc_loc "formal %s has no symbol" prm);
-              match Symtab.find_st local prm with
-              | Some idx -> idx
-              | None -> assert false)
-            p.Ast.proc_params
-        in
-        (* locals: everything not formal, not global, not const *)
-        SM.iter
-          (fun n sym ->
-            match sym with
-            | Sema.Sym_scalar (_, Sema.Local) | Sema.Sym_array (_, Sema.Local)
-              ->
-              if Symtab.find_st local n = None then
-                enter_local n sym Symtab.Sclass_auto
-            | _ -> ())
-          pi.Sema.pi_symbols;
-        let env =
-          {
-            global;
-            local;
-            symbols = pi.Sema.pi_symbols;
-            lang = pi.Sema.pi_language;
-            proc_text;
-          }
-        in
-        let body = lower_block env p.Ast.proc_loc p.Ast.proc_body in
-        let pu_st = Hashtbl.find proc_text name in
-        {
-          Ir.pu_name = name;
-          pu_st;
-          pu_formals = formal_idxs;
-          pu_body = Wn.func_entry ~loc:p.Ast.proc_loc ~st:pu_st body;
-          pu_symtab = local;
-          pu_loc = p.Ast.proc_loc;
-          pu_file = pi.Sema.pi_file;
-          pu_object = pi.Sema.pi_object;
-          pu_lang = pi.Sema.pi_language;
-        })
-      prog.Sema.prog_order
+  { g_symtab = global; g_proc_text = proc_text }
+
+let lower_proc g (pi : Sema.proc_info) =
+  let p = pi.Sema.pi_proc in
+  let name = p.Ast.proc_name in
+  let local = Symtab.create () in
+  let enter_local n sym sclass =
+    match sym with
+    | Sema.Sym_scalar (d, _) ->
+      ignore
+        (Symtab.enter_st local ~name:n
+           ~ty:(Symtab.intern_ty local (Symtab.Ty_scalar d))
+           ~sclass ~loc:p.Ast.proc_loc ())
+    | Sema.Sym_array (s, _) ->
+      ignore
+        (Symtab.enter_st local ~iprop:s.Sema.a_iprop ~name:n
+           ~ty:(ty_of_sig local s) ~sclass ~loc:s.Sema.a_decl_loc ())
+    | Sema.Sym_const _ -> ()
   in
-  { Ir.m_id = Ir.fresh_module_id (); m_global = global; m_pus = pus; m_program = prog }
+  (* formals first, in parameter order *)
+  let formal_idxs =
+    List.map
+      (fun prm ->
+        (match SM.find_opt prm pi.Sema.pi_symbols with
+        | Some sym -> enter_local prm sym Symtab.Sclass_formal
+        | None -> Diag.error p.Ast.proc_loc "formal %s has no symbol" prm);
+        match Symtab.find_st local prm with
+        | Some idx -> idx
+        | None -> assert false)
+      p.Ast.proc_params
+  in
+  (* locals: everything not formal, not global, not const *)
+  SM.iter
+    (fun n sym ->
+      match sym with
+      | Sema.Sym_scalar (_, Sema.Local) | Sema.Sym_array (_, Sema.Local) ->
+        if Symtab.find_st local n = None then
+          enter_local n sym Symtab.Sclass_auto
+      | _ -> ())
+    pi.Sema.pi_symbols;
+  let env =
+    {
+      global = g.g_symtab;
+      local;
+      symbols = pi.Sema.pi_symbols;
+      lang = pi.Sema.pi_language;
+      proc_text = g.g_proc_text;
+    }
+  in
+  let body = lower_block env p.Ast.proc_loc p.Ast.proc_body in
+  let pu_st = Hashtbl.find g.g_proc_text name in
+  {
+    Ir.pu_name = name;
+    pu_st;
+    pu_formals = formal_idxs;
+    pu_body = Wn.func_entry ~loc:p.Ast.proc_loc ~st:pu_st body;
+    pu_symtab = local;
+    pu_loc = p.Ast.proc_loc;
+    pu_file = pi.Sema.pi_file;
+    pu_object = pi.Sema.pi_object;
+    pu_lang = pi.Sema.pi_language;
+  }
+
+let assemble g (prog : Sema.program) pus =
+  {
+    Ir.m_id = Ir.fresh_module_id ();
+    m_global = g.g_symtab;
+    m_pus = pus;
+    m_program = prog;
+  }
+
+let lower (prog : Sema.program) : Ir.module_ =
+  Obs.Span.with_ ~cat:"phase" ~name:"lower" @@ fun () ->
+  let g = globals prog in
+  assemble g prog
+    (List.map
+       (fun name -> lower_proc g (SM.find name prog.Sema.prog_procs))
+       prog.Sema.prog_order)

@@ -16,3 +16,24 @@
 val lower : Lang.Sema.program -> Ir.module_
 (** @raise Lang.Diag.Frontend_error on references the front end let through
     but the IR cannot express. *)
+
+(** {2 Separate lowering}
+
+    {!lower} is [assemble g prog (List.map (lower_proc g) procs)] with
+    [g = globals prog]: one PU's lowering reads only its own procedure and
+    the global table, so a caller can lower (or reuse) each unit's PUs on
+    its own. *)
+
+type globals
+(** The global symbol table and the procedure entry symbols. *)
+
+val globals : Lang.Sema.program -> globals
+(** Global arrays (in name order), global scalars (in name order), then
+    one entry symbol per procedure in program order. *)
+
+val lower_proc : globals -> Lang.Sema.proc_info -> Ir.pu
+(** @raise Lang.Diag.Frontend_error like {!lower}. *)
+
+val assemble : globals -> Lang.Sema.program -> Ir.pu list -> Ir.module_
+(** The module over [globals]' table, with a fresh {!Ir.fresh_module_id}.
+    [pus] must be in [prog_order]. *)

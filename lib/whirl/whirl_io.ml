@@ -556,6 +556,9 @@ let parse text =
   with
   | Parse_error e -> Error e
   | Scanf.Scan_failure e -> Error e
+  (* sscanf on a truncated line: its input ends before the format does *)
+  | End_of_file -> Error (Printf.sprintf "line %d: truncated line" c.lineno)
+  | Failure e -> Error (Printf.sprintf "line %d: %s" c.lineno e)
 
 let save ~path m =
   let oc = open_out_bin path in

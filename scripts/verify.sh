@@ -119,6 +119,27 @@ dune exec bench/main.exe -- check-json "$out/genreport.json"
 grep -q '"analysis": "diffcheck"' "$out/genreport.json"
 dune exec bin/dragon.exe -- regress --cache-dir "$out/gcache"
 
+echo "== smoke: frontend artifacts: cold, one-file edit, warm == no cache =="
+# gen-small on disk; the warm run after editing one file re-parses only
+# that file and must write exactly what a no-cache run of the edited
+# sources writes
+dune exec bin/uhc.exe -- gen -o "$out/fsrc" >/dev/null
+dune exec bin/uhc.exe -- "$out/fsrc"/*.f --analyses bounds,permissions \
+  --report "$out/fcold.json" --cache-dir "$out/fcache2" -o "$out/fcold" \
+  >/dev/null
+sed -i '0,/ = /s/\( = .*\)$/\1 + 0/' "$out/fsrc/gen_001.f"
+dune exec bin/uhc.exe -- "$out/fsrc"/*.f --analyses bounds,permissions \
+  --report "$out/fwarm.json" --cache-dir "$out/fcache2" -o "$out/fwarm" \
+  --stats >"$out/fwarm.log"
+grep -q "^frontend: interface 7 hit / 1 miss, body 7 hit / 1 miss" \
+  "$out/fwarm.log"
+dune exec bin/uhc.exe -- "$out/fsrc"/*.f --analyses bounds,permissions \
+  --report "$out/fnone.json" -o "$out/fnone" >/dev/null
+for f in project.rgn project.dgn project.cfg; do
+  cmp "$out/fnone/$f" "$out/fwarm/$f"
+done
+cmp "$out/fnone.json" "$out/fwarm.json"
+
 echo "== smoke: bench gen --json =="
 dune exec bench/main.exe -- gen --json --out "$out/BENCH_gen.json" >/dev/null
 test -s "$out/BENCH_gen.json"

@@ -222,6 +222,87 @@ let prop_rgn_roundtrip =
       | Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Writers over adversarial cells: the report JSON and the .rgn CSV are
+   written straight into a buffer, quoting or escaping only the cells that
+   need it; both must read back to exactly what was written. *)
+
+let gen_cell =
+  Gen.(
+    string_size ~gen:(oneof [ oneofl [ '"'; '\\'; ','; '\n'; '\r' ];
+                              map Char.chr (int_range 0 0x1f);
+                              map Char.chr (int_range 0x20 0x7e) ])
+      (int_range 0 12))
+
+let json_strings = function
+  | Obs.Json.List l ->
+    List.map (function Obs.Json.Str s -> s | _ -> failwith "not a string") l
+  | _ -> failwith "not a list"
+
+let reports_of_json text =
+  let doc = Result.get_ok (Obs.Json.parse text) in
+  List.map
+    (fun r ->
+      let get k = Option.get (Obs.Json.member k r) in
+      let summary =
+        match get "summary" with
+        | Obs.Json.Obj kvs ->
+          List.map
+            (function
+              | k, Obs.Json.Str v -> (k, v) | _ -> failwith "summary value")
+            kvs
+        | _ -> failwith "summary"
+      in
+      let rows =
+        match get "rows" with
+        | Obs.Json.List rows -> List.map json_strings rows
+        | _ -> failwith "rows"
+      in
+      Analyses.Report.make
+        ~analysis:(Option.get (Obs.Json.to_string (get "analysis")))
+        ~summary ~columns:(json_strings (get "columns")) rows)
+    (Option.get (Option.bind (Obs.Json.member "reports" doc) Obs.Json.to_list))
+
+let gen_report =
+  Gen.(
+    let* analysis = gen_cell in
+    let* summary = list_size (int_range 0 3) (pair gen_cell gen_cell) in
+    let* width = int_range 0 4 in
+    let* columns = list_repeat width gen_cell in
+    let* rows = list_size (int_range 0 5) (list_repeat width gen_cell) in
+    return (Analyses.Report.make ~analysis ~summary ~columns rows))
+
+let prop_report_json_roundtrip =
+  Test.make ~name:"report JSON round-trips adversarial cells" ~count:300
+    Gen.(list_size (int_range 0 3) gen_report)
+    ~print:(fun rs -> Analyses.Report.json_of_reports rs)
+    (fun reports ->
+      reports_of_json (Analyses.Report.json_of_reports reports) = reports)
+
+let gen_row =
+  Gen.(
+    let* cells = list_repeat 10 gen_cell in
+    let* ints = list_repeat 8 (int_range (-5) 100_000) in
+    let* props = oneofl [ "-"; "b"; "bm"; "mi"; "bmi" ] in
+    match (cells, ints) with
+    | ( [ scope; array; file; mode; lb; ub; stride; data_type; dim_size; mem_loc ],
+        [ references; dimensions; element_size; tot_size; size_bytes;
+          acc_density; line; _ ] ) ->
+      return
+        {
+          Rgnfile.Row.scope; array; file; mode; references; dimensions; lb; ub;
+          stride; element_size; data_type; dim_size; tot_size; size_bytes;
+          mem_loc; acc_density; line; props;
+        }
+    | _ -> assert false)
+
+let prop_rgn_adversarial_roundtrip =
+  Test.make ~name:".rgn round-trips adversarial cells" ~count:300
+    Gen.(list_size (int_range 0 6) gen_row)
+    ~print:Rgnfile.Files.write_rgn
+    (fun rows ->
+      Rgnfile.Files.parse_rgn (Rgnfile.Files.write_rgn rows) = Ok rows)
+
+(* ------------------------------------------------------------------ *)
 (* Fault tolerance: whatever fault spec is installed, [Pipeline.run] under
    --keep-going terminates with an exit code — no exception escapes any
    recovery layer. *)
@@ -278,4 +359,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_wopt_preserves_output;
     QCheck_alcotest.to_alcotest prop_analysis_deterministic;
     QCheck_alcotest.to_alcotest prop_faults_never_escape;
+    QCheck_alcotest.to_alcotest prop_report_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_rgn_adversarial_roundtrip;
   ]

@@ -73,8 +73,46 @@ let test_parse_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated pu accepted"
 
+(* A truncated image is malformed input: [parse] answers [Error], never
+   an exception (a shard worker parses every Init payload).  Every byte
+   prefix of fig1; for NAS LU, every prefix through the end of the first
+   PU (global table, pu/formals/st/wn lines) and 50 spread over the
+   rest. *)
+let test_prefixes_never_raise () =
+  let image files =
+    let m = Whirl.Lower.lower (Lang.Frontend.load ~files) in
+    Whirl.Layout.assign m;
+    Whirl.Whirl_io.write m
+  in
+  let check text cut =
+    match Whirl.Whirl_io.parse (String.sub text 0 cut) with
+    | Ok _ | Error _ -> ()
+    | exception e ->
+      Alcotest.failf "prefix of %d/%d bytes raised %s" cut (String.length text)
+        (Printexc.to_string e)
+  in
+  let fig1 = image [ Corpus.Small.fig1_f ] in
+  for cut = 0 to String.length fig1 do
+    check fig1 cut
+  done;
+  let lu = image (Corpus.Nas_lu.files ()) in
+  let first_pu_end =
+    let rec find i =
+      if String.sub lu i 6 = "endpu\n" then i + 6 else find (i + 1)
+    in
+    find 0
+  in
+  for cut = 0 to first_pu_end do
+    check lu cut
+  done;
+  let n = String.length lu in
+  for k = 0 to 50 do
+    check lu (first_pu_end + ((n - first_pu_end) * k / 50))
+  done
+
 let suite =
   [
+
     Alcotest.test_case "tree round trip" `Quick test_tree_roundtrip;
     Alcotest.test_case "symtab round trip" `Quick test_symtab_roundtrip;
     Alcotest.test_case "analysis equal after reload" `Quick
@@ -83,4 +121,6 @@ let suite =
       test_interp_equal_after_reload;
     Alcotest.test_case "floats bit-exact" `Quick test_floats_bit_exact;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "truncated images never raise" `Quick
+      test_prefixes_never_raise;
   ]
