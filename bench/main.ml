@@ -1811,31 +1811,6 @@ let check_ledger_jsonl path raw =
   Printf.printf "check-json: %s OK (ledger, %d record(s))\n" path
     (List.length lines)
 
-let check_shard_json path top doc =
-  check_schema_version ~what:"shard" ~expected:Analyses.Report.schema_version
-    top;
-  let identical, _ = check_gate doc ~where:"shard" "identical" in
-  if identical < 1. then
-    check_fail "shard.identical: some topology produced different output";
-  ignore (check_gate doc ~where:"shard" "warm_hit_rate");
-  let measured, _ = check_gate doc ~where:"shard" "topologies_measured" in
-  (match Obs.Json.member "topologies" doc with
-  | Some (Obs.Json.List entries) ->
-    if List.length entries <> int_of_float measured then
-      check_fail "shard.topologies length disagrees with topologies_measured";
-    List.iter
-      (fun e ->
-        List.iter
-          (fun field ->
-            match Option.bind (Obs.Json.member field e) Obs.Json.to_float with
-            | Some _ -> ()
-            | None -> check_fail "shard.topologies[].%s missing" field)
-          [ "workers"; "wall_s"; "spawned"; "tasks"; "steals" ])
-      entries
-  | _ -> check_fail "shard.topologies missing");
-  Printf.printf "check-json: %s OK (shard, %d topologies)\n" path
-    (int_of_float measured)
-
 let check_json_file path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
@@ -1882,13 +1857,12 @@ let check_json_file path =
             ~expected:Fault.Diag.schema_version v;
           check_diagnostics_json path entries
         | _ -> (
-          match (Obs.Json.member "gen" v, Obs.Json.member "shard" v) with
-          | Some (Obs.Json.Obj _ as doc), _ -> check_gen_json path v doc
-          | _, Some (Obs.Json.Obj _ as doc) -> check_shard_json path v doc
+          match Obs.Json.member "gen" v with
+          | Some (Obs.Json.Obj _ as doc) -> check_gen_json path v doc
           | _ ->
             check_fail
               "no recognized top-level section \
-               (solver/regions/traceEvents/metrics/obs/bounds/gen/shard/\
+               (solver/regions/traceEvents/metrics/obs/bounds/gen/\
                reports/diagnostics)"))
       | _ -> check_fail "top-level value is not an object")
   with Check_fail msg ->
@@ -1965,143 +1939,6 @@ let bench_obs ~json ~out () =
     bpf "    \"disabled_span_ns\": %.3f,\n" per_call_ns;
     bpf "    \"disabled_cost_fraction\": %.8f,\n" disabled_cost;
     bpf "    \"disabled_cost_ok\": %b\n" (disabled_cost < 0.02);
-    bpf "  }\n";
-    bpf "}\n";
-    let oc = open_out path in
-    output_string oc (Buffer.contents b);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Shard: multi-process summarize on a reduced gen corpus — byte-identity
-   across worker counts, and zero recomputation on a warm shared tier *)
-
-let bench_shard ~json ~out () =
-  header "Shard: multi-process summarize (reduced gen corpus)";
-  let cfg =
-    { (Corpus.Gen.standard ()) with Corpus.Gen.g_files = 16; g_pus_per_file = 5 }
-  in
-  let files = Corpus.Gen.generate cfg in
-  let lower () = Whirl.Lower.lower (Lang.Frontend.load ~files) in
-  (* the exact .rgn/.dgn/.cfg contents uhc would write, as one string *)
-  let render (r : Ipa.Analyze.result) =
-    let blocks =
-      List.concat_map
-        (fun (proc, c) ->
-          Array.to_list
-            (Array.map
-               (fun (b : Cfg.block) ->
-                 {
-                   Rgnfile.Files.cb_proc = proc;
-                   cb_id = b.Cfg.id;
-                   cb_label = b.Cfg.label;
-                   cb_succs = b.Cfg.succs;
-                 })
-               c.Cfg.blocks))
-        r.Ipa.Analyze.r_cfgs
-    in
-    String.concat "\x00"
-      [
-        Rgnfile.Files.write_rgn r.Ipa.Analyze.r_rows;
-        Rgnfile.Files.write_dgn r.Ipa.Analyze.r_dgn;
-        Rgnfile.Files.write_cfg blocks;
-      ]
-  in
-  Printf.printf "corpus: %d files, %d PUs (seed %d)\n" (List.length files)
-    (Corpus.Gen.pu_count cfg) cfg.Corpus.Gen.g_seed;
-  let run_at workers =
-    let t0 = Unix.gettimeofday () in
-    let r = Engine.run (Engine.config ~workers ()) (lower ()) in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let baseline = render (snd (run_at 0)).Engine.e_result in
-  let rows =
-    List.map
-      (fun w ->
-        let wall, r = run_at w in
-        let same = render r.Engine.e_result = baseline in
-        let spawned, tasks, steals, busy =
-          match r.Engine.e_stats.Engine.Stats.s_shard with
-          | None -> (0, 0, 0, [])
-          | Some s ->
-            ( s.Engine_shard.st_spawned,
-              s.Engine_shard.st_tasks,
-              s.Engine_shard.st_steals,
-              List.map
-                (fun (ws : Engine_shard.worker_stat) ->
-                  ws.Engine_shard.ws_busy_ns)
-                s.Engine_shard.st_workers )
-        in
-        Printf.printf
-          "workers %d: %.4fs  %d spawned, %d tasks (%d stolen)  %s\n" w wall
-          spawned tasks steals
-          (if same then "byte-identical" else "OUTPUT DIFFERS");
-        (w, wall, same, spawned, tasks, steals, busy))
-      [ 0; 1; 2; 4; 8 ]
-  in
-  let identical =
-    if List.for_all (fun (_, _, s, _, _, _, _) -> s) rows then 1 else 0
-  in
-  (* warm shared tier: a cold sharded run publishes every summary into the
-     shared --cache-dir tier as it lands, so a second sharded run over
-     unchanged content recomputes nothing (and spawns no worker) *)
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "uhc_bench_shard_%d" (Unix.getpid ()))
-  in
-  let rm () =
-    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
-  in
-  rm ();
-  let run_store () =
-    Engine.run
-      (Engine.config ~workers:4 ~store:(Engine_store.create ~dir ()) ())
-      (lower ())
-  in
-  let cold = run_store () in
-  let warm = run_store () in
-  rm ();
-  let hits (r : Engine.result) = r.Engine.e_stats.Engine.Stats.s_summary_hits in
-  let pus (r : Engine.result) = r.Engine.e_stats.Engine.Stats.s_pus in
-  let warm_hit_rate =
-    float_of_int (hits warm) /. float_of_int (max 1 (pus warm))
-  in
-  let warm_identical = render warm.Engine.e_result = baseline in
-  Printf.printf
-    "shared tier, 4 workers: cold %d/%d summary hits, warm %d/%d (hit rate \
-     %.2f)%s\n"
-    (hits cold) (pus cold) (hits warm) (pus warm) warm_hit_rate
-    (if warm_identical then "" else "  OUTPUT DIFFERS");
-  if json || out <> None then begin
-    let path = Option.value out ~default:"BENCH_shard.json" in
-    let b = Buffer.create 2048 in
-    let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    bpf "{\n";
-    bpf "  \"bench\": \"shard\",\n";
-    bpf "  \"schema_version\": %d,\n" Analyses.Report.schema_version;
-    bpf "  \"shard\": {\n";
-    bpf "    \"files\": %d,\n" (List.length files);
-    bpf "    \"pus\": %d,\n" (Corpus.Gen.pu_count cfg);
-    bpf "    \"topologies\": [\n";
-    List.iteri
-      (fun i (w, wall, same, spawned, tasks, steals, busy) ->
-        bpf
-          "      {\"workers\": %d, \"wall_s\": %.6f, \"identical\": %b, \
-           \"spawned\": %d, \"tasks\": %d, \"steals\": %d, \"busy_ns\": [%s]}%s\n"
-          w wall same spawned tasks steals
-          (String.concat ", " (List.map string_of_int busy))
-          (if i < List.length rows - 1 then "," else ""))
-      rows;
-    bpf "    ],\n";
-    bpf "    \"topologies_measured\": %d,\n" (List.length rows);
-    bpf "    \"topologies_measured_floor\": %d,\n" (List.length rows);
-    bpf "    \"identical\": %d,\n"
-      (if identical = 1 && warm_identical then 1 else 0);
-    bpf "    \"identical_floor\": 1,\n";
-    bpf "    \"warm_hit_rate\": %.4f,\n" warm_hit_rate;
-    bpf "    \"warm_hit_rate_floor\": 1.0\n";
     bpf "  }\n";
     bpf "}\n";
     let oc = open_out path in
@@ -2193,7 +2030,6 @@ let timing_suite () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  Engine_shard.worker_check_argv ();
   let rec parse (json, out, sections) = function
     | [] -> (json, out, List.rev sections)
     | "--json" :: rest -> parse (true, out, sections) rest
@@ -2228,5 +2064,4 @@ let () =
     if all || only "gen" then bench_gen ~json ~out ();
     if all || only "regions" then bench_regions ~json ~out ();
     if all || only "obs" then bench_obs ~json ~out ();
-    if all || only "shard" then bench_shard ~json ~out ();
     if all || only "timing" then timing_suite ()

@@ -285,7 +285,7 @@ let history_cmd =
       value & pos_all string []
       & info [] ~docv:"METRIC"
           ~doc:"Dotted paths into the records, e.g. wall_s, \
-                cache.summary_misses, solver.queries, topology.steals, \
+                cache.summary_misses, solver.queries, jobs, \
                 verdicts.bounds.unsafe; default wall_s.")
   in
   let last =

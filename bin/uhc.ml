@@ -7,7 +7,7 @@
 
 let run paths corpus out_dir project dump_whirl dump_src dump_callgraph
     dump_summaries execute wopt ipl_dir fuse autopar emit_whirl loop_summaries
-    jobs workers cache_dir stats stats_det trace metrics log_level keep_going
+    jobs () cache_dir stats stats_det trace metrics log_level keep_going
     fault_specs diagnostics solver_budget analyses report ledger no_ledger =
   let ledger =
     if no_ledger then Some false else if ledger then Some true else None
@@ -16,7 +16,7 @@ let run paths corpus out_dir project dump_whirl dump_src dump_callgraph
     Pipeline.run
       (Pipeline.make ~paths ?corpus ?out_dir ~project ~dump_whirl ~dump_src
          ~dump_callgraph ~dump_summaries ~execute ~wopt ?ipl_dir ~fuse ~autopar
-         ?emit_whirl ~loop_summaries ~jobs ~workers ?cache_dir ~stats
+         ?emit_whirl ~loop_summaries ~jobs ?cache_dir ~stats
          ~stats_det ?trace
          ?metrics ~log_level ~keep_going ~fault_specs ?diagnostics
          ?solver_budget ~analyses ?report ?ledger ())
@@ -116,15 +116,28 @@ let jobs =
         ~doc:"Analysis domains: 1 = serial (default), 0 = one per core. \
               Output is byte-identical at any setting.")
 
+(* retained for existing command lines; the process-shard pool was
+   removed, so only [--workers 0] parses *)
 let workers =
+  let only_zero =
+    Arg.conv
+      ( (fun s ->
+          if String.trim s = "0" then Ok ()
+          else
+            Error
+              (`Msg
+                (Printf.sprintf
+                   "%S: only 0 is accepted (the process-shard pool was \
+                    removed); use --jobs N for parallelism"
+                   s))),
+        fun ppf () -> Format.pp_print_string ppf "0" )
+  in
   Arg.(
-    value & opt int 0
-    & info [ "workers" ] ~docv:"N"
-        ~doc:"Shard the summarize phase across N worker processes (0 = \
-              in-process only, the default).  Workers exchange work and \
-              summaries over a pipe protocol and publish results into the \
-              shared --cache-dir tier; output is byte-identical at any \
-              setting.")
+    value & opt only_zero ()
+    & info [ "workers" ] ~docv:"0"
+        ~doc:"Retained for existing command lines; the process-shard pool \
+              was removed.  Only 0 is accepted; use --jobs for \
+              parallelism.")
 
 let cache_dir =
   Arg.(
@@ -401,7 +414,6 @@ let cmd =
    a default term would swallow positional source paths as (unknown)
    command names, and plain [uhc file.f] must keep working. *)
 let () =
-  Engine_shard.worker_check_argv ();
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "gen" then begin
     let argv =
       Array.append [| "uhc gen" |] (Array.sub Sys.argv 2 (Array.length Sys.argv - 2))

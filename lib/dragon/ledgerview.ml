@@ -135,12 +135,12 @@ type verdict = {
 
 (* Only deterministic counters by default: verdict tallies, diagnostics
    and the cache miss count are byte-stable across reruns of the same
-   inputs at any --jobs or --workers setting, so a no-change rerun
-   always passes.  cache.summary_misses in particular enforces
-   worker-count invariance: a warm rerun of an unchanged corpus must
-   recompute nothing regardless of topology.  Wall-clock and
-   scheduling-dependent counters (topology.steals, busy_ns) regress only
-   when asked to via --threshold. *)
+   inputs at any --jobs setting, so a no-change rerun always passes.
+   cache.summary_misses in particular enforces jobs invariance: a warm
+   rerun of an unchanged corpus must recompute nothing however many
+   domains ran it.  Wall-clock and scheduling-dependent counters
+   (wall_s, the solver.ctx_ counters) regress only when asked to via
+   --threshold. *)
 let default_rules =
   [
     { r_path = "verdicts.bounds.unsafe"; r_pct = 0. };

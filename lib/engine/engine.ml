@@ -24,13 +24,16 @@ open Whirl
 
 type config = {
   jobs : int;
-  workers : int;
   store : Engine_store.t option;
   keep_going : bool;
 }
 
 let config ?(jobs = 1) ?(workers = 0) ?store ?(keep_going = false) () =
-  { jobs; workers; store; keep_going }
+  if workers <> 0 then
+    invalid_arg
+      "Engine.config: ~workers must be 0 (the process-shard pool was \
+       removed; use ~jobs)";
+  { jobs; store; keep_going }
 
 module Stats = struct
   type phase = { ph_name : string; ph_wall : float; ph_alloc : float }
@@ -45,9 +48,6 @@ module Stats = struct
     s_phases : phase list;
     s_total_wall : float;
     s_solver : Linear.Solver_stats.t;
-    s_shard : Engine_shard.stats option;
-        (* Some iff workers > 0; scheduling telemetry only, excluded from
-           [pp_deterministic] (steal counts depend on timing) *)
   }
 
   let pp ppf t =
@@ -57,15 +57,6 @@ module Stats = struct
       (if t.s_pus = 1 then "" else "s");
     Format.fprintf ppf "  cache: collect %d hit / %d miss, summary %d hit / %d miss@\n"
       t.s_collect_hits t.s_collect_misses t.s_summary_hits t.s_summary_misses;
-    (match t.s_shard with
-    | None -> ()
-    | Some sh ->
-      Format.fprintf ppf
-        "  shard: %d/%d workers, %d task%s (%d stolen, %d local)@\n"
-        sh.Engine_shard.st_spawned sh.Engine_shard.st_requested
-        sh.Engine_shard.st_tasks
-        (if sh.Engine_shard.st_tasks = 1 then "" else "s")
-        sh.Engine_shard.st_steals sh.Engine_shard.st_fallback_local);
     List.iter
       (fun p ->
         Format.fprintf ppf "  %-10s %8.3fs %10.1f kB@\n" p.ph_name p.ph_wall
@@ -135,18 +126,13 @@ let diag_site_of_exn = function
   | Fault.Injected (site, _) -> Fault.site_name site
   | _ -> "engine"
 
-(* string form, shared with the shard path: a worker ships (site, error)
-   across the wire and the coordinator rebuilds the byte-identical diag *)
-let isolation_diag_str ~stage ~pu ~action ~site ~error =
+let isolation_diag ~stage ~pu ~action e =
+  let error = Printexc.to_string e in
   Obs.Metrics.Counter.incr c_isolated;
   Obs.Log.info "engine.pu_isolated"
     [ ("stage", stage); ("pu", pu); ("error", error) ];
-  Fault.Diag.make ~site ~pu ~action
+  Fault.Diag.make ~site:(diag_site_of_exn e) ~pu ~action
     (Printf.sprintf "%s failed (%s); %s" stage error action)
-
-let isolation_diag ~stage ~pu ~action e =
-  isolation_diag_str ~stage ~pu ~action ~site:(diag_site_of_exn e)
-    ~error:(Printexc.to_string e)
 
 (* Cumulative registry mirrors of the per-run cache counters, plus one
    latency histogram per pipeline phase. *)
@@ -297,25 +283,6 @@ let run (cfg : config) (m : Ir.module_) : result =
   let summary_hit = Array.make n false in
   let computed = Array.make n false in
   let key2 : Digest.t option array = Array.make n None in
-  (* multi-process sharding: the init snapshot is only forced if a level
-     actually dispatches work, so warm runs never pay a spawn *)
-  let shard =
-    if cfg.workers <= 0 then None
-    else
-      Some
-        (Engine_shard.create ~workers:cfg.workers ~init:(fun () ->
-             {
-               Engine_proto.in_module = Whirl_io.write m;
-               in_keep_going = cfg.keep_going;
-               in_fault_specs =
-                 List.map Fault.spec_to_string (Fault.current_specs ());
-               in_solver_budget = Linear.System.get_step_budget ();
-               in_cache_dir = Option.bind cfg.store Engine_store.dir;
-             }))
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Engine_shard.shutdown shard)
-  @@ fun () ->
   timed "summarize" (fun () ->
       let scc_arr = Array.of_list (Ipa.Callgraph.sccs cg) in
       (* Merkle digests, bottom-up: [sccs] lists callee SCCs first.  The
@@ -425,121 +392,6 @@ let run (cfg : config) (m : Ir.module_) : result =
             match idx p with Some i -> not summary_hit.(i) | None -> false)
           scc
       in
-      (* shard mode: the same level barrier, but each SCC ships to a
-         worker process as (members in call-graph order, already-known
-         callee summaries) and comes back as per-member outcomes applied
-         to the same slots the in-process path writes *)
-      let apply_outcomes outcomes =
-        List.iter
-          (fun (name, o) ->
-            match idx name with
-            | None -> ()
-            | Some i -> (
-              match (o : Engine_proto.outcome) with
-              | Engine_proto.O_summary img ->
-                let p = Engine_store.decode_summary ~m img in
-                summaries.(i) <- Some p.Engine_store.sp_summary;
-                propagated.(i) <- p.Engine_store.sp_propagated;
-                computed.(i) <- true
-              | Engine_proto.O_opaque ->
-                summaries.(i) <- Some (Ipa.Summary.opaque m pus.(i));
-                propagated.(i) <- []
-              | Engine_proto.O_poisoned (stage, site, error) ->
-                poisoned.(i) <- true;
-                summaries.(i) <- Some (Ipa.Summary.opaque m pus.(i));
-                propagated.(i) <- [];
-                pu_diags.(i) <-
-                  isolation_diag_str ~stage ~pu:name ~action:"opaque-summary"
-                    ~site ~error
-                  :: pu_diags.(i)
-              | Engine_proto.O_failed (error, injected) -> (
-                match injected with
-                | Some (site, key) -> (
-                  match Fault.site_of_name site with
-                  | Some s -> raise (Fault.Injected (s, key))
-                  | None -> failwith error)
-                | None -> failwith error)))
-          outcomes
-      in
-      let callee_img = Hashtbl.create 64 in
-      let callee_image j =
-        match Hashtbl.find_opt callee_img j with
-        | Some img -> img
-        | None ->
-          let img =
-            Engine_store.encode_summary
-              {
-                Engine_store.sp_summary =
-                  (match summaries.(j) with
-                  | Some s -> s
-                  | None -> assert false);
-                (* the lookup side only ever reads sp_summary *)
-                sp_propagated = [];
-              }
-          in
-          Hashtbl.replace callee_img j img;
-          img
-      in
-      let shard_spec scc =
-        let member_idx =
-          List.filter_map
-            (fun name ->
-              match idx name with
-              | Some i when not summary_hit.(i) -> Some (name, i)
-              | _ -> None)
-            scc
-        in
-        let members =
-          List.filter_map
-            (fun (name, i) ->
-              match infos.(i) with
-              | None -> None
-              | Some info ->
-                Some
-                  {
-                    Engine_proto.mb_name = name;
-                    mb_poisoned = poisoned.(i);
-                    mb_collect =
-                      (if poisoned.(i) then ""
-                       else
-                         Engine_store.encode_collect
-                           {
-                             Engine_store.cp_accesses =
-                               info.Ipa.Collect.p_accesses;
-                             cp_sites = info.Ipa.Collect.p_sites;
-                           });
-                    mb_key =
-                      (match key2.(i) with Some k -> k | None -> "");
-                  })
-            member_idx
-        in
-        let callees = ref [] in
-        let seen = Hashtbl.create 16 in
-        List.iter
-          (fun (name, _) ->
-            List.iter
-              (fun c ->
-                if not (Hashtbl.mem seen c) then begin
-                  Hashtbl.replace seen c ();
-                  if not (List.mem_assoc c member_idx) then
-                    match idx c with
-                    | Some j when Option.is_some summaries.(j) ->
-                      callees := (c, callee_image j) :: !callees
-                    | _ -> ()
-                end)
-              (Ipa.Callgraph.callees cg name))
-          member_idx;
-        {
-          Engine_shard.ts_task =
-            {
-              Engine_proto.t_id = 0;
-              t_members = members;
-              t_callees = List.rev !callees;
-            };
-          ts_local = process_scc scc;
-          ts_on_outcomes = apply_outcomes;
-        }
-      in
       let max_level = Array.fold_left max 0 level in
       for lv = 0 to max_level do
         let work = ref [] in
@@ -547,15 +399,8 @@ let run (cfg : config) (m : Ir.module_) : result =
           (fun si scc ->
             if level.(si) = lv && needs_work scc then work := scc :: !work)
           scc_arr;
-        match shard with
-        | None ->
-          let tasks =
-            Array.of_list (List.rev_map (fun scc -> process_scc scc) !work)
-          in
-          Engine_pool.run ~jobs tasks
-        | Some sh ->
-          Engine_shard.run_level sh
-            (Array.of_list (List.rev_map shard_spec !work))
+        Engine_pool.run ~jobs
+          (Array.of_list (List.rev_map (fun scc -> process_scc scc) !work))
       done;
       (* persist what this run computed *)
       match cfg.store with
@@ -632,7 +477,6 @@ let run (cfg : config) (m : Ir.module_) : result =
       s_total_wall = float_of_int (Obs.Trace.now_ns () - t_start) /. 1e9;
       s_solver =
         Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) solver0;
-      s_shard = Option.map Engine_shard.stats shard;
     }
   in
   let e_pus =

@@ -1,8 +1,8 @@
 (** The parallel, incremental analysis engine.
 
     [run] produces one {!Ipa.Analyze.result} — byte-identical
-    [.rgn]/[.dgn]/[.cfg] contents at every [jobs]/[workers] setting and
-    cache state — while fanning per-PU collection and CFG construction
+    [.rgn]/[.dgn]/[.cfg] contents at every [jobs] setting and cache
+    state — while fanning per-PU collection and CFG construction
     across an OCaml domain pool and reusing content-addressed cached
     results:
 
@@ -17,7 +17,6 @@
 
 type config = {
   jobs : int;
-  workers : int;
   store : Engine_store.t option;
   keep_going : bool;
 }
@@ -33,12 +32,9 @@ val config :
     [Domain.recommended_domain_count ()].  Without [store], nothing is
     cached.
 
-    [workers] (default [0] = in-process only) spawns that many worker
-    processes and shards the summarize phase's SCC levels across them via
-    {!Engine_shard}, publishing computed summaries into the store's
-    shared directory as they land.  Outputs are byte-identical at every
-    [workers] setting; every failure mode falls back to in-process
-    analysis.
+    [workers] is retained for existing command lines; the process-shard
+    pool was removed.  It must be [0] (the default).
+    @raise Invalid_argument on any other value.
 
     [keep_going] (default [false]) turns on per-PU error isolation: a PU
     whose collection or summarization raises — an injected {!Fault} or a
@@ -71,11 +67,7 @@ module Stats : sig
     s_total_wall : float;
     s_solver : Linear.Solver_stats.t;
         (** solver-layer counter deltas attributed to this run (queries,
-            memo hits, eliminations — see {!Linear.Solver_stats});
-            includes counters absorbed from shard workers *)
-    s_shard : Engine_shard.stats option;
-        (** [Some] iff [workers > 0]: spawn/task/steal/busy telemetry.
-            Scheduling-dependent, so excluded from {!pp_deterministic}. *)
+            memo hits, eliminations — see {!Linear.Solver_stats}) *)
   }
 
   val pp : Format.formatter -> t -> unit

@@ -251,8 +251,8 @@ let max_attempts = 3
 
 let backoff_s ~key attempt =
   (* exponential base with deterministic seeded jitter: splitmix64 over
-     (pid, entry, attempt) spreads the sleep across [0.5x, 1.5x) so N
-     workers hammering one shared tier don't retry in lockstep, while
+     (pid, entry, attempt) spreads the sleep across [0.5x, 1.5x) so
+     processes hammering one shared directory don't retry in lockstep, while
      staying reproducible for any given process/key/attempt triple *)
   let base = 0.0005 *. float_of_int (1 lsl attempt) in
   let h = Hashtbl.hash (Unix.getpid (), key, attempt) in
@@ -449,14 +449,9 @@ let decode_entry (type a) t ns key (k : string) (bytes : string) ofs : a option
     None
 
 (* ------------------------------------------------------------------ *)
-(* Typed views.
-
-   The encode/decode pairs are standalone pure codecs over entry images —
-   the same bytes the store persists — so the shard wire protocol can ship
-   summaries between processes in exactly the cache format.  The decode
-   side of [find_*] additionally routes through [decode_entry] for fault
-   injection and quarantine; the standalone decoders assume an already
-   verified image (a wire payload, not an untrusted file). *)
+(* Typed views.  The encoders build the entry image [add_raw] persists;
+   [find_*] route the stored bytes through [decode_entry] (seal check,
+   fault injection, quarantine) before re-interning them. *)
 
 let collect_of_entry ~m (entry : collect_payload entry) : collect_payload =
   Linear.Var.advance_past entry.en_counter;
@@ -488,9 +483,6 @@ let encode_collect (p : collect_payload) =
     { en_counter = Linear.Var.current (); en_syms = syms_of vars; en_value = p }
     []
 
-let decode_collect ~m bytes : collect_payload =
-  collect_of_entry ~m (Marshal.from_string bytes 0 : collect_payload entry)
-
 let encode_summary (p : summary_payload) =
   let vars =
     add_summary p.sp_summary
@@ -501,9 +493,6 @@ let encode_summary (p : summary_payload) =
   Marshal.to_string
     { en_counter = Linear.Var.current (); en_syms = syms_of vars; en_value = p }
     []
-
-let decode_summary ~m bytes : summary_payload =
-  summary_of_entry ~m (Marshal.from_string bytes 0 : summary_payload entry)
 
 let add_collect t ~key (p : collect_payload) =
   add_raw t "c" key (encode_collect p)
@@ -526,8 +515,6 @@ let find_summary t ~m ~key : summary_payload option =
     match (decode_entry t "s" key k bytes ofs : summary_payload entry option) with
     | None -> None
     | Some entry -> Some (summary_of_entry ~m entry))
-
-let publish_summary t ~key image = add_raw t "s" key image
 
 (* ------------------------------------------------------------------ *)
 (* Frontend artifacts: disk only.  Each is read at most once per process,

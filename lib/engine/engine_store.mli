@@ -12,10 +12,10 @@
     fresh analysis.  Lookups are safe to issue from several domains
     concurrently; additions are expected from the coordinating domain.
 
-    The on-disk directory doubles as the {e shared tier} of the sharded
-    execution mode: several processes may hold stores over one [~dir].
-    Publication follows single-writer discipline — writes go to a
-    process-private temp file promoted by atomic [rename], and a key whose
+    The on-disk directory is a {e shared tier}: several [uhc] processes
+    may hold stores over one [~dir] (one [--cache-dir]).  Publication
+    follows single-writer discipline — writes go to a process-private
+    temp file promoted by atomic [rename], and a key whose
     file already exists is skipped ([store.publish_skips]) rather than
     rewritten, which is sound because keys are content addresses (same key
     = same bytes).  Readers therefore only ever observe absent or complete
@@ -67,34 +67,14 @@ val add_summary : t -> key:Digest.t -> summary_payload -> unit
 val find_summary :
   t -> m:Whirl.Ir.module_ -> key:Digest.t -> summary_payload option
 
-val encode_collect : collect_payload -> string
-(** The entry image [add_collect] persists: a Marshal blob carrying the
-    payload plus the variable-counter snapshot and symbol table needed to
-    re-intern it in another process of the {e same binary}. *)
-
-val decode_collect : m:Whirl.Ir.module_ -> string -> collect_payload
-(** Re-intern an {!encode_collect} image against the current process.
-    Assumes a verified image (e.g. one received over the shard wire
-    protocol); unlike {!find_collect} it performs no fault injection or
-    quarantine and raises [Failure] on a malformed blob. *)
-
-val encode_summary : summary_payload -> string
-val decode_summary : m:Whirl.Ir.module_ -> string -> summary_payload
-
-val publish_summary : t -> key:Digest.t -> string -> unit
-(** Publish a pre-encoded {!encode_summary} image under [key]: memory tier
-    plus, when the store is disk-backed, an atomic-rename write to the
-    shared tier unless the key is already published.  This is how shard
-    workers make computed summaries visible to later levels without the
-    coordinator re-encoding them. *)
-
 val dir : t -> string option
 (** The backing directory, if the store is disk-backed. *)
 
 val schema : unit -> string
 (** The build's schema fingerprint (12 hex digits of
-    {!Build_info.fingerprint}) — the namespace component of on-disk paths.  Shard workers must agree on it with their
-    coordinator before any Marshal image crosses the wire. *)
+    {!Build_info.fingerprint}) — the namespace component of on-disk
+    paths: Marshal images written by one build are only read back by a
+    build with the same fingerprint. *)
 
 val entry_count : t -> int
 (** Number of entries currently held in memory (loaded or added). *)

@@ -24,7 +24,6 @@ type config = {
   ipl_dir : string option;
   emit_whirl : string option;
   jobs : int;
-  workers : int;
   cache_dir : string option;
   stats : bool;
   stats_det : bool;
@@ -52,7 +51,7 @@ let make ?(paths = []) ?corpus ?out_dir ?(project = "project")
     ?(dump_whirl = false) ?(dump_src = false) ?(dump_callgraph = false)
     ?(dump_summaries = false) ?(loop_summaries = false) ?(execute = false)
     ?(wopt = false) ?(fuse = false) ?(autopar = false) ?ipl_dir ?emit_whirl
-    ?(jobs = 1) ?(workers = 0) ?cache_dir ?(stats = false)
+    ?(jobs = 1) ?cache_dir ?(stats = false)
     ?(stats_det = false) ?trace
     ?metrics ?(log_level = Obs.Log.Quiet) ?(keep_going = false)
     ?(fault_specs = []) ?diagnostics ?solver_budget ?(analyses = []) ?report
@@ -74,7 +73,6 @@ let make ?(paths = []) ?corpus ?out_dir ?(project = "project")
     ipl_dir;
     emit_whirl;
     jobs;
-    workers;
     cache_dir;
     stats;
     stats_det;
@@ -245,8 +243,7 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
       else m0
     in
     let engine_cfg =
-      Engine.config ~jobs:cfg.jobs ~workers:cfg.workers ?store
-        ~keep_going:cfg.keep_going ()
+      Engine.config ~jobs:cfg.jobs ?store ~keep_going:cfg.keep_going ()
     in
     let analyze m =
       let r = Engine.run engine_cfg m in
@@ -436,8 +433,8 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
 
 (* Digest of the semantic configuration: two ledger records with equal
    config and corpus digests analyzed the same inputs the same way, so
-   their deterministic counters are comparable.  [jobs], [workers] and
-   the observation/output paths are deliberately excluded — outputs are
+   their deterministic counters are comparable.  [jobs] and the
+   observation/output paths are deliberately excluded — outputs are
    byte-identical across those. *)
 let config_digest (cfg : config) =
   let b = Buffer.create 256 in
@@ -519,29 +516,7 @@ let ledger_record ~(cfg : config) ~run_id ~code ~wall_s ~corpus_digest ~pus
         if i > 0 then Buffer.add_char b ',';
         bpf "\"%s\":%d" k v)
       (Linear.Solver_stats.to_alist s.Engine.Stats.s_solver);
-    bpf "}";
-    (* sharded-execution topology: always present when analyzed so
-       [dragon history --path topology.steals] works on every record;
-       all-zero when workers = 0 *)
-    let sh = s.Engine.Stats.s_shard in
-    let shi f = match sh with None -> 0 | Some st -> f st in
-    bpf
-      ",\"topology\":{\"workers\":%d,\"spawned\":%d,\"jobs\":%d,\"tasks\":%d,\"steals\":%d,\"fallback_local\":%d,\"busy_ns\":["
-      (shi (fun st -> st.Engine_shard.st_requested))
-      (shi (fun st -> st.Engine_shard.st_spawned))
-      cfg.jobs
-      (shi (fun st -> st.Engine_shard.st_tasks))
-      (shi (fun st -> st.Engine_shard.st_steals))
-      (shi (fun st -> st.Engine_shard.st_fallback_local));
-    (match sh with
-    | None -> ()
-    | Some st ->
-      List.iteri
-        (fun i (w : Engine_shard.worker_stat) ->
-          if i > 0 then Buffer.add_char b ',';
-          bpf "%d" w.Engine_shard.ws_busy_ns)
-        st.Engine_shard.st_workers);
-    bpf "]}");
+    bpf "}");
   (* verdict tallies: each analysis' summary lines, e.g.
      verdicts.bounds.safe *)
   bpf ",\"verdicts\":{";
@@ -656,7 +631,6 @@ let run (cfg : config) =
       ("inputs", string_of_int (List.length cfg.paths));
       ("corpus", Option.value cfg.corpus ~default:"-");
       ("jobs", string_of_int cfg.jobs);
-      ("workers", string_of_int cfg.workers);
     ];
   let t0 = Obs.Trace.now_ns () in
   let diags = ref [] in

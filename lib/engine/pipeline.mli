@@ -25,12 +25,6 @@ type config = {
   ipl_dir : string option;  (** per-unit [.ipl] summary files *)
   emit_whirl : string option;  (** serialize the WHIRL module *)
   jobs : int;  (** engine domains; 0 = all cores, 1 = serial *)
-  workers : int;
-      (** shard worker processes for the summarize phase
-          ([uhc --workers]); 0 (default) = in-process only.  Outputs are
-          byte-identical at every setting ({!Engine_shard}); the run
-          ledger records the topology (workers/tasks/steals/busy wall)
-          under a [topology] member *)
   cache_dir : string option;  (** persistent engine cache directory *)
   stats : bool;  (** print per-phase engine statistics *)
   stats_det : bool;
@@ -124,7 +118,6 @@ val make :
   ?ipl_dir:string ->
   ?emit_whirl:string ->
   ?jobs:int ->
-  ?workers:int ->
   ?cache_dir:string ->
   ?stats:bool ->
   ?stats_det:bool ->

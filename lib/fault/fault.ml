@@ -106,14 +106,6 @@ let clear () =
   Atomic.set on false
 
 let enabled () = Atomic.get on
-let current_specs () = Array.to_list (Atomic.get state)
-
-let spec_to_string sp =
-  (* the inverse of [parse_spec], so a configuration can be shipped to a
-     worker process and re-parsed there *)
-  Printf.sprintf "%s:%g:%d%s" (site_name sp.sp_site) sp.sp_rate sp.sp_seed
-    (match sp.sp_only with None -> "" | Some only -> ":" ^ only)
-
 (* one injected-faults counter per site (registered eagerly; counters count
    regardless of the Obs.Metrics enable flag, like the engine's) *)
 let counters =

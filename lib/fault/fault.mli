@@ -49,13 +49,6 @@ val configure : spec list -> unit
 val clear : unit -> unit
 val enabled : unit -> bool
 
-val current_specs : unit -> spec list
-(** The installed specs, in {!configure} order. *)
-
-val spec_to_string : spec -> string
-(** Render one spec back into the {!parse_spec} grammar — how a
-    coordinator ships its fault configuration to shard workers. *)
-
 val fires : site -> key:string -> bool
 (** The pure decision, without raising or counting. *)
 

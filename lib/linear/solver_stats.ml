@@ -189,38 +189,6 @@ let diff a b =
 
 let reset () = List.iter (fun c -> Obs.Metrics.Counter.set c 0) all
 
-let absorb (t : t) =
-  (* credit a snapshot diff computed elsewhere (a shard worker) to this
-     process's registry; unconditional — worker-side counting already went
-     through [quiet] gating over there *)
-  let acc = Obs.Metrics.Counter.add in
-  acc c_queries t.queries;
-  acc c_cache_hits t.cache_hits;
-  acc c_cache_misses t.cache_misses;
-  acc c_box_refutations t.box_refutations;
-  acc c_syntactic_hits t.syntactic_hits;
-  acc c_fm_runs t.fm_runs;
-  acc c_fm_rows_built t.fm_rows_built;
-  acc c_fm_rows_pruned t.fm_rows_pruned;
-  acc c_tighten_fallbacks t.tighten_fallbacks;
-  acc c_overflow_fallbacks t.overflow_fallbacks;
-  acc c_reference_runs t.reference_runs;
-  acc c_small_runs t.small_runs;
-  acc c_wall_fast_ns t.wall_fast_ns;
-  acc c_wall_reference_ns t.wall_reference_ns;
-  acc c_implies_queries t.implies_queries;
-  (* the registry carries fresh computes; memo hits are re-derived by
-     [snapshot] as queries - fresh *)
-  acc c_implies_fresh (t.implies_queries - t.implies_memo_hits);
-  acc c_implies_wall_ns t.implies_wall_ns;
-  acc c_implies_l1_hits t.implies_l1_hits;
-  acc c_ctx_contexts t.ctx_contexts;
-  acc c_ctx_cut_hits t.ctx_cut_hits;
-  acc c_ctx_bound_hits t.ctx_bound_hits;
-  acc c_ctx_proj_hits t.ctx_proj_hits;
-  acc c_ctx_elims t.ctx_elims;
-  acc c_ctx_reorders t.ctx_activity_reorders
-
 let to_alist t =
   [
     ("queries", t.queries);

@@ -105,11 +105,6 @@ val snapshot : unit -> t
 val diff : t -> t -> t
 (** [diff later earlier] is the per-field difference. *)
 
-val absorb : t -> unit
-(** Add a snapshot diff computed in another process (a shard worker ships
-    its per-task [diff]) into this process's counters, so coordinator
-    totals cover work done everywhere. *)
-
 val to_alist : t -> (string * int) list
 (** Every field as [(name, value)], in declaration order — the
     serialization the run ledger and other exporters use, kept here so a

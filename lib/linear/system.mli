@@ -123,10 +123,9 @@ val set_step_budget : int option -> unit
     only grow).  Degraded answers are counted in the [solver.degraded]
     metric and never memoized; [None] (the default) restores exact
     answers.  {!Reference.run} ignores the budget.  Read back with
-    {!get_step_budget} (shard workers mirror the coordinator's knob).
-    The fault-injection
-    site ["solver"] ({!Fault.Solver}) forces the same degradation on the
-    targeted queries. *)
+    {!get_step_budget}.  The fault-injection site ["solver"]
+    ({!Fault.Solver}) forces the same degradation on the targeted
+    queries. *)
 
 val get_step_budget : unit -> int option
 
@@ -155,8 +154,8 @@ module Reference : sig
       {!disjoint} answered by the reference eliminator and the memo layers
       bypassed, restoring the previous mode on exit (exceptions included).
       An in-process oracle for differential tests and benchmarks only: the
-      switch is process-global, so no other analysis may run concurrently,
-      and shard worker processes never see it. *)
+      switch is process-global, so no other analysis may run
+      concurrently. *)
 end
 
 val pp : Format.formatter -> t -> unit

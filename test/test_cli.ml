@@ -78,7 +78,33 @@ let test_uhc_error_handling () =
     close_out oc;
     let status, out = run_capture (Printf.sprintf "%s %s" (exe "uhc") bad) in
     Alcotest.(check bool) "syntax error: exit 1" true (status = Unix.WEXITED 1);
-    Alcotest.(check bool) "diagnostic printed" true (contains out "error")
+    Alcotest.(check bool) "diagnostic printed" true (contains out "error");
+    (* --workers survives only for existing command lines: 0 is accepted,
+       any other count is a usage error that points at --jobs *)
+    let status, out =
+      run_capture
+        (Printf.sprintf "%s --corpus matrix --workers 2" (exe "uhc"))
+    in
+    Alcotest.(check bool) "--workers 2: nonzero exit" true
+      (status <> Unix.WEXITED 0);
+    Alcotest.(check bool) "--workers 2: message names --jobs" true
+      (contains out "--jobs");
+    let dir = temp_dir () in
+    (* the benchmark's command line *)
+    let status, out =
+      run_capture
+        (Printf.sprintf
+           "%s --corpus matrix --cache-dir %s --analyses bounds,permissions \
+            --report %s -o %s --jobs 1 --workers 0"
+           (exe "uhc")
+           (Filename.quote (Filename.concat dir "cache"))
+           (Filename.quote (Filename.concat dir "report.json"))
+           (Filename.quote (Filename.concat dir "out")))
+    in
+    if status <> Unix.WEXITED 0 then
+      Alcotest.failf "--workers 0 failed; its output:\n%s" out;
+    Alcotest.(check bool) "--workers 0: report written" true
+      (Sys.file_exists (Filename.concat dir "report.json"))
   end
 
 let test_dragon_missing_project () =

@@ -8,6 +8,7 @@ let corpus_files = function
   | "matrix" -> [ Corpus.Small.matrix_c ]
   | "fig1" -> [ Corpus.Small.fig1_f ]
   | "stride" -> [ Corpus.Small.stride_f ]
+  | "gen-small" -> Corpus.Gen.generate Corpus.Gen.default
   | other -> Alcotest.failf "unknown corpus %s" other
 
 let lower files = Whirl.Lower.lower (Lang.Frontend.load ~files)
@@ -178,6 +179,117 @@ let test_unchanged_rerun_all_hits () =
   Alcotest.(check int) "collect misses" 0 st.Engine.Stats.s_collect_misses;
   Alcotest.(check int) "summary misses" 0 st.Engine.Stats.s_summary_misses
 
+(* ---- one cache directory, several coordinators ----------------------- *)
+
+let rec files_under dir =
+  List.concat_map
+    (fun name ->
+      let p = Filename.concat dir name in
+      if Sys.is_directory p then files_under p else [ p ])
+    (Array.to_list (Sys.readdir dir))
+
+let check_no_litter where dir =
+  List.iter
+    (fun p ->
+      let base = Filename.basename p in
+      if Test_cli.contains base ".tmp." then
+        Alcotest.failf "%s: unpublished temp file %s left behind" where p;
+      if Test_cli.contains base ".quarantined" then
+        Alcotest.failf "%s: quarantined entry %s" where p)
+    (files_under dir)
+
+let rm_rf dir =
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
+
+let test_publish_exactly_once () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let files = corpus_files "gen-small" in
+  let counter name = Obs.Metrics.Counter.get (Obs.Metrics.counter name) in
+  let run store = Engine.run (Engine.config ~store ()) (lower files) in
+  (* two handles over one directory, both open before either run *)
+  let a = Engine_store.create ~dir () in
+  let b = Engine_store.create ~dir () in
+  let p0 = counter "store.publishes" in
+  let cold_a = run a in
+  let published = counter "store.publishes" - p0 in
+  Alcotest.(check bool) "first run published entries" true (published > 0);
+  (* [b] runs cold as well: every read fails (an injected store.read
+     fault), as for a coordinator that looked each key up before [a]
+     published it.  Its persist pass then finds every file present and
+     skips it instead of rewriting. *)
+  let p1 = counter "store.publishes" and s1 = counter "store.publish_skips" in
+  let cold_b =
+    match Fault.parse_specs [ "store.read:1.0:1" ] with
+    | Error e -> Alcotest.fail e
+    | Ok specs ->
+      Fault.configure specs;
+      Fun.protect ~finally:Fault.clear (fun () -> run b)
+  in
+  let st = cold_b.Engine.e_stats in
+  Alcotest.(check int) "second run was cold" 0 st.Engine.Stats.s_summary_hits;
+  Alcotest.(check int) "second run skipped every existing entry" published
+    (counter "store.publish_skips" - s1);
+  Alcotest.(check int) "second run published nothing" 0
+    (counter "store.publishes" - p1);
+  check_same_output "second cold run" (render cold_a.Engine.e_result)
+    (render cold_b.Engine.e_result);
+  check_no_litter "shared directory" dir;
+  (* a third handle reads everything back *)
+  let warm = run (Engine_store.create ~dir ()) in
+  let wt = warm.Engine.e_stats in
+  Alcotest.(check int) "warm collect hits" wt.Engine.Stats.s_pus
+    wt.Engine.Stats.s_collect_hits;
+  Alcotest.(check int) "warm summary hits" wt.Engine.Stats.s_pus
+    wt.Engine.Stats.s_summary_hits
+
+let drain_and_close ic =
+  let buf = Buffer.create 1024 in
+  (try
+     while true do
+       Buffer.add_channel buf ic 1
+     done
+   with End_of_file -> ());
+  (Unix.close_process_in ic, Buffer.contents buf)
+
+let test_concurrent_writers () =
+  let uhc = Test_cli.exe "uhc" in
+  if Sys.file_exists uhc then begin
+    let dir = fresh_dir () in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let cache = Filename.concat dir "cache" in
+    let spawn n =
+      let out = Filename.concat dir ("o" ^ string_of_int n) in
+      Unix.open_process_in
+        (Printf.sprintf "%s --corpus gen-small --cache-dir %s -o %s -p gs 2>&1"
+           uhc (Filename.quote cache) (Filename.quote out))
+    in
+    (* two uhc processes race to publish the same content-addressed
+       entries into one cache directory *)
+    let p1 = spawn 1 in
+    let p2 = spawn 2 in
+    let st1, out1 = drain_and_close p1 in
+    let st2, out2 = drain_and_close p2 in
+    List.iter
+      (fun (n, st, out) ->
+        if st <> Unix.WEXITED 0 then
+          Alcotest.failf "writer %d failed; its output:\n%s" n out)
+      [ (1, st1, out1); (2, st2, out2) ];
+    List.iter
+      (fun f ->
+        let read n =
+          In_channel.with_open_bin
+            (Filename.concat (Filename.concat dir n) f)
+            In_channel.input_all
+        in
+        Alcotest.(check bool)
+          (f ^ " identical across concurrent writers")
+          true
+          (read "o1" = read "o2"))
+      [ "gs.rgn"; "gs.dgn"; "gs.cfg" ];
+    check_no_litter "racing cache directory" cache
+  end
+
 let suite =
   [
     Alcotest.test_case "parallel and warm byte-identical" `Slow
@@ -188,4 +300,8 @@ let suite =
       test_invalidation_callers_only;
     Alcotest.test_case "unchanged rerun: all hits" `Quick
       test_unchanged_rerun_all_hits;
+    Alcotest.test_case "shared tier published exactly once" `Quick
+      test_publish_exactly_once;
+    Alcotest.test_case "concurrent writers converge, no litter" `Quick
+      test_concurrent_writers;
   ]

@@ -141,7 +141,13 @@ let test_cache_self_healing () =
   (* third run: the healed cache hits for every PU again *)
   let third = run () in
   Alcotest.(check int) "healed cache misses" 0
-    third.Engine.e_stats.Engine.Stats.s_collect_misses
+    third.Engine.e_stats.Engine.Stats.s_collect_misses;
+  Alcotest.(check int) "healed tier is fully warm"
+    third.Engine.e_stats.Engine.Stats.s_pus
+    third.Engine.e_stats.Engine.Stats.s_summary_hits;
+  Test_engine.check_same_output "warm healed run"
+    (Test_engine.render cold.Engine.e_result)
+    (Test_engine.render third.Engine.e_result)
 
 (* ------------------------------------------------------------------ *)
 (* per-PU isolation: one poisoned PU of N degrades alone *)
@@ -322,6 +328,32 @@ let test_pipeline_resets_knobs () =
   Alcotest.(check (list string)) "next default run = fresh default run" fresh
     (run ())
 
+(* ------------------------------------------------------------------ *)
+(* isolation is a function of (spec, PU), not of the pool schedule *)
+
+let test_isolation_parity_jobs () =
+  let files = Test_engine.corpus_files "gen-small" in
+  with_specs [ "pool:0.3:7" ] @@ fun () ->
+  let run jobs =
+    Engine.run
+      (Engine.config ~jobs ~keep_going:true ())
+      (Test_engine.lower files)
+  in
+  let a = run 1 in
+  let b = run 4 in
+  Test_engine.check_same_output "pool faults jobs 1 vs 4"
+    (Test_engine.render a.Engine.e_result)
+    (Test_engine.render b.Engine.e_result);
+  let norm (r : Engine.result) =
+    List.map
+      (fun (d : Fault.Diag.t) ->
+        (d.Fault.Diag.d_site, d.Fault.Diag.d_pu, d.Fault.Diag.d_action))
+      r.Engine.e_diags
+  in
+  Alcotest.(check bool) "some PU was isolated" true (norm a <> []);
+  Alcotest.(check bool) "identical isolation diagnostics across jobs" true
+    (norm a = norm b)
+
 let suite =
   [
     Alcotest.test_case "spec grammar" `Quick test_spec_parsing;
@@ -341,4 +373,6 @@ let suite =
       test_solver_budget;
     Alcotest.test_case "Pipeline.run resets budget and fault spec" `Slow
       test_pipeline_resets_knobs;
+    Alcotest.test_case "isolation parity across --jobs" `Quick
+      test_isolation_parity_jobs;
   ]

@@ -62,7 +62,21 @@ let test_record_written () =
             (float_of_int Obs.Ledger.schema_version);
           check_metric "exit code recorded" r "exit_code" 0.;
           check_metric "no diagnostics" r "diagnostics" 0.;
-          check_metric "bounds verdicts recorded" r "verdicts.bounds.safe" 8.)
+          check_metric "bounds verdicts recorded" r "verdicts.bounds.safe" 8.;
+          check_metric "jobs recorded" r "jobs" 1.;
+          (* the whole top-level shape: jobs is the only executor field *)
+          match r.Dragon.Ledgerview.record with
+          | Obs.Json.Obj members ->
+            Alcotest.(check (list string))
+              "top-level members"
+              [
+                "schema_version"; "run_id"; "ts"; "project"; "corpus"; "jobs";
+                "analyses"; "config_digest"; "corpus_digest"; "exit_code";
+                "wall_s"; "outputs"; "analyzed"; "pus_analyzed"; "phases";
+                "cache"; "solver"; "verdicts"; "diagnostics"; "metrics"; "pus";
+              ]
+              (List.map fst members)
+          | _ -> Alcotest.fail "record is not an object")
         [ r1; r2 ];
       (* cold cache, then all hits: the incrementality story in numbers *)
       check_metric "first run misses" r1 "cache.summary_misses" 2.;

@@ -74,10 +74,10 @@ let test_parse_errors () =
   | Ok _ -> Alcotest.fail "truncated pu accepted"
 
 (* A truncated image is malformed input: [parse] answers [Error], never
-   an exception (a shard worker parses every Init payload).  Every byte
-   prefix of fig1; for NAS LU, every prefix through the end of the first
-   PU (global table, pu/formals/st/wn lines) and 50 spread over the
-   rest. *)
+   an exception ([Whirl_io.load] parses every [uhc FILE.B] input).
+   Every byte prefix of fig1; for NAS LU, every prefix through the end
+   of the first PU (global table, pu/formals/st/wn lines) and 50 spread
+   over the rest. *)
 let test_prefixes_never_raise () =
   let image files =
     let m = Whirl.Lower.lower (Lang.Frontend.load ~files) in
