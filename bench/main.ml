@@ -808,12 +808,11 @@ let bench_solver ~json ~out () =
     speedup;
   Printf.printf
     "learned core: %d box-refuted, %d syntactic, %d FM runs; %d contexts, %d \
-     cut hits, %d bound hits, %d proj hits, %d elims, %d reorders, %d L1 \
-     hits\n"
+     cut hits, %d bound hits, %d proj hits, %d elims, %d reorders\n"
     d_learned.box_refutations d_learned.syntactic_hits d_learned.fm_runs
     d_learned.ctx_contexts d_learned.ctx_cut_hits d_learned.ctx_bound_hits
     d_learned.ctx_proj_hits d_learned.ctx_elims
-    d_learned.ctx_activity_reorders d_learned.implies_l1_hits;
+    d_learned.ctx_activity_reorders;
   Printf.printf "analysis wall: reference %.4fs, learned %.4fs\n" wall_ref
     wall_learned;
   (* ---- micro: harvested region systems through each query *)
@@ -876,11 +875,11 @@ let bench_solver ~json ~out () =
     \  feasible: reference %.4fs, learned cold %.4fs (%d small-path), learned \
      memo %.4fs\n\
     \  implies:  reference %.4fs, learned %.4fs (%d cut hits, %d bound hits, \
-     %d L1 hits)\n\
+     %d memo hits)\n\
     \  project:  %.4fs (exact eliminator, context-memoized)\n"
     (List.length systems) passes feas_reference feas_cold small_runs feas_memo
     impl_reference impl_learned d_impl_learned.ctx_cut_hits
-    d_impl_learned.ctx_bound_hits d_impl_learned.implies_l1_hits proj;
+    d_impl_learned.ctx_bound_hits d_impl_learned.implies_memo_hits proj;
   (* ---- machine-readable record *)
   if json || out <> None then begin
     let path = Option.value out ~default:"BENCH_solver.json" in
@@ -907,7 +906,6 @@ let bench_solver ~json ~out () =
     bpf "        \"syntactic_hits\": %d,\n" d_learned.syntactic_hits;
     bpf "        \"fm_runs\": %d,\n" d_learned.fm_runs;
     bpf "        \"small_runs\": %d,\n" d_learned.small_runs;
-    bpf "        \"implies_l1_hits\": %d,\n" d_learned.implies_l1_hits;
     bpf "        \"ctx_contexts\": %d,\n" d_learned.ctx_contexts;
     bpf "        \"ctx_cut_hits\": %d,\n" d_learned.ctx_cut_hits;
     bpf "        \"ctx_bound_hits\": %d,\n" d_learned.ctx_bound_hits;
@@ -1270,11 +1268,11 @@ let bench_regions ~json ~out () =
     (List.length buckets) total_regions passes;
   Printf.printf "reference fold (Region.Reference.join_sys): %.4fs\n" ref_wall;
   Printf.printf
-    "learned union_many: %d implies queries (%d memo hits, %d L1 hits, %d \
+    "learned union_many: %d implies queries (%d memo hits, %d \
      saved by interned ids; %d cut hits, %d bound hits, %d elims, %d \
      reorders), %.3f ms implies wall, %.4fs => %.1fx%s\n"
     d_learned.implies_queries d_learned.implies_memo_hits
-    d_learned.implies_l1_hits saved d_learned.ctx_cut_hits
+    saved d_learned.ctx_cut_hits
     d_learned.ctx_bound_hits d_learned.ctx_elims
     d_learned.ctx_activity_reorders
     (float_of_int d_learned.implies_wall_ns /. 1e6)
@@ -1337,7 +1335,6 @@ let bench_regions ~json ~out () =
     bpf "      \"learned\": {\n";
     bpf "        \"implies_queries\": %d,\n" d_learned.implies_queries;
     bpf "        \"implies_memo_hits\": %d,\n" d_learned.implies_memo_hits;
-    bpf "        \"implies_l1_hits\": %d,\n" d_learned.implies_l1_hits;
     bpf "        \"implies_wall_ns\": %d,\n" d_learned.implies_wall_ns;
     bpf "        \"implies_saved\": %d,\n" saved;
     bpf "        \"union_calls\": %d,\n" unions;
@@ -1365,7 +1362,6 @@ let bench_regions ~json ~out () =
     bpf "      \"learned\": {\n";
     bpf "        \"implies_queries\": %d,\n" e2e_learned.implies_queries;
     bpf "        \"implies_memo_hits\": %d,\n" e2e_learned.implies_memo_hits;
-    bpf "        \"implies_l1_hits\": %d,\n" e2e_learned.implies_l1_hits;
     bpf "        \"implies_wall_ns\": %d,\n" e2e_learned.implies_wall_ns;
     bpf "        \"analysis_wall_s\": %.6f\n" e2e_learned_wall;
     bpf "      }\n";
@@ -1426,7 +1422,7 @@ let check_solver_json path doc =
           | None -> check_fail "solver.end_to_end.learned.%s missing" field)
         [
           "feasible_wall_ns"; "implies_wall_ns"; "solver_wall_ns";
-          "small_runs"; "implies_l1_hits"; "ctx_contexts";
+          "small_runs"; "ctx_contexts";
           "ctx_cut_hits"; "ctx_bound_hits"; "ctx_proj_hits"; "ctx_elims";
           "ctx_activity_reorders";
         ]
@@ -1462,8 +1458,7 @@ let check_regions_json path doc =
           | Some _ -> ()
           | None -> check_fail "regions.join.learned.%s missing" field)
         [
-          "implies_queries"; "implies_memo_hits"; "implies_l1_hits";
-          "implies_wall_ns"; "ctx_contexts"; "ctx_cut_hits"; "ctx_bound_hits";
+          "implies_queries"; "implies_memo_hits"; "implies_wall_ns"; "ctx_contexts"; "ctx_cut_hits"; "ctx_bound_hits";
           "ctx_elims"; "ctx_activity_reorders";
         ]
     | _ -> check_fail "regions.join.learned missing");

@@ -471,6 +471,24 @@ let summary_of_entry ~m (entry : summary_payload entry) : summary_payload =
     sp_propagated = List.map (map_access f) p.sp_propagated;
   }
 
+(* Entry images carry each system's constraints only, never its
+   process-local solver caches (see [Linear.System.detach]).  One image
+   detaches each system once, so a system several regions share is still
+   stored once. *)
+let region_detacher () =
+  let detached = Hashtbl.create 16 in
+  Region.detach (fun s ->
+      let id = Linear.System.id s in
+      match Hashtbl.find_opt detached id with
+      | Some d -> d
+      | None ->
+        let d = Linear.System.detach s in
+        Hashtbl.add detached id d;
+        d)
+
+let detach_access detach (a : Ipa.Collect.access) =
+  { a with ac_region = detach a.Ipa.Collect.ac_region }
+
 let encode_collect (p : collect_payload) =
   let vars =
     List.fold_left
@@ -480,7 +498,16 @@ let encode_collect (p : collect_payload) =
       p.cp_sites
   in
   Marshal.to_string
-    { en_counter = Linear.Var.current (); en_syms = syms_of vars; en_value = p }
+    {
+      en_counter = Linear.Var.current ();
+      en_syms = syms_of vars;
+      en_value =
+        {
+          p with
+          cp_accesses =
+            List.map (detach_access (region_detacher ())) p.cp_accesses;
+        };
+    }
     []
 
 let encode_summary (p : summary_payload) =
@@ -490,8 +517,21 @@ let encode_summary (p : summary_payload) =
          (fun a x -> add_access x a)
          Linear.Var.Set.empty p.sp_propagated)
   in
+  let detach = region_detacher () in
   Marshal.to_string
-    { en_counter = Linear.Var.current (); en_syms = syms_of vars; en_value = p }
+    {
+      en_counter = Linear.Var.current ();
+      en_syms = syms_of vars;
+      en_value =
+        {
+          sp_summary =
+            List.map
+              (fun (e : Ipa.Summary.entry) ->
+                { e with e_region = detach e.Ipa.Summary.e_region })
+              p.sp_summary;
+          sp_propagated = List.map (detach_access detach) p.sp_propagated;
+        };
+    }
     []
 
 let add_collect t ~key (p : collect_payload) =

@@ -250,9 +250,9 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
       diags := List.rev_append r.Engine.e_diags !diags;
       stats := Some r.Engine.e_stats;
       ledger_acc.la_pus <- r.Engine.e_pus;
-      if cfg.stats then Format.printf "%a" Engine.Stats.pp r.Engine.e_stats;
+      if cfg.stats then Format.printf "%a@?" Engine.Stats.pp r.Engine.e_stats;
       if cfg.stats_det then
-        Format.printf "%a" Engine.Stats.pp_deterministic r.Engine.e_stats;
+        Format.printf "%a@?" Engine.Stats.pp_deterministic r.Engine.e_stats;
       r.Engine.e_result
     in
     let result = analyze m0 in

@@ -1,9 +1,10 @@
 open Numeric
 
 (* Persistent per-system solver contexts (the incremental, conflict-learning
-   layer under {!System.implies}).  One [t] per interned system id, shared
-   by every domain like the global implies memo, holding *derived facts*
-   rather than final answers:
+   layer under {!System.implies}).  A [t] lives in the memo record of one
+   interned system, next to that system's feasible and implies answers, and
+   is shared by every domain.  It holds *derived facts* rather than final
+   answers:
 
    - direction thresholds: for a normalized direction [d] (gcd-reduced
      coefficient vector over sorted variable ids), rational feasibility of
@@ -24,15 +25,14 @@ open Numeric
      per query, MiniSat-style) consumed by {!Packed.feasible} as an
      elimination-order hint.
 
-   Everything here is a cache of exact facts: dropping it ({!clear}) is
-   always sound, and [System.clear_cache] does exactly that alongside the
-   implies memo.  All mutation happens under the per-context [lock]; reads
-   copy what they need out while holding it. *)
+   Everything here is a cache of exact facts: dropping it is always sound,
+   and [System.clear_cache] does exactly that, together with the answers in
+   the same record.  All mutation happens under the per-context [lock];
+   reads copy what they need out while holding it. *)
 
 type dir = { mutable min_feasible : Rat.t option; mutable max_infeasible : Rat.t option }
 
 type t = {
-  sys : int;  (* interned System id this context belongs to *)
   lock : Mutex.t;
   dirs : (int array * int array, dir) Hashtbl.t;
       (* (ids, gcd-normalized coeffs) -> learned threshold interval *)
@@ -48,12 +48,8 @@ type t = {
 
 and box_state = Box_unknown | Box_none | Box_some of Packed.box
 
-let registry : (int, t) Hashtbl.t = Hashtbl.create 512
-let registry_mutex = Mutex.create ()
-
-let create sys =
+let create () =
   {
-    sys;
     lock = Mutex.create ();
     dirs = Hashtbl.create 16;
     var_bounds = Hashtbl.create 8;
@@ -63,33 +59,6 @@ let create sys =
     seeded = false;
     box = Box_unknown;
   }
-
-let find sys =
-  Mutex.lock registry_mutex;
-  let t =
-    match Hashtbl.find_opt registry sys with
-    | Some t -> t
-    | None ->
-      let t = create sys in
-      Hashtbl.add registry sys t;
-      Solver_stats.ctx_context ();
-      t
-  in
-  Mutex.unlock registry_mutex;
-  t
-
-let clear () =
-  Mutex.lock registry_mutex;
-  Hashtbl.reset registry;
-  Mutex.unlock registry_mutex
-
-let count () =
-  Mutex.lock registry_mutex;
-  let n = Hashtbl.length registry in
-  Mutex.unlock registry_mutex;
-  n
-
-let sys t = t.sys
 
 (* ---------- cached interval box ---------- *)
 

@@ -1,8 +1,11 @@
 (** Persistent per-system solver contexts: the conflict-learning layer
     under {!System}'s learned core.
 
-    One context per interned system id, shared jobs-invariantly by every
-    worker domain (like the global implies memo).  A context accumulates
+    A context lives in the memo record of one interned system, beside that
+    system's feasible and implies answers, and is shared by every worker
+    domain.  It is created on the first learned implies, bounds or
+    projection query against the system, counted in
+    [Solver_stats.ctx_contexts].  A context accumulates
     {e derived facts} across queries on the same system — learned
     direction thresholds (Farkas-style infeasibility certificates and
     feasibility witnesses, each reusable by a single rational comparison),
@@ -10,7 +13,7 @@
     variable activity used to order Fourier-Motzkin eliminations.
 
     Every stored fact is exact, so contexts are pure caches: flushing them
-    ({!clear}, called from [System.clear_cache]) is always sound and the
+    (what [System.clear_cache] does) is always sound and the
     answers produced through a context are byte-identical to the reference
     eliminator's. *)
 
@@ -18,20 +21,8 @@ open Numeric
 
 type t
 
-val find : int -> t
-(** [find sys_id] returns the (possibly fresh) context for an interned
-    system id.  Creation is counted once per id in
-    [Solver_stats.ctx_contexts]. *)
-
-val sys : t -> int
-(** The system id the context was created for. *)
-
-val clear : unit -> unit
-(** Drop every context (run boundaries; same discipline as the implies
-    memo — only call while no other domain is querying). *)
-
-val count : unit -> int
-(** Number of live contexts (tests). *)
+val create : unit -> t
+(** A fresh, empty context. *)
 
 (** {2 Cached interval box} *)
 

@@ -6,15 +6,15 @@
    time — they measure solver work, not latency).
 
    [quiet] suppresses counting on the calling domain: System uses it when
-   it re-computes a query another domain already computed (per-domain memo
-   caches), and for every elimination the learned contexts trigger (whether
+   it re-computes a query another query already claimed (a racing domain,
+   or a degraded query that took the claim without storing an answer), and
+   for every elimination the learned contexts trigger (whether
    a context answers by a learned cut or pays an elimination depends on
    query arrival order), which keeps every counter outside the ctx_* group
    scheduling-independent — each distinct system is counted exactly once
    however the engine's pool interleaves the work.
 
-   The ctx_* counters and [implies_l1_hits] are throughput telemetry for
-   the learned core: they are bumped unconditionally (including under
+   The ctx_* counters are throughput telemetry for the learned core: they are bumped unconditionally (including under
    [quiet]) because the work they count only exists on scheduling-dependent
    paths, and they are deliberately excluded from [pp_deterministic]. *)
 
@@ -37,7 +37,6 @@ type t = {
   implies_queries : int;  (* System.implies entry points answered *)
   implies_memo_hits : int;  (* derived: queries - fresh computes *)
   implies_wall_ns : int;  (* time inside computed implies queries *)
-  implies_l1_hits : int;  (* answered by a per-domain L1 table (untimed) *)
   ctx_contexts : int;  (* learned contexts created *)
   ctx_cut_hits : int;  (* queries refuted by a learned Farkas cut *)
   ctx_bound_hits : int;  (* queries answered by a learned bound/witness *)
@@ -63,7 +62,6 @@ let c_wall_reference_ns = Obs.Metrics.counter "solver.wall.reference_ns"
 let c_implies_queries = Obs.Metrics.counter "solver.implies.queries"
 let c_implies_fresh = Obs.Metrics.counter "solver.implies.fresh"
 let c_implies_wall_ns = Obs.Metrics.counter "solver.implies.wall_ns"
-let c_implies_l1_hits = Obs.Metrics.counter "solver.implies.l1_hits"
 let c_ctx_contexts = Obs.Metrics.counter "solver.ctx.contexts"
 let c_ctx_cut_hits = Obs.Metrics.counter "solver.ctx.cut_hits"
 let c_ctx_bound_hits = Obs.Metrics.counter "solver.ctx.bound_hits"
@@ -77,7 +75,7 @@ let all =
     c_syntactic_hits; c_fm_runs; c_fm_rows_built; c_fm_rows_pruned;
     c_tighten_fallbacks; c_overflow_fallbacks; c_reference_runs;
     c_small_runs; c_wall_fast_ns; c_wall_reference_ns; c_implies_queries;
-    c_implies_fresh; c_implies_wall_ns; c_implies_l1_hits; c_ctx_contexts;
+    c_implies_fresh; c_implies_wall_ns; c_ctx_contexts;
     c_ctx_cut_hits; c_ctx_bound_hits; c_ctx_proj_hits; c_ctx_elims;
     c_ctx_reorders;
   ]
@@ -115,7 +113,6 @@ let implies_fresh () = bump c_implies_fresh
 let add_implies_ns n = add c_implies_wall_ns n
 
 (* Learned-core telemetry: unconditional (see the module comment). *)
-let implies_l1_hit () = Obs.Metrics.Counter.incr c_implies_l1_hits
 let ctx_context () = Obs.Metrics.Counter.incr c_ctx_contexts
 let ctx_cut_hit () = Obs.Metrics.Counter.incr c_ctx_cut_hits
 let ctx_bound_hit () = Obs.Metrics.Counter.incr c_ctx_bound_hits
@@ -145,12 +142,11 @@ let snapshot () =
     wall_reference_ns = get c_wall_reference_ns;
     implies_queries;
     (* every entry point either computes freshly (counted in
-       solver.implies.fresh) or was answered by a memo layer — global or
-       per-domain L1 — so hits are derived and stay scheduling-independent
-       even though which layer answered is not *)
+       solver.implies.fresh) or was answered by the system's memo record, so
+       hits are derived and stay scheduling-independent even when two
+       domains race on one fresh pair *)
     implies_memo_hits = implies_queries - implies_fresh;
     implies_wall_ns = get c_implies_wall_ns;
-    implies_l1_hits = get c_implies_l1_hits;
     ctx_contexts = get c_ctx_contexts;
     ctx_cut_hits = get c_ctx_cut_hits;
     ctx_bound_hits = get c_ctx_bound_hits;
@@ -178,7 +174,6 @@ let diff a b =
     implies_queries = a.implies_queries - b.implies_queries;
     implies_memo_hits = a.implies_memo_hits - b.implies_memo_hits;
     implies_wall_ns = a.implies_wall_ns - b.implies_wall_ns;
-    implies_l1_hits = a.implies_l1_hits - b.implies_l1_hits;
     ctx_contexts = a.ctx_contexts - b.ctx_contexts;
     ctx_cut_hits = a.ctx_cut_hits - b.ctx_cut_hits;
     ctx_bound_hits = a.ctx_bound_hits - b.ctx_bound_hits;
@@ -208,7 +203,6 @@ let to_alist t =
     ("implies_queries", t.implies_queries);
     ("implies_memo_hits", t.implies_memo_hits);
     ("implies_wall_ns", t.implies_wall_ns);
-    ("implies_l1_hits", t.implies_l1_hits);
     ("ctx_contexts", t.ctx_contexts);
     ("ctx_cut_hits", t.ctx_cut_hits);
     ("ctx_bound_hits", t.ctx_bound_hits);
@@ -234,9 +228,9 @@ let pp ppf t =
   pp_counters ppf t;
   Format.fprintf ppf
     "  learned: %d contexts, %d cut hits, %d bound hits, %d proj hits, %d \
-     elims, %d reorders, %d L1 hits@\n"
+     elims, %d reorders@\n"
     t.ctx_contexts t.ctx_cut_hits t.ctx_bound_hits t.ctx_proj_hits t.ctx_elims
-    t.ctx_activity_reorders t.implies_l1_hits;
+    t.ctx_activity_reorders;
   Format.fprintf ppf
     "  feasible wall: fast %.3f ms, reference %.3f ms; implies wall %.3f \
      ms@\n"

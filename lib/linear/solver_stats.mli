@@ -5,16 +5,16 @@
     update them without locks.  [snapshot]/[diff] let callers (the engine,
     the bench harness) attribute counter deltas to a particular run.
 
-    All counters except the wall-clock sums, [implies_l1_hits] and the
-    [ctx_*] group are scheduling-independent: when a worker domain
-    re-computes a query that another domain's memo already answered — or
-    when the learned core pays an elimination whose necessity depends on
-    query arrival order — {!System} wraps the compute in {!quiet}, so each
-    distinct system contributes to [cache_misses], [fm_runs], the row
-    counts and the fallback counters exactly once however the pool
-    interleaves the work — [--stats] counter output is identical at any
-    [--jobs] setting.  The learned-core telemetry ([ctx_*],
-    [implies_l1_hits]) counts scheduling-dependent work by design and is
+    All counters except the wall-clock sums and the [ctx_*] group are
+    scheduling-independent: each answer in a system's memo record carries
+    a first-arrival claim, and when a query re-computes an answer another
+    query already claimed — or when the learned core pays an elimination
+    whose necessity depends on query arrival order — {!System} wraps the
+    compute in {!quiet}, so each distinct system contributes to
+    [cache_misses], [fm_runs], the row counts and the fallback counters
+    exactly once however the pool interleaves the work — [--stats]
+    counter output is identical at any [--jobs] setting.  The learned-core
+    telemetry ([ctx_*]) counts scheduling-dependent work by design and is
     excluded from {!pp_deterministic}. *)
 
 type t = {
@@ -41,18 +41,14 @@ type t = {
       (** nanoseconds inside reference-path feasible queries *)
   implies_queries : int;  (** [System.implies] entry points answered *)
   implies_memo_hits : int;
-      (** implies queries answered by a memo layer (the global
-          (system id, constraint id) memo or a per-domain L1 table).
-          Derived as [implies_queries - fresh computes], which keeps the
-          total scheduling-independent even though which layer answered a
-          racing query is not *)
+      (** implies queries answered from the system's memo record.  Derived
+          as [implies_queries - fresh computes] (a fresh compute is the one
+          that took the pair's first-arrival claim), so the total is
+          scheduling-independent *)
   implies_wall_ns : int;
-      (** nanoseconds inside computed [System.implies] queries; L1 hits
+      (** nanoseconds inside computed [System.implies] queries; memo hits
           are deliberately untimed (the clock reads would cost more than
           the lookup) *)
-  implies_l1_hits : int;
-      (** implies queries answered by the calling domain's L1 table;
-          scheduling-dependent, excluded from {!pp_deterministic} *)
   ctx_contexts : int;  (** learned solver contexts created *)
   ctx_cut_hits : int;
       (** assumption queries refuted by a learned Farkas cut (a recorded
@@ -91,7 +87,6 @@ val add_implies_ns : int -> unit
 (** Learned-core telemetry: bumped unconditionally, including under
     {!quiet} (see the determinism note above). *)
 
-val implies_l1_hit : unit -> unit
 val ctx_context : unit -> unit
 val ctx_cut_hit : unit -> unit
 val ctx_bound_hit : unit -> unit

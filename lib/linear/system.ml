@@ -2,10 +2,11 @@ open Numeric
 
 (* Hash-consed canonical form: [cs] is sorted by Constr.compare,
    deduplicated, free of trivially-true members; [id] is the intern id of
-   that constraint list, so equality of systems is one integer comparison
-   and the solver memos key on ints instead of serialized strings.  [pk]
-   caches the packed-row translation of [cs] (immutable once built): it is
-   computed at most once per process instead of once per query.
+   that constraint list, so equality of systems is one integer comparison.
+   [pk] caches the packed-row translation of [cs] (immutable once built): it
+   is computed at most once per process instead of once per query.  [memo]
+   is the system's solver memo record (below), the only place any answer or
+   learned fact about the system is kept.
 
    Ids are allocation-order dependent (parallel domains intern in racy
    order), so nothing rendered, persisted or ordered may depend on them:
@@ -18,7 +19,42 @@ type pk_state =
   | Pk_rows of Packed.t
   | Pk_unpackable  (* non-integer coefficient or overflow at pack time *)
 
-type t = { id : int; cs : Constr.t list; pk : pk_state Atomic.t }
+(* A memoized answer together with its first-arrival claim: [Claimed] means
+   some query has reached the key (and counted the miss) but no exact
+   answer is stored yet — it is still computing, or it was degraded. *)
+type answer = Unseen | Claimed | Yes | No
+
+module Imap = Map.Make (Int)
+
+(* The per-system memo record, created lazily by the first query that needs
+   it.  A record from an older [epoch] than the current one reads as absent,
+   which is all [clear_cache] has to do.  [implies] maps constraint ids to
+   answer cells; the map is immutable and swapped by CAS when a cell is
+   added, so the hit path takes no lock and allocates nothing.  [ctx] holds
+   the learned facts, created on the first learned query (and counted
+   then). *)
+type memo = {
+  epoch : int;
+  feas : answer Atomic.t;
+  implies : answer Atomic.t Imap.t Atomic.t;
+  ctx : Context.t option Atomic.t;
+}
+
+type t = {
+  id : int;
+  cs : Constr.t list;
+  pk : pk_state Atomic.t;
+  memo : memo Atomic.t;
+}
+
+let epoch = Atomic.make 0
+
+let fresh_memo epoch =
+  { epoch; feas = Atomic.make Unseen; implies = Atomic.make Imap.empty;
+    ctx = Atomic.make None }
+
+(* Older than every epoch, so [memo] replaces it before any use. *)
+let no_memo = fresh_memo (-1)
 
 module I = Intern.Make (struct
   type nonrec t = t
@@ -28,12 +64,24 @@ module I = Intern.Make (struct
   let hash t =
     List.fold_left (fun acc c -> Intern.mix acc (Constr.id c)) 0x2545f491 t.cs
 
-  let with_id t id = { t with id }
+  let with_id t id =
+    { t with id; pk = Atomic.make Pk_unknown; memo = Atomic.make no_memo }
+
   let name = "system"
 end)
 
+(* Lookup candidates and detached systems share these cells; [with_id]
+   gives each canonical system its own.  Neither kind is ever queried, so
+   the shared cells are never written, and a Marshal image of many
+   detached systems stores them once. *)
+let candidate_pk = Atomic.make Pk_unknown
+let candidate_memo = Atomic.make no_memo
+
+let detach t = { t with pk = candidate_pk; memo = candidate_memo }
+
 (* [cs] must already be in canonical (normalized) form. *)
-let intern_norm cs = I.intern { id = -1; cs; pk = Atomic.make Pk_unknown }
+let intern_norm cs =
+  I.intern { id = -1; cs; pk = candidate_pk; memo = candidate_memo }
 
 let false_constraint = Constr.make (Expr.of_int 1) Constr.Le
 
@@ -256,87 +304,41 @@ let box_feasible t =
   | None -> true
   | Some rows -> ( match Packed.box_of rows with None -> false | Some _ -> true)
 
-(* Memo table for [feasible], one per domain (no locks, deterministic),
-   keyed by intern id.  Every table ever handed out is kept in a registry
-   so [clear_cache] can drop them all: the engine's worker domains are
-   persistent, and a clear that only reached the calling domain would
-   leave answers from earlier runs influencing the hit/miss accounting of
-   later ones. *)
-let all_tables : (int, bool) Hashtbl.t list ref = ref []
-let all_tables_mutex = Mutex.create ()
+(* The system's memo record for the current epoch, replacing a stale one. *)
+let rec memo t =
+  let m = Atomic.get t.memo in
+  let e = Atomic.get epoch in
+  if m.epoch >= e then m
+  else
+    let m' = fresh_memo e in
+    if Atomic.compare_and_set t.memo m m' then m' else memo t
 
-let cache_key : (int, bool) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let tbl = Hashtbl.create 512 in
-      Mutex.lock all_tables_mutex;
-      all_tables := tbl :: !all_tables;
-      Mutex.unlock all_tables_mutex;
-      tbl)
+(* First-arrival claim on a feasible answer cell: [true] for exactly one
+   caller per system and epoch, however the pool schedules the queries. *)
+let claim cell =
+  match Atomic.get cell with
+  | Unseen -> Atomic.compare_and_set cell Unseen Claimed
+  | Claimed | Yes | No -> false
 
-(* Global registry of systems ever computed.  A local memo miss consults it
-   (one mutex round-trip, dwarfed by the elimination it precedes) so that
-   hit/miss and the compute-path counters count each distinct system once,
-   independent of how the pool schedules queries across domains: the first
-   domain to reach an id counts a miss and computes loudly, later domains
-   recompute under [Solver_stats.quiet] and count a hit. *)
-let seen : (int, unit) Hashtbl.t = Hashtbl.create 4096
-let seen_mutex = Mutex.create ()
+let context t =
+  let m = memo t in
+  match Atomic.get m.ctx with
+  | Some ctx -> ctx
+  | None ->
+    let ctx = Context.create () in
+    if Atomic.compare_and_set m.ctx None (Some ctx) then begin
+      Solver_stats.ctx_context ();
+      ctx
+    end
+    else Option.get (Atomic.get m.ctx)
 
-let seen_add sid =
-  Mutex.lock seen_mutex;
-  let fresh = not (Hashtbl.mem seen sid) in
-  if fresh then Hashtbl.add seen sid ();
-  Mutex.unlock seen_mutex;
-  fresh
-
-(* Global memo for [implies], keyed by (system id, constraint id).  One
-   shared mutex-guarded table rather than per-domain storage: an implies
-   answer is the product of several feasibility eliminations, so sharing
-   hits across domains is worth the lock, and the seen-registry discipline
-   below keeps the hit/miss counts scheduling-independent.  Bypassed (and
-   not consulted) whenever answers could be degraded (budget / fault
-   injection) or inside the [Reference.run] oracle scope. *)
-let implies_memo : (int * int, bool) Hashtbl.t = Hashtbl.create 4096
-let implies_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 4096
-let implies_mutex = Mutex.create ()
-
-let implies_memo_find key =
-  Mutex.lock implies_mutex;
-  let cached = Hashtbl.find_opt implies_memo key in
-  let fresh = not (Hashtbl.mem implies_seen key) in
-  if fresh then Hashtbl.add implies_seen key ();
-  Mutex.unlock implies_mutex;
-  (cached, fresh)
-
-let implies_memo_store key r =
-  Mutex.lock implies_mutex;
-  Hashtbl.replace implies_memo key r;
-  Mutex.unlock implies_mutex
-
-let clear_cache () =
-  (* only sound while no worker is mid-query (tests, bench, and the
-     pipeline's run boundaries); Hashtbl.reset on a table another domain
-     reads concurrently would race *)
-  Mutex.lock all_tables_mutex;
-  List.iter Hashtbl.reset !all_tables;
-  Mutex.unlock all_tables_mutex;
-  Mutex.lock seen_mutex;
-  Hashtbl.reset seen;
-  Mutex.unlock seen_mutex;
-  Mutex.lock implies_mutex;
-  Hashtbl.reset implies_memo;
-  Hashtbl.reset implies_seen;
-  Mutex.unlock implies_mutex;
-  (* learned contexts (direction thresholds, activity, bounds/projection
-     memos) are caches of exact facts with the same lifetime as the
-     implies memo: flush them through the same path *)
-  Context.clear ()
+let clear_cache () = Atomic.incr epoch
 
 (* Canonical content key: [t.cs] is sorted and deduplicated, so serializing
    (op, var ids, coefficients, constant) in order is injective.  Only the
    fault-injection layer still needs this (fault firing must be a pure
    function of the system's content, not of scheduling-dependent intern
-   ids); the memo tables key on ids. *)
+   ids). *)
 let key_of t =
   let b = Buffer.create 128 in
   let add_rat r =
@@ -441,11 +443,12 @@ let feasible t =
     let t0 = now_ns () in
     (* Degradation test, checked BEFORE the memo: deterministic in the
        system's content (and the fault seed), never in scheduling or in
-       whatever answers previous runs left in the per-domain memo tables.
-       Degraded answers are not memoized either, so lifting the budget (or
-       the fault spec) restores exact answers immediately.  The fault key
-       stays the content serialization — intern ids differ across runs —
-       and is only built when a fault spec is active. *)
+       whatever answers previous queries left in the memo record.  Degraded
+       answers are not memoized either (they only take the first-arrival
+       claim), so lifting the budget (or the fault spec) restores exact
+       answers immediately.  The fault key stays the content serialization
+       — intern ids differ across runs — and is only built when a fault
+       spec is active. *)
     let degrades () =
       over_budget t
       || (Fault.enabled () && Fault.fires Fault.Solver ~key:(key_of t))
@@ -455,25 +458,29 @@ let feasible t =
       (box_feasible t, `Prefilter)
     in
     let r, tag =
-      if degrades () then degraded (seen_add t.id)
+      let m = memo t in
+      if degrades () then degraded (claim m.feas)
       else
-        let tbl = Domain.DLS.get cache_key in
-        match Hashtbl.find_opt tbl t.id with
-        | Some r ->
+        match Atomic.get m.feas with
+        | Yes ->
           Solver_stats.cache_hit ();
-          (r, `Hit)
-        | None ->
-          (* first domain to reach this system counts (and computes
-             loudly); later domains recompute quietly and count a hit, so
-             counters do not depend on pool scheduling *)
-          let fresh = seen_add t.id in
+          (true, `Hit)
+        | No ->
+          Solver_stats.cache_hit ();
+          (false, `Hit)
+        | Unseen | Claimed ->
+          (* the first query to claim this system counts a miss (and
+             computes loudly); a racing or post-degradation one recomputes
+             quietly and counts a hit, so counters do not depend on pool
+             scheduling *)
+          let fresh = claim m.feas in
           if fresh then Solver_stats.cache_miss ()
           else Solver_stats.cache_hit ();
           let r, tag =
             if fresh then compute_feasible t
             else Solver_stats.quiet (fun () -> compute_feasible t)
           in
-          Hashtbl.replace tbl t.id r;
+          Atomic.set m.feas (if r then Yes else No);
           (r, tag)
     in
     let ns = now_ns () - t0 in
@@ -639,7 +646,7 @@ let implies_learned t c =
       observe h_implies_eliminated;
       r
     | Some rows -> (
-      let ctx = Context.find t.id in
+      let ctx = context t in
       match Context.box ctx ~build:(fun () -> Packed.box_of rows) with
       | None ->
         (* [t] itself is infeasible, so it entails anything *)
@@ -671,22 +678,40 @@ let implies_learned t c =
 (* The memo only applies when every answer underneath is exact: degraded
    answers (step budget / fault spec) must not be frozen, and the oracle
    scope times the unmemoized reference paths.  The same guard gates the
-   learned contexts and the L1 table — they are memo layers too. *)
+   learned contexts — they are a memo layer too. *)
 let implies_memo_ok () = Atomic.get memo_ok_cached && not (Fault.enabled ())
 
-(* Per-domain L1 answer table for [implies], in front of the mutex-guarded
-   global memo: on join-heavy workloads ~95% of implies queries are
-   repeats, and the global-memo hit path (lock + tuple-keyed probe + two
-   clock reads) costs ~4x the query's useful work.  Keyed by an injective
-   int combination of the two intern ids; registered in [all_tables] so
-   [clear_cache] drops it with everything else. *)
-let implies_l1_key : (int, bool) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let tbl = Hashtbl.create 1024 in
-      Mutex.lock all_tables_mutex;
-      all_tables := tbl :: !all_tables;
-      Mutex.unlock all_tables_mutex;
-      tbl)
+(* The answer cell of an implies key, and whether this caller created it:
+   the creation is the pair's first-arrival claim, exactly one per pair and
+   epoch. *)
+let rec implies_cell m cid =
+  let cur = Atomic.get m.implies in
+  match Imap.find cid cur with
+  | cell -> (cell, false)
+  | exception Not_found ->
+    let cell = Atomic.make Claimed in
+    if Atomic.compare_and_set m.implies cur (Imap.add cid cell cur) then
+      (cell, true)
+    else implies_cell m cid
+
+(* Computed answers are timed; hits are deliberately not — two clock reads
+   would cost more than the lookup itself, and the wall sums are already
+   excluded from the deterministic stats. *)
+let implies_computed m t c =
+  let t0 = now_ns () in
+  (* counted against the claim, not the lookup: two domains racing on a
+     fresh pair both miss, but only the first claims it — so (queries -
+     fresh), the derived memo-hit total, is identical at every --jobs
+     setting *)
+  let cell, fresh = implies_cell m (Constr.id c) in
+  if fresh then Solver_stats.implies_fresh ();
+  let r =
+    if fresh then implies_learned t c
+    else Solver_stats.quiet (fun () -> implies_learned t c)
+  in
+  Atomic.set cell (if r then Yes else No);
+  Solver_stats.add_implies_ns (now_ns () - t0);
+  r
 
 let implies t c =
   Solver_stats.implies_query ();
@@ -698,38 +723,12 @@ let implies t c =
     r
   end
   else begin
-    let l1 = Domain.DLS.get implies_l1_key in
-    let lk = (t.id lsl 31) lor Constr.id c in
-    match Hashtbl.find_opt l1 lk with
-    | Some r ->
-      (* L1 hits are deliberately untimed: two clock reads would cost more
-         than the lookup itself, and the wall sums are already excluded
-         from the deterministic stats *)
-      Solver_stats.implies_l1_hit ();
-      r
-    | None ->
-      let t0 = now_ns () in
-      let key = (t.id, Constr.id c) in
-      let cached, fresh = implies_memo_find key in
-      (* fresh computes are counted against the seen registry, not the
-         memo lookup: two domains racing on a fresh pair both miss the
-         memo, but only the first is fresh — so (queries - fresh), the
-         derived memo-hit total, is identical at every --jobs setting *)
-      if fresh then Solver_stats.implies_fresh ();
-      let r =
-        match cached with
-        | Some r -> r
-        | None ->
-          let r =
-            if fresh then implies_learned t c
-            else Solver_stats.quiet (fun () -> implies_learned t c)
-          in
-          implies_memo_store key r;
-          r
-      in
-      Hashtbl.replace l1 lk r;
-      Solver_stats.add_implies_ns (now_ns () - t0);
-      r
+    let m = memo t in
+    match Atomic.get (Imap.find (Constr.id c) (Atomic.get m.implies)) with
+    | Yes -> true
+    | No -> false
+    | Unseen | Claimed -> implies_computed m t c
+    | exception Not_found -> implies_computed m t c
   end
 
 let includes a b =
@@ -773,14 +772,22 @@ let equal_semantic a b = includes a b && includes b a
 
 let simplify t =
   (* keep a constraint only if the others do not already entail it *)
-  let rec go kept = function
-    | [] -> kept
+  let rec go kept dropped = function
+    | [] -> (kept, dropped)
     | c :: rest ->
       let others = List.rev_append kept rest in
-      if others <> [] && implies (of_list others) c then go kept rest
-      else go (c :: kept) rest
+      if others <> [] && implies (of_list others) c then
+        go kept (c :: dropped) rest
+      else go (c :: kept) dropped rest
   in
-  of_list (go [] t.cs)
+  let kept, dropped = go [] [] t.cs in
+  (* [implies] negates over the integers and then decides rational
+     feasibility: sound, but not transitive, so a constraint dropped early
+     may no longer follow from the final set once later ones are dropped
+     too.  Restore those.  One pass suffices: entailment is monotone in the
+     system, so what the final set implies, any superset of it implies. *)
+  let final = of_list kept in
+  of_list (kept @ List.filter (fun c -> not (implies final c)) dropped)
 
 let pick_in_range lo hi =
   match lo, hi with
@@ -825,7 +832,7 @@ let sample t =
    files, and byte-identity holds because a memo hit returns the identical
    interned value a recompute would. *)
 let bounds v t =
-  let ctx = Context.find t.id in
+  let ctx = context t in
   match Context.find_bounds ctx (Var.id v) with
   | Some b -> b
   | None ->
@@ -834,7 +841,7 @@ let bounds v t =
     b
 
 let project_onto keep t =
-  let ctx = Context.find t.id in
+  let ctx = context t in
   let key = List.map Var.id (Var.Set.elements keep) in
   match Context.find_proj ctx key with
   | Some cs -> intern_norm cs

@@ -14,15 +14,21 @@ type t
     infeasibility is observable.
 
     Hash-consed: the canonical constraint list is interned, so structurally
-    equal systems are the same value, {!equal} is one integer comparison,
-    and the solver memos key on {!id}.  The packed-row translation backing
-    the fast queries is cached inside the interned node (computed at most
-    once per process). *)
+    equal systems are the same value and {!equal} is one integer
+    comparison.  The packed-row translation backing the fast queries is
+    cached inside the interned node (computed at most once per process), and
+    so is the system's solver memo record (see {!section-core}). *)
 
 val id : t -> int
 (** Unique intern id of the canonical form.  Allocation-order dependent —
-    valid for equality and memo keys within the process, never for
-    ordering or persistence. *)
+    valid for equality and keys within the process, never for ordering or
+    persistence. *)
+
+val detach : t -> t
+(** The same constraints without the process-local caches (packed rows and
+    memo record): the form a Marshal image may carry.  Not canonical and
+    never to be queried — a loaded image must be re-interned (any
+    constructor, e.g. {!map_vars}) first. *)
 
 val equal : t -> t -> bool
 (** Structural equality of the canonical forms, answered by id. *)
@@ -58,7 +64,7 @@ val feasible : t -> bool
     need for soundness.
 
     Answered by the packed integer solver ({!Packed}) with GCD tightening,
-    Imbert redundancy pruning, and a per-domain memo cache; refutations that
+    Imbert redundancy pruning, and the system's memo record; refutations that
     depended on strict tightening are re-checked exactly, and overflow falls
     back to the reference eliminator, so the answer always equals
     {!Reference.feasible}. *)
@@ -89,28 +95,39 @@ val equal_semantic : t -> t -> bool
 (** Mutual inclusion. *)
 
 val simplify : t -> t
-(** Removes constraints entailed by the rest (quadratic in the system size;
-    used to keep interprocedural summaries small after unions). *)
+(** Removes constraints entailed by the rest (quadratic in the system size).
+    The result implies every constraint it removed, so it has the same
+    solutions: {!implies} is not transitive (it negates over the integers,
+    then decides rational feasibility), so a greedy drop is re-checked
+    against the final set and restored if no longer implied. *)
 
 val sample : t -> (Var.t -> Rat.t) option
 (** A rational point satisfying the system, if feasible: found by
     back-substitution through the elimination order. *)
 
-(** {2 Solver core}
+(** {2:core Solver core}
 
     One production query core: the packed integer solver plus persistent
     per-system {!Context}s — learned direction thresholds (Farkas cuts /
     feasibility witnesses) answer repeat assumption queries by one
     rational comparison, eliminations are ordered by conflict activity,
-    and bounds/projections are memoized per system.  A per-domain L1 table
-    answers repeat implies queries without touching the global memo's
-    lock.  Feasibility queries of cost (constraint count times variable
-    count) at most 2 skip packed setup and run the reference eliminator
-    directly; routed queries are counted in [Solver_stats.small_runs].
+    and bounds/projections are memoized per system.  Feasibility queries
+    of cost (constraint count times variable count) at most 2 skip packed
+    setup and run the reference eliminator directly; routed queries are
+    counted in [Solver_stats.small_runs].
 
-    The learned layer and the implies memo only engage when no step budget
-    and no fault spec is active: they are memo layers, and degraded answers
-    must not be frozen. *)
+    Every memo lives in one record hung off the interned system and created
+    on its first query: the feasibility answer, the implies answers keyed
+    by constraint id, and the learned {!Context}.  Each answer carries a
+    first-arrival claim, so the hit/miss counters are the same at any
+    [--jobs].  A repeat implies query is one map lookup with no lock, no
+    clock read and no allocation.
+
+    Degraded answers must not be frozen: a degraded feasibility query (over
+    the step budget, or hit by the [solver] fault site) takes the claim but
+    never reads or writes the answer, and implies answers and the learned
+    implies path are bypassed whenever a budget or a fault spec is active.
+    Inside {!Reference.run} no answer is read or written. *)
 
 val set_step_budget : int option -> unit
 (** Degradation valve for {!feasible} (and through it {!implies} /
@@ -130,12 +147,13 @@ val set_step_budget : int option -> unit
 val get_step_budget : unit -> int option
 
 val clear_cache : unit -> unit
-(** Drop every domain's memo table (feasible memos and implies L1 tables),
-    the global seen-sets, the implies memo, and every learned
-    {!Context} — direction thresholds, activity tables, bounds and
-    projection memos (benchmarks and run boundaries; never required for
-    correctness since cached answers are immutable exact facts).  Only
-    call while no other domain is querying. *)
+(** Forget every memo record: feasibility and implies answers with their
+    first-arrival claims, and every learned {!Context} (direction
+    thresholds, activity tables, bounds and projection memos).  One atomic
+    epoch bump — a record from an older epoch reads as absent — so it is
+    safe while other domains are querying.  Used by benchmarks and at run
+    boundaries; never required for correctness, since cached answers are
+    exact facts. *)
 
 (** The exact rational reference eliminator, used as ground truth by the
     solver equivalence tests and the benchmarks.  [bounds] and [sample] are

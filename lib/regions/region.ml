@@ -477,6 +477,8 @@ let map_vars f t =
         t.dims;
   }
 
+let detach d t = { t with sys = d t.sys }
+
 let subst_sym substs t =
   let sys =
     List.fold_left

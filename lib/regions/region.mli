@@ -129,6 +129,12 @@ val map_vars : (Linear.Var.t -> Linear.Var.t) -> t -> t
     the engine cache uses this to re-intern deserialized regions onto the
     live symbolic-variable registry. *)
 
+val detach : (Linear.System.t -> Linear.System.t) -> t -> t
+(** [detach d r] is [r] over [d] of its system, where [d] is
+    {!Linear.System.detach} or a wrapper that detaches each system once:
+    what the engine cache marshals.  {!map_vars} re-interns a loaded
+    one. *)
+
 val close_under_loops : loop_ctx list -> t -> t
 (** After a formal-to-actual substitution a region may mention the caller's
     induction variables; this conjoins the given loop constraints and

@@ -51,6 +51,15 @@ cmp "$out/report1.json" "$out/report4.json"
 dune exec bench/main.exe -- check-json "$out/report1.json"
 dune exec bin/dragon.exe -- report "$out/report1.json" | grep -q "== analysis: bounds =="
 
+echo "== smoke: uhc --stats-det is jobs-invariant (gen-small) =="
+# the CLI path through Pipeline: deterministic solver and engine counters
+# must not depend on how the pool schedules the work
+dune exec bin/uhc.exe -- --corpus gen-small --stats-det --jobs 1 \
+  -o "$out/sdet" >"$out/sdet1.txt"
+dune exec bin/uhc.exe -- --corpus gen-small --stats-det --jobs 4 \
+  -o "$out/sdet" >"$out/sdet4.txt"
+cmp "$out/sdet1.txt" "$out/sdet4.txt"
+
 echo "== smoke: uhc --trace/--metrics + dragon profile =="
 dune exec bin/uhc.exe -- --corpus matrix --jobs 2 \
   --trace "$out/trace.json" --metrics "$out/metrics.json" \

@@ -260,7 +260,35 @@ let test_simplify () =
   Alcotest.(check int) "idempotent" 2 (System.size (System.simplify s'));
   (* nothing redundant: unchanged *)
   Alcotest.(check int) "minimal unchanged" (System.size loopish)
-    (System.size (System.simplify loopish))
+    (System.size (System.simplify loopish));
+  (* integer entailment is not transitive: dropping x <= 6 and y <= 6
+     after 2x + 3y <= 7 was dropped because of them leaves a set that no
+     longer implies 2x + 3y <= 7 *)
+  let s =
+    System.of_list
+      [
+        Constr.le
+          (Expr.add (Expr.monom (r 2) x) (Expr.monom (r 3) y))
+          (e_of_int 7);
+        Constr.ge (Expr.var x) (e_of_int (-6));
+        Constr.le (Expr.var x) (e_of_int 6);
+        Constr.ge (Expr.var y) (e_of_int (-6));
+        Constr.le (Expr.var y) (e_of_int 6);
+        Constr.le
+          (Expr.add (Expr.monom (r 3) x) (Expr.monom (r 3) y))
+          (e_of_int 2);
+      ]
+  in
+  let s' = System.simplify s in
+  List.iter
+    (fun c ->
+      Alcotest.(check bool)
+        (Format.asprintf "result implies %a" Constr.pp c)
+        true
+        (System.Reference.implies s' c))
+    (System.to_list s);
+  Alcotest.(check bool) "non-transitive case: same solutions" true
+    (System.equal_semantic s s')
 
 let prop_simplify_preserves =
   QCheck2.Test.make ~name:"simplify preserves solutions" ~count:100 gen_system

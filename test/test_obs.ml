@@ -11,6 +11,7 @@ let corpus_files = function
   | "matrix" -> [ Corpus.Small.matrix_c ]
   | "fig1" -> [ Corpus.Small.fig1_f ]
   | "stride" -> [ Corpus.Small.stride_f ]
+  | "gen-small" -> Corpus.Gen.(generate default)
   | other -> Alcotest.failf "unknown corpus %s" other
 
 let lower files = Whirl.Lower.lower (Lang.Frontend.load ~files)
@@ -374,7 +375,7 @@ let test_stats_deterministic () =
       (* and stable across repetition at the same setting *)
       Alcotest.(check string)
         (corpus ^ " stats-det repeatable") parallel (det_stats 4 files))
-    [ "lu"; "matrix" ]
+    [ "lu"; "matrix"; "gen-small" ]
 
 (* ------------------------------------------------------------------ *)
 (* Worker allocation attribution *)

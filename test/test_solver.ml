@@ -233,6 +233,63 @@ let test_stats_move () =
   Alcotest.(check int) "one miss" 1 d.Solver_stats.cache_misses;
   Alcotest.(check int) "one hit" 1 d.Solver_stats.cache_hits
 
+(* [clear_cache] only bumps an epoch, so it may run while another domain
+   is mid-query: every answer must still equal the reference's.  The
+   expected answers are computed before the querying domain starts. *)
+let test_clear_during_queries () =
+  let rand = Random.State.make [| 18 |] in
+  let systems = QCheck2.Gen.generate ~rand ~n:24 gen_system in
+  let constrs = QCheck2.Gen.generate ~rand ~n:6 gen_constr in
+  let keep = Var.Set.of_list [ x; y ] in
+  let project s =
+    System.eliminate_all (Var.Set.elements (Var.Set.diff (System.vars s) keep)) s
+  in
+  let expected =
+    List.map
+      (fun s ->
+        ( System.Reference.feasible s,
+          List.map (System.Reference.implies s) constrs,
+          System.Reference.bounds x s,
+          project s ))
+      systems
+  in
+  (* the querying domain keeps going until at least 100 clears have
+     happened while it ran *)
+  let clears = Atomic.make 0 and done_ = Atomic.make false in
+  let worker =
+    Domain.spawn (fun () ->
+        Fun.protect ~finally:(fun () -> Atomic.set done_ true) @@ fun () ->
+        let c0 = Atomic.get clears in
+        let ok = ref true and rounds = ref 0 in
+        while !ok && (!rounds < 40 || Atomic.get clears - c0 < 100) do
+          incr rounds;
+          List.iter2
+            (fun s (feas, impls, (lo, hi), proj) ->
+              (* twice, so most second asks are memo hits *)
+              for _ = 1 to 2 do
+                let lo', hi' = System.bounds x s in
+                ok :=
+                  !ok
+                  && System.feasible s = feas
+                  && List.map (System.implies s) constrs = impls
+                  && rat_opt_equal lo lo' && rat_opt_equal hi hi'
+                  && System.equal (System.project_onto keep s) proj
+              done)
+            systems expected
+        done;
+        !ok)
+  in
+  while not (Atomic.get done_) do
+    System.clear_cache ();
+    Atomic.incr clears;
+    (* leave records alive long enough to be hit *)
+    for _ = 1 to 2000 do
+      Domain.cpu_relax ()
+    done
+  done;
+  Alcotest.(check bool) "every answer equals the reference" true
+    (Domain.join worker)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_feasible_agrees;
@@ -247,4 +304,6 @@ let suite =
       test_no_cross_run_leak;
     Alcotest.test_case "solver stats count queries and memo hits" `Quick
       test_stats_move;
+    Alcotest.test_case "clear_cache is safe during queries" `Quick
+      test_clear_during_queries;
   ]
