@@ -689,14 +689,31 @@ let bench_misscurve () =
      double grids ~ 18 KB) begins to fit"
 
 (* ------------------------------------------------------------------ *)
-(* Engine: parallel fan-out and the incremental summary cache *)
+(* Engine: parallel fan-out and the incremental summary cache.  With
+   --json it also records the store numbers in BENCH_engine.json: the
+   cold and warm in-process engine wall on LU and gen-small, and the files
+   one cold gen-small run publishes. *)
 
-let bench_engine () =
-  header "Engine: parallel + incremental analysis (NAS LU)";
-  let files = Corpus.Nas_lu.files () in
-  let lower () = Whirl.Lower.lower (Lang.Frontend.load ~files) in
+(* the host and sources a BENCH record was measured on *)
+let bench_stamp () =
+  let commit =
+    match Unix.open_process_in "git describe --always --dirty --abbrev=12 2>/dev/null" with
+    | ic -> (
+      let line = try input_line ic with End_of_file -> "" in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 when line <> "" -> line
+      | _ -> "unknown")
+    | exception Unix.Unix_error _ -> "unknown"
+  in
+  (Engine_pool.recommended (), Sys.ocaml_version, commit)
+
+let bench_engine ~json ~out () =
+  header "Engine: parallel + incremental analysis (NAS LU, gen-small)";
+  let lu_files = Corpus.Nas_lu.files () in
+  let gs_files = Corpus.Gen.generate Corpus.Gen.default in
+  let lower files () = Whirl.Lower.lower (Lang.Frontend.load ~files) in
   (* one throwaway run so frontend/layout code paths are hot *)
-  ignore (Engine.run (Engine.config ()) (lower ()));
+  ignore (Engine.run (Engine.config ()) (lower lu_files ()));
   let best f =
     let t = ref infinity in
     for _ = 1 to 5 do
@@ -705,9 +722,11 @@ let bench_engine () =
     !t
   in
   let cores = Engine_pool.recommended () in
-  let serial = best (fun () -> Engine.run (Engine.config ()) (lower ())) in
+  let serial =
+    best (fun () -> Engine.run (Engine.config ()) (lower lu_files ()))
+  in
   let par =
-    best (fun () -> Engine.run (Engine.config ~jobs:4 ()) (lower ()))
+    best (fun () -> Engine.run (Engine.config ~jobs:4 ()) (lower lu_files ()))
   in
   Printf.printf
     "no cache: serial %.4fs, 4 domains %.4fs (%.2fx; host has %d core%s)\n"
@@ -721,22 +740,71 @@ let bench_engine () =
   let rm () =
     ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
   in
-  let with_store () =
-    Engine.run (Engine.config ~store:(Engine_store.create ~dir ()) ()) (lower ())
+  let disk files =
+    let with_store () =
+      Engine.run
+        (Engine.config ~store:(Engine_store.create ~dir ()) ())
+        (lower files ())
+    in
+    let cold =
+      best (fun () ->
+          rm ();
+          with_store ())
+    in
+    (* warm: every run hits a cache fully populated by the previous one *)
+    let warm = best with_store in
+    rm ();
+    (cold, warm)
   in
-  let cold =
-    best (fun () ->
-        rm ();
-        with_store ())
+  let lu_cold, lu_warm = disk lu_files in
+  let gs_cold, gs_warm = disk gs_files in
+  (* what one cold gen-small invocation leaves in the cache: the cached
+     frontend and the engine publish through one handle *)
+  let cold_files =
+    let store = Engine_store.create ~dir () in
+    let fr = Frontend_cache.load ~store gs_files in
+    ignore (Engine.run (Engine.config ~store ()) fr.Frontend_cache.fr_module);
+    let n =
+      Array.length
+        (Sys.readdir (Filename.concat dir (Engine_store.schema ())))
+    in
+    rm ();
+    n
   in
-  (* warm: every run hits a cache fully populated by the previous one *)
-  let warm = best with_store in
-  rm ();
-  Printf.printf "disk cache: cold %.4fs, warm %.4fs (%.1fx)\n" cold warm
-    (cold /. warm);
+  Printf.printf "disk cache, LU: cold %.4fs, warm %.4fs (%.1fx)\n" lu_cold
+    lu_warm (lu_cold /. lu_warm);
+  Printf.printf "disk cache, gen-small: cold %.4fs, warm %.4fs (%.1fx)\n"
+    gs_cold gs_warm (gs_cold /. gs_warm);
+  (* both corpora together: gen-small alone is a few milliseconds *)
+  let warm_speedup = (lu_cold +. gs_cold) /. (lu_warm +. gs_warm) in
+  Printf.printf "warm speedup, both corpora: %.2fx\n" warm_speedup;
+  Printf.printf "a cold gen-small run publishes %d file%s\n" cold_files
+    (if cold_files = 1 then "" else "s");
   print_endline
     "warm runs skip collection and summary propagation entirely;\n\
-     outputs are byte-identical in every mode (checked by test_engine)"
+     outputs are byte-identical in every mode (checked by test_engine)";
+  if json || out <> None then begin
+    let path = Option.value out ~default:"BENCH_engine.json" in
+    let nproc, ocaml, commit = bench_stamp () in
+    let b = Buffer.create 1024 in
+    let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+    bpf "{\n";
+    bpf "  \"bench\": \"engine\",\n";
+    bpf "  \"stamp\": { \"nproc\": %d, \"ocaml\": \"%s\", \"commit\": \"%s\" },\n"
+      nproc ocaml commit;
+    bpf "  \"engine\": {\n";
+    bpf "    \"lu_cold_wall_s\": %.6f,\n" lu_cold;
+    bpf "    \"lu_warm_wall_s\": %.6f,\n" lu_warm;
+    bpf "    \"gen_small_cold_wall_s\": %.6f,\n" gs_cold;
+    bpf "    \"gen_small_warm_wall_s\": %.6f,\n" gs_warm;
+    bpf "    \"warm_speedup\": %.2f,\n" warm_speedup;
+    bpf "    \"warm_speedup_floor\": %.2f,\n" 1.5;
+    bpf "    \"cold_files\": %d\n" cold_files;
+    bpf "  }\n";
+    bpf "}\n";
+    Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc b);
+    Printf.printf "wrote %s\n" path
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Solver: the production core against the reference eliminator, end to
@@ -1633,6 +1701,28 @@ let check_gen_json path top doc =
      events)\n"
     path proven floor fe_speedup fe_floor (dnum "oob_events")
 
+let check_engine_json path doc =
+  let num field =
+    match Option.bind (Obs.Json.member field doc) Obs.Json.to_float with
+    | Some v -> v
+    | None -> check_fail "engine.%s missing" field
+  in
+  List.iter
+    (fun f -> ignore (num f))
+    [
+      "lu_cold_wall_s"; "lu_warm_wall_s"; "gen_small_cold_wall_s";
+      "gen_small_warm_wall_s";
+    ];
+  (* one pack segment per producer: the cached frontend and the engine *)
+  let files = num "cold_files" in
+  if files > 2. then
+    check_fail "engine.cold_files %.0f above 2 (one segment per producer)" files;
+  let speedup, floor = check_gate doc ~where:"engine" "warm_speedup" in
+  Printf.printf
+    "check-json: %s OK (engine; cold_files %.0f <= 2, warm_speedup %.2f >= \
+     floor %.2f)\n"
+    path files speedup floor
+
 let check_reports_json path top entries =
   check_schema_version ~what:"reports" ~expected:Analyses.Report.schema_version
     top;
@@ -1852,12 +1942,13 @@ let check_json_file path =
             ~expected:Fault.Diag.schema_version v;
           check_diagnostics_json path entries
         | _ -> (
-          match Obs.Json.member "gen" v with
-          | Some (Obs.Json.Obj _ as doc) -> check_gen_json path v doc
+          match (Obs.Json.member "gen" v, Obs.Json.member "engine" v) with
+          | Some (Obs.Json.Obj _ as doc), _ -> check_gen_json path v doc
+          | _, Some (Obs.Json.Obj _ as doc) -> check_engine_json path doc
           | _ ->
             check_fail
               "no recognized top-level section \
-               (solver/regions/traceEvents/metrics/obs/bounds/gen/\
+               (solver/regions/traceEvents/metrics/obs/bounds/gen/engine/\
                reports/diagnostics)"))
       | _ -> check_fail "top-level value is not an object")
   with Check_fail msg ->
@@ -2053,7 +2144,7 @@ let () =
     if all || only "pgas" then bench_pgas ();
     if all || only "misscurve" then bench_misscurve ();
     if all || only "locality" then bench_locality ();
-    if all || only "engine" then bench_engine ();
+    if all || only "engine" then bench_engine ~json ~out ();
     if all || only "solver" then bench_solver ~json ~out ();
     if all || only "bounds" then bench_bounds ~json ~out ();
     if all || only "gen" then bench_gen ~json ~out ();

@@ -152,7 +152,7 @@ let phase_hist =
       Hashtbl.replace tbl name h;
       h
 
-let run (cfg : config) (m : Ir.module_) : result =
+let run_ (cfg : config) (m : Ir.module_) : result =
   let jobs = Engine_pool.resolve_jobs cfg.jobs in
   let solver0 = Linear.Solver_stats.snapshot () in
   let t_start = Obs.Trace.now_ns () in
@@ -417,7 +417,9 @@ let run (cfg : config) (m : Ir.module_) : result =
                     sp_propagated = propagated.(i);
                   }
               | _ -> ())
-          computed);
+          computed;
+        (* the last add of the run: seal its entries into one segment *)
+        Engine_store.publish store);
   (* ---- assembly ----------------------------------------------------- *)
   let res =
     timed "assemble" (fun () ->
@@ -496,6 +498,14 @@ let run (cfg : config) (m : Ir.module_) : result =
          pus)
   in
   { e_result = res; e_stats = stats; e_diags = diags; e_pus }
+
+(* A run that raises still publishes what it stored (each entry is the
+   finished result of its key), so it leaves no temp file behind; after a
+   normal run the store has nothing left to publish. *)
+let run cfg m =
+  Fun.protect
+    ~finally:(fun () -> Option.iter Engine_store.publish cfg.store)
+    (fun () -> run_ cfg m)
 
 (* Drop-in successors of the removed [Ipa.Analyze.analyze{,_sources}]
    reference entry points: one engine run, no store, serial by default. *)

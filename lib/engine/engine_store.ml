@@ -21,7 +21,9 @@
    build fingerprint (Build_info: a digest of the library sources, the
    OCaml version and the build settings, taken at build time) — Marshal
    images are only safe to read back into the layout that produced them,
-   so a changed build simply starts a fresh cache namespace. *)
+   so a changed build simply starts a fresh cache namespace.  Inside it,
+   each producer (one [Frontend_cache.load], one [Engine.run]) publishes
+   the entries it added as one pack segment; see "Pack segments" below. *)
 
 open Regions
 
@@ -42,34 +44,51 @@ type 'a entry = {
   en_value : 'a;
 }
 
+(* A published segment file, or the producer's unpublished temp file. *)
+type seg = {
+  mutable path : string;
+  lock : Mutex.t; (* guards [ic] *)
+  mutable ic : in_channel option; (* opened by the first read *)
+  mutable damaged : bool; (* set aside by the next publish *)
+}
+
+type loc = { seg : seg; off : int; len : int; md5 : Digest.t }
+
+(* The store's one table maps each key to its payload: in memory, at an
+   offset in a segment, or both (a verified read of an analysis entry). *)
+type slot = { at : loc option; mutable mem : string option }
+
+type writer = {
+  w_seg : seg;
+  w_oc : out_channel;
+  mutable w_pos : int;
+  mutable w_index : (string * loc) list; (* newest first *)
+}
+
 type t = {
   dir : string option;
-  mem : (string, string) Hashtbl.t; (* full key -> marshaled entry *)
+  sdir : string option; (* [dir/<schema>] *)
+  table : (string, slot) Hashtbl.t; (* ns ^ raw digest -> slot *)
   mutex : Mutex.t;
+  mutable segs : seg list; (* published segments this handle indexed *)
+  mutable writer : writer option;
   mutable diags : Fault.Diag.t list; (* degradation events, newest first *)
 }
 
 let schema_token = lazy (String.sub Build_info.fingerprint 0 12)
+let full_key ns key = ns ^ key
+let entry_name ns key = ns ^ "-" ^ Digest.to_hex key
 
-let create ?dir () =
-  (match dir with
-  | Some d ->
-    (* concurrent processes may share [d]: whichever creates it first wins *)
-    Obs.Ledger.mkdir_p (Filename.concat d (Lazy.force schema_token))
-  | None -> ());
-  { dir; mem = Hashtbl.create 64; mutex = Mutex.create (); diags = [] }
+(* the (namespace, digest) pair of a full key *)
+let split_key k =
+  let nl = String.length k - 16 in
+  (String.sub k 0 nl, String.sub k nl 16)
 
-let in_memory () = create ()
+let name_of_key k =
+  let ns, key = split_key k in
+  entry_name ns key
 
-let path_of t ns key =
-  Option.map
-    (fun d ->
-      Filename.concat
-        (Filename.concat d (Lazy.force schema_token))
-        (Printf.sprintf "%s-%s.bin" ns (Digest.to_hex key)))
-    t.dir
-
-let full_key ns key = ns ^ Digest.to_hex key
+let locked t f = Mutex.protect t.mutex f
 
 (* ------------------------------------------------------------------ *)
 (* Variable bookkeeping *)
@@ -186,27 +205,12 @@ let map_summary f (s : Ipa.Summary.t) : Ipa.Summary.t =
       { e with Ipa.Summary.e_region = Region.map_vars f e.Ipa.Summary.e_region })
     s
 
+
 (* ------------------------------------------------------------------ *)
-(* Raw byte-level store *)
-
-let mem_find t k =
-  Mutex.lock t.mutex;
-  let r = Hashtbl.find_opt t.mem k in
-  Mutex.unlock t.mutex;
-  r
-
-let mem_add t k v =
-  Mutex.lock t.mutex;
-  Hashtbl.replace t.mem k v;
-  Mutex.unlock t.mutex
-
-let mem_remove t k =
-  Mutex.lock t.mutex;
-  Hashtbl.remove t.mem k;
-  Mutex.unlock t.mutex
+(* Observability and degradation events *)
 
 (* store-layer observability: hit/miss counters per tier plus I/O latency
-   histograms (the disk timings are only observed when metrics are on) *)
+   histograms (the timings are only observed when metrics are on) *)
 let c_mem_hits = Obs.Metrics.counter "store.mem.hits"
 let c_disk_hits = Obs.Metrics.counter "store.disk.hits"
 let c_misses = Obs.Metrics.counter "store.misses"
@@ -221,33 +225,201 @@ let c_publish_skips = Obs.Metrics.counter "store.publish_skips"
 let h_find = Obs.Metrics.histogram "store.find.ns"
 let h_add = Obs.Metrics.histogram "store.add.ns"
 
-let record_diag t d =
-  Mutex.lock t.mutex;
-  t.diags <- d :: t.diags;
-  Mutex.unlock t.mutex
+let record_diag t d = locked t (fun () -> t.diags <- d :: t.diags)
 
 let drain_diags t =
-  Mutex.lock t.mutex;
-  let ds = t.diags in
-  t.diags <- [];
-  Mutex.unlock t.mutex;
-  List.rev ds
+  locked t (fun () ->
+      let ds = t.diags in
+      t.diags <- [];
+      List.rev ds)
+
+let quarantined t ~name reason =
+  Obs.Metrics.Counter.incr c_quarantined;
+  Obs.Log.info "store.quarantined" [ ("entry", name); ("reason", reason) ];
+  record_diag t
+    (Fault.Diag.make ~site:"store.marshal" ~pu:"*" ~action:"quarantined"
+       (Printf.sprintf "cache entry %s: %s; recomputing" name reason))
+
+let observed h f =
+  if not (Obs.Metrics.enabled ()) then f ()
+  else begin
+    let t0 = Obs.Trace.now_ns () in
+    let r = f () in
+    Obs.Hist.observe h (Obs.Trace.now_ns () - t0);
+    r
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Checksummed on-disk entries with bounded retry.
+(* Pack segments.
 
-   An entry is [magic | md5(payload) | payload]: truncation and bit-rot
-   are caught by the digest check, not by Marshal blowing up mid-decode.
-   A corrupt file is quarantined (renamed aside, so the evidence survives
-   and the slot reads as a miss from then on) and the caller transparently
-   recomputes.  Transient I/O errors — injected or real — are retried a
-   few times with a short backoff; read exhaustion degrades to a cache
-   miss, write exhaustion to an unpersisted (memory-only) entry.  Either
-   way the analysis proceeds. *)
+   A producer streams each entry it adds, in order, into one private temp
+   file ([pack.tmp.<pid>.<n>]); [publish] appends the index and renames the
+   file to [<name>.seg], so readers only ever see complete segments:
 
-let entry_magic = "UHCS1\n"
-let header_len = String.length entry_magic + 16
+     magic | payload ... | index | index offset | md5(index) | magic
+
+   with one index record per entry: key length (1 byte), key (namespace ^
+   raw digest), payload offset and length (int64 LE), md5(payload).
+
+   Opening a store reads every segment's index into the table; a lookup
+   reads one payload and checks its md5 before anything decodes it.  A
+   payload that fails the check, or a segment whose index is malformed,
+   reads as a miss and marks its segment damaged: the next publish carries
+   the segment's intact entries into the new segment and renames the file
+   aside ([.quarantined]), so the damaged bytes survive for inspection and
+   the next run is fully warm.  A handle that opened more than
+   [segment_cap] segments merges them the same way, which bounds the cost
+   of opening a store by a constant, not by the number of past runs.
+
+   Transient I/O errors — injected or real — are retried a few times with
+   a short backoff; read exhaustion degrades to a cache miss, write
+   exhaustion to an unpersisted (memory-only) entry.  Either way the
+   analysis proceeds. *)
+
+let seg_magic = "UHCPACK1"
+let header_len = String.length seg_magic
+let trailer_len = 8 + 16 + String.length seg_magic
+let segment_cap = 8
 let max_attempts = 3
+let writer_seq = Atomic.make 0
+
+let new_seg path =
+  { path; lock = Mutex.create (); ic = None; damaged = false }
+
+let close_reader seg =
+  Mutex.protect seg.lock (fun () ->
+      Option.iter close_in_noerr seg.ic;
+      seg.ic <- None)
+
+let segment_files sdir =
+  match Sys.readdir sdir with
+  | exception Sys_error _ -> []
+  | names ->
+    Array.to_list names
+    |> List.filter (fun f -> Filename.check_suffix f ".seg")
+    |> List.sort compare
+    |> List.map (Filename.concat sdir)
+
+let parse_index ~index_off idx =
+  let n = String.length idx in
+  let rec go pos acc =
+    if pos = n then Some (List.rev acc)
+    else
+      let kl = Char.code idx.[pos] in
+      if pos + 1 + kl + 32 > n then None
+      else
+        let k = String.sub idx (pos + 1) kl in
+        let off = Int64.to_int (String.get_int64_le idx (pos + 1 + kl)) in
+        let len = Int64.to_int (String.get_int64_le idx (pos + 9 + kl)) in
+        let md5 = String.sub idx (pos + 17 + kl) 16 in
+        if off < header_len || len < 0 || off > index_off - len then None
+        else go (pos + 33 + kl) ((k, off, len, md5) :: acc)
+  in
+  go 0 []
+
+(* [`Gone] (absent or unreadable: not evidence of damage), [`Malformed],
+   or the index records (full key, payload offset, length, md5) *)
+let read_index path =
+  match open_in_bin path with
+  | exception Sys_error _ -> `Gone
+  | ic -> (
+    let index () =
+      let size = in_channel_length ic in
+      if size < header_len + trailer_len then None
+      else begin
+        let head = really_input_string ic header_len in
+        seek_in ic (size - trailer_len);
+        let tr = really_input_string ic trailer_len in
+        let index_off = Int64.to_int (String.get_int64_le tr 0) in
+        if
+          head <> seg_magic
+          || String.sub tr 24 header_len <> seg_magic
+          || index_off < header_len
+          || index_off > size - trailer_len
+        then None
+        else begin
+          seek_in ic index_off;
+          let idx = really_input_string ic (size - trailer_len - index_off) in
+          Obs.Metrics.Counter.add c_disk_reads
+            (header_len + trailer_len + String.length idx);
+          if Digest.string idx <> String.sub tr 8 16 then None
+          else parse_index ~index_off idx
+        end
+      end
+    in
+    match Fun.protect ~finally:(fun () -> close_in_noerr ic) index with
+    | Some entries -> `Entries entries
+    | None | (exception End_of_file) -> `Malformed
+    | exception Sys_error _ -> `Gone)
+
+let segment_index path =
+  match read_index path with
+  | `Entries es ->
+    Some
+      (List.map
+         (fun (k, off, len, _) ->
+           let ns, key = split_key k in
+           (ns, key, off, len))
+         es)
+  | `Gone | `Malformed -> None
+
+(* Index one segment into the table.  Keys already present keep their
+   slot: they are content addresses, so any copy holds the same bytes. *)
+let add_segment t path index =
+  match index with
+  | `Gone -> None
+  | `Malformed ->
+    let seg = new_seg path in
+    seg.damaged <- true;
+    t.segs <- seg :: t.segs;
+    quarantined t ~name:(Filename.basename path) "malformed segment index";
+    None
+  | `Entries es ->
+    let seg = new_seg path in
+    t.segs <- seg :: t.segs;
+    locked t (fun () ->
+        List.iter
+          (fun (k, off, len, md5) ->
+            if not (Hashtbl.mem t.table k) then
+              Hashtbl.add t.table k
+                { at = Some { seg; off; len; md5 }; mem = None })
+          es);
+    Some (seg, es)
+
+let create ?dir () =
+  let sdir =
+    Option.map (fun d -> Filename.concat d (Lazy.force schema_token)) dir
+  in
+  let indexes =
+    match sdir with
+    | None -> []
+    | Some sdir ->
+      (* concurrent processes may share [dir]: whichever creates it first
+         wins *)
+      Obs.Ledger.mkdir_p sdir;
+      List.map (fun p -> (p, read_index p)) (segment_files sdir)
+  in
+  let entries =
+    List.fold_left
+      (fun n (_, index) ->
+        match index with `Entries es -> n + List.length es | _ -> n)
+      0 indexes
+  in
+  let t =
+    {
+      dir;
+      sdir;
+      table = Hashtbl.create (max 64 entries);
+      mutex = Mutex.create ();
+      segs = [];
+      writer = None;
+      diags = [];
+    }
+  in
+  List.iter (fun (p, index) -> ignore (add_segment t p index)) indexes;
+  t
+
+let in_memory () = create ()
 
 let backoff_s ~key attempt =
   (* exponential base with deterministic seeded jitter: splitmix64 over
@@ -261,197 +433,391 @@ let backoff_s ~key attempt =
   in
   base *. (0.5 +. (Int64.to_float bits /. 9007199254740992.0))
 
-(* written before the payload, which is never copied into one blob *)
-let seal_header payload = entry_magic ^ Digest.string payload
-
-(* the payload starts at [header_len]; checked in place, not copied *)
-let sealed blob =
-  String.length blob >= header_len
-  && String.starts_with ~prefix:entry_magic blob
-  && Digest.substring blob header_len (String.length blob - header_len)
-     = String.sub blob (String.length entry_magic) 16
-
-let quarantine t ~path ~basename reason =
-  Obs.Metrics.Counter.incr c_quarantined;
-  (try Sys.rename path (path ^ ".quarantined")
-   with Sys_error _ -> ( try Sys.remove path with Sys_error _ -> ()));
-  Obs.Log.info "store.quarantined" [ ("entry", basename); ("reason", reason) ];
-  record_diag t
-    (Fault.Diag.make ~site:"store.marshal" ~pu:"*" ~action:"quarantined"
-       (Printf.sprintf "cache entry %s: %s; recomputing" basename reason))
-
-let read_file_once path =
-  (* distinguishes "unreadable" (retryable) from "absent" (a plain miss) *)
-  Fault.inject Fault.Io_read ~key:(Filename.basename path);
-  if not (Sys.file_exists path) then `Absent
-  else begin
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    `Read s
-  end
-
-let read_file t path =
-  let basename = Filename.basename path in
+(* [op] under the retry policy: [None] once [max_attempts] attempts
+   failed, after counting [errors] and recording [on_exhaust]'s
+   diagnostic *)
+let with_retries t ~name ~errors ~on_exhaust op =
   let rec attempt k =
-    match read_file_once path with
-    | `Absent -> None
-    | `Read s -> Some s
+    match op () with
+    | r -> Some r
     | exception (Sys_error _ | End_of_file | Fault.Injected _) ->
       if k + 1 < max_attempts then begin
         Obs.Metrics.Counter.incr c_retries;
-        Unix.sleepf (backoff_s ~key:basename k);
+        Unix.sleepf (backoff_s ~key:name k);
         attempt (k + 1)
       end
       else begin
-        Obs.Metrics.Counter.incr c_read_errors;
-        Obs.Log.info "store.read_failed"
-          [ ("entry", basename); ("attempts", string_of_int max_attempts) ];
-        record_diag t
-          (Fault.Diag.make ~site:"store.read" ~pu:"*" ~action:"recomputed"
-             (Printf.sprintf "cache read of %s failed after %d attempts"
-                basename max_attempts));
+        Obs.Metrics.Counter.incr errors;
+        record_diag t (on_exhaust ());
         None
       end
   in
   attempt 0
 
-let write_file_once path header payload =
-  Fault.inject Fault.Io_write ~key:(Filename.basename path);
-  let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc header;
-     output_string oc payload
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  close_out oc;
-  Sys.rename tmp path
+(* ------------------------------------------------------------------ *)
+(* Reads *)
 
-let write_file t path header payload =
-  let basename = Filename.basename path in
-  let rec attempt k =
-    match write_file_once path header payload with
-    | () -> true
-    | exception (Sys_error _ | Fault.Injected _) ->
-      if k + 1 < max_attempts then begin
-        Obs.Metrics.Counter.incr c_retries;
-        Unix.sleepf (backoff_s ~key:basename k);
-        attempt (k + 1)
-      end
-      else begin
-        Obs.Metrics.Counter.incr c_write_errors;
-        Obs.Log.info "store.write_failed"
-          [ ("entry", basename); ("attempts", string_of_int max_attempts) ];
-        record_diag t
-          (Fault.Diag.make ~site:"store.write" ~pu:"*" ~action:"unpersisted"
-             (Printf.sprintf
-                "cache write of %s failed after %d attempts; entry kept in \
-                 memory only"
-                basename max_attempts));
-        false
-      end
+let read_at t loc =
+  Mutex.protect loc.seg.lock @@ fun () ->
+  (* an entry this producer added and has not published yet *)
+  (match t.writer with
+  | Some w when w.w_seg == loc.seg -> flush w.w_oc
+  | _ -> ());
+  let ic =
+    match loc.seg.ic with
+    | Some ic -> ic
+    | None ->
+      let ic = open_in_bin loc.seg.path in
+      loc.seg.ic <- Some ic;
+      ic
   in
-  attempt 0
+  seek_in ic loc.off;
+  really_input_string ic loc.len
 
-let observed h f =
-  if not (Obs.Metrics.enabled ()) then f ()
-  else begin
-    let t0 = Obs.Trace.now_ns () in
-    let r = f () in
-    Obs.Hist.observe h (Obs.Trace.now_ns () - t0);
-    r
-  end
+exception Gone
 
-(* [find_raw] returns verified Marshal payloads, as (key, bytes, offset
-   of the payload in bytes): the in-memory tier holds payloads that
-   already passed the digest check, and a disk read whose seal does not
-   verify quarantines the file and reads as a miss. *)
-let find_raw ?(mem = true) t ns key =
+let read_payload t ~name loc =
+  match
+    with_retries t ~name ~errors:c_read_errors
+      ~on_exhaust:(fun () ->
+        Obs.Log.info "store.read_failed"
+          [ ("entry", name); ("attempts", string_of_int max_attempts) ];
+        Fault.Diag.make ~site:"store.read" ~pu:"*" ~action:"recomputed"
+          (Printf.sprintf "cache read of %s failed after %d attempts" name
+             max_attempts))
+      (fun () ->
+        Fault.inject Fault.Io_read ~key:name;
+        match read_at t loc with
+        | bytes -> bytes
+        | exception Sys_error _ when not (Sys.file_exists loc.seg.path) ->
+          (* merged or set aside by another handle: a plain miss *)
+          raise Gone)
+  with
+  | r -> r
+  | exception Gone -> None
+
+let drop_slot t k slot =
+  locked t (fun () ->
+      (match slot.at with Some loc -> loc.seg.damaged <- true | None -> ());
+      match Hashtbl.find_opt t.table k with
+      | Some s when s == slot -> Hashtbl.remove t.table k
+      | _ -> ())
+
+let checksum_mismatch t k slot =
+  drop_slot t k slot;
+  quarantined t ~name:(name_of_key k) "checksum mismatch (corrupt or truncated)"
+
+(* [find_raw] returns verified Marshal payloads: a payload held in memory
+   passed the md5 check when it was read (or was added by this process),
+   and a segment read whose md5 does not match reads as a miss. *)
+let find_raw ~keep t ns key =
   observed h_find @@ fun () ->
   let k = full_key ns key in
-  match if mem then mem_find t k else None with
-  | Some bytes ->
+  let miss () =
+    Obs.Metrics.Counter.incr c_misses;
+    None
+  in
+  match locked t (fun () -> Hashtbl.find_opt t.table k) with
+  | None | Some { at = None; mem = None } -> miss ()
+  | Some { mem = Some bytes; _ } ->
     Obs.Metrics.Counter.incr c_mem_hits;
-    Some (k, bytes, 0)
-  | None -> (
-    match path_of t ns key with
-    | None ->
-      Obs.Metrics.Counter.incr c_misses;
-      None
-    | Some path -> (
-      match read_file t path with
-      | None ->
-        Obs.Metrics.Counter.incr c_misses;
-        None
-      | Some blob -> (
-        Obs.Metrics.Counter.add c_disk_reads (String.length blob);
-        if not (sealed blob) then begin
-          quarantine t ~path ~basename:(Filename.basename path)
-            "checksum mismatch (corrupt or truncated)";
-          Obs.Metrics.Counter.incr c_misses;
-          None
-        end
-        else begin
-          Obs.Metrics.Counter.incr c_disk_hits;
-          if mem then begin
-            let payload =
-              String.sub blob header_len (String.length blob - header_len)
-            in
-            mem_add t k payload;
-            Some (k, payload, 0)
-          end
-          else Some (k, blob, header_len)
-        end)))
-
-let add_raw ?(mem = true) t ns key bytes =
-  observed h_add @@ fun () ->
-  if mem then mem_add t (full_key ns key) bytes;
-  match path_of t ns key with
-  | None -> ()
-  | Some path ->
-    if Sys.file_exists path then
-      (* single-writer discipline on the shared tier: keys are content
-         addresses, so an existing file already holds these bytes —
-         whoever published first wins and everyone else skips the write *)
-      Obs.Metrics.Counter.incr c_publish_skips
-    else begin
-      if write_file t path (seal_header bytes) bytes then begin
-        Obs.Metrics.Counter.incr c_publishes;
-        Obs.Metrics.Counter.add c_disk_writes (header_len + String.length bytes)
+    Some bytes
+  | Some ({ at = Some loc; mem = None } as slot) -> (
+    let name = entry_name ns key in
+    match read_payload t ~name loc with
+    | None -> miss ()
+    | Some bytes ->
+      Obs.Metrics.Counter.add c_disk_reads loc.len;
+      if Digest.string bytes <> loc.md5 then begin
+        checksum_mismatch t k slot;
+        miss ()
       end
-    end
+      else begin
+        Obs.Metrics.Counter.incr c_disk_hits;
+        if keep then locked t (fun () -> slot.mem <- Some bytes);
+        Some bytes
+      end)
 
 (* Decode a verified payload; a decode failure (an injected marshal fault,
-   or corruption the checksum cannot see such as a stale schema) evicts the
-   memory entry, quarantines the disk file, and reads as a miss. *)
-let decode_entry (type a) t ns key (k : string) (bytes : string) ofs : a option
-    =
+   or corruption the checksum cannot see such as a stale schema) drops the
+   entry — marking its segment damaged — and reads as a miss. *)
+let decode_entry (type a) t ns key (bytes : string) : a option =
+  let name = entry_name ns key in
   match
-    Fault.inject Fault.Marshal ~key:(full_key ns key);
-    (Marshal.from_string bytes ofs : a)
+    Fault.inject Fault.Marshal ~key:name;
+    (Marshal.from_string bytes 0 : a)
   with
   | entry -> Some entry
   | exception (Failure _ | Invalid_argument _ | Fault.Injected _) ->
-    mem_remove t k;
-    (match path_of t ns key with
-    | Some path when Sys.file_exists path ->
-      quarantine t ~path ~basename:(Filename.basename path) "undecodable entry"
-    | _ ->
+    let k = full_key ns key in
+    (match locked t (fun () -> Hashtbl.find_opt t.table k) with
+    | Some ({ at = Some _; _ } as slot) ->
+      drop_slot t k slot;
+      quarantined t ~name "undecodable entry"
+    | slot ->
+      Option.iter (drop_slot t k) slot;
       Obs.Metrics.Counter.incr c_quarantined;
       record_diag t
         (Fault.Diag.make ~site:"store.marshal" ~pu:"*" ~action:"recomputed"
-           (Printf.sprintf "cache entry %s undecodable; recomputing"
-              (full_key ns key))));
+           (Printf.sprintf "cache entry %s undecodable; recomputing" name)));
     None
 
 (* ------------------------------------------------------------------ *)
+(* Writes *)
+
+let open_writer t sdir =
+  let path =
+    Filename.concat sdir
+      (Printf.sprintf "pack.tmp.%d.%d" (Unix.getpid ())
+         (Atomic.fetch_and_add writer_seq 1))
+  in
+  let oc =
+    open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 path
+  in
+  let w = { w_seg = new_seg path; w_oc = oc; w_pos = 0; w_index = [] } in
+  t.writer <- Some w;
+  output_string oc seg_magic;
+  w.w_pos <- header_len;
+  Obs.Metrics.Counter.add c_disk_writes header_len;
+  w
+
+(* Drop the unpublished segment: its entries stay in memory where they are
+   held, and are gone otherwise. *)
+let abandon_writer t w =
+  close_out_noerr w.w_oc;
+  close_reader w.w_seg;
+  (try Sys.remove w.w_seg.path with Sys_error _ -> ());
+  t.writer <- None;
+  locked t (fun () ->
+      List.iter
+        (fun (k, _) ->
+          match Hashtbl.find_opt t.table k with
+          | Some { at = Some l; mem } when l.seg == w.w_seg -> (
+            match mem with
+            | Some _ -> Hashtbl.replace t.table k { at = None; mem }
+            | None -> Hashtbl.remove t.table k)
+          | _ -> ())
+        w.w_index)
+
+(* Stream [bytes] into this producer's segment; [md5] goes into its index. *)
+let append t sdir k ~md5 bytes =
+  let w = match t.writer with Some w -> w | None -> open_writer t sdir in
+  (try output_string w.w_oc bytes
+   with e ->
+     abandon_writer t w;
+     raise e);
+  let loc = { seg = w.w_seg; off = w.w_pos; len = String.length bytes; md5 } in
+  w.w_pos <- w.w_pos + loc.len;
+  w.w_index <- (k, loc) :: w.w_index;
+  Obs.Metrics.Counter.add c_disk_writes loc.len;
+  loc
+
+let add_raw ~keep t ns key bytes =
+  observed h_add @@ fun () ->
+  let k = full_key ns key in
+  match t.sdir with
+  | None -> locked t (fun () -> Hashtbl.replace t.table k { at = None; mem = Some bytes })
+  | Some sdir -> (
+    match locked t (fun () -> Hashtbl.find_opt t.table k) with
+    | Some { at = Some _; _ } ->
+      (* single-writer discipline on the shared tier: keys are content
+         addresses, so a stored key already holds these bytes — whoever
+         published first wins and everyone else skips the write *)
+      Obs.Metrics.Counter.incr c_publish_skips
+    | _ ->
+      let name = entry_name ns key in
+      let at =
+        with_retries t ~name ~errors:c_write_errors
+          ~on_exhaust:(fun () ->
+            Obs.Log.info "store.write_failed"
+              [ ("entry", name); ("attempts", string_of_int max_attempts) ];
+            Fault.Diag.make ~site:"store.write" ~pu:"*" ~action:"unpersisted"
+              (Printf.sprintf
+                 "cache write of %s failed after %d attempts; entry kept in \
+                  memory only"
+                 name max_attempts))
+          (fun () ->
+            Fault.inject Fault.Io_write ~key:name;
+            append t sdir k ~md5:(Digest.string bytes) bytes)
+      in
+      let mem = if keep then Some bytes else None in
+      if at <> None || keep then
+        locked t (fun () -> Hashtbl.replace t.table k { at; mem }))
+
+(* ------------------------------------------------------------------ *)
+(* Publishing *)
+
+(* Keys another handle published after this one opened: drop them from
+   the unpublished index (their bytes stay behind as dead space) and point
+   their slots at the published copy. *)
+let skip_published_elsewhere t sdir w =
+  let known = List.map (fun s -> s.path) t.segs in
+  List.iter
+    (fun path ->
+      if not (List.mem path known) then
+        match add_segment t path (read_index path) with
+        | None -> ()
+        | Some (seg, es) ->
+          let theirs = Hashtbl.create (List.length es) in
+          List.iter
+            (fun (k, off, len, md5) ->
+              Hashtbl.replace theirs k { seg; off; len; md5 })
+            es;
+          w.w_index <-
+            List.filter
+              (fun (k, _) ->
+                match Hashtbl.find_opt theirs k with
+                | None -> true
+                | Some loc ->
+                  Obs.Metrics.Counter.incr c_publish_skips;
+                  locked t (fun () ->
+                      let mem =
+                        match Hashtbl.find_opt t.table k with
+                        | Some s -> s.mem
+                        | None -> None
+                      in
+                      Hashtbl.replace t.table k { at = Some loc; mem });
+                  false)
+              w.w_index)
+    (segment_files sdir)
+
+(* Copy the live entries of [sources] into this producer's segment, in
+   file order, verifying every payload not already held in memory.
+   Returns the slots to install once the segment is published. *)
+let carry t sdir sources =
+  let live =
+    locked t (fun () ->
+        Hashtbl.fold
+          (fun k slot acc ->
+            match slot.at with
+            | Some loc when List.memq loc.seg sources -> (k, slot, loc) :: acc
+            | _ -> acc)
+          t.table [])
+    |> List.sort (fun (_, _, a) (_, _, b) ->
+           compare (a.seg.path, a.off) (b.seg.path, b.off))
+  in
+  List.filter_map
+    (fun (k, slot, loc) ->
+      let bytes =
+        match slot.mem with
+        | Some b -> Some b
+        | None -> (
+          match read_at t loc with
+          | b ->
+            Obs.Metrics.Counter.add c_disk_reads loc.len;
+            if Digest.string b = loc.md5 then Some b
+            else begin
+              checksum_mismatch t k slot;
+              None
+            end
+          | exception (Sys_error _ | End_of_file) -> None)
+      in
+      Option.map
+        (fun b ->
+          let at = append t sdir k ~md5:loc.md5 b in
+          (k, { at = Some at; mem = slot.mem }))
+        bytes)
+    live
+
+(* Append the index and rename the temp file into place; [None] when the
+   segment would be empty (its temp file is removed). *)
+let seal t sdir =
+  match t.writer with
+  | None -> None
+  | Some w when w.w_index = [] ->
+    abandon_writer t w;
+    None
+  | Some w ->
+    let b = Buffer.create (64 * List.length w.w_index) in
+    List.iter
+      (fun (k, loc) ->
+        Buffer.add_char b (Char.chr (String.length k));
+        Buffer.add_string b k;
+        Buffer.add_int64_le b (Int64.of_int loc.off);
+        Buffer.add_int64_le b (Int64.of_int loc.len);
+        Buffer.add_string b loc.md5)
+      (List.rev w.w_index);
+    let idx = Buffer.contents b in
+    let idx_md5 = Digest.string idx in
+    output_string w.w_oc idx;
+    let tr = Buffer.create trailer_len in
+    Buffer.add_int64_le tr (Int64.of_int w.w_pos);
+    Buffer.add_string tr idx_md5;
+    Buffer.add_string tr seg_magic;
+    Buffer.output_buffer w.w_oc tr;
+    close_out w.w_oc;
+    Obs.Metrics.Counter.add c_disk_writes (String.length idx + trailer_len);
+    let rec fresh () =
+      let p =
+        Filename.concat sdir
+          (Printf.sprintf "%s-%d-%d.seg"
+             (String.sub (Digest.to_hex idx_md5) 0 12)
+             (Unix.getpid ())
+             (Atomic.fetch_and_add writer_seq 1))
+      in
+      if Sys.file_exists p then fresh () else p
+    in
+    let path = fresh () in
+    Sys.rename w.w_seg.path path;
+    close_reader w.w_seg;
+    w.w_seg.path <- path;
+    t.writer <- None;
+    Some w.w_seg
+
+(* Retire a carried segment: a damaged one is renamed aside, a merged one
+   removed.  Readers that listed it treat it as absent. *)
+let retire seg =
+  close_reader seg;
+  if seg.damaged then begin
+    Obs.Log.info "store.set_aside" [ ("segment", Filename.basename seg.path) ];
+    try Sys.rename seg.path (seg.path ^ ".quarantined")
+    with Sys_error _ -> ( try Sys.remove seg.path with Sys_error _ -> ())
+  end
+  else try Sys.remove seg.path with Sys_error _ -> ()
+
+let publish t =
+  match t.sdir with
+  | None -> ()
+  | Some sdir ->
+    let merging = List.length t.segs > segment_cap in
+    let sources = List.filter (fun s -> merging || s.damaged) t.segs in
+    if t.writer <> None || sources <> [] then begin
+      Option.iter (skip_published_elsewhere t sdir) t.writer;
+      let fresh =
+        match t.writer with Some w -> List.length w.w_index | None -> 0
+      in
+      match
+        let moved = carry t sdir sources in
+        (moved, seal t sdir)
+      with
+      | moved, published ->
+        locked t (fun () ->
+            List.iter (fun (k, slot) -> Hashtbl.replace t.table k slot) moved);
+        Obs.Metrics.Counter.add c_publishes fresh;
+        List.iter retire sources;
+        t.segs <-
+          Option.to_list published
+          @ List.filter (fun s -> not (List.memq s sources)) t.segs
+      | exception (Sys_error _ as e) ->
+        (* the unpublished entries stay in memory only; the carried
+           segments stay where they are *)
+        Option.iter (abandon_writer t) t.writer;
+        Obs.Metrics.Counter.incr c_write_errors;
+        Obs.Log.info "store.publish_failed"
+          [ ("error", Printexc.to_string e) ];
+        record_diag t
+          (Fault.Diag.make ~site:"store.write" ~pu:"*" ~action:"unpersisted"
+             (Printf.sprintf
+                "cache segment publish failed (%s); entries kept in memory \
+                 only"
+                (Printexc.to_string e)))
+    end;
+    List.iter close_reader t.segs
+
+(* ------------------------------------------------------------------ *)
 (* Typed views.  The encoders build the entry image [add_raw] persists;
-   [find_*] route the stored bytes through [decode_entry] (seal check,
-   fault injection, quarantine) before re-interning them. *)
+   [find_*] route the verified bytes through [decode_entry] (fault
+   injection, quarantine) before re-interning them. *)
 
 let collect_of_entry ~m (entry : collect_payload entry) : collect_payload =
   Linear.Var.advance_past entry.en_counter;
@@ -534,56 +900,41 @@ let encode_summary (p : summary_payload) =
     }
     []
 
+let find_decoded ~keep t ns key =
+  match find_raw ~keep t ns key with
+  | None -> None
+  | Some bytes -> decode_entry t ns key bytes
+
 let add_collect t ~key (p : collect_payload) =
-  add_raw t "c" key (encode_collect p)
+  add_raw ~keep:true t "c" key (encode_collect p)
 
 let find_collect t ~m ~key : collect_payload option =
-  match find_raw t "c" key with
-  | None -> None
-  | Some (k, bytes, ofs) -> (
-    match (decode_entry t "c" key k bytes ofs : collect_payload entry option) with
-    | None -> None
-    | Some entry -> Some (collect_of_entry ~m entry))
+  Option.map (collect_of_entry ~m) (find_decoded ~keep:true t "c" key)
 
 let add_summary t ~key (p : summary_payload) =
-  add_raw t "s" key (encode_summary p)
+  add_raw ~keep:true t "s" key (encode_summary p)
 
 let find_summary t ~m ~key : summary_payload option =
-  match find_raw t "s" key with
-  | None -> None
-  | Some (k, bytes, ofs) -> (
-    match (decode_entry t "s" key k bytes ofs : summary_payload entry option) with
-    | None -> None
-    | Some entry -> Some (summary_of_entry ~m entry))
+  Option.map (summary_of_entry ~m) (find_decoded ~keep:true t "s" key)
 
 (* ------------------------------------------------------------------ *)
-(* Frontend artifacts: disk only.  Each is read at most once per process,
-   so the memory tier would only hold megabytes nobody reads again. *)
+(* Frontend artifacts: disk only, never held in memory.  Each is read at
+   most once per process, so holding it would only keep megabytes nobody
+   reads again. *)
 
 type body_artifact = {
   ba_body : Lang.Sema.body;
   ba_pus : Whirl.Ir.pu list;
 }
 
-let find_artifact (type a) t ns key : a option =
-  match find_raw ~mem:false t ns key with
-  | None -> None
-  | Some (k, bytes, ofs) -> (decode_entry t ns key k bytes ofs : a option)
-
 let add_artifact t ns key v =
-  if t.dir <> None then add_raw ~mem:false t ns key (Marshal.to_string v [])
+  if t.dir <> None then add_raw ~keep:false t ns key (Marshal.to_string v [])
 
 let find_interface t ~key : Lang.Sema.interface option =
-  find_artifact t "fi" key
+  find_decoded ~keep:false t "fi" key
 
 let add_interface t ~key (i : Lang.Sema.interface) = add_artifact t "fi" key i
-let find_body t ~key : body_artifact option = find_artifact t "fb" key
+let find_body t ~key : body_artifact option = find_decoded ~keep:false t "fb" key
 let add_body t ~key (b : body_artifact) = add_artifact t "fb" key b
 let dir t = t.dir
 let schema () = Lazy.force schema_token
-
-let entry_count t =
-  Mutex.lock t.mutex;
-  let n = Hashtbl.length t.mem in
-  Mutex.unlock t.mutex;
-  n

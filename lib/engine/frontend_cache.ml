@@ -75,6 +75,9 @@ let load ?store ?(keep_going = false) files =
     | Some ast -> ast
     | None -> Lang.Frontend.parse_string ~file:u.u_name u.u_src
   in
+  (* the artifacts this load adds become one segment, also when it raises *)
+  Fun.protect ~finally:(fun () -> Option.iter Engine_store.publish store)
+  @@ fun () ->
   let skipped, prog, bodies =
     Obs.Span.with_ ~cat:"phase" ~name:"frontend" @@ fun () ->
     (* pass 1: one interface per file *)

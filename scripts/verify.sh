@@ -176,6 +176,40 @@ cmp "$out/s1/project.dgn" "$out/s2/project.dgn"
 cmp "$out/s1/project.cfg" "$out/s2/project.cfg"
 dune exec bin/dragon.exe -- regress --cache-dir "$out/scache"
 
+echo "== smoke: pack segments: a cold run publishes O(1) files and heals =="
+# one segment per producer (frontend, engine) under the schema directory,
+# and no temp file left behind
+dune exec bin/uhc.exe -- --corpus gen-small --cache-dir "$out/pcache" \
+  -o "$out/p1" >/dev/null
+for d in "$out/pcache"/*/; do
+  case "$d" in */ledger/) ;; *) sdir="$d" ;; esac
+done
+test "$(ls "$sdir" | wc -l)" -le 2
+if ls "$sdir" | grep -q '\.tmp\.'; then
+  echo "cold run left a temp file in $sdir" >&2
+  exit 1
+fi
+# flip one byte of the first payload of a segment (payloads start after
+# the 8-byte header): the warm run quarantines it, recomputes, and writes
+# what a no-cache run writes
+seg=$(ls "$sdir"/*.seg | head -1)
+b=$(od -An -tu1 -j8 -N1 "$seg" | tr -d ' ')
+printf "$(printf '\\%03o' $((b ^ 255)))" \
+  | dd of="$seg" bs=1 seek=8 conv=notrunc 2>/dev/null
+dune exec bin/uhc.exe -- --corpus gen-small --cache-dir "$out/pcache" \
+  -o "$out/p2" --metrics "$out/pmetrics.json" >/dev/null
+dune exec bin/uhc.exe -- --corpus gen-small -o "$out/p0" >/dev/null
+for f in project.rgn project.dgn project.cfg; do
+  cmp "$out/p0/$f" "$out/p2/$f"
+done
+q=$(cat "$out"/pmetrics*.json \
+  | grep -o '"name": *"store.quarantined"[^}]*' \
+  | sed 's/.*"value": *//')
+test "$q" -ge 1
+# healed: a third run recomputes no summary
+dune exec bin/uhc.exe -- --corpus gen-small --cache-dir "$out/pcache" \
+  -o "$out/p3" --stats | grep -q "summary [0-9]* hit / 0 miss"
+
 echo "== smoke: perfbench --smoke (fresh-process benchmark, gen-small) =="
 if command -v python3 >/dev/null 2>&1; then
   python3 perfbench/run.py --smoke

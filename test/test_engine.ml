@@ -34,6 +34,49 @@ let render (r : Ipa.Analyze.result) =
     Rgnfile.Files.write_dgn r.Ipa.Analyze.r_dgn,
     Rgnfile.Files.write_cfg blocks )
 
+(* a line-preserving edit that changes the IR but not the environment:
+   " + 0" after the right-hand side of the file's last plain assignment *)
+let edit_one (name, src) =
+  let lines = String.split_on_char '\n' src in
+  let is_c = Filename.check_suffix name ".c" in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let editable l =
+    contains l " = "
+    && (not (contains (String.lowercase_ascii l) "parameter"))
+    && (not (contains l "#define"))
+    && (not (contains l "for ("))
+    && (not (contains l "!"))
+    && ((not is_c) || String.ends_with ~suffix:";" (String.trim l))
+    && (is_c || not (String.ends_with ~suffix:"&" (String.trim l)))
+  in
+  let last =
+    List.fold_left
+      (fun (i, found) l -> (i + 1, if editable l then Some i else found))
+      (0, None) lines
+    |> snd
+  in
+  match last with
+  | None -> None
+  | Some k ->
+    let edit l =
+      let n = ref (String.length l) in
+      while !n > 0 && (l.[!n - 1] = ' ' || l.[!n - 1] = '\r') do
+        decr n
+      done;
+      if is_c then String.sub l 0 (!n - 1) ^ " + 0;"
+      else String.sub l 0 !n ^ " + 0"
+    in
+    Some
+      ( name,
+        String.concat "\n" (List.mapi (fun i l -> if i = k then edit l else l) lines)
+      )
+
 let check_same_output name (rgn_a, dgn_a, cfg_a) (rgn_b, dgn_b, cfg_b) =
   Alcotest.(check bool) (name ^ " .rgn byte-identical") true (rgn_a = rgn_b);
   Alcotest.(check bool) (name ^ " .dgn byte-identical") true (dgn_a = dgn_b);
@@ -201,6 +244,32 @@ let check_no_litter where dir =
 let rm_rf dir =
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
+(* ---- pack segments, as the tests find and damage them ---------------- *)
+
+let schema_dir dir = Filename.concat dir (Engine_store.schema ())
+
+let segments sub =
+  Sys.readdir sub |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".seg")
+  |> List.sort compare
+  |> List.map (Filename.concat sub)
+
+(* every entry of every segment under [sub]: (segment, namespace, key,
+   payload offset, payload length) *)
+let payloads sub =
+  List.concat_map
+    (fun seg ->
+      match Engine_store.segment_index seg with
+      | Some es -> List.map (fun (ns, key, off, len) -> (seg, ns, key, off, len)) es
+      | None -> Alcotest.failf "segment %s has no readable index" seg)
+    (segments sub)
+
+let overwrite path off bytes =
+  let oc = open_out_gen [ Open_wronly; Open_binary ] 0o644 path in
+  seek_out oc off;
+  output_string oc bytes;
+  close_out oc
+
 let test_publish_exactly_once () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -290,6 +359,70 @@ let test_concurrent_writers () =
     check_no_litter "racing cache directory" cache
   end
 
+(* ---- one pack segment per producer ----------------------------------- *)
+
+(* one uhc invocation's store traffic: the cached frontend, then the
+   engine, through one handle *)
+let cached_run dir files =
+  let store = Engine_store.create ~dir () in
+  let fr = Frontend_cache.load ~store files in
+  (fr, Engine.run (Engine.config ~store ()) fr.Frontend_cache.fr_module)
+
+let test_cold_run_few_files () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let _, cold = cached_run dir (corpus_files "gen-small") in
+  Alcotest.(check int) "cold run" 0 cold.Engine.e_stats.Engine.Stats.s_collect_hits;
+  let published = files_under (schema_dir dir) in
+  if List.length published > 2 then
+    Alcotest.failf "a cold run published %d files; at most 2 (one per producer)"
+      (List.length published);
+  check_no_litter "cold run" dir
+
+let test_segments_bounded () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let files = ref (corpus_files "gen-small") in
+  let n_files = List.length !files in
+  ignore (cached_run dir !files);
+  let cap = Engine_store.segment_cap in
+  for k = 1 to cap + 3 do
+    (* a one-PU edit of file [k mod n_files], on top of earlier edits *)
+    files :=
+      List.mapi
+        (fun i f ->
+          if i <> k mod n_files then f
+          else
+            match edit_one f with
+            | Some f' -> f'
+            | None -> Alcotest.failf "%s: no editable line" (fst f))
+        !files;
+    let _, r = cached_run dir !files in
+    Alcotest.(check int)
+      (Printf.sprintf "edit %d re-collects one PU" k)
+      1 r.Engine.e_stats.Engine.Stats.s_collect_misses;
+    let n = List.length (segments (schema_dir dir)) in
+    if n > cap + 2 then
+      Alcotest.failf "after edit %d: %d segments, cap %d + 2" k n cap
+  done;
+  check_no_litter "after the edits" dir;
+  let fr, warm = cached_run dir !files in
+  (match fr.Frontend_cache.fr_stats with
+  | Some s ->
+    Alcotest.(check (list int)) "frontend fully warm"
+      [ n_files; 0; n_files; 0 ]
+      Frontend_cache.
+        [ s.interface_hits; s.interface_misses; s.body_hits; s.body_misses ]
+  | None -> Alcotest.fail "no frontend stats with a disk store");
+  let st = warm.Engine.e_stats in
+  Alcotest.(check int) "warm collect hits" st.Engine.Stats.s_pus
+    st.Engine.Stats.s_collect_hits;
+  Alcotest.(check int) "warm summary hits" st.Engine.Stats.s_pus
+    st.Engine.Stats.s_summary_hits;
+  check_same_output "warm after the edits"
+    (render (Engine.analyze (lower !files)))
+    (render warm.Engine.e_result)
+
 let suite =
   [
     Alcotest.test_case "parallel and warm byte-identical" `Slow
@@ -304,4 +437,8 @@ let suite =
       test_publish_exactly_once;
     Alcotest.test_case "concurrent writers converge, no litter" `Quick
       test_concurrent_writers;
+    Alcotest.test_case "cold run publishes O(1) files" `Quick
+      test_cold_run_few_files;
+    Alcotest.test_case "segment count stays bounded" `Quick
+      test_segments_bounded;
   ]

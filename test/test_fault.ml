@@ -80,21 +80,16 @@ let test_fires_deterministic () =
 (* ------------------------------------------------------------------ *)
 (* cache self-healing: corrupted entries are quarantined and recomputed *)
 
-let corrupt_file path =
-  (* garble the tail so both the seal checksum and (if the header were
-     somehow accepted) the Marshal payload are damaged *)
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  close_in ic;
-  let oc = open_out_gen [ Open_wronly; Open_binary ] 0o644 path in
-  seek_out oc (max 0 (len / 2));
-  output_string oc "garbage-not-a-cache-entry";
-  close_out oc
+(* garble the tail of the payload at [off], as bit-rot would *)
+let corrupt_payload path off len =
+  let garbage = "garbage-not-a-cache-entry" in
+  let n = min (String.length garbage) (len - (len / 2)) in
+  Test_engine.overwrite path (off + (len / 2)) (String.sub garbage 0 n)
 
-let truncate_file path =
-  let oc = open_out_gen [ Open_wronly; Open_trunc; Open_binary ] 0o644 path in
-  output_string oc "UH";
-  close_out oc
+(* zero everything after the payload's first two bytes, as a torn write
+   would *)
+let truncate_payload path off len =
+  Test_engine.overwrite path (off + 2) (String.make (max 0 (len - 2)) '\000')
 
 (* entries live under a schema-token subdirectory of the cache dir *)
 let store_subdir dir =
@@ -104,10 +99,6 @@ let store_subdir dir =
   with
   | [ sub ] -> Filename.concat dir sub
   | _ -> Alcotest.failf "expected one schema subdirectory in %s" dir
-
-let bin_entries dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".bin")
 
 let test_cache_self_healing () =
   let files = Test_engine.corpus_files "lu" in
@@ -119,12 +110,13 @@ let test_cache_self_healing () =
   in
   let cold = run () in
   let sub = store_subdir dir in
-  let entries = bin_entries sub in
+  let entries = Test_engine.payloads sub in
   Alcotest.(check bool) "cold run persisted entries" true (entries <> []);
+  (* damage every entry's payload inside its segment *)
   List.iteri
-    (fun i f ->
-      let p = Filename.concat sub f in
-      if i mod 2 = 0 then corrupt_file p else truncate_file p)
+    (fun i (seg, _, _, off, len) ->
+      if i mod 2 = 0 then corrupt_payload seg off len
+      else truncate_payload seg off len)
     entries;
   let q0 = mget "store.quarantined" in
   let warm = run () in
@@ -233,8 +225,9 @@ let test_write_retry_exhaustion () =
   Alcotest.(check bool) "write errors counted" true
     (mget "store.write_errors" - w0 > 0);
   Alcotest.(check bool) "retries attempted" true (mget "store.retries" - t0 > 0);
+  (* no segment and no temp file *)
   Alcotest.(check (list string)) "nothing persisted" []
-    (bin_entries (store_subdir dir))
+    (Array.to_list (Sys.readdir (store_subdir dir)))
 
 (* ------------------------------------------------------------------ *)
 (* a zero-rate spec under --keep-going changes nothing, on every corpus *)

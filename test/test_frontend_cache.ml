@@ -52,49 +52,6 @@ let check_stats what want fr =
   Alcotest.(check (list int)) (what ^ ": iface hit/miss, body hit/miss") want
     (stats fr)
 
-(* a line-preserving edit that changes the IR but not the environment:
-   " + 0" after the right-hand side of the file's last plain assignment *)
-let edit_one (name, src) =
-  let lines = String.split_on_char '\n' src in
-  let is_c = Filename.check_suffix name ".c" in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-    in
-    go 0
-  in
-  let editable l =
-    contains l " = "
-    && (not (contains (String.lowercase_ascii l) "parameter"))
-    && (not (contains l "#define"))
-    && (not (contains l "for ("))
-    && (not (contains l "!"))
-    && ((not is_c) || String.ends_with ~suffix:";" (String.trim l))
-    && (is_c || not (String.ends_with ~suffix:"&" (String.trim l)))
-  in
-  let last =
-    List.fold_left
-      (fun (i, found) l -> (i + 1, if editable l then Some i else found))
-      (0, None) lines
-    |> snd
-  in
-  match last with
-  | None -> None
-  | Some k ->
-    let edit l =
-      let n = ref (String.length l) in
-      while !n > 0 && (l.[!n - 1] = ' ' || l.[!n - 1] = '\r') do
-        decr n
-      done;
-      if is_c then String.sub l 0 (!n - 1) ^ " + 0;"
-      else String.sub l 0 !n ^ " + 0"
-    in
-    Some
-      ( name,
-        String.concat "\n" (List.mapi (fun i l -> if i = k then edit l else l) lines)
-      )
-
 let test_corpora () =
   List.iter
     (fun corpus ->
@@ -111,7 +68,7 @@ let test_corpora () =
       let rec edit_first = function
         | [] -> Alcotest.failf "%s: no editable line" corpus
         | f :: rest -> (
-          match edit_one f with
+          match Test_engine.edit_one f with
           | Some f' -> f' :: rest
           | None -> f :: edit_first rest)
       in
@@ -255,16 +212,17 @@ let test_corrupt_artifact () =
   let files = [ main_f; work_f; func_f "real" ] in
   let dir = Test_engine.fresh_dir () in
   ignore (load dir files);
-  let sub = Filename.concat dir (Engine_store.schema ()) in
-  let body =
-    Sys.readdir sub |> Array.to_list
-    |> List.filter (fun f -> String.starts_with ~prefix:"fb-" f)
-    |> List.sort compare |> List.hd
+  (* damage the second half of one body's payload inside its segment *)
+  let path, off, len =
+    Test_engine.payloads (Test_engine.schema_dir dir)
+    |> List.filter (fun (_, ns, _, _, _) -> ns = "fb")
+    |> List.sort (fun (_, _, a, _, _) (_, _, b, _, _) -> compare a b)
+    |> function
+    | (seg, _, _, off, len) :: _ -> (seg, off, len)
+    | [] -> Alcotest.fail "no body artifact on disk"
   in
-  let path = Filename.concat sub body in
-  let blob = In_channel.with_open_bin path In_channel.input_all in
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc (String.sub blob 0 (String.length blob / 2)));
+  Test_engine.overwrite path (off + (len / 2))
+    (String.make (len - (len / 2)) '\000');
   let q0 = Test_fault.mget "store.quarantined" in
   let fr = load dir files in
   check_same "after corruption" files fr;

@@ -352,6 +352,124 @@ let prop_faults_never_escape =
         Printf.eprintf "Pipeline.run returned %d under %s\n" code spec;
         false)
 
+(* ------------------------------------------------------------------ *)
+(* Malformed cache segments: whatever bytes a segment holds, opening the
+   store and running the engine never raises, the outputs equal the
+   uncached oracle, and an entry hits exactly when its payload survives
+   intact where the segment's own index says it is. *)
+
+let seg_matrix = [ Corpus.Small.matrix_c ]
+
+(* a real segment of a corpus's engine entries: its bytes, and each
+   entry's original payload by (namespace, key) *)
+let real_segment files =
+  let dir = Test_engine.fresh_dir () in
+  Fun.protect ~finally:(fun () -> Test_engine.rm_rf dir) @@ fun () ->
+  ignore
+    (Engine.run
+       (Engine.config ~store:(Engine_store.create ~dir ()) ())
+       (Test_engine.lower files));
+  match Test_engine.segments (Test_engine.schema_dir dir) with
+  | [ seg ] ->
+    let bytes = In_channel.with_open_bin seg In_channel.input_all in
+    ( bytes,
+      List.map
+        (fun (ns, key, off, len) -> ((ns, key), String.sub bytes off len))
+        (Option.get (Engine_store.segment_index seg)) )
+  | segs -> Alcotest.failf "expected one segment, found %d" (List.length segs)
+
+let seg_fixture =
+  lazy
+    ( real_segment seg_matrix,
+      real_segment [ Corpus.Small.stride_f ],
+      Test_engine.render (Engine.analyze (Test_engine.lower seg_matrix)) )
+
+type seg_mutation =
+  | Truncate of int
+  | Flip of int * int  (** offset, xor mask *)
+  | Splice of int * int  (** matrix prefix length, stride suffix start *)
+
+let mutate a b = function
+  | Truncate i -> String.sub a 0 (i mod String.length a)
+  | Flip (p, mask) ->
+    let p = p mod String.length a in
+    String.mapi
+      (fun i c -> if i = p then Char.chr (Char.code c lxor mask) else c)
+      a
+  | Splice (i, j) ->
+    let i = i mod (String.length a + 1) and j = j mod (String.length b + 1) in
+    String.sub a 0 i ^ String.sub b j (String.length b - j)
+
+let check_mutant m =
+  let (a, a_payloads), (b, b_payloads), oracle = Lazy.force seg_fixture in
+  let mutant = mutate a b m in
+  let dir = Test_engine.fresh_dir () in
+  let sub = Test_engine.schema_dir dir in
+  Fun.protect ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat sub f)) (Sys.readdir sub);
+      Sys.rmdir sub;
+      Sys.rmdir dir)
+  @@ fun () ->
+  Obs.Ledger.mkdir_p sub;
+  let path = Filename.concat sub "mutant.seg" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc mutant);
+  let original = a_payloads @ b_payloads in
+  let intact =
+    match Engine_store.segment_index path with
+    | None -> []
+    | Some es ->
+      List.filter_map
+        (fun (ns, key, off, len) ->
+          match List.assoc_opt (ns, key) original with
+          | Some p when String.sub mutant off len = p -> Some (ns, key)
+          | _ -> None)
+        es
+  in
+  let r =
+    Engine.run
+      (Engine.config ~store:(Engine_store.create ~dir ()) ())
+      (Test_engine.lower seg_matrix)
+  in
+  let exact (ns, hex, hit) =
+    let key = Digest.from_hex hex in
+    hit = List.mem (ns, key) intact
+    || (Printf.eprintf "%s-%s: hit %b, intact %b\n" ns hex hit (not hit);
+        false)
+  in
+  Test_engine.render r.Engine.e_result = oracle
+  && List.for_all
+       (fun (p : Engine.pu_entry) ->
+         exact ("c", p.Engine.p_key1, p.Engine.p_collect_hit)
+         && exact ("s", p.Engine.p_key2, p.Engine.p_summary_hit))
+       r.Engine.e_pus
+
+let gen_seg_mutation =
+  Gen.(
+    let pos = int_range 0 1_000_000 in
+    oneof
+      [
+        map (fun i -> Truncate i) pos;
+        map2 (fun p m -> Flip (p, m)) pos (int_range 1 255);
+        map2 (fun i j -> Splice (i, j)) pos pos;
+      ])
+
+let print_seg_mutation = function
+  | Truncate i -> Printf.sprintf "truncate at %d" i
+  | Flip (p, m) -> Printf.sprintf "flip byte %d by %#x" p m
+  | Splice (i, j) -> Printf.sprintf "splice %d | %d" i j
+
+let prop_store_segments =
+  Test.make ~name:"store segments never raise" ~count:300 gen_seg_mutation
+    ~print:print_seg_mutation check_mutant
+
+(* the same contract at every truncation point of the real segment *)
+let test_every_truncation () =
+  let (a, _), _, _ = Lazy.force seg_fixture in
+  for i = 0 to String.length a - 1 do
+    if not (check_mutant (Truncate i)) then
+      Alcotest.failf "segment truncated at %d: wrong output or hit" i
+  done
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_rgn_roundtrip;
@@ -361,4 +479,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_faults_never_escape;
     QCheck_alcotest.to_alcotest prop_report_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_rgn_adversarial_roundtrip;
+    QCheck_alcotest.to_alcotest prop_store_segments;
+    Alcotest.test_case "store segment truncations" `Quick
+      test_every_truncation;
   ]

@@ -17,19 +17,20 @@ let test_quarantine_then_heal () =
   in
   let cold = run () in
   let baseline = render cold.Engine.e_result in
-  (* corrupt one summary entry in place *)
-  let victim =
+  (* corrupt one summary entry in place, found through its segment's
+     index *)
+  let seg, off, len =
     match
       List.find_opt
-        (fun p -> String.starts_with ~prefix:"s-" (Filename.basename p))
-        (Test_engine.files_under dir)
+        (fun (_, ns, _, _, _) -> ns = "s")
+        (Test_engine.payloads (Test_engine.schema_dir dir))
     with
-    | Some p -> p
+    | Some (seg, _, _, off, len) -> (seg, off, len)
     | None -> Alcotest.fail "no summary entry on disk"
   in
-  let oc = open_out_bin victim in
-  output_string oc "garbage, not a marshal image";
-  close_out oc;
+  let garbage = "garbage, not a marshal image" in
+  Test_engine.overwrite seg off
+    (String.sub garbage 0 (min len (String.length garbage)));
   let healed = run () in
   check_same_output "healed run" baseline (render healed.Engine.e_result);
   Alcotest.(check bool) "corrupt entry was quarantined" true
