@@ -691,8 +691,9 @@ let bench_misscurve () =
 (* ------------------------------------------------------------------ *)
 (* Engine: parallel fan-out and the incremental summary cache.  With
    --json it also records the store numbers in BENCH_engine.json: the
-   cold and warm in-process engine wall on LU and gen-small, and the files
-   one cold gen-small run publishes. *)
+   cold and warm in-process engine wall on LU and gen-small, the files
+   one cold gen-small run publishes, and the collect phase of a cold
+   gen-small run with how often its access shapes repeat. *)
 
 (* the host and sources a BENCH record was measured on *)
 let bench_stamp () =
@@ -771,6 +772,33 @@ let bench_engine ~json ~out () =
     rm ();
     n
   in
+  (* the collect phase of a cold gen-small run at --jobs 1, and its shape
+     reuse: regions requested per distinct shape built (deterministic) *)
+  let gs_collect, shape_reuse =
+    let requested = Obs.Metrics.counter "collect.regions.requested" in
+    let distinct = Obs.Metrics.counter "collect.regions.distinct" in
+    let collect = ref infinity and reuse = ref 0. in
+    for _ = 1 to 5 do
+      rm ();
+      let r0 = Obs.Metrics.Counter.get requested in
+      let d0 = Obs.Metrics.Counter.get distinct in
+      let er =
+        Engine.run
+          (Engine.config ~jobs:1 ~store:(Engine_store.create ~dir ()) ())
+          (lower gs_files ())
+      in
+      List.iter
+        (fun p ->
+          if p.Engine.Stats.ph_name = "collect" then
+            collect := min !collect p.Engine.Stats.ph_wall)
+        er.Engine.e_stats.Engine.Stats.s_phases;
+      reuse :=
+        float_of_int (Obs.Metrics.Counter.get requested - r0)
+        /. float_of_int (max 1 (Obs.Metrics.Counter.get distinct - d0))
+    done;
+    rm ();
+    (!collect, !reuse)
+  in
   Printf.printf "disk cache, LU: cold %.4fs, warm %.4fs (%.1fx)\n" lu_cold
     lu_warm (lu_cold /. lu_warm);
   Printf.printf "disk cache, gen-small: cold %.4fs, warm %.4fs (%.1fx)\n"
@@ -780,6 +808,9 @@ let bench_engine ~json ~out () =
   Printf.printf "warm speedup, both corpora: %.2fx\n" warm_speedup;
   Printf.printf "a cold gen-small run publishes %d file%s\n" cold_files
     (if cold_files = 1 then "" else "s");
+  Printf.printf
+    "cold gen-small collect: %.4fs, %.2f regions requested per distinct shape\n"
+    gs_collect shape_reuse;
   print_endline
     "warm runs skip collection and summary propagation entirely;\n\
      outputs are byte-identical in every mode (checked by test_engine)";
@@ -799,7 +830,10 @@ let bench_engine ~json ~out () =
     bpf "    \"gen_small_warm_wall_s\": %.6f,\n" gs_warm;
     bpf "    \"warm_speedup\": %.2f,\n" warm_speedup;
     bpf "    \"warm_speedup_floor\": %.2f,\n" 1.5;
-    bpf "    \"cold_files\": %d\n" cold_files;
+    bpf "    \"cold_files\": %d,\n" cold_files;
+    bpf "    \"gen_small_cold_collect_s\": %.6f,\n" gs_collect;
+    bpf "    \"shape_reuse\": %.2f,\n" shape_reuse;
+    bpf "    \"shape_reuse_floor\": %.2f\n" 2.0;
     bpf "  }\n";
     bpf "}\n";
     Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc b);
@@ -1711,17 +1745,19 @@ let check_engine_json path doc =
     (fun f -> ignore (num f))
     [
       "lu_cold_wall_s"; "lu_warm_wall_s"; "gen_small_cold_wall_s";
-      "gen_small_warm_wall_s";
+      "gen_small_warm_wall_s"; "gen_small_cold_collect_s";
     ];
   (* one pack segment per producer: the cached frontend and the engine *)
   let files = num "cold_files" in
   if files > 2. then
     check_fail "engine.cold_files %.0f above 2 (one segment per producer)" files;
   let speedup, floor = check_gate doc ~where:"engine" "warm_speedup" in
+  (* collect builds each distinct access shape once per run *)
+  let reuse, reuse_floor = check_gate doc ~where:"engine" "shape_reuse" in
   Printf.printf
     "check-json: %s OK (engine; cold_files %.0f <= 2, warm_speedup %.2f >= \
-     floor %.2f)\n"
-    path files speedup floor
+     floor %.2f, shape_reuse %.2f >= floor %.2f)\n"
+    path files speedup floor reuse reuse_floor
 
 let check_reports_json path top entries =
   check_schema_version ~what:"reports" ~expected:Analyses.Report.schema_version

@@ -91,9 +91,11 @@ let run (ctx : Analysis.ctx) =
   let inspector_entries = ref 0 in
   let rows = ref [] in
   let diags = ref [] in
+  let pu_of = Ir.pu_index m in
+  let display = Ipa.Analyze.display_memo () in
   List.iter
     (fun (t : Ipa.Analyze.proc_table) ->
-      match Ir.find_pu m t.Ipa.Analyze.t_proc with
+      match pu_of t.Ipa.Analyze.t_proc with
       | None -> ()
       | Some pu ->
         List.iter
@@ -117,7 +119,9 @@ let run (ctx : Analysis.ctx) =
               let via =
                 match a.Ipa.Collect.ac_via with None -> "" | Some c -> c
               in
-              let lb, ub, stride = Ipa.Analyze.display_bounds m pu st region in
+              let lb, ub, stride =
+                Ipa.Analyze.display_bounds display m pu st region
+              in
               (* undecidable access: a runtime-inspector entry naming what a
                  dynamic checker would have to watch — the index array the
                  subscript reads through, or the raw extent check *)

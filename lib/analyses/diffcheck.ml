@@ -55,9 +55,10 @@ let run (ctx : Analysis.ctx) =
     Hashtbl.create 256
   in
   let n_rows = ref 0 in
+  let pu_of = Ir.pu_index m in
   List.iter
     (fun (t : Ipa.Analyze.proc_table) ->
-      match Ir.find_pu m t.Ipa.Analyze.t_proc with
+      match pu_of t.Ipa.Analyze.t_proc with
       | None -> ()
       | Some pu ->
         List.iter

@@ -23,9 +23,11 @@ let run (ctx : Analysis.ctx) =
   let r = ctx.Analysis.ctx_result in
   let reads = ref 0 and writes = ref 0 and procs = ref 0 in
   let rows = ref [] in
+  let pu_of = Ir.pu_index m in
+  let display = Ipa.Analyze.display_memo () in
   List.iter
     (fun (proc, summary) ->
-      match Ir.find_pu m proc with
+      match pu_of proc with
       | None -> ()
       | Some pu ->
         if summary <> [] then incr procs;
@@ -48,7 +50,8 @@ let run (ctx : Analysis.ctx) =
               | Regions.Mode.DEF -> incr writes
               | _ -> ());
               let lb, ub, stride =
-                Ipa.Analyze.display_bounds m pu st e.Ipa.Summary.e_region
+                Ipa.Analyze.display_bounds display m pu st
+                  e.Ipa.Summary.e_region
               in
               rows :=
                 [

@@ -142,6 +142,11 @@ let c_collect_misses = Obs.Metrics.counter "engine.collect.misses"
 let c_summary_hits = Obs.Metrics.counter "engine.summary.hits"
 let c_summary_misses = Obs.Metrics.counter "engine.summary.misses"
 
+(* the run's shape memo: regions collection asked for, and distinct shapes
+   built (the memo's size at the end of the run) *)
+let c_regions_requested = Obs.Metrics.counter "collect.regions.requested"
+let c_regions_distinct = Obs.Metrics.counter "collect.regions.distinct"
+
 let phase_hist =
   let tbl = Hashtbl.create 8 in
   fun name ->
@@ -198,6 +203,7 @@ let run_ (cfg : config) (m : Ir.module_) : result =
   let idx_of = Hashtbl.create (2 * n) in
   Array.iteri (fun i pu -> Hashtbl.replace idx_of pu.Ir.pu_name i) pus;
   let idx name = Hashtbl.find_opt idx_of name in
+  let pu_of name = Option.map (Array.get pus) (idx name) in
   (* ---- content digests (after layout: Mem_Locs are part of content) - *)
   let key1 =
     timed "digest" (fun () ->
@@ -224,6 +230,8 @@ let run_ (cfg : config) (m : Ir.module_) : result =
   let poisoned = Array.make n false in
   let pu_diags : Fault.Diag.t list array = Array.make n [] in
   timed "collect" (fun () ->
+      (* one region per access shape, for this run only *)
+      let shapes = Ipa.Collect.shapes () in
       let task i () =
         let pu = pus.(i) in
         Obs.Span.with_ ~cat:"pu" ~name:("collect:" ^ pu.Ir.pu_name)
@@ -242,8 +250,8 @@ let run_ (cfg : config) (m : Ir.module_) : result =
                      p_accesses = p.Engine_store.cp_accesses;
                      p_sites = p.Engine_store.cp_sites;
                    }
-             | None -> infos.(i) <- Some (Ipa.Collect.run_pu m pu))
-           | None -> infos.(i) <- Some (Ipa.Collect.run_pu m pu)
+             | None -> infos.(i) <- Some (Ipa.Collect.run_pu shapes m pu))
+           | None -> infos.(i) <- Some (Ipa.Collect.run_pu shapes m pu)
          with e when cfg.keep_going ->
            poisoned.(i) <- true;
            infos.(i) <- Some (empty_info pu);
@@ -261,6 +269,10 @@ let run_ (cfg : config) (m : Ir.module_) : result =
             :: pu_diags.(i)
       in
       Engine_pool.run ~jobs (Array.init n task);
+      Obs.Metrics.Counter.add c_regions_requested
+        (Ipa.Collect.shapes_requested shapes);
+      Obs.Metrics.Counter.add c_regions_distinct
+        (Ipa.Collect.shapes_distinct shapes);
       match cfg.store with
       | None -> ()
       | Some store ->
@@ -282,6 +294,10 @@ let run_ (cfg : config) (m : Ir.module_) : result =
   let propagated : Ipa.Collect.access list array = Array.make n [] in
   let summary_hit = Array.make n false in
   let computed = Array.make n false in
+  (* computed from a poisoned or tainted callee's stand-in: the summary is
+     what this run could do, not what its key names, so it is never
+     persisted (a later fault-free run would read it back as a hit) *)
+  let tainted = Array.make n false in
   let key2 : Digest.t option array = Array.make n None in
   timed "summarize" (fun () ->
       let scc_arr = Array.of_list (Ipa.Callgraph.sccs cg) in
@@ -369,9 +385,17 @@ let run_ (cfg : config) (m : Ir.module_) : result =
                   else
                     try
                       Fault.inject Fault.Pool ~key:("summarize:" ^ name);
+                      tainted.(i) <-
+                        List.exists
+                          (fun c ->
+                            match idx c with
+                            | Some j -> poisoned.(j) || tainted.(j)
+                            | None -> false)
+                          (Ipa.Callgraph.callees cg name);
                       let exported, extra =
                         Obs.Span.with_ ~cat:"pu" ~name:("summarize:" ^ name)
-                          (fun () -> Ipa.Analyze.summarize_pu m ~lookup info)
+                          (fun () ->
+                            Ipa.Analyze.summarize_pu m ~pu_of ~lookup info)
                       in
                       summaries.(i) <- Some exported;
                       propagated.(i) <- extra;
@@ -408,7 +432,7 @@ let run_ (cfg : config) (m : Ir.module_) : result =
       | Some store ->
         Array.iteri
           (fun i c ->
-            if c then
+            if c && not tainted.(i) then
               match (key2.(i), summaries.(i)) with
               | Some key, Some s ->
                 Engine_store.add_summary store ~key

@@ -41,7 +41,9 @@ val config :
     genuine bug — degrades to conservative stand-ins (empty local
     collection, worst-case {!Ipa.Summary.opaque} summary, skeleton CFG)
     with a structured diagnostic in [e_diags], instead of aborting the
-    run.  Degraded results are never persisted to the store.  Store-level
+    run.  Degraded results are never persisted to the store, nor are the
+    summaries computed from a degraded callee's stand-in (directly or
+    transitively): their keys do not name the fault.  Store-level
     faults (corrupt entries, I/O errors) are tolerated regardless of this
     flag — they self-heal inside {!Engine_store}. *)
 

@@ -60,6 +60,7 @@ type binding =
 
 type state = {
   m : Ir.module_;
+  pu_of : string -> Ir.pu option;  (* built once per run *)
   globals : (int, binding) Hashtbl.t;
   observer : event -> unit;
   out : Buffer.t;
@@ -535,7 +536,7 @@ and exec state frame (w : Wn.t) : unit =
 
 and exec_call state frame (w : Wn.t) =
   let callee_name = Ir.st_name state.m frame.fr_pu w.Wn.st_idx in
-  match Ir.find_pu state.m callee_name with
+  match state.pu_of callee_name with
   | None -> error w.Wn.linenum "call to unknown procedure %s" callee_name
   | Some callee ->
     let formals = callee.Ir.pu_formals in
@@ -613,6 +614,7 @@ let run ?(fuel = 50_000_000) ?(observer = fun _ -> ()) ?(record_oob = false)
   let state =
     {
       m;
+      pu_of = Ir.pu_index m;
       globals = Hashtbl.create 64;
       observer;
       out = Buffer.create 256;

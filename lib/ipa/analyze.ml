@@ -40,25 +40,39 @@ let stride_str = function
   | Region.Sconst s -> string_of_int s
   | Region.Sunknown -> "*"
 
-let display_bounds m pu st region =
+(* The triplet strings are a function of the source lower bounds and the
+   region's dims alone; a pass renders the same few of them for every
+   access, so it keeps one memo per run. *)
+type display_memo =
+  (int list * Region.dim list, string * string * string) Hashtbl.t
+
+let display_memo () : display_memo = Hashtbl.create 256
+
+let display_bounds memo m pu st region =
   let lows = source_lows m pu st in
   let dims = Region.dim_list region in
   let lows =
     if List.length lows = List.length dims then lows
     else List.map (fun _ -> 0) dims
   in
-  let lb =
-    String.concat "|"
-      (List.map2 (fun lo d -> bound_str lo d.Region.lb) lows dims)
-  in
-  let ub =
-    String.concat "|"
-      (List.map2 (fun lo d -> bound_str lo d.Region.ub) lows dims)
-  in
-  let stride =
-    String.concat "|" (List.map (fun d -> stride_str d.Region.stride) dims)
-  in
-  (lb, ub, stride)
+  let key = (lows, dims) in
+  match Hashtbl.find_opt memo key with
+  | Some strings -> strings
+  | None ->
+    let lb =
+      String.concat "|"
+        (List.map2 (fun lo d -> bound_str lo d.Region.lb) lows dims)
+    in
+    let ub =
+      String.concat "|"
+        (List.map2 (fun lo d -> bound_str lo d.Region.ub) lows dims)
+    in
+    let stride =
+      String.concat "|" (List.map (fun d -> stride_str d.Region.stride) dims)
+    in
+    let strings = (lb, ub, stride) in
+    Hashtbl.add memo key strings;
+    strings
 
 let dim_size_str m pu st =
   Collect.extents_of m pu st
@@ -68,14 +82,14 @@ let dim_size_str m pu st =
 (* ------------------------------------------------------------------ *)
 (* Analysis *)
 
-let summarize_pu (m : Ir.module_) ~lookup (info : Collect.pu_info) =
+let summarize_pu (m : Ir.module_) ~pu_of ~lookup (info : Collect.pu_info) =
   let pu = info.Collect.p_pu in
   let local = Summary.of_local m pu info.Collect.p_accesses in
   let extra = ref [] in
   let entries = ref [] in
   List.iter
     (fun (site : Collect.site) ->
-      match Ir.find_pu m site.Collect.s_callee with
+      match pu_of site.Collect.s_callee with
       | None -> ()
       | Some callee_pu ->
         let callee_summary =
@@ -169,6 +183,7 @@ let assemble (m : Ir.module_) cg ~infos ~summaries ~propagated ~cfgs : result =
         info.Collect.p_accesses)
     infos;
   let rows = ref [] in
+  let display = display_memo () in
   List.iter
     (fun (name, (info : Collect.pu_info)) ->
       let pu = info.Collect.p_pu in
@@ -187,7 +202,9 @@ let assemble (m : Ir.module_) cg ~infos ~summaries ~propagated ~cfgs : result =
             let symtab = if is_global st then m.Ir.m_global else pu.Ir.pu_symtab in
             let tot = Symtab.total_elems symtab entry.Symtab.st_ty in
             let bytes = Symtab.size_bytes symtab entry.Symtab.st_ty in
-            let lb, ub, stride = display_bounds m pu st a.Collect.ac_region in
+            let lb, ub, stride =
+              display_bounds display m pu st a.Collect.ac_region
+            in
             let row =
               {
                 Rgnfile.Row.scope;

@@ -46,14 +46,16 @@ type result = {
 
 val summarize_pu :
   Whirl.Ir.module_ ->
+  pu_of:(string -> Whirl.Ir.pu option) ->
   lookup:(string -> Summary.t option) ->
   Collect.pu_info ->
   Summary.t * Collect.access list
 (** One bottom-up step of Algorithm 1: the PU's exported summary (local
     accesses plus translated callee side effects) and the call-propagated
-    access records ([ac_via] set).  [lookup] returns the already-computed
-    summary of a callee, or [None] for a call-graph cycle (worst-case
-    summary is then assumed). *)
+    access records ([ac_via] set).  [pu_of] resolves a callee name to its
+    PU (the engine's per-run table, or {!Whirl.Ir.pu_index}); [lookup]
+    returns the already-computed summary of a callee, or [None] for a
+    call-graph cycle (worst-case summary is then assumed). *)
 
 val assemble :
   Whirl.Ir.module_ ->
@@ -66,13 +68,21 @@ val assemble :
 (** Renders tables, rows, the .dgn skeleton and the final {!result} record
     from per-PU collection results and summaries. *)
 
+type display_memo
+(** Rendered triplet strings keyed by (source lower bounds, region dims).
+    One per pass over the rows; not shared between domains. *)
+
+val display_memo : unit -> display_memo
+
 val display_bounds :
+  display_memo ->
   Whirl.Ir.module_ ->
   Whirl.Ir.pu ->
   int ->
   Regions.Region.t ->
   string * string * string
-(** [(lb, ub, stride)] column strings for an access to array [st]. *)
+(** [(lb, ub, stride)] column strings for an access to array [st],
+    rendered once per distinct key of the memo. *)
 
 val summary_of : result -> string -> Summary.t
 (** @raise Not_found for unknown procedures. *)

@@ -110,9 +110,162 @@ let is_array m pu st =
   | Symtab.Ty_array _ -> true
   | Symtab.Ty_scalar _ -> false
 
+(* ------------------------------------------------------------------ *)
+(* One region per access shape *)
+
+(* A reference's region is a function of its shape: the extents, the
+   enclosing loops' bounds and steps, and the subscripts.  The key writes
+   that shape with every enclosing induction variable replaced by its
+   nesting position (0 = outermost), so two references that differ only in
+   the fresh variables naming their loops share one key.  Every other
+   variable keeps its identity.
+
+   Why the renaming is sound: {!Region.of_subscripts} eliminates induction
+   variables in id order, and the canonical constraint order inside the
+   eliminator compares variables by id too, so its result depends on the
+   relative order of all the variables involved, not on their names.
+   - Loop variables are minted when the walk enters their loop, so within
+     one nest they ascend from outermost to innermost: the position is
+     their relative order.
+   - The strided-loop counters ([#k]) are minted inside [of_subscripts],
+     after everything else the shape mentions, so they follow every other
+     variable in both builds.
+   - A non-loop variable is normally interned before the walk
+     ({!intern_module_syms}) and precedes every loop variable; the key
+     still records how many enclosing loop variables precede it, so a
+     variable minted mid-walk cannot alias a shape where it sits
+     elsewhere in the order.
+   Subscript variables have fixed negative ids and never appear here. *)
+type key_var =
+  | K_loop of int  (* nesting position, 0 = outermost *)
+  | K_var of int * int  (* variable id, enclosing loop variables below it *)
+
+type key_expr = {
+  k_const : Numeric.Rat.t;
+  k_terms : (key_var * Numeric.Rat.t) list;
+}
+
+type key_result =
+  | K_affine of key_expr
+  | K_sparse of {
+      k_st : int;
+      k_lo : int option;
+      k_hi : int option;
+      k_monotonic : bool;
+      k_injective : bool;
+      k_inner : key_expr option;
+    }
+  | K_messy
+
+type shape_key =
+  | K_whole of int option list
+  | K_shape of {
+      k_extents : int option list;
+      k_loops : (key_result * key_result * int option) list;  (* outer first *)
+      k_subs : key_result list;
+    }
+
+module Shape_tbl = Hashtbl.Make (struct
+  type t = shape_key
+  let equal = ( = )
+  let hash k = Hashtbl.hash_param 64 256 k
+end)
+
+(* Shared by every domain collecting PUs of one run; guarded like the
+   symbolic-variable registry.  Regions are built outside the lock, so two
+   domains may race on one shape: both build the same region and the
+   first stored one wins. *)
+type shapes = {
+  sh_tbl : Region.t Shape_tbl.t;
+  sh_lock : Mutex.t;
+  mutable sh_requested : int;
+}
+
+let shapes () =
+  { sh_tbl = Shape_tbl.create 256; sh_lock = Mutex.create (); sh_requested = 0 }
+
+let shapes_requested sh = Mutex.protect sh.sh_lock (fun () -> sh.sh_requested)
+let shapes_distinct sh =
+  Mutex.protect sh.sh_lock (fun () -> Shape_tbl.length sh.sh_tbl)
+
+(* A build that raises stores nothing, so the next request raises again. *)
+let shape_region sh key build =
+  let hit =
+    Mutex.protect sh.sh_lock (fun () ->
+        sh.sh_requested <- sh.sh_requested + 1;
+        Shape_tbl.find_opt sh.sh_tbl key)
+  in
+  match hit with
+  | Some r -> r
+  | None ->
+    let r = build () in
+    Mutex.protect sh.sh_lock (fun () ->
+        match Shape_tbl.find_opt sh.sh_tbl key with
+        | Some first -> first
+        | None ->
+          Shape_tbl.add sh.sh_tbl key r;
+          r)
+
+(* [loops] innermost first, as the walk keeps them *)
+let shape_key ~extents ~(loops : Region.loop_ctx list) subs =
+  let depth = List.length loops in
+  let ids = List.map (fun lc -> Linear.Var.id lc.Region.lc_var) loops in
+  let key_var v =
+    let id = Linear.Var.id v in
+    let rec pos i = function
+      | [] -> None
+      | x :: rest -> if x = id then Some (depth - 1 - i) else pos (i + 1) rest
+    in
+    match pos 0 ids with
+    | Some p -> K_loop p
+    | None -> K_var (id, List.length (List.filter (fun x -> x < id) ids))
+  in
+  let key_expr e =
+    {
+      k_const = Linear.Expr.constant e;
+      k_terms =
+        List.rev (Linear.Expr.fold (fun v c acc -> (key_var v, c) :: acc) e []);
+    }
+  in
+  let key_result = function
+    | Affine.Affine e -> K_affine (key_expr e)
+    | Affine.Sparse sp ->
+      K_sparse
+        {
+          k_st = sp.Affine.sp_st;
+          k_lo = sp.Affine.sp_lo;
+          k_hi = sp.Affine.sp_hi;
+          k_monotonic = sp.Affine.sp_monotonic;
+          k_injective = sp.Affine.sp_injective;
+          k_inner = Option.map key_expr sp.Affine.sp_inner;
+        }
+    | Affine.Messy -> K_messy
+  in
+  K_shape
+    {
+      k_extents = extents;
+      k_loops =
+        List.rev_map
+          (fun lc ->
+            (key_result lc.Region.lc_lo, key_result lc.Region.lc_hi,
+             lc.Region.lc_step))
+          loops;
+      k_subs = List.map key_result subs;
+    }
+
+let region_of_shape sh ~extents ~loops subs =
+  shape_region sh (shape_key ~extents ~loops subs) (fun () ->
+      Region.of_subscripts ~extents ~loops subs)
+
+let whole_of_shape sh ~extents =
+  shape_region sh (K_whole extents) (fun () -> Region.whole ~extents)
+
+(* ------------------------------------------------------------------ *)
+
 type state = {
   m : Ir.module_;
   pu : Ir.pu;
+  shapes : shapes;
   mutable loops : (int * Region.loop_ctx) list;  (* innermost first *)
   mutable accesses : access list;
   mutable sites : site list;
@@ -160,9 +313,12 @@ let region_of_array_node s (w : Wn.t) =
   let subs = List.init n (fun k -> Affine.of_wn env (Wn.array_index w k)) in
   let st = (Wn.array_base w).Wn.st_idx in
   let extents = extents_of s.m s.pu st in
-  (st, Region.of_subscripts ~extents ~loops:(loop_ctxs s) subs, sparse_marker s subs)
+  ( st,
+    region_of_shape s.shapes ~extents ~loops:(loop_ctxs s) subs,
+    sparse_marker s subs )
 
-let whole_region s st = Region.whole ~extents:(extents_of s.m s.pu st)
+let whole_region s st =
+  whole_of_shape s.shapes ~extents:(extents_of s.m s.pu st)
 
 (* ------------------------------------------------------------------ *)
 
@@ -226,7 +382,7 @@ and walk_call s (w : Wn.t) =
              done;
              let extents = extents_of s.m s.pu st in
              let region =
-               Region.of_subscripts ~extents ~loops:(loop_ctxs s) coords
+               region_of_shape s.shapes ~extents ~loops:(loop_ctxs s) coords
              in
              record ?sparse:(sparse_marker s coords) s st Mode.PASSED region
                w.Wn.linenum;
@@ -323,7 +479,9 @@ let formals_records s =
     s.pu.Ir.pu_formals
 
 let run_body m pu wn =
-  let s = { m; pu; loops = []; accesses = []; sites = [] } in
+  let s =
+    { m; pu; shapes = shapes (); loops = []; accesses = []; sites = [] }
+  in
   walk_stmt s wn;
   {
     p_pu = pu;
@@ -379,8 +537,8 @@ let loop_bounds_for m pu (loop : Wn.t) var =
     (* direction unknowable: leave the variable unconstrained (sound) *)
     []
 
-let run_pu (m : Ir.module_) pu =
-  let s = { m; pu; loops = []; accesses = []; sites = [] } in
+let run_pu shapes (m : Ir.module_) pu =
+  let s = { m; pu; shapes; loops = []; accesses = []; sites = [] } in
   formals_records s;
   walk_stmt s pu.Ir.pu_body;
   {
@@ -388,5 +546,3 @@ let run_pu (m : Ir.module_) pu =
     p_accesses = List.rev s.accesses;
     p_sites = List.rev s.sites;
   }
-
-let run (m : Ir.module_) = List.map (run_pu m) m.Ir.m_pus

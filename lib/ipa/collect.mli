@@ -69,12 +69,26 @@ val intern_module_syms : Whirl.Ir.module_ -> unit
     variable ids are independent of the parallel schedule — which is what
     makes parallel output byte-identical to serial output. *)
 
-val run : Whirl.Ir.module_ -> pu_info list
+type shapes
+(** A run's shape memo: one region per distinct access shape (the extents,
+    the enclosing loops' bounds and steps, and the subscripts, with the
+    induction variables written as nesting positions).  Created per engine
+    run and shared by the domains collecting its PUs; a hit returns the
+    very region a miss would build. *)
 
-val run_pu : Whirl.Ir.module_ -> Whirl.Ir.pu -> pu_info
+val shapes : unit -> shapes
+
+val shapes_requested : shapes -> int
+(** Regions collection asked the memo for (hits plus misses). *)
+
+val shapes_distinct : shapes -> int
+(** Distinct shapes stored: the memo's size.  Two domains racing on one
+    shape store it once, so this is deterministic at any [--jobs]. *)
+
+val run_pu : shapes -> Whirl.Ir.module_ -> Whirl.Ir.pu -> pu_info
 (** Collection for a single PU (one unit of the engine's parallel work
     queue).  Only touches shared state through the guarded symbolic-variable
-    registry. *)
+    registry and the guarded shape memo. *)
 
 val run_body : Whirl.Ir.module_ -> Whirl.Ir.pu -> Whirl.Wn.t -> pu_info
 (** Walks one statement subtree with an empty loop context: enclosing

@@ -42,4 +42,12 @@ let st_name m pu idx = (st_entry m pu idx).Symtab.st_name
 let find_pu m name =
   List.find_opt (fun p -> String.equal p.pu_name name) m.m_pus
 
+let pu_index m =
+  let tbl = Hashtbl.create (2 * List.length m.m_pus + 1) in
+  List.iter
+    (fun p ->
+      if not (Hashtbl.mem tbl p.pu_name) then Hashtbl.add tbl p.pu_name p)
+    m.m_pus;
+  Hashtbl.find_opt tbl
+
 let pu_count m = List.length m.m_pus

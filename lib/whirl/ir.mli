@@ -42,5 +42,12 @@ val ty_of : module_ -> pu -> int -> Symtab.ty_kind
 val st_name : module_ -> pu -> int -> string
 
 val find_pu : module_ -> string -> pu option
+(** A scan of [m_pus]: fine for one lookup, linear per call. *)
+
+val pu_index : module_ -> string -> pu option
+(** [pu_index m] builds a name table over [m_pus] once and returns its
+    constant-time lookup, agreeing with {!find_pu} (the first PU of a
+    name wins).  Build it once per pass over many call sites or tables;
+    it does not follow later changes to [m_pus]. *)
 
 val pu_count : module_ -> int

@@ -210,6 +210,32 @@ test "$q" -ge 1
 dune exec bin/uhc.exe -- --corpus gen-small --cache-dir "$out/pcache" \
   -o "$out/p3" --stats | grep -q "summary [0-9]* hit / 0 miss"
 
+echo "== smoke: collect builds each access shape once per run =="
+# gen-small repeats its access shapes: the run's shape memo must answer
+# more region requests than it builds regions
+dune exec bin/uhc.exe -- --corpus gen-small -o "$out/shp" \
+  --metrics "$out/shp-metrics.json" >/dev/null
+counter() {
+  grep -o "\"name\": *\"$1\"[^}]*" "$out/shp-metrics.json" \
+    | sed 's/.*"value": *//'
+}
+req=$(counter collect.regions.requested)
+dist=$(counter collect.regions.distinct)
+test "$dist" -ge 1
+test "$dist" -lt "$req"
+
+echo "== smoke: a keep-going run does not poison the cache =="
+# an isolated PU's callers summarize from its opaque stand-in; the warm
+# run after it must report what a no-cache run reports
+dune exec bin/uhc.exe -- --corpus lu --cache-dir "$out/kcache" --keep-going \
+  --fault-spec pool:1.0:0:summarize:exact --analyses bounds,permissions \
+  --report "$out/k1.json" -o "$out/k1" >/dev/null 2>&1
+dune exec bin/uhc.exe -- --corpus lu --cache-dir "$out/kcache" \
+  --analyses bounds,permissions --report "$out/k2.json" -o "$out/k2" >/dev/null
+dune exec bin/uhc.exe -- --corpus lu --analyses bounds,permissions \
+  --report "$out/k0.json" -o "$out/k0" >/dev/null
+cmp "$out/k0.json" "$out/k2.json"
+
 echo "== smoke: perfbench --smoke (fresh-process benchmark, gen-small) =="
 if command -v python3 >/dev/null 2>&1; then
   python3 perfbench/run.py --smoke

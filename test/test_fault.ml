@@ -347,6 +347,39 @@ let test_isolation_parity_jobs () =
   Alcotest.(check bool) "identical isolation diagnostics across jobs" true
     (norm a = norm b)
 
+(* ------------------------------------------------------------------ *)
+(* a keep-going run must not poison the cache: the callers of an isolated
+   PU summarize from its opaque stand-in, and those summaries must not be
+   read back by a later fault-free run *)
+
+let test_keep_going_no_poison () =
+  let cache = Test_engine.fresh_dir () in
+  let run name ?cache_dir ?(fault_specs = []) () =
+    let dir = Test_engine.fresh_dir () in
+    let report = Filename.concat dir (name ^ ".json") in
+    let cfg =
+      Pipeline.make ~corpus:"lu" ~out_dir:dir ?cache_dir ~fault_specs
+        ~keep_going:(fault_specs <> [])
+        ~analyses:[ "bounds"; "permissions" ]
+        ~report ()
+    in
+    let r = Test_analyses.with_quiet_stdout (fun () -> Pipeline.run cfg) in
+    Alcotest.(check int) (name ^ " exit code") 0 r.Pipeline.r_code;
+    let read f = In_channel.with_open_bin f In_channel.input_all in
+    let bytes = (read report, read (Filename.concat dir "project.rgn")) in
+    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
+    bytes
+  in
+  let r1, _ =
+    run "r1" ~cache_dir:cache ~fault_specs:[ "pool:1.0:0:summarize:exact" ] ()
+  in
+  let r2, rgn2 = run "r2" ~cache_dir:cache () in
+  let r0, rgn0 = run "r0" () in
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote cache)));
+  Alcotest.(check bool) "the faulted run degraded" true (r1 <> r0);
+  Alcotest.(check string) "warm report after a keep-going run = no cache" r0 r2;
+  Alcotest.(check string) "warm .rgn after a keep-going run = no cache" rgn0 rgn2
+
 let suite =
   [
     Alcotest.test_case "spec grammar" `Quick test_spec_parsing;
@@ -368,4 +401,6 @@ let suite =
       test_pipeline_resets_knobs;
     Alcotest.test_case "isolation parity across --jobs" `Quick
       test_isolation_parity_jobs;
+    Alcotest.test_case "keep-going run does not poison the cache" `Quick
+      test_keep_going_no_poison;
   ]

@@ -327,6 +327,241 @@ let test_lattice_stride_3_4 () =
   in
   Alcotest.(check bool) "phase-2 apart" true (Region.disjoint r0 r2)
 
+(* ------------------------------------------------------------------ *)
+(* The collect phase's shape memo keys a reference by its shape with the
+   loop variables written as nesting positions.  That is sound only if
+   [of_subscripts] gives the same region for freshly minted loop variables
+   of the same nest (outer minted first, as the walk mints them). *)
+
+type aff_d = {
+  a_const : int;
+  a_loops : (int * int) list;  (* nesting position, coefficient *)
+  a_syms : (int * int) list;  (* symbol index, coefficient *)
+}
+
+type res_d =
+  | R_aff of aff_d
+  | R_sparse of int * int option * int option * bool * bool * aff_d option
+  | R_messy
+
+type shape_d = {
+  d_extents : int option list;
+  d_loops : (res_d * res_d * int option) list;  (* outer first *)
+  d_subs : res_d list;
+}
+
+(* two symbolic program values, interned before any loop variable *)
+let shape_syms =
+  lazy [| Var.fresh ~name:"n" Var.Sym; Var.fresh ~name:"m" Var.Sym |]
+
+let gen_aff ~depth ~syms =
+  QCheck2.Gen.(
+    let* a_const = int_range (-5) 12 in
+    let* a_loops =
+      if depth = 0 then return []
+      else
+        list_size (int_range 0 2)
+          (pair (int_range 0 (depth - 1)) (oneofl [ -2; -1; 1; 2; 3 ]))
+    in
+    let* a_syms =
+      if syms then
+        list_size (int_range 0 1) (pair (int_range 0 1) (oneofl [ -1; 1; 2 ]))
+      else return []
+    in
+    return { a_const; a_loops; a_syms })
+
+let gen_sparse ~depth =
+  QCheck2.Gen.(
+    let* st = int_range 0 3 in
+    let* lo = opt (int_range 0 4) in
+    let* hi = opt (int_range 5 12) in
+    let* mono = bool in
+    let* inj = bool in
+    let* inner = opt (gen_aff ~depth ~syms:false) in
+    return (R_sparse (st, lo, hi, mono, inj, inner)))
+
+(* a loop bound: constant, symbolic, an outer loop's variable, MESSY or
+   sparse *)
+let gen_bound ~depth =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 3,
+          map
+            (fun c -> R_aff { a_const = c; a_loops = []; a_syms = [] })
+            (int_range (-3) 12) );
+        (2, map (fun a -> R_aff a) (gen_aff ~depth:0 ~syms:true));
+        (2, map (fun a -> R_aff a) (gen_aff ~depth ~syms:false));
+        (1, return R_messy);
+        (1, gen_sparse ~depth);
+      ])
+
+let gen_sub ~depth =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map (fun a -> R_aff a) (gen_aff ~depth ~syms:true));
+        (1, return R_messy);
+        (2, gen_sparse ~depth);
+      ])
+
+let gen_shape =
+  QCheck2.Gen.(
+    let* ndims = int_range 1 3 in
+    let* d_extents = list_repeat ndims (opt (int_range 1 20)) in
+    let* nloops = int_range 0 3 in
+    let rec loops k =
+      if k = nloops then return []
+      else
+        let* lo = gen_bound ~depth:k in
+        let* hi = gen_bound ~depth:k in
+        let* step = oneofl [ Some 1; Some (-1); Some 2; None ] in
+        let* rest = loops (k + 1) in
+        return ((lo, hi, step) :: rest)
+    in
+    let* d_loops = loops 0 in
+    let* d_subs = list_repeat ndims (gen_sub ~depth:nloops) in
+    return { d_extents; d_loops; d_subs })
+
+(* mint the nest's loop variables outer first, then build the region *)
+let build_shape d =
+  let syms = Lazy.force shape_syms in
+  let vars =
+    Array.of_list
+      (List.mapi (fun k _ -> fresh_ivar (Printf.sprintf "q%d" k)) d.d_loops)
+  in
+  let expr a =
+    List.fold_left
+      (fun e (p, c) -> Expr.add e (Expr.monom (Numeric.Rat.of_int c) vars.(p)))
+      (List.fold_left
+         (fun e (k, c) ->
+           Expr.add e (Expr.monom (Numeric.Rat.of_int c) syms.(k)))
+         (Expr.of_int a.a_const) a.a_syms)
+      a.a_loops
+  in
+  let result = function
+    | R_aff a -> Affine.Affine (expr a)
+    | R_messy -> Affine.Messy
+    | R_sparse (st, lo, hi, mono, inj, inner) ->
+      Affine.Sparse
+        {
+          Affine.sp_st = st;
+          sp_lo = lo;
+          sp_hi = hi;
+          sp_monotonic = mono;
+          sp_injective = inj;
+          sp_inner = Option.map expr inner;
+        }
+  in
+  let loops =
+    List.rev
+      (List.mapi
+         (fun k (lo, hi, step) ->
+           {
+             Region.lc_var = vars.(k);
+             lc_lo = result lo;
+             lc_hi = result hi;
+             lc_step = step;
+           })
+         d.d_loops)
+  in
+  let subs = List.map result d.d_subs in
+  match Region.of_subscripts ~extents:d.d_extents ~loops subs with
+  | r -> Ok r
+  | exception e -> Error (Printexc.to_string e)
+
+let print_shape d =
+  match build_shape d with
+  | Error e -> "raises " ^ e
+  | Ok r ->
+    Format.asprintf "%d loops, extents [%s]: %a" (List.length d.d_loops)
+      (String.concat ";"
+         (List.map
+            (function Some e -> string_of_int e | None -> "?")
+            d.d_extents))
+      Region.pp r
+
+let same_region a b =
+  System.equal a.Region.sys b.Region.sys
+  && Region.equal_display a b
+  && Region.is_exact a = Region.is_exact b
+  && Region.is_clamped a = Region.is_clamped b
+  && Region.assumed_flags a = Region.assumed_flags b
+
+let prop_shape_rebuild =
+  QCheck2.Test.make ~name:"shape rebuilt with fresh loop vars is equal"
+    ~count:1000 ~print:print_shape gen_shape (fun d ->
+      match build_shape d, build_shape d with
+      | Ok a, Ok b -> same_region a b
+      | Error a, Error b -> a = b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* Accesses of one PU that differ in one part of their shape must get
+   different regions from the memo: a key without that part would hand the
+   second access the first one's region. *)
+let shape_src =
+  "      subroutine shp(n, m, k)\n\
+  \      integer n, m, k\n\
+  \      real a(1:10), b(1:20), c(1:30)\n\
+  \      integer idx(1:10)\n\
+  \      integer i\n\
+   !$uhc index idx bounded(1,10)\n\
+  \      do i = 1, n\n\
+  \        a(i) = 0.0\n\
+  \      end do\n\
+  \      do i = 1, n, 2\n\
+  \        a(i) = 0.0\n\
+  \      end do\n\
+  \      do i = 1, n, k\n\
+  \        a(i) = 0.0\n\
+  \      end do\n\
+  \      a(k*k) = 1.0\n\
+  \      b(k*k) = 1.0\n\
+  \      do i = 1, 10\n\
+  \        c(idx(i)) = 1.0\n\
+  \        c(idx(i)+1) = 1.0\n\
+  \      end do\n\
+  \      a(n) = 1.0\n\
+  \      a(m) = 1.0\n\
+  \      do i = 1, n\n\
+  \        a(i) = 2.0\n\
+  \      end do\n\
+  \      end\n"
+
+let test_shape_key_parts () =
+  let m =
+    Whirl.Lower.lower (Lang.Frontend.load ~files:[ ("shp.f", shape_src) ])
+  in
+  Ipa.Collect.intern_module_syms m;
+  let pu = Option.get (Whirl.Ir.find_pu m "shp") in
+  let shapes = Ipa.Collect.shapes () in
+  let info = Ipa.Collect.run_pu shapes m pu in
+  let def line =
+    match
+      List.filter
+        (fun (a : Ipa.Collect.access) ->
+          a.Ipa.Collect.ac_mode = Mode.DEF
+          && Lang.Loc.line a.Ipa.Collect.ac_loc = line)
+        info.Ipa.Collect.p_accesses
+    with
+    | [ a ] -> a.Ipa.Collect.ac_region
+    | l -> Alcotest.failf "line %d: %d DEF accesses" line (List.length l)
+  in
+  let differ what l1 l2 =
+    if same_region (def l1) (def l2) then
+      Alcotest.failf "%s: lines %d and %d got the same region" what l1 l2
+  in
+  differ "step 1 vs 2" 8 11;
+  differ "step 2 vs unknown" 11 14;
+  differ "step 1 vs unknown" 8 14;
+  differ "extent" 16 17;
+  differ "sparse bounds" 19 20;
+  differ "symbol" 22 23;
+  (* the control: one shape in two loops is one region, built once *)
+  Alcotest.(check bool) "same shape shares one region" true (def 8 == def 25);
+  Alcotest.(check bool) "memo saw repeats" true
+    (Ipa.Collect.shapes_distinct shapes < Ipa.Collect.shapes_requested shapes)
+
 let suite =
   [
     Alcotest.test_case "lattice disjointness" `Quick test_lattice_disjoint;
@@ -346,4 +581,6 @@ let suite =
     Alcotest.test_case "equal_display" `Quick test_equal_display;
     QCheck_alcotest.to_alcotest prop_matches_enumeration;
     QCheck_alcotest.to_alcotest prop_union_sound;
+    QCheck_alcotest.to_alcotest prop_shape_rebuild;
+    Alcotest.test_case "shape memo keys every part" `Quick test_shape_key_parts;
   ]
