@@ -844,19 +844,12 @@ let bench_engine ~json ~out () =
 (* Solver: the production core against the reference eliminator, end to
    end and per query *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* One registry diff around [f]: the counter deltas a bench leg reports
+   ([Linear.Solver_stats.of_metrics] reads the solver's share). *)
+let measured f =
+  let m0 = Obs.Metrics.snapshot () in
+  let r = f () in
+  (r, Obs.Metrics.diff (Obs.Metrics.snapshot ()) m0)
 
 let bench_solver ~json ~out () =
   header "Solver: learned core vs the reference eliminator (NAS LU)";
@@ -867,15 +860,16 @@ let bench_solver ~json ~out () =
   (* ---- end-to-end: solver wall of the production core vs the oracle *)
   let run_once ~oracle =
     Linear.System.clear_cache ();
-    let s0 = Linear.Solver_stats.snapshot () in
-    let t0 = Unix.gettimeofday () in
-    let analyze () = analyze_module (lower ()) in
-    let res =
-      if oracle then Linear.System.Reference.run analyze else analyze ()
+    let (res, wall), d =
+      measured (fun () ->
+          let t0 = Unix.gettimeofday () in
+          let analyze () = analyze_module (lower ()) in
+          let res =
+            if oracle then Linear.System.Reference.run analyze else analyze ()
+          in
+          (res, Unix.gettimeofday () -. t0))
     in
-    let wall = Unix.gettimeofday () -. t0 in
-    let d = Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) s0 in
-    (res, wall, d)
+    (res, wall, Linear.Solver_stats.of_metrics d)
   in
   (* inside the oracle scope every query (implies included) bottoms out in
      reference feasibility checks; the production core answers implies on
@@ -937,13 +931,15 @@ let bench_solver ~json ~out () =
      measure a cold pass plus warm memo passes *)
   let timed f =
     Linear.System.clear_cache ();
-    let s0 = Linear.Solver_stats.snapshot () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to passes do
-      f ()
-    done;
-    let t = Unix.gettimeofday () -. t0 in
-    (t, Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) s0)
+    let t, d =
+      measured (fun () ->
+          let t0 = Unix.gettimeofday () in
+          for _ = 1 to passes do
+            f ()
+          done;
+          Unix.gettimeofday () -. t0)
+    in
+    (t, Linear.Solver_stats.of_metrics d)
   in
   let feas feasible () = List.iter (fun s -> ignore (feasible s)) systems in
   let impl implies () =
@@ -988,7 +984,7 @@ let bench_solver ~json ~out () =
     let b = Buffer.create 2048 in
     let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     bpf "{\n";
-    bpf "  \"bench\": \"%s\",\n" (json_escape "solver");
+    bpf "  \"bench\": \"%s\",\n" (Obs.Json.escape "solver");
     bpf "  \"corpus\": \"nas-lu\",\n";
     bpf "  \"solver\": {\n";
     bpf "    \"end_to_end\": {\n";
@@ -1068,11 +1064,13 @@ let bench_bounds ~json ~out () =
         let ctx =
           { Analyses.Analysis.ctx_module = m; Analyses.Analysis.ctx_result = result }
         in
-        let s0 = Linear.Solver_stats.snapshot () in
-        let t0 = Unix.gettimeofday () in
-        let report, _diags = Analyses.Bounds.run ctx in
-        let wall = Unix.gettimeofday () -. t0 in
-        let d = Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) s0 in
+        let (report, wall), d =
+          measured (fun () ->
+              let t0 = Unix.gettimeofday () in
+              let report, _diags = Analyses.Bounds.run ctx in
+              (report, Unix.gettimeofday () -. t0))
+        in
+        let d = Linear.Solver_stats.of_metrics d in
         let count key =
           match List.assoc_opt key report.Analyses.Report.r_summary with
           | Some v -> int_of_string v
@@ -1098,7 +1096,7 @@ let bench_bounds ~json ~out () =
     let b = Buffer.create 2048 in
     let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     bpf "{\n";
-    bpf "  \"bench\": \"%s\",\n" (json_escape "bounds");
+    bpf "  \"bench\": \"%s\",\n" (Obs.Json.escape "bounds");
     bpf "  \"schema_version\": %d,\n" Analyses.Report.schema_version;
     bpf "  \"bounds\": {\n";
     bpf "    \"corpora\": [\n";
@@ -1106,7 +1104,7 @@ let bench_bounds ~json ~out () =
     List.iteri
       (fun i (name, count, wall, (d : Linear.Solver_stats.t)) ->
         bpf "      {\n";
-        bpf "        \"corpus\": \"%s\",\n" (json_escape name);
+        bpf "        \"corpus\": \"%s\",\n" (Obs.Json.escape name);
         bpf "        \"accesses\": %d,\n" (count "accesses");
         bpf "        \"safe\": %d,\n" (count "safe");
         bpf "        \"unsafe\": %d,\n" (count "unsafe");
@@ -1243,15 +1241,15 @@ let bench_gen ~json ~out () =
     let b = Buffer.create 2048 in
     let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     bpf "{\n";
-    bpf "  \"bench\": \"%s\",\n" (json_escape "gen");
+    bpf "  \"bench\": \"%s\",\n" (Obs.Json.escape "gen");
     bpf "  \"schema_version\": %d,\n" Analyses.Report.schema_version;
     bpf "  \"gen\": {\n";
-    bpf "    \"config\": \"%s\",\n" (json_escape (Corpus.Gen.describe cfg));
+    bpf "    \"config\": \"%s\",\n" (Obs.Json.escape (Corpus.Gen.describe cfg));
     bpf "    \"seed\": %d,\n" cfg.Corpus.Gen.g_seed;
     bpf "    \"files\": %d,\n" (List.length files);
     bpf "    \"pus\": %d,\n" (Corpus.Gen.pu_count cfg);
     bpf "    \"bytes\": %d,\n" bytes;
-    bpf "    \"digest\": \"%s\",\n" (json_escape digest);
+    bpf "    \"digest\": \"%s\",\n" (Obs.Json.escape digest);
     bpf "    \"gen_wall_s\": %.6f,\n" gen_wall;
     bpf "    \"analysis_wall_s\": %.6f,\n" analysis_wall;
     bpf "    \"sparse_accesses\": %s,\n" (count bounds "sparse_accesses");
@@ -1320,29 +1318,27 @@ let bench_regions ~json ~out () =
   in
   let total_regions = List.fold_left (fun a rs -> a + List.length rs) 0 buckets in
   let passes = 5 in
-  let cget name = Obs.Metrics.Counter.get (Obs.Metrics.counter name) in
   (* both legs run [passes] times after one cache clear, timed by the same
      wall clock: the oracle fold has no memo to warm, the production join
      keeps its implies memo across passes as the summary layer does *)
   let timed f =
     Linear.System.clear_cache ();
-    let s0 = Linear.Solver_stats.snapshot () in
-    let u0 = cget "regions.union.calls" in
-    let m0 = cget "regions.union_many.calls" in
-    let sv0 = cget "regions.union.implies_saved" in
-    let t0 = Unix.gettimeofday () in
-    let r = ref [] in
-    for _ = 1 to passes do
-      r := f ()
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
-    let d = Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) s0 in
-    let counters =
-      ( cget "regions.union.calls" - u0,
-        cget "regions.union_many.calls" - m0,
-        cget "regions.union.implies_saved" - sv0 )
+    let (r, wall), d =
+      measured (fun () ->
+          let t0 = Unix.gettimeofday () in
+          let r = ref [] in
+          for _ = 1 to passes do
+            r := f ()
+          done;
+          (!r, Unix.gettimeofday () -. t0))
     in
-    (!r, wall, d, counters)
+    let count = Obs.Metrics.value d in
+    ( r,
+      wall,
+      Linear.Solver_stats.of_metrics d,
+      ( count "regions.union.calls",
+        count "regions.union_many.calls",
+        count "regions.union.implies_saved" ) )
   in
   let sys (r : Regions.Region.t) = r.Regions.Region.sys in
   let oracle_joins () =
@@ -1386,13 +1382,14 @@ let bench_regions ~json ~out () =
   (* ---- end-to-end: whole NAS LU analysis, production vs the oracle *)
   let run_analysis ~oracle =
     Linear.System.clear_cache ();
-    let s0 = Linear.Solver_stats.snapshot () in
-    let t0 = Unix.gettimeofday () in
-    let analyze () = ignore (analyze_module (lower ())) in
-    if oracle then Linear.System.Reference.run analyze else analyze ();
-    let wall = Unix.gettimeofday () -. t0 in
-    let d = Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) s0 in
-    (wall, d)
+    let wall, d =
+      measured (fun () ->
+          let t0 = Unix.gettimeofday () in
+          let analyze () = ignore (analyze_module (lower ())) in
+          if oracle then Linear.System.Reference.run analyze else analyze ();
+          Unix.gettimeofday () -. t0)
+    in
+    (wall, Linear.Solver_stats.of_metrics d)
   in
   let e2e_ref_wall, e2e_ref = run_analysis ~oracle:true in
   let e2e_learned_wall, e2e_learned = run_analysis ~oracle:false in
@@ -1405,9 +1402,10 @@ let bench_regions ~json ~out () =
     (float_of_int e2e_learned.implies_wall_ns /. 1e6)
     e2e_learned_wall;
   (* ---- interner effectiveness (process lifetime: tables never drop) *)
+  let lifetime = Obs.Metrics.value (Obs.Metrics.snapshot ()) in
   let intern name =
-    let h = cget (Printf.sprintf "linear.intern.%s.hits" name) in
-    let m = cget (Printf.sprintf "linear.intern.%s.misses" name) in
+    let h = lifetime (Printf.sprintf "linear.intern.%s.hits" name) in
+    let m = lifetime (Printf.sprintf "linear.intern.%s.misses" name) in
     let rate = float_of_int h /. float_of_int (max 1 (h + m)) in
     (h, m, rate)
   in
@@ -1424,7 +1422,7 @@ let bench_regions ~json ~out () =
     let b = Buffer.create 2048 in
     let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     bpf "{\n";
-    bpf "  \"bench\": \"%s\",\n" (json_escape "regions");
+    bpf "  \"bench\": \"%s\",\n" (Obs.Json.escape "regions");
     bpf "  \"corpus\": \"nas-lu\",\n";
     bpf "  \"regions\": {\n";
     bpf "    \"join\": {\n";
@@ -1583,7 +1581,7 @@ let check_trace_json path raw =
       (List.length spans)
 
 let check_metrics_json path entries =
-  let kinds = [ "counter"; "gauge"; "histogram" ] in
+  let kinds = [ "counter"; "histogram" ] in
   let last_name = ref "" in
   let n = ref 0 in
   List.iter
@@ -1932,6 +1930,16 @@ let check_ledger_jsonl path raw =
   Printf.printf "check-json: %s OK (ledger, %d record(s))\n" path
     (List.length lines)
 
+let check_obs_json path doc =
+  (match Obs.Json.member "disabled_cost_ok" doc with
+  | Some (Obs.Json.Bool true) -> ()
+  | _ -> check_fail "obs.disabled_cost_ok is not true");
+  match Option.bind (Obs.Json.member "spans_per_run" doc) Obs.Json.to_int with
+  | Some n when n > 0 ->
+    Printf.printf "check-json: %s OK (obs; %d spans per run, disabled cost ok)\n"
+      path n
+  | _ -> check_fail "obs.spans_per_run is not a positive integer"
+
 let check_json_file path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
@@ -1967,8 +1975,8 @@ let check_json_file path =
         | _, _, Some (Obs.Json.List _), _, _, _, _, _ -> check_trace_json path raw
         | _, _, _, Some (Obs.Json.List entries), _, _, _, _ ->
           check_metrics_json path entries
-        | _, _, _, _, Some (Obs.Json.Obj _), _, _, _ ->
-          Printf.printf "check-json: %s OK (obs section present)\n" path
+        | _, _, _, _, Some (Obs.Json.Obj _ as doc), _, _, _ ->
+          check_obs_json path doc
         | _, _, _, _, _, Some (Obs.Json.Obj _ as doc), _, _ ->
           check_bounds_json path v doc
         | _, _, _, _, _, _, Some (Obs.Json.List entries), _ ->
@@ -2051,7 +2059,10 @@ let bench_obs ~json ~out () =
     let b = Buffer.create 512 in
     let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     bpf "{\n";
+    let nproc, ocaml, commit = bench_stamp () in
     bpf "  \"bench\": \"obs\",\n";
+    bpf "  \"stamp\": { \"nproc\": %d, \"ocaml\": \"%s\", \"commit\": \"%s\" },\n"
+      nproc ocaml commit;
     bpf "  \"corpus\": \"nas-lu\",\n";
     bpf "  \"obs\": {\n";
     bpf "    \"disabled_wall_s\": %.6f,\n" disabled;

@@ -6,8 +6,6 @@ val name : string
 
 type verdict = Safe | Unsafe | Maybe
 
-val verdict_name : verdict -> string
-
 val classify : extents:int option list -> Regions.Region.t -> verdict
 (** {!Regions.Region.extent_check} first, then the solver-free triplet
     bounding-box fallback for verdicts the (possibly budget-degraded)

@@ -5,9 +5,6 @@
 
 val name : string
 
-val permission_of_mode : Regions.Mode.t -> string
-(** [USE -> "read"], [DEF -> "write"]. *)
-
 val run : Analysis.ctx -> Report.t * Fault.Diag.t list
 (** Columns: Proc, Array, Kind (formal|global), Permission, LB, UB, Stride,
     Exact, Count.  A row [p, a, formal, write, lb, ub, s, ...] reads as the

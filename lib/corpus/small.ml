@@ -113,5 +113,3 @@ let caf_f =
       print *, work(1)
       end
 |} )
-
-let all_small = [ fig1_f; matrix_c; stride_f; caf_f ]

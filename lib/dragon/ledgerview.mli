@@ -20,10 +20,6 @@ val metric : Obs.Json.t -> string -> float option
 
 (** {1 History} *)
 
-val sparkline : float list -> string
-(** Unicode block-character trend line, one glyph per value, scaled to
-    the list's min..max (mid-height when all values are equal). *)
-
 val history : ?last:int -> metrics:string list -> run list -> string
 (** Rendered trend report over the [last] (default 10) runs: for each
     dotted metric path a sparkline, a run/value/timestamp table and
@@ -36,11 +32,6 @@ type rule = { r_path : string; r_pct : float }
     metric [r_path]; [0.] means no increase at all, a negative value
     demands a decrease (so equal values breach — the verify.sh trick for
     injecting a guaranteed failure). *)
-
-val default_rules : rule list
-(** Deterministic-only gates — bounds [unsafe]/[maybe] tallies and the
-    diagnostics count may not grow — so a no-change rerun always passes
-    regardless of scheduling or wall-clock noise. *)
 
 val parse_rule : string -> (rule, string) result
 (** ["PATH=PCT"], e.g. ["solver.queries=5"] or ["wall_s=20"]. *)

@@ -67,11 +67,6 @@ let procedures t =
 let rows_in_scope t scope =
   List.filter (fun (r : Rgnfile.Row.t) -> r.Rgnfile.Row.scope = scope) t.rows
 
-let arrays_in_scope t scope =
-  rows_in_scope t scope
-  |> List.map (fun (r : Rgnfile.Row.t) -> r.Rgnfile.Row.array)
-  |> List.sort_uniq String.compare
-
 let source t name =
   match List.assoc_opt name t.sources with
   | Some s -> Some s

@@ -13,9 +13,6 @@ type report = {
 
 type t = { rv_schema_version : int; rv_reports : report list }
 
-val known_schema_version : int
-(** The report schema this viewer understands (1). *)
-
 val parse : string -> (t, string) result
 (** Rejects missing/unknown [schema_version], missing [reports], and rows
     whose width disagrees with their columns. *)

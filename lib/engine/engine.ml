@@ -159,7 +159,7 @@ let phase_hist =
 
 let run_ (cfg : config) (m : Ir.module_) : result =
   let jobs = Engine_pool.resolve_jobs cfg.jobs in
-  let solver0 = Linear.Solver_stats.snapshot () in
+  let metrics0 = Obs.Metrics.snapshot () in
   let t_start = Obs.Trace.now_ns () in
   let phases = ref [] in
   let timed name f =
@@ -502,7 +502,8 @@ let run_ (cfg : config) (m : Ir.module_) : result =
       s_phases = List.rev !phases;
       s_total_wall = float_of_int (Obs.Trace.now_ns () - t_start) /. 1e9;
       s_solver =
-        Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) solver0;
+        Linear.Solver_stats.of_metrics
+          (Obs.Metrics.diff (Obs.Metrics.snapshot ()) metrics0);
     }
   in
   let e_pus =

@@ -68,8 +68,9 @@ module Stats : sig
     s_phases : phase list;  (** in execution order *)
     s_total_wall : float;
     s_solver : Linear.Solver_stats.t;
-        (** solver-layer counter deltas attributed to this run (queries,
-            memo hits, eliminations — see {!Linear.Solver_stats}) *)
+        (** the solver counters of this run's registry diff
+            ({!Obs.Metrics.diff} around the run): queries, memo hits,
+            eliminations — see {!Linear.Solver_stats} *)
   }
 
   val pp : Format.formatter -> t -> unit

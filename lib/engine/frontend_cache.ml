@@ -15,17 +15,9 @@
    runs later, in [Engine.run], so the stored PUs carry no Mem_Locs and
    the linked module is the one the uncached composition builds. *)
 
-type stats = {
-  interface_hits : int;
-  interface_misses : int;
-  body_hits : int;
-  body_misses : int;
-}
-
 type result = {
   fr_module : Whirl.Ir.module_;
   fr_skipped : (string * Lang.Diag.t) list;
-  fr_stats : stats option;
 }
 
 let c_iface_hits = Obs.Metrics.counter "frontend.artifact.interface.hits"
@@ -61,13 +53,7 @@ let load ?store ?(keep_going = false) files =
     | Some s when Engine_store.dir s <> None -> Some s
     | _ -> None
   in
-  let ih = ref 0 and im = ref 0 and bh = ref 0 and bm = ref 0 in
-  let count r c =
-    if store <> None then begin
-      incr r;
-      Obs.Metrics.Counter.incr c
-    end
-  in
+  let count c = if store <> None then Obs.Metrics.Counter.incr c in
   let find f key = Option.bind store (fun s -> f s ~key) in
   let add f key v = Option.iter (fun s -> f s ~key v) store in
   let parse u =
@@ -91,10 +77,10 @@ let load ?store ?(keep_going = false) files =
           in
           match find Engine_store.find_interface key with
           | Some iface ->
-            count ih c_iface_hits;
+            count c_iface_hits;
             (unit_ iface None :: units, skipped)
           | None -> (
-            count im c_iface_misses;
+            count c_iface_misses;
             match Lang.Frontend.parse_string ~file:name src with
             | ast ->
               let iface = Lang.Sema.interface ast in
@@ -117,11 +103,11 @@ let load ?store ?(keep_going = false) files =
           let key = Digest.string (Digest.to_hex u.u_key ^ env_key) in
           match find Engine_store.find_body key with
           | Some ba ->
-            count bh c_body_hits;
+            count c_body_hits;
             Lang.Sema.add_body linker ba.Engine_store.ba_body;
             Cached ba.Engine_store.ba_pus
           | None ->
-            count bm c_body_misses;
+            count c_body_misses;
             Fresh (key, Lang.Sema.check_unit linker (parse u)))
         units
     in
@@ -145,13 +131,4 @@ let load ?store ?(keep_going = false) files =
     in
     Whirl.Lower.assemble g prog pus
   in
-  {
-    fr_module = m;
-    fr_skipped = skipped;
-    fr_stats =
-      Option.map
-        (fun _ ->
-          { interface_hits = !ih; interface_misses = !im; body_hits = !bh;
-            body_misses = !bm })
-        store;
-  }
+  { fr_module = m; fr_skipped = skipped }

@@ -13,26 +13,20 @@
     [Whirl.Lower.lower (Lang.Frontend.load ~files)] builds, byte for byte
     under {!Whirl.Whirl_io.write}. *)
 
-type stats = {
-  interface_hits : int;
-  interface_misses : int;
-  body_hits : int;
-  body_misses : int;
-}
-
 type result = {
   fr_module : Whirl.Ir.module_;
   fr_skipped : (string * Lang.Diag.t) list;
       (** under [keep_going], files whose parse failed (never cached), in
           input order, with their diagnostic *)
-  fr_stats : stats option;  (** [Some] iff a disk-backed store was used *)
 }
 
 val load :
   ?store:Engine_store.t -> ?keep_going:bool -> (string * string) list -> result
 (** [(path, contents)] pairs.  Without a disk-backed [store] nothing is
-    cached.  Hits and misses also count in the
-    [frontend.artifact.{interface,body}.{hits,misses}] metrics.
+    cached.  With one, every lookup counts as a hit or a miss in the
+    [frontend.artifact.{interface,body}.{hits,misses}] metrics; a registry
+    diff around the call gives this load's counts ([uhc --stats] prints
+    them).  Without one, no metric moves.
     @raise Lang.Diag.Frontend_error on a parse error (unless [keep_going])
     or a semantic error, with the message the uncached composition
     gives. *)

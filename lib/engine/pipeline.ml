@@ -137,7 +137,8 @@ type ledger_acc = {
   mutable la_pus : Engine.pu_entry list;
 }
 
-let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
+let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
+    (cfg : config) =
   try
     (match
        List.filter (fun n -> Analyses.Registry.find n = None) cfg.analyses
@@ -214,13 +215,16 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
           fr.Frontend_cache.fr_skipped <> []
           && List.length fr.Frontend_cache.fr_skipped = List.length files
         then failwith "all input files failed to parse";
-        (match fr.Frontend_cache.fr_stats with
-        | Some st when cfg.stats ->
+        if cfg.stats && cfg.cache_dir <> None then begin
+          (* the artifact counters move only with a disk store, and only
+             in the frontend: the run's diff so far is the load's *)
+          let d = Obs.Metrics.diff (Obs.Metrics.snapshot ()) metrics0 in
+          let count k = Obs.Metrics.value d ("frontend.artifact." ^ k) in
           Printf.printf
             "frontend: interface %d hit / %d miss, body %d hit / %d miss\n"
-            st.Frontend_cache.interface_hits st.Frontend_cache.interface_misses
-            st.Frontend_cache.body_hits st.Frontend_cache.body_misses
-        | _ -> ());
+            (count "interface.hits") (count "interface.misses")
+            (count "body.hits") (count "body.misses")
+        end;
         fr.Frontend_cache.fr_module
     in
     let m0 =
@@ -457,124 +461,99 @@ let config_digest (cfg : config) =
 (* The schema_version 1 ledger record, as a single JSONL line.  Everything
    a later run (or dragon history/regress/explain) needs to compare itself
    against this one: identity (config/corpus digests), cost (wall, phases,
-   metrics), cache effectiveness per phase, solver work, analysis verdict
-   tallies, and the per-PU content keys that explain invalidations. *)
+   the run's metrics diff), cache effectiveness per phase, solver work,
+   analysis verdict tallies, and the per-PU content keys that explain
+   invalidations. *)
 let ledger_record ~(cfg : config) ~run_id ~code ~wall_s ~corpus_digest ~pus
-    ~stats ~reports ~diag_count ~trace_path ~metrics_path ~outputs =
-  let b = Buffer.create 8192 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let str s = bpf "\"%s\"" (Obs.Json.escape s) in
-  let strings l =
-    Buffer.add_char b '[';
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_char b ',';
-        str s)
-      l;
-    Buffer.add_char b ']'
-  in
-  bpf "{\"schema_version\":%d," Obs.Ledger.schema_version;
-  bpf "\"run_id\":\"%s\"," (Obs.Json.escape run_id);
-  bpf "\"ts\":%.3f," (Unix.gettimeofday ());
-  bpf "\"project\":\"%s\"," (Obs.Json.escape cfg.project);
-  bpf "\"corpus\":\"%s\","
-    (Obs.Json.escape (Option.value cfg.corpus ~default:"-"));
-  bpf "\"jobs\":%d," cfg.jobs;
-  bpf "\"analyses\":";
-  strings cfg.analyses;
-  bpf ",\"config_digest\":\"%s\"," (config_digest cfg);
-  bpf "\"corpus_digest\":\"%s\"," (Obs.Json.escape corpus_digest);
-  bpf "\"exit_code\":%d," code;
-  bpf "\"wall_s\":%.6f," wall_s;
-  (match trace_path with
-  | Some p -> bpf "\"trace_path\":\"%s\"," (Obs.Json.escape p)
-  | None -> ());
-  (match metrics_path with
-  | Some p -> bpf "\"metrics_path\":\"%s\"," (Obs.Json.escape p)
-  | None -> ());
-  bpf "\"outputs\":";
-  strings outputs;
+    ~stats ~reports ~diag_count ~trace_path ~metrics_path ~outputs ~metrics =
+  let open Obs.Json in
+  let int n = Num (float_of_int n) in
+  let strings l = List (List.map (fun s -> Str s) l) in
+  let path k = function Some p -> [ (k, Str p) ] | None -> [] in
   (* engine statistics: phases, per-phase cache effectiveness, solver *)
-  (match stats with
-  | None -> bpf ",\"analyzed\":false"
-  | Some (s : Engine.Stats.t) ->
-    bpf ",\"analyzed\":true,\"pus_analyzed\":%d" s.Engine.Stats.s_pus;
-    bpf ",\"phases\":[";
-    List.iteri
-      (fun i (p : Engine.Stats.phase) ->
-        if i > 0 then Buffer.add_char b ',';
-        bpf "{\"name\":\"%s\",\"wall_s\":%.6f,\"alloc_bytes\":%.0f}"
-          (Obs.Json.escape p.Engine.Stats.ph_name)
-          p.Engine.Stats.ph_wall p.Engine.Stats.ph_alloc)
-      s.Engine.Stats.s_phases;
-    bpf "],\"cache\":{\"collect_hits\":%d,\"collect_misses\":%d,\"summary_hits\":%d,\"summary_misses\":%d}"
-      s.Engine.Stats.s_collect_hits s.Engine.Stats.s_collect_misses
-      s.Engine.Stats.s_summary_hits s.Engine.Stats.s_summary_misses;
-    bpf ",\"solver\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        bpf "\"%s\":%d" k v)
-      (Linear.Solver_stats.to_alist s.Engine.Stats.s_solver);
-    bpf "}");
+  let engine =
+    match stats with
+    | None -> [ ("analyzed", Bool false) ]
+    | Some (s : Engine.Stats.t) ->
+      [
+        ("analyzed", Bool true);
+        ("pus_analyzed", int s.s_pus);
+        ( "phases",
+          List
+            (List.map
+               (fun (p : Engine.Stats.phase) ->
+                 Obj
+                   [
+                     ("name", Str p.ph_name);
+                     ("wall_s", Num p.ph_wall);
+                     ("alloc_bytes", Num (Float.round p.ph_alloc));
+                   ])
+               s.s_phases) );
+        ( "cache",
+          Obj
+            [
+              ("collect_hits", int s.s_collect_hits);
+              ("collect_misses", int s.s_collect_misses);
+              ("summary_hits", int s.s_summary_hits);
+              ("summary_misses", int s.s_summary_misses);
+            ] );
+        ( "solver",
+          Obj
+            (List.map
+               (fun (k, v) -> (k, int v))
+               (Linear.Solver_stats.to_alist s.s_solver)) );
+      ]
+  in
   (* verdict tallies: each analysis' summary lines, e.g.
      verdicts.bounds.safe *)
-  bpf ",\"verdicts\":{";
-  List.iteri
-    (fun i (r : Analyses.Report.t) ->
-      if i > 0 then Buffer.add_char b ',';
-      bpf "\"%s\":{" (Obs.Json.escape r.Analyses.Report.r_analysis);
-      List.iteri
-        (fun j (k, v) ->
-          if j > 0 then Buffer.add_char b ',';
-          bpf "\"%s\":" (Obs.Json.escape k);
-          match int_of_string_opt v with
-          | Some n -> bpf "%d" n
-          | None -> str v)
-        r.Analyses.Report.r_summary;
-      Buffer.add_char b '}')
-    reports;
-  bpf "},\"diagnostics\":%d" diag_count;
-  (* the full metrics registry, same entry shape as uhc --metrics *)
-  bpf ",\"metrics\":[";
-  List.iteri
-    (fun i (name, snap) ->
-      if i > 0 then Buffer.add_char b ',';
-      bpf "{\"name\":\"%s\"," (Obs.Json.escape name);
-      match snap with
-      | Obs.Metrics.S_counter v -> bpf "\"kind\":\"counter\",\"value\":%d}" v
-      | Obs.Metrics.S_gauge v -> bpf "\"kind\":\"gauge\",\"value\":%d}" v
-      | Obs.Metrics.S_hist h ->
-        bpf
-          "\"kind\":\"histogram\",\"count\":%d,\"sum\":%d,\"p50\":%.1f,\"p95\":%.1f,\"p99\":%.1f,\"buckets\":["
-          h.Obs.Metrics.h_count h.Obs.Metrics.h_sum h.Obs.Metrics.h_p50
-          h.Obs.Metrics.h_p95 h.Obs.Metrics.h_p99;
-        List.iteri
-          (fun j (lo, hi, c) ->
-            if j > 0 then Buffer.add_char b ',';
-            bpf "{\"lo\":%d,\"hi\":%d,\"count\":%d}" lo
-              (if hi = max_int then -1 else hi)
-              c)
-          h.Obs.Metrics.h_buckets;
-        bpf "]}")
-    (Obs.Metrics.snapshot ());
+  let tally (k, v) =
+    (k, match int_of_string_opt v with Some n -> int n | None -> Str v)
+  in
+  let verdicts =
+    List.map
+      (fun (r : Analyses.Report.t) ->
+        (r.r_analysis, Obj (List.map tally r.r_summary)))
+      reports
+  in
   (* per-PU incrementality record: the content keys and hit flags this
      run saw, plus callee edges so a reader can walk blast radii *)
-  bpf "],\"pus\":[";
-  List.iteri
-    (fun i (p : Engine.pu_entry) ->
-      if i > 0 then Buffer.add_char b ',';
-      bpf
-        "{\"name\":\"%s\",\"file\":\"%s\",\"key1\":\"%s\",\"key2\":\"%s\",\"collect_hit\":%b,\"summary_hit\":%b,\"callees\":"
-        (Obs.Json.escape p.Engine.p_name)
-        (Obs.Json.escape p.Engine.p_file)
-        p.Engine.p_key1 p.Engine.p_key2 p.Engine.p_collect_hit
-        p.Engine.p_summary_hit;
-      strings p.Engine.p_callees;
-      Buffer.add_char b '}')
-    pus;
-  bpf "]}";
-  Buffer.contents b
+  let pu (p : Engine.pu_entry) =
+    Obj
+      [
+        ("name", Str p.p_name);
+        ("file", Str p.p_file);
+        ("key1", Str p.p_key1);
+        ("key2", Str p.p_key2);
+        ("collect_hit", Bool p.p_collect_hit);
+        ("summary_hit", Bool p.p_summary_hit);
+        ("callees", strings p.p_callees);
+      ]
+  in
+  render
+    (Obj
+       ([
+          ("schema_version", int Obs.Ledger.schema_version);
+          ("run_id", Str run_id);
+          ("ts", Num (Unix.gettimeofday ()));
+          ("project", Str cfg.project);
+          ("corpus", Str (Option.value cfg.corpus ~default:"-"));
+          ("jobs", int cfg.jobs);
+          ("analyses", strings cfg.analyses);
+          ("config_digest", Str (config_digest cfg));
+          ("corpus_digest", Str corpus_digest);
+          ("exit_code", int code);
+          ("wall_s", Num wall_s);
+        ]
+       @ path "trace_path" trace_path
+       @ path "metrics_path" metrics_path
+       @ [ ("outputs", strings outputs) ]
+       @ engine
+       @ [
+           ("verdicts", Obj verdicts);
+           ("diagnostics", int diag_count);
+           ("metrics", Obs.Metrics.to_json metrics);
+           ("pus", List (List.map pu pus));
+         ]))
 
 let run (cfg : config) =
   Obs.Log.set_level cfg.log_level;
@@ -624,14 +603,14 @@ let run (cfg : config) =
        may have cached exact answers the faulted run should recompute (and
        vice versa for the run after) -- start from a cold solver cache *)
     Linear.System.clear_cache ();
-  let c_degraded = Obs.Metrics.counter "solver.degraded" in
-  let degraded0 = Obs.Metrics.Counter.get c_degraded in
   Obs.Log.info "pipeline.start"
     [
       ("inputs", string_of_int (List.length cfg.paths));
       ("corpus", Option.value cfg.corpus ~default:"-");
       ("jobs", string_of_int cfg.jobs);
     ];
+  (* every per-run number is a diff against this one reading *)
+  let metrics0 = Obs.Metrics.snapshot () in
   let t0 = Obs.Trace.now_ns () in
   let diags = ref [] in
   let outputs = ref [] in
@@ -661,9 +640,11 @@ let run (cfg : config) =
         if not specs_ok then 2
         else
           Obs.Span.with_ ~cat:"phase" ~name:"pipeline" (fun () ->
-              exec_body ~diags ~outputs ~stats ~reports ~ledger_acc cfg)
+              exec_body ~metrics0 ~diags ~outputs ~stats ~reports
+                ~ledger_acc cfg)
       in
-      let degraded = Obs.Metrics.Counter.get c_degraded - degraded0 in
+      let metrics = Obs.Metrics.diff (Obs.Metrics.snapshot ()) metrics0 in
+      let degraded = Obs.Metrics.value metrics "solver.degraded" in
       if degraded > 0 then
         diags :=
           Fault.Diag.make ~site:"solver" ~pu:"*" ~action:"interval-box"
@@ -692,7 +673,7 @@ let run (cfg : config) =
             ~corpus_digest:ledger_acc.la_corpus_digest
             ~pus:ledger_acc.la_pus ~stats:!stats
             ~reports:(List.rev !reports) ~diag_count:(List.length diags)
-            ~trace_path ~metrics_path ~outputs:(List.rev !outputs)
+            ~trace_path ~metrics_path ~outputs:(List.rev !outputs) ~metrics
         in
         try
           let path = Obs.Ledger.append ~cache_dir ~run_id:id record in

@@ -113,8 +113,6 @@ let counters =
     (fun s -> (s, Obs.Metrics.counter ("fault.injected." ^ site_name s)))
     all_sites
 
-let injected_count site = Obs.Metrics.Counter.get (List.assq site counters)
-
 (* ------------------------------------------------------------------ *)
 (* The decision function: MD5(seed | site | key) -> uniform in [0,1). *)
 

@@ -21,7 +21,6 @@ type site =
 
 val all_sites : site list
 val site_name : site -> string
-val site_of_name : string -> site option
 
 type spec = {
   sp_site : site;
@@ -56,9 +55,6 @@ val inject : site -> key:string -> unit
 (** @raise Injected when an installed spec fires on (site, key); counts
     the [fault.injected.<site>] metric first.  No-op when disabled. *)
 
-val injected_count : site -> int
-(** Cumulative fired count for the site (process lifetime). *)
-
 (** Structured degradation diagnostics — what faulted, how bad, and what
     the pipeline did instead of aborting.  [uhc --diagnostics FILE] writes
     these as JSON ([{"diagnostics": [...]}], validated by
@@ -82,8 +78,6 @@ module Diag : sig
     string ->
     t
   (** [severity] defaults to [Warning] — the run survived. *)
-
-  val severity_name : severity -> string
 
   val compare : t -> t -> int
   (** Total order on content; {!save} sorts with it so the JSON report is

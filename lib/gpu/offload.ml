@@ -83,9 +83,3 @@ let compare_copyin ?(link = pcie_gen2) ?(kernel_s = 0.0) ~label ~elem_size
         cmp_speedup = speedup ~baseline:full_time ~improved:sub_time;
       }
   | _ -> None
-
-let pp_comparison ppf c =
-  Format.fprintf ppf
-    "%-8s copyin(whole)=%d B (%.3g s)  copyin(region)=%d B (%.3g s)  speedup %.1fx"
-    c.cmp_label c.cmp_full_bytes c.cmp_full_time c.cmp_sub_bytes c.cmp_sub_time
-    c.cmp_speedup

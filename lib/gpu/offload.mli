@@ -60,5 +60,3 @@ val compare_copyin :
   comparison option
 (** Full-array copyin versus region-bounding-box copyin for one kernel
     launch. [None] if sizes are not constant. *)
-
-val pp_comparison : Format.formatter -> comparison -> unit

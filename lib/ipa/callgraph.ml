@@ -12,11 +12,9 @@ type t = {
   sites : callsite list;
   callee_map : (string, string list) Hashtbl.t;
   caller_map : (string, string list) Hashtbl.t;
-  site_map : (string, callsite list) Hashtbl.t;
   (* derived structure, computed once at build time (the record is
      immutable afterwards, so parallel engine workers can share it): *)
   scc_list : string list list;  (** reverse topological (callees first) *)
-  scc_index_tbl : (string, int) Hashtbl.t;  (** proc -> index in scc_list *)
   levels : int array;  (** per SCC index: DAG depth from the leaves *)
   recursive_set : (string, unit) Hashtbl.t;
 }
@@ -88,12 +86,10 @@ let build (m : Ir.module_) =
   let sites = List.rev !sites in
   let callee_map = Hashtbl.create 16 in
   let caller_map = Hashtbl.create 16 in
-  let site_map = Hashtbl.create 16 in
   List.iter
     (fun name ->
       Hashtbl.replace callee_map name [];
-      Hashtbl.replace caller_map name [];
-      Hashtbl.replace site_map name [])
+      Hashtbl.replace caller_map name [])
     order;
   let push tbl key v =
     let cur = try Hashtbl.find tbl key with Not_found -> [] in
@@ -102,9 +98,7 @@ let build (m : Ir.module_) =
   List.iter
     (fun cs ->
       push callee_map cs.cs_caller cs.cs_callee;
-      push caller_map cs.cs_callee cs.cs_caller;
-      let cur = try Hashtbl.find site_map cs.cs_caller with Not_found -> [] in
-      Hashtbl.replace site_map cs.cs_caller (cur @ [ cs ]))
+      push caller_map cs.cs_callee cs.cs_caller)
     sites;
   let callees_of name =
     try Hashtbl.find callee_map name with Not_found -> []
@@ -143,9 +137,7 @@ let build (m : Ir.module_) =
     sites;
     callee_map;
     caller_map;
-    site_map;
     scc_list;
-    scc_index_tbl;
     levels;
     recursive_set;
   }
@@ -155,7 +147,6 @@ let callsites t = t.sites
 
 let callees t name = try Hashtbl.find t.callee_map name with Not_found -> []
 let callers t name = try Hashtbl.find t.caller_map name with Not_found -> []
-let callsites_in t name = try Hashtbl.find t.site_map name with Not_found -> []
 
 let node_count t = List.length t.order
 
@@ -180,9 +171,7 @@ let preorder t =
   List.rev !out
 
 let sccs t = t.scc_list
-let scc_index t name = Hashtbl.find_opt t.scc_index_tbl name
 let scc_levels t = t.levels
-let bottom_up t = List.concat t.scc_list
 let is_recursive t name = Hashtbl.mem t.recursive_set name
 
 let to_dot t =

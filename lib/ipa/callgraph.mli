@@ -22,7 +22,6 @@ val callees : t -> string -> string list
 (** Unique callees in callsite order. *)
 
 val callers : t -> string -> string list
-val callsites_in : t -> string -> callsite list
 val node_count : t -> int
 val edge_count : t -> int
 (** Unique (caller, callee) pairs. *)
@@ -39,18 +38,11 @@ val sccs : t -> string list list
     at {!build} time (formerly re-run on every call); procedures that are
     called but never defined appear as singleton components. *)
 
-val scc_index : t -> string -> int option
-(** Index of the procedure's component in {!sccs} ([None] only for names
-    the graph has never seen). *)
-
 val scc_levels : t -> int array
 (** Per component (indexed like {!sccs}): depth in the condensation DAG —
     0 for leaf components, otherwise one more than the deepest callee
     component.  Components on the same level share no caller-callee edge,
     which is what makes them safe to summarize in parallel. *)
-
-val bottom_up : t -> string list
-(** Flattened {!sccs}. *)
 
 val is_recursive : t -> string -> bool
 (** Member of a multi-node SCC, or self-calling (O(1)). *)

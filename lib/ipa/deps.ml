@@ -10,11 +10,6 @@ type t = {
   dep_carried : bool;
 }
 
-let kind_to_string = function
-  | Flow -> "flow"
-  | Anti -> "anti"
-  | Output -> "output"
-
 let kind_of m1 m2 =
   match m1, m2 with
   | Mode.DEF, Mode.DEF -> Some Output

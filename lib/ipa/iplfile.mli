@@ -12,9 +12,6 @@
     same registry the collector uses, so a summary written by one process
     translates identically in another. *)
 
-val write_summary : Whirl.Ir.module_ -> string -> Summary.t -> string
-(** [write_summary m proc summary] — one procedure's section. *)
-
 val write_unit : Whirl.Ir.module_ -> (string * Summary.t) list -> string
 
 val parse_unit :

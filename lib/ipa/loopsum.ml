@@ -125,19 +125,6 @@ let of_pu m summaries pu =
 let of_module m summaries =
   List.concat_map (fun pu -> of_pu m summaries pu) m.Ir.m_pus
 
-let copyin_bytes ls =
-  List.filter_map
-    (fun e ->
-      match e.le_mode with
-      | Mode.USE ->
-        (* bounding-box bytes with a conventional 8-byte element (callers
-           wanting exact element sizes should consult the symbol table) *)
-        Option.map
-          (fun n -> (e.le_array, n))
-          (Region.point_count e.le_region)
-      | _ -> None)
-    ls.ls_entries
-
 let render _m _pu summaries =
   let buf = Buffer.create 512 in
   List.iter

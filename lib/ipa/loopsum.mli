@@ -34,8 +34,4 @@ val of_pu :
 val of_module :
   Whirl.Ir.module_ -> (string * Summary.t) list -> loop_summary list
 
-val copyin_bytes : loop_summary -> (string * int) list
-(** Per USEd array: bytes a bounding-box [copyin] before this loop moves
-    (constant regions only) — the Case 2 decision input. *)
-
 val render : Whirl.Ir.module_ -> Whirl.Ir.pu -> loop_summary list -> string

@@ -96,35 +96,10 @@ type unit_ = {
   unit_iprops : (string * Iprop.t) list;
 }
 
-let rec loc_of_expr = function
-  | Int_lit _ | Real_lit _ | Str_lit _ | Logic_lit _ -> Loc.dummy
-  | Var_ref (_, l) | Array_ref (_, _, l) | Call_expr (_, _, l)
-  | Coarray_ref (_, _, _, l) ->
-    l
-  | Binop (_, a, b) ->
-    let la = loc_of_expr a in
-    if Loc.equal la Loc.dummy then loc_of_expr b else la
-  | Unop (_, e) -> loc_of_expr e
-
-let loc_of_stmt = function
-  | Assign (_, _, l) | If (_, _, _, l) | While (_, _, l)
-  | Call (_, _, l) | Return (_, l) | Print (_, l) | Nop l -> l
-  | Do d -> d.do_loc
-
-let loc_of_lvalue = function
-  | Lvar (_, l) | Larr (_, _, l) | Lcoarr (_, _, _, l) -> l
-
-let lvalue_name = function
-  | Lvar (n, _) | Larr (n, _, _) | Lcoarr (n, _, _, _) -> n
-
-let pp_dtype ppf t = Format.pp_print_string ppf (dtype_name t)
-
 let binop_str = function
   | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Pow -> "**"
   | Mod -> "mod" | Eq -> "==" | Ne -> "!=" | Lt -> "<" | Le -> "<="
   | Gt -> ">" | Ge -> ">=" | And -> ".and." | Or -> ".or."
-
-let pp_binop ppf b = Format.pp_print_string ppf (binop_str b)
 
 let rec pp_expr ppf = function
   | Int_lit n -> Format.fprintf ppf "%d" n
@@ -177,64 +152,3 @@ let rec pp_stmt ppf = function
 
 and pp_body ppf stmts =
   Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_stmt ppf stmts
-
-let pp_dim ppf d =
-  if d.dim_assumed_shape then Format.pp_print_string ppf ":"
-  else
-    match d.dim_hi with
-    | Some hi -> Format.fprintf ppf "%a:%a" pp_expr d.dim_lo pp_expr hi
-    | None -> Format.fprintf ppf "%a:*" pp_expr d.dim_lo
-
-let pp_decl ppf d =
-  match d.decl_dims with
-  | [] -> Format.fprintf ppf "%a :: %s" pp_dtype d.decl_type d.decl_name
-  | dims ->
-    Format.fprintf ppf "%a :: %s(%a)" pp_dtype d.decl_type d.decl_name
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         pp_dim)
-      dims
-
-let pp_proc ppf p =
-  let kind =
-    match p.proc_kind with
-    | Program -> "program"
-    | Subroutine -> "subroutine"
-    | Function _ -> "function"
-  in
-  Format.fprintf ppf "@[<v 2>%s %s(%a)@,%a@,%a@]@,end" kind p.proc_name
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Format.pp_print_string)
-    p.proc_params
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_decl)
-    p.proc_decls pp_body p.proc_body
-
-let pp_unit ppf u =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_proc)
-    u.unit_procs
-
-let rec expr_equal a b =
-  match a, b with
-  | Int_lit x, Int_lit y -> x = y
-  | Real_lit x, Real_lit y -> x = y
-  | Str_lit x, Str_lit y -> String.equal x y
-  | Logic_lit x, Logic_lit y -> x = y
-  | Var_ref (x, _), Var_ref (y, _) -> String.equal x y
-  | Array_ref (x, xi, _), Array_ref (y, yi, _) ->
-    String.equal x y && exprs_equal xi yi
-  | Coarray_ref (x, xi, xm, _), Coarray_ref (y, yi, ym, _) ->
-    String.equal x y && exprs_equal xi yi && expr_equal xm ym
-  | Binop (o1, a1, b1), Binop (o2, a2, b2) ->
-    o1 = o2 && expr_equal a1 a2 && expr_equal b1 b2
-  | Unop (o1, e1), Unop (o2, e2) -> o1 = o2 && expr_equal e1 e2
-  | Call_expr (x, xs, _), Call_expr (y, ys, _) ->
-    String.equal x y && exprs_equal xs ys
-  | ( ( Int_lit _ | Real_lit _ | Str_lit _ | Logic_lit _ | Var_ref _
-      | Array_ref _ | Coarray_ref _ | Binop _ | Unop _ | Call_expr _ ),
-      _ ) ->
-    false
-
-and exprs_equal xs ys =
-  List.length xs = List.length ys && List.for_all2 expr_equal xs ys

@@ -108,18 +108,5 @@ type unit_ = {
       (** index-array property directives scanned from comments *)
 }
 
-val loc_of_expr : expr -> Loc.t
-val loc_of_stmt : stmt -> Loc.t
-val loc_of_lvalue : lvalue -> Loc.t
-
-val lvalue_name : lvalue -> string
-
-val pp_dtype : Format.formatter -> dtype -> unit
-val pp_binop : Format.formatter -> binop -> unit
 val pp_expr : Format.formatter -> expr -> unit
 val pp_stmt : Format.formatter -> stmt -> unit
-val pp_proc : Format.formatter -> proc -> unit
-val pp_unit : Format.formatter -> unit_ -> unit
-
-val expr_equal : expr -> expr -> bool
-(** Structural equality ignoring locations. *)

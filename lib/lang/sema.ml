@@ -563,11 +563,3 @@ let analyze units =
   let l = linker (link (List.map interface units)) in
   List.iter (fun u -> ignore (check_unit l u)) units;
   finish l
-
-let proc_arrays pi =
-  String_map.fold
-    (fun n sym acc ->
-      match sym with
-      | Sym_array (s, cls) -> (n, s, cls) :: acc
-      | Sym_scalar _ | Sym_const _ -> acc)
-    pi.pi_symbols []

@@ -53,9 +53,6 @@ type program = {
   prog_warnings : Diag.t list;
 }
 
-val intrinsics : string list
-(** Names always treated as function calls (mod, sqrt, max, ...). *)
-
 val is_intrinsic : string -> bool
 
 val analyze : Ast.unit_ list -> program
@@ -129,10 +126,3 @@ val add_body : linker -> body -> unit
     @raise Diag.Frontend_error on a duplicate procedure. *)
 
 val finish : linker -> program
-
-val const_eval : symbol String_map.t -> Ast.expr -> int option
-(** Fold an integer-constant expression using PARAMETER/#define bindings. *)
-
-val proc_arrays : proc_info -> (string * array_sig * var_class) list
-(** All array symbols visible in the procedure, declaration order not
-    guaranteed. *)

@@ -468,4 +468,3 @@ let feasible ?prio ~tighten rows =
 let row_ids r = r.ids
 let row_coeffs r = r.cs
 let row_const r = r.k
-let row_is_eq r = r.eq

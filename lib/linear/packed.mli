@@ -33,7 +33,6 @@ val row_coeffs : row -> int array
 (** Non-zero integer coefficients, parallel to [row_ids]. *)
 
 val row_const : row -> int
-val row_is_eq : row -> bool
 
 val is_const : row -> bool
 (** No variables: the row is a constant fact. *)

@@ -45,40 +45,32 @@ type t = {
   ctx_activity_reorders : int;  (* FM picks overridden by activity order *)
 }
 
-let c_queries = Obs.Metrics.counter "solver.queries"
-let c_cache_hits = Obs.Metrics.counter "solver.cache.hits"
-let c_cache_misses = Obs.Metrics.counter "solver.cache.misses"
-let c_box_refutations = Obs.Metrics.counter "solver.box_refutations"
-let c_syntactic_hits = Obs.Metrics.counter "solver.syntactic_hits"
-let c_fm_runs = Obs.Metrics.counter "solver.fm.runs"
-let c_fm_rows_built = Obs.Metrics.counter "solver.fm.rows_built"
-let c_fm_rows_pruned = Obs.Metrics.counter "solver.fm.rows_pruned"
-let c_tighten_fallbacks = Obs.Metrics.counter "solver.fallback.tighten"
-let c_overflow_fallbacks = Obs.Metrics.counter "solver.fallback.overflow"
-let c_reference_runs = Obs.Metrics.counter "solver.reference.runs"
-let c_small_runs = Obs.Metrics.counter "solver.small_runs"
-let c_wall_fast_ns = Obs.Metrics.counter "solver.wall.fast_ns"
-let c_wall_reference_ns = Obs.Metrics.counter "solver.wall.reference_ns"
-let c_implies_queries = Obs.Metrics.counter "solver.implies.queries"
-let c_implies_fresh = Obs.Metrics.counter "solver.implies.fresh"
-let c_implies_wall_ns = Obs.Metrics.counter "solver.implies.wall_ns"
-let c_ctx_contexts = Obs.Metrics.counter "solver.ctx.contexts"
-let c_ctx_cut_hits = Obs.Metrics.counter "solver.ctx.cut_hits"
-let c_ctx_bound_hits = Obs.Metrics.counter "solver.ctx.bound_hits"
-let c_ctx_proj_hits = Obs.Metrics.counter "solver.ctx.proj_hits"
-let c_ctx_elims = Obs.Metrics.counter "solver.ctx.elims"
-let c_ctx_reorders = Obs.Metrics.counter "solver.ctx.activity_reorders"
-
-let all =
-  [
-    c_queries; c_cache_hits; c_cache_misses; c_box_refutations;
-    c_syntactic_hits; c_fm_runs; c_fm_rows_built; c_fm_rows_pruned;
-    c_tighten_fallbacks; c_overflow_fallbacks; c_reference_runs;
-    c_small_runs; c_wall_fast_ns; c_wall_reference_ns; c_implies_queries;
-    c_implies_fresh; c_implies_wall_ns; c_ctx_contexts;
-    c_ctx_cut_hits; c_ctx_bound_hits; c_ctx_proj_hits; c_ctx_elims;
-    c_ctx_reorders;
-  ]
+(* each counter with its registry name: [snapshot] reads the live
+   counters, [of_metrics] the same names in a registry snapshot or diff *)
+let counter name = (name, Obs.Metrics.counter name)
+let c_queries = counter "solver.queries"
+let c_cache_hits = counter "solver.cache.hits"
+let c_cache_misses = counter "solver.cache.misses"
+let c_box_refutations = counter "solver.box_refutations"
+let c_syntactic_hits = counter "solver.syntactic_hits"
+let c_fm_runs = counter "solver.fm.runs"
+let c_fm_rows_built = counter "solver.fm.rows_built"
+let c_fm_rows_pruned = counter "solver.fm.rows_pruned"
+let c_tighten_fallbacks = counter "solver.fallback.tighten"
+let c_overflow_fallbacks = counter "solver.fallback.overflow"
+let c_reference_runs = counter "solver.reference.runs"
+let c_small_runs = counter "solver.small_runs"
+let c_wall_fast_ns = counter "solver.wall.fast_ns"
+let c_wall_reference_ns = counter "solver.wall.reference_ns"
+let c_implies_queries = counter "solver.implies.queries"
+let c_implies_fresh = counter "solver.implies.fresh"
+let c_implies_wall_ns = counter "solver.implies.wall_ns"
+let c_ctx_contexts = counter "solver.ctx.contexts"
+let c_ctx_cut_hits = counter "solver.ctx.cut_hits"
+let c_ctx_bound_hits = counter "solver.ctx.bound_hits"
+let c_ctx_proj_hits = counter "solver.ctx.proj_hits"
+let c_ctx_elims = counter "solver.ctx.elims"
+let c_ctx_reorders = counter "solver.ctx.activity_reorders"
 
 (* Per-domain suppression flag for [quiet]. *)
 let quiet_key = Domain.DLS.new_key (fun () -> ref false)
@@ -91,8 +83,8 @@ let quiet f =
 
 let counting () = not !(Domain.DLS.get quiet_key)
 
-let bump c = if counting () then Obs.Metrics.Counter.incr c
-let add c n = if counting () then Obs.Metrics.Counter.add c n
+let bump (_, c) = if counting () then Obs.Metrics.Counter.incr c
+let add (_, c) n = if counting () then Obs.Metrics.Counter.add c n
 
 let query () = bump c_queries
 let cache_hit () = bump c_cache_hits
@@ -113,16 +105,15 @@ let implies_fresh () = bump c_implies_fresh
 let add_implies_ns n = add c_implies_wall_ns n
 
 (* Learned-core telemetry: unconditional (see the module comment). *)
-let ctx_context () = Obs.Metrics.Counter.incr c_ctx_contexts
-let ctx_cut_hit () = Obs.Metrics.Counter.incr c_ctx_cut_hits
-let ctx_bound_hit () = Obs.Metrics.Counter.incr c_ctx_bound_hits
-let ctx_proj_hit () = Obs.Metrics.Counter.incr c_ctx_proj_hits
-let ctx_elim () = Obs.Metrics.Counter.incr c_ctx_elims
-let ctx_activity_reorder () = Obs.Metrics.Counter.incr c_ctx_reorders
+let always (_, c) = Obs.Metrics.Counter.incr c
+let ctx_context () = always c_ctx_contexts
+let ctx_cut_hit () = always c_ctx_cut_hits
+let ctx_bound_hit () = always c_ctx_bound_hits
+let ctx_proj_hit () = always c_ctx_proj_hits
+let ctx_elim () = always c_ctx_elims
+let ctx_activity_reorder () = always c_ctx_reorders
 
-let get = Obs.Metrics.Counter.get
-
-let snapshot () =
+let read get =
   let implies_queries = get c_implies_queries in
   let implies_fresh = get c_implies_fresh in
   {
@@ -155,34 +146,8 @@ let snapshot () =
     ctx_activity_reorders = get c_ctx_reorders;
   }
 
-let diff a b =
-  {
-    queries = a.queries - b.queries;
-    cache_hits = a.cache_hits - b.cache_hits;
-    cache_misses = a.cache_misses - b.cache_misses;
-    box_refutations = a.box_refutations - b.box_refutations;
-    syntactic_hits = a.syntactic_hits - b.syntactic_hits;
-    fm_runs = a.fm_runs - b.fm_runs;
-    fm_rows_built = a.fm_rows_built - b.fm_rows_built;
-    fm_rows_pruned = a.fm_rows_pruned - b.fm_rows_pruned;
-    tighten_fallbacks = a.tighten_fallbacks - b.tighten_fallbacks;
-    overflow_fallbacks = a.overflow_fallbacks - b.overflow_fallbacks;
-    reference_runs = a.reference_runs - b.reference_runs;
-    small_runs = a.small_runs - b.small_runs;
-    wall_fast_ns = a.wall_fast_ns - b.wall_fast_ns;
-    wall_reference_ns = a.wall_reference_ns - b.wall_reference_ns;
-    implies_queries = a.implies_queries - b.implies_queries;
-    implies_memo_hits = a.implies_memo_hits - b.implies_memo_hits;
-    implies_wall_ns = a.implies_wall_ns - b.implies_wall_ns;
-    ctx_contexts = a.ctx_contexts - b.ctx_contexts;
-    ctx_cut_hits = a.ctx_cut_hits - b.ctx_cut_hits;
-    ctx_bound_hits = a.ctx_bound_hits - b.ctx_bound_hits;
-    ctx_proj_hits = a.ctx_proj_hits - b.ctx_proj_hits;
-    ctx_elims = a.ctx_elims - b.ctx_elims;
-    ctx_activity_reorders = a.ctx_activity_reorders - b.ctx_activity_reorders;
-  }
-
-let reset () = List.iter (fun c -> Obs.Metrics.Counter.set c 0) all
+let snapshot () = read (fun (_, c) -> Obs.Metrics.Counter.get c)
+let of_metrics m = read (fun (name, _) -> Obs.Metrics.value m name)
 
 let to_alist t =
   [

@@ -2,8 +2,10 @@
 
     Every counter is an ["solver.*"] metric in the {!Obs.Metrics} registry
     (this module is a facade over it), atomic so engine worker domains can
-    update them without locks.  [snapshot]/[diff] let callers (the engine,
-    the bench harness) attribute counter deltas to a particular run.
+    update them without locks.  A run's share is a registry diff
+    ({!Obs.Metrics.diff}); {!of_metrics} reads it as the record {!t}, which
+    is what the engine's statistics, [--stats] and the run ledger's
+    [solver] member print.
 
     All counters except the wall-clock sums and the [ctx_*] group are
     scheduling-independent: each answer in a system's memo record carries
@@ -94,11 +96,14 @@ val ctx_proj_hit : unit -> unit
 val ctx_elim : unit -> unit
 val ctx_activity_reorder : unit -> unit
 
-val snapshot : unit -> t
-(** Current counter values. *)
+val of_metrics : (string * Obs.Metrics.snapshot) list -> t
+(** The solver counters of a registry snapshot or diff; a counter the
+    snapshot lacks reads [0]. *)
 
-val diff : t -> t -> t
-(** [diff later earlier] is the per-field difference. *)
+val snapshot : unit -> t
+(** Current process-cumulative counter values.  Kept for the fresh-process
+    benchmark helper ([perfbench/pbtool.ml]), which reads whole-process
+    totals; everything else reads {!of_metrics} of a run's diff. *)
 
 val to_alist : t -> (string * int) list
 (** Every field as [(name, value)], in declaration order — the
@@ -109,9 +114,6 @@ val quiet : (unit -> 'a) -> 'a
 (** Run [f] with counting suppressed on the calling domain ({!System} uses
     this for redundant cross-domain recomputes and for learned-context
     eliminations; see the determinism note above). *)
-
-val reset : unit -> unit
-(** Zero every counter (bench harness only; the engine uses [diff]). *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -23,7 +23,6 @@ val lo : t -> bound
 val hi : t -> bound
 
 val contains : t -> int -> bool
-val is_bounded : t -> bool
 
 val size : t -> int option
 (** Number of integers in the interval, [None] if unbounded. *)

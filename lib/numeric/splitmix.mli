@@ -21,8 +21,5 @@ val next : t -> int64
 val rand_int : t -> int -> int
 (** [rand_int t n] draws uniformly from [0 .. n-1]; [n] must be positive. *)
 
-val rand_float : t -> float
-(** A draw in [0, 1). *)
-
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p]. *)

@@ -54,27 +54,6 @@ let observe t v =
 let count t = Atomic.get t.total
 let sum t = Atomic.get t.sum
 
-let percentile t p =
-  let n = count t in
-  if n = 0 then 0.0
-  else begin
-    let rank = int_of_float (ceil (p *. float_of_int n)) in
-    let rank = max 1 (min n rank) in
-    let acc = ref 0 and found = ref 0 in
-    (try
-       for i = 0 to nbuckets - 1 do
-         acc := !acc + Atomic.get t.counts.(i);
-         if !acc >= rank then begin
-           found := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    let lo, hi = bounds_of_index !found in
-    if hi = max_int then float_of_int lo
-    else (float_of_int lo +. float_of_int hi) /. 2.0
-  end
-
 let nonzero_buckets t =
   let out = ref [] in
   for i = nbuckets - 1 downto 0 do
@@ -85,6 +64,25 @@ let nonzero_buckets t =
   done;
   !out
 
+(* the midpoint of the bucket holding the rank-ceil(p * n) sample; the
+   overflow bucket has no upper bound, so it answers its lower one *)
+let percentile_of_buckets buckets p =
+  let n = List.fold_left (fun acc (_, _, c) -> acc + c) 0 buckets in
+  if n = 0 then 0.0
+  else
+    let rank = max 1 (min n (int_of_float (ceil (p *. float_of_int n)))) in
+    let rec find acc = function
+      | [] -> (0, 0)
+      | [ (lo, hi, _) ] -> (lo, hi)
+      | (lo, hi, c) :: rest ->
+        if acc + c >= rank then (lo, hi) else find (acc + c) rest
+    in
+    let lo, hi = find 0 buckets in
+    if hi = max_int then float_of_int lo
+    else (float_of_int lo +. float_of_int hi) /. 2.0
+
+let percentile t p = percentile_of_buckets (nonzero_buckets t) p
+
 let merge a b =
   let t = create () in
   for i = 0 to nbuckets - 1 do
@@ -93,12 +91,3 @@ let merge a b =
   Atomic.set t.total (count a + count b);
   Atomic.set t.sum (sum a + sum b);
   t
-
-let reset t =
-  Array.iter (fun c -> Atomic.set c 0) t.counts;
-  Atomic.set t.total 0;
-  Atomic.set t.sum 0
-
-let pp_summary ppf t =
-  Format.fprintf ppf "n=%d sum=%d p50=%.0f p95=%.0f p99=%.0f" (count t)
-    (sum t) (percentile t 0.5) (percentile t 0.95) (percentile t 0.99)

@@ -25,6 +25,11 @@ val percentile : t -> float -> float
     true sample of that rank lies inside the same bucket, i.e. within
     [bounds_of_value (truncate (percentile t p))]. *)
 
+val percentile_of_buckets : (int * int * int) list -> float -> float
+(** {!percentile} of a histogram whose nonzero buckets are the given
+    ascending [(lo, hi, count)] list — how a registry diff recomputes
+    percentiles from bucket-wise deltas. *)
+
 val bounds_of_value : int -> int * int
 (** The inclusive [lo, hi] range of the bucket a value falls into (exposed
     for the percentile-accuracy tests and the JSON export). *)
@@ -37,9 +42,3 @@ val merge : t -> t -> t
     total and sum are added bucket-wise (exact — both sides bucket values
     identically), so percentiles of the merge are those of the combined
     sample stream.  The inputs are left untouched. *)
-
-val reset : t -> unit
-(** Zero every bucket (tests / bench harness). *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** One-line [count/sum/p50/p95/p99] rendering. *)

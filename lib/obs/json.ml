@@ -268,3 +268,44 @@ let escape s =
     add_escaped b s;
     Buffer.contents b
   end
+
+let add_num b f =
+  if Float.is_integer f && Float.abs f < 1e15 then
+    Buffer.add_string b (Printf.sprintf "%.0f" f)
+  else if Float.is_finite f then
+    let s = Printf.sprintf "%.15g" f in
+    Buffer.add_string b
+      (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
+  else Buffer.add_string b "null"
+
+let rec write b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (if v then "true" else "false")
+  | Num f -> add_num b f
+  | Str s ->
+    Buffer.add_char b '"';
+    add_escaped b s;
+    Buffer.add_char b '"'
+  | List l ->
+    Buffer.add_char b '[';
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char b ',';
+        write b v)
+      l;
+    Buffer.add_char b ']'
+  | Obj kvs ->
+    Buffer.add_char b '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char b ',';
+        write b (Str k);
+        Buffer.add_char b ':';
+        write b v)
+      kvs;
+    Buffer.add_char b '}'
+
+let render v =
+  let b = Buffer.create 256 in
+  write b v;
+  Buffer.contents b

@@ -1,9 +1,11 @@
-(** A minimal dependency-free JSON reader.
+(** A minimal dependency-free JSON reader and writer.
 
     Just enough for the observability files this library emits (Chrome
-    traces, metrics dumps, bench records): full JSON value grammar on the
-    way in, no writer — emitters build their JSON with [Buffer] directly so
-    the output formatting stays under their control. *)
+    traces, metrics dumps, bench records, run-ledger records): the full
+    JSON value grammar on the way in, and {!write}/{!render} for values
+    built as [t] on the way out.  The writer is compact (no whitespace);
+    emitters whose layout is part of their format (the pretty-printed
+    [BENCH_*.json] records, Chrome traces) still fill a [Buffer] directly. *)
 
 type t =
   | Obj of (string * t) list
@@ -29,6 +31,15 @@ val to_list : t -> t list option
 val to_string : t -> string option
 val to_float : t -> float option
 val to_int : t -> int option
+
+val write : Buffer.t -> t -> unit
+(** Append [v] as compact JSON: members in list order, strings through
+    {!add_escaped}, integral numbers below 1e15 without a fraction, other
+    finite numbers with the fewest of 15 or 17 significant digits that read
+    back to the same float, non-finite numbers as [null]. *)
+
+val render : t -> string
+(** {!write} into a fresh string. *)
 
 val escape : string -> string
 (** Escape a string for embedding between double quotes in JSON output

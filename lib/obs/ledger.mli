@@ -26,9 +26,6 @@ val mkdir_p : string -> unit
     directory that already exists, or that a concurrent process creates
     first, is not an error. *)
 
-val record_path : cache_dir:string -> run_id:string -> string
-(** Where {!append} puts the record: [<cache-dir>/ledger/<run_id>.jsonl]. *)
-
 val append : cache_dir:string -> run_id:string -> string -> string
 (** [append ~cache_dir ~run_id record] durably writes one JSONL record
     (a newline is added if missing), creating the ledger directory as

@@ -12,25 +12,12 @@ module Counter = struct
   let set = Atomic.set
 end
 
-module Gauge = struct
-  type t = int Atomic.t
-
-  let set = Atomic.set
-  let get = Atomic.get
-end
-
-type instrument =
-  | I_counter of Counter.t
-  | I_gauge of Gauge.t
-  | I_hist of Hist.t
+type instrument = I_counter of Counter.t | I_hist of Hist.t
 
 let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
 let mutex = Mutex.create ()
 
-let kind_name = function
-  | I_counter _ -> "counter"
-  | I_gauge _ -> "gauge"
-  | I_hist _ -> "histogram"
+let kind_name = function I_counter _ -> "counter" | I_hist _ -> "histogram"
 
 let register name make match_ =
   Mutex.lock mutex;
@@ -58,13 +45,6 @@ let counter name =
       let c = Atomic.make 0 in
       (c, I_counter c))
     (function I_counter c -> Some c | _ -> None)
-
-let gauge name =
-  register name
-    (fun () ->
-      let g = Atomic.make 0 in
-      (g, I_gauge g))
-    (function I_gauge g -> Some g | _ -> None)
 
 let histogram name =
   register name
@@ -94,16 +74,17 @@ type hist_snapshot = {
   h_buckets : (int * int * int) list;
 }
 
-type snapshot = S_counter of int | S_gauge of int | S_hist of hist_snapshot
+type snapshot = S_counter of int | S_hist of hist_snapshot
 
-let snapshot_hist h =
+let hist_of_buckets ~count ~sum buckets =
+  let p = Hist.percentile_of_buckets buckets in
   {
-    h_count = Hist.count h;
-    h_sum = Hist.sum h;
-    h_p50 = Hist.percentile h 0.5;
-    h_p95 = Hist.percentile h 0.95;
-    h_p99 = Hist.percentile h 0.99;
-    h_buckets = Hist.nonzero_buckets h;
+    h_count = count;
+    h_sum = sum;
+    h_p50 = p 0.5;
+    h_p95 = p 0.95;
+    h_p99 = p 0.99;
+    h_buckets = buckets;
   }
 
 let snapshot () =
@@ -112,50 +93,79 @@ let snapshot () =
       ( name,
         match i with
         | I_counter c -> S_counter (Counter.get c)
-        | I_gauge g -> S_gauge (Gauge.get g)
-        | I_hist h -> S_hist (snapshot_hist h) ))
+        | I_hist h ->
+          S_hist
+            (hist_of_buckets ~count:(Hist.count h) ~sum:(Hist.sum h)
+               (Hist.nonzero_buckets h)) ))
     (sorted_items ())
 
-let reset_all () =
-  List.iter
-    (fun (_, i) ->
-      match i with
-      | I_counter c -> Atomic.set c 0
-      | I_gauge g -> Atomic.set g 0
-      | I_hist h -> Hist.reset h)
-    (sorted_items ())
+(* bucket-wise [a - b] over two ascending nonzero-bucket lists *)
+let rec sub_buckets a b =
+  match (a, b) with
+  | [], _ -> []
+  | _, [] -> a
+  | ((lo, hi, c) :: a'), ((lo', _, c') :: b') ->
+    if lo < lo' then (lo, hi, c) :: sub_buckets a' b
+    else if lo > lo' then sub_buckets a b'
+    else if c > c' then (lo, hi, c - c') :: sub_buckets a' b'
+    else sub_buckets a' b'
+
+let diff later earlier =
+  List.map
+    (fun (name, s) ->
+      ( name,
+        match (s, List.assoc_opt name earlier) with
+        | S_counter v, Some (S_counter v0) -> S_counter (v - v0)
+        | S_hist h, Some (S_hist h0) ->
+          S_hist
+            (hist_of_buckets ~count:(h.h_count - h0.h_count)
+               ~sum:(h.h_sum - h0.h_sum)
+               (sub_buckets h.h_buckets h0.h_buckets))
+        | s, _ -> s ))
+    later
+
+let value snap name =
+  match List.assoc_opt name snap with Some (S_counter v) -> v | _ -> 0
+
+let entry_json (name, s) =
+  let num n = Json.Num (float_of_int n) in
+  Json.Obj
+    (("name", Json.Str name)
+    ::
+    (match s with
+    | S_counter v -> [ ("kind", Json.Str "counter"); ("value", num v) ]
+    | S_hist h ->
+      [
+        ("kind", Json.Str "histogram");
+        ("count", num h.h_count);
+        ("sum", num h.h_sum);
+        ("p50", Json.Num h.h_p50);
+        ("p95", Json.Num h.h_p95);
+        ("p99", Json.Num h.h_p99);
+        ( "buckets",
+          Json.List
+            (List.map
+               (fun (lo, hi, c) ->
+                 Json.Obj
+                   [
+                     ("lo", num lo);
+                     ("hi", num (if hi = max_int then -1 else hi));
+                     ("count", num c);
+                   ])
+               h.h_buckets) );
+      ]))
+
+let to_json snap = Json.List (List.map entry_json snap)
 
 let dump_json () =
   let b = Buffer.create 4096 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  bpf "{\n  \"metrics\": [";
-  let first = ref true in
-  List.iter
-    (fun (name, i) ->
-      if !first then first := false else bpf ",";
-      bpf "\n    {\"name\": \"%s\", \"kind\": \"%s\"" (Json.escape name)
-        (kind_name i);
-      (match i with
-      | I_counter c -> bpf ", \"value\": %d" (Counter.get c)
-      | I_gauge g -> bpf ", \"value\": %d" (Gauge.get g)
-      | I_hist h ->
-        bpf ", \"count\": %d, \"sum\": %d" (Hist.count h) (Hist.sum h);
-        bpf ", \"p50\": %.1f, \"p95\": %.1f, \"p99\": %.1f"
-          (Hist.percentile h 0.5) (Hist.percentile h 0.95)
-          (Hist.percentile h 0.99);
-        bpf ", \"buckets\": [";
-        let bfirst = ref true in
-        List.iter
-          (fun (lo, hi, c) ->
-            if !bfirst then bfirst := false else bpf ", ";
-            bpf "{\"lo\": %d, \"hi\": %d, \"count\": %d}" lo
-              (if hi = max_int then -1 else hi)
-              c)
-          (Hist.nonzero_buckets h);
-        bpf "]");
-      bpf "}")
-    (sorted_items ());
-  bpf "\n  ]\n}\n";
+  Buffer.add_string b "{\n  \"metrics\": [";
+  List.iteri
+    (fun i e ->
+      Buffer.add_string b (if i = 0 then "\n    " else ",\n    ");
+      Json.write b (entry_json e))
+    (snapshot ());
+  Buffer.add_string b "\n  ]\n}\n";
   Buffer.contents b
 
 let save ~path =

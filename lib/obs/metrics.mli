@@ -1,5 +1,5 @@
-(** The process-wide metrics registry: named counters, gauges and log-scale
-    latency histograms.
+(** The process-wide metrics registry: named counters and log-scale latency
+    histograms.
 
     Instruments are registered once by name and shared from then on —
     [counter name] called twice returns the same counter, so modules can
@@ -7,10 +7,15 @@
     one name as two different instrument kinds raises [Invalid_argument]:
     a name identifies exactly one time series.
 
-    Counters and gauges are always live (they back {!Linear.Solver_stats}
-    and the engine statistics, which predate this registry).  Histogram
-    *observation at timed call sites* is gated by {!enabled} so that hot
-    paths pay one branch — no clock reads — when metrics are off. *)
+    The registry is the one source of every count the tool reports.
+    Instruments are cumulative over the process; a run's numbers are the
+    {!diff} of two {!snapshot}s taken around it ([--stats], the run
+    ledger's [metrics] member, {!Linear.Solver_stats} and the bench
+    harness all read such a diff).
+
+    Counters are always live.  Histogram *observation at timed call sites*
+    is gated by {!enabled} so that hot paths pay one branch — no clock
+    reads — when metrics are off. *)
 
 module Counter : sig
   type t
@@ -21,15 +26,7 @@ module Counter : sig
   val set : t -> int -> unit
 end
 
-module Gauge : sig
-  type t
-
-  val set : t -> int -> unit
-  val get : t -> int
-end
-
 val counter : string -> Counter.t
-val gauge : string -> Gauge.t
 val histogram : string -> Hist.t
 
 val set_enabled : bool -> unit
@@ -53,23 +50,33 @@ type hist_snapshot = {
   h_buckets : (int * int * int) list;
 }
 
-type snapshot = S_counter of int | S_gauge of int | S_hist of hist_snapshot
+type snapshot = S_counter of int | S_hist of hist_snapshot
 
 val snapshot : unit -> (string * snapshot) list
-(** Every registered instrument with its current value, sorted by name —
-    the enumeration behind {!dump_json}, exposed so the run ledger (and any
-    other exporter) can serialize the registry without re-parsing JSON. *)
+(** Every registered instrument with its current value, sorted by name. *)
 
-val snapshot_hist : Hist.t -> hist_snapshot
-(** Snapshot one histogram (shared by {!snapshot} and the ledger tests). *)
+val diff :
+  (string * snapshot) list -> (string * snapshot) list -> (string * snapshot) list
+(** [diff later earlier] is what happened between two {!snapshot}s, for
+    every instrument of [later] (sorted by name): counters subtract,
+    histograms subtract count, sum and each bucket, and their percentiles
+    are recomputed from the remaining buckets.  An instrument registered
+    after [earlier] was taken keeps its [later] value. *)
 
-val reset_all : unit -> unit
-(** Zero every registered instrument (tests / bench harness). *)
+val value : (string * snapshot) list -> string -> int
+(** A counter's value in a snapshot or diff; [0] when the name is absent
+    or names a histogram. *)
+
+val to_json : (string * snapshot) list -> Json.t
+(** A snapshot or diff as the list of entries {!dump_json} writes:
+    [{"name":..,"kind":"counter","value":..}], or for a histogram
+    [{"name":..,"kind":"histogram","count":..,"sum":..,"p50":..,"p95":..,
+    "p99":..,"buckets":[{"lo":..,"hi":..,"count":..},...]}] ([hi = -1] on
+    the overflow bucket). *)
 
 val dump_json : unit -> string
-(** The full registry as a JSON document:
-    [{"metrics":[{"name":..,"kind":..,...}, ...]}], metrics sorted by name,
-    histograms carrying count/sum/p50/p95/p99 and their nonzero buckets. *)
+(** The full registry as a JSON document, one entry of {!to_json} per
+    line: [{"metrics":[...]}], metrics sorted by name. *)
 
 val save : path:string -> unit
 (** Write {!dump_json} to [path]. *)

@@ -22,9 +22,6 @@ val add : t -> alloc_bytes:float -> busy_ns:int -> unit
 val alloc_bytes : t -> float
 val busy_ns : t -> int
 
-val contributors : t -> int
-(** Number of contributions merged (one per worker per batch). *)
-
 val set_current : t option -> unit
 (** Install/remove the ambient sink (coordinator only). *)
 

@@ -121,13 +121,3 @@ let rec of_wn env (w : Wn.t) : result =
             sp_inner = inner;
           })
   | _ -> Messy
-
-let pp_result ppf = function
-  | Affine e -> Linear.Expr.pp ppf e
-  | Sparse s ->
-    Format.fprintf ppf "SPARSE[st%d%s%s%s%s]" s.sp_st
-      (match s.sp_lo with Some l -> Printf.sprintf " lo=%d" l | None -> "")
-      (match s.sp_hi with Some h -> Printf.sprintf " hi=%d" h | None -> "")
-      (if s.sp_monotonic then " mono" else "")
-      (if s.sp_injective then " inj" else "")
-  | Messy -> Format.pp_print_string ppf "MESSY"

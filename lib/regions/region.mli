@@ -190,6 +190,5 @@ val equal_display : t -> t -> bool
 
 val pp_bound : Format.formatter -> bound -> unit
 val pp_stride : Format.formatter -> stride -> unit
-val pp_dim : Format.formatter -> dim -> unit
 val pp : Format.formatter -> t -> unit
 (** Triplet notation: [(lb:ub:stride, ...)]. *)

@@ -8,9 +8,5 @@
     locals from a per-procedure page.  Addresses are 16-byte aligned, and a
     global array keeps one address program-wide. *)
 
-val global_page : int
-val local_page : int -> int
-(** Page of the [i]-th procedure. *)
-
 val assign : Ir.module_ -> unit
 (** Fills [st_mem_loc] of every symbol in every table. *)

@@ -115,11 +115,6 @@ let elem_size t idx =
 let dtype_of_ty t idx =
   match ty t idx with Ty_scalar d -> d | Ty_array { elem; _ } -> elem
 
-let array_dims t idx =
-  match ty t idx with
-  | Ty_array { dims; _ } -> dims
-  | Ty_scalar _ -> invalid_arg "Symtab.array_dims: scalar type"
-
 let dim_extent (lo, hi) =
   match lo, hi with Some l, Some h when h >= l -> h - l + 1 | _ -> 0
 
@@ -134,25 +129,3 @@ let total_elems t idx =
       1 dims
 
 let size_bytes t idx = total_elems t idx * elem_size t idx
-
-let pp_ty t ppf idx =
-  match ty t idx with
-  | Ty_scalar d -> Lang.Ast.pp_dtype ppf d
-  | Ty_array { elem; dims; contiguous = _ } ->
-    Format.fprintf ppf "%a[%a]" Lang.Ast.pp_dtype elem
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "|")
-         (fun ppf d -> Format.fprintf ppf "%d" (dim_extent d)))
-      dims
-
-let pp_st t ppf idx =
-  let e = st t idx in
-  let sclass =
-    match e.st_sclass with
-    | Sclass_auto -> "auto"
-    | Sclass_formal -> "formal"
-    | Sclass_common b -> "common/" ^ b
-    | Sclass_text -> "text"
-  in
-  Format.fprintf ppf "%s: %a (%s) @@0x%x" e.st_name (pp_ty t) e.st_ty sclass
-    e.st_mem_loc

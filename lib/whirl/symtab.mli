@@ -70,9 +70,6 @@ val elem_size : t -> ty_idx -> int
 
 val dtype_of_ty : t -> ty_idx -> Lang.Ast.dtype
 
-val array_dims : t -> ty_idx -> (int option * int option) list
-(** @raise Invalid_argument on a scalar type. *)
-
 val total_elems : t -> ty_idx -> int
 (** Product of known dimension extents; 0 when any extent is unknown (the
     paper: "For variable length arrays, the size of entire array will be
@@ -80,6 +77,3 @@ val total_elems : t -> ty_idx -> int
 
 val size_bytes : t -> ty_idx -> int
 (** [total_elems * elem_size]; 0 for variable-length arrays. *)
-
-val pp_ty : t -> Format.formatter -> ty_idx -> unit
-val pp_st : t -> Format.formatter -> st_idx -> unit

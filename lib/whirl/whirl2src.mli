@@ -7,6 +7,5 @@
     the round trip "could incur minor loss of semantics" — e.g. PARAMETER
     constants reappear as literals. *)
 
-val pp_pu : Ir.module_ -> Format.formatter -> Ir.pu -> unit
 val pu_to_string : Ir.module_ -> Ir.pu -> string
 val module_to_string : Ir.module_ -> string

@@ -17,22 +17,12 @@ val pu_to_string : Ir.module_ -> Ir.pu -> string
     tree.  Because the format round-trips bit-exactly, this string is a
     faithful content key for the PU. *)
 
-val symtab_to_string : Symtab.t -> string
-
 val add_pu_content : Buffer.t -> Ir.module_ -> Ir.pu -> unit
 (** Appends a compact binary image of everything {!pu_to_string} would
     serialize (header, formals, local symbol table including [Mem_Loc]s,
     the WN tree).  Same content, same bytes — but an order of magnitude
     cheaper to produce, which matters because the engine re-images every PU
     on every invocation to probe its cache.  Never parsed, only hashed. *)
-
-val add_symtab_content : Buffer.t -> Symtab.t -> unit
-
-val pu_digest : Ir.module_ -> Ir.pu -> Digest.t
-(** MD5 of {!add_pu_content} — the stable per-PU content hash the
-    incremental engine keys its collection cache with.  Note it covers the
-    local symbol table but not the global one; the engine combines it with
-    {!symtab_digest} of the global table. *)
 
 val symtab_digest : Symtab.t -> Digest.t
 

@@ -72,7 +72,6 @@ val strconst : ?loc:Lang.Loc.t -> string -> t
 val ldid : ?loc:Lang.Loc.t -> res:Lang.Ast.dtype -> int -> t
 val stid : ?loc:Lang.Loc.t -> int -> t -> t
 val lda : ?loc:Lang.Loc.t -> int -> t
-val idname : ?loc:Lang.Loc.t -> int -> t
 
 val array :
   ?loc:Lang.Loc.t -> elem_size:int -> base:t -> dims:t list -> t list -> t

@@ -14,6 +14,15 @@ else
   echo "== skipping @fmt (ocamlformat not installed) =="
 fi
 
+echo "== no unused exports in lib/**/*.mli =="
+# a word-level scan (scripts/unused_exports.py): every exported value must
+# be named by some other source file; the count may not grow back above 0
+if command -v python3 >/dev/null 2>&1; then
+  python3 scripts/unused_exports.py --max 0
+else
+  echo "== skipping the export scan (python3 not installed) =="
+fi
+
 echo "== dune runtest =="
 OCAMLRUNPARAM=b dune runtest
 

@@ -27,7 +27,7 @@ let program_image (p : Lang.Sema.program) =
     p.Lang.Sema.prog_files,
     p.Lang.Sema.prog_warnings )
 
-let check_same what files (fr : Frontend_cache.result) =
+let check_same what files ((fr : Frontend_cache.result), _) =
   let want = oracle files in
   let got = fr.Frontend_cache.fr_module in
   Alcotest.(check bool)
@@ -38,19 +38,20 @@ let check_same what files (fr : Frontend_cache.result) =
     (program_image want.Whirl.Ir.m_program
     = program_image got.Whirl.Ir.m_program)
 
+(* one load with its artifact counts (Test_engine.artifact_counts of a
+   registry diff around it) *)
+let counted f =
+  let m0 = Obs.Metrics.snapshot () in
+  let fr = f () in
+  (fr, Test_engine.artifact_counts (Obs.Metrics.diff (Obs.Metrics.snapshot ()) m0))
+
 let load dir files =
-  Frontend_cache.load ~store:(Engine_store.create ~dir ()) files
+  counted (fun () ->
+      Frontend_cache.load ~store:(Engine_store.create ~dir ()) files)
 
-let stats (fr : Frontend_cache.result) =
-  match fr.Frontend_cache.fr_stats with
-  | Some s ->
-    Frontend_cache.
-      [ s.interface_hits; s.interface_misses; s.body_hits; s.body_misses ]
-  | None -> Alcotest.fail "no artifact stats with a disk store"
-
-let check_stats what want fr =
+let check_stats what want (_, counts) =
   Alcotest.(check (list int)) (what ^ ": iface hit/miss, body hit/miss") want
-    (stats fr)
+    counts
 
 let test_corpora () =
   List.iter
@@ -237,10 +238,11 @@ let test_keep_going_never_caches_bad_file () =
   let files = [ main_f; work_f; func_f "real"; ("bad.f", "      subroutine (\n") ] in
   let dir = Test_engine.fresh_dir () in
   let run () =
-    Frontend_cache.load ~store:(Engine_store.create ~dir ()) ~keep_going:true
-      files
+    counted (fun () ->
+        Frontend_cache.load ~store:(Engine_store.create ~dir ())
+          ~keep_going:true files)
   in
-  let skipped fr =
+  let skipped (fr, _) =
     List.map
       (fun (f, d) -> (f, Lang.Diag.to_string d))
       fr.Frontend_cache.fr_skipped
@@ -255,9 +257,10 @@ let test_keep_going_never_caches_bad_file () =
 
 let test_no_store () =
   let files = [ main_f; work_f; func_f "real" ] in
-  let fr = Frontend_cache.load files in
+  let ((_, counts) as fr) = counted (fun () -> Frontend_cache.load files) in
   check_same "no store" files fr;
-  Alcotest.(check bool) "no stats" true (fr.Frontend_cache.fr_stats = None)
+  Alcotest.(check (list int)) "counters unchanged without a store"
+    [ 0; 0; 0; 0 ] counts
 
 let suite =
   [

@@ -102,6 +102,51 @@ let test_record_written () =
     | l -> Alcotest.failf "expected 2 ledger records, got %d" (List.length l))
 
 (* ------------------------------------------------------------------ *)
+(* Each record's metrics are that run's deltas, not process totals *)
+
+let metrics_counter run name =
+  match Obs.Json.member "metrics" run.Dragon.Ledgerview.record with
+  | Some (Obs.Json.List entries) ->
+    List.find_map
+      (fun e ->
+        if Option.bind (Obs.Json.member "name" e) Obs.Json.to_string = Some name
+        then Option.bind (Obs.Json.member "value" e) Obs.Json.to_int
+        else None)
+      entries
+  | _ -> None
+
+let test_metrics_are_run_deltas () =
+  let cache = temp_dir () in
+  for _ = 1 to 2 do
+    let r =
+      Pipeline.run (Pipeline.make ~corpus:"matrix" ~cache_dir:cache ())
+    in
+    Alcotest.(check int) "run exits 0" 0 r.Pipeline.r_code
+  done;
+  match Dragon.Ledgerview.load ~cache_dir:cache with
+  | Error e -> Alcotest.fail e
+  | Ok runs ->
+    Alcotest.(check int) "two records" 2 (List.length runs);
+    List.iteri
+      (fun i r ->
+        let what field = Printf.sprintf "record %d: %s" (i + 1) field in
+        let cache_field f =
+          Option.map int_of_float (metric r ("cache." ^ f))
+        in
+        Alcotest.(check (option int))
+          (what "engine.summary.misses = cache.summary_misses")
+          (cache_field "summary_misses")
+          (metrics_counter r "engine.summary.misses");
+        Alcotest.(check (option int))
+          (what "engine.summary.hits = cache.summary_hits")
+          (cache_field "summary_hits")
+          (metrics_counter r "engine.summary.hits");
+        Alcotest.(check (option int))
+          (what "engine.runs = 1") (Some 1)
+          (metrics_counter r "engine.runs"))
+      runs
+
+(* ------------------------------------------------------------------ *)
 (* The ledger changes no output byte, at any --jobs setting *)
 
 let project_files dir =
@@ -271,4 +316,6 @@ let suite =
     Alcotest.test_case "regress gate logic" `Quick test_regress_gate;
     Alcotest.test_case "explain names the edited callee" `Quick
       test_explain_names_callee;
+    Alcotest.test_case "metrics are the run's deltas" `Quick
+      test_metrics_are_run_deltas;
   ]

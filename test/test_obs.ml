@@ -310,7 +310,7 @@ let test_metrics_registry () =
   Obs.Metrics.Counter.incr c;
   Obs.Metrics.Counter.add c' 2;
   Alcotest.(check int) "same instrument" 3 (Obs.Metrics.Counter.get c);
-  (match Obs.Metrics.gauge "test.obs.counter" with
+  (match Obs.Metrics.histogram "test.obs.counter" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "kind mismatch not rejected");
   (* the dump parses and carries the counter *)
@@ -360,7 +360,7 @@ let test_outputs_unchanged () =
 
 let det_stats jobs files =
   Linear.System.clear_cache ();
-  Linear.Solver_stats.reset ();
+  (* the solver block is the run's own registry diff: nothing to reset *)
   let r = Engine.run (Engine.config ~jobs ()) (lower files) in
   Format.asprintf "%a" Engine.Stats.pp_deterministic r.Engine.e_stats
 
@@ -404,6 +404,68 @@ let test_worker_alloc_attributed () =
     true
     (parallel >= serial /. 2. && parallel <= serial *. 2.)
 
+(* ------------------------------------------------------------------ *)
+(* Run-scoped diffs and the JSON writer *)
+
+let test_metrics_diff () =
+  let c = Obs.Metrics.counter "test.obs.diff.counter" in
+  let h = Obs.Metrics.histogram "test.obs.diff.hist" in
+  let before = [ 3; 70; 70; 900 ] and during = [ 5; 70; 1_000; 40_000; 40_000 ] in
+  Obs.Metrics.Counter.add c 4;
+  List.iter (Obs.Hist.observe h) before;
+  let s0 = Obs.Metrics.snapshot () in
+  Obs.Metrics.Counter.add c 3;
+  List.iter (Obs.Hist.observe h) during;
+  let d = Obs.Metrics.diff (Obs.Metrics.snapshot ()) s0 in
+  Alcotest.(check int) "counter delta" 3
+    (Obs.Metrics.value d "test.obs.diff.counter");
+  (* the histogram delta is the histogram of the samples in between *)
+  let alone = Obs.Hist.create () in
+  List.iter (Obs.Hist.observe alone) during;
+  match List.assoc_opt "test.obs.diff.hist" d with
+  | Some (Obs.Metrics.S_hist hd) ->
+    Alcotest.(check int) "hist count delta" (Obs.Hist.count alone) hd.h_count;
+    Alcotest.(check int) "hist sum delta" (Obs.Hist.sum alone) hd.h_sum;
+    Alcotest.(check (list (triple int int int)))
+      "hist buckets delta" (Obs.Hist.nonzero_buckets alone) hd.h_buckets;
+    List.iter
+      (fun (p, got) ->
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "p%.0f recomputed" (p *. 100.))
+          (Obs.Hist.percentile alone p) got)
+      [ (0.5, hd.h_p50); (0.95, hd.h_p95); (0.99, hd.h_p99) ];
+    (* the diff serializes like the registry dump and reads back *)
+    (match Obs.Json.parse (Obs.Json.render (Obs.Metrics.to_json d)) with
+    | Ok v -> Alcotest.(check bool) "diff JSON round-trips" true
+                (v = Obs.Metrics.to_json d)
+    | Error e -> Alcotest.failf "diff JSON does not parse: %s" e)
+  | _ -> Alcotest.fail "histogram missing from the diff"
+
+let test_json_writer () =
+  let v =
+    Obs.Json.(
+      Obj
+        [
+          ("ints", List [ Num 0.; Num (-7.); Num 1e14; Num 4294967296. ]);
+          ("floats", List [ Num 0.1; Num 1.7338e-05; Num 1792254956.373029;
+                            Num (-2.5); Num 1e300 ]);
+          ("text", Str "quote \" backslash \\ newline \n tab \t \001 é");
+          ("flags", List [ Bool true; Bool false; Null ]);
+          ("empty", Obj [ ("list", List []); ("obj", Obj []) ]);
+        ])
+  in
+  let s = Obs.Json.render v in
+  Alcotest.(check string) "compact, members in order"
+    {|{"b":[1,true],"a":"x"}|}
+    Obs.Json.(render (Obj [ ("b", List [ Num 1.; Bool true ]); ("a", Str "x") ]));
+  (match Obs.Json.parse s with
+  | Ok v' -> Alcotest.(check bool) "render then parse is the identity" true (v = v')
+  | Error e -> Alcotest.failf "rendered JSON does not parse: %s (%s)" e s);
+  Alcotest.(check string) "integers print without a fraction" "[0,-7,1]"
+    Obs.Json.(render (List [ Num 0.; Num (-7.); Num 1. ]));
+  Alcotest.(check string) "non-finite numbers print as null" "[null,null]"
+    Obs.Json.(render (List [ Num Float.nan; Num Float.infinity ]))
+
 let suite =
   [
     Alcotest.test_case "hist percentiles vs reference" `Quick
@@ -424,4 +486,6 @@ let suite =
       test_stats_deterministic;
     Alcotest.test_case "worker allocation attributed" `Slow
       test_worker_alloc_attributed;
+    Alcotest.test_case "metrics diff is run-scoped" `Quick test_metrics_diff;
+    Alcotest.test_case "json writer round-trips" `Quick test_json_writer;
   ]

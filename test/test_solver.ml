@@ -208,9 +208,11 @@ let test_no_cross_run_leak () =
   let files = corpus_files "matrix" in
   let run () =
     System.clear_cache ();
-    Solver_stats.reset ();
+    let m0 = Obs.Metrics.snapshot () in
     ignore (render (Engine.analyze (lower files)));
-    let d = Solver_stats.snapshot () in
+    let d =
+      Solver_stats.of_metrics (Obs.Metrics.diff (Obs.Metrics.snapshot ()) m0)
+    in
     (Format.asprintf "%a" Solver_stats.pp_deterministic d,
      d.Solver_stats.ctx_contexts)
   in
@@ -223,12 +225,14 @@ let test_no_cross_run_leak () =
   Alcotest.(check int) "contexts re-created, not leaked (run 3)" ctx1 ctx3
 
 let test_stats_move () =
-  Solver_stats.reset ();
   System.clear_cache ();
+  let m0 = Obs.Metrics.snapshot () in
   let s = System.of_list box in
   ignore (System.feasible s);
   ignore (System.feasible s);
-  let d = Solver_stats.snapshot () in
+  let d =
+    Solver_stats.of_metrics (Obs.Metrics.diff (Obs.Metrics.snapshot ()) m0)
+  in
   Alcotest.(check int) "two queries" 2 d.Solver_stats.queries;
   Alcotest.(check int) "one miss" 1 d.Solver_stats.cache_misses;
   Alcotest.(check int) "one hit" 1 d.Solver_stats.cache_hits
