@@ -60,6 +60,30 @@ let classify ~extents region =
   | Region.Out_of_bounds -> Unsafe
   | Region.Unknown_bounds -> box_verdict ~extents region
 
+module Verdicts = Hashtbl.Make (struct
+  type t = int * bool * Region.dim list * int option list
+
+  (* accesses of one shape share their region's dims, and accesses to one
+     symbol its extents: identity decides most lookups *)
+  let equal (s1, c1, d1, e1) (s2, c2, d2, e2) =
+    Int.equal s1 s2 && Bool.equal c1 c2
+    && (d1 == d2 || d1 = d2)
+    && (e1 == e2 || e1 = e2)
+
+  (* the system id nearly decides the key; a run has few distinct keys *)
+  let hash (s, c, d, e) =
+    ((s * 65599) + (Bool.to_int c * 31) + (List.length d * 7) + List.length e)
+    land max_int
+end)
+
+(* What the accesses of one (region, extents) key share: the verdict, and
+   the row tails [Verdict; LB; UB; Stride; Inspector] built so far, one per
+   source lower bounds (the rest of the tail follows from the key) *)
+type shape = {
+  verdict : verdict;
+  mutable tails : (int list * string list) list;
+}
+
 let run (ctx : Analysis.ctx) =
   Obs.Span.with_ ~cat:"analysis" ~name:"analysis:bounds" @@ fun () ->
   let m = ctx.Analysis.ctx_module in
@@ -69,7 +93,8 @@ let run (ctx : Analysis.ctx) =
      canonical system, its triplets, the clamped flag and the declared
      extents, so one solver round per distinct pair suffices.  The memo is
      local to the run — no state survives into the next pipeline run. *)
-  let verdict_memo = Hashtbl.create 64 in
+  let verdict_memo = Verdicts.create 64 in
+  let memo_hits = ref 0 in
   let classify_memo ~extents region =
     let key =
       ( Linear.System.id region.Region.sys,
@@ -77,14 +102,14 @@ let run (ctx : Analysis.ctx) =
         Region.dim_list region,
         extents )
     in
-    match Hashtbl.find_opt verdict_memo key with
-    | Some v ->
-      Obs.Metrics.Counter.incr c_memo;
-      v
+    match Verdicts.find_opt verdict_memo key with
+    | Some shape ->
+      incr memo_hits;
+      shape
     | None ->
-      let v = classify ~extents region in
-      Hashtbl.add verdict_memo key v;
-      v
+      let shape = { verdict = classify ~extents region; tails = [] } in
+      Verdicts.add verdict_memo key shape;
+      shape
   in
   let safe = ref 0 and unsafe = ref 0 and maybe = ref 0 in
   let sparse_accesses = ref 0 and sparse_proven = ref 0 in
@@ -93,19 +118,55 @@ let run (ctx : Analysis.ctx) =
   let diags = ref [] in
   let pu_of = Ir.pu_index m in
   let display = Ipa.Analyze.display_memo () in
+  (* only a diagnostic names the access in prose:
+     "<array> <mode>[ via call to <callee>] at line <n>: <verdict text>" *)
+  let diag_text (sy : Ipa.Analyze.symbol) mode via line text =
+    String.concat ""
+      (sy.Ipa.Analyze.sy_name :: " " :: Mode.to_string mode
+      :: (if via = "" then [] else [ " via call to "; via ])
+      @ [ " at line "; string_of_int line; ": "; text ])
+  in
+  let build_tail shape ~lows region inspector =
+    let lb, ub, stride = Ipa.Analyze.display_bounds display ~lows region in
+    [ verdict_name shape.verdict; lb; ub; stride; inspector ]
+  in
+  (* the rows of one shape and symbol end in the same five cells: they
+     share them rather than cons their own *)
+  let rec shared_tail shape ~lows region inspector = function
+    | (l, cells) :: rest ->
+      if l == lows || l = lows then cells
+      else shared_tail shape ~lows region inspector rest
+    | [] ->
+      let cells = build_tail shape ~lows region inspector in
+      shape.tails <- (lows, cells) :: shape.tails;
+      cells
+  in
+  (* the Line cell repeats across accesses: one string per distinct line *)
+  let line_cells = Hashtbl.create 256 in
+  let line_cell line =
+    match Hashtbl.find_opt line_cells line with
+    | Some s -> s
+    | None ->
+      let s = string_of_int line in
+      Hashtbl.add line_cells line s;
+      s
+  in
   List.iter
     (fun (t : Ipa.Analyze.proc_table) ->
-      match pu_of t.Ipa.Analyze.t_proc with
+      let proc = t.Ipa.Analyze.t_proc in
+      match pu_of proc with
       | None -> ()
       | Some pu ->
         List.iter
           (fun (a : Ipa.Collect.access) ->
             match a.Ipa.Collect.ac_mode with
-            | Mode.USE | Mode.DEF ->
-              let st = a.Ipa.Collect.ac_st in
-              let extents = Ipa.Collect.extents_of m pu st in
+            | (Mode.USE | Mode.DEF) as mode ->
+              let sy = Ipa.Analyze.symbol display m pu a.Ipa.Collect.ac_st in
               let region = a.Ipa.Collect.ac_region in
-              let v = (classify_memo ~extents region : verdict) in
+              let shape =
+                classify_memo ~extents:sy.Ipa.Analyze.sy_extents region
+              in
+              let v = shape.verdict in
               (match v with
               | Safe -> incr safe
               | Unsafe -> incr unsafe
@@ -114,63 +175,49 @@ let run (ctx : Analysis.ctx) =
                 incr sparse_accesses;
                 if v = Safe then incr sparse_proven
               end;
-              let arr = Ir.st_name m pu st in
               let line = Lang.Loc.line a.Ipa.Collect.ac_loc in
               let via =
                 match a.Ipa.Collect.ac_via with None -> "" | Some c -> c
               in
-              let lb, ub, stride =
-                Ipa.Analyze.display_bounds display m pu st region
-              in
               (* undecidable access: a runtime-inspector entry naming what a
                  dynamic checker would have to watch — the index array the
-                 subscript reads through, or the raw extent check *)
-              let inspector =
-                match v with
-                | Maybe ->
+                 subscript reads through (a cell of its own), or the raw
+                 extent check *)
+              let lows = sy.Ipa.Analyze.sy_lows in
+              let tail =
+                match (v, a.Ipa.Collect.ac_sparse) with
+                | Maybe, Some index ->
                   incr inspector_entries;
-                  Option.value a.Ipa.Collect.ac_sparse ~default:"extent"
-                | Safe | Unsafe -> "-"
+                  build_tail shape ~lows region index
+                | Maybe, None ->
+                  incr inspector_entries;
+                  shared_tail shape ~lows region "extent" shape.tails
+                | (Safe | Unsafe), _ ->
+                  shared_tail shape ~lows region "-" shape.tails
               in
               rows :=
-                [
-                  t.Ipa.Analyze.t_proc;
-                  arr;
-                  Mode.to_string a.Ipa.Collect.ac_mode;
-                  string_of_int line;
-                  via;
-                  verdict_name v;
-                  lb;
-                  ub;
-                  stride;
-                  inspector;
-                ]
+                (proc :: sy.Ipa.Analyze.sy_name :: Mode.to_string mode
+                :: line_cell line :: via :: tail)
                 :: !rows;
-              let where =
-                if via = "" then Printf.sprintf "%s %s at line %d" arr
-                    (Mode.to_string a.Ipa.Collect.ac_mode) line
-                else
-                  Printf.sprintf "%s %s via call to %s at line %d" arr
-                    (Mode.to_string a.Ipa.Collect.ac_mode) via line
-              in
               (match v with
               | Unsafe ->
                 diags :=
                   Fault.Diag.make ~severity:Fault.Diag.Error
-                    ~site:"analysis.bounds" ~pu:t.Ipa.Analyze.t_proc
-                    ~action:"report"
-                    (Printf.sprintf "%s: proven out of bounds" where)
+                    ~site:"analysis.bounds" ~pu:proc ~action:"report"
+                    (diag_text sy mode via line "proven out of bounds")
                   :: !diags
               | Maybe ->
                 diags :=
-                  Fault.Diag.make ~site:"analysis.bounds"
-                    ~pu:t.Ipa.Analyze.t_proc ~action:"runtime-check"
-                    (Printf.sprintf "%s: not proven; keep runtime check" where)
+                  Fault.Diag.make ~site:"analysis.bounds" ~pu:proc
+                    ~action:"runtime-check"
+                    (diag_text sy mode via line
+                       "not proven; keep runtime check")
                   :: !diags
               | Safe -> ())
             | Mode.FORMAL | Mode.PASSED | Mode.RUSE | Mode.RDEF -> ())
           t.Ipa.Analyze.t_accesses)
     r.Ipa.Analyze.r_tables;
+  Obs.Metrics.Counter.add c_memo !memo_hits;
   Obs.Metrics.Counter.add c_safe !safe;
   Obs.Metrics.Counter.add c_unsafe !unsafe;
   Obs.Metrics.Counter.add c_maybe !maybe;

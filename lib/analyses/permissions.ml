@@ -50,7 +50,8 @@ let run (ctx : Analysis.ctx) =
               | Regions.Mode.DEF -> incr writes
               | _ -> ());
               let lb, ub, stride =
-                Ipa.Analyze.display_bounds display m pu st
+                Ipa.Analyze.display_bounds display
+                  ~lows:(Ipa.Analyze.source_lows m pu st)
                   e.Ipa.Summary.e_region
               in
               rows :=

@@ -21,23 +21,37 @@ let make ~analysis ~summary ~columns rows =
 
 (* ------------------------------------------------------------------ *)
 (* JSON: written straight into one buffer, escaping only cells that need
-   it (a report can hold tens of thousands of cells) *)
+   it (a report can hold hundreds of thousands of cells, so the walks
+   below are plain recursion, not per-cell closures) *)
 
 let add_quoted b s =
   Buffer.add_char b '"';
   Obs.Json.add_escaped b s;
   Buffer.add_char b '"'
 
+let rec add_cells b = function
+  | [] -> ()
+  | [ c ] -> add_quoted b c
+  | c :: rest ->
+    add_quoted b c;
+    Buffer.add_string b ", ";
+    add_cells b rest
+
 let add_string_array b cells =
   Buffer.add_char b '[';
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ", ";
-      add_quoted b c)
-    cells;
+  add_cells b cells;
   Buffer.add_char b ']'
 
-let add_report b t =
+let rec add_rows b ~yield = function
+  | [] -> ()
+  | row :: rest ->
+    Buffer.add_string b "\n        ";
+    add_string_array b row;
+    if rest <> [] then Buffer.add_char b ',';
+    yield ();
+    add_rows b ~yield rest
+
+let add_report b ~yield t =
   Buffer.add_string b "    {\n      \"analysis\": ";
   add_quoted b t.r_analysis;
   Buffer.add_string b ",\n      \"summary\": {";
@@ -51,17 +65,11 @@ let add_report b t =
   Buffer.add_string b "},\n      \"columns\": ";
   add_string_array b t.r_columns;
   Buffer.add_string b ",\n      \"rows\": [";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n        ";
-      add_string_array b row)
-    t.r_rows;
+  add_rows b ~yield t.r_rows;
   if t.r_rows <> [] then Buffer.add_string b "\n      ";
   Buffer.add_string b "]\n    }"
 
-let json_of_reports reports =
-  let b = Buffer.create 65536 in
+let json reports b ~yield =
   Buffer.add_string b "{\n  \"schema_version\": ";
   Buffer.add_string b (string_of_int schema_version);
   Buffer.add_string b ",\n  \"reports\": [";
@@ -69,63 +77,77 @@ let json_of_reports reports =
     (fun i r ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_char b '\n';
-      add_report b r)
+      add_report b ~yield r)
     reports;
   if reports <> [] then Buffer.add_string b "\n  ";
-  Buffer.add_string b "]\n}\n";
-  Buffer.contents b
+  Buffer.add_string b "]\n}\n"
 
-let save ~path reports =
-  let oc = open_out_bin path in
-  output_string oc (json_of_reports reports);
-  close_out oc
+let json_of_reports reports = Rgnfile.Files.to_string (json reports)
+
+let save ~path reports = Rgnfile.Files.save_text ~path (json reports)
 
 (* ------------------------------------------------------------------ *)
-(* Text table: each line is assembled in one reused buffer and handed to
-   the formatter whole *)
+(* Text table.  The lines go to the formatter as newline-separated blocks
+   of about a kilobyte, each one string token, then one cut: the bytes of
+   one token and one cut per line inside a vertical box, at a fraction of
+   the formatter's per-token cost, and every block stays small enough for
+   the minor heap. *)
+
+let block = 1024
 
 let render ppf t =
-  Format.fprintf ppf "== analysis: %s ==@," t.r_analysis;
-  let b = Buffer.create 256 in
-  let emit () =
-    Format.pp_print_string ppf (Buffer.contents b);
-    Format.pp_print_cut ppf ();
-    Buffer.clear b
+  let b = Buffer.create (2 * block) in
+  let yield () =
+    if Buffer.length b >= block then begin
+      Format.pp_print_string ppf (Buffer.contents b);
+      Buffer.clear b
+    end
   in
+  Buffer.add_string b "== analysis: ";
+  Buffer.add_string b t.r_analysis;
+  Buffer.add_string b " ==";
   if t.r_summary <> [] then begin
+    Buffer.add_char b '\n';
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_string b "  ";
         Buffer.add_string b k;
         Buffer.add_char b '=';
         Buffer.add_string b v)
-      t.r_summary;
-    emit ()
+      t.r_summary
   end;
   if t.r_columns <> [] then begin
     let ncols = List.length t.r_columns in
     let widths = Array.make ncols 0 in
-    let measure row =
-      List.iteri
-        (fun i c ->
-          if i < ncols then widths.(i) <- max widths.(i) (String.length c))
-        row
+    let rec measure i = function
+      | c :: rest when i < ncols ->
+        let w = String.length c in
+        if w > widths.(i) then widths.(i) <- w;
+        measure (i + 1) rest
+      | _ -> ()
     in
-    measure t.r_columns;
-    List.iter measure t.r_rows;
+    measure 0 t.r_columns;
+    List.iter (measure 0) t.r_rows;
+    let blanks = String.make (Array.fold_left max 0 widths) ' ' in
+    (* the last column is unpadded: lines stay free of trailing spaces *)
+    let rec cells i = function
+      | [] -> ()
+      | c :: rest ->
+        if i > 0 then Buffer.add_string b "  ";
+        Buffer.add_string b c;
+        if i < ncols - 1 then begin
+          let pad = widths.(i) - String.length c in
+          if pad > 0 then Buffer.add_substring b blanks 0 pad
+        end;
+        cells (i + 1) rest
+    in
     let line row =
-      List.iteri
-        (fun i c ->
-          if i > 0 then Buffer.add_string b "  ";
-          Buffer.add_string b c;
-          (* last column unpadded: keeps lines free of trailing spaces *)
-          if i < ncols - 1 then
-            for _ = String.length c to widths.(i) - 1 do
-              Buffer.add_char b ' '
-            done)
-        row;
-      emit ()
+      yield ();
+      Buffer.add_char b '\n';
+      cells 0 row
     in
     line t.r_columns;
     List.iter line t.r_rows
-  end
+  end;
+  Format.pp_print_string ppf (Buffer.contents b);
+  Format.pp_print_cut ppf ()

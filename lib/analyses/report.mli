@@ -28,12 +28,20 @@ val make :
 (** @raise Invalid_argument when some row's width disagrees with
     [columns]. *)
 
+val json : t list -> Rgnfile.Files.text
+(** The reports file, produced row by row. *)
+
 val json_of_reports : t list -> string
 (** [{"schema_version": N, "reports": [{"analysis": ..., "summary": {...},
     "columns": [...], "rows": [[...] ...]}, ...]}] *)
 
 val save : path:string -> t list -> unit
-(** Writes {!json_of_reports} (reports in the given order). *)
+(** Streams {!json} (reports in the given order) through
+    {!Rgnfile.Files.save_text}: an identical file is left untouched. *)
 
 val render : Format.formatter -> t -> unit
-(** Human-readable table: summary line, then aligned columns. *)
+(** Human-readable table: title, summary line, then aligned columns.  The
+    lines are emitted as newline-separated text followed by one cut, so
+    print them in a vertical box opened at column 0 (as
+    [Format.printf "@[<v>%a@]@?"] does); an enclosing box's indentation
+    is not applied to them. *)

@@ -169,7 +169,7 @@ let run_ (cfg : config) (m : Ir.module_) : result =
     let sink = Obs.Sink.create () in
     Obs.Sink.set_current (Some sink);
     let t0 = Obs.Trace.now_ns () in
-    let a0 = Gc.allocated_bytes () in
+    let a0 = Obs.Sink.allocated_bytes () in
     let r =
       Fun.protect
         ~finally:(fun () -> Obs.Sink.set_current None)
@@ -177,7 +177,7 @@ let run_ (cfg : config) (m : Ir.module_) : result =
     in
     let wall_ns = Obs.Trace.now_ns () - t0 in
     let wall = float_of_int wall_ns /. 1e9 in
-    let alloc = Gc.allocated_bytes () -. a0 +. Obs.Sink.alloc_bytes sink in
+    let alloc = Obs.Sink.allocated_bytes () -. a0 +. Obs.Sink.alloc_bytes sink in
     if Obs.Metrics.enabled () then Obs.Hist.observe (phase_hist name) wall_ns;
     Obs.Log.debug "engine.phase" (fun () ->
         [

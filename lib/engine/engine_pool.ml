@@ -61,7 +61,7 @@ let drain pool (b : batch) =
    busy-time measurement reported to the ambient attribution sink (when the
    engine installed one for the current phase).  This is what lets
    [Engine.Stats] attribute worker-domain allocation: the coordinator's own
-   [Gc.allocated_bytes] delta only sees its own heap.
+   allocation delta ({!Obs.Sink.allocated_bytes}) only sees its own heap.
 
    The [active] counter exists because finishing the batch's last task and
    publishing this measurement are separate steps: the caller must not treat
@@ -74,10 +74,10 @@ let drain_measured pool b =
   | None -> drain pool b
   | Some sink ->
     let t0 = Obs.Trace.now_ns () in
-    let a0 = Gc.allocated_bytes () in
+    let a0 = Obs.Sink.allocated_bytes () in
     drain pool b;
     Obs.Sink.add sink
-      ~alloc_bytes:(Gc.allocated_bytes () -. a0)
+      ~alloc_bytes:(Obs.Sink.allocated_bytes () -. a0)
       ~busy_ns:(Obs.Trace.now_ns () - t0)
 
 let worker pool () =

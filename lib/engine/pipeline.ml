@@ -336,9 +336,13 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
       List.iter
         (fun (report, ds) ->
           reports := report :: !reports;
-          diags := List.rev_append ds !diags;
-          Format.printf "@[<v>%a@]@?" Analyses.Report.render report)
-        outcomes);
+          diags := List.rev_append ds !diags)
+        outcomes;
+      Obs.Span.with_ ~cat:"io" ~name:"emit:tables" (fun () ->
+          List.iter
+            (fun (report, _) ->
+              Format.printf "@[<v>%a@]@?" Analyses.Report.render report)
+            outcomes));
     if cfg.execute then begin
       let outcome =
         Obs.Span.with_ ~cat:"phase" ~name:"execute" (fun () -> Interp.run m)
@@ -364,7 +368,8 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
         Obs.Span.with_ ~cat:"io" ~name:"write_outputs" (fun () ->
             Ipa.Analyze.write_outputs result ~dir ~project:cfg.project)
       in
-      copy_sources ~dir files;
+      Obs.Span.with_ ~cat:"io" ~name:"emit:sources" (fun () ->
+          copy_sources ~dir files);
       outputs := List.rev_append written !outputs;
       List.iter (Printf.printf "wrote %s\n") written);
     (match cfg.ipl_dir with

@@ -40,23 +40,86 @@ let stride_str = function
   | Region.Sconst s -> string_of_int s
   | Region.Sunknown -> "*"
 
+(* What the display needs of one symbol as one PU sees it: the same for
+   every access to it, so a pass derives it once per (PU, symbol). *)
+type symbol = {
+  sy_name : string;
+  sy_extents : int option list;
+  sy_lows : int list;
+}
+
 (* The triplet strings are a function of the source lower bounds and the
    region's dims alone; a pass renders the same few of them for every
    access, so it keeps one memo per run. *)
-type display_memo =
-  (int list * Region.dim list, string * string * string) Hashtbl.t
+module Triplets = Hashtbl.Make (struct
+  type t = int list * Region.dim list
 
-let display_memo () : display_memo = Hashtbl.create 256
+  (* the regions of one access shape share their dims list, and the
+     accesses to one symbol its lows: identity decides most lookups *)
+  let equal (l1, d1) (l2, d2) = (d1 == d2 || d1 = d2) && (l1 == l2 || l1 = l2)
 
-let display_bounds memo m pu st region =
-  let lows = source_lows m pu st in
+  (* constant bounds hash inline; only symbolic ones go to the generic
+     hash *)
+  let bound_hash = function
+    | Region.Bconst x -> x
+    | Region.Bsym e -> Hashtbl.hash e
+    | Region.Bunknown -> 1
+
+  let hash (lows, dims) =
+    let h =
+      List.fold_left
+        (fun h d ->
+          (((h * 31) + bound_hash d.Region.lb) * 31) + bound_hash d.Region.ub)
+        0 dims
+    in
+    List.fold_left (fun h lo -> (h * 17) + lo) h lows land max_int
+end)
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)
+
+(* Passes walk the accesses PU by PU, so [syms] holds the symbols of
+   [memo_pu] only. *)
+type display_memo = {
+  triplets : (string * string * string) Triplets.t;
+  mutable memo_pu : Ir.pu option;
+  syms : symbol Int_tbl.t;
+}
+
+let display_memo () =
+  { triplets = Triplets.create 256; memo_pu = None; syms = Int_tbl.create 16 }
+
+let symbol memo m pu st =
+  (match memo.memo_pu with
+  | Some p when p == pu -> ()
+  | _ ->
+    Int_tbl.clear memo.syms;
+    memo.memo_pu <- Some pu);
+  match Int_tbl.find_opt memo.syms st with
+  | Some sy -> sy
+  | None ->
+    let sy =
+      {
+        sy_name = Ir.st_name m pu st;
+        sy_extents = Collect.extents_of m pu st;
+        sy_lows = source_lows m pu st;
+      }
+    in
+    Int_tbl.add memo.syms st sy;
+    sy
+
+let display_bounds memo ~lows region =
   let dims = Region.dim_list region in
   let lows =
-    if List.length lows = List.length dims then lows
+    if List.compare_lengths lows dims = 0 then lows
     else List.map (fun _ -> 0) dims
   in
   let key = (lows, dims) in
-  match Hashtbl.find_opt memo key with
+  match Triplets.find_opt memo.triplets key with
   | Some strings -> strings
   | None ->
     let lb =
@@ -71,13 +134,8 @@ let display_bounds memo m pu st region =
       String.concat "|" (List.map (fun d -> stride_str d.Region.stride) dims)
     in
     let strings = (lb, ub, stride) in
-    Hashtbl.add memo key strings;
+    Triplets.add memo.triplets key strings;
     strings
-
-let dim_size_str m pu st =
-  Collect.extents_of m pu st
-  |> List.map (fun e -> string_of_int (Option.value e ~default:0))
-  |> String.concat "|"
 
 (* ------------------------------------------------------------------ *)
 (* Analysis *)
@@ -150,6 +208,29 @@ let summarize_pu (m : Ir.module_) ~pu_of ~lookup (info : Collect.pu_info) =
   in
   (exported, List.rev !extra)
 
+(* A row's (PU, symbol) columns, and the reference counts per mode of its
+   (scope, array, object file) *)
+type row_facts = {
+  f_sym : symbol;
+  f_scope : string;
+  f_dimensions : int;
+  f_element_size : int;
+  f_data_type : string;
+  f_dim_size : string;
+  f_tot_size : int;
+  f_size_bytes : int;
+  f_mem_loc : string;
+  f_counts : int array;
+}
+
+let mode_slot = function
+  | Mode.USE -> 0
+  | Mode.DEF -> 1
+  | Mode.FORMAL -> 2
+  | Mode.PASSED -> 3
+  | Mode.RUSE -> 4
+  | Mode.RDEF -> 5
+
 let assemble (m : Ir.module_) cg ~infos ~summaries ~propagated ~cfgs : result =
   let tables =
     List.map
@@ -159,81 +240,109 @@ let assemble (m : Ir.module_) cg ~infos ~summaries ~propagated ~cfgs : result =
   in
   (* ---------------------------------------------------------------- *)
   (* Rows *)
-  let is_global st = Ir.is_global_idx st in
-  (* reference counts per (scope, array, mode, object file), direct accesses
-     only -- Fig 14's "u USE 110" counts the references in rhs.o, not
-     program-wide *)
-  let counts : (string * string * string * string, int) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  List.iter
-    (fun (name, (info : Collect.pu_info)) ->
-      let pu = info.Collect.p_pu in
-      List.iter
-        (fun (a : Collect.access) ->
-          if a.Collect.ac_via = None then begin
-            let scope = if is_global a.Collect.ac_st then "@" else name in
-            let arr = Ir.st_name m pu a.Collect.ac_st in
-            let key =
-              (scope, arr, Mode.to_string a.Collect.ac_mode, pu.Ir.pu_object)
-            in
-            Hashtbl.replace counts key
-              (1 + try Hashtbl.find counts key with Not_found -> 0)
-          end)
-        info.Collect.p_accesses)
-    infos;
-  let rows = ref [] in
   let display = display_memo () in
+  (* reference counts per (scope, array, object file) and mode, direct
+     accesses only -- Fig 14's "u USE 110" counts the references in rhs.o,
+     not program-wide *)
+  let counts : (string * string * string, int array) Hashtbl.t =
+    Hashtbl.create 1024
+  in
+  (* every row column but the region's, the reference count and the line
+     is a function of (PU, symbol): derived once per pair *)
+  let facts_of tbl ~scope_name pu st =
+    match Int_tbl.find_opt tbl st with
+    | Some f -> f
+    | None ->
+      let sy = symbol display m pu st in
+      let global = Ir.is_global_idx st in
+      let scope = if global then "@" else scope_name in
+      let entry = Ir.st_entry m pu st in
+      let symtab = if global then m.Ir.m_global else pu.Ir.pu_symtab in
+      let ty = entry.Symtab.st_ty in
+      let key = (scope, sy.sy_name, pu.Ir.pu_object) in
+      let f =
+        {
+          f_sym = sy;
+          f_scope = scope;
+          f_dimensions = List.length sy.sy_extents;
+          f_element_size = Symtab.elem_size symtab ty;
+          f_data_type = Lang.Ast.dtype_name (Symtab.dtype_of_ty symtab ty);
+          f_dim_size =
+            String.concat "|"
+              (List.map
+                 (fun e -> string_of_int (Option.value e ~default:0))
+                 sy.sy_extents);
+          f_tot_size = Symtab.total_elems symtab ty;
+          f_size_bytes = Symtab.size_bytes symtab ty;
+          f_mem_loc = Printf.sprintf "%x" entry.Symtab.st_mem_loc;
+          f_counts =
+            (match Hashtbl.find_opt counts key with
+            | Some c -> c
+            | None ->
+              let c = Array.make 6 0 (* one per [mode_slot] *) in
+              Hashtbl.add counts key c;
+              c);
+        }
+      in
+      Int_tbl.add tbl st f;
+      f
+  in
+  let per_pu =
+    List.map
+      (fun (name, (info : Collect.pu_info)) ->
+        let pu = info.Collect.p_pu in
+        let tbl = Int_tbl.create 16 in
+        List.iter
+          (fun (a : Collect.access) ->
+            if a.Collect.ac_via = None then
+              let f = facts_of tbl ~scope_name:name pu a.Collect.ac_st in
+              let slot = mode_slot a.Collect.ac_mode in
+              f.f_counts.(slot) <- f.f_counts.(slot) + 1)
+          info.Collect.p_accesses;
+        (info, tbl))
+      infos
+  in
+  let rows = ref [] in
   List.iter
-    (fun (name, (info : Collect.pu_info)) ->
+    (fun ((info : Collect.pu_info), tbl) ->
       let pu = info.Collect.p_pu in
       List.iter
         (fun (a : Collect.access) ->
           if a.Collect.ac_via = None then begin
-            let st = a.Collect.ac_st in
-            let scope = if is_global st then "@" else name in
-            let arr = Ir.st_name m pu st in
-            let mode = Mode.to_string a.Collect.ac_mode in
-            let references =
-              try Hashtbl.find counts (scope, arr, mode, pu.Ir.pu_object)
-              with Not_found -> 1
-            in
-            let entry = Ir.st_entry m pu st in
-            let symtab = if is_global st then m.Ir.m_global else pu.Ir.pu_symtab in
-            let tot = Symtab.total_elems symtab entry.Symtab.st_ty in
-            let bytes = Symtab.size_bytes symtab entry.Symtab.st_ty in
+            let f = Int_tbl.find tbl a.Collect.ac_st in
+            let references = f.f_counts.(mode_slot a.Collect.ac_mode) in
+            let region = a.Collect.ac_region in
             let lb, ub, stride =
-              display_bounds display m pu st a.Collect.ac_region
+              display_bounds display ~lows:f.f_sym.sy_lows region
             in
             let row =
               {
-                Rgnfile.Row.scope;
-                array = arr;
+                Rgnfile.Row.scope = f.f_scope;
+                array = f.f_sym.sy_name;
                 file = pu.Ir.pu_object;
-                mode;
+                mode = Mode.to_string a.Collect.ac_mode;
                 references;
-                dimensions = List.length (Collect.extents_of m pu st);
+                dimensions = f.f_dimensions;
                 lb;
                 ub;
                 stride;
-                element_size = Symtab.elem_size symtab entry.Symtab.st_ty;
-                data_type =
-                  Lang.Ast.dtype_name (Symtab.dtype_of_ty symtab entry.Symtab.st_ty);
-                dim_size = dim_size_str m pu st;
-                tot_size = tot;
-                size_bytes = bytes;
-                mem_loc = Printf.sprintf "%x" entry.Symtab.st_mem_loc;
-                acc_density = Rgnfile.Row.density ~references ~size_bytes:bytes;
+                element_size = f.f_element_size;
+                data_type = f.f_data_type;
+                dim_size = f.f_dim_size;
+                tot_size = f.f_tot_size;
+                size_bytes = f.f_size_bytes;
+                mem_loc = f.f_mem_loc;
+                acc_density =
+                  Rgnfile.Row.density ~references ~size_bytes:f.f_size_bytes;
                 line = Lang.Loc.line a.Collect.ac_loc;
                 props =
-                  Lang.Iprop.flags_token
-                    (Region.assumed_flags a.Collect.ac_region);
+                  Lang.Iprop.flags_token (Region.assumed_flags region);
               }
             in
             rows := row :: !rows
           end)
         info.Collect.p_accesses)
-    infos;
+    per_pu;
   let rows = List.rev !rows in
   (* ---------------------------------------------------------------- *)
   let dgn =
@@ -277,30 +386,26 @@ let assemble (m : Ir.module_) cg ~infos ~summaries ~propagated ~cfgs : result =
 
 let summary_of result name = List.assoc name result.r_summaries
 
+let cfg cfgs buf ~yield =
+  List.iter
+    (fun (proc, cfg) ->
+      Array.iter
+        (fun (b : Cfg.block) ->
+          Rgnfile.Files.add_cfg_block buf ~proc ~id:b.Cfg.id ~label:b.Cfg.label
+            ~succs:b.Cfg.succs;
+          yield ())
+        cfg.Cfg.blocks)
+    cfgs
+
 let write_outputs result ~dir ~project =
   let path name = Filename.concat dir name in
   let rgn = path (project ^ ".rgn") in
   Obs.Span.with_ ~cat:"io" ~name:"emit:rgn" (fun () ->
-      Rgnfile.Files.save ~path:rgn (Rgnfile.Files.write_rgn result.r_rows));
+      Rgnfile.Files.save_text ~path:rgn (Rgnfile.Files.rgn result.r_rows));
   let dgnp = path (project ^ ".dgn") in
   Obs.Span.with_ ~cat:"io" ~name:"emit:dgn" (fun () ->
-      Rgnfile.Files.save ~path:dgnp (Rgnfile.Files.write_dgn result.r_dgn));
+      Rgnfile.Files.save_text ~path:dgnp (Rgnfile.Files.dgn result.r_dgn));
   let cfgp = path (project ^ ".cfg") in
-  let blocks =
-    List.concat_map
-      (fun (proc, cfg) ->
-        Array.to_list
-          (Array.map
-             (fun (b : Cfg.block) ->
-               {
-                 Rgnfile.Files.cb_proc = proc;
-                 cb_id = b.Cfg.id;
-                 cb_label = b.Cfg.label;
-                 cb_succs = b.Cfg.succs;
-               })
-             cfg.Cfg.blocks))
-      result.r_cfgs
-  in
   Obs.Span.with_ ~cat:"io" ~name:"emit:cfg" (fun () ->
-      Rgnfile.Files.save ~path:cfgp (Rgnfile.Files.write_cfg blocks));
+      Rgnfile.Files.save_text ~path:cfgp (cfg result.r_cfgs));
   [ rgn; dgnp; cfgp ]

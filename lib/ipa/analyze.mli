@@ -68,25 +68,43 @@ val assemble :
 (** Renders tables, rows, the .dgn skeleton and the final {!result} record
     from per-PU collection results and summaries. *)
 
+type symbol = {
+  sy_name : string;
+  sy_extents : int option list;  (** {!Collect.extents_of} *)
+  sy_lows : int list;  (** source lower bounds, internal row-major order *)
+}
+(** What the display needs of one symbol as one PU sees it. *)
+
 type display_memo
-(** Rendered triplet strings keyed by (source lower bounds, region dims).
-    One per pass over the rows; not shared between domains. *)
+(** Rendered triplet strings keyed by (source lower bounds, region dims),
+    and the current PU's {!symbol}s.  One per pass over the rows; not
+    shared between domains. *)
 
 val display_memo : unit -> display_memo
 
+val symbol : display_memo -> Whirl.Ir.module_ -> Whirl.Ir.pu -> int -> symbol
+(** The PU's view of symbol [st], derived once per (PU, symbol) while a
+    pass stays in one PU. *)
+
+val source_lows : Whirl.Ir.module_ -> Whirl.Ir.pu -> int -> int list
+(** The declared lower bounds of array [st] in internal row-major order
+    ([[]] for a scalar): the [sy_lows] of {!symbol}, for a pass that sees
+    each symbol about once. *)
+
 val display_bounds :
-  display_memo ->
-  Whirl.Ir.module_ ->
-  Whirl.Ir.pu ->
-  int ->
-  Regions.Region.t ->
-  string * string * string
-(** [(lb, ub, stride)] column strings for an access to array [st],
-    rendered once per distinct key of the memo. *)
+  display_memo -> lows:int list -> Regions.Region.t -> string * string * string
+(** [(lb, ub, stride)] column strings for an access to an array with
+    source lower bounds [lows], rendered once per distinct key of the
+    memo. *)
 
 val summary_of : result -> string -> Summary.t
 (** @raise Not_found for unknown procedures. *)
 
+val cfg : (string * Cfg.t) list -> Rgnfile.Files.text
+(** The [.cfg] file: one {!Rgnfile.Files.add_cfg_block} record per block,
+    procedures in order. *)
+
 val write_outputs : result -> dir:string -> project:string -> string list
-(** Writes [<project>.rgn], [<project>.dgn], [<project>.cfg] plus copies of
-    the sources; returns the paths written. *)
+(** Streams [<project>.rgn], [<project>.dgn] and [<project>.cfg] through
+    {!Rgnfile.Files.save_text} (a file already holding the same bytes is
+    left alone); returns their paths. *)

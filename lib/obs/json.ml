@@ -241,12 +241,16 @@ let to_int = function
   | Num f when Float.is_integer f -> Some (int_of_float f)
   | _ -> None
 
-let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+let rec escape_free s i n =
+  i >= n
+  ||
+  let c = String.unsafe_get s i in
+  c <> '"' && c <> '\\' && Char.code c >= 0x20 && escape_free s (i + 1) n
 
 let hex = "0123456789abcdef"
 
 let add_escaped b s =
-  if not (String.exists needs_escape s) then Buffer.add_string b s
+  if escape_free s 0 (String.length s) then Buffer.add_string b s
   else
     String.iter
       (fun c ->
@@ -262,7 +266,7 @@ let add_escaped b s =
       s
 
 let escape s =
-  if not (String.exists needs_escape s) then s
+  if escape_free s 0 (String.length s) then s
   else begin
     let b = Buffer.create (String.length s + 8) in
     add_escaped b s;

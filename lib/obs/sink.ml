@@ -24,6 +24,17 @@ let with_lock t f =
 let alloc_bytes t = with_lock t (fun () -> t.alloc)
 let busy_ns t = with_lock t (fun () -> t.busy)
 
+(* [Gc.allocated_bytes] reads its minor-heap part from [Gc.counters],
+   which on OCaml 5.1 counts the words in the domain's current minor heap
+   at one eighth: a window's delta is off by 7/8 of the change in
+   minor-heap occupancy across it (up to ~1.8 MB either way with the
+   default 256k-word heap), and a worker's short batch window reads about
+   an eighth of what it allocated.  [Gc.minor_words] is exact and
+   domain-local, so it supplies the minor part here. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
 let ambient : t option Atomic.t = Atomic.make None
 let set_current s = Atomic.set ambient s
 let current () = Atomic.get ambient

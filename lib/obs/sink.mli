@@ -22,6 +22,12 @@ val add : t -> alloc_bytes:float -> busy_ns:int -> unit
 val alloc_bytes : t -> float
 val busy_ns : t -> int
 
+val allocated_bytes : unit -> float
+(** Bytes allocated by the calling domain so far: what
+    [Gc.allocated_bytes] should report, which on OCaml 5.1 is off by up
+    to 7/8 of a minor heap.  Every allocation measurement (engine phases,
+    pool workers, bench) goes through it. *)
+
 val set_current : t option -> unit
 (** Install/remove the ambient sink (coordinator only). *)
 

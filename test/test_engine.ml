@@ -15,24 +15,9 @@ let lower files = Whirl.Lower.lower (Lang.Frontend.load ~files)
 
 (* the exact .rgn/.dgn/.cfg file contents uhc would write *)
 let render (r : Ipa.Analyze.result) =
-  let blocks =
-    List.concat_map
-      (fun (proc, cfg) ->
-        Array.to_list
-          (Array.map
-             (fun (b : Cfg.block) ->
-               {
-                 Rgnfile.Files.cb_proc = proc;
-                 cb_id = b.Cfg.id;
-                 cb_label = b.Cfg.label;
-                 cb_succs = b.Cfg.succs;
-               })
-             cfg.Cfg.blocks))
-      r.Ipa.Analyze.r_cfgs
-  in
-  ( Rgnfile.Files.write_rgn r.Ipa.Analyze.r_rows,
-    Rgnfile.Files.write_dgn r.Ipa.Analyze.r_dgn,
-    Rgnfile.Files.write_cfg blocks )
+  ( Rgnfile.Files.(to_string (rgn r.Ipa.Analyze.r_rows)),
+    Rgnfile.Files.(to_string (dgn r.Ipa.Analyze.r_dgn)),
+    Rgnfile.Files.to_string (Ipa.Analyze.cfg r.Ipa.Analyze.r_cfgs) )
 
 (* a line-preserving edit that changes the IR but not the environment:
    " + 0" after the right-hand side of the file's last plain assignment *)

@@ -304,7 +304,7 @@ let test_stride_idx_use () =
 
 let test_rgn_roundtrip () =
   let result = Lazy.force matrix_result in
-  let text = Rgnfile.Files.write_rgn result.Analyze.r_rows in
+  let text = Rgnfile.Files.(to_string (rgn result.Analyze.r_rows)) in
   match Rgnfile.Files.parse_rgn text with
   | Ok rows ->
     Alcotest.(check int) "row count" (List.length result.Analyze.r_rows)
@@ -317,7 +317,7 @@ let test_rgn_roundtrip () =
 
 let test_dgn_roundtrip () =
   let result = Lazy.force fig1_result in
-  let text = Rgnfile.Files.write_dgn result.Analyze.r_dgn in
+  let text = Rgnfile.Files.(to_string (dgn result.Analyze.r_dgn)) in
   match Rgnfile.Files.parse_dgn text with
   | Ok d ->
     Alcotest.(check int) "procs" 4 (List.length d.Rgnfile.Files.dgn_procs);
