@@ -50,6 +50,35 @@ let to_fields t =
     t.props;
   ]
 
+(* [Csv.add_record buf (to_fields t)] without the field list *)
+let add_record buf t =
+  let str f =
+    Csv.add_field buf f;
+    Buffer.add_char buf ','
+  and int n =
+    Csv.add_int buf n;
+    Buffer.add_char buf ','
+  in
+  str t.scope;
+  str t.array;
+  str t.file;
+  str t.mode;
+  int t.references;
+  int t.dimensions;
+  str t.lb;
+  str t.ub;
+  str t.stride;
+  int t.element_size;
+  str t.data_type;
+  str t.dim_size;
+  int t.tot_size;
+  int t.size_bytes;
+  str t.mem_loc;
+  int t.acc_density;
+  int t.line;
+  Csv.add_field buf t.props;
+  Buffer.add_char buf '\n'
+
 let int_field name s =
   match int_of_string_opt (String.trim s) with
   | Some v -> Ok v

@@ -37,6 +37,10 @@ val legacy_header : string list
 
 val to_fields : t -> string list
 
+val add_record : Buffer.t -> t -> unit
+(** The row's [.rgn] record, [to_fields] CSV-encoded with its newline,
+    appended field by field. *)
+
 val of_fields : string list -> (t, string) result
 (** Accepts both 17-field (legacy, [props = "-"]) and 18-field rows.  An
     unknown Props token conservatively degrades LB/UB/Stride to ["*"],
