@@ -689,15 +689,106 @@ let bench_misscurve () =
      double grids ~ 18 KB) begins to fit"
 
 (* ------------------------------------------------------------------ *)
-(* Engine: parallel fan-out and the incremental summary cache.  With
-   --json it also records the store numbers in BENCH_engine.json: the
-   cold and warm in-process engine wall on LU and gen-small, the files
-   one cold gen-small run publishes, and the collect phase of a cold
-   gen-small run with how often its access shapes repeat. *)
+(* BENCH records: every machine-readable result is an [Obs.Json.t]
+   written by [write_record] and gated by check-json against [gates] *)
+
+type bound = Present | Floor of float | Ceiling of float | True
+
+(* One row per gate: the bench, the member path inside its section (dotted;
+   in a list, a [key=value] segment selects the element whose [key] member
+   is that string) and the bound.  Present means the member is a number,
+   True that it is [true].  This is the only place a floor or ceiling is
+   written down: emitters record it from here next to the value as
+   [<name>_floor] / [<name>_ceiling], and check-json fails a file whose
+   recorded bound differs. *)
+let gates =
+  let present bench prefix = List.map (fun n -> (bench, prefix ^ n, Present)) in
+  let ctx =
+    [ "ctx_contexts"; "ctx_cut_hits"; "ctx_bound_hits"; "ctx_elims";
+      "ctx_activity_reorders" ]
+  in
+  (* bounds and gen measure the same seed-42 corpus *)
+  let sparse_proven = Floor 3000. in
+  [
+    (* the production solver core and join against the reference eliminator *)
+    ("solver", "end_to_end.feasible_speedup", Floor 2.);
+    ("regions", "join.implies_speedup", Floor 2.);
+    (* the production join trades nothing for speed *)
+    ("regions", "join.identical", True);
+    (* one pack segment per producer: the cached frontend and the engine *)
+    ("engine", "cold_files", Ceiling 2.);
+    ("engine", "warm_speedup", Floor 1.5);
+    (* collect builds each distinct access shape once per run *)
+    ("engine", "shape_reuse", Floor 2.);
+    (* the layers after summarize allocate in proportion to what they
+       print: 2266 bytes with the streaming writers, 7842 with the
+       per-access formatting they replaced *)
+    ("engine", "output_alloc_per_row", Ceiling 2500.);
+    ("bounds", "corpora.corpus=gen.sparse_proven", sparse_proven);
+    (* the scale the generated corpus keeps *)
+    ("gen", "files", Floor 200.);
+    ("gen", "pus", Floor 2000.);
+    ("gen", "sparse_proven", sparse_proven);
+    ("gen", "frontend_speedup", Floor 2.);
+    (* no proven-safe access faults; every runtime fault has an inspector row *)
+    ("gen", "diffcheck.safe_faults", Ceiling 0.);
+    ("gen", "diffcheck.uncovered", Ceiling 0.);
+    ("gen", "diffcheck.ok", True);
+    (* even if every recorded span were on a hot path, the disabled checks
+       cost a vanishing fraction of the analysis *)
+    ("obs", "spans_per_run", Floor 1.);
+    ("obs", "disabled_cost_fraction", Ceiling 0.02);
+    ("obs", "disabled_cost_ok", True);
+  ]
+  @ present "solver" "end_to_end.learned."
+      ([ "feasible_wall_ns"; "implies_wall_ns"; "solver_wall_ns"; "small_runs";
+         "ctx_proj_hits" ] @ ctx)
+  @ present "solver" "micro." [ "implies_learned_s" ]
+  @ present "regions" "join.learned."
+      ([ "implies_queries"; "implies_memo_hits"; "implies_wall_ns" ] @ ctx)
+  @ present "regions" ""
+      [ "end_to_end.learned.analysis_wall_s"; "intern.system.hit_rate" ]
+  @ present "engine" ""
+      [ "lu_cold_wall_s"; "lu_warm_wall_s"; "gen_small_cold_wall_s";
+        "gen_small_warm_wall_s"; "gen_small_cold_collect_s" ]
+
+(* what a recorded bound's member name adds to the gated value's *)
+let suffix = function
+  | Floor _ -> "_floor"
+  | Ceiling _ -> "_ceiling"
+  | Present | True -> ""
+
+(* the bound of the gate on [bench]'s [path], for an emitter *)
+let bound_of bench path =
+  match List.find_opt (fun (b, p, _) -> b = bench && p = path) gates with
+  | Some (_, _, ((Floor v | Ceiling v) as bound)) -> (bound, v)
+  | _ -> invalid_arg (Printf.sprintf "no floor or ceiling on %s.%s" bench path)
+
+(* the member recording that bound, written next to the gated value *)
+let recorded_bound bench path =
+  let bound, v = bound_of bench path in
+  let name = List.hd (List.rev (String.split_on_char '.' path)) in
+  (name ^ suffix bound, Obs.Json.Num v)
+
+let int n = Obs.Json.Num (float_of_int n)
+
+(* the learned-context counters the solver and regions records share *)
+let ctx_counts (d : Linear.Solver_stats.t) =
+  List.map
+    (fun (k, n) -> (k, int n))
+    [ ("ctx_contexts", d.ctx_contexts); ("ctx_cut_hits", d.ctx_cut_hits);
+      ("ctx_bound_hits", d.ctx_bound_hits); ("ctx_proj_hits", d.ctx_proj_hits);
+      ("ctx_elims", d.ctx_elims);
+      ("ctx_activity_reorders", d.ctx_activity_reorders) ]
+
+(* a measured float kept to [d] decimals *)
+let fixed d x =
+  let s = 10. ** float_of_int d in
+  Obs.Json.Num (Float.round (x *. s) /. s)
 
 (* the "stamp" member every BENCH record carries: the host and sources it
    was measured on *)
-let stamp_json () =
+let stamp () =
   let commit =
     match Unix.open_process_in "git describe --always --dirty --abbrev=12 2>/dev/null" with
     | ic -> (
@@ -707,14 +798,32 @@ let stamp_json () =
       | _ -> "unknown")
     | exception Unix.Unix_error _ -> "unknown"
   in
-  Printf.sprintf "{ \"nproc\": %d, \"ocaml\": \"%s\", \"commit\": \"%s\" }"
-    (Engine_pool.recommended ())
-    (Obs.Json.escape Sys.ocaml_version)
-    (Obs.Json.escape commit)
+  Obs.Json.Obj
+    [
+      ("nproc", int (Engine_pool.recommended ()));
+      ("ocaml", Str Sys.ocaml_version);
+      ("commit", Str commit);
+    ]
 
-(* [output_alloc_per_row] must stay at or below this: 2266 bytes with the
-   streaming writers, 7842 with the per-access formatting they replaced *)
-let output_alloc_ceiling = 2500.0
+(* With [--json] or [--out], write the record of [bench] to [out] (default
+   BENCH_<bench>.json): its name, its stamp, then [members]. *)
+let write_record ~json ~out bench members =
+  if json || out <> None then begin
+    let path = Option.value out ~default:("BENCH_" ^ bench ^ ".json") in
+    let record =
+      Obs.Json.Obj (("bench", Str bench) :: ("stamp", stamp ()) :: members)
+    in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (Obs.Json.render_indented record));
+    Printf.printf "wrote %s\n" path
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Engine: parallel fan-out and the incremental summary cache.  With
+   --json it also records the store numbers in BENCH_engine.json: the
+   cold and warm in-process engine wall on LU and gen-small, the files
+   one cold gen-small run publishes, and the collect phase of a cold
+   gen-small run with how often its access shapes repeat. *)
 
 let bench_engine ~json ~out () =
   header "Engine: parallel + incremental analysis (NAS LU, gen-small)";
@@ -872,31 +981,20 @@ let bench_engine ~json ~out () =
   print_endline
     "warm runs skip collection and summary propagation entirely;\n\
      outputs are byte-identical in every mode (checked by test_engine)";
-  if json || out <> None then begin
-    let path = Option.value out ~default:"BENCH_engine.json" in
-    let b = Buffer.create 1024 in
-    let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    bpf "{\n";
-    bpf "  \"bench\": \"engine\",\n";
-    bpf "  \"stamp\": %s,\n" (stamp_json ());
-    bpf "  \"engine\": {\n";
-    bpf "    \"lu_cold_wall_s\": %.6f,\n" lu_cold;
-    bpf "    \"lu_warm_wall_s\": %.6f,\n" lu_warm;
-    bpf "    \"gen_small_cold_wall_s\": %.6f,\n" gs_cold;
-    bpf "    \"gen_small_warm_wall_s\": %.6f,\n" gs_warm;
-    bpf "    \"warm_speedup\": %.2f,\n" warm_speedup;
-    bpf "    \"warm_speedup_floor\": %.2f,\n" 1.5;
-    bpf "    \"cold_files\": %d,\n" cold_files;
-    bpf "    \"gen_small_cold_collect_s\": %.6f,\n" gs_collect;
-    bpf "    \"shape_reuse\": %.2f,\n" shape_reuse;
-    bpf "    \"shape_reuse_floor\": %.2f,\n" 2.0;
-    bpf "    \"output_alloc_per_row\": %.1f,\n" output_alloc_per_row;
-    bpf "    \"output_alloc_per_row_ceiling\": %.1f\n" output_alloc_ceiling;
-    bpf "  }\n";
-    bpf "}\n";
-    Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc b);
-    Printf.printf "wrote %s\n" path
-  end
+  write_record ~json ~out "engine"
+    [ ("engine", Obj [
+        ("lu_cold_wall_s", fixed 6 lu_cold);
+        ("lu_warm_wall_s", fixed 6 lu_warm);
+        ("gen_small_cold_wall_s", fixed 6 gs_cold);
+        ("gen_small_warm_wall_s", fixed 6 gs_warm);
+        ("warm_speedup", fixed 2 warm_speedup);
+        recorded_bound "engine" "warm_speedup";
+        ("cold_files", int cold_files);
+        ("gen_small_cold_collect_s", fixed 6 gs_collect);
+        ("shape_reuse", fixed 2 shape_reuse);
+        recorded_bound "engine" "shape_reuse";
+        ("output_alloc_per_row", fixed 1 output_alloc_per_row);
+        recorded_bound "engine" "output_alloc_per_row" ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Solver: the production core against the reference eliminator, end to
@@ -1037,61 +1135,38 @@ let bench_solver ~json ~out () =
     impl_reference impl_learned d_impl_learned.ctx_cut_hits
     d_impl_learned.ctx_bound_hits d_impl_learned.implies_memo_hits proj;
   (* ---- machine-readable record *)
-  if json || out <> None then begin
-    let path = Option.value out ~default:"BENCH_solver.json" in
-    let b = Buffer.create 2048 in
-    let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    bpf "{\n";
-    bpf "  \"bench\": \"%s\",\n" (Obs.Json.escape "solver");
-    bpf "  \"stamp\": %s,\n" (stamp_json ());
-    bpf "  \"corpus\": \"nas-lu\",\n";
-    bpf "  \"solver\": {\n";
-    bpf "    \"end_to_end\": {\n";
-    bpf "      \"reference\": {\n";
-    bpf "        \"feasible_queries\": %d,\n" d_ref.queries;
-    bpf "        \"solver_wall_ns\": %d,\n" ref_ns;
-    bpf "        \"analysis_wall_s\": %.6f\n" wall_ref;
-    bpf "      },\n";
-    bpf "      \"learned\": {\n";
-    bpf "        \"feasible_queries\": %d,\n" d_learned.queries;
-    bpf "        \"feasible_wall_ns\": %d,\n" d_learned.wall_fast_ns;
-    bpf "        \"implies_queries\": %d,\n" d_learned.implies_queries;
-    bpf "        \"implies_wall_ns\": %d,\n" d_learned.implies_wall_ns;
-    bpf "        \"solver_wall_ns\": %d,\n" learned_ns;
-    bpf "        \"analysis_wall_s\": %.6f,\n" wall_learned;
-    bpf "        \"box_refutations\": %d,\n" d_learned.box_refutations;
-    bpf "        \"syntactic_hits\": %d,\n" d_learned.syntactic_hits;
-    bpf "        \"fm_runs\": %d,\n" d_learned.fm_runs;
-    bpf "        \"small_runs\": %d,\n" d_learned.small_runs;
-    bpf "        \"ctx_contexts\": %d,\n" d_learned.ctx_contexts;
-    bpf "        \"ctx_cut_hits\": %d,\n" d_learned.ctx_cut_hits;
-    bpf "        \"ctx_bound_hits\": %d,\n" d_learned.ctx_bound_hits;
-    bpf "        \"ctx_proj_hits\": %d,\n" d_learned.ctx_proj_hits;
-    bpf "        \"ctx_elims\": %d,\n" d_learned.ctx_elims;
-    bpf "        \"ctx_activity_reorders\": %d\n"
-      d_learned.ctx_activity_reorders;
-    bpf "      },\n";
-    bpf "      \"feasible_speedup\": %.2f,\n" speedup;
-    bpf "      \"feasible_speedup_floor\": %.2f\n" 2.0;
-    bpf "    },\n";
-    bpf "    \"micro\": {\n";
-    bpf "      \"systems\": %d,\n" (List.length systems);
-    bpf "      \"passes\": %d,\n" passes;
-    bpf "      \"feasible_reference_s\": %.6f,\n" feas_reference;
-    bpf "      \"feasible_cold_s\": %.6f,\n" feas_cold;
-    bpf "      \"feasible_memo_s\": %.6f,\n" feas_memo;
-    bpf "      \"small_runs\": %d,\n" small_runs;
-    bpf "      \"implies_reference_s\": %.6f,\n" impl_reference;
-    bpf "      \"implies_learned_s\": %.6f,\n" impl_learned;
-    bpf "      \"project_s\": %.6f\n" proj;
-    bpf "    }\n";
-    bpf "  }\n";
-    bpf "}\n";
-    let oc = open_out path in
-    output_string oc (Buffer.contents b);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  end
+  write_record ~json ~out "solver"
+    [ ("corpus", Str "nas-lu");
+      ("solver", Obj [
+        ("end_to_end", Obj [
+          ("reference", Obj [
+            ("feasible_queries", int d_ref.queries);
+            ("solver_wall_ns", int ref_ns);
+            ("analysis_wall_s", fixed 6 wall_ref) ]);
+          ("learned", Obj ([
+            ("feasible_queries", int d_learned.queries);
+            ("feasible_wall_ns", int d_learned.wall_fast_ns);
+            ("implies_queries", int d_learned.implies_queries);
+            ("implies_wall_ns", int d_learned.implies_wall_ns);
+            ("solver_wall_ns", int learned_ns);
+            ("analysis_wall_s", fixed 6 wall_learned);
+            ("box_refutations", int d_learned.box_refutations);
+            ("syntactic_hits", int d_learned.syntactic_hits);
+            ("fm_runs", int d_learned.fm_runs);
+            ("small_runs", int d_learned.small_runs) ]
+            @ ctx_counts d_learned));
+          ("feasible_speedup", fixed 2 speedup);
+          recorded_bound "solver" "end_to_end.feasible_speedup" ]);
+        ("micro", Obj [
+          ("systems", int (List.length systems));
+          ("passes", int passes);
+          ("feasible_reference_s", fixed 6 feas_reference);
+          ("feasible_cold_s", fixed 6 feas_cold);
+          ("feasible_memo_s", fixed 6 feas_memo);
+          ("small_runs", int small_runs);
+          ("implies_reference_s", fixed 6 impl_reference);
+          ("implies_learned_s", fixed 6 impl_learned);
+          ("project_s", fixed 6 proj) ]) ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bounds: the bounds-checking client on every corpus — verdict counts
@@ -1111,10 +1186,6 @@ let bench_bounds ~json ~out () =
       ("gen", Corpus.Gen.(generate (standard ())));
     ]
   in
-  (* the regression floor for property-refined sparse accesses proven safe
-     on the gen corpus; recorded into the JSON next to the measured value
-     so check-json can gate on it *)
-  let sparse_proven_floor = 3000 in
   let per_corpus =
     List.map
       (fun (name, files) ->
@@ -1150,48 +1221,24 @@ let bench_bounds ~json ~out () =
         (float_of_int d.Linear.Solver_stats.implies_wall_ns /. 1e6)
         (wall *. 1e3))
     per_corpus;
-  if json || out <> None then begin
-    let path = Option.value out ~default:"BENCH_bounds.json" in
-    let b = Buffer.create 2048 in
-    let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    bpf "{\n";
-    bpf "  \"bench\": \"%s\",\n" (Obs.Json.escape "bounds");
-    bpf "  \"stamp\": %s,\n" (stamp_json ());
-    bpf "  \"schema_version\": %d,\n" Analyses.Report.schema_version;
-    bpf "  \"bounds\": {\n";
-    bpf "    \"corpora\": [\n";
-    let n = List.length per_corpus in
-    List.iteri
-      (fun i (name, count, wall, (d : Linear.Solver_stats.t)) ->
-        bpf "      {\n";
-        bpf "        \"corpus\": \"%s\",\n" (Obs.Json.escape name);
-        bpf "        \"accesses\": %d,\n" (count "accesses");
-        bpf "        \"safe\": %d,\n" (count "safe");
-        bpf "        \"unsafe\": %d,\n" (count "unsafe");
-        bpf "        \"maybe\": %d,\n" (count "maybe");
-        bpf "        \"checks_eliminated\": %d,\n" (count "checks_eliminated");
-        bpf "        \"residual_checks\": %d,\n" (count "residual_checks");
-        bpf "        \"sparse_accesses\": %d,\n" (count "sparse_accesses");
-        bpf "        \"sparse_proven\": %d,\n" (count "sparse_proven");
-        bpf "        \"inspector_entries\": %d,\n" (count "inspector_entries");
-        if name = "gen" then
-          bpf "        \"sparse_proven_floor\": %d,\n" sparse_proven_floor;
-        bpf "        \"implies_queries\": %d,\n"
-          d.Linear.Solver_stats.implies_queries;
-        bpf "        \"implies_wall_ns\": %d,\n"
-          d.Linear.Solver_stats.implies_wall_ns;
-        bpf "        \"analysis_wall_s\": %.6f\n" wall;
-        bpf "      }%s\n" (if i = n - 1 then "" else ",")
-      )
-      per_corpus;
-    bpf "    ]\n";
-    bpf "  }\n";
-    bpf "}\n";
-    let oc = open_out path in
-    output_string oc (Buffer.contents b);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  end
+  let corpus (name, count, wall, (d : Linear.Solver_stats.t)) =
+    let counts =
+      [ "accesses"; "safe"; "unsafe"; "maybe"; "checks_eliminated";
+        "residual_checks"; "sparse_accesses"; "sparse_proven";
+        "inspector_entries" ]
+    in
+    let floor = recorded_bound "bounds" "corpora.corpus=gen.sparse_proven" in
+    Obs.Json.Obj
+      ((("corpus", Obs.Json.Str name)
+        :: List.map (fun k -> (k, int (count k))) counts)
+      @ (if name = "gen" then [ floor ] else [])
+      @ [ ("implies_queries", int d.implies_queries);
+          ("implies_wall_ns", int d.implies_wall_ns);
+          ("analysis_wall_s", fixed 6 wall) ])
+  in
+  write_record ~json ~out "bounds"
+    [ ("schema_version", int Analyses.Report.schema_version);
+      ("bounds", Obj [ ("corpora", List (List.map corpus per_corpus)) ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Gen: the seeded corpus generator — config, determinism digest, scale,
@@ -1282,13 +1329,12 @@ let bench_gen ~json ~out () =
     | Some v -> v
     | None -> "0"
   in
-  let sparse_proven_floor = 3000 in
   Printf.printf
-    "analysis %.1f ms  sparse %s/%s proven (floor %d)  inspector entries %s\n"
+    "analysis %.1f ms  sparse %s/%s proven (floor %g)  inspector entries %s\n"
     (analysis_wall *. 1e3)
     (count bounds "sparse_proven")
     (count bounds "sparse_accesses")
-    sparse_proven_floor
+    (snd (bound_of "gen" "sparse_proven"))
     (count bounds "inspector_entries");
   Printf.printf
     "diffcheck: steps %s  oob %s  covered %s  uncovered %s  safe_faults %s  \
@@ -1296,47 +1342,34 @@ let bench_gen ~json ~out () =
     (count diff "steps") (count diff "oob_events") (count diff "covered")
     (count diff "uncovered") (count diff "safe_faults") (count diff "ok");
   let fe = bench_frontend files in
-  if json || out <> None then begin
-    let path = Option.value out ~default:"BENCH_gen.json" in
-    let b = Buffer.create 2048 in
-    let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    bpf "{\n";
-    bpf "  \"bench\": \"%s\",\n" (Obs.Json.escape "gen");
-    bpf "  \"stamp\": %s,\n" (stamp_json ());
-    bpf "  \"schema_version\": %d,\n" Analyses.Report.schema_version;
-    bpf "  \"gen\": {\n";
-    bpf "    \"config\": \"%s\",\n" (Obs.Json.escape (Corpus.Gen.describe cfg));
-    bpf "    \"seed\": %d,\n" cfg.Corpus.Gen.g_seed;
-    bpf "    \"files\": %d,\n" (List.length files);
-    bpf "    \"pus\": %d,\n" (Corpus.Gen.pu_count cfg);
-    bpf "    \"bytes\": %d,\n" bytes;
-    bpf "    \"digest\": \"%s\",\n" (Obs.Json.escape digest);
-    bpf "    \"gen_wall_s\": %.6f,\n" gen_wall;
-    bpf "    \"analysis_wall_s\": %.6f,\n" analysis_wall;
-    bpf "    \"sparse_accesses\": %s,\n" (count bounds "sparse_accesses");
-    bpf "    \"sparse_proven\": %s,\n" (count bounds "sparse_proven");
-    bpf "    \"sparse_proven_floor\": %d,\n" sparse_proven_floor;
-    bpf "    \"inspector_entries\": %s,\n" (count bounds "inspector_entries");
-    bpf "    \"frontend_uncached_wall_s\": %.6f,\n" fe.fe_uncached;
-    bpf "    \"frontend_cold_wall_s\": %.6f,\n" fe.fe_cold;
-    bpf "    \"frontend_warm_edit_wall_s\": %.6f,\n" fe.fe_warm;
-    bpf "    \"frontend_speedup\": %.2f,\n" (fe.fe_cold /. fe.fe_warm);
-    bpf "    \"frontend_speedup_floor\": %.2f,\n" 2.0;
-    bpf "    \"diffcheck\": {\n";
-    bpf "      \"steps\": %s,\n" (count diff "steps");
-    bpf "      \"oob_events\": %s,\n" (count diff "oob_events");
-    bpf "      \"covered\": %s,\n" (count diff "covered");
-    bpf "      \"uncovered\": %s,\n" (count diff "uncovered");
-    bpf "      \"safe_faults\": %s,\n" (count diff "safe_faults");
-    bpf "      \"ok\": %s\n" (count diff "ok");
-    bpf "    }\n";
-    bpf "  }\n";
-    bpf "}\n";
-    let oc = open_out path in
-    output_string oc (Buffer.contents b);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  end
+  (* summary values are JSON scalars in text form *)
+  let value r key =
+    let v = count r key in
+    Result.value (Obs.Json.parse v) ~default:(Obs.Json.Str v)
+  in
+  write_record ~json ~out "gen"
+    [ ("schema_version", int Analyses.Report.schema_version);
+      ("gen", Obj [
+        ("config", Str (Corpus.Gen.describe cfg));
+        ("seed", int cfg.Corpus.Gen.g_seed);
+        ("files", int (List.length files));
+        ("pus", int (Corpus.Gen.pu_count cfg));
+        ("bytes", int bytes);
+        ("digest", Str digest);
+        ("gen_wall_s", fixed 6 gen_wall);
+        ("analysis_wall_s", fixed 6 analysis_wall);
+        ("sparse_accesses", value bounds "sparse_accesses");
+        ("sparse_proven", value bounds "sparse_proven");
+        recorded_bound "gen" "sparse_proven";
+        ("inspector_entries", value bounds "inspector_entries");
+        ("frontend_uncached_wall_s", fixed 6 fe.fe_uncached);
+        ("frontend_cold_wall_s", fixed 6 fe.fe_cold);
+        ("frontend_warm_edit_wall_s", fixed 6 fe.fe_warm);
+        ("frontend_speedup", fixed 2 (fe.fe_cold /. fe.fe_warm));
+        recorded_bound "gen" "frontend_speedup";
+        ("diffcheck", Obj (List.map (fun k -> (k, value diff k))
+          [ "steps"; "oob_events"; "covered"; "uncovered"; "safe_faults";
+            "ok" ])) ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Regions: the production join (interned systems, n-way unions, the
@@ -1422,6 +1455,9 @@ let bench_regions ~json ~out () =
   let identical = List.for_all2 Linear.System.equal ref_res learned_res in
   let open Linear.Solver_stats in
   let speedup = ref_wall /. Float.max 1e-9 learned_wall in
+  let speedup_ok =
+    speedup >= snd (bound_of "regions" "join.implies_speedup")
+  in
   Printf.printf
     "join workload: %d buckets, %d regions, %d passes\n"
     (List.length buckets) total_regions passes;
@@ -1436,7 +1472,7 @@ let bench_regions ~json ~out () =
     d_learned.ctx_activity_reorders
     (float_of_int d_learned.implies_wall_ns /. 1e6)
     learned_wall speedup
-    (if speedup >= 2. then "" else "  (< 2x!)");
+    (if speedup_ok then "" else "  (below the floor!)");
   Printf.printf "union_approx calls: %d via %d union_many; results %s\n" unions
     many
     (if identical then "identical" else "DIFFER");
@@ -1478,73 +1514,43 @@ let bench_regions ~json ~out () =
      %.1f%% (%d/%d)\n"
     (100. *. er) eh (eh + em) (100. *. cr) ch (ch + cm) (100. *. sr) sh
     (sh + sm);
-  if json || out <> None then begin
-    let path = Option.value out ~default:"BENCH_regions.json" in
-    let b = Buffer.create 2048 in
-    let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    bpf "{\n";
-    bpf "  \"bench\": \"%s\",\n" (Obs.Json.escape "regions");
-    bpf "  \"stamp\": %s,\n" (stamp_json ());
-    bpf "  \"corpus\": \"nas-lu\",\n";
-    bpf "  \"regions\": {\n";
-    bpf "    \"join\": {\n";
-    bpf "      \"buckets\": %d,\n" (List.length buckets);
-    bpf "      \"regions\": %d,\n" total_regions;
-    bpf "      \"passes\": %d,\n" passes;
-    bpf "      \"reference\": {\n";
-    bpf "        \"wall_s\": %.6f\n" ref_wall;
-    bpf "      },\n";
-    bpf "      \"learned\": {\n";
-    bpf "        \"implies_queries\": %d,\n" d_learned.implies_queries;
-    bpf "        \"implies_memo_hits\": %d,\n" d_learned.implies_memo_hits;
-    bpf "        \"implies_wall_ns\": %d,\n" d_learned.implies_wall_ns;
-    bpf "        \"implies_saved\": %d,\n" saved;
-    bpf "        \"union_calls\": %d,\n" unions;
-    bpf "        \"union_many_calls\": %d,\n" many;
-    bpf "        \"ctx_contexts\": %d,\n" d_learned.ctx_contexts;
-    bpf "        \"ctx_cut_hits\": %d,\n" d_learned.ctx_cut_hits;
-    bpf "        \"ctx_bound_hits\": %d,\n" d_learned.ctx_bound_hits;
-    bpf "        \"ctx_proj_hits\": %d,\n" d_learned.ctx_proj_hits;
-    bpf "        \"ctx_elims\": %d,\n" d_learned.ctx_elims;
-    bpf "        \"ctx_activity_reorders\": %d,\n"
-      d_learned.ctx_activity_reorders;
-    bpf "        \"wall_s\": %.6f\n" learned_wall;
-    bpf "      },\n";
-    bpf "      \"implies_speedup\": %.2f,\n" speedup;
-    bpf "      \"implies_speedup_floor\": %.2f,\n" 2.0;
-    bpf "      \"speedup_ok\": %b,\n" (speedup >= 2.);
-    bpf "      \"identical\": %b\n" identical;
-    bpf "    },\n";
-    bpf "    \"end_to_end\": {\n";
-    bpf "      \"reference\": {\n";
-    bpf "        \"implies_queries\": %d,\n" e2e_ref.implies_queries;
-    bpf "        \"implies_wall_ns\": %d,\n" e2e_ref.implies_wall_ns;
-    bpf "        \"analysis_wall_s\": %.6f\n" e2e_ref_wall;
-    bpf "      },\n";
-    bpf "      \"learned\": {\n";
-    bpf "        \"implies_queries\": %d,\n" e2e_learned.implies_queries;
-    bpf "        \"implies_memo_hits\": %d,\n" e2e_learned.implies_memo_hits;
-    bpf "        \"implies_wall_ns\": %d,\n" e2e_learned.implies_wall_ns;
-    bpf "        \"analysis_wall_s\": %.6f\n" e2e_learned_wall;
-    bpf "      }\n";
-    bpf "    },\n";
-    bpf "    \"intern\": {\n";
-    bpf "      \"expr\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f },\n"
-      eh em er;
-    bpf
-      "      \"constr\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f \
-       },\n"
-      ch cm cr;
-    bpf "      \"system\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f }\n"
-      sh sm sr;
-    bpf "    }\n";
-    bpf "  }\n";
-    bpf "}\n";
-    let oc = open_out path in
-    output_string oc (Buffer.contents b);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  end
+  let intern_rate (h, m, r) =
+    Obs.Json.Obj [ ("hits", int h); ("misses", int m); ("hit_rate", fixed 4 r) ]
+  in
+  write_record ~json ~out "regions"
+    [ ("corpus", Str "nas-lu");
+      ("regions", Obj [
+        ("join", Obj [
+          ("buckets", int (List.length buckets));
+          ("regions", int total_regions);
+          ("passes", int passes);
+          ("reference", Obj [ ("wall_s", fixed 6 ref_wall) ]);
+          ("learned", Obj ([
+            ("implies_queries", int d_learned.implies_queries);
+            ("implies_memo_hits", int d_learned.implies_memo_hits);
+            ("implies_wall_ns", int d_learned.implies_wall_ns);
+            ("implies_saved", int saved);
+            ("union_calls", int unions);
+            ("union_many_calls", int many) ]
+            @ ctx_counts d_learned @ [ ("wall_s", fixed 6 learned_wall) ]));
+          ("implies_speedup", fixed 2 speedup);
+          recorded_bound "regions" "join.implies_speedup";
+          ("speedup_ok", Bool speedup_ok);
+          ("identical", Bool identical) ]);
+        ("end_to_end", Obj [
+          ("reference", Obj [
+            ("implies_queries", int e2e_ref.implies_queries);
+            ("implies_wall_ns", int e2e_ref.implies_wall_ns);
+            ("analysis_wall_s", fixed 6 e2e_ref_wall) ]);
+          ("learned", Obj [
+            ("implies_queries", int e2e_learned.implies_queries);
+            ("implies_memo_hits", int e2e_learned.implies_memo_hits);
+            ("implies_wall_ns", int e2e_learned.implies_wall_ns);
+            ("analysis_wall_s", fixed 6 e2e_learned_wall) ]) ]);
+        ("intern", Obj [
+          ("expr", intern_rate (eh, em, er));
+          ("constr", intern_rate (ch, cm, cr));
+          ("system", intern_rate (sh, sm, sr)) ]) ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* check-json: validate emitted JSON files (bench records, uhc --trace
@@ -1557,34 +1563,54 @@ exception Check_fail of string
 
 let check_fail fmt = Printf.ksprintf (fun msg -> raise (Check_fail msg)) fmt
 
-(* a regression gate: the recorded speedup must stay at or above the floor
-   recorded next to it (the floor is part of the schema, so an old record
-   without one fails the check rather than silently passing) *)
-let check_gate obj ~where name =
-  let num field =
-    match Option.bind (Obs.Json.member field obj) Obs.Json.to_float with
-    | Some v -> v
-    | None -> check_fail "%s.%s missing" where field
-  in
-  let v = num name in
-  let floor = num (name ^ "_floor") in
-  if v < floor then
-    check_fail "%s.%s %.2f regressed below floor %.2f" where name v floor;
-  (v, floor)
+(* the member at [path] (split at dots) under [v]; in a list, a
+   [key=value] segment selects the element whose [key] member is [value] *)
+let rec lookup v = function
+  | [] -> Some v
+  | seg :: rest ->
+    let next =
+      match (v, String.split_on_char '=' seg) with
+      | Obs.Json.List l, [ key; value ] ->
+        let want = Some (Obs.Json.Str value) in
+        List.find_opt (fun e -> Obs.Json.member key e = want) l
+      | _ -> Obs.Json.member seg v
+    in
+    Option.bind next (fun n -> lookup n rest)
 
-(* the allocation counterpart of [check_gate]: the recorded value must stay
-   at or below the ceiling recorded next to it *)
-let check_ceiling obj ~where name =
-  let num field =
-    match Option.bind (Obs.Json.member field obj) Obs.Json.to_float with
-    | Some v -> v
-    | None -> check_fail "%s.%s missing" where field
-  in
-  let v = num name in
-  let ceiling = num (name ^ "_ceiling") in
-  if v > ceiling then
-    check_fail "%s.%s %.1f above ceiling %.1f" where name v ceiling;
-  (v, ceiling)
+(* Every [gates] row of [bench] against its [section]; a bound recorded in
+   the file must equal the table's.  Returns the checked floors and
+   ceilings for the OK line. *)
+let check_gates bench section =
+  List.filter_map
+    (fun (b, path, bound) ->
+      let member path = lookup section (String.split_on_char '.' path) in
+      let num path =
+        match Option.bind (member path) Obs.Json.to_float with
+        | Some v -> v
+        | None -> check_fail "%s.%s missing or not a number" bench path
+      in
+      let limit v holds rel broken =
+        let x = num path and recorded = path ^ suffix bound in
+        if not (holds x v) then
+          check_fail "%s.%s %g %s %g" bench path x broken v;
+        if member recorded <> None && num recorded <> v then
+          check_fail "%s.%s %g differs from the gate table's %g" bench recorded
+            (num recorded) v;
+        Some (Printf.sprintf "%s %g %s %g" path x rel v)
+      in
+      if b <> bench then None
+      else
+        match bound with
+        | Present ->
+          ignore (num path);
+          None
+        | True -> (
+          match member path with
+          | Some (Obs.Json.Bool true) -> None
+          | _ -> check_fail "%s.%s is not true" bench path)
+        | Floor v -> limit v ( >= ) ">=" "below floor"
+        | Ceiling v -> limit v ( <= ) "<=" "above ceiling")
+    gates
 
 (* every BENCH record names the host and sources it was measured on *)
 let check_stamp top =
@@ -1600,64 +1626,6 @@ let check_stamp top =
         | _ -> check_fail "stamp.%s missing or empty" field)
       [ "ocaml"; "commit" ]
   | _ -> check_fail "bench record without stamp"
-
-let check_solver_json path doc =
-  match Obs.Json.member "end_to_end" doc, Obs.Json.member "micro" doc with
-  | Some (Obs.Json.Obj _ as e2e), Some (Obs.Json.Obj _ as micro) ->
-    (match Obs.Json.member "learned" e2e with
-    | Some (Obs.Json.Obj _ as l) ->
-      List.iter
-        (fun field ->
-          match Option.bind (Obs.Json.member field l) Obs.Json.to_float with
-          | Some _ -> ()
-          | None -> check_fail "solver.end_to_end.learned.%s missing" field)
-        [
-          "feasible_wall_ns"; "implies_wall_ns"; "solver_wall_ns";
-          "small_runs"; "ctx_contexts";
-          "ctx_cut_hits"; "ctx_bound_hits"; "ctx_proj_hits"; "ctx_elims";
-          "ctx_activity_reorders";
-        ]
-    | _ -> check_fail "solver.end_to_end.learned missing");
-    (match Option.bind (Obs.Json.member "implies_learned_s" micro) Obs.Json.to_float with
-    | Some _ -> ()
-    | None -> check_fail "solver.micro.implies_learned_s missing");
-    let speedup, floor =
-      check_gate e2e ~where:"solver.end_to_end" "feasible_speedup"
-    in
-    Printf.printf
-      "check-json: %s OK (solver section; feasible_speedup %.2f >= floor \
-       %.2f)\n"
-      path speedup floor
-  | _ -> check_fail "solver.end_to_end / solver.micro missing"
-
-let check_regions_json path doc =
-  match
-    ( Obs.Json.member "join" doc,
-      Obs.Json.member "end_to_end" doc,
-      Obs.Json.member "intern" doc )
-  with
-  | Some (Obs.Json.Obj _ as join), Some (Obs.Json.Obj _), Some (Obs.Json.Obj _)
-    ->
-    (match Obs.Json.member "identical" join with
-    | Some (Obs.Json.Bool true) -> ()
-    | _ -> check_fail "regions.join.identical is not true");
-    (match Obs.Json.member "learned" join with
-    | Some (Obs.Json.Obj _ as l) ->
-      List.iter
-        (fun field ->
-          match Option.bind (Obs.Json.member field l) Obs.Json.to_float with
-          | Some _ -> ()
-          | None -> check_fail "regions.join.learned.%s missing" field)
-        [
-          "implies_queries"; "implies_memo_hits"; "implies_wall_ns"; "ctx_contexts"; "ctx_cut_hits"; "ctx_bound_hits";
-          "ctx_elims"; "ctx_activity_reorders";
-        ]
-    | _ -> check_fail "regions.join.learned missing");
-    let sp, spf = check_gate join ~where:"regions.join" "implies_speedup" in
-    Printf.printf
-      "check-json: %s OK (regions; implies_speedup %.2f >= floor %.2f)\n"
-      path sp spf
-  | _ -> check_fail "regions.join / regions.end_to_end / regions.intern missing"
 
 let check_trace_json path raw =
   match Obs.Trace.parse raw with
@@ -1737,7 +1705,8 @@ let check_schema_version ~what ~expected doc =
       expected
   | Some _ -> ()
 
-let check_bounds_json path top doc =
+(* the cross-field invariants of a bounds record, on every corpus entry *)
+let check_bounds_invariants top doc =
   check_schema_version ~what:"bounds" ~expected:Analyses.Report.schema_version
     top;
   match Option.bind (Obs.Json.member "corpora" doc) Obs.Json.to_list with
@@ -1776,82 +1745,46 @@ let check_bounds_json path top doc =
             "bounds %s: inspector_entries disagrees with maybe (every \
              undecidable access gets an inspector entry)"
             corpus;
-        (* the gen corpus records a floor next to the measured value *)
-        if Obs.Json.member "sparse_proven_floor" entry <> None then
-          ignore (check_gate entry ~where:("bounds." ^ corpus) "sparse_proven");
         ignore (num "implies_queries");
         ignore (num "implies_wall_ns"))
-      entries;
-    Printf.printf "check-json: %s OK (bounds, %d corpora)\n" path
-      (List.length entries)
+      entries
 
-let check_gen_json path top doc =
+(* the cross-field invariants of a gen record *)
+let check_gen_invariants top doc =
   check_schema_version ~what:"gen" ~expected:Analyses.Report.schema_version top;
-  let num field =
-    match Option.bind (Obs.Json.member field doc) Obs.Json.to_int with
-    | Some n -> n
-    | None -> check_fail "gen.%s missing" field
-  in
-  if num "files" < 200 then check_fail "gen.files below the 200-file scale floor";
-  if num "pus" < 2000 then check_fail "gen.pus below the 2000-PU scale floor";
   (match Option.bind (Obs.Json.member "digest" doc) Obs.Json.to_string with
   | Some d when String.length d = 32 -> ()
   | _ -> check_fail "gen.digest missing or not an md5 hex string");
-  let proven, floor = check_gate doc ~where:"gen" "sparse_proven" in
-  let fe_speedup, fe_floor = check_gate doc ~where:"gen" "frontend_speedup" in
-  let diff =
-    match Obs.Json.member "diffcheck" doc with
-    | Some (Obs.Json.Obj _ as d) -> d
-    | _ -> check_fail "gen.diffcheck missing"
-  in
   let dnum field =
-    match Option.bind (Obs.Json.member field diff) Obs.Json.to_int with
+    match Option.bind (lookup doc [ "diffcheck"; field ]) Obs.Json.to_int with
     | Some n -> n
     | None -> check_fail "gen.diffcheck.%s missing" field
   in
-  if dnum "safe_faults" <> 0 then
-    check_fail "gen.diffcheck.safe_faults: a proven-safe access faulted";
-  if dnum "uncovered" <> 0 then
-    check_fail "gen.diffcheck.uncovered: a runtime fault has no inspector row";
   if dnum "covered" <> dnum "oob_events" then
-    check_fail "gen.diffcheck: covered disagrees with oob_events";
-  (match Obs.Json.member "ok" diff with
-  | Some (Obs.Json.Bool true) -> ()
-  | _ -> check_fail "gen.diffcheck.ok is not true");
-  Printf.printf
-    "check-json: %s OK (gen; sparse_proven %.0f >= floor %.0f, \
-     frontend_speedup %.2f >= floor %.2f, diffcheck clean over %d oob \
-     events)\n"
-    path proven floor fe_speedup fe_floor (dnum "oob_events")
+    check_fail "gen.diffcheck: covered disagrees with oob_events"
 
-let check_engine_json path doc =
-  let num field =
-    match Option.bind (Obs.Json.member field doc) Obs.Json.to_float with
-    | Some v -> v
-    | None -> check_fail "engine.%s missing" field
+(* A BENCH record: its stamp, the [gates] rows of the bench it names, and
+   the cross-field invariants no single row states. *)
+let check_bench path top =
+  check_stamp top;
+  let bench =
+    match Obs.Json.member "bench" top with
+    | Some (Obs.Json.Str b) when List.exists (fun (b', _, _) -> b' = b) gates
+      ->
+      b
+    | _ -> check_fail "\"bench\" names no known bench"
   in
-  List.iter
-    (fun f -> ignore (num f))
-    [
-      "lu_cold_wall_s"; "lu_warm_wall_s"; "gen_small_cold_wall_s";
-      "gen_small_warm_wall_s"; "gen_small_cold_collect_s";
-    ];
-  (* one pack segment per producer: the cached frontend and the engine *)
-  let files = num "cold_files" in
-  if files > 2. then
-    check_fail "engine.cold_files %.0f above 2 (one segment per producer)" files;
-  let speedup, floor = check_gate doc ~where:"engine" "warm_speedup" in
-  (* collect builds each distinct access shape once per run *)
-  let reuse, reuse_floor = check_gate doc ~where:"engine" "shape_reuse" in
-  (* the layers after summarize allocate in proportion to what they print *)
-  let alloc, ceiling =
-    check_ceiling doc ~where:"engine" "output_alloc_per_row"
+  let section =
+    match Obs.Json.member bench top with
+    | Some (Obs.Json.Obj _ as doc) -> doc
+    | _ -> check_fail "%s record without a %S object" bench bench
   in
-  Printf.printf
-    "check-json: %s OK (engine; cold_files %.0f <= 2, warm_speedup %.2f >= \
-     floor %.2f, shape_reuse %.2f >= floor %.2f, output_alloc_per_row %.1f \
-     <= ceiling %.1f)\n"
-    path files speedup floor reuse reuse_floor alloc ceiling
+  (match bench with
+  | "bounds" -> check_bounds_invariants top section
+  | "gen" -> check_gen_invariants top section
+  | _ -> ());
+  Printf.printf "check-json: %s OK (%s; %s)\n" path bench
+    (String.concat ", " (check_gates bench section))
 
 let check_reports_json path top entries =
   check_schema_version ~what:"reports" ~expected:Analyses.Report.schema_version
@@ -2003,11 +1936,11 @@ let check_ledger_record idx record =
   List.iter
     (fun p ->
       List.iter
-        (fun f -> ignore (Option.bind (Obs.Json.member f p) Obs.Json.to_string))
-        [ "name"; "file"; "key1"; "key2" ];
-      match Option.bind (Obs.Json.member "name" p) Obs.Json.to_string with
-      | Some _ -> ()
-      | None -> check_fail "%s pu entry without name" ctx)
+        (fun f ->
+          match Option.bind (Obs.Json.member f p) Obs.Json.to_string with
+          | Some _ -> ()
+          | None -> check_fail "%s pu entry without string %S" ctx f)
+        [ "name"; "file"; "key1"; "key2" ])
     (list_ "pus")
 
 let check_ledger_jsonl path raw =
@@ -2026,75 +1959,49 @@ let check_ledger_jsonl path raw =
   Printf.printf "check-json: %s OK (ledger, %d record(s))\n" path
     (List.length lines)
 
-let check_obs_json path doc =
-  (match Obs.Json.member "disabled_cost_ok" doc with
-  | Some (Obs.Json.Bool true) -> ()
-  | _ -> check_fail "obs.disabled_cost_ok is not true");
-  match Option.bind (Obs.Json.member "spans_per_run" doc) Obs.Json.to_int with
-  | Some n when n > 0 ->
-    Printf.printf "check-json: %s OK (obs; %d spans per run, disabled cost ok)\n"
-      path n
-  | _ -> check_fail "obs.spans_per_run is not a positive integer"
-
 let check_json_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let raw = really_input_string ic len in
-  close_in ic;
-  try
-    if Filename.check_suffix path ".jsonl" then check_ledger_jsonl path raw
-    else
-    match Obs.Json.parse raw with
-    | Error e -> check_fail "%s" e
-    | Ok v -> (
-      if Obs.Json.member "bench" v <> None then check_stamp v;
-      match v with
-      | Obs.Json.Obj _ when Obs.Json.member "run_id" v <> None ->
-        (* a ledger record extracted to a plain .json file; the "solver"
-           counter section would otherwise shadow the dispatch below *)
-        check_ledger_record 1 v;
-        Printf.printf "check-json: %s OK (ledger, 1 record(s))\n" path
-      | Obs.Json.Obj _ -> (
-        match
-          ( Obs.Json.member "solver" v,
-            Obs.Json.member "regions" v,
-            Obs.Json.member "traceEvents" v,
-            Obs.Json.member "metrics" v,
-            Obs.Json.member "obs" v,
-            Obs.Json.member "bounds" v,
-            Obs.Json.member "reports" v,
-            Obs.Json.member "diagnostics" v )
-        with
-        | Some (Obs.Json.Obj _ as doc), _, _, _, _, _, _, _ ->
-          check_solver_json path doc
-        | _, Some (Obs.Json.Obj _ as doc), _, _, _, _, _, _ ->
-          check_regions_json path doc
-        | _, _, Some (Obs.Json.List _), _, _, _, _, _ -> check_trace_json path raw
-        | _, _, _, Some (Obs.Json.List entries), _, _, _, _ ->
-          check_metrics_json path entries
-        | _, _, _, _, Some (Obs.Json.Obj _ as doc), _, _, _ ->
-          check_obs_json path doc
-        | _, _, _, _, _, Some (Obs.Json.Obj _ as doc), _, _ ->
-          check_bounds_json path v doc
-        | _, _, _, _, _, _, Some (Obs.Json.List entries), _ ->
-          check_reports_json path v entries
-        | _, _, _, _, _, _, _, Some (Obs.Json.List entries) ->
-          check_schema_version ~what:"diagnostics"
-            ~expected:Fault.Diag.schema_version v;
-          check_diagnostics_json path entries
-        | _ -> (
-          match (Obs.Json.member "gen" v, Obs.Json.member "engine" v) with
-          | Some (Obs.Json.Obj _ as doc), _ -> check_gen_json path v doc
-          | _, Some (Obs.Json.Obj _ as doc) -> check_engine_json path doc
-          | _ ->
-            check_fail
-              "no recognized top-level section \
-               (solver/regions/traceEvents/metrics/obs/bounds/gen/engine/\
-               reports/diagnostics)"))
-      | _ -> check_fail "top-level value is not an object")
-  with Check_fail msg ->
-    Printf.eprintf "check-json: %s in %s\n" msg path;
+  let fail msg =
+    prerr_endline ("check-json: " ^ msg);
     exit 1
+  in
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> fail (Printf.sprintf "cannot read %s: %s" path e)
+  | raw -> (
+    try
+      if Filename.check_suffix path ".jsonl" then check_ledger_jsonl path raw
+      else
+        match Obs.Json.parse raw with
+        | Error e -> check_fail "%s" e
+        | Ok v -> (
+          let member k = Obs.Json.member k v in
+          match v with
+          | Obs.Json.Obj _ when member "run_id" <> None ->
+            (* a ledger record extracted to a plain .json file *)
+            check_ledger_record 1 v;
+            Printf.printf "check-json: %s OK (ledger, 1 record(s))\n" path
+          | Obs.Json.Obj _ when member "bench" <> None -> check_bench path v
+          | Obs.Json.Obj _ -> (
+            match
+              ( member "traceEvents",
+                member "metrics",
+                member "reports",
+                member "diagnostics" )
+            with
+            | Some (Obs.Json.List _), _, _, _ -> check_trace_json path raw
+            | _, Some (Obs.Json.List entries), _, _ ->
+              check_metrics_json path entries
+            | _, _, Some (Obs.Json.List entries), _ ->
+              check_reports_json path v entries
+            | _, _, _, Some (Obs.Json.List entries) ->
+              check_schema_version ~what:"diagnostics"
+                ~expected:Fault.Diag.schema_version v;
+              check_diagnostics_json path entries
+            | _ ->
+              check_fail
+                "no recognized top-level member \
+                 (bench/traceEvents/metrics/reports/diagnostics)")
+          | _ -> check_fail "top-level value is not an object")
+    with Check_fail msg -> fail (Printf.sprintf "%s in %s" msg path))
 
 (* ------------------------------------------------------------------ *)
 (* obs: tracing/metrics overhead on the NAS LU pipeline *)
@@ -2142,38 +2049,27 @@ let bench_obs ~json ~out () =
   Printf.printf "trace recorded %d spans per run\n" span_count;
   Printf.printf "disabled Span.with_: %.2f ns/call (%d calls)\n" per_call_ns
     iters;
-  (* the disabled-path bound the tentpole requires: even if every recorded
-     span were on the hot path, the disabled checks cost a vanishing
-     fraction of the analysis *)
+  (* the disabled-path bound: even if every recorded span were on the hot
+     path, the disabled checks cost a vanishing fraction of the analysis *)
   let disabled_cost =
     float_of_int span_count *. per_call_ns /. 1e9 /. disabled
   in
-  Printf.printf "disabled-path cost bound: %.4f%% of analysis wall (< 2%% %s)\n"
-    (100. *. disabled_cost)
-    (if disabled_cost < 0.02 then "OK" else "VIOLATED");
-  if json || out <> None then begin
-    let path = Option.value out ~default:"BENCH_obs.json" in
-    let b = Buffer.create 512 in
-    let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    bpf "{\n";
-    bpf "  \"bench\": \"obs\",\n";
-    bpf "  \"stamp\": %s,\n" (stamp_json ());
-    bpf "  \"corpus\": \"nas-lu\",\n";
-    bpf "  \"obs\": {\n";
-    bpf "    \"disabled_wall_s\": %.6f,\n" disabled;
-    bpf "    \"enabled_wall_s\": %.6f,\n" enabled;
-    bpf "    \"enabled_overhead\": %.6f,\n" overhead;
-    bpf "    \"spans_per_run\": %d,\n" span_count;
-    bpf "    \"disabled_span_ns\": %.3f,\n" per_call_ns;
-    bpf "    \"disabled_cost_fraction\": %.8f,\n" disabled_cost;
-    bpf "    \"disabled_cost_ok\": %b\n" (disabled_cost < 0.02);
-    bpf "  }\n";
-    bpf "}\n";
-    let oc = open_out path in
-    output_string oc (Buffer.contents b);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  end
+  let ceiling = snd (bound_of "obs" "disabled_cost_fraction") in
+  let cost_ok = disabled_cost <= ceiling in
+  Printf.printf
+    "disabled-path cost bound: %.4f%% of analysis wall (<= %g%% %s)\n"
+    (100. *. disabled_cost) (100. *. ceiling)
+    (if cost_ok then "OK" else "VIOLATED");
+  write_record ~json ~out "obs"
+    [ ("corpus", Str "nas-lu");
+      ("obs", Obj [
+        ("disabled_wall_s", fixed 6 disabled);
+        ("enabled_wall_s", fixed 6 enabled);
+        ("enabled_overhead", fixed 6 overhead);
+        ("spans_per_run", int span_count);
+        ("disabled_span_ns", fixed 3 per_call_ns);
+        ("disabled_cost_fraction", fixed 8 disabled_cost);
+        ("disabled_cost_ok", Bool cost_ok) ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timings of the analysis kernels *)
@@ -2267,8 +2163,16 @@ let () =
   let json, out, sections =
     parse (false, None, []) (List.tl (Array.to_list Sys.argv))
   in
+  (* the sections that write a BENCH record; --out names one file *)
+  let records = [ "engine"; "solver"; "bounds"; "gen"; "regions"; "obs" ] in
+  let writing = List.filter (fun s -> List.mem s records) sections in
   match sections with
   | "check-json" :: files -> List.iter check_json_file files
+  | _ when out <> None && List.length writing <> 1 ->
+    prerr_endline
+      "bench: --out needs exactly one of the sections engine, solver, \
+       bounds, gen, regions, obs";
+    exit 2
   | _ ->
     let only name = List.mem name sections in
     let all = sections = [] in

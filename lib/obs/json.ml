@@ -313,3 +313,33 @@ let render v =
   let b = Buffer.create 256 in
   write b v;
   Buffer.contents b
+
+let render_indented v =
+  let b = Buffer.create 1024 in
+  let rec value ind v =
+    let block op cl items =
+      Buffer.add_char b op;
+      List.iteri
+        (fun i (key, v) ->
+          Buffer.add_string b (if i = 0 then "\n" else ",\n");
+          Buffer.add_string b (String.make (ind + 2) ' ');
+          Option.iter
+            (fun k ->
+              write b (Str k);
+              Buffer.add_string b ": ")
+            key;
+          value (ind + 2) v)
+        items;
+      Buffer.add_char b '\n';
+      Buffer.add_string b (String.make ind ' ');
+      Buffer.add_char b cl
+    in
+    match v with
+    | List (_ :: _ as l) -> block '[' ']' (List.map (fun v -> (None, v)) l)
+    | Obj (_ :: _ as kvs) ->
+      block '{' '}' (List.map (fun (k, v) -> (Some k, v)) kvs)
+    | v -> write b v
+  in
+  value 0 v;
+  Buffer.add_char b '\n';
+  Buffer.contents b

@@ -3,9 +3,10 @@
     Just enough for the observability files this library emits (Chrome
     traces, metrics dumps, bench records, run-ledger records): the full
     JSON value grammar on the way in, and {!write}/{!render} for values
-    built as [t] on the way out.  The writer is compact (no whitespace);
-    emitters whose layout is part of their format (the pretty-printed
-    [BENCH_*.json] records, Chrome traces) still fill a [Buffer] directly. *)
+    built as [t] on the way out.  {!write} is compact (no whitespace);
+    {!render_indented} lays a value out one member per line, the format of
+    the committed [BENCH_*.json] records.  Chrome traces, whose event
+    layout is part of their format, still fill a [Buffer] directly. *)
 
 type t =
   | Obj of (string * t) list
@@ -40,6 +41,13 @@ val write : Buffer.t -> t -> unit
 
 val render : t -> string
 (** {!write} into a fresh string. *)
+
+val render_indented : t -> string
+(** The fixed layout of committed records: two-space indentation, one
+    member or element per line, [": "] after each key, empty lists and
+    objects as [[]] and [{}], and a final newline.  Scalars print as in
+    {!write}, so [parse] reads back the same value when every number is
+    finite. *)
 
 val escape : string -> string
 (** Escape a string for embedding between double quotes in JSON output

@@ -36,6 +36,20 @@ test -s "$out/project.dgn"
 echo "== committed BENCH_*.json pass check-json =="
 dune exec bench/main.exe -- check-json BENCH_*.json
 
+echo "== smoke: bench engine --json =="
+dune exec bench/main.exe -- engine --json --out "$out/BENCH_engine.json" >/dev/null
+dune exec bench/main.exe -- check-json "$out/BENCH_engine.json"
+
+echo "== smoke: bench obs --json =="
+dune exec bench/main.exe -- obs --json --out "$out/BENCH_obs.json" >/dev/null
+dune exec bench/main.exe -- check-json "$out/BENCH_obs.json"
+
+echo "== bench --out with two record sections exits 2 =="
+rc=0
+dune exec bench/main.exe -- engine obs --out "$out/two.json" 2>/dev/null || rc=$?
+test "$rc" = 2
+test ! -e "$out/two.json"
+
 echo "== smoke: bench solver --json =="
 dune exec bench/main.exe -- solver --json --out "$out/BENCH_solver.json"
 test -s "$out/BENCH_solver.json"
@@ -162,6 +176,34 @@ echo "== smoke: bench gen --json =="
 dune exec bench/main.exe -- gen --json --out "$out/BENCH_gen.json" >/dev/null
 test -s "$out/BENCH_gen.json"
 dune exec bench/main.exe -- check-json "$out/BENCH_gen.json"
+
+echo "== fresh BENCH records have the committed member paths =="
+# every member path (list elements by index) of the six records written
+# above must match the committed file: no member renamed, moved or lost
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$out" <<'EOF'
+import json, sys
+
+def paths(v, pre=""):
+    if isinstance(v, dict):
+        return {p for k, x in v.items() for p in {pre + k} | paths(x, pre + k + ".")}
+    if isinstance(v, list):
+        return {p for i, x in enumerate(v) for p in paths(x, "%s%d." % (pre, i))}
+    return set()
+
+bad = 0
+for b in ["bounds", "engine", "gen", "obs", "regions", "solver"]:
+    old = paths(json.load(open("BENCH_%s.json" % b)))
+    new = paths(json.load(open("%s/BENCH_%s.json" % (sys.argv[1], b))))
+    if old != new:
+        print("BENCH_%s.json: member paths differ: %s" % (b, sorted(old ^ new)),
+              file=sys.stderr)
+        bad = 1
+sys.exit(bad)
+EOF
+else
+  echo "== skipping the member-path check (python3 not installed) =="
+fi
 
 echo "== smoke: dragon profile --folded =="
 dune exec bin/dragon.exe -- profile --folded "$out/trace.json" \

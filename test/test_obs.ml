@@ -446,6 +446,17 @@ let test_json_writer () =
   (match Obs.Json.parse s with
   | Ok v' -> Alcotest.(check bool) "render then parse is the identity" true (v = v')
   | Error e -> Alcotest.failf "rendered JSON does not parse: %s (%s)" e s);
+  (* the layout of committed BENCH records reads back the same value *)
+  let s = Obs.Json.render_indented v in
+  (match Obs.Json.parse s with
+  | Ok v' ->
+    Alcotest.(check bool) "indented render then parse is the identity" true
+      (v = v')
+  | Error e -> Alcotest.failf "indented JSON does not parse: %s (%s)" e s);
+  Alcotest.(check string) "indented: one member or element per line"
+    "{\n  \"b\": [\n    1,\n    true\n  ],\n  \"a\": {}\n}\n"
+    Obs.Json.(
+      render_indented (Obj [ ("b", List [ Num 1.; Bool true ]); ("a", Obj []) ]));
   Alcotest.(check string) "integers print without a fraction" "[0,-7,1]"
     Obs.Json.(render (List [ Num 0.; Num (-7.); Num 1. ]));
   Alcotest.(check string) "non-finite numbers print as null" "[null,null]"
