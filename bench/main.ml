@@ -1553,15 +1553,12 @@ let bench_regions ~json ~out () =
           ("system", intern_rate (sh, sm, sr)) ]) ]) ]
 
 (* ------------------------------------------------------------------ *)
-(* check-json: validate emitted JSON files (bench records, uhc --trace
-   traces, uhc --metrics dumps) without external deps.  The shape is
-   detected from the top-level key; traces additionally go through
-   [Obs.Trace.parse], which enforces monotone per-track timestamps and
-   matched, properly nested begin/end pairs. *)
+(* check-json: validate emitted JSON files.  A BENCH record is gated here
+   against [gates]; every other format goes to its one reader, beside its
+   writer (reports, diagnostics, metrics, traces, ledger records).  The
+   shape is detected from the top-level member. *)
 
-exception Check_fail of string
-
-let check_fail fmt = Printf.ksprintf (fun msg -> raise (Check_fail msg)) fmt
+let check_fail = Obs.Json.malformed
 
 (* the member at [path] (split at dots) under [v]; in a list, a
    [key=value] segment selects the element whose [key] member is [value] *)
@@ -1627,87 +1624,9 @@ let check_stamp top =
       [ "ocaml"; "commit" ]
   | _ -> check_fail "bench record without stamp"
 
-let check_trace_json path raw =
-  match Obs.Trace.parse raw with
-  | Error e -> check_fail "%s" e
-  | Ok spans ->
-    List.iter
-      (fun (sp : Obs.Trace.span) ->
-        if sp.Obs.Trace.sp_dur_us < 0. then
-          check_fail "span %S has negative duration" sp.Obs.Trace.sp_name)
-      spans;
-    Printf.printf "check-json: %s OK (trace, %d spans)\n" path
-      (List.length spans)
-
-let check_metrics_json path entries =
-  let kinds = [ "counter"; "histogram" ] in
-  let last_name = ref "" in
-  let n = ref 0 in
-  List.iter
-    (fun entry ->
-      incr n;
-      let str field =
-        match Option.bind (Obs.Json.member field entry) Obs.Json.to_string with
-        | Some s -> s
-        | None -> check_fail "metric without %S string" field
-      in
-      let num field =
-        match Option.bind (Obs.Json.member field entry) Obs.Json.to_float with
-        | Some v -> v
-        | None -> check_fail "metric %S lacks number %S" (str "name") field
-      in
-      let name = str "name" in
-      if name <= !last_name then
-        check_fail "metric names not sorted/unique at %S (after %S)" name
-          !last_name;
-      last_name := name;
-      let kind = str "kind" in
-      if not (List.mem kind kinds) then
-        check_fail "metric %S has unknown kind %S" name kind;
-      if kind = "histogram" then begin
-        let count = num "count" in
-        ignore (num "sum");
-        List.iter (fun p -> ignore (num p)) [ "p50"; "p95"; "p99" ];
-        let buckets =
-          match
-            Option.bind (Obs.Json.member "buckets" entry) Obs.Json.to_list
-          with
-          | Some l -> l
-          | None -> check_fail "histogram %S lacks buckets" name
-        in
-        let bucket_total =
-          List.fold_left
-            (fun acc b ->
-              let bnum f =
-                match Option.bind (Obs.Json.member f b) Obs.Json.to_float with
-                | Some v -> v
-                | None -> check_fail "histogram %S bucket lacks %S" name f
-              in
-              let lo = bnum "lo" and hi = bnum "hi" in
-              if hi >= 0. && hi < lo then
-                check_fail "histogram %S bucket hi < lo" name;
-              acc +. bnum "count")
-            0. buckets
-        in
-        if bucket_total <> count then
-          check_fail "histogram %S bucket counts sum to %g, count %g" name
-            bucket_total count
-      end
-      else ignore (num "value"))
-    entries;
-  Printf.printf "check-json: %s OK (metrics, %d instruments)\n" path !n
-
-let check_schema_version ~what ~expected doc =
-  match Option.bind (Obs.Json.member "schema_version" doc) Obs.Json.to_int with
-  | None -> check_fail "%s file without schema_version" what
-  | Some v when v <> expected ->
-    check_fail "%s file has unknown schema_version %d (expected %d)" what v
-      expected
-  | Some _ -> ()
-
 (* the cross-field invariants of a bounds record, on every corpus entry *)
 let check_bounds_invariants top doc =
-  check_schema_version ~what:"bounds" ~expected:Analyses.Report.schema_version
+  Obs.Json.require_version ~what:"bounds file" Analyses.Report.schema_version
     top;
   match Option.bind (Obs.Json.member "corpora" doc) Obs.Json.to_list with
   | None | Some [] -> check_fail "bounds.corpora missing or empty"
@@ -1751,7 +1670,7 @@ let check_bounds_invariants top doc =
 
 (* the cross-field invariants of a gen record *)
 let check_gen_invariants top doc =
-  check_schema_version ~what:"gen" ~expected:Analyses.Report.schema_version top;
+  Obs.Json.require_version ~what:"gen file" Analyses.Report.schema_version top;
   (match Option.bind (Obs.Json.member "digest" doc) Obs.Json.to_string with
   | Some d when String.length d = 32 -> ()
   | _ -> check_fail "gen.digest missing or not an md5 hex string");
@@ -1786,162 +1705,13 @@ let check_bench path top =
   Printf.printf "check-json: %s OK (%s; %s)\n" path bench
     (String.concat ", " (check_gates bench section))
 
-let check_reports_json path top entries =
-  check_schema_version ~what:"reports" ~expected:Analyses.Report.schema_version
-    top;
-  List.iter
-    (fun report ->
-      let analysis =
-        match
-          Option.bind (Obs.Json.member "analysis" report) Obs.Json.to_string
-        with
-        | Some s when s <> "" -> s
-        | _ -> check_fail "report without analysis name"
-      in
-      (match Obs.Json.member "summary" report with
-      | Some (Obs.Json.Obj kvs) ->
-        List.iter
-          (fun (k, v) ->
-            match Obs.Json.to_string v with
-            | Some _ -> ()
-            | None ->
-              check_fail "report %s: summary %S is not a string" analysis k)
-          kvs
-      | _ -> check_fail "report %s: missing summary object" analysis);
-      let columns =
-        match Option.bind (Obs.Json.member "columns" report) Obs.Json.to_list with
-        | Some cs when cs <> [] -> cs
-        | _ -> check_fail "report %s: missing columns" analysis
-      in
-      match Option.bind (Obs.Json.member "rows" report) Obs.Json.to_list with
-      | None -> check_fail "report %s: missing rows" analysis
-      | Some rows ->
-        List.iteri
-          (fun i row ->
-            match Obs.Json.to_list row with
-            | Some cells when List.length cells = List.length columns -> ()
-            | Some cells ->
-              check_fail "report %s: row %d has %d cells for %d columns"
-                analysis i (List.length cells) (List.length columns)
-            | None -> check_fail "report %s: row %d is not a list" analysis i)
-          rows)
-    entries;
-  Printf.printf "check-json: %s OK (reports, %d analyses)\n" path
-    (List.length entries)
-
-let check_diagnostics_json path entries =
-  let severities = [ "error"; "warning" ] in
-  let n = ref 0 in
-  List.iter
-    (fun entry ->
-      incr n;
-      let str field =
-        match Option.bind (Obs.Json.member field entry) Obs.Json.to_string with
-        | Some s -> s
-        | None -> check_fail "diagnostic %d without %S string" !n field
-      in
-      let site = str "site" in
-      if site = "" then check_fail "diagnostic %d has empty site" !n;
-      let severity = str "severity" in
-      if not (List.mem severity severities) then
-        check_fail "diagnostic %d (site %S) has unknown severity %S" !n site
-          severity;
-      if str "pu" = "" then
-        check_fail "diagnostic %d (site %S) has empty pu" !n site;
-      if str "action" = "" then
-        check_fail "diagnostic %d (site %S) has empty recovery action" !n site;
-      ignore (str "detail"))
-    entries;
-  Printf.printf "check-json: %s OK (diagnostics, %d entries)\n" path !n
-
-(* One run-ledger record (a line of <cache-dir>/ledger/<run_id>.jsonl,
-   written by Pipeline whenever --cache-dir is set). *)
+(* one run-ledger record (a line of <cache-dir>/ledger/<run_id>.jsonl) *)
 let check_ledger_record idx record =
-  let ctx = Printf.sprintf "ledger record %d" idx in
-  let mem f = Obs.Json.member f record in
-  let str f =
-    match Option.bind (mem f) Obs.Json.to_string with
-    | Some s -> s
-    | None -> check_fail "%s lacks string %S" ctx f
-  in
-  let num f =
-    match Option.bind (mem f) Obs.Json.to_float with
-    | Some v -> v
-    | None -> check_fail "%s lacks number %S" ctx f
-  in
-  let int_ f =
-    match Option.bind (mem f) Obs.Json.to_int with
-    | Some v -> v
-    | None -> check_fail "%s lacks integer %S" ctx f
-  in
-  let list_ f =
-    match Option.bind (mem f) Obs.Json.to_list with
-    | Some l -> l
-    | None -> check_fail "%s lacks list %S" ctx f
-  in
-  check_schema_version ~what:ctx ~expected:Obs.Ledger.schema_version record;
-  if str "run_id" = "" then check_fail "%s has empty run_id" ctx;
-  ignore (num "ts");
-  if String.length (str "config_digest") <> 32 then
-    check_fail "%s config_digest is not a 32-char hex digest" ctx;
-  ignore (str "corpus_digest");
-  ignore (int_ "exit_code");
-  if num "wall_s" < 0. then check_fail "%s has negative wall_s" ctx;
-  ignore (int_ "jobs");
-  ignore (list_ "analyses");
-  ignore (list_ "outputs");
-  let analyzed =
-    match mem "analyzed" with
-    | Some (Obs.Json.Bool b) -> b
-    | _ -> check_fail "%s lacks boolean \"analyzed\"" ctx
-  in
-  if analyzed then begin
-    ignore (int_ "pus_analyzed");
-    List.iter
-      (fun p ->
-        match Option.bind (Obs.Json.member "name" p) Obs.Json.to_string with
-        | None -> check_fail "%s phase without name" ctx
-        | Some name -> (
-          match
-            Option.bind (Obs.Json.member "wall_s" p) Obs.Json.to_float
-          with
-          | Some w when w >= 0. -> ()
-          | _ -> check_fail "%s phase %S lacks wall_s" ctx name))
-      (list_ "phases");
-    let cache =
-      match mem "cache" with
-      | Some (Obs.Json.Obj _ as c) -> c
-      | _ -> check_fail "%s lacks cache section" ctx
-    in
-    List.iter
-      (fun f ->
-        match Option.bind (Obs.Json.member f cache) Obs.Json.to_int with
-        | Some n when n >= 0 -> ()
-        | _ -> check_fail "%s cache section lacks counter %S" ctx f)
-      [ "collect_hits"; "collect_misses"; "summary_hits"; "summary_misses" ];
-    match mem "solver" with
-    | Some (Obs.Json.Obj kvs) ->
-      List.iter
-        (fun (k, v) ->
-          if Obs.Json.to_int v = None then
-            check_fail "%s solver counter %S is not an integer" ctx k)
-        kvs
-    | _ -> check_fail "%s lacks solver section" ctx
-  end;
-  (match mem "verdicts" with
-  | Some (Obs.Json.Obj _) -> ()
-  | _ -> check_fail "%s lacks verdicts object" ctx);
-  if int_ "diagnostics" < 0 then check_fail "%s negative diagnostics" ctx;
-  ignore (list_ "metrics");
-  List.iter
-    (fun p ->
-      List.iter
-        (fun f ->
-          match Option.bind (Obs.Json.member f p) Obs.Json.to_string with
-          | Some _ -> ()
-          | None -> check_fail "%s pu entry without string %S" ctx f)
-        [ "name"; "file"; "key1"; "key2" ])
-    (list_ "pus")
+  match
+    Pipeline.check_ledger_record (Printf.sprintf "ledger record %d" idx) record
+  with
+  | Ok () -> ()
+  | Error e -> check_fail "%s" e
 
 let check_ledger_jsonl path raw =
   let lines =
@@ -1959,49 +1729,50 @@ let check_ledger_jsonl path raw =
   Printf.printf "check-json: %s OK (ledger, %d record(s))\n" path
     (List.length lines)
 
+(* [true] when the file passes; a failure prints one line on stderr *)
 let check_json_file path =
+  let ok what = Printf.printf "check-json: %s OK (%s)\n" path what in
+  let read = function Ok v -> v | Error e -> check_fail "%s" e in
+  let count kind items r =
+    ok (Printf.sprintf "%s, %d %s" kind (List.length (read r)) items)
+  in
+  (* stdout first, so the lines keep file order in one captured stream *)
   let fail msg =
+    flush stdout;
     prerr_endline ("check-json: " ^ msg);
-    exit 1
+    false
   in
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> fail (Printf.sprintf "cannot read %s: %s" path e)
   | raw -> (
     try
-      if Filename.check_suffix path ".jsonl" then check_ledger_jsonl path raw
-      else
-        match Obs.Json.parse raw with
-        | Error e -> check_fail "%s" e
-        | Ok v -> (
-          let member k = Obs.Json.member k v in
-          match v with
-          | Obs.Json.Obj _ when member "run_id" <> None ->
-            (* a ledger record extracted to a plain .json file *)
-            check_ledger_record 1 v;
-            Printf.printf "check-json: %s OK (ledger, 1 record(s))\n" path
-          | Obs.Json.Obj _ when member "bench" <> None -> check_bench path v
-          | Obs.Json.Obj _ -> (
-            match
-              ( member "traceEvents",
-                member "metrics",
-                member "reports",
-                member "diagnostics" )
-            with
-            | Some (Obs.Json.List _), _, _, _ -> check_trace_json path raw
-            | _, Some (Obs.Json.List entries), _, _ ->
-              check_metrics_json path entries
-            | _, _, Some (Obs.Json.List entries), _ ->
-              check_reports_json path v entries
-            | _, _, _, Some (Obs.Json.List entries) ->
-              check_schema_version ~what:"diagnostics"
-                ~expected:Fault.Diag.schema_version v;
-              check_diagnostics_json path entries
-            | _ ->
-              check_fail
-                "no recognized top-level member \
-                 (bench/traceEvents/metrics/reports/diagnostics)")
-          | _ -> check_fail "top-level value is not an object")
-    with Check_fail msg -> fail (Printf.sprintf "%s in %s" msg path))
+      (if Filename.check_suffix path ".jsonl" then check_ledger_jsonl path raw
+       else
+         match read (Obs.Json.parse raw) with
+         | Obs.Json.Obj members as v -> (
+           let has k = List.mem_assoc k members in
+           if has "run_id" then begin
+             (* a ledger record extracted to a plain .json file *)
+             check_ledger_record 1 v;
+             ok "ledger, 1 record(s)"
+           end
+           else if has "bench" then check_bench path v
+           else if has "traceEvents" then
+             count "trace" "spans" (Obs.Trace.parse raw)
+           else if has "metrics" then
+             count "metrics" "instruments"
+               (Obs.Metrics.of_json (List.assoc "metrics" members))
+           else if has "reports" then
+             count "reports" "analyses" (Analyses.Report.parse raw)
+           else if has "diagnostics" then
+             count "diagnostics" "entries" (Fault.Diag.parse raw)
+           else
+             check_fail
+               "no recognized top-level member \
+                (bench/traceEvents/metrics/reports/diagnostics)")
+         | _ -> check_fail "top-level value is not an object");
+      true
+    with Obs.Json.Malformed msg -> fail (Printf.sprintf "%s in %s" msg path))
 
 (* ------------------------------------------------------------------ *)
 (* obs: tracing/metrics overhead on the NAS LU pipeline *)
@@ -2167,7 +1938,10 @@ let () =
   let records = [ "engine"; "solver"; "bounds"; "gen"; "regions"; "obs" ] in
   let writing = List.filter (fun s -> List.mem s records) sections in
   match sections with
-  | "check-json" :: files -> List.iter check_json_file files
+  | "check-json" :: files ->
+    (* every file is checked; any failure fails the whole call *)
+    let failed = List.filter (fun f -> not (check_json_file f)) files in
+    if failed <> [] then exit 1
   | _ when out <> None && List.length writing <> 1 ->
     prerr_endline
       "bench: --out needs exactly one of the sections engine, solver, \

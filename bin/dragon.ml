@@ -239,21 +239,31 @@ let report_cmd =
     Arg.(value & flag & info [ "list" ] ~doc:"List the analyses present.")
   in
   let run path only list_only =
-    match Dragon.Reportview.parse_file ~path with
+    let parsed =
+      match In_channel.with_open_bin path In_channel.input_all with
+      | exception Sys_error e -> Error e
+      | text -> Analyses.Report.parse text
+    in
+    match parsed with
     | Error e ->
       Printf.eprintf "dragon: %s: %s\n" path e;
       exit 1
-    | Ok t ->
-      if list_only then
-        List.iter print_endline (Dragon.Reportview.names t)
+    | Ok reports ->
+      let names = List.map (fun r -> r.Analyses.Report.r_analysis) reports in
+      if list_only then List.iter print_endline names
       else begin
         (match only with
-        | Some name when not (List.mem name (Dragon.Reportview.names t)) ->
+        | Some name when not (List.mem name names) ->
           Printf.eprintf "dragon: no %S report in %s (have: %s)\n" name path
-            (String.concat ", " (Dragon.Reportview.names t));
+            (String.concat ", " names);
           exit 1
         | _ -> ());
-        print_string (Dragon.Reportview.render ?only t)
+        (* each table as uhc --analyses prints it *)
+        List.iter
+          (fun (r : Analyses.Report.t) ->
+            if Option.fold ~none:true ~some:(String.equal r.r_analysis) only
+            then Format.printf "@[<v>%a@]@?" Analyses.Report.render r)
+          reports
       end
   in
   Cmd.v

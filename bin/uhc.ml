@@ -176,7 +176,7 @@ let metrics =
     value
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
-        ~doc:"Write the metrics registry (named counters and latency \
+        ~doc:"Write this run's metrics (named counters and latency \
               histograms with p50/p95/p99) to FILE as JSON.")
 
 let log_level =

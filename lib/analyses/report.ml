@@ -7,15 +7,22 @@ type t = {
   r_rows : string list list;
 }
 
-let make ~analysis ~summary ~columns rows =
+(* The rules a report obeys, shared by [make] and [parse]: a named
+   analysis, at least one column, and every row as wide as the columns. *)
+let check ~analysis ~columns rows =
+  if analysis = "" then Obs.Json.malformed "report without analysis name";
+  if columns = [] then Obs.Json.malformed "report %s: missing columns" analysis;
   let width = List.length columns in
-  List.iter
-    (fun row ->
+  List.iteri
+    (fun i row ->
       if List.length row <> width then
-        invalid_arg
-          (Printf.sprintf "Report.make: %s row has %d cells for %d columns"
-             analysis (List.length row) width))
-    rows;
+        Obs.Json.malformed "report %s: row %d has %d cells for %d columns"
+          analysis i (List.length row) width)
+    rows
+
+let make ~analysis ~summary ~columns rows =
+  (try check ~analysis ~columns rows
+   with Obs.Json.Malformed m -> invalid_arg ("Report.make: " ^ m));
   { r_analysis = analysis; r_summary = summary; r_columns = columns;
     r_rows = rows }
 
@@ -84,6 +91,60 @@ let json reports b ~yield =
 
 let json_of_reports reports = Rgnfile.Files.to_string (json reports)
 
+(* ------------------------------------------------------------------ *)
+(* Reading a reports file back: [json] of what [parse] returns is the
+   same bytes *)
+
+let strings ~what = function
+  | Obs.Json.List items ->
+    List.map
+      (function
+        | Obs.Json.Str s -> s | _ -> Obs.Json.malformed "%s: not a string" what)
+      items
+  | _ -> Obs.Json.malformed "%s is not a list" what
+
+let report_of_json j =
+  let member k = Obs.Json.member k j in
+  let analysis =
+    match member "analysis" with
+    | Some (Obs.Json.Str s) -> s
+    | _ -> Obs.Json.malformed "report without analysis name"
+  in
+  let what fmt =
+    Printf.ksprintf (fun s -> "report " ^ analysis ^ ": " ^ s) fmt
+  in
+  let summary =
+    match member "summary" with
+    | Some (Obs.Json.Obj kvs) ->
+      List.map
+        (function
+          | k, Obs.Json.Str v -> (k, v)
+          | k, _ ->
+            Obs.Json.malformed "%s" (what "summary %S is not a string" k))
+        kvs
+    | _ -> Obs.Json.malformed "%s" (what "missing summary object")
+  in
+  let columns =
+    Option.fold ~none:[] ~some:(strings ~what:(what "columns"))
+      (member "columns")
+  in
+  let rows =
+    match member "rows" with
+    | Some (Obs.Json.List rows) ->
+      List.mapi (fun i -> strings ~what:(what "row %d" i)) rows
+    | _ -> Obs.Json.malformed "%s" (what "missing rows")
+  in
+  check ~analysis ~columns rows;
+  { r_analysis = analysis; r_summary = summary; r_columns = columns;
+    r_rows = rows }
+
+let parse =
+  Obs.Json.decode (fun doc ->
+      Obs.Json.require_version ~what:"reports file" schema_version doc;
+      match Obs.Json.member "reports" doc with
+      | Some (Obs.Json.List items) -> List.map report_of_json items
+      | _ -> Obs.Json.malformed "reports file without a reports array")
+
 let save ~path reports = Rgnfile.Files.save_text ~path (json reports)
 
 (* ------------------------------------------------------------------ *)
@@ -116,38 +177,36 @@ let render ppf t =
         Buffer.add_string b v)
       t.r_summary
   end;
-  if t.r_columns <> [] then begin
-    let ncols = List.length t.r_columns in
-    let widths = Array.make ncols 0 in
-    let rec measure i = function
-      | c :: rest when i < ncols ->
-        let w = String.length c in
-        if w > widths.(i) then widths.(i) <- w;
-        measure (i + 1) rest
-      | _ -> ()
-    in
-    measure 0 t.r_columns;
-    List.iter (measure 0) t.r_rows;
-    let blanks = String.make (Array.fold_left max 0 widths) ' ' in
-    (* the last column is unpadded: lines stay free of trailing spaces *)
-    let rec cells i = function
-      | [] -> ()
-      | c :: rest ->
-        if i > 0 then Buffer.add_string b "  ";
-        Buffer.add_string b c;
-        if i < ncols - 1 then begin
-          let pad = widths.(i) - String.length c in
-          if pad > 0 then Buffer.add_substring b blanks 0 pad
-        end;
-        cells (i + 1) rest
-    in
-    let line row =
-      yield ();
-      Buffer.add_char b '\n';
-      cells 0 row
-    in
-    line t.r_columns;
-    List.iter line t.r_rows
-  end;
+  let ncols = List.length t.r_columns in
+  let widths = Array.make ncols 0 in
+  let rec measure i = function
+    | c :: rest when i < ncols ->
+      let w = String.length c in
+      if w > widths.(i) then widths.(i) <- w;
+      measure (i + 1) rest
+    | _ -> ()
+  in
+  measure 0 t.r_columns;
+  List.iter (measure 0) t.r_rows;
+  let blanks = String.make (Array.fold_left max 0 widths) ' ' in
+  (* the last column is unpadded: lines stay free of trailing spaces *)
+  let rec cells i = function
+    | [] -> ()
+    | c :: rest ->
+      if i > 0 then Buffer.add_string b "  ";
+      Buffer.add_string b c;
+      if i < ncols - 1 then begin
+        let pad = widths.(i) - String.length c in
+        if pad > 0 then Buffer.add_substring b blanks 0 pad
+      end;
+      cells (i + 1) rest
+  in
+  let line row =
+    yield ();
+    Buffer.add_char b '\n';
+    cells 0 row
+  in
+  line t.r_columns;
+  List.iter line t.r_rows;
   Format.pp_print_string ppf (Buffer.contents b);
   Format.pp_print_cut ppf ()

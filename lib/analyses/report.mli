@@ -8,8 +8,7 @@
 
 val schema_version : int
 (** Version stamped into the top-level JSON object.  Bump on any change to
-    the shape below; [bench check-json] rejects unknown or missing
-    versions. *)
+    the shape below; {!parse} rejects unknown or missing versions. *)
 
 type t = {
   r_analysis : string;  (** client name, e.g. ["bounds"] *)
@@ -25,8 +24,8 @@ val make :
   columns:string list ->
   string list list ->
   t
-(** @raise Invalid_argument when some row's width disagrees with
-    [columns]. *)
+(** @raise Invalid_argument on an empty [analysis] name, no [columns], or
+    a row whose width disagrees with [columns]: what {!parse} rejects. *)
 
 val json : t list -> Rgnfile.Files.text
 (** The reports file, produced row by row. *)
@@ -34,6 +33,13 @@ val json : t list -> Rgnfile.Files.text
 val json_of_reports : t list -> string
 (** [{"schema_version": N, "reports": [{"analysis": ..., "summary": {...},
     "columns": [...], "rows": [[...] ...]}, ...]}] *)
+
+val parse : string -> (t list, string) result
+(** The reports of a {!json} file, in file order: the one reader of the
+    format ([dragon report], [bench check-json]).  Rejects a missing or
+    unknown [schema_version], a missing [reports] array, and any report
+    {!make} would reject or whose summary values, columns or cells are not
+    strings.  {!json} of the result is the same bytes. *)
 
 val save : path:string -> t list -> unit
 (** Streams {!json} (reports in the given order) through

@@ -243,46 +243,12 @@ let regress ?(baseline = 1) ~rules runs =
 
 (* ---- explain ------------------------------------------------------- *)
 
-type pu = {
-  pu_name : string;
-  pu_file : string;
-  pu_key1 : string;
-  pu_key2 : string;
-  pu_collect_hit : bool;
-  pu_summary_hit : bool;
-  pu_callees : string list;
-}
-
 let pus_of run =
   match Option.bind (Obs.Json.member "pus" run.record) Obs.Json.to_list with
   | None -> []
   | Some entries ->
     List.filter_map
-      (fun e ->
-        let str k = Option.bind (Obs.Json.member k e) Obs.Json.to_string in
-        let flag k =
-          match Obs.Json.member k e with
-          | Some (Obs.Json.Bool b) -> b
-          | _ -> false
-        in
-        match (str "name", str "file", str "key1", str "key2") with
-        | Some pu_name, Some pu_file, Some pu_key1, Some pu_key2 ->
-          Some
-            {
-              pu_name;
-              pu_file;
-              pu_key1;
-              pu_key2;
-              pu_collect_hit = flag "collect_hit";
-              pu_summary_hit = flag "summary_hit";
-              pu_callees =
-                (match
-                   Option.bind (Obs.Json.member "callees" e) Obs.Json.to_list
-                 with
-                | Some l -> List.filter_map Obs.Json.to_string l
-                | None -> []);
-            }
-        | _ -> None)
+      (fun e -> Result.to_option (Obs.Ledger.pu_of_json e))
       entries
 
 let short_key k = if String.length k > 12 then String.sub k 0 12 else k
@@ -292,7 +258,7 @@ let short_key k = if String.length k > 12 then String.sub k 0 12 else k
 let callers_closure pus name =
   let callers = Hashtbl.create 16 in
   List.iter
-    (fun p ->
+    (fun (p : Obs.Ledger.pu) ->
       List.iter
         (fun c ->
           let cur = try Hashtbl.find callers c with Not_found -> [] in
@@ -316,13 +282,15 @@ let callers_closure pus name =
    Merkle keys localize the cause: key1 changed — the PU's own body (or
    the global symtab); key1 unchanged but key2 changed — some transitive
    callee, and diffing the callees' keys names the culprit(s). *)
-let explain_pu buf ~prev_pus ~cur_pus (cur : pu) =
+let explain_pu buf ~(prev_pus : Obs.Ledger.pu list) ~cur_pus
+    (cur : Obs.Ledger.pu) =
   let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   bpf "%s (%s)\n" cur.pu_name cur.pu_file;
   bpf "  last run: collect %s, summary %s\n"
     (if cur.pu_collect_hit then "HIT" else "MISS")
     (if cur.pu_summary_hit then "HIT" else "MISS");
-  (match List.find_opt (fun p -> p.pu_name = cur.pu_name) prev_pus with
+  let named n (p : Obs.Ledger.pu) = p.pu_name = n in
+  (match List.find_opt (named cur.pu_name) prev_pus with
   | None ->
     if prev_pus = [] then
       bpf "  no earlier run recorded: cold cache, everything was computed\n"
@@ -342,8 +310,8 @@ let explain_pu buf ~prev_pus ~cur_pus (cur : pu) =
         List.filter_map
           (fun c ->
             match
-              ( List.find_opt (fun p -> p.pu_name = c) prev_pus,
-                List.find_opt (fun p -> p.pu_name = c) cur_pus )
+              ( List.find_opt (named c) prev_pus,
+                List.find_opt (named c) cur_pus )
             with
             | Some p, Some q when p.pu_key2 <> q.pu_key2 -> Some (c, p, q)
             | None, Some q -> Some (c, q, q)
@@ -354,7 +322,7 @@ let explain_pu buf ~prev_pus ~cur_pus (cur : pu) =
         bpf "  (no direct callee key changed: an indirect callee did)\n"
       else
         List.iter
-          (fun (c, p, q) ->
+          (fun (c, (p : Obs.Ledger.pu), (q : Obs.Ledger.pu)) ->
             if p == q then bpf "    changed callee: %s (new)\n" c
             else
               bpf "    changed callee: %s (key2 %s.. -> %s..)\n" c
@@ -433,7 +401,7 @@ let explain ~target runs =
       in
       let matches =
         List.filter
-          (fun p ->
+          (fun (p : Obs.Ledger.pu) ->
             p.pu_name = target || p.pu_file = target
             || Filename.basename p.pu_file = target)
           cur_pus
@@ -442,7 +410,8 @@ let explain ~target runs =
         Error
           (Printf.sprintf "no PU or file %S in run %s (have: %s)" target
              cur_run.run_id
-             (String.concat ", " (List.map (fun p -> p.pu_name) cur_pus)))
+             (String.concat ", "
+                (List.map (fun (p : Obs.Ledger.pu) -> p.pu_name) cur_pus)))
       else begin
         let buf = Buffer.create 1024 in
         Buffer.add_string buf

@@ -46,19 +46,9 @@ val regress :
 
 (** {1 Explain} *)
 
-type pu = {
-  pu_name : string;
-  pu_file : string;
-  pu_key1 : string;
-  pu_key2 : string;
-  pu_collect_hit : bool;
-  pu_summary_hit : bool;
-  pu_callees : string list;
-}
-(** The per-PU ledger section ({!Engine.pu_entry} as recorded). *)
-
-val pus_of : run -> pu list
-(** The record's [pus] array; empty if absent or malformed. *)
+val pus_of : run -> Obs.Ledger.pu list
+(** The record's [pus] entries that {!Obs.Ledger.pu_of_json} decodes;
+    empty if the array is absent. *)
 
 val explain : target:string -> run list -> (string, string) result
 (** Why was [target] (a PU name, recorded file path, or file basename)

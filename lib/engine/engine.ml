@@ -78,26 +78,11 @@ module Stats = struct
     Linear.Solver_stats.pp_deterministic ppf t.s_solver
 end
 
-(* What the incrementality machinery knew about one PU this run — the raw
-   material for the run ledger and [dragon explain]: the content keys say
-   *why* a cache missed (key1 changed = the PU's own body or the global
-   symtab; key1 same but key2 changed = some transitive callee), the
-   callee list lets a reader walk blast radii without reloading sources. *)
-type pu_entry = {
-  p_name : string;
-  p_file : string;
-  p_key1 : string;  (* hex digest of global symtab + PU body *)
-  p_key2 : string;  (* hex Merkle digest folding in transitive callees *)
-  p_collect_hit : bool;
-  p_summary_hit : bool;
-  p_callees : string list;
-}
-
 type result = {
   e_result : Ipa.Analyze.result;
   e_stats : Stats.t;
   e_diags : Fault.Diag.t list;
-  e_pus : pu_entry list;
+  e_pus : Obs.Ledger.pu list;
 }
 
 let count_true a =
@@ -511,14 +496,14 @@ let run_ (cfg : config) (m : Ir.module_) : result =
       (Array.mapi
          (fun i pu ->
            {
-             p_name = pu.Ir.pu_name;
-             p_file = pu.Ir.pu_file;
-             p_key1 = Digest.to_hex key1.(i);
-             p_key2 =
+             Obs.Ledger.pu_name = pu.Ir.pu_name;
+             pu_file = pu.Ir.pu_file;
+             pu_key1 = Digest.to_hex key1.(i);
+             pu_key2 =
                (match key2.(i) with Some k -> Digest.to_hex k | None -> "");
-             p_collect_hit = collect_hit.(i);
-             p_summary_hit = summary_hit.(i);
-             p_callees = Ipa.Callgraph.callees cg pu.Ir.pu_name;
+             pu_collect_hit = collect_hit.(i);
+             pu_summary_hit = summary_hit.(i);
+             pu_callees = Ipa.Callgraph.callees cg pu.Ir.pu_name;
            })
          pus)
   in

@@ -82,23 +82,6 @@ module Stats : sig
       are kept.  Suitable for diffing in CI. *)
 end
 
-(** What the incrementality machinery knew about one PU this run — the
-    per-PU section of the run ledger and the input to [dragon explain].
-    [p_key1] addresses the local collection result (global symtab + PU
-    body), [p_key2] the interprocedural summary (a Merkle digest folding
-    [p_key1] with every transitive callee's key), so comparing two runs'
-    entries tells you *why* a PU was re-analyzed: [p_key1] changed — its
-    own body or the symbol table; only [p_key2] changed — some callee. *)
-type pu_entry = {
-  p_name : string;
-  p_file : string;
-  p_key1 : string;  (** hex digest of global symtab + PU body *)
-  p_key2 : string;  (** hex Merkle summary digest ([""] if never keyed) *)
-  p_collect_hit : bool;
-  p_summary_hit : bool;
-  p_callees : string list;  (** direct callees, call-graph order *)
-}
-
 type result = {
   e_result : Ipa.Analyze.result;
   e_stats : Stats.t;
@@ -106,7 +89,9 @@ type result = {
       (** degradation diagnostics from this run: isolated PUs (in PU
           order) followed by store-level events; empty on a fault-free
           run *)
-  e_pus : pu_entry list;  (** one entry per PU, module order *)
+  e_pus : Obs.Ledger.pu list;
+      (** what the incrementality machinery knew about each PU, module
+          order: the run ledger's per-PU section *)
 }
 
 val run : config -> Whirl.Ir.module_ -> result

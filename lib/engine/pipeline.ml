@@ -134,7 +134,7 @@ let load_inputs ~keep_going ~diags paths corpus =
    last analysis when --fuse re-analyzes). *)
 type ledger_acc = {
   mutable la_corpus_digest : string;
-  mutable la_pus : Engine.pu_entry list;
+  mutable la_pus : Obs.Ledger.pu list;
 }
 
 let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
@@ -520,20 +520,6 @@ let ledger_record ~(cfg : config) ~run_id ~code ~wall_s ~corpus_digest ~pus
         (r.r_analysis, Obj (List.map tally r.r_summary)))
       reports
   in
-  (* per-PU incrementality record: the content keys and hit flags this
-     run saw, plus callee edges so a reader can walk blast radii *)
-  let pu (p : Engine.pu_entry) =
-    Obj
-      [
-        ("name", Str p.p_name);
-        ("file", Str p.p_file);
-        ("key1", Str p.p_key1);
-        ("key2", Str p.p_key2);
-        ("collect_hit", Bool p.p_collect_hit);
-        ("summary_hit", Bool p.p_summary_hit);
-        ("callees", strings p.p_callees);
-      ]
-  in
   render
     (Obj
        ([
@@ -557,8 +543,86 @@ let ledger_record ~(cfg : config) ~run_id ~code ~wall_s ~corpus_digest ~pus
            ("verdicts", Obj verdicts);
            ("diagnostics", int diag_count);
            ("metrics", Obs.Metrics.to_json metrics);
-           ("pus", List (List.map pu pus));
+           ("pus", List (List.map Obs.Ledger.pu_to_json pus));
          ]))
+
+(* The rules a ledger record obeys, beside the writer above: every member
+   [ledger_record] writes, with its type; the phases, cache and solver
+   sections when the run analyzed; the metrics through their reader and
+   every pu entry through [Obs.Ledger.pu_of_json]. *)
+let check_ledger_record subject record =
+  let open Obs.Json in
+  let fail fmt = Printf.ksprintf (fun m -> malformed "%s %s" subject m) fmt in
+  let mem f = member f record in
+  let get f what conv =
+    match Option.bind (mem f) conv with
+    | Some v -> v
+    | None -> fail "lacks %s %S" what f
+  in
+  let str f = get f "string" to_string in
+  let num f = get f "number" to_float in
+  let int_ f = get f "integer" to_int in
+  let list_ f = get f "list" to_list in
+  try
+    require_version ~what:subject Obs.Ledger.schema_version record;
+    if str "run_id" = "" then fail "has empty run_id";
+    ignore (num "ts");
+    if String.length (str "config_digest") <> 32 then
+      fail "config_digest is not a 32-char hex digest";
+    ignore (str "corpus_digest");
+    ignore (int_ "exit_code");
+    if num "wall_s" < 0. then fail "has negative wall_s";
+    ignore (int_ "jobs");
+    ignore (list_ "analyses");
+    ignore (list_ "outputs");
+    (match mem "analyzed" with
+    | Some (Bool false) -> ()
+    | Some (Bool true) -> (
+      ignore (int_ "pus_analyzed");
+      List.iter
+        (fun p ->
+          match Option.bind (member "name" p) to_string with
+          | None -> fail "phase without name"
+          | Some name -> (
+            match Option.bind (member "wall_s" p) to_float with
+            | Some w when w >= 0. -> ()
+            | _ -> fail "phase %S lacks wall_s" name))
+        (list_ "phases");
+      let cache =
+        match mem "cache" with
+        | Some (Obj _ as c) -> c
+        | _ -> fail "lacks cache section"
+      in
+      List.iter
+        (fun f ->
+          match Option.bind (member f cache) to_int with
+          | Some n when n >= 0 -> ()
+          | _ -> fail "cache section lacks counter %S" f)
+        [ "collect_hits"; "collect_misses"; "summary_hits"; "summary_misses" ];
+      match mem "solver" with
+      | Some (Obj kvs) ->
+        List.iter
+          (fun (k, v) ->
+            if to_int v = None then
+              fail "solver counter %S is not an integer" k)
+          kvs
+      | _ -> fail "lacks solver section")
+    | _ -> fail "lacks boolean \"analyzed\"");
+    (match mem "verdicts" with
+    | Some (Obj _) -> ()
+    | _ -> fail "lacks verdicts object");
+    if int_ "diagnostics" < 0 then fail "negative diagnostics";
+    (match Obs.Metrics.of_json (List (list_ "metrics")) with
+    | Ok _ -> ()
+    | Error e -> fail "metrics: %s" e);
+    List.iter
+      (fun p ->
+        match Obs.Ledger.pu_of_json p with
+        | Ok _ -> ()
+        | Error e -> fail "%s" e)
+      (list_ "pus");
+    Ok ()
+  with Malformed m -> Error m
 
 let run (cfg : config) =
   Obs.Log.set_level cfg.log_level;
@@ -638,7 +702,8 @@ let run (cfg : config) =
       match metrics_path with
       | None -> ()
       | Some path ->
-        Obs.Metrics.save ~path;
+        Obs.Metrics.save ~path
+          (Obs.Metrics.diff (Obs.Metrics.snapshot ()) metrics0);
         Obs.Log.info "metrics.written" [ ("path", path) ])
     (fun () ->
       let code =

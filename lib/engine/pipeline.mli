@@ -35,8 +35,9 @@ type config = {
           write it to this path as Chrome [trace_event] JSON (load in
           Perfetto / [chrome://tracing], or render with [dragon profile]) *)
   metrics : string option;
-      (** write the metrics registry (counters + latency histograms) to
-          this path as JSON; also enables timed-histogram observation *)
+      (** write this run's metrics (the registry diff since the run
+          started: counters + latency histograms) to this path as JSON;
+          also enables timed-histogram observation *)
   log_level : Obs.Log.level;
       (** structured [key=value] logging on stderr; default [Quiet] *)
   keep_going : bool;
@@ -72,7 +73,7 @@ type config = {
           no cache directory to write into); [Some false] disables it.
           When active, every run appends one schema-versioned JSONL record
           to [<cache_dir>/ledger/] — config/corpus digests, wall and phase
-          timings, the metrics snapshot, per-phase cache hit/miss counts,
+          timings, the run's metrics diff, per-phase cache hit/miss counts,
           solver counters, analysis verdict tallies, and per-PU content
           keys — consumed by [dragon history]/[regress]/[explain].  The
           [trace]/[metrics] output paths are then suffixed with the run id
@@ -142,3 +143,11 @@ val run : config -> result
     injection, the solver budget and the solver memo cache are reset on
     exit — including on exceptions — so subsequent in-process runs are
     unaffected. *)
+
+val check_ledger_record : string -> Obs.Json.t -> (unit, string) Stdlib.result
+(** [check_ledger_record subject record] checks one run-ledger record
+    against the shape {!run} writes ([bench check-json] on a ledger
+    file): every member with its type, the engine sections of an analyzed
+    run, the [metrics] entries ({!Obs.Metrics.of_json}) and every [pus]
+    entry ({!Obs.Ledger.pu_of_json}).  The message starts with [subject],
+    e.g. ["ledger record 1 pu entry without string \"file\""]. *)

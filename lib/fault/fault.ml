@@ -213,4 +213,39 @@ module Diag = struct
     let oc = open_out_bin path in
     output_string oc (dump_json (List.sort compare diags));
     close_out oc
+
+  let of_json n entry =
+    let str field =
+      match Obs.Json.member field entry with
+      | Some (Obs.Json.Str s) -> s
+      | _ -> Obs.Json.malformed "diagnostic %d without %S string" n field
+    in
+    let site = str "site" in
+    if site = "" then Obs.Json.malformed "diagnostic %d has empty site" n;
+    let severity =
+      match str "severity" with
+      | "error" -> Error
+      | "warning" -> Warning
+      | s ->
+        Obs.Json.malformed "diagnostic %d (site %S) has unknown severity %S" n
+          site s
+    in
+    let nonempty field what =
+      match str field with
+      | "" ->
+        Obs.Json.malformed "diagnostic %d (site %S) has empty %s" n site what
+      | s -> s
+    in
+    let pu = nonempty "pu" "pu" in
+    let action = nonempty "action" "recovery action" in
+    make ~severity ~site ~pu ~action (str "detail")
+
+  let parse =
+    Obs.Json.decode (fun doc ->
+        Obs.Json.require_version ~what:"diagnostics file" schema_version doc;
+        match Obs.Json.member "diagnostics" doc with
+        | Some (Obs.Json.List entries) ->
+          List.mapi (fun i -> of_json (i + 1)) entries
+        | _ ->
+          Obs.Json.malformed "diagnostics file without a diagnostics array")
 end

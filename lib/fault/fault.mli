@@ -57,8 +57,7 @@ val inject : site -> key:string -> unit
 
 (** Structured degradation diagnostics — what faulted, how bad, and what
     the pipeline did instead of aborting.  [uhc --diagnostics FILE] writes
-    these as JSON ([{"diagnostics": [...]}], validated by
-    [bench check-json]). *)
+    these as JSON ([{"diagnostics": [...]}], read back by {!Diag.parse}). *)
 module Diag : sig
   type severity = Error | Warning
 
@@ -86,9 +85,16 @@ module Diag : sig
   val pp : Format.formatter -> t -> unit
 
   val schema_version : int
-  (** Version stamped into {!dump_json}'s top-level object; consumers
-      ([bench check-json], Dragon) reject unknown or missing versions. *)
+  (** Version stamped into {!dump_json}'s top-level object; {!parse}
+      rejects unknown or missing versions. *)
 
   val dump_json : t list -> string
   val save : path:string -> t list -> unit
+
+  val parse : string -> (t list, string) result
+  (** The diagnostics of a {!dump_json} file, in file order: the one
+      reader of the format ([bench check-json]).  Rejects a missing or
+      unknown [schema_version], a member that is not a string, an empty
+      site, pu or action, and a severity other than ["error"] or
+      ["warning"].  {!dump_json} of the result is the same bytes. *)
 end

@@ -241,6 +241,24 @@ let to_int = function
   | Num f when Float.is_integer f -> Some (int_of_float f)
   | _ -> None
 
+(* Readers of the formats built on this module report bad input by
+   raising [Malformed] with a message; [decode] turns it into [Error]. *)
+exception Malformed of string
+
+let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
+
+let decode f text =
+  match parse text with
+  | Error e -> Error e
+  | Ok v -> ( try Ok (f v) with Malformed m -> Error m)
+
+let require_version ~what expected doc =
+  match Option.bind (member "schema_version" doc) to_int with
+  | None -> malformed "%s without schema_version" what
+  | Some v when v <> expected ->
+    malformed "%s has unknown schema_version %d (expected %d)" what v expected
+  | Some _ -> ()
+
 let rec escape_free s i n =
   i >= n
   ||

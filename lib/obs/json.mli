@@ -33,6 +33,26 @@ val to_string : t -> string option
 val to_float : t -> float option
 val to_int : t -> int option
 
+(** {1 Readers}
+
+    Each format written on top of this module has one reader, beside its
+    writer, built from these: the reader raises {!Malformed} at the first
+    rule its input breaks, and {!decode} returns that message. *)
+
+exception Malformed of string
+
+val malformed : ('a, unit, string, 'b) format4 -> 'a
+(** Raise {!Malformed} with a formatted message. *)
+
+val decode : (t -> 'a) -> string -> ('a, string) result
+(** Parse the text and apply the reader; a parse error or {!Malformed}
+    becomes [Error]. *)
+
+val require_version : what:string -> int -> t -> unit
+(** The value's [schema_version] member is the given integer, else
+    {!Malformed} ["WHAT without schema_version"] or ["WHAT has unknown
+    schema_version V (expected E)"]. *)
+
 val write : Buffer.t -> t -> unit
 (** Append [v] as compact JSON: members in list order, strings through
     {!add_escaped}, integral numbers below 1e15 without a fraction, other

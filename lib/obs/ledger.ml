@@ -1,11 +1,11 @@
 (* The persistent run ledger: one schema-versioned JSON record per
    pipeline run, appended under <cache-dir>/ledger/.
 
-   This module is deliberately generic — lib/obs knows nothing about the
-   engine — so it only owns the mechanics: run-id generation, durable
-   appends, and reading the records back.  The record *content* is
-   assembled by the pipeline (lib/engine) and consumed by dragon
-   history/regress/explain.
+   This module knows nothing about the engine.  It owns the mechanics
+   (run-id generation, durable appends, reading the records back) and the
+   one record it shares with its readers, the per-PU entry.  The rest of
+   the record is assembled and checked by the pipeline (lib/engine) and
+   consumed by dragon history/regress/explain.
 
    Concurrency: every run writes its own file, named by the run id, via
    write-to-temp + rename — two processes sharing a cache directory can
@@ -95,6 +95,62 @@ let read_all ~cache_dir =
                    Some (run_id, record)))
     files
   |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+(* One procedure's incrementality entry, the record's "pus" array *)
+type pu = {
+  pu_name : string;
+  pu_file : string;
+  pu_key1 : string;
+  pu_key2 : string;
+  pu_collect_hit : bool;
+  pu_summary_hit : bool;
+  pu_callees : string list;
+}
+
+let pu_to_json p =
+  Json.Obj
+    [
+      ("name", Json.Str p.pu_name);
+      ("file", Json.Str p.pu_file);
+      ("key1", Json.Str p.pu_key1);
+      ("key2", Json.Str p.pu_key2);
+      ("collect_hit", Json.Bool p.pu_collect_hit);
+      ("summary_hit", Json.Bool p.pu_summary_hit);
+      ("callees", Json.List (List.map (fun c -> Json.Str c) p.pu_callees));
+    ]
+
+let pu_of_json e =
+  try
+    let str k =
+      match Json.member k e with
+      | Some (Json.Str s) -> s
+      | _ -> Json.malformed "pu entry without string %S" k
+    in
+    let flag k =
+      match Json.member k e with
+      | Some (Json.Bool b) -> b
+      | _ -> Json.malformed "pu entry without boolean %S" k
+    in
+    let pu_name = str "name" in
+    let pu_file = str "file" in
+    let pu_key1 = str "key1" in
+    let pu_key2 = str "key2" in
+    let pu_collect_hit = flag "collect_hit" in
+    let pu_summary_hit = flag "summary_hit" in
+    let pu_callees =
+      match Json.member "callees" e with
+      | Some (Json.List l) ->
+        List.map
+          (function
+            | Json.Str c -> c
+            | _ -> Json.malformed "pu entry callee is not a string")
+          l
+      | _ -> Json.malformed "pu entry without list \"callees\""
+    in
+    Ok
+      { pu_name; pu_file; pu_key1; pu_key2; pu_collect_hit; pu_summary_hit;
+        pu_callees }
+  with Json.Malformed m -> Error m
 
 (* Collision-safe variant of a user-chosen output path: "out/trace.json"
    with run id R becomes "out/trace-R.json", so concurrent runs sharing a

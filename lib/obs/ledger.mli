@@ -4,8 +4,10 @@
     N runs, [dragon regress] gates CI on deltas, [dragon explain] answers
     "why was this procedure re-analyzed".
 
-    This module owns only the mechanics (ids, durable appends, reads);
-    the pipeline assembles the record content and the dragon viewers
+    This module owns the mechanics (ids, durable appends, reads) and the
+    per-PU entry, which the engine fills, the pipeline writes and
+    [dragon explain] reads; the pipeline assembles and checks the rest of
+    the record ({!Pipeline.check_ledger_record}) and the dragon viewers
     interpret it.  Writes are per-run files via temp + rename, so any
     number of concurrent runs may share one cache directory and readers
     never observe a torn record. *)
@@ -35,6 +37,32 @@ val read_all : cache_dir:string -> (string * Json.t) list
 (** Every parseable record, oldest first, as [(run_id, record)].  Missing
     directory reads as empty; unparsable lines and unreadable files are
     skipped (a concurrent writer may be mid-rename). *)
+
+(** What the incrementality machinery knew about one PU in a run: the
+    record's [pus] entries.  [pu_key1] addresses the local collection
+    result (global symtab + PU body), [pu_key2] the interprocedural
+    summary (a Merkle digest folding [pu_key1] with every transitive
+    callee's key), so comparing two runs' entries tells {e why} a PU was
+    re-analyzed: [pu_key1] changed — its own body or the symbol table;
+    only [pu_key2] changed — some callee. *)
+type pu = {
+  pu_name : string;
+  pu_file : string;
+  pu_key1 : string;  (** hex digest of global symtab + PU body *)
+  pu_key2 : string;  (** hex Merkle summary digest ([""] if never keyed) *)
+  pu_collect_hit : bool;
+  pu_summary_hit : bool;
+  pu_callees : string list;  (** direct callees, call-graph order *)
+}
+
+val pu_to_json : pu -> Json.t
+(** [{"name", "file", "key1", "key2", "collect_hit", "summary_hit",
+    "callees"}], in that order. *)
+
+val pu_of_json : Json.t -> (pu, string) result
+(** The inverse of {!pu_to_json}: every member present with its type
+    ([Error "pu entry without string \"file\""] and the like), so
+    [pu_to_json] of the result is the same value. *)
 
 val suffixed_path : run_id:string -> string -> string
 (** [suffixed_path ~run_id "out/trace.json"] is ["out/trace-<run_id>.json"]

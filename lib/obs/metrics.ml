@@ -157,18 +157,79 @@ let entry_json (name, s) =
 
 let to_json snap = Json.List (List.map entry_json snap)
 
-let dump_json () =
+let dump_json snap =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"metrics\": [";
   List.iteri
     (fun i e ->
       Buffer.add_string b (if i = 0 then "\n    " else ",\n    ");
       Json.write b (entry_json e))
-    (snapshot ());
+    snap;
   Buffer.add_string b "\n  ]\n}\n";
   Buffer.contents b
 
-let save ~path =
+let save ~path snap =
   let oc = open_out_bin path in
-  output_string oc (dump_json ());
+  output_string oc (dump_json snap);
   close_out oc
+
+(* The inverse of [entry_json], with the rules a dump obeys: names sorted
+   and unique, and a histogram's bucket counts summing to its count. *)
+let entry_of_json ~after entry =
+  let str field =
+    match Json.member field entry with
+    | Some (Json.Str s) -> s
+    | _ -> Json.malformed "metric without %S string" field
+  in
+  let name = str "name" in
+  if name <= after then
+    Json.malformed "metric names not sorted/unique at %S (after %S)" name after;
+  let number j field =
+    match Option.bind (Json.member field j) Json.to_float with
+    | Some v -> v
+    | None -> Json.malformed "metric %S lacks number %S" name field
+  in
+  let int j field =
+    match Option.bind (Json.member field j) Json.to_int with
+    | Some v -> v
+    | None -> Json.malformed "metric %S lacks integer %S" name field
+  in
+  match str "kind" with
+  | "counter" -> (name, S_counter (int entry "value"))
+  | "histogram" ->
+    let h_count = int entry "count" in
+    let h_sum = int entry "sum" in
+    let h_p50 = number entry "p50" in
+    let h_p95 = number entry "p95" in
+    let h_p99 = number entry "p99" in
+    let h_buckets =
+      match Json.member "buckets" entry with
+      | Some (Json.List l) ->
+        List.map
+          (fun b ->
+            let lo = int b "lo" and hi = int b "hi" in
+            if hi >= 0 && hi < lo then
+              Json.malformed "histogram %S bucket hi < lo" name;
+            (lo, (if hi = -1 then max_int else hi), int b "count"))
+          l
+      | _ -> Json.malformed "histogram %S lacks buckets" name
+    in
+    let total = List.fold_left (fun acc (_, _, c) -> acc + c) 0 h_buckets in
+    if total <> h_count then
+      Json.malformed "histogram %S bucket counts sum to %d, count %d" name total
+        h_count;
+    (name, S_hist { h_count; h_sum; h_p50; h_p95; h_p99; h_buckets })
+  | kind -> Json.malformed "metric %S has unknown kind %S" name kind
+
+let of_json = function
+  | Json.List entries -> (
+    try
+      Ok
+        (List.rev
+           (List.fold_left
+              (fun acc entry ->
+                let after = match acc with (n, _) :: _ -> n | [] -> "" in
+                entry_of_json ~after entry :: acc)
+              [] entries))
+    with Json.Malformed m -> Error m)
+  | _ -> Error "metrics are not a list"

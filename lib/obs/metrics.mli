@@ -74,9 +74,17 @@ val to_json : (string * snapshot) list -> Json.t
     "p99":..,"buckets":[{"lo":..,"hi":..,"count":..},...]}] ([hi = -1] on
     the overflow bucket). *)
 
-val dump_json : unit -> string
-(** The full registry as a JSON document, one entry of {!to_json} per
-    line: [{"metrics":[...]}], metrics sorted by name. *)
+val dump_json : (string * snapshot) list -> string
+(** A snapshot or diff as a JSON document, one entry of {!to_json} per
+    line: [{"metrics":[...]}]. *)
 
-val save : path:string -> unit
-(** Write {!dump_json} to [path]. *)
+val save : path:string -> (string * snapshot) list -> unit
+(** Write {!dump_json} to [path] ([uhc --metrics] writes the run's diff). *)
+
+val of_json : Json.t -> ((string * snapshot) list, string) result
+(** The inverse of {!to_json}: the one reader of the entry list, in a
+    {!dump_json} file and a run-ledger record ([bench check-json]).
+    Rejects unsorted or repeated names, an unknown kind, a missing or
+    mistyped member, a bucket with [hi < lo], and bucket counts that do
+    not sum to the histogram's count.  {!dump_json} of the result is the
+    same bytes. *)

@@ -190,7 +190,20 @@ let test_pu_isolation () =
     (fun (d : Fault.Diag.t) ->
       Alcotest.(check string) "diagnostic names the poisoned PU" "main"
         d.Fault.Diag.d_pu)
-    r.Engine.e_diags
+    r.Engine.e_diags;
+  (* the diagnostics file reads back through Diag.parse to the same bytes,
+     with an adversarial detail and an error beside the recorded ones *)
+  let diags =
+    Fault.Diag.make ~severity:Fault.Diag.Error ~site:"io" ~pu:"*"
+      ~action:"skip-file" "bad \"x.f\"\n\t\001"
+    :: r.Engine.e_diags
+  in
+  let dump = Fault.Diag.dump_json diags in
+  match Fault.Diag.parse dump with
+  | Ok parsed ->
+    Alcotest.(check string) "diagnostics re-encode to the same bytes" dump
+      (Fault.Diag.dump_json parsed)
+  | Error e -> Alcotest.failf "Diag.parse rejects its own output: %s" e
 
 (* without --keep-going the same fault aborts: isolation is opt-in *)
 let test_isolation_opt_in () =

@@ -226,47 +226,19 @@ let prop_rgn_roundtrip =
    written straight into a buffer, quoting or escaping only the cells that
    need it; both must read back to exactly what was written. *)
 
-let gen_cell =
+let gen_char =
   Gen.(
-    string_size ~gen:(oneof [ oneofl [ '"'; '\\'; ','; '\n'; '\r' ];
-                              map Char.chr (int_range 0 0x1f);
-                              map Char.chr (int_range 0x20 0x7e) ])
-      (int_range 0 12))
+    oneof [ oneofl [ '"'; '\\'; ','; '\n'; '\r' ];
+            map Char.chr (int_range 0 0x1f);
+            map Char.chr (int_range 0x20 0x7e) ])
 
-let json_strings = function
-  | Obs.Json.List l ->
-    List.map (function Obs.Json.Str s -> s | _ -> failwith "not a string") l
-  | _ -> failwith "not a list"
-
-let reports_of_json text =
-  let doc = Result.get_ok (Obs.Json.parse text) in
-  List.map
-    (fun r ->
-      let get k = Option.get (Obs.Json.member k r) in
-      let summary =
-        match get "summary" with
-        | Obs.Json.Obj kvs ->
-          List.map
-            (function
-              | k, Obs.Json.Str v -> (k, v) | _ -> failwith "summary value")
-            kvs
-        | _ -> failwith "summary"
-      in
-      let rows =
-        match get "rows" with
-        | Obs.Json.List rows -> List.map json_strings rows
-        | _ -> failwith "rows"
-      in
-      Analyses.Report.make
-        ~analysis:(Option.get (Obs.Json.to_string (get "analysis")))
-        ~summary ~columns:(json_strings (get "columns")) rows)
-    (Option.get (Option.bind (Obs.Json.member "reports" doc) Obs.Json.to_list))
+let gen_cell = Gen.(string_size ~gen:gen_char (int_range 0 12))
 
 let gen_report =
   Gen.(
-    let* analysis = gen_cell in
+    let* analysis = string_size ~gen:gen_char (int_range 1 12) in
     let* summary = list_size (int_range 0 3) (pair gen_cell gen_cell) in
-    let* width = int_range 0 4 in
+    let* width = int_range 1 4 in
     let* columns = list_repeat width gen_cell in
     let* rows = list_size (int_range 0 5) (list_repeat width gen_cell) in
     return (Analyses.Report.make ~analysis ~summary ~columns rows))
@@ -276,7 +248,11 @@ let prop_report_json_roundtrip =
     Gen.(list_size (int_range 0 3) gen_report)
     ~print:(fun rs -> Analyses.Report.json_of_reports rs)
     (fun reports ->
-      reports_of_json (Analyses.Report.json_of_reports reports) = reports)
+      let json = Analyses.Report.json_of_reports reports in
+      match Analyses.Report.parse json with
+      | Ok parsed ->
+        parsed = reports && Analyses.Report.json_of_reports parsed = json
+      | Error _ -> false)
 
 let gen_row =
   Gen.(
@@ -438,9 +414,9 @@ let check_mutant m =
   in
   Test_engine.render r.Engine.e_result = oracle
   && List.for_all
-       (fun (p : Engine.pu_entry) ->
-         exact ("c", p.Engine.p_key1, p.Engine.p_collect_hit)
-         && exact ("s", p.Engine.p_key2, p.Engine.p_summary_hit))
+       (fun (p : Obs.Ledger.pu) ->
+         exact ("c", p.pu_key1, p.pu_collect_hit)
+         && exact ("s", p.pu_key2, p.pu_summary_hit))
        r.Engine.e_pus
 
 let gen_seg_mutation =

@@ -92,13 +92,34 @@ let test_record_written () =
       Alcotest.(check bool) "config digests equal" true (digest r1 = digest r2);
       let keys r =
         List.map
-          (fun p ->
-            Dragon.Ledgerview.
-              (p.pu_name, p.pu_key1, p.pu_key2, p.pu_callees))
+          (fun (p : Obs.Ledger.pu) ->
+            (p.pu_name, p.pu_key1, p.pu_key2, p.pu_callees))
           (Dragon.Ledgerview.pus_of r)
       in
       Alcotest.(check bool) "two PU entries" true (List.length (keys r1) = 2);
-      Alcotest.(check bool) "stable content keys" true (keys r1 = keys r2)
+      Alcotest.(check bool) "stable content keys" true (keys r1 = keys r2);
+      (* each recorded pu entry decodes and re-encodes to the same bytes,
+         and the whole record passes the pipeline's check *)
+      (match Obs.Json.member "pus" r1.Dragon.Ledgerview.record with
+      | Some (Obs.Json.List (_ :: _ as entries)) ->
+        List.iter
+          (fun e ->
+            match Obs.Ledger.pu_of_json e with
+            | Ok p ->
+              Alcotest.(check string) "pu entry re-encodes to the same bytes"
+                (Obs.Json.render e)
+                (Obs.Json.render (Obs.Ledger.pu_to_json p))
+            | Error m -> Alcotest.failf "pu entry rejected: %s" m)
+          entries
+      | _ -> Alcotest.fail "record without pu entries");
+      List.iter
+        (fun r ->
+          match
+            Pipeline.check_ledger_record "record" r.Dragon.Ledgerview.record
+          with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "written record fails its check: %s" m)
+        [ r1; r2 ]
     | l -> Alcotest.failf "expected 2 ledger records, got %d" (List.length l))
 
 (* ------------------------------------------------------------------ *)
@@ -117,9 +138,12 @@ let metrics_counter run name =
 
 let test_metrics_are_run_deltas () =
   let cache = temp_dir () in
+  let out = temp_dir () in
   for _ = 1 to 2 do
     let r =
-      Pipeline.run (Pipeline.make ~corpus:"matrix" ~cache_dir:cache ())
+      Pipeline.run
+        (Pipeline.make ~corpus:"matrix" ~cache_dir:cache
+           ~metrics:(Filename.concat out "metrics.json") ())
     in
     Alcotest.(check int) "run exits 0" 0 r.Pipeline.r_code
   done;
@@ -129,6 +153,21 @@ let test_metrics_are_run_deltas () =
     Alcotest.(check int) "two records" 2 (List.length runs);
     List.iteri
       (fun i r ->
+        (* the --metrics file (suffixed with the run id) holds the same
+           deltas as the record *)
+        let file =
+          Obs.Ledger.suffixed_path ~run_id:r.Dragon.Ledgerview.run_id
+            (Filename.concat out "metrics.json")
+        in
+        (match Obs.Json.parse (read_file file) with
+        | Ok doc ->
+          Alcotest.(check bool)
+            (Printf.sprintf "record %d: --metrics file = record metrics"
+               (i + 1))
+            true
+            (Obs.Json.member "metrics" doc
+            = Obs.Json.member "metrics" r.Dragon.Ledgerview.record)
+        | Error e -> Alcotest.failf "%s does not parse: %s" file e);
         let what field = Printf.sprintf "record %d: %s" (i + 1) field in
         let cache_field f =
           Option.map int_of_float (metric r ("cache." ^ f))

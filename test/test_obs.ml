@@ -299,7 +299,7 @@ let test_metrics_registry () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "kind mismatch not rejected");
   (* the dump parses and carries the counter *)
-  match Obs.Json.parse (Obs.Metrics.dump_json ()) with
+  match Obs.Json.parse (Obs.Metrics.dump_json (Obs.Metrics.snapshot ())) with
   | Error e -> Alcotest.failf "metrics dump does not parse: %s" e
   | Ok doc ->
     let entries =
@@ -460,7 +460,25 @@ let test_json_writer () =
   Alcotest.(check string) "integers print without a fraction" "[0,-7,1]"
     Obs.Json.(render (List [ Num 0.; Num (-7.); Num 1. ]));
   Alcotest.(check string) "non-finite numbers print as null" "[null,null]"
-    Obs.Json.(render (List [ Num Float.nan; Num Float.infinity ]))
+    Obs.Json.(render (List [ Num Float.nan; Num Float.infinity ]));
+  (* a metrics dump of a diff reads back through Metrics.of_json to the
+     same bytes *)
+  let c = Obs.Metrics.counter "test.obs.writer.counter" in
+  let h = Obs.Metrics.histogram "test.obs.writer.hist" in
+  let s0 = Obs.Metrics.snapshot () in
+  Obs.Metrics.Counter.add c 5;
+  List.iter (Obs.Hist.observe h) [ 1; 70; 70; 1_000_000 ];
+  let dump =
+    Obs.Metrics.dump_json (Obs.Metrics.diff (Obs.Metrics.snapshot ()) s0)
+  in
+  let entries =
+    Option.get (Obs.Json.member "metrics" (Result.get_ok (Obs.Json.parse dump)))
+  in
+  match Obs.Metrics.of_json entries with
+  | Ok d ->
+    Alcotest.(check string) "metrics diff re-encodes to the same bytes" dump
+      (Obs.Metrics.dump_json d)
+  | Error e -> Alcotest.failf "metrics reader rejects a dump: %s" e
 
 let suite =
   [
