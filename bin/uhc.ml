@@ -8,18 +8,40 @@
 let run paths corpus out_dir project dump_whirl dump_src dump_callgraph
     dump_summaries execute wopt ipl_dir fuse autopar emit_whirl loop_summaries
     jobs () cache_dir stats stats_det trace metrics log_level keep_going
-    fault_specs diagnostics solver_budget analyses report ledger no_ledger =
-  let ledger =
-    if no_ledger then Some false else if ledger then Some true else None
-  in
+    fault_specs diagnostics solver_budget analyses report no_ledger =
   let result =
     Pipeline.run
-      (Pipeline.make ~paths ?corpus ?out_dir ~project ~dump_whirl ~dump_src
-         ~dump_callgraph ~dump_summaries ~execute ~wopt ?ipl_dir ~fuse ~autopar
-         ?emit_whirl ~loop_summaries ~jobs ?cache_dir ~stats
-         ~stats_det ?trace
-         ?metrics ~log_level ~keep_going ~fault_specs ?diagnostics
-         ?solver_budget ~analyses ?report ?ledger ())
+      {
+        Pipeline.paths;
+        corpus;
+        out_dir;
+        project;
+        dump_whirl;
+        dump_src;
+        dump_callgraph;
+        dump_summaries;
+        execute;
+        wopt;
+        ipl_dir;
+        fuse;
+        autopar;
+        emit_whirl;
+        loop_summaries;
+        jobs;
+        cache_dir;
+        stats;
+        stats_det;
+        trace;
+        metrics;
+        log_level;
+        keep_going;
+        fault_specs;
+        diagnostics;
+        solver_budget;
+        analyses;
+        report;
+        ledger = not no_ledger;
+      }
   in
   result.Pipeline.r_code
 
@@ -265,23 +287,15 @@ let report =
               JSON (validate with bench check-json FILE); byte-identical \
               at any --jobs setting.")
 
-let ledger =
-  Arg.(
-    value & flag
-    & info [ "ledger" ]
-        ~doc:"Append one schema-versioned run record (config/corpus \
-              digests, timings, cache and solver counters, verdict \
-              tallies, per-procedure content keys) to \
-              CACHE-DIR/ledger/ — the history behind dragon \
-              history/regress/explain.  On by default whenever \
-              --cache-dir is set; this flag only matters together with \
-              --no-ledger handling in scripts.")
-
 let no_ledger =
   Arg.(
     value & flag
     & info [ "no-ledger" ]
-        ~doc:"Disable the run ledger even when --cache-dir is set.")
+        ~doc:"Do not append this run's record (config/corpus digests, \
+              timings, cache and solver counters, verdict tallies, \
+              per-procedure content keys) to CACHE-DIR/ledger/, the \
+              history behind dragon history/regress/explain.  Without \
+              this flag every run with --cache-dir writes one.")
 
 (* ------------------------------------------------------------------ *)
 (* uhc gen: emit a seeded corpus to a directory *)
@@ -408,7 +422,7 @@ let cmd =
       $ autopar $ emit_whirl $ loop_summaries $ jobs $ workers $ cache_dir
       $ stats
       $ stats_det $ trace $ metrics $ log_level $ keep_going $ fault_specs
-      $ diagnostics $ solver_budget $ analyses $ report $ ledger $ no_ledger)
+      $ diagnostics $ solver_budget $ analyses $ report $ no_ledger)
 
 (* [uhc gen ...] dispatches on the first word by hand: a [Cmd.group] with
    a default term would swallow positional source paths as (unknown)

@@ -148,18 +148,13 @@ let run_ (cfg : config) (m : Ir.module_) : result =
   let t_start = Obs.Trace.now_ns () in
   let phases = ref [] in
   let timed name f =
-    (* the ambient sink collects worker-domain allocation and busy time for
-       every pool batch this phase issues; the coordinator's own delta is
+    (* the phase's sink collects worker-domain allocation and busy time for
+       every pool batch [f] issues with it; the coordinator's own delta is
        measured directly *)
     let sink = Obs.Sink.create () in
-    Obs.Sink.set_current (Some sink);
     let t0 = Obs.Trace.now_ns () in
     let a0 = Obs.Sink.allocated_bytes () in
-    let r =
-      Fun.protect
-        ~finally:(fun () -> Obs.Sink.set_current None)
-        (fun () -> Obs.Span.with_ ~cat:"phase" ~name f)
-    in
+    let r = Obs.Span.with_ ~cat:"phase" ~name (fun () -> f sink) in
     let wall_ns = Obs.Trace.now_ns () - t0 in
     let wall = float_of_int wall_ns /. 1e9 in
     let alloc = Obs.Sink.allocated_bytes () -. a0 +. Obs.Sink.alloc_bytes sink in
@@ -178,7 +173,7 @@ let run_ (cfg : config) (m : Ir.module_) : result =
   in
   (* ---- prepare: layout, symbolic variables, call graph -------------- *)
   let cg =
-    timed "prepare" (fun () ->
+    timed "prepare" (fun _ ->
         Layout.assign m;
         Ipa.Collect.intern_module_syms m;
         Ipa.Callgraph.build m)
@@ -191,11 +186,11 @@ let run_ (cfg : config) (m : Ir.module_) : result =
   let pu_of name = Option.map (Array.get pus) (idx name) in
   (* ---- content digests (after layout: Mem_Locs are part of content) - *)
   let key1 =
-    timed "digest" (fun () ->
+    timed "digest" (fun sink ->
         let gd = Digest.to_hex (Whirl_io.symtab_digest m.Ir.m_global) in
         let keys = Array.make n Digest.(string "") in
         let scratch = Domain.DLS.new_key (fun () -> Buffer.create 65536) in
-        Engine_pool.run ~jobs
+        Engine_pool.run ~sink ~jobs
           (Array.init n (fun i () ->
                let buf = Domain.DLS.get scratch in
                Buffer.clear buf;
@@ -214,7 +209,7 @@ let run_ (cfg : config) (m : Ir.module_) : result =
      diagnostics are deterministic whatever the pool schedule. *)
   let poisoned = Array.make n false in
   let pu_diags : Fault.Diag.t list array = Array.make n [] in
-  timed "collect" (fun () ->
+  timed "collect" (fun sink ->
       (* one region per access shape, for this run only *)
       let shapes = Ipa.Collect.shapes () in
       let task i () =
@@ -253,7 +248,7 @@ let run_ (cfg : config) (m : Ir.module_) : result =
               ~action:"skeleton-cfg" e
             :: pu_diags.(i)
       in
-      Engine_pool.run ~jobs (Array.init n task);
+      Engine_pool.run ~sink ~jobs (Array.init n task);
       Obs.Metrics.Counter.add c_regions_requested
         (Ipa.Collect.shapes_requested shapes);
       Obs.Metrics.Counter.add c_regions_distinct
@@ -284,7 +279,7 @@ let run_ (cfg : config) (m : Ir.module_) : result =
      persisted (a later fault-free run would read it back as a hit) *)
   let tainted = Array.make n false in
   let key2 : Digest.t option array = Array.make n None in
-  timed "summarize" (fun () ->
+  timed "summarize" (fun sink ->
       let scc_arr = Array.of_list (Ipa.Callgraph.sccs cg) in
       (* Merkle digests, bottom-up: [sccs] lists callee SCCs first.  The
          members of one SCC share their input digest (they are mutually
@@ -335,7 +330,7 @@ let run_ (cfg : config) (m : Ir.module_) : result =
               propagated.(i) <- p.Engine_store.sp_propagated
             | None -> ())
         in
-        Engine_pool.run ~jobs (Array.init n task));
+        Engine_pool.run ~sink ~jobs (Array.init n task));
       (* level-parallel propagation over the SCC DAG: an SCC's level is one
          more than its deepest callee SCC, so everything a level-[l] SCC
          looks up was finished at level [< l].  Members of one SCC run
@@ -408,7 +403,7 @@ let run_ (cfg : config) (m : Ir.module_) : result =
           (fun si scc ->
             if level.(si) = lv && needs_work scc then work := scc :: !work)
           scc_arr;
-        Engine_pool.run ~jobs
+        Engine_pool.run ~sink ~jobs
           (Array.of_list (List.rev_map (fun scc -> process_scc scc) !work))
       done;
       (* persist what this run computed *)
@@ -431,7 +426,7 @@ let run_ (cfg : config) (m : Ir.module_) : result =
         Engine_store.publish store);
   (* ---- assembly ----------------------------------------------------- *)
   let res =
-    timed "assemble" (fun () ->
+    timed "assemble" (fun _ ->
         let infos_l =
           Array.to_list
             (Array.mapi

@@ -11,7 +11,11 @@
    result into its own pre-assigned slot and the stages the engine runs
    here are free of order-dependent side effects.  Completion is signalled
    through a mutex-guarded counter, giving the caller a happens-before edge
-   over all plain writes the tasks made. *)
+   over all plain writes the tasks made.
+
+   A batch carries what its tasks would have read from the submitting
+   domain: the run's fault plan (domain-local, so a worker binds it for
+   the drain) and the phase's attribution sink. *)
 
 let recommended () = Domain.recommended_domain_count ()
 
@@ -24,6 +28,8 @@ type batch = {
   slots : int Atomic.t;  (* worker-participation permits left *)
   active : int Atomic.t;  (* workers drained but not yet published *)
   failure : (exn * Printexc.raw_backtrace) option Atomic.t;
+  plan : Fault.plan;  (* the submitting domain's *)
+  sink : Obs.Sink.t;  (* where workers report their measurement *)
 }
 
 type pool = {
@@ -57,11 +63,12 @@ let drain pool (b : batch) =
   in
   claim ()
 
-(* A worker's participation in one batch, bracketed with allocation and
-   busy-time measurement reported to the ambient attribution sink (when the
-   engine installed one for the current phase).  This is what lets
-   [Engine.Stats] attribute worker-domain allocation: the coordinator's own
-   allocation delta ({!Obs.Sink.allocated_bytes}) only sees its own heap.
+(* A worker's participation in one batch, under the batch's fault plan and
+   bracketed with allocation and busy-time measurement reported to the
+   batch's sink, the one the engine passed for the current phase.  This
+   is what lets [Engine.Stats] attribute worker-domain allocation: the
+   coordinator's own allocation delta ({!Obs.Sink.allocated_bytes}) only
+   sees its own heap.
 
    The [active] counter exists because finishing the batch's last task and
    publishing this measurement are separate steps: the caller must not treat
@@ -70,15 +77,13 @@ let drain pool (b : batch) =
    worker — precisely the one holding most of the allocation — is still
    between its final [finished] increment and its [Sink.add]. *)
 let drain_measured pool b =
-  match Obs.Sink.current () with
-  | None -> drain pool b
-  | Some sink ->
-    let t0 = Obs.Trace.now_ns () in
-    let a0 = Obs.Sink.allocated_bytes () in
-    drain pool b;
-    Obs.Sink.add sink
-      ~alloc_bytes:(Obs.Sink.allocated_bytes () -. a0)
-      ~busy_ns:(Obs.Trace.now_ns () - t0)
+  Fault.with_plan b.plan @@ fun () ->
+  let t0 = Obs.Trace.now_ns () in
+  let a0 = Obs.Sink.allocated_bytes () in
+  drain pool b;
+  Obs.Sink.add b.sink
+    ~alloc_bytes:(Obs.Sink.allocated_bytes () -. a0)
+    ~busy_ns:(Obs.Trace.now_ns () - t0)
 
 let worker pool () =
   let rec wait_for_work last_epoch =
@@ -105,28 +110,30 @@ let worker pool () =
   in
   wait_for_work 0
 
+(* Created eagerly: concurrent runs on several domains may submit their
+   first batch at the same moment, and forcing one [lazy] from two domains
+   at once raises. *)
 let pool =
-  lazy
-    (let p =
-       {
-         mutex = Mutex.create ();
-         wake = Condition.create ();
-         done_ = Condition.create ();
-         epoch = 0;
-         current = None;
-         stop = false;
-         spawned = 0;
-         domains = [];
-       }
-     in
-     at_exit (fun () ->
-         Mutex.lock p.mutex;
-         p.stop <- true;
-         Condition.broadcast p.wake;
-         Mutex.unlock p.mutex;
-         List.iter Domain.join p.domains;
-         p.domains <- []);
-     p)
+  let p =
+    {
+      mutex = Mutex.create ();
+      wake = Condition.create ();
+      done_ = Condition.create ();
+      epoch = 0;
+      current = None;
+      stop = false;
+      spawned = 0;
+      domains = [];
+    }
+  in
+  at_exit (fun () ->
+      Mutex.lock p.mutex;
+      p.stop <- true;
+      Condition.broadcast p.wake;
+      Mutex.unlock p.mutex;
+      List.iter Domain.join p.domains;
+      p.domains <- []);
+  p
 
 let ensure_workers p count =
   if p.spawned < count then begin
@@ -138,12 +145,12 @@ let ensure_workers p count =
     Mutex.unlock p.mutex
   end
 
-let run ~jobs (tasks : (unit -> unit) array) =
+let run ~sink ~jobs (tasks : (unit -> unit) array) =
   let n = Array.length tasks in
   let jobs = max 1 (min (resolve_jobs jobs) n) in
   if jobs <= 1 then Array.iter (fun t -> t ()) tasks
   else begin
-    let p = Lazy.force pool in
+    let p = pool in
     ensure_workers p (jobs - 1);
     let b =
       {
@@ -153,6 +160,8 @@ let run ~jobs (tasks : (unit -> unit) array) =
         slots = Atomic.make (jobs - 1);
         active = Atomic.make 0;
         failure = Atomic.make None;
+        plan = Fault.current ();
+        sink;
       }
     in
     Mutex.lock p.mutex;
@@ -163,7 +172,7 @@ let run ~jobs (tasks : (unit -> unit) array) =
     drain p b;
     Mutex.lock p.mutex;
     (* completion = every task done AND every joined worker has published
-       its measurement to the ambient sink (see [drain_measured]) *)
+       its measurement to the batch's sink (see [drain_measured]) *)
     while Atomic.get b.finished < n || Atomic.get b.active > 0 do
       Condition.wait p.done_ p.mutex
     done;

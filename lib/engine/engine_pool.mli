@@ -13,9 +13,11 @@
     which is the serial reference path.  The first task exception is
     re-raised in the caller after the batch drains.
 
-    When an {!Obs.Sink} is installed as the ambient attribution sink,
-    worker domains report their [Gc.allocated_bytes] delta and busy time
-    for each batch they participate in — the engine merges those into its
+    A batch carries the submitting domain's {!Fault.current} plan, and
+    every worker drains it under that plan, so a run's fault specs and
+    solver budget reach its tasks on any domain and no other run's.  Worker
+    domains report their [Gc.allocated_bytes] delta and busy time for each
+    batch they participate in to [sink] — the engine merges those into its
     per-phase statistics after the barrier. *)
 
 val recommended : unit -> int
@@ -24,4 +26,4 @@ val recommended : unit -> int
 val resolve_jobs : int -> int
 (** Maps the CLI convention [0 = auto] to {!recommended}. *)
 
-val run : jobs:int -> (unit -> unit) array -> unit
+val run : sink:Obs.Sink.t -> jobs:int -> (unit -> unit) array -> unit

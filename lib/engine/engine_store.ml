@@ -75,7 +75,7 @@ type t = {
   mutable diags : Fault.Diag.t list; (* degradation events, newest first *)
 }
 
-let schema_token = lazy (String.sub Build_info.fingerprint 0 12)
+let schema_token = String.sub Build_info.fingerprint 0 12
 let full_key ns key = ns ^ key
 let entry_name ns key = ns ^ "-" ^ Digest.to_hex key
 
@@ -388,7 +388,7 @@ let add_segment t path index =
 
 let create ?dir () =
   let sdir =
-    Option.map (fun d -> Filename.concat d (Lazy.force schema_token)) dir
+    Option.map (fun d -> Filename.concat d schema_token) dir
   in
   let indexes =
     match sdir with
@@ -937,4 +937,4 @@ let add_interface t ~key (i : Lang.Sema.interface) = add_artifact t "fi" key i
 let find_body t ~key : body_artifact option = find_decoded ~keep:false t "fb" key
 let add_body t ~key (b : body_artifact) = add_artifact t "fb" key b
 let dir t = t.dir
-let schema () = Lazy.force schema_token
+let schema () = schema_token

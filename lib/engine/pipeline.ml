@@ -3,7 +3,7 @@
    This is the paper's usage steps 1-2 (compile with interprocedural array
    analysis enabled, obtain the .dgn/.cfg/.rgn files Dragon loads) as a
    library entry point: [bin/uhc] is only command-line parsing over
-   [make]/[run].  Analysis itself goes through [Engine.run], so every
+   [run].  Analysis itself goes through [Engine.run], so every
    driver feature (--fuse re-analysis, repeated invocations with
    --cache-dir) is parallel and incremental for free. *)
 
@@ -36,7 +36,7 @@ type config = {
   solver_budget : int option;
   analyses : string list;
   report : string option;
-  ledger : bool option;
+  ledger : bool;
 }
 
 type result = {
@@ -47,45 +47,37 @@ type result = {
   r_reports : Analyses.Report.t list;
 }
 
-let make ?(paths = []) ?corpus ?out_dir ?(project = "project")
-    ?(dump_whirl = false) ?(dump_src = false) ?(dump_callgraph = false)
-    ?(dump_summaries = false) ?(loop_summaries = false) ?(execute = false)
-    ?(wopt = false) ?(fuse = false) ?(autopar = false) ?ipl_dir ?emit_whirl
-    ?(jobs = 1) ?cache_dir ?(stats = false)
-    ?(stats_det = false) ?trace
-    ?metrics ?(log_level = Obs.Log.Quiet) ?(keep_going = false)
-    ?(fault_specs = []) ?diagnostics ?solver_budget ?(analyses = []) ?report
-    ?ledger () =
+let default =
   {
-    paths;
-    corpus;
-    out_dir;
-    project;
-    dump_whirl;
-    dump_src;
-    dump_callgraph;
-    dump_summaries;
-    loop_summaries;
-    execute;
-    wopt;
-    fuse;
-    autopar;
-    ipl_dir;
-    emit_whirl;
-    jobs;
-    cache_dir;
-    stats;
-    stats_det;
-    trace;
-    metrics;
-    log_level;
-    keep_going;
-    fault_specs;
-    diagnostics;
-    solver_budget;
-    analyses;
-    report;
-    ledger;
+    paths = [];
+    corpus = None;
+    out_dir = None;
+    project = "project";
+    dump_whirl = false;
+    dump_src = false;
+    dump_callgraph = false;
+    dump_summaries = false;
+    loop_summaries = false;
+    execute = false;
+    wopt = false;
+    fuse = false;
+    autopar = false;
+    ipl_dir = None;
+    emit_whirl = None;
+    jobs = 1;
+    cache_dir = None;
+    stats = false;
+    stats_det = false;
+    trace = None;
+    metrics = None;
+    log_level = Obs.Log.Quiet;
+    keep_going = false;
+    fault_specs = [];
+    diagnostics = None;
+    solver_budget = None;
+    analyses = [];
+    report = None;
+    ledger = true;
   }
 
 let read_file path =
@@ -128,6 +120,9 @@ let load_inputs ~keep_going ~diags paths corpus =
             :: !diags;
           None)
       paths
+
+(* Nothing to analyze and no tolerated fault to blame: a usage error. *)
+exception No_input
 
 (* What the ledger record needs from inside the body: the digest of the
    inputs actually analyzed and the engine's per-PU cache entries (of the
@@ -181,7 +176,7 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
         (* every input was skipped by a tolerated fault: degraded, not a
            usage error *)
         failwith "no analyzable input files survived"
-      else exit 2
+      else raise No_input
     end;
     (* one store for the whole invocation, opened before the frontend: it
        holds the per-file frontend artifacts too, and the --fuse
@@ -424,6 +419,7 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
       (List.length result.Ipa.Analyze.r_rows);
     0
   with
+  | No_input -> 2
   | Lang.Diag.Frontend_error d ->
     Printf.eprintf "%s\n" (Lang.Diag.to_string d);
     1
@@ -626,16 +622,8 @@ let check_ledger_record subject record =
 
 let run (cfg : config) =
   Obs.Log.set_level cfg.log_level;
-  (* the ledger is on by default whenever there is a cache directory to
-     put it in; --ledger without --cache-dir has nowhere to write *)
-  let ledger_on =
-    match (cfg.ledger, cfg.cache_dir) with
-    | Some false, _ | None, None -> false
-    | (Some true | None), Some _ -> true
-    | Some true, None ->
-      Printf.eprintf "uhc: --ledger requires --cache-dir; ledger disabled\n";
-      false
-  in
+  (* the ledger lives in the cache directory: without one it is off *)
+  let ledger_on = cfg.ledger && cfg.cache_dir <> None in
   let run_id = if ledger_on then Some (Obs.Ledger.new_run_id ()) else None in
   (* collision-safe observation paths: with the ledger active, --trace and
      --metrics files are suffixed with the run id (trace.json ->
@@ -653,19 +641,16 @@ let run (cfg : config) =
     Obs.Span.set_enabled true
   end;
   if metrics_path <> None || ledger_on then Obs.Metrics.set_enabled true;
-  (* fault injection and the solver budget are process-global knobs: set
-     them up front, tear them down in [finally] so a library caller's next
-     run starts clean *)
-  let specs_ok =
+  (* fault injection and the solver budget are this run's plan, bound
+     below on the domain that runs the body (and by the pool on its
+     workers): nothing to tear down, and no other run sees them *)
+  let plan =
     match Fault.parse_specs cfg.fault_specs with
-    | Ok specs ->
-      Fault.configure specs;
-      true
+    | Ok pl_specs -> Some { Fault.pl_specs; pl_step_budget = cfg.solver_budget }
     | Error msg ->
       Printf.eprintf "uhc: %s\n" msg;
-      false
+      None
   in
-  Linear.System.set_step_budget cfg.solver_budget;
   let degrading = cfg.fault_specs <> [] || cfg.solver_budget <> None in
   if degrading then
     (* degraded answers are never memoized, but an earlier in-process run
@@ -688,8 +673,6 @@ let run (cfg : config) =
   let ledger_acc = { la_corpus_digest = ""; la_pus = [] } in
   Fun.protect
     ~finally:(fun () ->
-      Fault.clear ();
-      Linear.System.set_step_budget None;
       if degrading then Linear.System.clear_cache ();
       (* flush observation files even when the pipeline failed: a trace of a
          crashed run is exactly what one wants to look at *)
@@ -707,15 +690,19 @@ let run (cfg : config) =
         Obs.Log.info "metrics.written" [ ("path", path) ])
     (fun () ->
       let code =
-        if not specs_ok then 2
-        else
-          Obs.Span.with_ ~cat:"phase" ~name:"pipeline" (fun () ->
-              exec_body ~metrics0 ~diags ~outputs ~stats ~reports
-                ~ledger_acc cfg)
+        match plan with
+        | None -> 2
+        | Some plan ->
+          Fault.with_plan plan (fun () ->
+              Obs.Span.with_ ~cat:"phase" ~name:"pipeline" (fun () ->
+                  exec_body ~metrics0 ~diags ~outputs ~stats ~reports
+                    ~ledger_acc cfg))
       in
       let metrics = Obs.Metrics.diff (Obs.Metrics.snapshot ()) metrics0 in
       let degraded = Obs.Metrics.value metrics "solver.degraded" in
-      if degraded > 0 then
+      (* the registry is process-wide: a run whose plan cannot degrade
+         must not report another concurrent run's degraded queries *)
+      if degrading && degraded > 0 then
         diags :=
           Fault.Diag.make ~site:"solver" ~pu:"*" ~action:"interval-box"
             (Printf.sprintf "%d quer%s answered from the interval box"

@@ -2,8 +2,8 @@
     output files) behind one configuration record.
 
     [bin/uhc] is a thin command-line wrapper over this module; programs
-    embedding the tool call [make]/[run] directly instead of threading a
-    dozen positional flags around.  Analysis runs on {!Engine.run}, so
+    embedding the tool call [run] on [{ default with ... }] directly
+    instead of threading a dozen positional flags around.  Analysis runs on {!Engine.run}, so
     [jobs]/[cache_dir]/[stats] select parallelism, the persistent
     content-addressed cache and per-phase statistics for every analysis the
     driver performs (including the [--fuse] re-analysis). *)
@@ -48,7 +48,8 @@ type config = {
   fault_specs : string list;
       (** deterministic fault injection, [SITE:RATE:SEED[:ONLY]] per entry
           ({!Fault.parse_specs}); test/bench only — a malformed spec makes
-          {!run} return code 2 without running anything *)
+          {!run} return code 2 without running anything.  With
+          [solver_budget] it forms the run's {!Fault.plan} *)
   diagnostics : string option;
       (** write every recovery diagnostic of the run to this path as JSON
           ([{"diagnostics":[...]}], sorted; validated by
@@ -56,7 +57,7 @@ type config = {
   solver_budget : int option;
       (** per-query step budget for {!Linear.System.feasible}; over-budget
           queries degrade to the interval-box answer
-          ({!Linear.System.set_step_budget}) *)
+          (the [pl_step_budget] of the run's {!Fault.plan}) *)
   analyses : string list;
       (** client analyses to run over the finished interprocedural result,
           in order ([uhc --analyses bounds,permissions,regions]); names
@@ -66,13 +67,11 @@ type config = {
       (** write the analysis reports to this path as schema-versioned JSON
           ({!Analyses.Report.json_of_reports}); byte-identical at any
           [jobs] setting *)
-  ledger : bool option;
-      (** run-ledger control ([uhc --ledger]/[--no-ledger]): [None]
-          (default) enables the ledger exactly when [cache_dir] is set;
-          [Some true] forces it on (ignored with a warning when there is
-          no cache directory to write into); [Some false] disables it.
-          When active, every run appends one schema-versioned JSONL record
-          to [<cache_dir>/ledger/] — config/corpus digests, wall and phase
+  ledger : bool;
+      (** run-ledger control ([uhc --no-ledger] clears it; default [true]).
+          The ledger is written whenever this is set and [cache_dir] is
+          too: every run appends one schema-versioned JSONL record to
+          [<cache_dir>/ledger/] — config/corpus digests, wall and phase
           timings, the run's metrics diff, per-phase cache hit/miss counts,
           solver counters, analysis verdict tallies, and per-PU content
           keys — consumed by [dragon history]/[regress]/[explain].  The
@@ -86,8 +85,8 @@ type config = {
 (** What a pipeline invocation produced, beyond its console output. *)
 type result = {
   r_code : int;
-      (** process exit code (0 ok, 1 failure, 2 on a malformed
-          [fault_specs] entry; the empty-input [exit 2] still exits) *)
+      (** process exit code: 0 ok, 1 failure, 2 on a malformed
+          [fault_specs] entry or when there is no input at all *)
   r_outputs : string list;
       (** files written, in write order: project [.rgn]/[.dgn]/[.cfg],
           [.ipl] units, emitted WHIRL, report JSON, diagnostics JSON *)
@@ -102,47 +101,22 @@ type result = {
       (** one report per entry of [analyses], in selection order *)
 }
 
-val make :
-  ?paths:string list ->
-  ?corpus:string ->
-  ?out_dir:string ->
-  ?project:string ->
-  ?dump_whirl:bool ->
-  ?dump_src:bool ->
-  ?dump_callgraph:bool ->
-  ?dump_summaries:bool ->
-  ?loop_summaries:bool ->
-  ?execute:bool ->
-  ?wopt:bool ->
-  ?fuse:bool ->
-  ?autopar:bool ->
-  ?ipl_dir:string ->
-  ?emit_whirl:string ->
-  ?jobs:int ->
-  ?cache_dir:string ->
-  ?stats:bool ->
-  ?stats_det:bool ->
-  ?trace:string ->
-  ?metrics:string ->
-  ?log_level:Obs.Log.level ->
-  ?keep_going:bool ->
-  ?fault_specs:string list ->
-  ?diagnostics:string ->
-  ?solver_budget:int ->
-  ?analyses:string list ->
-  ?report:string ->
-  ?ledger:bool ->
-  unit ->
-  config
-(** Everything defaults to off/empty; [project] defaults to ["project"],
-    [jobs] to [1]. *)
+val default : config
+(** Everything off or empty, except [project] (["project"]), [jobs] ([1])
+    and [ledger] ([true]). *)
 
 val run : config -> result
 (** Runs the pipeline, printing to stdout/stderr like the [uhc] tool, and
-    returns everything it produced as one {!result} record.  Fault
-    injection, the solver budget and the solver memo cache are reset on
-    exit — including on exceptions — so subsequent in-process runs are
-    unaffected. *)
+    returns everything it produced as one {!result} record.  The fault
+    specs and solver budget are bound to this run alone
+    ({!Fault.with_plan}), so concurrent runs on other domains keep their
+    own settings and outputs.  A run with either clears the solver memo
+    cache before and after (including on exceptions), so neither it nor
+    later in-process runs read answers cached under other settings.  The
+    metrics registry, tracing and the log level stay process-wide; the
+    solver diagnostic reads its count from that registry, so it is only
+    recorded by runs with specs or a budget, and two such runs at once
+    each count the other's degraded queries too. *)
 
 val check_ledger_record : string -> Obs.Json.t -> (unit, string) Stdlib.result
 (** [check_ledger_record subject record] checks one run-ledger record

@@ -1,4 +1,5 @@
-(* Deterministic, seed-driven fault injection.
+(* Deterministic, seed-driven fault injection, and the degradation plan of
+   a run.
 
    The pipeline calls [inject site ~key] at a handful of tagged points
    (store reads/writes, marshal decode, pool workers, solver queries).
@@ -10,9 +11,10 @@
    reproducible and lets tests assert byte-identity of the non-faulted
    remainder.
 
-   Off by default with a single-branch fast path: when no spec is
-   installed, [inject] is one atomic load ([enabled ()] = false), the same
-   discipline [Obs.Span]/[Obs.Metrics] follow. *)
+   The specs live in a [plan] bound to the domain running a run (and handed
+   by the engine's pool to the workers of each batch), never in a process
+   global: concurrent runs keep their own settings.  With no plan bound,
+   [inject] is one domain-local read. *)
 
 type site = Io_read | Io_write | Marshal | Pool | Solver
 
@@ -91,21 +93,19 @@ let parse_specs strings =
   go [] strings
 
 (* ------------------------------------------------------------------ *)
-(* Global configuration: an immutable spec array behind one atomic, so the
-   hot-path read is a single load and reconfiguration never tears. *)
+(* The run's plan: bound per domain, so concurrent runs never share it. *)
 
-let state : spec array Atomic.t = Atomic.make [||]
-let on = Atomic.make false
+type plan = { pl_specs : spec list; pl_step_budget : int option }
 
-let configure specs =
-  Atomic.set state (Array.of_list specs);
-  Atomic.set on (specs <> [])
+let none = { pl_specs = []; pl_step_budget = None }
+let plan_key = Domain.DLS.new_key (fun () -> none)
+let current () = Domain.DLS.get plan_key
 
-let clear () =
-  Atomic.set state [||];
-  Atomic.set on false
+let with_plan plan f =
+  let prev = current () in
+  Domain.DLS.set plan_key plan;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set plan_key prev) f
 
-let enabled () = Atomic.get on
 (* one injected-faults counter per site (registered eagerly; counters count
    regardless of the Obs.Metrics enable flag, like the engine's) *)
 let counters =
@@ -140,18 +140,15 @@ let spec_fires sp site ~key =
   && uniform ~seed:sp.sp_seed site ~key < sp.sp_rate
 
 let fires site ~key =
-  Atomic.get on
-  && Array.exists (fun sp -> spec_fires sp site ~key) (Atomic.get state)
+  List.exists (fun sp -> spec_fires sp site ~key) (current ()).pl_specs
 
 let inject site ~key =
-  if Atomic.get on then
-    if Array.exists (fun sp -> spec_fires sp site ~key) (Atomic.get state)
-    then begin
-      Obs.Metrics.Counter.incr (List.assq site counters);
-      Obs.Log.debug "fault.injected" (fun () ->
-          [ ("site", site_name site); ("key", key) ]);
-      raise (Injected (site, key))
-    end
+  if fires site ~key then begin
+    Obs.Metrics.Counter.incr (List.assq site counters);
+    Obs.Log.debug "fault.injected" (fun () ->
+        [ ("site", site_name site); ("key", key) ]);
+    raise (Injected (site, key))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Structured diagnostics: what faulted, how bad, and what the pipeline

@@ -188,27 +188,24 @@ type incr_kind =
   | Step of expr  (** loop variable changes by this per iteration *)
   | Other of stmt (** arbitrary update statement *)
 
-(* Locals declared inside the function body currently being parsed; collected
-   here and attached to the procedure at the end of the definition. *)
-let current_locals : decl list ref = ref []
-
-let record_local d = current_locals := d :: !current_locals
-
-let rec parse_stmt p : stmt =
+(* The statement parsers thread [locals]: the declarations met so far in the
+   body of the function being parsed, newest first.  Each definition gets its
+   own list, attached to the procedure at the end of the definition. *)
+let rec parse_stmt locals p : stmt =
   let loc = Pstate.loc p in
   if Pstate.accept p (punct ";") then Nop loc
   else if Token.equal (Pstate.peek p) (punct "{") then begin
     (* anonymous block: flatten *)
-    let body = parse_compound p in
+    let body = parse_compound locals p in
     match body with [ s ] -> s | _ -> If (Logic_lit true, body, [], loc)
   end
   else if accept_kw p "if" then begin
     Pstate.expect p (punct "(");
     let cond = parse_expr p in
     Pstate.expect p (punct ")");
-    let then_body = parse_block_or_stmt p in
+    let then_body = parse_block_or_stmt locals p in
     let else_body =
-      if accept_kw p "else" then parse_block_or_stmt p else []
+      if accept_kw p "else" then parse_block_or_stmt locals p else []
     in
     If (cond, then_body, else_body, loc)
   end
@@ -216,10 +213,10 @@ let rec parse_stmt p : stmt =
     Pstate.expect p (punct "(");
     let cond = parse_expr p in
     Pstate.expect p (punct ")");
-    let body = parse_block_or_stmt p in
+    let body = parse_block_or_stmt locals p in
     While (cond, body, loc)
   end
-  else if accept_kw p "for" then parse_for p loc
+  else if accept_kw p "for" then parse_for locals p loc
   else if accept_kw p "return" then begin
     if Pstate.accept p (punct ";") then Return (None, loc)
     else begin
@@ -279,11 +276,11 @@ and parse_simple_stmt p : stmt =
       Assign (lv, Binop (Div, lv_expr, parse_expr p), loc)
     | other -> Pstate.error p "expected assignment operator, found %s" (Token.to_string other))
 
-and parse_block_or_stmt p =
-  if Token.equal (Pstate.peek p) (punct "{") then parse_compound p
-  else [ parse_stmt p ]
+and parse_block_or_stmt locals p =
+  if Token.equal (Pstate.peek p) (punct "{") then parse_compound locals p
+  else [ parse_stmt locals p ]
 
-and parse_compound p =
+and parse_compound locals p =
   Pstate.expect p (punct "{");
   let rec loop acc =
     if Pstate.accept p (punct "}") then List.rev acc
@@ -293,15 +290,15 @@ and parse_compound p =
       match Pstate.peek p with
       | Token.Ident t when is_type_kw t ->
         (* local declaration, possibly with initializer *)
-        let stmts = parse_local_decl p in
+        let stmts = parse_local_decl locals p in
         loop (List.rev_append stmts acc)
-      | _ -> loop (parse_stmt p :: acc)
+      | _ -> loop (parse_stmt locals p :: acc)
   in
   loop []
 
-(* Local declarations are collected into the enclosing procedure via a side
-   channel (see [current_locals]); initializers become assignments. *)
-and parse_local_decl p =
+(* Local declarations are collected into [locals] for the enclosing
+   procedure; initializers become assignments. *)
+and parse_local_decl locals p =
   let tkw = Pstate.expect_ident p in
   let dtype =
     match dtype_of_kw p tkw with
@@ -310,7 +307,7 @@ and parse_local_decl p =
   in
   let rec loop stmts =
     let d = parse_declarator p dtype in
-    record_local d;
+    locals := d :: !locals;
     let stmts =
       if Pstate.accept p (punct "=") then
         Assign (Lvar (d.decl_name, d.decl_loc), parse_expr p, d.decl_loc) :: stmts
@@ -324,7 +321,7 @@ and parse_local_decl p =
   in
   loop []
 
-and parse_for p loc =
+and parse_for locals p loc =
   Pstate.expect p (punct "(");
   let init = parse_simple_stmt p in
   Pstate.expect p (punct ";");
@@ -332,7 +329,7 @@ and parse_for p loc =
   Pstate.expect p (punct ";");
   let incr = parse_incr p in
   Pstate.expect p (punct ")");
-  let body = parse_block_or_stmt p in
+  let body = parse_block_or_stmt locals p in
   (* canonical pattern: i = e1; i <op> e2; i by step *)
   match init, incr with
   | Assign (Lvar (v, _), lo, _), Step step_e ->
@@ -457,9 +454,9 @@ let parse ~file src =
       if Token.equal (Pstate.peek p) (punct "(") then begin
         (* function definition *)
         let params = parse_params p in
-        current_locals := [];
-        let body = parse_compound p in
-        let locals = List.rev !current_locals in
+        let locals = ref [] in
+        let body = parse_compound locals p in
+        let locals = List.rev !locals in
         let kind =
           if String.equal name "main" then Program
           else

@@ -234,16 +234,6 @@ let ref_equal_semantic a b = ref_includes a b && ref_includes b a
    in-process test and bench switch only — production never sets it. *)
 let use_reference = Atomic.make false
 
-(* Step budget: a per-query cost cap (constraint count x variable count, a
-   deterministic proxy for elimination work).  A query over budget — or one
-   the fault layer targets — degrades to the interval-box answer instead of
-   running an eliminator: [true] unless the box alone refutes the system.
-   That direction is conservative everywhere feasibility is consumed
-   (implies/disjoint degrade to "cannot prove", so regions only grow).
-   Degraded answers are never memoized, so turning the budget off restores
-   exact answers immediately. *)
-let step_budget = Atomic.make (-1)
-
 (* Small-system threshold: at or below this [query_cost], packed setup
    (pack + box build + row allocation) is not worth paying and [feasible]
    routes the query straight to the reference eliminator.  A threshold
@@ -252,32 +242,21 @@ let step_budget = Atomic.make (-1)
    routing is recorded in [Solver_stats.small_runs]. *)
 let small_threshold = 2
 
-(* The guard below runs on every implies query, so "no step budget and not
-   inside the oracle scope" is cached in one atomic refreshed by the two
-   writers.  [Fault.enabled] cannot be folded in — the fault layer is
-   configured outside this module — but it is itself a single atomic
-   load. *)
-let memo_ok_cached = Atomic.make true
-
-let refresh_memo_ok () =
-  Atomic.set memo_ok_cached
-    ((not (Atomic.get use_reference)) && Atomic.get step_budget < 0)
-
-let set_step_budget n =
-  (match n with
-  | None -> Atomic.set step_budget (-1)
-  | Some n -> Atomic.set step_budget (max 0 n));
-  refresh_memo_ok ()
-
-let get_step_budget () =
-  let b = Atomic.get step_budget in
-  if b < 0 then None else Some b
-
 let query_cost t = List.length t.cs * (1 + Var.Set.cardinal (vars t))
 
-let over_budget t =
-  let b = Atomic.get step_budget in
-  b >= 0 && query_cost t > b
+(* Degradation: a query over the run's step budget
+   ([Fault.plan.pl_step_budget], a per-query cost cap of constraint count x
+   variable count, a deterministic proxy for elimination work) — or one
+   the fault plan targets — degrades to the interval-box answer instead of
+   running an eliminator: [true] unless the box alone refutes the system.
+   That direction is conservative everywhere feasibility is consumed
+   (implies/disjoint degrade to "cannot prove", so regions only grow).
+   Degraded answers are never memoized, so a run without a plan gets exact
+   answers immediately. *)
+let over_budget (plan : Fault.plan) t =
+  match plan.pl_step_budget with
+  | None -> false
+  | Some b -> query_cost t > max 0 b
 
 let c_degraded = Obs.Metrics.counter "solver.degraded"
 
@@ -450,8 +429,12 @@ let feasible t =
        — intern ids differ across runs — and is only built when a fault
        spec is active. *)
     let degrades () =
-      over_budget t
-      || (Fault.enabled () && Fault.fires Fault.Solver ~key:(key_of t))
+      let plan = Fault.current () in
+      over_budget plan t
+      ||
+      match plan.pl_specs with
+      | [] -> false
+      | _ -> Fault.fires Fault.Solver ~key:(key_of t)
     in
     let degraded fresh =
       if fresh then Obs.Metrics.Counter.incr c_degraded;
@@ -679,7 +662,12 @@ let implies_learned t c =
    answers (step budget / fault spec) must not be frozen, and the oracle
    scope times the unmemoized reference paths.  The same guard gates the
    learned contexts — they are a memo layer too. *)
-let implies_memo_ok () = Atomic.get memo_ok_cached && not (Fault.enabled ())
+let implies_memo_ok () =
+  (not (Atomic.get use_reference))
+  &&
+  match Fault.current () with
+  | { pl_specs = []; pl_step_budget = None } -> true
+  | _ -> false
 
 (* The answer cell of an implies key, and whether this caller created it:
    the creation is the pair's first-arrival claim, exactly one per pair and
@@ -861,10 +849,7 @@ module Reference = struct
 
   let run f =
     let prev = Atomic.exchange use_reference true in
-    refresh_memo_ok ();
-    Fun.protect f ~finally:(fun () ->
-        Atomic.set use_reference prev;
-        refresh_memo_ok ())
+    Fun.protect f ~finally:(fun () -> Atomic.set use_reference prev)
 end
 
 let pp ppf t =

@@ -123,28 +123,22 @@ val sample : t -> (Var.t -> Rat.t) option
     [--jobs].  A repeat implies query is one map lookup with no lock, no
     clock read and no allocation.
 
-    Degraded answers must not be frozen: a degraded feasibility query (over
-    the step budget, or hit by the [solver] fault site) takes the claim but
-    never reads or writes the answer, and implies answers and the learned
-    implies path are bypassed whenever a budget or a fault spec is active.
-    Inside {!Reference.run} no answer is read or written. *)
-
-val set_step_budget : int option -> unit
-(** Degradation valve for {!feasible} (and through it {!implies} /
-    {!includes} / {!disjoint}): a query whose cost — constraint count
+    Degradation valve: each query reads the calling domain's
+    {!Fault.current} plan once.  A {!feasible} query (and through it
+    {!implies} / {!includes} / {!disjoint}) whose cost — constraint count
     times variable count, a deterministic proxy for elimination work —
-    exceeds the budget answers from the interval box alone ([false] only
-    when the single-variable rows are already contradictory).  The
-    degraded direction is conservative everywhere the engine consumes it
-    (entailment and disjointness degrade to "cannot prove", so regions
-    only grow).  Degraded answers are counted in the [solver.degraded]
-    metric and never memoized; [None] (the default) restores exact
-    answers.  {!Reference.run} ignores the budget.  Read back with
-    {!get_step_budget}.  The fault-injection site ["solver"]
-    ({!Fault.Solver}) forces the same degradation on the targeted
-    queries. *)
+    exceeds the plan's [pl_step_budget], or that the [solver] fault site
+    ({!Fault.Solver}) targets, answers from the interval box alone
+    ([false] only when the single-variable rows are already
+    contradictory).  The degraded direction is conservative everywhere the
+    engine consumes it (entailment and disjointness degrade to "cannot
+    prove", so regions only grow).  Degraded answers are counted in the
+    [solver.degraded] metric.  {!Reference.run} ignores the plan.
 
-val get_step_budget : unit -> int option
+    Degraded answers must not be frozen: a degraded feasibility query takes
+    the claim but never reads or writes the answer, and implies answers and
+    the learned implies path are bypassed under any plan other than
+    {!Fault.none}.  Inside {!Reference.run} no answer is read or written. *)
 
 val clear_cache : unit -> unit
 (** Forget every memo record: feasibility and implies answers with their

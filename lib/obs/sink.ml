@@ -34,7 +34,3 @@ let busy_ns t = with_lock t (fun () -> t.busy)
 let allocated_bytes () =
   let _, promoted, major = Gc.counters () in
   (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
-
-let ambient : t option Atomic.t = Atomic.make None
-let set_current s = Atomic.set ambient s
-let current () = Atomic.get ambient

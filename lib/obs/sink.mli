@@ -1,16 +1,15 @@
 (** Per-domain attribution sinks.
 
     A sink collects allocation and busy-time contributions from worker
-    domains during one engine phase; the coordinator installs it as the
-    ambient sink ({!set_current}), workers report their deltas at batch
-    drain, and the coordinator reads the merged totals after the pool
-    barrier.  This is what makes worker-domain allocation attributable in
+    domains during one engine phase: the coordinator passes it with each
+    pool batch of the phase, workers report their deltas at batch drain,
+    and the coordinator reads the merged totals after the pool barrier.
+    This is what makes worker-domain allocation attributable in
     [Engine.Stats] — the coordinating domain's own [Gc.allocated_bytes]
     delta only ever saw its own heap.
 
-    Always on: one atomic load per batch participation, two
-    [Gc.allocated_bytes] calls per worker per batch — nothing here needs
-    the tracing or metrics switches. *)
+    Always on: two [Gc.allocated_bytes] calls per worker per batch —
+    nothing here needs the tracing or metrics switches. *)
 
 type t
 
@@ -27,8 +26,3 @@ val allocated_bytes : unit -> float
     [Gc.allocated_bytes] should report, which on OCaml 5.1 is off by up
     to 7/8 of a minor heap.  Every allocation measurement (engine phases,
     pool workers, bench) goes through it. *)
-
-val set_current : t option -> unit
-(** Install/remove the ambient sink (coordinator only). *)
-
-val current : unit -> t option

@@ -17,11 +17,9 @@ type module_ = {
   m_program : Lang.Sema.program;
 }
 
-let module_counter = ref 0
-
-let fresh_module_id () =
-  incr module_counter;
-  !module_counter
+(* atomic: runs on different domains lower modules at the same time *)
+let module_counter = Atomic.make 0
+let fresh_module_id () = Atomic.fetch_and_add module_counter 1 + 1
 
 let global_base = 0x4000_0000
 

@@ -8,6 +8,9 @@ real unused exports, so the scan under-reports; it never over-reports.
 
     python3 scripts/unused_exports.py            # list, then the count
     python3 scripts/unused_exports.py --max N    # also fail if count > N
+    python3 scripts/unused_exports.py --tests-only
+        # list the exports that only files under test/ name (never fails:
+        # a test oracle is a fine reason to export)
 """
 
 import os
@@ -34,16 +37,26 @@ def main(argv):
     for path in sources():
         with open(path, encoding="utf-8", errors="replace") as fh:
             words[path] = set(WORD.findall(fh.read()))
+    tests_only = argv == ["--tests-only"]
+    test_dir = os.path.join(ROOT, "test") + os.sep
     unused = []
     for mli in sorted(p for p in words if p.endswith(".mli") and "/lib/" in p):
         own = {mli, mli[:-1]}
         with open(mli, encoding="utf-8", errors="replace") as fh:
             names = VAL.findall(fh.read())
         for name in names:
-            if not any(name in ws for p, ws in words.items() if p not in own):
+            users = [p for p, ws in words.items() if p not in own and name in ws]
+            if tests_only:
+                hit = users and all(p.startswith(test_dir) for p in users)
+            else:
+                hit = not users
+            if hit:
                 unused.append((os.path.relpath(mli, ROOT), name))
     for mli, name in unused:
         print(f"{mli}: {name}")
+    if tests_only:
+        print(f"exports only tests name: {len(unused)}")
+        return 0
     print(f"unused exports: {len(unused)}")
     if len(argv) == 2 and argv[0] == "--max" and len(unused) > int(argv[1]):
         print(f"more than {argv[1]} unused exports", file=sys.stderr)

@@ -273,9 +273,14 @@ let test_jobs_invariance () =
         let report = Filename.concat dir "report.json" in
         let diagnostics = Filename.concat dir "diag.json" in
         let cfg =
-          Pipeline.make ~corpus
-            ~analyses:[ "bounds"; "permissions"; "regions" ]
-            ~report ~diagnostics ~jobs ()
+          {
+            Pipeline.default with
+            corpus = Some corpus;
+            analyses = [ "bounds"; "permissions"; "regions" ];
+            report = Some report;
+            diagnostics = Some diagnostics;
+            jobs;
+          }
         in
         let r = with_quiet_stdout (fun () -> Pipeline.run cfg) in
         Alcotest.(check int) (corpus ^ " exit code") 0 r.Pipeline.r_code;

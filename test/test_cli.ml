@@ -70,8 +70,7 @@ let test_uhc_error_handling () =
   if not (binaries_present ()) then ()
   else begin
     let status, _ = run_capture (exe "uhc") in
-    Alcotest.(check bool) "no inputs: nonzero exit" true
-      (status <> Unix.WEXITED 0);
+    Alcotest.(check bool) "no inputs: exit 2" true (status = Unix.WEXITED 2);
     let bad = Filename.temp_file "bad" ".f" in
     let oc = open_out bad in
     output_string oc "      program broken\n      do i = \n      end\n";
@@ -129,10 +128,19 @@ let test_uhc_run_flag () =
       (contains out "statements executed")
   end
 
+(* the library entry point reports a usage error as a code, and returns:
+   ending the caller's process is uhc's business alone *)
+let test_pipeline_no_input () =
+  let r = Pipeline.run Pipeline.default in
+  Alcotest.(check int) "no paths, no corpus: code 2" 2 r.Pipeline.r_code;
+  Alcotest.(check (list string)) "nothing written" [] r.Pipeline.r_outputs
+
 let suite =
   [
     Alcotest.test_case "uhc project workflow" `Quick test_uhc_project_workflow;
     Alcotest.test_case "uhc error handling" `Quick test_uhc_error_handling;
+    Alcotest.test_case "Pipeline.run without input returns 2" `Quick
+      test_pipeline_no_input;
     Alcotest.test_case "dragon missing project" `Quick test_dragon_missing_project;
     Alcotest.test_case "uhc --run" `Quick test_uhc_run_flag;
   ]

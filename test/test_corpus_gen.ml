@@ -167,9 +167,14 @@ let test_jobs_invariance () =
     let report = Filename.concat dir "report.json" in
     let cache = Filename.concat dir "cache" in
     let cfg =
-      Pipeline.make ~corpus:"gen-small"
-        ~analyses:[ "bounds"; "diffcheck" ]
-        ~report ~cache_dir:cache ~jobs ()
+      {
+        Pipeline.default with
+        corpus = Some "gen-small";
+        analyses = [ "bounds"; "diffcheck" ];
+        report = Some report;
+        cache_dir = Some cache;
+        jobs;
+      }
     in
     let r = with_quiet_stdout (fun () -> Pipeline.run cfg) in
     Alcotest.(check int) "exit code" 0 r.Pipeline.r_code;

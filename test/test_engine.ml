@@ -276,9 +276,8 @@ let test_publish_exactly_once () =
   let cold_b =
     match Fault.parse_specs [ "store.read:1.0:1" ] with
     | Error e -> Alcotest.fail e
-    | Ok specs ->
-      Fault.configure specs;
-      Fun.protect ~finally:Fault.clear (fun () -> run b)
+    | Ok pl_specs ->
+      Fault.with_plan { Fault.none with pl_specs } (fun () -> run b)
   in
   let st = cold_b.Engine.e_stats in
   Alcotest.(check int) "second run was cold" 0 st.Engine.Stats.s_summary_hits;

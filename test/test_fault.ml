@@ -10,15 +10,13 @@ let mget name = Obs.Metrics.Counter.get (Obs.Metrics.counter name)
 let with_specs raw f =
   match Fault.parse_specs raw with
   | Error e -> Alcotest.failf "parse_specs %s: %s" (String.concat " " raw) e
-  | Ok specs ->
-    Fault.configure specs;
-    Fun.protect ~finally:Fault.clear f
+  | Ok pl_specs -> Fault.with_plan { Fault.none with pl_specs } f
 
 (* ------------------------------------------------------------------ *)
 (* spec grammar *)
 
 let test_spec_parsing () =
-  (match Fault.parse_spec "pool:0.5:42" with
+  (match Fault.parse_specs [ "pool:0.5:42" ] with
   | Ok [ s ] ->
     Alcotest.(check string) "site" "pool" (Fault.site_name s.Fault.sp_site);
     Alcotest.(check (float 0.)) "rate" 0.5 s.Fault.sp_rate;
@@ -26,18 +24,18 @@ let test_spec_parsing () =
     Alcotest.(check (option string)) "only" None s.Fault.sp_only
   | Ok _ -> Alcotest.fail "pool spec expands to one entry"
   | Error e -> Alcotest.fail e);
-  (match Fault.parse_spec "store.read:1.0:0:lu" with
+  (match Fault.parse_specs [ "store.read:1.0:0:lu" ] with
   | Ok [ s ] ->
     Alcotest.(check (option string)) "only" (Some "lu") s.Fault.sp_only
   | _ -> Alcotest.fail "ONLY filter parses");
-  (match Fault.parse_spec "all:0.1:7" with
+  (match Fault.parse_specs [ "all:0.1:7" ] with
   | Ok specs ->
     Alcotest.(check int) "all expands to every site"
       (List.length Fault.all_sites) (List.length specs)
   | Error e -> Alcotest.fail e);
   List.iter
     (fun bad ->
-      match Fault.parse_spec bad with
+      match Fault.parse_specs [ bad ] with
       | Ok _ -> Alcotest.failf "%S should not parse" bad
       | Error _ -> ())
     [ "bogus:0.5:1"; "pool:2.0:1"; "pool:-0.1:1"; "pool:x:1"; "pool:0.5"; "" ]
@@ -279,20 +277,15 @@ let test_solver_budget () =
         .Engine.e_result
   in
   let d0 = mget "solver.degraded" in
-  Linear.System.set_step_budget (Some 1);
   Linear.System.clear_cache ();
-  Fun.protect ~finally:(fun () ->
-      Linear.System.set_step_budget None;
-      Linear.System.clear_cache ())
-  @@ fun () ->
-  let r = Engine.run (Engine.config ~jobs:1 ()) (Test_engine.lower files) in
-  ignore (Test_engine.render r.Engine.e_result);
+  Fun.protect ~finally:Linear.System.clear_cache (fun () ->
+      Fault.with_plan { Fault.none with pl_step_budget = Some 1 } (fun () ->
+          let r =
+            Engine.run (Engine.config ~jobs:1 ()) (Test_engine.lower files)
+          in
+          ignore (Test_engine.render r.Engine.e_result)));
   Alcotest.(check bool) "budget 1 degrades queries" true
     (mget "solver.degraded" - d0 > 0);
-  (* regions may only have grown: every exact row survives into the
-     degraded .rgn (the conservative direction of the interval box) *)
-  Linear.System.set_step_budget None;
-  Linear.System.clear_cache ();
   let again =
     Test_engine.render
       (Engine.run (Engine.config ~jobs:1 ()) (Test_engine.lower files))
@@ -300,39 +293,103 @@ let test_solver_budget () =
   in
   Test_engine.check_same_output "budget resets cleanly" exact again
 
-(* [Pipeline.run] owns the two process-global solver knobs for the length
-   of a run: a budgeted, faulted run must leave neither behind, and the
+(* A [Pipeline.run] of [corpus] (default lu) under [jobs], the budget and
+   the fault specs: its exit code must be 0; returns its .rgn/.dgn/.cfg
+   bytes and its diagnostics file.  Callers silence stdout around it, once
+   around concurrent calls. *)
+let project_files ?(corpus = "lu") ?solver_budget ?(fault_specs = []) ~jobs
+    () =
+  let dir = Test_engine.fresh_dir () in
+  let r =
+    Pipeline.run
+      {
+        Pipeline.default with
+        corpus = Some corpus;
+        out_dir = Some dir;
+        jobs;
+        solver_budget;
+        fault_specs;
+        keep_going = fault_specs <> [];
+        diagnostics = Some (Filename.concat dir "diagnostics.json");
+      }
+  in
+  Alcotest.(check int) "exit code" 0 r.Pipeline.r_code;
+  let bytes =
+    List.map
+      (fun file ->
+        In_channel.with_open_bin (Filename.concat dir file)
+          In_channel.input_all)
+      [ "project.rgn"; "project.dgn"; "project.cfg"; "diagnostics.json" ]
+  in
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
+  bytes
+
+(* [Pipeline.run] binds its budget and fault spec for the length of the
+   run only: a budgeted, faulted run must leave neither behind, and the
    next default run must emit exactly what a fresh default run does *)
 let test_pipeline_resets_knobs () =
-  let run ?solver_budget ?(fault_specs = []) () =
-    let dir = Test_engine.fresh_dir () in
-    let cfg =
-      Pipeline.make ~corpus:"lu" ~out_dir:dir ?solver_budget ~fault_specs
-        ~keep_going:(fault_specs <> []) ()
-    in
-    let r = Test_analyses.with_quiet_stdout (fun () -> Pipeline.run cfg) in
-    Alcotest.(check int) "exit code" 0 r.Pipeline.r_code;
-    let bytes =
-      List.map
-        (fun ext ->
-          In_channel.with_open_bin
-            (Filename.concat dir ("project" ^ ext))
-            In_channel.input_all)
-        [ ".rgn"; ".dgn"; ".cfg" ]
-    in
-    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
-    bytes
+  let run ?solver_budget ?fault_specs () =
+    Test_analyses.with_quiet_stdout
+      (project_files ?solver_budget ?fault_specs ~jobs:1)
   in
   let fresh = run () in
   let d0 = mget "solver.degraded" in
   ignore (run ~solver_budget:1 ~fault_specs:[ "solver:0.5:3" ] ());
   Alcotest.(check bool) "the knobs were live" true
     (mget "solver.degraded" - d0 > 0);
-  Alcotest.(check bool) "step budget reset" true
-    (Linear.System.get_step_budget () = None);
-  Alcotest.(check bool) "fault spec cleared" false (Fault.enabled ());
+  Alcotest.(check bool) "no plan left bound" true
+    (Fault.current () == Fault.none);
   Alcotest.(check (list string)) "next default run = fresh default run" fresh
     (run ())
+
+(* Two runs at once on two domains, one degraded and parallel, one exact:
+   each must emit what the same run emits alone, so neither sees the
+   other's budget or fault spec, nor loses its own when the other finishes
+   first.  Solver degradation alone leaves the files unchanged (the rows
+   come from exact projections), so the degraded run also isolates some
+   PUs on the pool, which the files do show; the diagnostics file must not
+   pick up the other run's degraded queries.  The pair runs on lu (exact
+   run serial) and on matrix, a C source, with both runs parallel so both
+   parse C and submit pool batches at once.  Every overlapping round runs
+   before the reference runs alone, so the first overlap is this test's
+   first use of the pool. *)
+let test_concurrent_runs () =
+  let degraded corpus () =
+    project_files ~corpus ~solver_budget:1
+      ~fault_specs:[ "solver:0.5:3"; "pool:0.2:5" ]
+      ~jobs:2 ()
+  in
+  let exact corpus jobs () = project_files ~corpus ~jobs () in
+  let cases = [ ("lu", 1); ("matrix", 2) ] in
+  Test_analyses.with_quiet_stdout @@ fun () ->
+  let rounds =
+    List.init 3 (fun _ ->
+        List.map
+          (fun (corpus, jobs) ->
+            let other = Domain.spawn (degraded corpus) in
+            let e = exact corpus jobs () in
+            (Domain.join other, e))
+          cases)
+  in
+  let alone =
+    List.map (fun (corpus, jobs) -> (degraded corpus (), exact corpus jobs ())) cases
+  in
+  (match alone with
+  | (d, e) :: _ ->
+    Alcotest.(check bool) "the settings change lu's outputs" true (d <> e)
+  | [] -> ());
+  List.iteri
+    (fun i results ->
+      List.iter2
+        (fun ((corpus, _), (d_alone, e_alone)) (d, e) ->
+          let name what =
+            Printf.sprintf "round %d, %s: %s run = its run alone" (i + 1)
+              corpus what
+          in
+          Alcotest.(check (list string)) (name "degraded") d_alone d;
+          Alcotest.(check (list string)) (name "exact") e_alone e)
+        (List.combine cases alone) results)
+    rounds
 
 (* ------------------------------------------------------------------ *)
 (* isolation is a function of (spec, PU), not of the pool schedule *)
@@ -371,10 +428,16 @@ let test_keep_going_no_poison () =
     let dir = Test_engine.fresh_dir () in
     let report = Filename.concat dir (name ^ ".json") in
     let cfg =
-      Pipeline.make ~corpus:"lu" ~out_dir:dir ?cache_dir ~fault_specs
-        ~keep_going:(fault_specs <> [])
-        ~analyses:[ "bounds"; "permissions" ]
-        ~report ()
+      {
+        Pipeline.default with
+        corpus = Some "lu";
+        out_dir = Some dir;
+        cache_dir;
+        fault_specs;
+        keep_going = fault_specs <> [];
+        analyses = [ "bounds"; "permissions" ];
+        report = Some report;
+      }
     in
     let r = Test_analyses.with_quiet_stdout (fun () -> Pipeline.run cfg) in
     Alcotest.(check int) (name ^ " exit code") 0 r.Pipeline.r_code;
@@ -412,6 +475,8 @@ let suite =
       test_solver_budget;
     Alcotest.test_case "Pipeline.run resets budget and fault spec" `Slow
       test_pipeline_resets_knobs;
+    Alcotest.test_case "concurrent runs keep their own settings" `Slow
+      test_concurrent_runs;
     Alcotest.test_case "isolation parity across --jobs" `Quick
       test_isolation_parity_jobs;
     Alcotest.test_case "keep-going run does not poison the cache" `Quick

@@ -319,8 +319,14 @@ let prop_faults_never_escape =
       close_out oc;
       Fun.protect ~finally:(fun () -> Sys.remove tmp) @@ fun () ->
       let cfg =
-        Pipeline.make ~paths:[ tmp ] ~keep_going:true ~fault_specs:[ spec ]
-          ~cache_dir:(Test_engine.fresh_dir ()) ~jobs:2 ()
+        {
+          Pipeline.default with
+          paths = [ tmp ];
+          keep_going = true;
+          fault_specs = [ spec ];
+          cache_dir = Some (Test_engine.fresh_dir ());
+          jobs = 2;
+        }
       in
       match (with_quiet_stdout (fun () -> Pipeline.run cfg)).Pipeline.r_code with
       | 0 | 1 -> true

@@ -86,6 +86,17 @@ let find_proc u name =
   | Some p -> p
   | None -> Alcotest.failf "procedure %s not found" name
 
+(* The C parser keeps no state between calls: two domains parsing at once
+   must each get the serial parse, locals attached to the right procedure *)
+let test_c_parse_domains () =
+  let reference = parse_c () in
+  let parse_many () = List.init 300 (fun _ -> parse_c ()) in
+  let other = Domain.spawn parse_many in
+  let mine = parse_many () in
+  List.iter
+    (fun u -> Alcotest.(check bool) "same parse" true (u = reference))
+    (mine @ Domain.join other)
+
 let test_f_structure () =
   let u = parse_f () in
   Alcotest.(check int) "three procedures" 3 (List.length u.Ast.unit_procs);
@@ -309,6 +320,8 @@ let suite =
     Alcotest.test_case "c structure" `Quick test_c_structure;
     Alcotest.test_case "c for normalization" `Quick test_c_for_normalization;
     Alcotest.test_case "c compound assignment" `Quick test_c_compound_assign;
+    Alcotest.test_case "c parse on two domains at once" `Quick
+      test_c_parse_domains;
     Alcotest.test_case "sema fortran" `Quick test_sema_fortran;
     Alcotest.test_case "sema formal class" `Quick test_sema_formal_class;
     Alcotest.test_case "sema c defines" `Quick test_sema_c_define;

@@ -42,8 +42,12 @@ let test_record_written () =
   let cache = temp_dir () in
   let run () =
     (Pipeline.run
-       (Pipeline.make ~corpus:"matrix" ~cache_dir:cache ~analyses:[ "bounds" ]
-          ()))
+       {
+         Pipeline.default with
+         corpus = Some "matrix";
+         cache_dir = Some cache;
+         analyses = [ "bounds" ];
+       })
       .Pipeline.r_code
   in
   Alcotest.(check int) "first run exits 0" 0 (run ());
@@ -142,8 +146,12 @@ let test_metrics_are_run_deltas () =
   for _ = 1 to 2 do
     let r =
       Pipeline.run
-        (Pipeline.make ~corpus:"matrix" ~cache_dir:cache
-           ~metrics:(Filename.concat out "metrics.json") ())
+        {
+          Pipeline.default with
+          corpus = Some "matrix";
+          cache_dir = Some cache;
+          metrics = Some (Filename.concat out "metrics.json");
+        }
     in
     Alcotest.(check int) "run exits 0" 0 r.Pipeline.r_code
   done;
@@ -198,12 +206,18 @@ let test_outputs_unchanged () =
     (fun corpus ->
       List.iter
         (fun jobs ->
-          let run ?cache_dir ?ledger () =
+          let run ?cache_dir ?(ledger = true) () =
             let out = temp_dir () in
             let code =
               (Pipeline.run
-                 (Pipeline.make ~corpus ~out_dir:out ~jobs ?cache_dir ?ledger
-                    ()))
+                 {
+                   Pipeline.default with
+                   corpus = Some corpus;
+                   out_dir = Some out;
+                   jobs;
+                   cache_dir;
+                   ledger;
+                 })
                 .Pipeline.r_code
             in
             Alcotest.(check int) (corpus ^ " exits 0") 0 code;
@@ -314,7 +328,11 @@ let test_explain_names_callee () =
   write_file work_path (callee_f 50);
   let run () =
     (Pipeline.run
-       (Pipeline.make ~paths:[ main_path; work_path ] ~cache_dir:cache ()))
+       {
+         Pipeline.default with
+         paths = [ main_path; work_path ];
+         cache_dir = Some cache;
+       })
       .Pipeline.r_code
   in
   Alcotest.(check int) "cold run exits 0" 0 (run ());
