@@ -8,7 +8,7 @@
 let run paths corpus out_dir project dump_whirl dump_src dump_callgraph
     dump_summaries execute wopt ipl_dir fuse autopar emit_whirl loop_summaries
     jobs () cache_dir stats stats_det trace metrics log_level keep_going
-    fault_specs diagnostics solver_budget analyses report no_ledger =
+    fault_specs diagnostics analyses report no_ledger =
   let result =
     Pipeline.run
       {
@@ -37,7 +37,6 @@ let run paths corpus out_dir project dump_whirl dump_src dump_callgraph
         keep_going;
         fault_specs;
         diagnostics;
-        solver_budget;
         analyses;
         report;
         ledger = not no_ledger;
@@ -237,7 +236,7 @@ let fault_specs =
     & info [ "fault-spec" ] ~docv:"SITE:RATE:SEED[:ONLY]"
         ~doc:"Deterministic fault injection for testing the recovery paths \
               (repeatable).  SITE is store.read, store.write, store.marshal, \
-              pool, solver, or all; RATE in [0,1]; SEED any integer; ONLY \
+              pool, or all; RATE in [0,1]; SEED any integer; ONLY \
               restricts to injection keys containing the substring.  The \
               firing decision is a pure function of (seed, site, key), so \
               runs are reproducible at any --jobs setting.")
@@ -249,16 +248,6 @@ let diagnostics =
     & info [ "diagnostics" ] ~docv:"FILE"
         ~doc:"Write every recovery diagnostic of the run to FILE as JSON \
               (validate with bench check-json FILE).")
-
-let solver_budget =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "solver-budget" ] ~docv:"N"
-        ~doc:"Per-query step budget for the linear solver; a query whose \
-              cost (constraints times variables) exceeds N answers \
-              conservatively from the interval box instead of running \
-              Fourier-Motzkin.")
 
 let analyses =
   let parse s =
@@ -422,7 +411,7 @@ let cmd =
       $ autopar $ emit_whirl $ loop_summaries $ jobs $ workers $ cache_dir
       $ stats
       $ stats_det $ trace $ metrics $ log_level $ keep_going $ fault_specs
-      $ diagnostics $ solver_budget $ analyses $ report $ no_ledger)
+      $ diagnostics $ analyses $ report $ no_ledger)
 
 (* [uhc gen ...] dispatches on the first word by hand: a [Cmd.group] with
    a default term would swallow positional source paths as (unknown)

@@ -4,11 +4,9 @@
    call-propagated ones (already substituted formal-to-actual) — is compared
    against the array's declared extents.  The packed Fourier-Motzkin
    [implies] path decides the three-valued verdict (Gange et al.'s
-   partial-order reading: proven-safe / proven-unsafe / maybe); when a
-   solver step budget degrades an entailment, the triplet bounding box
-   computed at region-construction time serves as a solver-free fallback.
-   Maybes are exactly the residual runtime checks a checking compiler would
-   have to keep. *)
+   partial-order reading: proven-safe / proven-unsafe / maybe), every
+   entailment exact.  Maybes are exactly the residual runtime checks a
+   checking compiler would have to keep. *)
 
 open Whirl
 open Regions
@@ -27,38 +25,11 @@ let verdict_name = function
   | Unsafe -> "unsafe"
   | Maybe -> "maybe"
 
-(* Solver-free fallback: the triplet view is a bounding box of the region
-   (computed when the region was built, typically before any budget ran
-   out).  Box inside the extents proves safety for unclamped regions; box
-   entirely outside on one dimension condemns every described access. *)
-let box_verdict ~extents region =
-  let dims = Region.dim_list region in
-  if List.length dims <> List.length extents then Maybe
-  else begin
-    let all_in = ref true in
-    let some_out = ref false in
-    List.iter2
-      (fun (d : Region.dim) ext ->
-        let lo = match d.Region.lb with Region.Bconst l -> Some l | _ -> None in
-        let hi = match d.Region.ub with Region.Bconst u -> Some u | _ -> None in
-        (match lo, hi, ext with
-        | Some l, Some u, Some e -> if not (l >= 0 && u <= e - 1) then all_in := false
-        | _ -> all_in := false);
-        (match lo, ext with
-        | Some l, Some e when l > e - 1 -> some_out := true
-        | _ -> ());
-        match hi with Some u when u < 0 -> some_out := true | _ -> ())
-      dims extents;
-    if !some_out then Unsafe
-    else if !all_in && not (Region.is_clamped region) then Safe
-    else Maybe
-  end
-
 let classify ~extents region =
   match Region.extent_check ~extents region with
   | Region.In_bounds -> Safe
   | Region.Out_of_bounds -> Unsafe
-  | Region.Unknown_bounds -> box_verdict ~extents region
+  | Region.Unknown_bounds -> Maybe
 
 module Verdicts = Hashtbl.Make (struct
   type t = int * bool * Region.dim list * int option list

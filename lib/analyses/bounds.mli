@@ -7,9 +7,8 @@ val name : string
 type verdict = Safe | Unsafe | Maybe
 
 val classify : extents:int option list -> Regions.Region.t -> verdict
-(** {!Regions.Region.extent_check} first, then the solver-free triplet
-    bounding-box fallback for verdicts the (possibly budget-degraded)
-    entailment path left unknown. *)
+(** {!Regions.Region.extent_check}, read three-valued: [In_bounds] is
+    [Safe], [Out_of_bounds] [Unsafe], [Unknown_bounds] [Maybe]. *)
 
 val run : Analysis.ctx -> Report.t * Fault.Diag.t list
 (** Columns: Proc, Array, Mode, Line, Via (callee for call-propagated

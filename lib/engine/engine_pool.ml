@@ -28,7 +28,7 @@ type batch = {
   slots : int Atomic.t;  (* worker-participation permits left *)
   active : int Atomic.t;  (* workers drained but not yet published *)
   failure : (exn * Printexc.raw_backtrace) option Atomic.t;
-  plan : Fault.plan;  (* the submitting domain's *)
+  plan : Fault.spec list;  (* the submitting domain's fault plan *)
   sink : Obs.Sink.t;  (* where workers report their measurement *)
 }
 

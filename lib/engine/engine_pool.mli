@@ -14,11 +14,11 @@
     re-raised in the caller after the batch drains.
 
     A batch carries the submitting domain's {!Fault.current} plan, and
-    every worker drains it under that plan, so a run's fault specs and
-    solver budget reach its tasks on any domain and no other run's.  Worker
-    domains report their [Gc.allocated_bytes] delta and busy time for each
-    batch they participate in to [sink] — the engine merges those into its
-    per-phase statistics after the barrier. *)
+    every worker drains it under that plan, so a run's fault specs reach
+    its tasks on any domain and no other run's.  Worker domains report
+    their [Gc.allocated_bytes] delta and busy time for each batch they
+    participate in to [sink] — the engine merges those into its per-phase
+    statistics after the barrier. *)
 
 val recommended : unit -> int
 (** [Domain.recommended_domain_count ()]. *)

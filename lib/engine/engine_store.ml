@@ -419,8 +419,6 @@ let create ?dir () =
   List.iter (fun (p, index) -> ignore (add_segment t p index)) indexes;
   t
 
-let in_memory () = create ()
-
 let backoff_s ~key attempt =
   (* exponential base with deterministic seeded jitter: splitmix64 over
      (pid, entry, attempt) spreads the sleep across [0.5x, 1.5x) so

@@ -49,10 +49,8 @@ val create : ?dir:string -> unit -> t
     build settings), because Marshal images are only readable by a build
     with the same type layouts.  Computed at build time, so opening a
     store reads no executable.  The directories are created as needed.
-    Opening reads every segment's index, and no payload. *)
-
-val in_memory : unit -> t
-(** [create ()] — caching within one process only (e.g. across [--fuse]
+    Opening reads every segment's index, and no payload.  Without [~dir],
+    entries are cached within the process only (e.g. across [--fuse]
     re-analysis). *)
 
 val publish : t -> unit

@@ -33,7 +33,6 @@ type config = {
   keep_going : bool;
   fault_specs : string list;
   diagnostics : string option;
-  solver_budget : int option;
   analyses : string list;
   report : string option;
   ledger : bool;
@@ -74,7 +73,6 @@ let default =
     keep_going = false;
     fault_specs = [];
     diagnostics = None;
-    solver_budget = None;
     analyses = [];
     report = None;
     ledger = true;
@@ -184,7 +182,7 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
     let store =
       match cfg.cache_dir with
       | Some dir -> Some (Engine_store.create ~dir ())
-      | None -> if cfg.fuse then Some (Engine_store.in_memory ()) else None
+      | None -> if cfg.fuse then Some (Engine_store.create ()) else None
     in
     let m0 =
       match from_whirl with
@@ -455,7 +453,6 @@ let config_digest (cfg : config) =
   add (string_of_bool cfg.autopar);
   add (string_of_bool cfg.keep_going);
   List.iter add cfg.fault_specs;
-  add (match cfg.solver_budget with Some n -> string_of_int n | None -> "");
   List.iter add cfg.analyses;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -641,22 +638,16 @@ let run (cfg : config) =
     Obs.Span.set_enabled true
   end;
   if metrics_path <> None || ledger_on then Obs.Metrics.set_enabled true;
-  (* fault injection and the solver budget are this run's plan, bound
-     below on the domain that runs the body (and by the pool on its
-     workers): nothing to tear down, and no other run sees them *)
+  (* fault injection is this run's plan, bound below on the domain that
+     runs the body (and by the pool on its workers): nothing to tear down,
+     and no other run sees it *)
   let plan =
     match Fault.parse_specs cfg.fault_specs with
-    | Ok pl_specs -> Some { Fault.pl_specs; pl_step_budget = cfg.solver_budget }
+    | Ok specs -> Some specs
     | Error msg ->
       Printf.eprintf "uhc: %s\n" msg;
       None
   in
-  let degrading = cfg.fault_specs <> [] || cfg.solver_budget <> None in
-  if degrading then
-    (* degraded answers are never memoized, but an earlier in-process run
-       may have cached exact answers the faulted run should recompute (and
-       vice versa for the run after) -- start from a cold solver cache *)
-    Linear.System.clear_cache ();
   Obs.Log.info "pipeline.start"
     [
       ("inputs", string_of_int (List.length cfg.paths));
@@ -673,7 +664,6 @@ let run (cfg : config) =
   let ledger_acc = { la_corpus_digest = ""; la_pus = [] } in
   Fun.protect
     ~finally:(fun () ->
-      if degrading then Linear.System.clear_cache ();
       (* flush observation files even when the pipeline failed: a trace of a
          crashed run is exactly what one wants to look at *)
       (match trace_path with
@@ -699,16 +689,6 @@ let run (cfg : config) =
                     ~ledger_acc cfg))
       in
       let metrics = Obs.Metrics.diff (Obs.Metrics.snapshot ()) metrics0 in
-      let degraded = Obs.Metrics.value metrics "solver.degraded" in
-      (* the registry is process-wide: a run whose plan cannot degrade
-         must not report another concurrent run's degraded queries *)
-      if degrading && degraded > 0 then
-        diags :=
-          Fault.Diag.make ~site:"solver" ~pu:"*" ~action:"interval-box"
-            (Printf.sprintf "%d quer%s answered from the interval box"
-               degraded
-               (if degraded = 1 then "y" else "ies"))
-          :: !diags;
       let diags = List.rev !diags in
       (match cfg.diagnostics with
       | None -> ()

@@ -48,16 +48,12 @@ type config = {
   fault_specs : string list;
       (** deterministic fault injection, [SITE:RATE:SEED[:ONLY]] per entry
           ({!Fault.parse_specs}); test/bench only — a malformed spec makes
-          {!run} return code 2 without running anything.  With
-          [solver_budget] it forms the run's {!Fault.plan} *)
+          {!run} return code 2 without running anything.  The parsed
+          specs are the run's fault plan ({!Fault.with_plan}) *)
   diagnostics : string option;
       (** write every recovery diagnostic of the run to this path as JSON
           ([{"diagnostics":[...]}], sorted; validated by
           [bench check-json]) *)
-  solver_budget : int option;
-      (** per-query step budget for {!Linear.System.feasible}; over-budget
-          queries degrade to the interval-box answer
-          (the [pl_step_budget] of the run's {!Fault.plan}) *)
   analyses : string list;
       (** client analyses to run over the finished interprocedural result,
           in order ([uhc --analyses bounds,permissions,regions]); names
@@ -108,15 +104,11 @@ val default : config
 val run : config -> result
 (** Runs the pipeline, printing to stdout/stderr like the [uhc] tool, and
     returns everything it produced as one {!result} record.  The fault
-    specs and solver budget are bound to this run alone
-    ({!Fault.with_plan}), so concurrent runs on other domains keep their
-    own settings and outputs.  A run with either clears the solver memo
-    cache before and after (including on exceptions), so neither it nor
-    later in-process runs read answers cached under other settings.  The
-    metrics registry, tracing and the log level stay process-wide; the
-    solver diagnostic reads its count from that registry, so it is only
-    recorded by runs with specs or a budget, and two such runs at once
-    each count the other's degraded queries too. *)
+    specs are bound to this run alone ({!Fault.with_plan}), so concurrent
+    runs on other domains keep their own settings and outputs.  The
+    solver memo, the metrics registry, tracing and the log level stay
+    process-wide; the memo holds exact answers only, so runs may share
+    it. *)
 
 val check_ledger_record : string -> Obs.Json.t -> (unit, string) Stdlib.result
 (** [check_ledger_record subject record] checks one run-ledger record

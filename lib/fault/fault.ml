@@ -1,38 +1,35 @@
-(* Deterministic, seed-driven fault injection, and the degradation plan of
-   a run.
+(* Deterministic, seed-driven fault injection.
 
    The pipeline calls [inject site ~key] at a handful of tagged points
-   (store reads/writes, marshal decode, pool workers, solver queries).
-   Whether a point fires is a pure function of (seed, site, key): the first
-   8 bytes of an MD5 over the three are mapped to a uniform in [0,1) and
-   compared against the configured rate.  No counters, no clocks — the same
+   (store reads/writes, marshal decode, pool workers).  Whether a point
+   fires is a pure function of (seed, site, key): the first 6 bytes of an
+   MD5 over the three are mapped to a uniform in [0,1) and compared
+   against the configured rate.  No counters, no clocks — the same
    spec over the same inputs fires at exactly the same points whatever the
    domain-pool schedule, which is what makes injected-fault runs
    reproducible and lets tests assert byte-identity of the non-faulted
    remainder.
 
-   The specs live in a [plan] bound to the domain running a run (and handed
-   by the engine's pool to the workers of each batch), never in a process
-   global: concurrent runs keep their own settings.  With no plan bound,
-   [inject] is one domain-local read. *)
+   A run's specs are its plan, bound to the domain running the run (and
+   handed by the engine's pool to the workers of each batch), never kept
+   in a process global: concurrent runs keep their own settings.  With no
+   plan bound, [inject] is one domain-local read. *)
 
-type site = Io_read | Io_write | Marshal | Pool | Solver
+type site = Io_read | Io_write | Marshal | Pool
 
-let all_sites = [ Io_read; Io_write; Marshal; Pool; Solver ]
+let all_sites = [ Io_read; Io_write; Marshal; Pool ]
 
 let site_name = function
   | Io_read -> "store.read"
   | Io_write -> "store.write"
   | Marshal -> "store.marshal"
   | Pool -> "pool"
-  | Solver -> "solver"
 
 let site_of_name = function
   | "store.read" -> Some Io_read
   | "store.write" -> Some Io_write
   | "store.marshal" -> Some Marshal
   | "pool" -> Some Pool
-  | "solver" -> Some Solver
   | _ -> None
 
 type spec = {
@@ -63,7 +60,7 @@ let parse_spec s =
     in
     match sites with
     | None ->
-      fail "unknown fault site %S (store.read|store.write|store.marshal|pool|solver|all)"
+      fail "unknown fault site %S (store.read|store.write|store.marshal|pool|all)"
         site_s
     | Some sites -> (
       match (float_of_string_opt rate_s, int_of_string_opt seed_s) with
@@ -93,12 +90,10 @@ let parse_specs strings =
   go [] strings
 
 (* ------------------------------------------------------------------ *)
-(* The run's plan: bound per domain, so concurrent runs never share it. *)
+(* The run's plan (its spec list): bound per domain, so concurrent runs
+   never share it. *)
 
-type plan = { pl_specs : spec list; pl_step_budget : int option }
-
-let none = { pl_specs = []; pl_step_budget = None }
-let plan_key = Domain.DLS.new_key (fun () -> none)
+let plan_key = Domain.DLS.new_key (fun () -> [])
 let current () = Domain.DLS.get plan_key
 
 let with_plan plan f =
@@ -140,7 +135,7 @@ let spec_fires sp site ~key =
   && uniform ~seed:sp.sp_seed site ~key < sp.sp_rate
 
 let fires site ~key =
-  List.exists (fun sp -> spec_fires sp site ~key) (current ()).pl_specs
+  List.exists (fun sp -> spec_fires sp site ~key) (current ())
 
 let inject site ~key =
   if fires site ~key then begin

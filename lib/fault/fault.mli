@@ -1,5 +1,4 @@
-(** Deterministic, seed-driven fault injection, and the degradation plan of
-    a run.
+(** Deterministic, seed-driven fault injection.
 
     The pipeline calls {!inject} at tagged points; whether a point fires is
     a pure function of (seed, site, key) — the MD5 of the three mapped to a
@@ -8,21 +7,19 @@
     same points on every run and at any [--jobs] setting; tests rely on
     this to assert byte-identity of the non-faulted remainder.
 
-    A run's fault specs and solver step budget form one immutable {!plan},
-    bound with {!with_plan} on the domain that runs it; the engine's pool
-    hands it to every worker that joins one of the run's batches.  Two runs
-    in one process therefore never see each other's settings.  Off by
-    default: with no plan bound ({!none}), {!inject} is one domain-local
-    read.  Intended for tests and benchmarks only — production tolerance
-    paths (cache self-healing, per-PU isolation, solver degradation) are
-    exercised by injecting here. *)
+    A run's fault specs are its plan, bound with {!with_plan} on the domain
+    that runs it; the engine's pool hands it to every worker that joins one
+    of the run's batches.  Two runs in one process therefore never see
+    each other's settings.  Off by default: with no plan bound (the empty
+    list), {!inject} is one domain-local read.  Intended for tests and
+    benchmarks only — production tolerance paths (cache self-healing,
+    per-PU isolation) are exercised by injecting here. *)
 
 type site =
   | Io_read  (** store file reads ("store.read") *)
   | Io_write  (** store file writes ("store.write") *)
   | Marshal  (** store entry decode ("store.marshal") *)
   | Pool  (** per-PU engine work on the domain pool ("pool") *)
-  | Solver  (** linear-solver queries ("solver") *)
 
 val all_sites : site list
 val site_name : site -> string
@@ -44,36 +41,18 @@ val parse_specs : string list -> (spec list, string) result
     ["all"] (which expands to one spec per site).  All-or-nothing: the
     concatenated expansion, or the first entry's error. *)
 
-type plan = {
-  pl_specs : spec list;  (** the injection points that fire *)
-  pl_step_budget : int option;
-      (** per-query cost cap of the linear solver (constraint count times
-          variable count, negative read as 0): a query over it answers
-          from the interval box, as one hit by the [solver] site does *)
-}
-(** What a run degrades on purpose: both settings decide which solver
-    queries give up their exact answer, and the specs also which store and
-    pool operations fail. *)
-
-val none : plan
-(** No spec, no budget: every answer exact.  What a domain sees outside
-    {!with_plan}. *)
-
-val with_plan : plan -> (unit -> 'a) -> 'a
-(** [with_plan plan f] runs [f] with [plan] bound on the calling domain,
+val with_plan : spec list -> (unit -> 'a) -> 'a
+(** [with_plan specs f] runs [f] with [specs] bound on the calling domain,
     and restores the previous binding on exit, exceptions included.  Other
     domains are unaffected. *)
 
-val current : unit -> plan
-(** The calling domain's plan. *)
-
-val fires : site -> key:string -> bool
-(** The pure decision under {!current}, without raising or counting. *)
+val current : unit -> spec list
+(** The calling domain's plan: [[]] outside {!with_plan}. *)
 
 val inject : site -> key:string -> unit
 (** @raise Injected when a spec of {!current} fires on (site, key); counts
-    the [fault.injected.<site>] metric first.  No-op under a plan without
-    specs. *)
+    the [fault.injected.<site>] metric first.  No-op under an empty
+    plan. *)
 
 (** Structured degradation diagnostics — what faulted, how bad, and what
     the pipeline did instead of aborting.  [uhc --diagnostics FILE] writes

@@ -6,11 +6,10 @@
    time — they measure solver work, not latency).
 
    [quiet] suppresses counting on the calling domain: System uses it when
-   it re-computes a query another query already claimed (a racing domain,
-   or a degraded query that took the claim without storing an answer), and
-   for every elimination the learned contexts trigger (whether
-   a context answers by a learned cut or pays an elimination depends on
-   query arrival order), which keeps every counter outside the ctx_* group
+   it re-computes a query another query already claimed (a racing
+   domain), and for every elimination the learned contexts trigger
+   (whether a context answers by a learned cut or pays an elimination
+   depends on query arrival order), which keeps every counter outside the ctx_* group
    scheduling-independent — each distinct system is counted exactly once
    however the engine's pool interleaves the work.
 

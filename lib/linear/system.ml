@@ -10,9 +10,8 @@ open Numeric
 
    Ids are allocation-order dependent (parallel domains intern in racy
    order), so nothing rendered, persisted or ordered may depend on them:
-   [compare]-based sorting stays structural in Constr/Expr, fault keys
-   stay content-serialized ([key_of]), and the engine's cache digests stay
-   content-based. *)
+   [compare]-based sorting stays structural in Constr/Expr, and the
+   engine's cache digests stay content-based. *)
 
 type pk_state =
   | Pk_unknown
@@ -20,8 +19,8 @@ type pk_state =
   | Pk_unpackable  (* non-integer coefficient or overflow at pack time *)
 
 (* A memoized answer together with its first-arrival claim: [Claimed] means
-   some query has reached the key (and counted the miss) but no exact
-   answer is stored yet — it is still computing, or it was degraded. *)
+   some query has reached the key (and counted the miss) but no answer is
+   stored yet — it is still computing. *)
 type answer = Unseen | Claimed | Yes | No
 
 module Imap = Map.Make (Int)
@@ -244,22 +243,6 @@ let small_threshold = 2
 
 let query_cost t = List.length t.cs * (1 + Var.Set.cardinal (vars t))
 
-(* Degradation: a query over the run's step budget
-   ([Fault.plan.pl_step_budget], a per-query cost cap of constraint count x
-   variable count, a deterministic proxy for elimination work) — or one
-   the fault plan targets — degrades to the interval-box answer instead of
-   running an eliminator: [true] unless the box alone refutes the system.
-   That direction is conservative everywhere feasibility is consumed
-   (implies/disjoint degrade to "cannot prove", so regions only grow).
-   Degraded answers are never memoized, so a run without a plan gets exact
-   answers immediately. *)
-let over_budget (plan : Fault.plan) t =
-  match plan.pl_step_budget with
-  | None -> false
-  | Some b -> query_cost t > max 0 b
-
-let c_degraded = Obs.Metrics.counter "solver.degraded"
-
 (* Packed rows, computed once per interned system.  Rows are immutable
    after [Packed.pack]; a racing duplicate compute stores an equivalent
    value, so a plain atomic set suffices.  [None] = not packable (cached
@@ -277,11 +260,6 @@ let packed_rows t =
     | exception (Packed.Not_packable | Rat.Overflow) ->
       Atomic.set t.pk Pk_unpackable;
       None)
-
-let box_feasible t =
-  match packed_rows t with
-  | None -> true
-  | Some rows -> ( match Packed.box_of rows with None -> false | Some _ -> true)
 
 (* The system's memo record for the current epoch, replacing a stale one. *)
 let rec memo t =
@@ -312,37 +290,6 @@ let context t =
     else Option.get (Atomic.get m.ctx)
 
 let clear_cache () = Atomic.incr epoch
-
-(* Canonical content key: [t.cs] is sorted and deduplicated, so serializing
-   (op, var ids, coefficients, constant) in order is injective.  Only the
-   fault-injection layer still needs this (fault firing must be a pure
-   function of the system's content, not of scheduling-dependent intern
-   ids). *)
-let key_of t =
-  let b = Buffer.create 128 in
-  let add_rat r =
-    Buffer.add_string b (string_of_int (Rat.num r));
-    if Rat.den r <> 1 then begin
-      Buffer.add_char b '/';
-      Buffer.add_string b (string_of_int (Rat.den r))
-    end
-  in
-  List.iter
-    (fun c ->
-      Buffer.add_char b (match Constr.op c with Constr.Le -> 'L' | Constr.Eq -> 'E');
-      let e = Constr.expr c in
-      Expr.fold
-        (fun v r () ->
-          Buffer.add_string b (string_of_int (Var.id v));
-          Buffer.add_char b ':';
-          add_rat r;
-          Buffer.add_char b ',')
-        e ();
-      Buffer.add_char b '=';
-      add_rat (Expr.constant e);
-      Buffer.add_char b ';')
-    t.cs;
-  Buffer.contents b
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
@@ -420,51 +367,28 @@ let feasible t =
   end
   else begin
     let t0 = now_ns () in
-    (* Degradation test, checked BEFORE the memo: deterministic in the
-       system's content (and the fault seed), never in scheduling or in
-       whatever answers previous queries left in the memo record.  Degraded
-       answers are not memoized either (they only take the first-arrival
-       claim), so lifting the budget (or the fault spec) restores exact
-       answers immediately.  The fault key stays the content serialization
-       — intern ids differ across runs — and is only built when a fault
-       spec is active. *)
-    let degrades () =
-      let plan = Fault.current () in
-      over_budget plan t
-      ||
-      match plan.pl_specs with
-      | [] -> false
-      | _ -> Fault.fires Fault.Solver ~key:(key_of t)
-    in
-    let degraded fresh =
-      if fresh then Obs.Metrics.Counter.incr c_degraded;
-      (box_feasible t, `Prefilter)
-    in
+    let m = memo t in
     let r, tag =
-      let m = memo t in
-      if degrades () then degraded (claim m.feas)
-      else
-        match Atomic.get m.feas with
-        | Yes ->
-          Solver_stats.cache_hit ();
-          (true, `Hit)
-        | No ->
-          Solver_stats.cache_hit ();
-          (false, `Hit)
-        | Unseen | Claimed ->
-          (* the first query to claim this system counts a miss (and
-             computes loudly); a racing or post-degradation one recomputes
-             quietly and counts a hit, so counters do not depend on pool
-             scheduling *)
-          let fresh = claim m.feas in
-          if fresh then Solver_stats.cache_miss ()
-          else Solver_stats.cache_hit ();
-          let r, tag =
-            if fresh then compute_feasible t
-            else Solver_stats.quiet (fun () -> compute_feasible t)
-          in
-          Atomic.set m.feas (if r then Yes else No);
-          (r, tag)
+      match Atomic.get m.feas with
+      | Yes ->
+        Solver_stats.cache_hit ();
+        (true, `Hit)
+      | No ->
+        Solver_stats.cache_hit ();
+        (false, `Hit)
+      | Unseen | Claimed ->
+        (* the first query to claim this system counts a miss (and
+           computes loudly); a racing one recomputes quietly and counts a
+           hit, so counters do not depend on pool scheduling *)
+        let fresh = claim m.feas in
+        if fresh then Solver_stats.cache_miss ()
+        else Solver_stats.cache_hit ();
+        let r, tag =
+          if fresh then compute_feasible t
+          else Solver_stats.quiet (fun () -> compute_feasible t)
+        in
+        Atomic.set m.feas (if r then Yes else No);
+        (r, tag)
     in
     let ns = now_ns () - t0 in
     Solver_stats.add_fast_ns ns;
@@ -475,52 +399,6 @@ let feasible t =
 (* The compound queries below route every internal feasibility test through
    [feasible] — inside the oracle scope included — so the reference and
    fast wall-clock counters cover the same set of underlying queries. *)
-
-let implies_uncached t c =
-  if Atomic.get use_reference then
-    List.for_all (fun n -> not (feasible (add n t))) (negations c)
-  else begin
-    let mt = Obs.Metrics.enabled () in
-    let t0 = if mt then now_ns () else 0 in
-    let observe h = if mt then Obs.Hist.observe h (now_ns () - t0) in
-    if List.exists (Constr.equal c) t.cs then begin
-      (* quasi-syntactic entailment: [c] is literally one of the
-         constraints *)
-      Solver_stats.syntactic_hit ();
-      observe h_implies_hit;
-      true
-    end
-    else begin
-      let fast =
-        match packed_rows t with
-        | None -> None
-        | Some rows -> (
-          try
-            match Packed.box_of rows with
-            | None ->
-              (* [t] itself is infeasible, so it entails anything *)
-              Solver_stats.box_refutation ();
-              Some true
-            | Some box ->
-              if Packed.box_implies box [| Packed.pack_constr c |] then begin
-                Solver_stats.syntactic_hit ();
-                Some true
-              end
-              else None
-          with Packed.Not_packable | Rat.Overflow -> None)
-      in
-      match fast with
-      | Some r ->
-        observe h_implies_prefilter;
-        r
-      | None ->
-        let r =
-          List.for_all (fun n -> not (feasible (add n t))) (negations c)
-        in
-        observe h_implies_eliminated;
-        r
-    end
-  end
 
 (* ---------- learned core: assumption queries over persistent contexts ----------
 
@@ -658,17 +536,6 @@ let implies_learned t c =
           observe h_implies_eliminated;
           r))
 
-(* The memo only applies when every answer underneath is exact: degraded
-   answers (step budget / fault spec) must not be frozen, and the oracle
-   scope times the unmemoized reference paths.  The same guard gates the
-   learned contexts — they are a memo layer too. *)
-let implies_memo_ok () =
-  (not (Atomic.get use_reference))
-  &&
-  match Fault.current () with
-  | { pl_specs = []; pl_step_budget = None } -> true
-  | _ -> false
-
 (* The answer cell of an implies key, and whether this caller created it:
    the creation is the pair's first-arrival claim, exactly one per pair and
    epoch. *)
@@ -701,12 +568,14 @@ let implies_computed m t c =
   Solver_stats.add_implies_ns (now_ns () - t0);
   r
 
+(* Inside the oracle scope the memo and the learned contexts (a memo layer
+   too) are bypassed, so the reference path is timed unmemoized. *)
 let implies t c =
   Solver_stats.implies_query ();
-  if not (implies_memo_ok ()) then begin
+  if Atomic.get use_reference then begin
     let t0 = now_ns () in
     Solver_stats.implies_fresh ();
-    let r = implies_uncached t c in
+    let r = List.for_all (fun n -> not (feasible (add n t))) (negations c) in
     Solver_stats.add_implies_ns (now_ns () - t0);
     r
   end

@@ -121,33 +121,17 @@ val sample : t -> (Var.t -> Rat.t) option
     by constraint id, and the learned {!Context}.  Each answer carries a
     first-arrival claim, so the hit/miss counters are the same at any
     [--jobs].  A repeat implies query is one map lookup with no lock, no
-    clock read and no allocation.
-
-    Degradation valve: each query reads the calling domain's
-    {!Fault.current} plan once.  A {!feasible} query (and through it
-    {!implies} / {!includes} / {!disjoint}) whose cost — constraint count
-    times variable count, a deterministic proxy for elimination work —
-    exceeds the plan's [pl_step_budget], or that the [solver] fault site
-    ({!Fault.Solver}) targets, answers from the interval box alone
-    ([false] only when the single-variable rows are already
-    contradictory).  The degraded direction is conservative everywhere the
-    engine consumes it (entailment and disjointness degrade to "cannot
-    prove", so regions only grow).  Degraded answers are counted in the
-    [solver.degraded] metric.  {!Reference.run} ignores the plan.
-
-    Degraded answers must not be frozen: a degraded feasibility query takes
-    the claim but never reads or writes the answer, and implies answers and
-    the learned implies path are bypassed under any plan other than
-    {!Fault.none}.  Inside {!Reference.run} no answer is read or written. *)
+    clock read and no allocation.  Every answer is exact, so every answer
+    is kept; inside {!Reference.run} no answer is read or written. *)
 
 val clear_cache : unit -> unit
 (** Forget every memo record: feasibility and implies answers with their
     first-arrival claims, and every learned {!Context} (direction
     thresholds, activity tables, bounds and projection memos).  One atomic
     epoch bump — a record from an older epoch reads as absent — so it is
-    safe while other domains are querying.  Used by benchmarks and at run
-    boundaries; never required for correctness, since cached answers are
-    exact facts. *)
+    safe while other domains are querying.  Used by benchmarks and tests
+    that measure cold solver work; never required for correctness, since
+    cached answers are exact facts. *)
 
 (** The exact rational reference eliminator, used as ground truth by the
     solver equivalence tests and the benchmarks.  [bounds] and [sample] are

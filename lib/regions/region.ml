@@ -553,9 +553,7 @@ let extent_check ~extents t =
     let some_out = ref false in
     for k = 0 to t.ndims - 1 do
       let d = Expr.var (Var.subscript k) in
-      (* proven inside: 0 <= d <= ext-1 entailed by the system.  Under a
-         solver step budget [implies] degrades to "cannot prove", which
-         lands the access in the Unknown (residual runtime check) bucket.
+      (* proven inside: 0 <= d <= ext-1 entailed by the system.
 
          The triplet's constant bounds decide most of these queries
          without a solver call: [Bconst l] is ceil of the exact rational
@@ -564,9 +562,7 @@ let extent_check ~extents t =
          [implies (d >= 0)] — infeasibility of [sys /\ d <= -1], i.e.
          inf > -1 — holds exactly when [l >= 0].  Each equivalence below
          is exact in both directions, so verdicts are identical to the
-         implies-only path (under a step budget [bounds] stays exact, so
-         the constant path may prove what a degraded [implies] cannot —
-         strictly fewer residual checks, never a wrong verdict). *)
+         implies-only path. *)
       let { lb; ub; _ } = dims_a.(k) in
       let low_in =
         match lb with

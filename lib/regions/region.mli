@@ -181,8 +181,8 @@ val extent_check : extents:int option list -> t -> extent_verdict
     [0 <= d_k <= extent_k - 1] entailed for every dimension {e and} an
     unclamped region; [Out_of_bounds] needs some known-extent dimension
     entailed entirely outside ([d_k <= -1] or [d_k >= extent_k]) — sound
-    even on over-approximated regions.  A solver step budget degrades
-    failed entailments to [Unknown_bounds], never to a wrong verdict.
+    even on over-approximated regions.  Every entailment is exact; what
+    neither proves is [Unknown_bounds].
     @raise Invalid_argument on rank mismatch. *)
 
 val equal_display : t -> t -> bool

@@ -106,6 +106,13 @@ dune exec bin/uhc.exe -- --corpus lu --keep-going --fault-spec all:0.0:1 \
 cmp "$out/plain/project.rgn" "$out/zero/project.rgn"
 cmp "$out/plain/project.dgn" "$out/zero/project.dgn"
 cmp "$out/plain/project.cfg" "$out/zero/project.cfg"
+# ... and so are its deterministic statistics: a rate-0 plan does no more
+# solver work than no plan at all
+dune exec bin/uhc.exe -- --corpus lu --stats-det -o "$out/zdet" \
+  >"$out/zdet0.txt"
+dune exec bin/uhc.exe -- --corpus lu --stats-det --keep-going \
+  --fault-spec all:0.0:1 -o "$out/zdet" >"$out/zdet1.txt"
+cmp "$out/zdet0.txt" "$out/zdet1.txt"
 
 echo "== smoke: run ledger + dragon history/explain/regress =="
 # two identical runs into one cache directory: the second is all cache

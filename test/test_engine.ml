@@ -80,7 +80,7 @@ let test_parallel_identical () =
       check_same_output (corpus ^ " parallel") serial
         (render par.Engine.e_result);
       (* warm in-memory cache, fresh lowering: everything re-interned *)
-      let store = Engine_store.in_memory () in
+      let store = Engine_store.create () in
       let cfg = Engine.config ~jobs:4 ~store () in
       let _cold = Engine.run cfg (lower files) in
       let warm = Engine.run cfg (lower files) in
@@ -170,7 +170,7 @@ let run_chain store src =
 
 let test_invalidation_callers_only () =
   (* edit g: g recollects; g, f, main re-summarize; h stays cached *)
-  let store = Engine_store.in_memory () in
+  let store = Engine_store.create () in
   let _ = run_chain store (chain_src ~g_bound:10 ~f_bound:20) in
   let r2 = run_chain store (chain_src ~g_bound:30 ~f_bound:20) in
   let st = r2.Engine.e_stats in
@@ -187,7 +187,7 @@ let test_invalidation_callers_only () =
   in
   check_same_output "edit g" (render fresh) (render r2.Engine.e_result);
   (* edit f: f recollects; f, main re-summarize; g and h stay cached *)
-  let store = Engine_store.in_memory () in
+  let store = Engine_store.create () in
   let _ = run_chain store (chain_src ~g_bound:10 ~f_bound:20) in
   let r3 = run_chain store (chain_src ~g_bound:10 ~f_bound:40) in
   let st = r3.Engine.e_stats in
@@ -199,7 +199,7 @@ let test_invalidation_callers_only () =
     st.Engine.Stats.s_summary_hits
 
 let test_unchanged_rerun_all_hits () =
-  let store = Engine_store.in_memory () in
+  let store = Engine_store.create () in
   let src = chain_src ~g_bound:10 ~f_bound:20 in
   let _ = run_chain store src in
   let r = run_chain store src in
@@ -276,8 +276,7 @@ let test_publish_exactly_once () =
   let cold_b =
     match Fault.parse_specs [ "store.read:1.0:1" ] with
     | Error e -> Alcotest.fail e
-    | Ok pl_specs ->
-      Fault.with_plan { Fault.none with pl_specs } (fun () -> run b)
+    | Ok specs -> Fault.with_plan specs (fun () -> run b)
   in
   let st = cold_b.Engine.e_stats in
   Alcotest.(check int) "second run was cold" 0 st.Engine.Stats.s_summary_hits;

@@ -10,7 +10,7 @@ let mget name = Obs.Metrics.Counter.get (Obs.Metrics.counter name)
 let with_specs raw f =
   match Fault.parse_specs raw with
   | Error e -> Alcotest.failf "parse_specs %s: %s" (String.concat " " raw) e
-  | Ok pl_specs -> Fault.with_plan { Fault.none with pl_specs } f
+  | Ok specs -> Fault.with_plan specs f
 
 (* ------------------------------------------------------------------ *)
 (* spec grammar *)
@@ -38,16 +38,23 @@ let test_spec_parsing () =
       match Fault.parse_specs [ bad ] with
       | Ok _ -> Alcotest.failf "%S should not parse" bad
       | Error _ -> ())
-    [ "bogus:0.5:1"; "pool:2.0:1"; "pool:-0.1:1"; "pool:x:1"; "pool:0.5"; "" ]
+    [ "bogus:0.5:1"; "pool:2.0:1"; "pool:-0.1:1"; "pool:x:1"; "pool:0.5"; "";
+      "solver:1.0:3" ]
 
 (* ------------------------------------------------------------------ *)
 (* determinism of the firing decision *)
+
+(* whether (site, key) fires under the bound plan, read through [inject] *)
+let fires site ~key =
+  match Fault.inject site ~key with
+  | () -> false
+  | exception Fault.Injected _ -> true
 
 let test_fires_deterministic () =
   let keys = List.init 200 (Printf.sprintf "pu:%d") in
   let draw rate seed =
     with_specs [ Printf.sprintf "pool:%g:%d" rate seed ] @@ fun () ->
-    List.map (fun k -> Fault.fires Fault.Pool ~key:k) keys
+    List.map (fun k -> fires Fault.Pool ~key:k) keys
   in
   Alcotest.(check (list bool))
     "same (rate, seed) fires identically" (draw 0.5 42) (draw 0.5 42);
@@ -69,11 +76,11 @@ let test_fires_deterministic () =
   (* the ONLY filter restricts eligibility by substring *)
   with_specs [ "pool:1.0:0:pu:7" ] @@ fun () ->
   Alcotest.(check bool) "only: match fires" true
-    (Fault.fires Fault.Pool ~key:"pu:7");
+    (fires Fault.Pool ~key:"pu:7");
   Alcotest.(check bool) "only: non-match spared" false
-    (Fault.fires Fault.Pool ~key:"pu:8");
+    (fires Fault.Pool ~key:"pu:8");
   Alcotest.(check bool) "only: other site spared" false
-    (Fault.fires Fault.Solver ~key:"pu:7")
+    (fires Fault.Io_read ~key:"pu:7")
 
 (* ------------------------------------------------------------------ *)
 (* cache self-healing: corrupted entries are quarantined and recomputed *)
@@ -241,18 +248,22 @@ let test_write_retry_exhaustion () =
     (Array.to_list (Sys.readdir (store_subdir dir)))
 
 (* ------------------------------------------------------------------ *)
-(* a zero-rate spec under --keep-going changes nothing, on every corpus *)
+(* a zero-rate spec under --keep-going changes nothing, on every corpus:
+   neither the output nor the deterministic statistics (solver work
+   included), each run starting from a cold solver memo *)
 
 let test_zero_rate_identity () =
+  let det (r : Engine.result) =
+    Format.asprintf "%a" Engine.Stats.pp_deterministic r.Engine.e_stats
+  in
   List.iter
     (fun corpus ->
       let files = Test_engine.corpus_files corpus in
-      let plain =
-        Test_engine.render
-          (Engine.run (Engine.config ~jobs:2 ()) (Test_engine.lower files))
-            .Engine.e_result
-      in
+      Linear.System.clear_cache ();
+      let p = Engine.run (Engine.config ~jobs:2 ()) (Test_engine.lower files) in
+      let plain = Test_engine.render p.Engine.e_result in
       with_specs [ "all:0.0:1" ] @@ fun () ->
+      Linear.System.clear_cache ();
       let r =
         Engine.run
           (Engine.config ~jobs:2 ~keep_going:true ())
@@ -260,45 +271,20 @@ let test_zero_rate_identity () =
       in
       Test_engine.check_same_output (corpus ^ " zero-rate") plain
         (Test_engine.render r.Engine.e_result);
+      Alcotest.(check string)
+        (corpus ^ " zero-rate stats-det")
+        (det p) (det r);
       Alcotest.(check int)
         (corpus ^ " no diagnostics")
         0
         (List.length r.Engine.e_diags))
     [ "lu"; "matrix"; "fig1"; "stride" ]
 
-(* ------------------------------------------------------------------ *)
-(* the solver budget degrades conservatively and resets cleanly *)
-
-let test_solver_budget () =
-  let files = Test_engine.corpus_files "lu" in
-  let exact =
-    Test_engine.render
-      (Engine.run (Engine.config ~jobs:1 ()) (Test_engine.lower files))
-        .Engine.e_result
-  in
-  let d0 = mget "solver.degraded" in
-  Linear.System.clear_cache ();
-  Fun.protect ~finally:Linear.System.clear_cache (fun () ->
-      Fault.with_plan { Fault.none with pl_step_budget = Some 1 } (fun () ->
-          let r =
-            Engine.run (Engine.config ~jobs:1 ()) (Test_engine.lower files)
-          in
-          ignore (Test_engine.render r.Engine.e_result)));
-  Alcotest.(check bool) "budget 1 degrades queries" true
-    (mget "solver.degraded" - d0 > 0);
-  let again =
-    Test_engine.render
-      (Engine.run (Engine.config ~jobs:1 ()) (Test_engine.lower files))
-        .Engine.e_result
-  in
-  Test_engine.check_same_output "budget resets cleanly" exact again
-
-(* A [Pipeline.run] of [corpus] (default lu) under [jobs], the budget and
-   the fault specs: its exit code must be 0; returns its .rgn/.dgn/.cfg
-   bytes and its diagnostics file.  Callers silence stdout around it, once
-   around concurrent calls. *)
-let project_files ?(corpus = "lu") ?solver_budget ?(fault_specs = []) ~jobs
-    () =
+(* A [Pipeline.run] of [corpus] (default lu) under [jobs] and the fault
+   specs (with keep_going when there are any): its exit code must be 0;
+   returns its .rgn/.dgn/.cfg bytes and its diagnostics file.  Callers
+   silence stdout around it, once around concurrent calls. *)
+let project_files ?(corpus = "lu") ?(fault_specs = []) ~jobs () =
   let dir = Test_engine.fresh_dir () in
   let r =
     Pipeline.run
@@ -307,7 +293,6 @@ let project_files ?(corpus = "lu") ?solver_budget ?(fault_specs = []) ~jobs
         corpus = Some corpus;
         out_dir = Some dir;
         jobs;
-        solver_budget;
         fault_specs;
         keep_going = fault_specs <> [];
         diagnostics = Some (Filename.concat dir "diagnostics.json");
@@ -324,40 +309,33 @@ let project_files ?(corpus = "lu") ?solver_budget ?(fault_specs = []) ~jobs
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
   bytes
 
-(* [Pipeline.run] binds its budget and fault spec for the length of the
-   run only: a budgeted, faulted run must leave neither behind, and the
-   next default run must emit exactly what a fresh default run does *)
+(* [Pipeline.run] binds its fault spec for the length of the run only: a
+   faulted run must leave none behind, and the next default run must emit
+   exactly what a fresh default run does *)
 let test_pipeline_resets_knobs () =
-  let run ?solver_budget ?fault_specs () =
-    Test_analyses.with_quiet_stdout
-      (project_files ?solver_budget ?fault_specs ~jobs:1)
+  let run ?fault_specs () =
+    Test_analyses.with_quiet_stdout (project_files ?fault_specs ~jobs:1)
   in
   let fresh = run () in
-  let d0 = mget "solver.degraded" in
-  ignore (run ~solver_budget:1 ~fault_specs:[ "solver:0.5:3" ] ());
+  let d0 = mget "fault.injected.pool" in
+  ignore (run ~fault_specs:[ "pool:0.5:3" ] ());
   Alcotest.(check bool) "the knobs were live" true
-    (mget "solver.degraded" - d0 > 0);
-  Alcotest.(check bool) "no plan left bound" true
-    (Fault.current () == Fault.none);
+    (mget "fault.injected.pool" - d0 > 0);
+  Alcotest.(check bool) "no plan left bound" true (Fault.current () = []);
   Alcotest.(check (list string)) "next default run = fresh default run" fresh
     (run ())
 
 (* Two runs at once on two domains, one degraded and parallel, one exact:
    each must emit what the same run emits alone, so neither sees the
-   other's budget or fault spec, nor loses its own when the other finishes
-   first.  Solver degradation alone leaves the files unchanged (the rows
-   come from exact projections), so the degraded run also isolates some
-   PUs on the pool, which the files do show; the diagnostics file must not
-   pick up the other run's degraded queries.  The pair runs on lu (exact
-   run serial) and on matrix, a C source, with both runs parallel so both
-   parse C and submit pool batches at once.  Every overlapping round runs
-   before the reference runs alone, so the first overlap is this test's
-   first use of the pool. *)
+   other's fault spec, nor loses its own when the other finishes first.
+   The degraded run isolates some PUs on the pool, which the files show.
+   The pair runs on lu (exact run serial) and on matrix, a C source, with
+   both runs parallel so both parse C and submit pool batches at once.
+   Every overlapping round runs before the reference runs alone, so the
+   first overlap is this test's first use of the pool. *)
 let test_concurrent_runs () =
   let degraded corpus () =
-    project_files ~corpus ~solver_budget:1
-      ~fault_specs:[ "solver:0.5:3"; "pool:0.2:5" ]
-      ~jobs:2 ()
+    project_files ~corpus ~fault_specs:[ "pool:0.2:5" ] ~jobs:2 ()
   in
   let exact corpus jobs () = project_files ~corpus ~jobs () in
   let cases = [ ("lu", 1); ("matrix", 2) ] in
@@ -471,8 +449,6 @@ let suite =
       `Quick test_write_retry_exhaustion;
     Alcotest.test_case "zero-rate spec is byte-identical on all corpora"
       `Slow test_zero_rate_identity;
-    Alcotest.test_case "solver budget degrades and resets" `Slow
-      test_solver_budget;
     Alcotest.test_case "Pipeline.run resets budget and fault spec" `Slow
       test_pipeline_resets_knobs;
     Alcotest.test_case "concurrent runs keep their own settings" `Slow

@@ -286,8 +286,7 @@ let prop_rgn_adversarial_roundtrip =
 let gen_fault_spec =
   Gen.(
     let* site =
-      oneofl
-        [ "store.read"; "store.write"; "store.marshal"; "pool"; "solver"; "all" ]
+      oneofl [ "store.read"; "store.write"; "store.marshal"; "pool"; "all" ]
     in
     let* rate = oneofl [ 0.0; 0.1; 0.5; 1.0 ] in
     let* seed = int_range 0 99 in
