@@ -724,6 +724,10 @@ let gates =
        print: 2266 bytes with the streaming writers, 7842 with the
        per-access formatting they replaced *)
     ("engine", "output_alloc_per_row", Ceiling 2500.);
+    (* a one-file edit digests only the edited file's PUs, and re-interns
+       every stored entry without renaming a variable *)
+    ("engine", "edit_digests_beyond_file", Ceiling 0.);
+    ("engine", "edit_entries_remapped", Ceiling 0.);
     ("bounds", "corpora.corpus=gen.sparse_proven", sparse_proven);
     (* the scale the generated corpus keeps *)
     ("gen", "files", Floor 200.);
@@ -822,8 +826,78 @@ let write_record ~json ~out bench members =
 (* Engine: parallel fan-out and the incremental summary cache.  With
    --json it also records the store numbers in BENCH_engine.json: the
    cold and warm in-process engine wall on LU and gen-small, the files
-   one cold gen-small run publishes, and the collect phase of a cold
-   gen-small run with how often its access shapes repeat. *)
+   one cold gen-small run publishes, the collect phase of a cold
+   gen-small run with how often its access shapes repeat, and what a
+   one-file gen-small edit recomputes in a fresh uhc process. *)
+
+(* A one-file edit of gen-small as a user makes it: a cold uhc run over
+   the sources on disk, a line-preserving edit of one file, and a warm
+   uhc run.  Each run is a new process, so symbolic variables get the ids
+   the stored entries were written with.  The warm run's counters: PU
+   digests computed (the edited file's, as the frontend lowers them) and
+   store entries re-interned by renaming.  uhc is the [bin/uhc.exe]
+   beside this executable's directory, so it must be built. *)
+let one_file_edit files ~dir =
+  let uhc =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "uhc.exe" ]
+  in
+  if not (Sys.file_exists uhc) then
+    failwith (uhc ^ " is missing: build it first (dune build)");
+  let src = Filename.concat dir "src" in
+  List.iter
+    (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+    [ dir; src ];
+  let write (name, contents) =
+    Out_channel.with_open_bin (Filename.concat src name) (fun oc ->
+        output_string oc contents)
+  in
+  List.iter write files;
+  let metrics = Filename.concat dir "metrics.json" in
+  let run () =
+    let cmd =
+      String.concat " "
+        (List.map Filename.quote
+           ([ uhc ]
+           @ List.map (fun (name, _) -> Filename.concat src name) files
+           @ [ "-o"; dir; "-p"; "p"; "--no-ledger"; "--cache-dir";
+               Filename.concat dir "cache"; "--metrics"; metrics ]))
+    in
+    if Sys.command (cmd ^ " >/dev/null 2>&1") <> 0 then
+      failwith ("bench engine: failed: " ^ cmd)
+  in
+  run ();
+  (* " + 0" after the last assignment of the second file (the first
+     holds main) *)
+  let name, contents = List.nth files 1 in
+  let lines = String.split_on_char '\n' contents in
+  let last =
+    List.fold_left
+      (fun (i, found) l ->
+        ( i + 1,
+          if String.contains l '=' && not (String.contains l '!') then i
+          else found ))
+      (0, -1) lines
+    |> snd
+  in
+  write
+    ( name,
+      String.concat "\n"
+        (List.mapi (fun i l -> if i = last then l ^ " + 0" else l) lines) );
+  run ();
+  match
+    Result.bind
+      (Obs.Json.parse (In_channel.with_open_bin metrics In_channel.input_all))
+      (fun doc ->
+        match Obs.Json.member "metrics" doc with
+        | Some l -> Obs.Metrics.of_json l
+        | None -> Error "no metrics member")
+  with
+  | Ok d ->
+    ( Obs.Metrics.value d "engine.digest.computed",
+      Obs.Metrics.value d "store.reintern.remapped" )
+  | Error e -> failwith (metrics ^ ": " ^ e)
 
 let bench_engine ~json ~out () =
   header "Engine: parallel + incremental analysis (NAS LU, gen-small)";
@@ -962,6 +1036,10 @@ let bench_engine ~json ~out () =
     ignore (once ());
     once ()
   in
+  let edit_pus = Corpus.Gen.default.Corpus.Gen.g_pus_per_file in
+  let edit_computed, edit_remapped =
+    Fun.protect ~finally:rm (fun () -> one_file_edit gs_files ~dir)
+  in
   Printf.printf "disk cache, LU: cold %.4fs, warm %.4fs (%.1fx)\n" lu_cold
     lu_warm (lu_cold /. lu_warm);
   Printf.printf "disk cache, gen-small: cold %.4fs, warm %.4fs (%.1fx)\n"
@@ -971,6 +1049,10 @@ let bench_engine ~json ~out () =
   Printf.printf "warm speedup, both corpora: %.2fx\n" warm_speedup;
   Printf.printf "a cold gen-small run publishes %d file%s\n" cold_files
     (if cold_files = 1 then "" else "s");
+  Printf.printf
+    "one-file gen-small edit (%d PUs in the file): %d PU digests computed, \
+     %d store entries remapped\n"
+    edit_pus edit_computed edit_remapped;
   Printf.printf
     "cold gen-small collect: %.4fs, %.2f regions requested per distinct shape\n"
     gs_collect shape_reuse;
@@ -994,7 +1076,13 @@ let bench_engine ~json ~out () =
         ("shape_reuse", fixed 2 shape_reuse);
         recorded_bound "engine" "shape_reuse";
         ("output_alloc_per_row", fixed 1 output_alloc_per_row);
-        recorded_bound "engine" "output_alloc_per_row" ]) ]
+        recorded_bound "engine" "output_alloc_per_row";
+        ("edit_digests_computed", int edit_computed);
+        ("edit_file_pus", int edit_pus);
+        ("edit_digests_beyond_file", int (edit_computed - edit_pus));
+        recorded_bound "engine" "edit_digests_beyond_file";
+        ("edit_entries_remapped", int edit_remapped);
+        recorded_bound "engine" "edit_entries_remapped" ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Solver: the production core against the reference eliminator, end to

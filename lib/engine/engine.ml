@@ -6,8 +6,12 @@
    construction) across a domain pool and reuses cached results keyed by
    content digests:
 
-   - [key1 pu] digests the global symbol table plus the PU's serialized
-     body: it addresses the *local* collection result;
+   - [key1 pu] digests the global symbol table, the PU's module position
+     [i] and its content digest ([Whirl_io.pu_digest], every Mem_Loc left
+     out: [Layout] derives those from the PU's table and [i]): it
+     addresses the *local* collection result.  [Frontend_cache] carries
+     the content digest of every PU it lowered or read back, so a warm
+     run digests only what it could not carry;
    - [key2 pu] is a Merkle digest folding [key1] of the PU together with
      the [key2] of everything it (transitively) calls: it addresses the
      *interprocedural* summary, so editing one PU invalidates exactly that
@@ -127,6 +131,10 @@ let c_collect_misses = Obs.Metrics.counter "engine.collect.misses"
 let c_summary_hits = Obs.Metrics.counter "engine.summary.hits"
 let c_summary_misses = Obs.Metrics.counter "engine.summary.misses"
 
+(* PU content digests computed, here or by [Frontend_cache] as it lowers;
+   a carried digest is not counted *)
+let c_digest_computed = Obs.Metrics.counter "engine.digest.computed"
+
 (* the run's shape memo: regions collection asked for, and distinct shapes
    built (the memo's size at the end of the run) *)
 let c_regions_requested = Obs.Metrics.counter "collect.regions.requested"
@@ -142,7 +150,7 @@ let phase_hist =
       Hashtbl.replace tbl name h;
       h
 
-let run_ (cfg : config) (m : Ir.module_) : result =
+let run_ ~digests (cfg : config) (m : Ir.module_) : result =
   let jobs = Engine_pool.resolve_jobs cfg.jobs in
   let metrics0 = Obs.Metrics.snapshot () in
   let t_start = Obs.Trace.now_ns () in
@@ -184,19 +192,30 @@ let run_ (cfg : config) (m : Ir.module_) : result =
   Array.iteri (fun i pu -> Hashtbl.replace idx_of pu.Ir.pu_name i) pus;
   let idx name = Hashtbl.find_opt idx_of name in
   let pu_of name = Option.map (Array.get pus) (idx name) in
-  (* ---- content digests (after layout: Mem_Locs are part of content) - *)
+  (* ---- content digests: carried by the frontend, or computed ------- *)
   let key1 =
     timed "digest" (fun sink ->
-        let gd = Digest.to_hex (Whirl_io.symtab_digest m.Ir.m_global) in
+        let gd = Whirl_io.symtab_digest m.Ir.m_global in
+        (* a carried digest names the record the frontend returned: any
+           other PU, a transformed one included, is digested here *)
+        let carried = Array.of_list digests in
+        let carried i =
+          if i < Array.length carried && fst carried.(i) == pus.(i) then
+            Some (snd carried.(i))
+          else None
+        in
         let keys = Array.make n Digest.(string "") in
         let scratch = Domain.DLS.new_key (fun () -> Buffer.create 65536) in
         Engine_pool.run ~sink ~jobs
           (Array.init n (fun i () ->
-               let buf = Domain.DLS.get scratch in
-               Buffer.clear buf;
-               Buffer.add_string buf gd;
-               Whirl_io.add_pu_content buf m pus.(i);
-               keys.(i) <- Digest.string (Buffer.contents buf)));
+               let d =
+                 match carried i with
+                 | Some d -> d
+                 | None ->
+                   Obs.Metrics.Counter.incr c_digest_computed;
+                   Whirl_io.pu_digest (Domain.DLS.get scratch) m pus.(i)
+               in
+               keys.(i) <- Digest.string (gd ^ string_of_int i ^ d)));
         keys)
   in
   (* ---- collection + CFGs, one task per PU --------------------------- *)
@@ -507,10 +526,10 @@ let run_ (cfg : config) (m : Ir.module_) : result =
 (* A run that raises still publishes what it stored (each entry is the
    finished result of its key), so it leaves no temp file behind; after a
    normal run the store has nothing left to publish. *)
-let run cfg m =
+let run ?(digests = []) cfg m =
   Fun.protect
     ~finally:(fun () -> Option.iter Engine_store.publish cfg.store)
-    (fun () -> run_ cfg m)
+    (fun () -> run_ ~digests cfg m)
 
 (* Drop-in successors of the removed [Ipa.Analyze.analyze{,_sources}]
    reference entry points: one engine run, no store, serial by default. *)

@@ -6,8 +6,9 @@
     across an OCaml domain pool and reusing content-addressed cached
     results:
 
-    - collection results are keyed by a digest of the global symbol table
-      plus the PU's serialized WHIRL body;
+    - collection results are keyed by a digest of the global symbol table,
+      the PU's module position and its content digest
+      ({!Whirl.Whirl_io.pu_digest});
     - summaries are keyed by a Merkle digest that also folds in every
       (transitive) callee's key, so editing one PU re-summarizes exactly
       that PU and its transitive callers.
@@ -94,9 +95,17 @@ type result = {
           order: the run ledger's per-PU section *)
 }
 
-val run : config -> Whirl.Ir.module_ -> result
+val run :
+  ?digests:(Whirl.Ir.pu * Digest.t) list -> config -> Whirl.Ir.module_ -> result
 (** Also assigns the memory layout (Mem_Loc) if not yet done, like the
-    serial path. *)
+    serial path.
+
+    [digests] (default none) are content digests carried from the
+    frontend ({!Frontend_cache.result}), in module order: the [i]-th is
+    used for the module's [i]-th PU only when that PU is physically the
+    carried record.  Every other PU — a transformed one, a module read
+    from a [.wir] file — is digested here, with the same function
+    ([engine.digest.computed] counts them). *)
 
 val analyze : ?jobs:int -> Whirl.Ir.module_ -> Ipa.Analyze.result
 (** One uncached engine run, returning just the analysis result —

@@ -12,7 +12,9 @@
    - [en_syms] records, for every [Sym] variable in the value, which
      (procedure, st) it stood for.  On load those are looked up through
      [Ipa.Collect.sym_var], so a region loaded from disk constrains the very
-     same variables a fresh analysis of the module would.
+     same variables a fresh analysis of the module would.  When all of
+     them kept their ids, the value is re-interned as it is (see
+     "Re-interning").
 
    Induction variables need no such treatment: they never escape their PU,
    so keeping their (counter-bumped) ids is enough.
@@ -41,7 +43,18 @@ type 'a entry = {
   en_counter : int;
   en_syms : (int * string * int * string) list;
       (* saved var id, owning procedure ("" = global), st code, name *)
+  en_writer : Digest.t;
+      (* the writing process ([writer_token]): its intern ids name the same
+         content in every entry it wrote *)
   en_value : 'a;
+}
+
+(* How a decoded entry's values are rebuilt in this process: its variables,
+   its expressions and its systems (see "Re-interning"). *)
+type relink = {
+  rl_var : Linear.Var.t -> Linear.Var.t;
+  rl_expr : Linear.Expr.t -> Linear.Expr.t;
+  rl_sys : Linear.System.t -> Linear.System.t;
 }
 
 (* A published segment file, or the producer's unpublished temp file. *)
@@ -73,6 +86,7 @@ type t = {
   mutable segs : seg list; (* published segments this handle indexed *)
   mutable writer : writer option;
   mutable diags : Fault.Diag.t list; (* degradation events, newest first *)
+  identity : (Digest.t, relink) Hashtbl.t; (* per writer, see [identity] *)
 }
 
 let schema_token = String.sub Build_info.fingerprint 0 12
@@ -149,62 +163,125 @@ let syms_of vars =
     vars []
 
 (* ------------------------------------------------------------------ *)
-(* Re-interning *)
+(* Re-interning
 
-let remap_fn m syms =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (id, owner, st, name) ->
-      Hashtbl.replace tbl id (Ipa.Collect.sym_var ~m ~pu:owner ~st ~name))
-    syms;
-  fun v ->
-    match Hashtbl.find_opt tbl (Linear.Var.id v) with
-    | Some v' -> v'
-    | None -> v
+   A decoded entry holds the writer's values: canonical there, but not
+   interned here.  Each is rebuilt through one [relink].  The writer's
+   intern ids name contents across everything that process wrote, so a
+   relink memoizes on them: on the identity path once per writer for the
+   whole run (the entries of one cold run share most of their systems),
+   on the remap path once per entry. *)
 
-let map_affine f = function
-  | Affine.Affine e -> Affine.Affine (Linear.Expr.map_vars f e)
+let writer_token =
+  Digest.string
+    (Printf.sprintf "%d %.6f %d" (Unix.getpid ()) (Unix.gettimeofday ())
+       (Random.State.bits (Random.State.make_self_init ())))
+
+(* [f], memoized on the writer's intern id of its argument; lookups may come
+   from several domains (two that race both intern the same value) *)
+let memo id f =
+  let tbl = Hashtbl.create 64 and lock = Mutex.create () in
+  fun x ->
+    let k = id x in
+    match Mutex.protect lock (fun () -> Hashtbl.find_opt tbl k) with
+    | Some y -> y
+    | None ->
+      let y = f x in
+      Mutex.protect lock (fun () -> Hashtbl.replace tbl k y);
+      y
+
+(* Every symbolic variable kept its id (and name): the stored values are
+   canonical as they are, and only their intern ids are looked up.  It
+   does not depend on the entry, so one serves every entry of a writer. *)
+let identity_relink () =
+  let expr = memo Linear.Expr.id Linear.Expr.reintern in
+  let constr = memo Linear.Constr.id (Linear.Constr.reintern expr) in
+  {
+    rl_var = Fun.id;
+    rl_expr = expr;
+    rl_sys = memo Linear.System.id (Linear.System.reintern constr);
+  }
+
+(* Some symbolic variable moved: rename through [f], re-normalizing every
+   constraint and re-sorting every system. *)
+let remap_relink f =
+  {
+    rl_var = f;
+    rl_expr = memo Linear.Expr.id (Linear.Expr.map_vars f);
+    rl_sys = memo Linear.System.id (Linear.System.map_vars f);
+  }
+
+let c_remapped = Obs.Metrics.counter "store.reintern.remapped"
+
+(* The relink of an entry: the identity path when every [en_syms] variable
+   resolves through [Ipa.Collect.sym_var] to the id and name it was saved
+   with (a fresh process over an unchanged symbol layout), the remap path
+   otherwise.  [identity writer] is the store's identity relink for the
+   entry's writer. *)
+let relink_of ~identity m (entry : _ entry) =
+  let live =
+    List.map
+      (fun (id, owner, st, name) ->
+        (id, name, Ipa.Collect.sym_var ~m ~pu:owner ~st ~name))
+      entry.en_syms
+  in
+  if
+    List.for_all
+      (fun (id, name, v) ->
+        Linear.Var.id v = id && String.equal (Linear.Var.name v) name)
+      live
+  then identity entry.en_writer
+  else begin
+    Obs.Metrics.Counter.incr c_remapped;
+    let tbl = Hashtbl.create 16 in
+    List.iter (fun (id, _, v) -> Hashtbl.replace tbl id v) live;
+    remap_relink (fun v ->
+        match Hashtbl.find_opt tbl (Linear.Var.id v) with
+        | Some v' -> v'
+        | None -> v)
+  end
+
+let relink_region rl = Region.reintern ~expr:rl.rl_expr ~sys:rl.rl_sys
+
+let relink_affine rl = function
+  | Affine.Affine e -> Affine.Affine (rl.rl_expr e)
   | Affine.Sparse s ->
     Affine.Sparse
-      {
-        s with
-        Affine.sp_inner = Option.map (Linear.Expr.map_vars f) s.Affine.sp_inner;
-      }
+      { s with Affine.sp_inner = Option.map rl.rl_expr s.Affine.sp_inner }
   | Affine.Messy -> Affine.Messy
 
-let map_loop f ((st, lc) : int * Region.loop_ctx) =
+let relink_loop rl ((st, lc) : int * Region.loop_ctx) =
   ( st,
     {
-      Region.lc_var = f lc.Region.lc_var;
-      lc_lo = map_affine f lc.Region.lc_lo;
-      lc_hi = map_affine f lc.Region.lc_hi;
+      Region.lc_var = rl.rl_var lc.Region.lc_var;
+      lc_lo = relink_affine rl lc.Region.lc_lo;
+      lc_hi = relink_affine rl lc.Region.lc_hi;
       lc_step = lc.Region.lc_step;
     } )
 
-let map_access f (a : Ipa.Collect.access) =
-  { a with Ipa.Collect.ac_region = Region.map_vars f a.Ipa.Collect.ac_region }
+let relink_access rl (a : Ipa.Collect.access) =
+  { a with Ipa.Collect.ac_region = relink_region rl a.Ipa.Collect.ac_region }
 
-let map_site f (s : Ipa.Collect.site) =
+let relink_site rl (s : Ipa.Collect.site) =
   {
     s with
     Ipa.Collect.s_args =
       List.map
         (function
           | Ipa.Collect.Arg_array_elem (st, coords) ->
-            Ipa.Collect.Arg_array_elem (st, List.map (map_affine f) coords)
-          | Ipa.Collect.Arg_value r -> Ipa.Collect.Arg_value (map_affine f r)
+            Ipa.Collect.Arg_array_elem (st, List.map (relink_affine rl) coords)
+          | Ipa.Collect.Arg_value r -> Ipa.Collect.Arg_value (relink_affine rl r)
           | (Ipa.Collect.Arg_array_whole _ | Ipa.Collect.Arg_scalar_ref _) as a
             -> a)
         s.Ipa.Collect.s_args;
-    s_loops = List.map (map_loop f) s.Ipa.Collect.s_loops;
+    s_loops = List.map (relink_loop rl) s.Ipa.Collect.s_loops;
   }
 
-let map_summary f (s : Ipa.Summary.t) : Ipa.Summary.t =
+let relink_summary rl (s : Ipa.Summary.t) : Ipa.Summary.t =
   List.map
     (fun (e : Ipa.Summary.entry) ->
-      { e with Ipa.Summary.e_region = Region.map_vars f e.Ipa.Summary.e_region })
+      { e with Ipa.Summary.e_region = relink_region rl e.Ipa.Summary.e_region })
     s
-
 
 (* ------------------------------------------------------------------ *)
 (* Observability and degradation events *)
@@ -414,6 +491,7 @@ let create ?dir () =
       segs = [];
       writer = None;
       diags = [];
+      identity = Hashtbl.create 4;
     }
   in
   List.iter (fun (p, index) -> ignore (add_segment t p index)) indexes;
@@ -817,22 +895,32 @@ let publish t =
    [find_*] route the verified bytes through [decode_entry] (fault
    injection, quarantine) before re-interning them. *)
 
-let collect_of_entry ~m (entry : collect_payload entry) : collect_payload =
+(* the identity relink of [writer]'s entries, one per writer per handle *)
+let identity t writer =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.identity writer with
+      | Some rl -> rl
+      | None ->
+        let rl = identity_relink () in
+        Hashtbl.add t.identity writer rl;
+        rl)
+
+let collect_of_entry t ~m (entry : collect_payload entry) : collect_payload =
   Linear.Var.advance_past entry.en_counter;
-  let f = remap_fn m entry.en_syms in
+  let rl = relink_of ~identity:(identity t) m entry in
   let p = entry.en_value in
   {
-    cp_accesses = List.map (map_access f) p.cp_accesses;
-    cp_sites = List.map (map_site f) p.cp_sites;
+    cp_accesses = List.map (relink_access rl) p.cp_accesses;
+    cp_sites = List.map (relink_site rl) p.cp_sites;
   }
 
-let summary_of_entry ~m (entry : summary_payload entry) : summary_payload =
+let summary_of_entry t ~m (entry : summary_payload entry) : summary_payload =
   Linear.Var.advance_past entry.en_counter;
-  let f = remap_fn m entry.en_syms in
+  let rl = relink_of ~identity:(identity t) m entry in
   let p = entry.en_value in
   {
-    sp_summary = map_summary f p.sp_summary;
-    sp_propagated = List.map (map_access f) p.sp_propagated;
+    sp_summary = relink_summary rl p.sp_summary;
+    sp_propagated = List.map (relink_access rl) p.sp_propagated;
   }
 
 (* Entry images carry each system's constraints only, never its
@@ -865,6 +953,7 @@ let encode_collect (p : collect_payload) =
     {
       en_counter = Linear.Var.current ();
       en_syms = syms_of vars;
+      en_writer = writer_token;
       en_value =
         {
           p with
@@ -886,6 +975,7 @@ let encode_summary (p : summary_payload) =
     {
       en_counter = Linear.Var.current ();
       en_syms = syms_of vars;
+      en_writer = writer_token;
       en_value =
         {
           sp_summary =
@@ -907,13 +997,13 @@ let add_collect t ~key (p : collect_payload) =
   add_raw ~keep:true t "c" key (encode_collect p)
 
 let find_collect t ~m ~key : collect_payload option =
-  Option.map (collect_of_entry ~m) (find_decoded ~keep:true t "c" key)
+  Option.map (collect_of_entry t ~m) (find_decoded ~keep:true t "c" key)
 
 let add_summary t ~key (p : summary_payload) =
   add_raw ~keep:true t "s" key (encode_summary p)
 
 let find_summary t ~m ~key : summary_payload option =
-  Option.map (summary_of_entry ~m) (find_decoded ~keep:true t "s" key)
+  Option.map (summary_of_entry t ~m) (find_decoded ~keep:true t "s" key)
 
 (* ------------------------------------------------------------------ *)
 (* Frontend artifacts: disk only, never held in memory.  Each is read at
@@ -923,6 +1013,7 @@ let find_summary t ~m ~key : summary_payload option =
 type body_artifact = {
   ba_body : Lang.Sema.body;
   ba_pus : Whirl.Ir.pu list;
+  ba_digests : Digest.t list;
 }
 
 let add_artifact t ns key v =

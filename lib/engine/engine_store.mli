@@ -9,9 +9,16 @@
     Loaded values are re-interned: symbolic variables inside cached regions
     are resolved through the current process's [Ipa.Collect.sym_var]
     registry, so a cache hit yields structures indistinguishable from a
-    fresh analysis.  Lookups are safe to issue from several domains
-    concurrently; additions and {!publish} are expected from the
-    coordinating domain.
+    fresh analysis.  When every one resolves to the id it was saved with
+    (a fresh process over an unchanged symbol layout: the usual warm run),
+    the stored expressions, constraints and systems are already canonical
+    and are only looked up ({!Linear.System.reintern}: the identity path);
+    otherwise they are renamed, re-normalized and re-sorted (the remap
+    path, counted in [store.reintern.remapped]).  Both give the same
+    values.  On the identity path each distinct expression, constraint
+    and system one writer stored is rebuilt once per handle.  Lookups are
+    safe to issue from several domains concurrently; additions and
+    {!publish} are expected from the coordinating domain.
 
     On disk, each producer ({!Frontend_cache.load}, {!Engine.run}) streams
     the entries it adds into one process-private temp file, and {!publish}
@@ -119,7 +126,13 @@ val drain_diags : t -> Fault.Diag.t list
 
 type body_artifact = {
   ba_body : Lang.Sema.body;
+      (** the checked file with procedure headers only
+          ({!Lang.Sema.header}): what {!Lang.Sema.add_body} links *)
   ba_pus : Whirl.Ir.pu list;  (** lowered, before {!Whirl.Layout} *)
+  ba_digests : Digest.t list;
+      (** {!Whirl.Whirl_io.pu_digest} of each of [ba_pus], in order: a hit
+          carries them to {!Engine.run}, which digests no PU it gets
+          one for *)
 }
 
 val find_interface : t -> key:Digest.t -> Lang.Sema.interface option

@@ -7,16 +7,20 @@
    - the interface (pass-1 global registrations, procedure names and
      kinds) under the file key, a digest of (path, contents) -- the path
      is part of the IR through [Loc.file];
-   - the body (checked [proc_info]s, sema warnings, lowered PUs) under
-     (file key, environment digest): pass 2 and the lowering read other
-     files only through the linked environment.
+   - the body (procedure headers, sema warnings, lowered PUs and their
+     content digests) under (file key, environment digest): pass 2 and the
+     lowering read other files only through the linked environment, and
+     nothing after lowering reads a procedure's AST body.
 
    A file whose interface and body both hit is never parsed.  [Layout]
    runs later, in [Engine.run], so the stored PUs carry no Mem_Locs and
-   the linked module is the one the uncached composition builds. *)
+   the linked module is the one the uncached composition builds.  A PU's
+   content digest leaves its Mem_Locs out, so the stored one is what the
+   engine would compute after layout. *)
 
 type result = {
   fr_module : Whirl.Ir.module_;
+  fr_digests : (Whirl.Ir.pu * Digest.t) list;
   fr_skipped : (string * Lang.Diag.t) list;
 }
 
@@ -24,6 +28,7 @@ let c_iface_hits = Obs.Metrics.counter "frontend.artifact.interface.hits"
 let c_iface_misses = Obs.Metrics.counter "frontend.artifact.interface.misses"
 let c_body_hits = Obs.Metrics.counter "frontend.artifact.body.hits"
 let c_body_misses = Obs.Metrics.counter "frontend.artifact.body.misses"
+let c_digest_computed = Obs.Metrics.counter "engine.digest.computed"
 
 let file_key name contents =
   let b = Buffer.create (String.length name + String.length contents + 16) in
@@ -42,7 +47,7 @@ type unit_state = {
 }
 
 type unit_body =
-  | Cached of Whirl.Ir.pu list
+  | Cached of Engine_store.body_artifact
   | Fresh of Digest.t * Lang.Sema.body
 
 let load ?store ?(keep_going = false) files =
@@ -105,7 +110,7 @@ let load ?store ?(keep_going = false) files =
           | Some ba ->
             count c_body_hits;
             Lang.Sema.add_body linker ba.Engine_store.ba_body;
-            Cached ba.Engine_store.ba_pus
+            Cached ba
           | None ->
             count c_body_misses;
             Fresh (key, Lang.Sema.check_unit linker (parse u)))
@@ -113,22 +118,46 @@ let load ?store ?(keep_going = false) files =
     in
     (List.rev skipped, Lang.Sema.finish linker, bodies)
   in
-  let m =
+  let m, digests =
     Obs.Span.with_ ~cat:"phase" ~name:"lower" @@ fun () ->
     let g = Whirl.Lower.globals prog in
-    let pus =
-      List.concat_map
-        (function
-          | Cached pus -> pus
-          | Fresh (key, body) ->
-            let pus =
-              List.map (Whirl.Lower.lower_proc g) body.Lang.Sema.b_procs
-            in
-            add Engine_store.add_body key
-              { Engine_store.ba_body = body; ba_pus = pus };
-            pus)
+    let lowered =
+      List.map
+        (fun b ->
+          match b with
+          | Cached ba -> (b, ba.Engine_store.ba_pus)
+          | Fresh (_, body) ->
+            (b, List.map (Whirl.Lower.lower_proc g) body.Lang.Sema.b_procs))
         bodies
     in
-    Whirl.Lower.assemble g prog pus
+    let m = Whirl.Lower.assemble g prog (List.concat_map snd lowered) in
+    (* a PU's digest reads its procedure's kind from the module *)
+    let buf = Buffer.create 65536 in
+    let digests =
+      List.concat_map
+        (fun (b, pus) ->
+          match b with
+          | Cached ba -> List.combine pus ba.Engine_store.ba_digests
+          | Fresh (key, body) ->
+            let ds =
+              List.map
+                (fun pu ->
+                  Obs.Metrics.Counter.incr c_digest_computed;
+                  Whirl.Whirl_io.pu_digest buf m pu)
+                pus
+            in
+            add Engine_store.add_body key
+              {
+                Engine_store.ba_body =
+                  { body with
+                    Lang.Sema.b_procs =
+                      List.map Lang.Sema.header body.Lang.Sema.b_procs };
+                ba_pus = pus;
+                ba_digests = ds;
+              };
+            List.combine pus ds)
+        lowered
+    in
+    (m, digests)
   in
-  { fr_module = m; fr_skipped = skipped }
+  { fr_module = m; fr_digests = digests; fr_skipped = skipped }

@@ -184,11 +184,11 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
       | Some dir -> Some (Engine_store.create ~dir ())
       | None -> if cfg.fuse then Some (Engine_store.create ()) else None
     in
-    let m0 =
+    let m0, digests =
       match from_whirl with
       | Some path -> (
         match Whirl.Whirl_io.load ~path with
-        | Ok m -> m
+        | Ok m -> (m, [])
         | Error e -> failwith (Printf.sprintf "%s: %s" path e))
       | None ->
         let fr =
@@ -218,7 +218,7 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
             (count "interface.hits") (count "interface.misses")
             (count "body.hits") (count "body.misses")
         end;
-        fr.Frontend_cache.fr_module
+        (fr.Frontend_cache.fr_module, fr.Frontend_cache.fr_digests)
     in
     let m0 =
       if cfg.wopt then begin
@@ -243,7 +243,9 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
       Engine.config ~jobs:cfg.jobs ?store ~keep_going:cfg.keep_going ()
     in
     let analyze m =
-      let r = Engine.run engine_cfg m in
+      (* the engine uses a carried digest only for a PU the frontend
+         returned untouched, so --wopt and --fuse output is digested anew *)
+      let r = Engine.run ~digests engine_cfg m in
       diags := List.rev_append r.Engine.e_diags !diags;
       stats := Some r.Engine.e_stats;
       ledger_acc.la_pus <- r.Engine.e_pus;

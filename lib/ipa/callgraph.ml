@@ -91,15 +91,23 @@ let build (m : Ir.module_) =
       Hashtbl.replace callee_map name [];
       Hashtbl.replace caller_map name [])
     order;
-  let push tbl key v =
-    let cur = try Hashtbl.find tbl key with Not_found -> [] in
-    if not (List.mem v cur) then Hashtbl.replace tbl key (cur @ [ v ])
+  (* lists are built newest first, deduplicated through a seen-set of
+     (key, value) per map, and reversed once: first-occurrence order *)
+  let push seen tbl key v =
+    if not (Hashtbl.mem seen (key, v)) then begin
+      Hashtbl.replace seen (key, v) ();
+      let cur = try Hashtbl.find tbl key with Not_found -> [] in
+      Hashtbl.replace tbl key (v :: cur)
+    end
   in
+  let callee_seen = Hashtbl.create 64 and caller_seen = Hashtbl.create 64 in
   List.iter
     (fun cs ->
-      push callee_map cs.cs_caller cs.cs_callee;
-      push caller_map cs.cs_callee cs.cs_caller)
+      push callee_seen callee_map cs.cs_caller cs.cs_callee;
+      push caller_seen caller_map cs.cs_callee cs.cs_caller)
     sites;
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) callee_map;
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) caller_map;
   let callees_of name =
     try Hashtbl.find callee_map name with Not_found -> []
   in

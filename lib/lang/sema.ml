@@ -27,6 +27,20 @@ type proc_info = {
   pi_language : Ast.language;
 }
 
+let header pi =
+  {
+    pi with
+    pi_proc =
+      {
+        pi.pi_proc with
+        Ast.proc_params = [];
+        proc_decls = [];
+        proc_consts = [];
+        proc_body = [];
+      };
+    pi_symbols = String_map.empty;
+  }
+
 type program = {
   prog_procs : proc_info String_map.t;
   prog_order : string list;

@@ -43,6 +43,12 @@ type proc_info = {
   pi_language : Ast.language;
 }
 
+val header : proc_info -> proc_info
+(** The procedure's header: name, kind, location, file, object and
+    language, with no parameters, declarations, constants, body or
+    symbols.  What a module keeps once its procedures are lowered
+    ({!Whirl.Lower.assemble}), and what the WHIRL reader rebuilds. *)
+
 type program = {
   prog_procs : proc_info String_map.t;
   prog_order : string list;  (** procedure names in definition order *)

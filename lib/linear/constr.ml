@@ -69,6 +69,8 @@ let subst v e t = make (Expr.subst v e t.expr) t.op
 
 let map_vars f t = make (Expr.map_vars f t.expr) t.op
 
+let reintern expr t = mk (expr t.expr) t.op
+
 let holds valuation t =
   let v = Expr.eval valuation t.expr in
   match t.op with Le -> Rat.sign v <= 0 | Eq -> Rat.sign v = 0

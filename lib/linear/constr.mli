@@ -38,6 +38,12 @@ val subst : Var.t -> Expr.t -> t -> t
 val map_vars : (Var.t -> Var.t) -> t -> t
 (** Rename variables; the result is re-normalized. *)
 
+val reintern : (Expr.t -> Expr.t) -> t -> t
+(** [reintern expr c] is the canonical value of a deserialized constraint
+    whose expression [expr] re-interns ({!Expr.reintern}, possibly
+    memoized).  A stored constraint is already normalized and its
+    variables keep their ids, so it is not normalized again. *)
+
 val holds : (Var.t -> Rat.t) -> t -> bool
 
 val vars : t -> Var.t list

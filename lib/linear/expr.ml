@@ -90,6 +90,10 @@ let map_vars f t =
   in
   mk terms t.constant
 
+(* [hash] is structural over variable ids and coefficients, so a stored one
+   is still right when the ids are *)
+let reintern t = I.intern { t with id = -1 }
+
 let eval valuation t =
   Var.Map.fold
     (fun v c acc -> Rat.add acc (Rat.mul c (valuation v)))

@@ -37,6 +37,12 @@ val map_vars : (Var.t -> Var.t) -> t -> t
     mapped together are summed).  Used by the engine's cache to re-intern
     deserialized symbolic variables. *)
 
+val reintern : t -> t
+(** The canonical value of a deserialized expression whose variables are
+    the live ones (same ids): its content and stored {!hash} are kept, only
+    the intern id is looked up.  The engine cache's fast path; an
+    expression whose variables moved goes through {!map_vars}. *)
+
 val eval : (Var.t -> Rat.t) -> t -> Rat.t
 (** @raise Not_found if the valuation lacks a variable of [t]. *)
 

@@ -116,6 +116,8 @@ let subst v e t = of_list (List.map (Constr.subst v e) t.cs)
 
 let map_vars f t = of_list (List.map (Constr.map_vars f) t.cs)
 
+let reintern constr t = intern_norm (List.map constr t.cs)
+
 (* Fourier-Motzkin step.  An equality mentioning [v] gives an exact
    substitution; otherwise lower bounds (coeff < 0) pair with upper bounds
    (coeff > 0).

@@ -27,8 +27,8 @@ val id : t -> int
 val detach : t -> t
 (** The same constraints without the process-local caches (packed rows and
     memo record): the form a Marshal image may carry.  Not canonical and
-    never to be queried — a loaded image must be re-interned (any
-    constructor, e.g. {!map_vars}) first. *)
+    never to be queried — a loaded image must be re-interned first
+    ({!reintern}, or any constructor such as {!map_vars}). *)
 
 val equal : t -> t -> bool
 (** Structural equality of the canonical forms, answered by id. *)
@@ -73,6 +73,12 @@ val subst : Var.t -> Expr.t -> t -> t
 
 val map_vars : (Var.t -> Var.t) -> t -> t
 (** Rename variables in every constraint (re-normalized and re-sorted). *)
+
+val reintern : (Constr.t -> Constr.t) -> t -> t
+(** [reintern constr s] is the canonical system of a deserialized (detached)
+    one whose constraints [constr] re-interns ({!Constr.reintern}).  The
+    stored list is already canonical ({!Constr.compare} is structural and
+    the variables keep their ids), so it is not sorted again. *)
 
 val bounds : Var.t -> t -> Rat.t option * Rat.t option
 (** [(lo, hi)] — the tightest constant bounds on the variable implied by the

@@ -459,18 +459,18 @@ let contains_point t coords =
            | _ -> true)
          t.dims coords
 
-let map_vars f t =
-  (* Structural rename: the triplet view is carried over (with its bound
-     expressions renamed), NOT recomputed, so that a region reloaded from
-     the engine's cache renders byte-identically to the original. *)
+let reintern ~expr ~sys t =
+  (* the triplet view is carried over (with its bound expressions
+     re-interned), NOT recomputed, so that a region reloaded from the
+     engine's cache renders byte-identically to the original *)
   let map_bound = function
     | Bconst _ as b -> b
-    | Bsym e -> Bsym (Expr.map_vars f e)
+    | Bsym e -> Bsym (expr e)
     | Bunknown -> Bunknown
   in
   {
     t with
-    sys = System.map_vars f t.sys;
+    sys = sys t.sys;
     dims =
       List.map
         (fun d -> { d with lb = map_bound d.lb; ub = map_bound d.ub })

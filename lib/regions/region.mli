@@ -124,15 +124,22 @@ val contains_point : t -> int list -> bool
 val subst_sym : (Linear.Var.t * Linear.Expr.t) list -> t -> t
 (** Substitute symbolic variables (formal-to-actual translation). *)
 
-val map_vars : (Linear.Var.t -> Linear.Var.t) -> t -> t
-(** Rename every variable, preserving (not recomputing) the triplet view —
-    the engine cache uses this to re-intern deserialized regions onto the
-    live symbolic-variable registry. *)
+val reintern :
+  expr:(Linear.Expr.t -> Linear.Expr.t) ->
+  sys:(Linear.System.t -> Linear.System.t) ->
+  t ->
+  t
+(** [r] with its system passed through [sys] and its symbolic triplet
+    bounds through [expr], preserving (not recomputing) the triplet view.
+    The engine cache re-interns a deserialized region with it, so it
+    renders byte-identically to the original: through
+    {!Linear.Expr.reintern}/{!Linear.System.reintern} when the region's
+    variables kept their ids, through [map_vars] when they moved. *)
 
 val detach : (Linear.System.t -> Linear.System.t) -> t -> t
 (** [detach d r] is [r] over [d] of its system, where [d] is
     {!Linear.System.detach} or a wrapper that detaches each system once:
-    what the engine cache marshals.  {!map_vars} re-interns a loaded
+    what the engine cache marshals.  {!reintern} re-interns a loaded
     one. *)
 
 val close_under_loops : loop_ctx list -> t -> t

@@ -14,7 +14,7 @@ type module_ = {
   m_id : int;
   m_global : Symtab.t;
   m_pus : pu list;
-  m_program : Lang.Sema.program;
+  m_program : Lang.Sema.program;  (* procedure headers only *)
 }
 
 (* atomic: runs on different domains lower modules at the same time *)

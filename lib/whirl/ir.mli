@@ -26,6 +26,8 @@ type module_ = {
   m_global : Symtab.t;
   m_pus : pu list;
   m_program : Lang.Sema.program;
+      (** procedure headers ({!Lang.Sema.header}: kind, location, file,
+          object), globals, files and warnings; no AST bodies *)
 }
 
 val fresh_module_id : unit -> int

@@ -316,7 +316,8 @@ let assemble g (prog : Sema.program) pus =
     Ir.m_id = Ir.fresh_module_id ();
     m_global = g.g_symtab;
     m_pus = pus;
-    m_program = prog;
+    m_program =
+      { prog with Sema.prog_procs = SM.map Sema.header prog.Sema.prog_procs };
   }
 
 let lower (prog : Sema.program) : Ir.module_ =

@@ -140,9 +140,12 @@ let write_pu buf (m : Ir.module_) pu =
   Buffer.add_string buf "endpu\n"
 
 (* Content images for the engine's digests: a compact binary encoding of
-   exactly the fields the textual format round-trips, minus the formatting
-   cost (one [Printf.sprintf] per WN node is what makes [write] too slow to
-   run on every cache probe).  Never parsed — only hashed. *)
+   the fields the textual format round-trips, minus the formatting cost
+   (one [Printf.sprintf] per WN node is what makes [write] too slow to run
+   on every cache probe), and minus every [st_mem_loc]: [Layout] derives
+   those from the table alone (and, for a PU, its module position), so an
+   image reads the same before and after layout.  Never parsed — only
+   hashed. *)
 
 let add_int buf x = Buffer.add_int64_le buf (Int64.of_int x)
 
@@ -181,7 +184,6 @@ let add_symtab_content buf st =
       add_str buf e.Symtab.st_name;
       add_int buf e.Symtab.st_ty;
       add_str buf (sclass_str e.Symtab.st_sclass);
-      add_int buf e.Symtab.st_mem_loc;
       add_loc buf e.Symtab.st_loc;
       (* index-array directives are analysis inputs: editing one must miss
          the content-addressed caches and re-analyze every user *)
@@ -252,7 +254,8 @@ let rec add_wn_content buf last_file (w : Wn.t) =
   add_ci buf (Array.length w.Wn.kids);
   Array.iter (add_wn_content buf last_file) w.Wn.kids
 
-let add_pu_content buf (m : Ir.module_) pu =
+let pu_digest buf (m : Ir.module_) pu =
+  Buffer.clear buf;
   add_str buf pu.Ir.pu_name;
   add_int buf pu.Ir.pu_st;
   add_str buf pu.Ir.pu_file;
@@ -264,7 +267,8 @@ let add_pu_content buf (m : Ir.module_) pu =
   add_int buf (List.length pu.Ir.pu_formals);
   List.iter (add_int buf) pu.Ir.pu_formals;
   add_symtab_content buf pu.Ir.pu_symtab;
-  add_wn_content buf (ref "") pu.Ir.pu_body
+  add_wn_content buf (ref "") pu.Ir.pu_body;
+  Digest.string (Buffer.contents buf)
 
 let write (m : Ir.module_) =
   let buf = Buffer.create 4096 in

@@ -17,14 +17,17 @@ val pu_to_string : Ir.module_ -> Ir.pu -> string
     tree.  Because the format round-trips bit-exactly, this string is a
     faithful content key for the PU. *)
 
-val add_pu_content : Buffer.t -> Ir.module_ -> Ir.pu -> unit
-(** Appends a compact binary image of everything {!pu_to_string} would
-    serialize (header, formals, local symbol table including [Mem_Loc]s,
-    the WN tree).  Same content, same bytes — but an order of magnitude
-    cheaper to produce, which matters because the engine re-images every PU
-    on every invocation to probe its cache.  Never parsed, only hashed. *)
+val pu_digest : Buffer.t -> Ir.module_ -> Ir.pu -> Digest.t
+(** The digest of a compact binary image of everything {!pu_to_string}
+    serializes (header, formals, local symbol table, the WN tree) except
+    the [Mem_Loc]s, which {!Layout} derives from the local table and the
+    PU's module position.  So the digest is the same before and after
+    layout.  The image is built in the given buffer, which is cleared
+    first: callers reuse one per domain.  An order of magnitude cheaper
+    than {!pu_to_string}; never parsed, only hashed. *)
 
 val symtab_digest : Symtab.t -> Digest.t
+(** Like {!pu_digest}, over a symbol table alone ([Mem_Loc]s left out). *)
 
 val parse : string -> (Ir.module_, string) result
 (** The reconstructed module carries a stub semantic program (empty

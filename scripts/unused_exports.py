@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""List the values a lib/**/*.mli exports that no other source file names.
+"""List the values a lib/**/*.mli exports that no other source file names,
+and the library modules no other source file names.
 
 A word-level scan: an exported `val NAME` counts as used when the word NAME
 appears in any .ml/.mli under lib, bin, bench, test, perfbench or examples
 other than its own module's .ml and .mli.  Common words ("run", "pp") hide
 real unused exports, so the scan under-reports; it never over-reports.
+A module (lib/**/NAME.mli, module Name) counts as used when the word Name
+appears outside comments in another such file; only test files naming it
+still reports it (without --tests-only), since a module kept for its own
+suite alone is dead code.
 
     python3 scripts/unused_exports.py            # list, then the count
     python3 scripts/unused_exports.py --max N    # also fail if count > N
@@ -21,6 +26,26 @@ ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 DIRS = ["lib", "bin", "bench", "test", "perfbench", "examples"]
 VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)", re.M)
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+TOKEN = re.compile(r'\(\*|\*\)|"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\\n])\'')
+
+
+def code_words(text):
+    """The words of an OCaml source outside (nested) comments."""
+    out, depth, pos = [], 0, 0
+    for m in TOKEN.finditer(text):
+        if depth == 0:
+            out.append(text[pos:m.start()])
+        tok = m.group(0)
+        if tok == "(*":
+            depth += 1
+        elif tok == "*)":
+            depth = max(0, depth - 1)
+        elif depth == 0:
+            out.append(tok)
+        pos = m.end()
+    if depth == 0:
+        out.append(text[pos:])
+    return set(WORD.findall(" ".join(out)))
 
 
 def sources():
@@ -33,15 +58,21 @@ def sources():
 
 
 def main(argv):
-    words = {}
+    words, code = {}, {}
     for path in sources():
         with open(path, encoding="utf-8", errors="replace") as fh:
-            words[path] = set(WORD.findall(fh.read()))
+            text = fh.read()
+        words[path] = set(WORD.findall(text))
+        code[path] = code_words(text)
     tests_only = argv == ["--tests-only"]
     test_dir = os.path.join(ROOT, "test") + os.sep
     unused = []
     for mli in sorted(p for p in words if p.endswith(".mli") and "/lib/" in p):
         own = {mli, mli[:-1]}
+        module = os.path.basename(mli)[:-4].capitalize()
+        users = [p for p, ws in code.items() if p not in own and module in ws]
+        if not tests_only and not [p for p in users if not p.startswith(test_dir)]:
+            unused.append((os.path.relpath(mli, ROOT), "module " + module))
         with open(mli, encoding="utf-8", errors="replace") as fh:
             names = VAL.findall(fh.read())
         for name in names:

@@ -16,7 +16,8 @@ fi
 
 echo "== no unused exports in lib/**/*.mli =="
 # a word-level scan (scripts/unused_exports.py): every exported value must
-# be named by some other source file; the count may not grow back above 0
+# be named by some other source file, and every library module by some
+# non-test file; the count may not grow back above 0
 if command -v python3 >/dev/null 2>&1; then
   python3 scripts/unused_exports.py --max 0
 else

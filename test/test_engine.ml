@@ -411,6 +411,185 @@ let test_segments_bounded () =
     (render (Engine.analyze (lower !files)))
     (render warm.Engine.e_result)
 
+(* ---- re-interning: the identity path against the remap path -------- *)
+
+(* every region of a result: each PU's collected accesses, then its
+   summary entries *)
+let regions (r : Ipa.Analyze.result) =
+  List.concat_map
+    (fun (name, (info : Ipa.Collect.pu_info)) ->
+      List.map (fun a -> a.Ipa.Collect.ac_region) info.Ipa.Collect.p_accesses
+      @ List.map
+          (fun e -> e.Ipa.Summary.e_region)
+          (try List.assoc name r.Ipa.Analyze.r_summaries with Not_found -> []))
+    r.Ipa.Analyze.r_infos
+
+let check_regions what ~translate want got =
+  let want = regions want and got = regions got in
+  Alcotest.(check int) (what ^ ": region count") (List.length want)
+    (List.length got);
+  List.iter2
+    (fun a b ->
+      let b = translate b in
+      if
+        not
+          (Linear.System.equal a.Regions.Region.sys b.Regions.Region.sys
+          && Format.asprintf "%a" Regions.Region.pp a
+             = Format.asprintf "%a" Regions.Region.pp b)
+      then
+        Alcotest.failf "%s: %s <> %s" what
+          (Format.asprintf "%a" Regions.Region.pp a)
+          (Format.asprintf "%a" Regions.Region.pp b))
+    want got
+
+let test_reintern_paths () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let files = corpus_files "gen-small" in
+  let remapped = Obs.Metrics.counter "store.reintern.remapped" in
+  let run m =
+    let r0 = Obs.Metrics.Counter.get remapped in
+    let r =
+      Engine.run (Engine.config ~store:(Engine_store.create ~dir ()) ()) m
+    in
+    (r, Obs.Metrics.Counter.get remapped - r0)
+  in
+  let m = lower files in
+  let cold, _ = run m in
+  (* the same module again: every symbolic variable keeps its id, so every
+     entry takes the identity path *)
+  let ident, n_ident = run m in
+  let st = ident.Engine.e_stats in
+  Alcotest.(check int) "identity: all collect hits" st.Engine.Stats.s_pus
+    st.Engine.Stats.s_collect_hits;
+  Alcotest.(check int) "identity: all summary hits" st.Engine.Stats.s_pus
+    st.Engine.Stats.s_summary_hits;
+  Alcotest.(check int) "identity: nothing remapped" 0 n_ident;
+  check_regions "identity path = computed" ~translate:Fun.id
+    cold.Engine.e_result ident.Engine.e_result;
+  (* a new lowering mints new symbolic variables: the remap path *)
+  let remap, n_remap = run (lower files) in
+  Alcotest.(check bool) "new module: entries remapped" true (n_remap > 0);
+  (* its regions, over the first module's variables *)
+  let g v =
+    match Ipa.Collect.sym_info v with
+    | Some (owner, st) when Linear.Var.is_sym v ->
+      Ipa.Collect.sym_var ~m ~pu:owner ~st ~name:(Linear.Var.name v)
+    | _ -> v
+  in
+  check_regions "remap path = identity path"
+    ~translate:
+      (Regions.Region.reintern ~expr:(Linear.Expr.map_vars g)
+         ~sys:(Linear.System.map_vars g))
+    ident.Engine.e_result remap.Engine.e_result;
+  let want = render cold.Engine.e_result in
+  check_same_output "identity path" want (render ident.Engine.e_result);
+  check_same_output "remap path" want (render remap.Engine.e_result)
+
+(* ---- fresh uhc processes over one cache directory --------------------- *)
+
+(* One uhc process over [files], written into [dir]/src: the .rgn/.dgn/.cfg
+   contents it writes and a counter of its --metrics file. *)
+let uhc_run ~dir ?cache ?(flags = []) files =
+  let src = Filename.concat dir "src" and out = Filename.concat dir "out" in
+  List.iter
+    (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+    [ src; out ];
+  let paths =
+    List.map
+      (fun (name, contents) ->
+        let p = Filename.concat src (Filename.basename name) in
+        Out_channel.with_open_bin p (fun oc -> output_string oc contents);
+        p)
+      files
+  in
+  let metrics = Filename.concat dir "metrics.json" in
+  let cmd =
+    String.concat " "
+      ([ Test_cli.exe "uhc" ]
+      @ List.map Filename.quote paths
+      @ [ "-o"; Filename.quote out; "-p"; "p"; "--no-ledger"; "--metrics";
+          Filename.quote metrics ]
+      @ (match cache with
+        | Some c -> [ "--cache-dir"; Filename.quote c ]
+        | None -> [])
+      @ flags)
+  in
+  (match Test_cli.run_capture cmd with
+  | Unix.WEXITED 0, _ -> ()
+  | _, output -> Alcotest.failf "%s failed:\n%s" cmd output);
+  let read f =
+    In_channel.with_open_bin (Filename.concat out f) In_channel.input_all
+  in
+  let counts =
+    match
+      Result.bind
+        (Obs.Json.parse (In_channel.with_open_bin metrics In_channel.input_all))
+        (fun doc ->
+          match Obs.Json.member "metrics" doc with
+          | Some l -> Obs.Metrics.of_json l
+          | None -> Error "no metrics member")
+    with
+    | Ok d -> Obs.Metrics.value d
+    | Error e -> Alcotest.failf "%s: %s" metrics e
+  in
+  ((read "p.rgn", read "p.dgn", read "p.cfg"), counts)
+
+let test_fresh_process_paths () =
+  if Test_cli.binaries_present () then begin
+    let dir = fresh_dir () in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let cache = Filename.concat dir "cache" in
+    let files = corpus_files "gen-small" in
+    let n = List.length files * Corpus.Gen.default.Corpus.Gen.g_pus_per_file in
+    let _, cold = uhc_run ~dir ~cache files in
+    Alcotest.(check int) "cold: every PU digested once" n
+      (cold "engine.digest.computed");
+    let _, warm = uhc_run ~dir ~cache files in
+    Alcotest.(check int) "warm: every digest carried" 0
+      (warm "engine.digest.computed");
+    Alcotest.(check int) "warm: every entry on the identity path" 0
+      (warm "store.reintern.remapped");
+    (* a new local in the first subroutine moves the symbolic variable of
+       every later PU's scalars; declared on an existing line, so no
+       procedure's location (part of the global table) moves *)
+    let shifted =
+      match files with
+      | (name, src) :: rest ->
+        let found = ref false in
+        let lines =
+          List.map
+            (fun l ->
+              if (not !found) && String.trim l = "integer d, i" then begin
+                found := true;
+                l ^ ", zznew"
+              end
+              else l)
+            (String.split_on_char '\n' src)
+        in
+        if not !found then Alcotest.failf "%s: no local to extend" name;
+        (name, String.concat "\n" lines) :: rest
+      | [] -> Alcotest.fail "no files"
+    in
+    let out, edited = uhc_run ~dir ~cache shifted in
+    Alcotest.(check bool) "shifted ids: entries remapped" true
+      (edited "store.reintern.remapped" > 0);
+    let want, _ = uhc_run ~dir shifted in
+    check_same_output "shifted ids" want out;
+    (* a transformed PU is never the record the frontend carried a digest
+       for: the engine digests every one *)
+    List.iter
+      (fun flag ->
+        ignore (uhc_run ~dir ~cache ~flags:[ flag ] shifted);
+        let out, warm = uhc_run ~dir ~cache ~flags:[ flag ] shifted in
+        Alcotest.(check int)
+          (flag ^ ": every transformed PU digested") n
+          (warm "engine.digest.computed");
+        let want, _ = uhc_run ~dir ~flags:[ flag ] shifted in
+        check_same_output flag want out)
+      [ "--wopt"; "--fuse" ]
+  end
+
 let suite =
   [
     Alcotest.test_case "parallel and warm byte-identical" `Slow
@@ -429,4 +608,8 @@ let suite =
       test_cold_run_few_files;
     Alcotest.test_case "segment count stays bounded" `Quick
       test_segments_bounded;
+    Alcotest.test_case "identity re-interning equals the remap path" `Quick
+      test_reintern_paths;
+    Alcotest.test_case "fresh processes: carried digests, remap on id shift"
+      `Quick test_fresh_process_paths;
   ]

@@ -36,7 +36,23 @@ let check_same what files ((fr : Frontend_cache.result), _) =
   Alcotest.(check bool)
     (what ^ ": program equal") true
     (program_image want.Whirl.Ir.m_program
-    = program_image got.Whirl.Ir.m_program)
+    = program_image got.Whirl.Ir.m_program);
+  (* the carried digests name the module's own PUs, in order, and equal
+     the digest computed now, before and after layout *)
+  let buf = Buffer.create 4096 in
+  let carried when_ =
+    Alcotest.(check bool)
+      (what ^ ": carried digests " ^ when_) true
+      (List.length fr.Frontend_cache.fr_digests
+       = List.length got.Whirl.Ir.m_pus
+      && List.for_all2
+           (fun pu (pu', d) ->
+             pu == pu' && d = Whirl.Whirl_io.pu_digest buf got pu)
+           got.Whirl.Ir.m_pus fr.Frontend_cache.fr_digests)
+  in
+  carried "before layout";
+  Whirl.Layout.assign got;
+  carried "after layout"
 
 (* one load with its artifact counts (Test_engine.artifact_counts of a
    registry diff around it) *)

@@ -130,6 +130,98 @@ let test_fig1_callgraph () =
     "callees of add" [ "p1"; "p2" ] (Callgraph.callees cg "add");
   Alcotest.(check bool) "not recursive" false (Callgraph.is_recursive cg "add")
 
+(* The call graph as [Callgraph.build] defined it before its lists were
+   deduplicated through a seen-set: [List.mem] then append, Tarjan over
+   those lists, levels from the leaves.  The oracle for the graph's
+   adjacency and schedule. *)
+let callgraph_oracle cg =
+  let order = Callgraph.procs cg in
+  let callee_map = Hashtbl.create 16 and caller_map = Hashtbl.create 16 in
+  List.iter
+    (fun n ->
+      Hashtbl.replace callee_map n [];
+      Hashtbl.replace caller_map n [])
+    order;
+  let push tbl key v =
+    let cur = try Hashtbl.find tbl key with Not_found -> [] in
+    if not (List.mem v cur) then Hashtbl.replace tbl key (cur @ [ v ])
+  in
+  List.iter
+    (fun (cs : Callgraph.callsite) ->
+      push callee_map cs.Callgraph.cs_caller cs.Callgraph.cs_callee;
+      push caller_map cs.Callgraph.cs_callee cs.Callgraph.cs_caller)
+    (Callgraph.callsites cg);
+  let find tbl n = try Hashtbl.find tbl n with Not_found -> [] in
+  let index = Hashtbl.create 16 and low = Hashtbl.create 16 in
+  let on_stack = Hashtbl.create 16 in
+  let stack = ref [] and counter = ref 0 and comps = ref [] in
+  let rec visit v =
+    Hashtbl.replace index v !counter;
+    Hashtbl.replace low v !counter;
+    incr counter;
+    stack := v :: !stack;
+    Hashtbl.replace on_stack v ();
+    List.iter
+      (fun w ->
+        if not (Hashtbl.mem index w) then begin
+          visit w;
+          Hashtbl.replace low v (min (Hashtbl.find low v) (Hashtbl.find low w))
+        end
+        else if Hashtbl.mem on_stack w then
+          Hashtbl.replace low v (min (Hashtbl.find low v) (Hashtbl.find index w)))
+      (find callee_map v);
+    if Hashtbl.find low v = Hashtbl.find index v then begin
+      let rec pop acc =
+        match !stack with
+        | [] -> acc
+        | w :: rest ->
+          stack := rest;
+          Hashtbl.remove on_stack w;
+          if w = v then w :: acc else pop (w :: acc)
+      in
+      comps := pop [] :: !comps
+    end
+  in
+  List.iter (fun v -> if not (Hashtbl.mem index v) then visit v) order;
+  let sccs = Array.of_list (List.rev !comps) in
+  let scc_of = Hashtbl.create 16 in
+  Array.iteri (fun i scc -> List.iter (fun p -> Hashtbl.replace scc_of p i) scc) sccs;
+  let levels = Array.make (Array.length sccs) 0 in
+  Array.iteri
+    (fun i scc ->
+      List.iter
+        (fun p ->
+          List.iter
+            (fun c ->
+              match Hashtbl.find_opt scc_of c with
+              | Some j when j <> i -> levels.(i) <- max levels.(i) (levels.(j) + 1)
+              | _ -> ())
+            (find callee_map p))
+        scc)
+    sccs;
+  (find callee_map, find caller_map, Array.to_list sccs, levels)
+
+let test_callgraph_oracle () =
+  List.iter
+    (fun corpus ->
+      let m =
+        Whirl.Lower.lower (Lang.Frontend.load ~files:(Test_engine.corpus_files corpus))
+      in
+      let cg = Callgraph.build m in
+      let callees, callers, sccs, levels = callgraph_oracle cg in
+      List.iter
+        (fun p ->
+          Alcotest.(check (list string))
+            (corpus ^ ": callees of " ^ p) (callees p) (Callgraph.callees cg p);
+          Alcotest.(check (list string))
+            (corpus ^ ": callers of " ^ p) (callers p) (Callgraph.callers cg p))
+        (Callgraph.procs cg);
+      Alcotest.(check (list (list string)))
+        (corpus ^ ": sccs") sccs (Callgraph.sccs cg);
+      Alcotest.(check (array int))
+        (corpus ^ ": scc levels") levels (Callgraph.scc_levels cg))
+    [ "lu"; "gen-small"; "fig1" ]
+
 let test_fig1_summary () =
   let result = Lazy.force fig1_result in
   (* add's summary on formal#0 must contain a DEF and a USE region *)
@@ -355,6 +447,8 @@ let suite =
     Alcotest.test_case "Fig1: interprocedural rows" `Quick test_fig1_rows;
     Alcotest.test_case "Fig1: PASSED rows" `Quick test_fig1_passed;
     Alcotest.test_case "Fig1: call graph" `Quick test_fig1_callgraph;
+    Alcotest.test_case "call graph equals its List.mem oracle" `Quick
+      test_callgraph_oracle;
     Alcotest.test_case "Fig1: add summary" `Quick test_fig1_summary;
     Alcotest.test_case "Fig1: P1/P2 independent" `Quick test_fig1_sites_independent;
     Alcotest.test_case "conflicting sites detected" `Quick test_fig1_conflicting_sites;
