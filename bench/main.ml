@@ -489,7 +489,7 @@ let bench_apps () =
                 in
                 if v.Ipa.Parallel.lv_parallel then incr parallel
               end)
-            pu.Whirl.Ir.pu_body)
+            (Whirl.Ir.body pu))
         m.Whirl.Ir.m_pus;
       let project =
         Dragon.Project.make ~name ~dgn:r.Ipa.Analyze.r_dgn
@@ -728,6 +728,8 @@ let gates =
        every stored entry without renaming a variable *)
     ("engine", "edit_digests_beyond_file", Ceiling 0.);
     ("engine", "edit_entries_remapped", Ceiling 0.);
+    (* ... and reads no file's WN trees: every other file's PUs hit *)
+    ("engine", "edit_bodies_decoded", Ceiling 0.);
     ("bounds", "corpora.corpus=gen.sparse_proven", sparse_proven);
     (* the scale the generated corpus keeps *)
     ("gen", "files", Floor 200.);
@@ -834,8 +836,9 @@ let write_record ~json ~out bench members =
    the sources on disk, a line-preserving edit of one file, and a warm
    uhc run.  Each run is a new process, so symbolic variables get the ids
    the stored entries were written with.  The warm run's counters: PU
-   digests computed (the edited file's, as the frontend lowers them) and
-   store entries re-interned by renaming.  uhc is the [bin/uhc.exe]
+   digests computed (the edited file's, as the frontend lowers them),
+   store entries re-interned by renaming, and cached files whose WN trees
+   were decoded.  uhc is the [bin/uhc.exe]
    beside this executable's directory, so it must be built. *)
 let one_file_edit files ~dir =
   let uhc =
@@ -896,7 +899,8 @@ let one_file_edit files ~dir =
   with
   | Ok d ->
     ( Obs.Metrics.value d "engine.digest.computed",
-      Obs.Metrics.value d "store.reintern.remapped" )
+      Obs.Metrics.value d "store.reintern.remapped",
+      Obs.Metrics.value d "frontend.body.decoded" )
   | Error e -> failwith (metrics ^ ": " ^ e)
 
 let bench_engine ~json ~out () =
@@ -1037,7 +1041,7 @@ let bench_engine ~json ~out () =
     once ()
   in
   let edit_pus = Corpus.Gen.default.Corpus.Gen.g_pus_per_file in
-  let edit_computed, edit_remapped =
+  let edit_computed, edit_remapped, edit_decoded =
     Fun.protect ~finally:rm (fun () -> one_file_edit gs_files ~dir)
   in
   Printf.printf "disk cache, LU: cold %.4fs, warm %.4fs (%.1fx)\n" lu_cold
@@ -1051,8 +1055,8 @@ let bench_engine ~json ~out () =
     (if cold_files = 1 then "" else "s");
   Printf.printf
     "one-file gen-small edit (%d PUs in the file): %d PU digests computed, \
-     %d store entries remapped\n"
-    edit_pus edit_computed edit_remapped;
+     %d store entries remapped, %d bodies decoded\n"
+    edit_pus edit_computed edit_remapped edit_decoded;
   Printf.printf
     "cold gen-small collect: %.4fs, %.2f regions requested per distinct shape\n"
     gs_collect shape_reuse;
@@ -1082,7 +1086,9 @@ let bench_engine ~json ~out () =
         ("edit_digests_beyond_file", int (edit_computed - edit_pus));
         recorded_bound "engine" "edit_digests_beyond_file";
         ("edit_entries_remapped", int edit_remapped);
-        recorded_bound "engine" "edit_entries_remapped" ]) ]
+        recorded_bound "engine" "edit_entries_remapped";
+        ("edit_bodies_decoded", int edit_decoded);
+        recorded_bound "engine" "edit_bodies_decoded" ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Solver: the production core against the reference eliminator, end to

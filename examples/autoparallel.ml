@@ -53,7 +53,7 @@ let () =
         (fun w ->
           if w.Whirl.Wn.operator = Whirl.Wn.OPR_DO_LOOP && !loop = None then
             loop := Some w)
-        pu.Whirl.Ir.pu_body;
+        (Whirl.Ir.body pu);
       match !loop with
       | None -> ()
       | Some l ->

@@ -2,7 +2,7 @@ open Whirl
 
 type block = {
   id : int;
-  stmts : Wn.t list;
+  n_stmts : int;
   label : string;
   mutable succs : int list;
   mutable preds : int list;
@@ -15,40 +15,52 @@ type t = {
   exit_ : int;
 }
 
-(* mutable builder *)
+(* mutable builder: per-block columns indexed by block id, edge lists
+   newest first (reversed once by [build]) *)
 type builder = {
-  mutable blocks_rev : block list;
+  mutable labels : string array;
+  mutable stmts : int array;
+  mutable succs_rev : int list array;
+  mutable preds_rev : int list array;
   mutable count : int;
   mutable cur : int;          (* block currently being appended to *)
-  mutable cur_stmts : Wn.t list;  (* reversed *)
+  mutable cur_stmts : int;    (* statements appended since the last seal *)
   bexit : int;
 }
 
-let mk_block b label =
-  let blk = { id = b.count; stmts = []; label; succs = []; preds = [] } in
-  b.blocks_rev <- blk :: b.blocks_rev;
-  b.count <- b.count + 1;
-  blk.id
+let grow a fill =
+  let a' = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
 
-let find_block b id = List.find (fun blk -> blk.id = id) b.blocks_rev
+let mk_block b label =
+  if b.count = Array.length b.labels then begin
+    b.labels <- grow b.labels "";
+    b.stmts <- grow b.stmts 0;
+    b.succs_rev <- grow b.succs_rev [];
+    b.preds_rev <- grow b.preds_rev []
+  end;
+  let id = b.count in
+  b.labels.(id) <- label;
+  b.count <- id + 1;
+  id
 
 let add_edge b src dst =
-  let s = find_block b src and d = find_block b dst in
-  if not (List.mem dst s.succs) then s.succs <- s.succs @ [ dst ];
-  if not (List.mem src d.preds) then d.preds <- d.preds @ [ src ]
+  if not (List.mem dst b.succs_rev.(src)) then
+    b.succs_rev.(src) <- dst :: b.succs_rev.(src);
+  if not (List.mem src b.preds_rev.(dst)) then
+    b.preds_rev.(dst) <- src :: b.preds_rev.(dst)
 
 (* seal the statements collected so far into the current block *)
 let seal b =
-  let blk = find_block b b.cur in
-  let blk' = { blk with stmts = List.rev b.cur_stmts } in
-  b.blocks_rev <- List.map (fun x -> if x.id = blk.id then blk' else x) b.blocks_rev;
-  b.cur_stmts <- []
+  b.stmts.(b.cur) <- b.cur_stmts;
+  b.cur_stmts <- 0
 
 let switch_to b id =
   seal b;
   b.cur <- id
 
-let append b wn = b.cur_stmts <- wn :: b.cur_stmts
+let append b = b.cur_stmts <- b.cur_stmts + 1
 
 let rec process_block b (wn : Wn.t) =
   Array.iter (process_stmt b) wn.Wn.kids
@@ -58,15 +70,15 @@ and process_stmt b (wn : Wn.t) =
   | Wn.OPR_BLOCK -> process_block b wn
   | Wn.OPR_STID | Wn.OPR_ISTORE | Wn.OPR_CALL | Wn.OPR_IO
   | Wn.OPR_INTRINSIC_OP | Wn.OPR_NOP ->
-    append b wn
+    append b
   | Wn.OPR_RETURN ->
-    append b wn;
+    append b;
     add_edge b b.cur b.bexit;
     (* anything after a return begins an unreachable block *)
     let dead = mk_block b "unreachable" in
     switch_to b dead
   | Wn.OPR_IF ->
-    append b (Wn.kid wn 0);
+    append b (* the condition *);
     let cond = b.cur in
     let join = mk_block b "join" in
     let then_head = mk_block b "then" in
@@ -90,7 +102,7 @@ and process_stmt b (wn : Wn.t) =
     let head = mk_block b "loop-head" in
     add_edge b b.cur head;
     switch_to b head;
-    append b wn (* the loop header: ivar, bounds, step *);
+    append b (* the loop header: ivar, bounds, step *);
     seal b;
     let body_head = mk_block b "loop-body" in
     let after = mk_block b "loop-exit" in
@@ -105,7 +117,7 @@ and process_stmt b (wn : Wn.t) =
     let head = mk_block b "while-head" in
     add_edge b b.cur head;
     switch_to b head;
-    append b (Wn.kid wn 0);
+    append b (* the condition *);
     seal b;
     let body_head = mk_block b "while-body" in
     let after = mk_block b "while-exit" in
@@ -116,15 +128,18 @@ and process_stmt b (wn : Wn.t) =
     add_edge b b.cur head;
     seal b;
     b.cur <- after
-  | _ -> append b wn
+  | _ -> append b
 
 let build (pu : Ir.pu) =
   let b =
     {
-      blocks_rev = [];
+      labels = Array.make 16 "";
+      stmts = Array.make 16 0;
+      succs_rev = Array.make 16 [];
+      preds_rev = Array.make 16 [];
       count = 0;
       cur = 0;
-      cur_stmts = [];
+      cur_stmts = 0;
       bexit = 1;
     }
   in
@@ -134,11 +149,18 @@ let build (pu : Ir.pu) =
   let first = mk_block b "b" in
   b.cur <- first;
   add_edge b entry first;
-  process_stmt b (Wn.kid pu.Ir.pu_body 0);
+  process_stmt b (Wn.kid (Ir.body pu) 0);
   add_edge b b.cur bexit;
   seal b;
   let blocks =
-    Array.of_list (List.sort (fun a c -> Int.compare a.id c.id) b.blocks_rev)
+    Array.init b.count (fun id ->
+        {
+          id;
+          n_stmts = b.stmts.(id);
+          label = b.labels.(id);
+          succs = List.rev b.succs_rev.(id);
+          preds = List.rev b.preds_rev.(id);
+        })
   in
   { proc = pu.Ir.pu_name; blocks; entry; exit_ = bexit }
 
@@ -202,7 +224,7 @@ let dominates t a b =
   if idom.(b) = -1 then false else walk b
 
 let block_title blk =
-  Printf.sprintf "B%d (%s, %d stmts)" blk.id blk.label (List.length blk.stmts)
+  Printf.sprintf "B%d (%s, %d stmts)" blk.id blk.label blk.n_stmts
 
 let to_dot t =
   let buf = Buffer.create 256 in

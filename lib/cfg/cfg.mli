@@ -7,7 +7,10 @@
 
 type block = {
   id : int;
-  stmts : Whirl.Wn.t list;  (** straight-line statements, no control flow *)
+  n_stmts : int;
+      (** how many straight-line statements (no control flow) the block
+          holds: the CFG keeps no WN, so a stored or carried CFG is small
+          and needs no body *)
   label : string;           (** "entry", "exit", "then", "loop-head", ... *)
   mutable succs : int list;
   mutable preds : int list;
@@ -22,7 +25,8 @@ type t = {
 
 val build : Whirl.Ir.pu -> t
 (** Structured construction: every DO_LOOP gets a head block with a back
-    edge, every IF a join block; RETURN statements edge to exit. *)
+    edge, every IF a join block; RETURN statements edge to exit.  Reads
+    the PU's body ({!Whirl.Ir.body}). *)
 
 val block_count : t -> int
 val edge_count : t -> int

@@ -10,8 +10,9 @@
      [i] and its content digest ([Whirl_io.pu_digest], every Mem_Loc left
      out: [Layout] derives those from the PU's table and [i]): it
      addresses the *local* collection result.  [Frontend_cache] carries
-     the content digest of every PU it lowered or read back, so a warm
-     run digests only what it could not carry;
+     the content digest, call sites and CFG of every PU it lowered or
+     read back, so a warm run reads the body ([Ir.body]) only of a PU it
+     collects again or could not carry values for;
    - [key2 pu] is a Merkle digest folding [key1] of the PU together with
      the [key2] of everything it (transitively) calls: it addresses the
      *interprocedural* summary, so editing one PU invalidates exactly that
@@ -102,10 +103,10 @@ let empty_info pu =
 
 let skeleton_cfg name =
   let entry =
-    { Cfg.id = 0; stmts = []; label = "entry"; succs = [ 1 ]; preds = [] }
+    { Cfg.id = 0; n_stmts = 0; label = "entry"; succs = [ 1 ]; preds = [] }
   in
   let exit_ =
-    { Cfg.id = 1; stmts = []; label = "exit"; succs = []; preds = [ 0 ] }
+    { Cfg.id = 1; n_stmts = 0; label = "exit"; succs = []; preds = [ 0 ] }
   in
   { Cfg.proc = name; blocks = [| entry; exit_ |]; entry = 0; exit_ = 1 }
 
@@ -150,7 +151,7 @@ let phase_hist =
       Hashtbl.replace tbl name h;
       h
 
-let run_ ~digests (cfg : config) (m : Ir.module_) : result =
+let run_ ~carried (cfg : config) (m : Ir.module_) : result =
   let jobs = Engine_pool.resolve_jobs cfg.jobs in
   let metrics0 = Obs.Metrics.snapshot () in
   let t_start = Obs.Trace.now_ns () in
@@ -179,15 +180,25 @@ let run_ ~digests (cfg : config) (m : Ir.module_) : result =
       { Stats.ph_name = name; ph_wall = wall; ph_alloc = alloc } :: !phases;
     r
   in
+  let pus = Array.of_list m.Ir.m_pus in
+  let n = Array.length pus in
+  (* what the frontend carried names the record it returned: any other
+     PU, a transformed one included, is read from its body here *)
+  let carried =
+    let a = Array.of_list carried in
+    fun i ->
+      if i < Array.length a && fst a.(i) == pus.(i) then Some (snd a.(i))
+      else None
+  in
   (* ---- prepare: layout, symbolic variables, call graph -------------- *)
   let cg =
     timed "prepare" (fun _ ->
         Layout.assign m;
         Ipa.Collect.intern_module_syms m;
-        Ipa.Callgraph.build m)
+        Ipa.Callgraph.build m
+          ~sites:(fun i ->
+            Option.map (fun c -> c.Engine_store.ca_sites) (carried i)))
   in
-  let pus = Array.of_list m.Ir.m_pus in
-  let n = Array.length pus in
   let idx_of = Hashtbl.create (2 * n) in
   Array.iteri (fun i pu -> Hashtbl.replace idx_of pu.Ir.pu_name i) pus;
   let idx name = Hashtbl.find_opt idx_of name in
@@ -196,21 +207,13 @@ let run_ ~digests (cfg : config) (m : Ir.module_) : result =
   let key1 =
     timed "digest" (fun sink ->
         let gd = Whirl_io.symtab_digest m.Ir.m_global in
-        (* a carried digest names the record the frontend returned: any
-           other PU, a transformed one included, is digested here *)
-        let carried = Array.of_list digests in
-        let carried i =
-          if i < Array.length carried && fst carried.(i) == pus.(i) then
-            Some (snd carried.(i))
-          else None
-        in
         let keys = Array.make n Digest.(string "") in
         let scratch = Domain.DLS.new_key (fun () -> Buffer.create 65536) in
         Engine_pool.run ~sink ~jobs
           (Array.init n (fun i () ->
                let d =
                  match carried i with
-                 | Some d -> d
+                 | Some c -> c.Engine_store.ca_digest
                  | None ->
                    Obs.Metrics.Counter.incr c_digest_computed;
                    Whirl_io.pu_digest (Domain.DLS.get scratch) m pus.(i)
@@ -258,7 +261,12 @@ let run_ ~digests (cfg : config) (m : Ir.module_) : result =
              isolation_diag ~stage:"collect" ~pu:pu.Ir.pu_name
                ~action:"opaque-summary" e
              :: pu_diags.(i));
-        try cfgs.(i) <- Some (Cfg.build pu)
+        try
+          cfgs.(i) <-
+            Some
+              (match carried i with
+              | Some c -> c.Engine_store.ca_cfg
+              | None -> Cfg.build pu)
         with e when cfg.keep_going ->
           poisoned.(i) <- true;
           cfgs.(i) <- Some (skeleton_cfg pu.Ir.pu_name);
@@ -526,10 +534,10 @@ let run_ ~digests (cfg : config) (m : Ir.module_) : result =
 (* A run that raises still publishes what it stored (each entry is the
    finished result of its key), so it leaves no temp file behind; after a
    normal run the store has nothing left to publish. *)
-let run ?(digests = []) cfg m =
+let run ?(carried = []) cfg m =
   Fun.protect
     ~finally:(fun () -> Option.iter Engine_store.publish cfg.store)
-    (fun () -> run_ ~digests cfg m)
+    (fun () -> run_ ~carried cfg m)
 
 (* Drop-in successors of the removed [Ipa.Analyze.analyze{,_sources}]
    reference entry points: one engine run, no store, serial by default. *)

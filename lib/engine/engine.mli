@@ -11,7 +11,10 @@
       ({!Whirl.Whirl_io.pu_digest});
     - summaries are keyed by a Merkle digest that also folds in every
       (transitive) callee's key, so editing one PU re-summarizes exactly
-      that PU and its transitive callers.
+      that PU and its transitive callers;
+    - a PU's content digest, call sites and CFG come from the frontend
+      when it carried them ([~carried]), so only a PU whose collection
+      misses is asked for its body.
 
     With an on-disk store ({!Engine_store.create} [~dir]), the cache
     survives across tool invocations. *)
@@ -96,16 +99,22 @@ type result = {
 }
 
 val run :
-  ?digests:(Whirl.Ir.pu * Digest.t) list -> config -> Whirl.Ir.module_ -> result
+  ?carried:(Whirl.Ir.pu * Engine_store.carried) list ->
+  config ->
+  Whirl.Ir.module_ ->
+  result
 (** Also assigns the memory layout (Mem_Loc) if not yet done, like the
     serial path.
 
-    [digests] (default none) are content digests carried from the
-    frontend ({!Frontend_cache.result}), in module order: the [i]-th is
-    used for the module's [i]-th PU only when that PU is physically the
-    carried record.  Every other PU — a transformed one, a module read
-    from a [.wir] file — is digested here, with the same function
-    ([engine.digest.computed] counts them). *)
+    [carried] (default none) are the content digests, call sites and
+    CFGs carried from the frontend ({!Frontend_cache.result}), in module
+    order: the [i]-th is used for the module's [i]-th PU only when that PU
+    is physically the carried record.  Every other PU — a transformed one,
+    a module read from a [.wir] file — is read from its body here, with
+    the same functions ([engine.digest.computed] counts the digests).  So
+    a PU whose collection hits is never asked for its body
+    ({!Whirl.Ir.body}), and a warm run decodes no body it does not
+    collect again. *)
 
 val analyze : ?jobs:int -> Whirl.Ir.module_ -> Ipa.Analyze.result
 (** One uncached engine run, returning just the analysis result —

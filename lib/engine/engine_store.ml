@@ -1008,12 +1008,31 @@ let find_summary t ~m ~key : summary_payload option =
 (* ------------------------------------------------------------------ *)
 (* Frontend artifacts: disk only, never held in memory.  Each is read at
    most once per process, so holding it would only keep megabytes nobody
-   reads again. *)
+   reads again.  A file's WN trees ([fw]) live apart from the rest of its
+   body artifact ([fb]) under the same key: a run reads them only for a
+   body something asks for. *)
+
+type carried = {
+  ca_digest : Digest.t;
+  ca_sites : Ipa.Callgraph.callsite list;
+  ca_cfg : Cfg.t;
+}
+
+type pu_header = {
+  ph_name : string;
+  ph_st : int;
+  ph_formals : Whirl.Symtab.st_idx list;
+  ph_symtab : Whirl.Symtab.t;
+  ph_loc : Lang.Loc.t;
+  ph_file : string;
+  ph_object : string;
+  ph_lang : Lang.Ast.language;
+  ph_carried : carried;
+}
 
 type body_artifact = {
   ba_body : Lang.Sema.body;
-  ba_pus : Whirl.Ir.pu list;
-  ba_digests : Digest.t list;
+  ba_pus : pu_header list;
 }
 
 let add_artifact t ns key v =
@@ -1025,5 +1044,16 @@ let find_interface t ~key : Lang.Sema.interface option =
 let add_interface t ~key (i : Lang.Sema.interface) = add_artifact t "fi" key i
 let find_body t ~key : body_artifact option = find_decoded ~keep:false t "fb" key
 let add_body t ~key (b : body_artifact) = add_artifact t "fb" key b
+
+let find_trees t ~key : Whirl.Wn.t array option =
+  find_decoded ~keep:false t "fw" key
+
+let add_trees t ~key (w : Whirl.Wn.t array) = add_artifact t "fw" key w
+
+let has_trees t ~key =
+  match locked t (fun () -> Hashtbl.find_opt t.table (full_key "fw" key)) with
+  | Some { at = Some _; _ } | Some { mem = Some _; _ } -> true
+  | Some { at = None; mem = None } | None -> false
+
 let dir t = t.dir
 let schema () = schema_token

@@ -118,24 +118,58 @@ val drain_diags : t -> Fault.Diag.t list
 (** {2 Frontend artifacts}
 
     Per-file results of separate compilation ({!Frontend_cache}), persisted
-    in the same segments (namespaces [fi] and [fb]) with the same MD5
-    check, quarantine, retry, publish and fault-injection paths as the
-    analysis entries.  Their payloads are never held in memory: a process
-    reads each at most once.  Without [~dir] every add is dropped and
-    every find misses. *)
+    in the same segments with the same MD5 check, quarantine, retry,
+    publish and fault-injection paths as the analysis entries.  A file has
+    three: its interface (namespace [fi]); its body artifact ([fb]: what
+    linking, the module and the engine need of the file's PUs, without
+    their WN trees); and, under the same key as [fb], the trees ([fw]),
+    read only when a body is asked for ({!Whirl.Ir.body}).  Their payloads
+    are never held in memory: a process reads each at most once.  Without
+    [~dir] every add is dropped and every find misses. *)
+
+type carried = {
+  ca_digest : Digest.t;  (** {!Whirl.Whirl_io.pu_digest} *)
+  ca_sites : Ipa.Callgraph.callsite list;  (** {!Ipa.Callgraph.sites_of} *)
+  ca_cfg : Cfg.t;  (** {!Cfg.build} *)
+}
+(** What the engine would otherwise read a PU's body for.  The frontend
+    computes it as it lowers a PU, or reads it back with the PU's header;
+    {!Engine.run} [~carried] uses it for the PU it was carried with. *)
+
+type pu_header = {
+  ph_name : string;
+  ph_st : int;
+  ph_formals : Whirl.Symtab.st_idx list;
+  ph_symtab : Whirl.Symtab.t;
+  ph_loc : Lang.Loc.t;
+  ph_file : string;
+  ph_object : string;
+  ph_lang : Lang.Ast.language;
+  ph_carried : carried;
+}
+(** A lowered PU (before {!Whirl.Layout}) without its body: every other
+    field of {!Whirl.Ir.pu}, and what the engine needs of the body. *)
 
 type body_artifact = {
   ba_body : Lang.Sema.body;
       (** the checked file with procedure headers only
           ({!Lang.Sema.header}): what {!Lang.Sema.add_body} links *)
-  ba_pus : Whirl.Ir.pu list;  (** lowered, before {!Whirl.Layout} *)
-  ba_digests : Digest.t list;
-      (** {!Whirl.Whirl_io.pu_digest} of each of [ba_pus], in order: a hit
-          carries them to {!Engine.run}, which digests no PU it gets
-          one for *)
+  ba_pus : pu_header list;  (** the file's PUs, in order *)
 }
 
 val find_interface : t -> key:Digest.t -> Lang.Sema.interface option
 val add_interface : t -> key:Digest.t -> Lang.Sema.interface -> unit
 val find_body : t -> key:Digest.t -> body_artifact option
 val add_body : t -> key:Digest.t -> body_artifact -> unit
+
+val find_trees : t -> key:Digest.t -> Whirl.Wn.t array option
+(** The WN trees of the body artifact under the same key, in [ba_pus]
+    order.  [None] on a miss and on every failed read or decode, which
+    records its diagnostic like any entry's ({!drain_diags}). *)
+
+val add_trees : t -> key:Digest.t -> Whirl.Wn.t array -> unit
+
+val has_trees : t -> key:Digest.t -> bool
+(** Whether the store lists a tree entry under [key], without reading it:
+    {!Frontend_cache} uses a body artifact only when its trees are there
+    too, so a lost or quarantined tree entry is written again. *)

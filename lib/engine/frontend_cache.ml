@@ -7,20 +7,25 @@
    - the interface (pass-1 global registrations, procedure names and
      kinds) under the file key, a digest of (path, contents) -- the path
      is part of the IR through [Loc.file];
-   - the body (procedure headers, sema warnings, lowered PUs and their
-     content digests) under (file key, environment digest): pass 2 and the
-     lowering read other files only through the linked environment, and
-     nothing after lowering reads a procedure's AST body.
+   - the body artifact (procedure headers, sema warnings, the lowered PUs
+     without their WN trees, and what the engine reads a tree for: the
+     content digest, the call sites, the CFG) under (file key,
+     environment digest): pass 2 and the lowering read other files only
+     through the linked environment, and nothing after lowering reads a
+     procedure's AST body;
+   - the file's WN trees, under the same key in their own entry.
 
-   A file whose interface and body both hit is never parsed.  [Layout]
-   runs later, in [Engine.run], so the stored PUs carry no Mem_Locs and
-   the linked module is the one the uncached composition builds.  A PU's
-   content digest leaves its Mem_Locs out, so the stored one is what the
-   engine would compute after layout. *)
+   A file whose interface and body both hit is never parsed, and its
+   trees are read only when some PU's body is asked for ([Ir.deferred]):
+   a warm run whose collection hits reads none.  [Layout] runs later, in
+   [Engine.run], so the stored PUs carry no Mem_Locs and the linked
+   module is the one the uncached composition builds.  A PU's content
+   digest leaves its Mem_Locs out, so the stored one is what the engine
+   would compute after layout. *)
 
 type result = {
   fr_module : Whirl.Ir.module_;
-  fr_digests : (Whirl.Ir.pu * Digest.t) list;
+  fr_carried : (Whirl.Ir.pu * Engine_store.carried) list;
   fr_skipped : (string * Lang.Diag.t) list;
 }
 
@@ -28,6 +33,8 @@ let c_iface_hits = Obs.Metrics.counter "frontend.artifact.interface.hits"
 let c_iface_misses = Obs.Metrics.counter "frontend.artifact.interface.misses"
 let c_body_hits = Obs.Metrics.counter "frontend.artifact.body.hits"
 let c_body_misses = Obs.Metrics.counter "frontend.artifact.body.misses"
+let c_body_decoded = Obs.Metrics.counter "frontend.body.decoded"
+let c_body_relowered = Obs.Metrics.counter "frontend.body.relowered"
 let c_digest_computed = Obs.Metrics.counter "engine.digest.computed"
 
 let file_key name contents =
@@ -47,8 +54,34 @@ type unit_state = {
 }
 
 type unit_body =
-  | Cached of Engine_store.body_artifact
+  | Cached of unit_state * Digest.t * Engine_store.body_artifact
   | Fresh of Digest.t * Lang.Sema.body
+
+let header (pu : Whirl.Ir.pu) carried =
+  {
+    Engine_store.ph_name = pu.Whirl.Ir.pu_name;
+    ph_st = pu.Whirl.Ir.pu_st;
+    ph_formals = pu.Whirl.Ir.pu_formals;
+    ph_symtab = pu.Whirl.Ir.pu_symtab;
+    ph_loc = pu.Whirl.Ir.pu_loc;
+    ph_file = pu.Whirl.Ir.pu_file;
+    ph_object = pu.Whirl.Ir.pu_object;
+    ph_lang = pu.Whirl.Ir.pu_lang;
+    ph_carried = carried;
+  }
+
+let pu_of_header (h : Engine_store.pu_header) body =
+  {
+    Whirl.Ir.pu_name = h.Engine_store.ph_name;
+    pu_st = h.Engine_store.ph_st;
+    pu_formals = h.Engine_store.ph_formals;
+    pu_body = body;
+    pu_symtab = h.Engine_store.ph_symtab;
+    pu_loc = h.Engine_store.ph_loc;
+    pu_file = h.Engine_store.ph_file;
+    pu_object = h.Engine_store.ph_object;
+    pu_lang = h.Engine_store.ph_lang;
+  }
 
 let load ?store ?(keep_going = false) files =
   (* artifacts live on disk only: without a directory there is nothing to
@@ -69,7 +102,7 @@ let load ?store ?(keep_going = false) files =
   (* the artifacts this load adds become one segment, also when it raises *)
   Fun.protect ~finally:(fun () -> Option.iter Engine_store.publish store)
   @@ fun () ->
-  let skipped, prog, bodies =
+  let skipped, env, prog, bodies =
     Obs.Span.with_ ~cat:"phase" ~name:"frontend" @@ fun () ->
     (* pass 1: one interface per file *)
     let units, skipped =
@@ -106,58 +139,106 @@ let load ?store ?(keep_going = false) files =
       List.map
         (fun u ->
           let key = Digest.string (Digest.to_hex u.u_key ^ env_key) in
-          match find Engine_store.find_body key with
+          (* a body artifact without its trees counts as a miss: the file
+             is lowered again and its entries written again *)
+          let cached =
+            Option.bind store (fun s ->
+                if Engine_store.has_trees s ~key then
+                  Engine_store.find_body s ~key
+                else None)
+          in
+          match cached with
           | Some ba ->
             count c_body_hits;
             Lang.Sema.add_body linker ba.Engine_store.ba_body;
-            Cached ba
+            Cached (u, key, ba)
           | None ->
             count c_body_misses;
             Fresh (key, Lang.Sema.check_unit linker (parse u)))
         units
     in
-    (List.rev skipped, Lang.Sema.finish linker, bodies)
+    (List.rev skipped, env, Lang.Sema.finish linker, bodies)
   in
-  let m, digests =
-    Obs.Span.with_ ~cat:"phase" ~name:"lower" @@ fun () ->
-    let g = Whirl.Lower.globals prog in
-    let lowered =
-      List.map
-        (fun b ->
-          match b with
-          | Cached ba -> (b, ba.Engine_store.ba_pus)
-          | Fresh (_, body) ->
-            (b, List.map (Whirl.Lower.lower_proc g) body.Lang.Sema.b_procs))
-        bodies
-    in
-    let m = Whirl.Lower.assemble g prog (List.concat_map snd lowered) in
-    (* a PU's digest reads its procedure's kind from the module *)
-    let buf = Buffer.create 65536 in
-    let digests =
-      List.concat_map
-        (fun (b, pus) ->
-          match b with
-          | Cached ba -> List.combine pus ba.Engine_store.ba_digests
-          | Fresh (key, body) ->
-            let ds =
-              List.map
-                (fun pu ->
-                  Obs.Metrics.Counter.incr c_digest_computed;
-                  Whirl.Whirl_io.pu_digest buf m pu)
-                pus
-            in
-            add Engine_store.add_body key
-              {
-                Engine_store.ba_body =
-                  { body with
-                    Lang.Sema.b_procs =
-                      List.map Lang.Sema.header body.Lang.Sema.b_procs };
-                ba_pus = pus;
-                ba_digests = ds;
-              };
-            List.combine pus ds)
-        lowered
-    in
-    (m, digests)
+  Obs.Span.with_ ~cat:"phase" ~name:"lower" @@ fun () ->
+  let g = Whirl.Lower.globals prog in
+  (* set once the module is assembled, before any body can be asked for *)
+  let module_ = ref None in
+  let digest buf pu =
+    Obs.Metrics.Counter.incr c_digest_computed;
+    Whirl.Whirl_io.pu_digest buf (Option.get !module_) pu
   in
-  { fr_module = m; fr_digests = digests; fr_skipped = skipped }
+  (* A cached file's trees, read on the first demand for any of its
+     bodies.  A missing or unreadable entry (the store has recorded why)
+     is recovered by lowering the file again against this run's linked
+     environment; the result must be what the carried digests name. *)
+  let trees u key (ba : Engine_store.body_artifact) () =
+    let heads = ba.Engine_store.ba_pus in
+    match find Engine_store.find_trees key with
+    | Some ws when Array.length ws = List.length heads ->
+      Obs.Metrics.Counter.incr c_body_decoded;
+      ws
+    | _ ->
+      Obs.Metrics.Counter.incr c_body_relowered;
+      let body = Lang.Sema.check_unit (Lang.Sema.linker env) (parse u) in
+      let buf = Buffer.create 65536 in
+      Array.of_list
+        (List.map2
+           (fun pi (h : Engine_store.pu_header) ->
+             let pu = Whirl.Lower.lower_proc g pi in
+             let want = h.Engine_store.ph_carried.Engine_store.ca_digest in
+             if digest buf pu <> want then
+               failwith
+                 (Printf.sprintf "%s: %s re-lowered differs from its artifact"
+                    u.u_name pu.Whirl.Ir.pu_name);
+             Whirl.Ir.body pu)
+           body.Lang.Sema.b_procs heads)
+  in
+  let lowered =
+    List.map
+      (fun b ->
+        match b with
+        | Cached (u, key, ba) ->
+          let heads = ba.Engine_store.ba_pus in
+          let bodies = Whirl.Ir.deferred (List.length heads) (trees u key ba) in
+          (b, List.map2 pu_of_header heads bodies)
+        | Fresh (_, body) ->
+          (b, List.map (Whirl.Lower.lower_proc g) body.Lang.Sema.b_procs))
+      bodies
+  in
+  let m = Whirl.Lower.assemble g prog (List.concat_map snd lowered) in
+  module_ := Some m;
+  (* a PU lowered here carries what the engine would read its body for *)
+  let buf = Buffer.create 65536 in
+  let carried =
+    List.concat_map
+      (fun (b, pus) ->
+        match b with
+        | Cached (_, _, ba) ->
+          List.map2
+            (fun pu h -> (pu, h.Engine_store.ph_carried))
+            pus ba.Engine_store.ba_pus
+        | Fresh (key, body) ->
+          let cs =
+            List.map
+              (fun pu ->
+                {
+                  Engine_store.ca_digest = digest buf pu;
+                  ca_sites = Ipa.Callgraph.sites_of m pu;
+                  ca_cfg = Cfg.build pu;
+                })
+              pus
+          in
+          add Engine_store.add_body key
+            {
+              Engine_store.ba_body =
+                { body with
+                  Lang.Sema.b_procs =
+                    List.map Lang.Sema.header body.Lang.Sema.b_procs };
+              ba_pus = List.map2 header pus cs;
+            };
+          add Engine_store.add_trees key
+            (Array.of_list (List.map Whirl.Ir.body pus));
+          List.combine pus cs)
+      lowered
+  in
+  { fr_module = m; fr_carried = carried; fr_skipped = skipped }

@@ -1,12 +1,27 @@
 (** The frontend (parse, semantic check, lowering) as separate compilation
     with per-file artifacts in an {!Engine_store}.
 
-    Each file has two cache entries:
+    Each file has three cache entries:
     - its {!Lang.Sema.interface}, keyed by a digest of (path, contents);
-    - its body — procedure headers ({!Lang.Sema.header}), sema warnings,
-      lowered PUs and their content digests
-      ({!Whirl.Whirl_io.pu_digest}) — keyed by (file key,
-      {!Lang.Sema.env_digest} of the linked environment).
+    - its body artifact — procedure headers ({!Lang.Sema.header}), sema
+      warnings, and each lowered PU without its WN tree, with what the
+      engine would read the tree for ({!Engine_store.carried}: content
+      digest, call sites, CFG) — keyed by (file key,
+      {!Lang.Sema.env_digest} of the linked environment);
+    - under the same key, the file's WN trees, read on demand.
+
+    A file whose body artifact hits returns PUs with deferred bodies
+    ({!Whirl.Ir.deferred}): the first {!Whirl.Ir.body} asked of any of
+    them reads, checks and decodes the file's trees, once per load
+    ([frontend.body.decoded] counts them), on whatever domain asks.  A
+    warm run whose collection hits asks for none.  If the tree entry is
+    missing or its read or decode fails (the store records a diagnostic
+    for a failed one, see {!Engine_store.find_trees}), the file is lowered
+    again from its source against the load's linked environment
+    ([frontend.body.relowered]), and each PU must match its carried
+    digest.  A body artifact whose tree entry the store does not list
+    ({!Engine_store.has_trees}) is a body miss, so a lost tree entry is
+    written again by the next load.
 
     An edit that leaves the environment unchanged re-parses, re-checks and
     re-lowers only the edited file; an edit that changes it (a COMMON
@@ -17,10 +32,11 @@
 
 type result = {
   fr_module : Whirl.Ir.module_;
-  fr_digests : (Whirl.Ir.pu * Digest.t) list;
+  fr_carried : (Whirl.Ir.pu * Engine_store.carried) list;
       (** every PU of [fr_module], in module order, with its content
-          digest: computed as the PU was lowered, or read back with it.
-          {!Engine.run} [~digests] uses them instead of digesting again. *)
+          digest, call sites and CFG: computed as the PU was lowered, or
+          read back with its header.  {!Engine.run} [~carried] uses them
+          instead of reading the body again. *)
   fr_skipped : (string * Lang.Diag.t) list;
       (** under [keep_going], files whose parse failed (never cached), in
           input order, with their diagnostic *)

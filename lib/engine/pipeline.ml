@@ -184,7 +184,7 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
       | Some dir -> Some (Engine_store.create ~dir ())
       | None -> if cfg.fuse then Some (Engine_store.create ()) else None
     in
-    let m0, digests =
+    let m0, carried =
       match from_whirl with
       | Some path -> (
         match Whirl.Whirl_io.load ~path with
@@ -218,7 +218,7 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
             (count "interface.hits") (count "interface.misses")
             (count "body.hits") (count "body.misses")
         end;
-        (fr.Frontend_cache.fr_module, fr.Frontend_cache.fr_digests)
+        (fr.Frontend_cache.fr_module, fr.Frontend_cache.fr_carried)
     in
     let m0 =
       if cfg.wopt then begin
@@ -243,9 +243,9 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
       Engine.config ~jobs:cfg.jobs ?store ~keep_going:cfg.keep_going ()
     in
     let analyze m =
-      (* the engine uses a carried digest only for a PU the frontend
-         returned untouched, so --wopt and --fuse output is digested anew *)
-      let r = Engine.run ~digests engine_cfg m in
+      (* the engine uses what the frontend carried only for a PU it
+         returned untouched, so --wopt and --fuse output is read anew *)
+      let r = Engine.run ~carried engine_cfg m in
       diags := List.rev_append r.Engine.e_diags !diags;
       stats := Some r.Engine.e_stats;
       ledger_acc.la_pus <- r.Engine.e_pus;
@@ -281,7 +281,7 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
       List.iter
         (fun pu ->
           Format.printf "=== %s ===@.%a@." pu.Whirl.Ir.pu_name Whirl.Wn.pp
-            pu.Whirl.Ir.pu_body)
+            (Whirl.Ir.body pu))
         m.Whirl.Ir.m_pus;
     if cfg.dump_src then print_string (Whirl.Whirl2src.module_to_string m);
     if cfg.dump_callgraph then
@@ -413,6 +413,14 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
           Analyses.Report.save ~path (List.rev !reports));
       outputs := path :: !outputs;
       Printf.printf "wrote %s\n" path);
+    (* a body read after the last engine run (an analysis, --run, the
+       WHIRL writers) may have set a damaged segment aside: seal that, and
+       record its store diagnostics here *)
+    Option.iter
+      (fun st ->
+        Engine_store.publish st;
+        diags := List.rev_append (Engine_store.drain_diags st) !diags)
+      store;
     Printf.printf "analyzed %d procedures, %d call edges, %d array-region rows\n"
       (Ipa.Callgraph.node_count result.Ipa.Analyze.r_callgraph)
       (Ipa.Callgraph.edge_count result.Ipa.Analyze.r_callgraph)

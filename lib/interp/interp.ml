@@ -562,7 +562,7 @@ and exec_call state frame (w : Wn.t) =
         in
         Hashtbl.replace callee_frame.fr_slots formal binding)
       formals args;
-    (try exec state callee_frame callee.Ir.pu_body
+    (try exec state callee_frame (Ir.body callee)
      with Return_signal -> ());
     (callee, callee_frame)
 
@@ -629,7 +629,7 @@ let run ?(fuel = 50_000_000) ?(observer = fun _ -> ()) ?(record_oob = false)
   allocate_globals state;
   let entry_pu = find_entry m entry in
   let frame = { fr_pu = entry_pu; fr_slots = Hashtbl.create 16 } in
-  (try exec state frame entry_pu.Ir.pu_body with Return_signal -> ());
+  (try exec state frame (Ir.body entry_pu) with Return_signal -> ());
   let out_regions =
     Hashtbl.fold
       (fun (scope, array, mode) (section, count) acc ->

@@ -31,7 +31,7 @@ let outermost_loops pu =
       Array.iter (walk inside_loop) w.Wn.kids
     | _ -> ()
   in
-  walk false pu.Ir.pu_body;
+  walk false (Ir.body pu);
   List.rev !loops
 
 (* inner induction variables also need privatization *)

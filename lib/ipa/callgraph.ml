@@ -4,7 +4,6 @@ type callsite = {
   cs_caller : string;
   cs_callee : string;
   cs_loc : Lang.Loc.t;
-  cs_wn : Wn.t;
 }
 
 type t = {
@@ -63,27 +62,30 @@ let compute_sccs order callees_of =
   (* Tarjan emits components in reverse topological order already *)
   List.rev !components
 
-let build (m : Ir.module_) =
-  let order = List.map (fun pu -> pu.Ir.pu_name) m.Ir.m_pus in
+let sites_of (m : Ir.module_) pu =
   let sites = ref [] in
-  List.iter
-    (fun pu ->
-      Wn.preorder
-        (fun w ->
-          if w.Wn.operator = Wn.OPR_CALL then begin
-            let callee = Ir.st_name m pu w.Wn.st_idx in
-            sites :=
-              {
-                cs_caller = pu.Ir.pu_name;
-                cs_callee = callee;
-                cs_loc = w.Wn.linenum;
-                cs_wn = w;
-              }
-              :: !sites
-          end)
-        pu.Ir.pu_body)
-    m.Ir.m_pus;
-  let sites = List.rev !sites in
+  Wn.preorder
+    (fun w ->
+      if w.Wn.operator = Wn.OPR_CALL then
+        sites :=
+          {
+            cs_caller = pu.Ir.pu_name;
+            cs_callee = Ir.st_name m pu w.Wn.st_idx;
+            cs_loc = w.Wn.linenum;
+          }
+          :: !sites)
+    (Ir.body pu);
+  List.rev !sites
+
+let build ?(sites = fun _ -> None) (m : Ir.module_) =
+  let order = List.map (fun pu -> pu.Ir.pu_name) m.Ir.m_pus in
+  let sites =
+    List.concat
+      (List.mapi
+         (fun i pu ->
+           match sites i with Some s -> s | None -> sites_of m pu)
+         m.Ir.m_pus)
+  in
   let callee_map = Hashtbl.create 16 in
   let caller_map = Hashtbl.create 16 in
   List.iter

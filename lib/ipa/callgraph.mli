@@ -6,13 +6,19 @@
 type callsite = {
   cs_caller : string;
   cs_callee : string;
-  cs_loc : Lang.Loc.t;
-  cs_wn : Whirl.Wn.t;  (** the OPR_CALL node *)
+  cs_loc : Lang.Loc.t;  (** the OPR_CALL node's location *)
 }
 
 type t
 
-val build : Whirl.Ir.module_ -> t
+val sites_of : Whirl.Ir.module_ -> Whirl.Ir.pu -> callsite list
+(** The PU's call sites in WN preorder, read from its body
+    ({!Whirl.Ir.body}). *)
+
+val build : ?sites:(int -> callsite list option) -> Whirl.Ir.module_ -> t
+(** [sites i], when [Some], is the [i]-th PU's {!sites_of}, known without
+    its body (the engine passes the ones the cached frontend carried);
+    every other PU's are read from its body.  Default: none known. *)
 
 val procs : t -> string list
 (** Definition order. *)

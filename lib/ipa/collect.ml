@@ -540,7 +540,7 @@ let loop_bounds_for m pu (loop : Wn.t) var =
 let run_pu shapes (m : Ir.module_) pu =
   let s = { m; pu; shapes; loops = []; accesses = []; sites = [] } in
   formals_records s;
-  walk_stmt s pu.Ir.pu_body;
+  walk_stmt s (Ir.body pu);
   {
     p_pu = pu;
     p_accesses = List.rev s.accesses;

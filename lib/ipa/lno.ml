@@ -54,8 +54,8 @@ let fuse_pu m summaries (pu : Ir.pu) =
     let body', n = fuse_in_stmt m summaries pu body 0 in
     if n = 0 then (body', total) else fixpoint body' (total + n)
   in
-  let body, total = fixpoint pu.Ir.pu_body 0 in
-  ({ pu with Ir.pu_body = body }, total)
+  let body, total = fixpoint (Ir.body pu) 0 in
+  (Ir.with_body pu body, total)
 
 let is_perfect_nest (w : Wn.t) =
   if w.Wn.operator <> Wn.OPR_DO_LOOP then None
@@ -142,7 +142,7 @@ let locality_suggestions m summaries (pu : Ir.pu) =
     | Wn.OPR_DO_LOOP -> walk (Wn.kid w 4)
     | _ -> Array.iter walk w.Wn.kids
   in
-  walk pu.Ir.pu_body;
+  walk (Ir.body pu);
   List.rev !out
 
 let interchange_pu m summaries (pu : Ir.pu) ~want =
@@ -181,5 +181,5 @@ let interchange_pu m summaries (pu : Ir.pu) ~want =
         })
     | _ -> w
   in
-  let body = walk pu.Ir.pu_body in
-  ({ pu with Ir.pu_body = body }, !count)
+  let body = walk (Ir.body pu) in
+  (Ir.with_body pu body, !count)

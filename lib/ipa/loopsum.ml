@@ -119,7 +119,7 @@ let of_pu m summaries pu =
       walk (depth + 1) (Wn.kid w 4)
     | _ -> Array.iter (walk depth) w.Wn.kids
   in
-  walk 0 pu.Ir.pu_body;
+  walk 0 (Ir.body pu);
   List.rev !out
 
 let of_module m summaries =

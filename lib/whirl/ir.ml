@@ -1,8 +1,20 @@
+(* A deferred body is one of the trees of a [cell]: the bodies of one
+   source file, read together by [load] the first time any of them is
+   asked for.  [trees] is published atomically and filled under [lock],
+   so pool domains that ask at once load the file once. *)
+type cell = {
+  load : unit -> Wn.t array;
+  lock : Mutex.t;
+  trees : Wn.t array option Atomic.t;
+}
+
+type body = Tree of Wn.t | Deferred of cell * int
+
 type pu = {
   pu_name : string;
   pu_st : int;
   pu_formals : Symtab.st_idx list;
-  pu_body : Wn.t;
+  pu_body : body;
   pu_symtab : Symtab.t;
   pu_loc : Lang.Loc.t;
   pu_file : string;
@@ -20,6 +32,29 @@ type module_ = {
 (* atomic: runs on different domains lower modules at the same time *)
 let module_counter = Atomic.make 0
 let fresh_module_id () = Atomic.fetch_and_add module_counter 1 + 1
+
+let tree w = Tree w
+
+let deferred n load =
+  let c = { load; lock = Mutex.create (); trees = Atomic.make None } in
+  List.init n (fun i -> Deferred (c, i))
+
+let trees c =
+  match Atomic.get c.trees with
+  | Some a -> a
+  | None ->
+    Mutex.protect c.lock (fun () ->
+        match Atomic.get c.trees with
+        | Some a -> a
+        | None ->
+          let a = c.load () in
+          Atomic.set c.trees (Some a);
+          a)
+
+let body pu =
+  match pu.pu_body with Tree w -> w | Deferred (c, i) -> (trees c).(i)
+
+let with_body pu w = { pu with pu_body = Tree w }
 
 let global_base = 0x4000_0000
 

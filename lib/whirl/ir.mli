@@ -8,11 +8,14 @@
     touches it, which is what lets Dragon users "find arrays pointing to the
     same memory location". *)
 
+type body
+(** A PU's WN tree, in hand or deferred: read through {!body} only. *)
+
 type pu = {
   pu_name : string;
   pu_st : int;  (** global-encoded index of the entry symbol *)
   pu_formals : Symtab.st_idx list;  (** local indices, parameter order *)
-  pu_body : Wn.t;  (** an [OPR_FUNC_ENTRY] *)
+  pu_body : body;  (** an [OPR_FUNC_ENTRY]: see {!body} *)
   pu_symtab : Symtab.t;
   pu_loc : Lang.Loc.t;
   pu_file : string;
@@ -29,6 +32,25 @@ type module_ = {
       (** procedure headers ({!Lang.Sema.header}: kind, location, file,
           object), globals, files and warnings; no AST bodies *)
 }
+
+val body : pu -> Wn.t
+(** The PU's WN tree: the one way to read a body.  A deferred body is
+    loaded on the first call for any PU of its group (see {!deferred}) and
+    kept; later calls, from any domain, return the same tree. *)
+
+val tree : Wn.t -> body
+(** A body in hand. *)
+
+val with_body : pu -> Wn.t -> pu
+(** [pu] with its body replaced by a tree in hand. *)
+
+val deferred : int -> (unit -> Wn.t array) -> body list
+(** [deferred n load]: [n] bodies read together — one source file's, as
+    the cached frontend returns them.  [load] runs at most once, the first
+    time {!body} asks for any of them (under a lock, so concurrent askers
+    on several domains wait for one load), and must return [n] trees in
+    order.  If [load] raises, the exception reaches that caller and the
+    next {!body} call loads again. *)
 
 val fresh_module_id : unit -> int
 

@@ -303,7 +303,7 @@ let lower_proc g (pi : Sema.proc_info) =
     Ir.pu_name = name;
     pu_st;
     pu_formals = formal_idxs;
-    pu_body = Wn.func_entry ~loc:p.Ast.proc_loc ~st:pu_st body;
+    pu_body = Ir.tree (Wn.func_entry ~loc:p.Ast.proc_loc ~st:pu_st body);
     pu_symtab = local;
     pu_loc = p.Ast.proc_loc;
     pu_file = pi.Sema.pi_file;

@@ -150,7 +150,7 @@ let pp_pu m ppf (pu : Ir.pu) =
   Format.fprintf ppf "@[<v 2>subroutine %s(%s)@,%a@]@,end@." pu.Ir.pu_name
     (String.concat ", " formals)
     (pp_stmt m pu)
-    (Wn.kid pu.Ir.pu_body 0)
+    (Wn.kid (Ir.body pu) 0)
 
 let pu_to_string m pu = Format.asprintf "%a" (pp_pu m) pu
 

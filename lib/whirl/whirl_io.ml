@@ -136,7 +136,7 @@ let write_pu buf (m : Ir.module_) pu =
     (Printf.sprintf "formals %s\n"
        (String.concat " " (List.map string_of_int pu.Ir.pu_formals)));
   write_symtab buf pu.Ir.pu_symtab;
-  write_wn buf 0 pu.Ir.pu_body;
+  write_wn buf 0 (Ir.body pu);
   Buffer.add_string buf "endpu\n"
 
 (* Content images for the engine's digests: a compact binary encoding of
@@ -184,7 +184,11 @@ let add_symtab_content buf st =
       add_str buf e.Symtab.st_name;
       add_int buf e.Symtab.st_ty;
       add_str buf (sclass_str e.Symtab.st_sclass);
-      add_loc buf e.Symtab.st_loc;
+      (* a procedure entry symbol's location is where its file defines it:
+         no analysis result reads it, and keeping it would make a line
+         inserted above one procedure miss every PU of the program *)
+      if e.Symtab.st_sclass <> Symtab.Sclass_text then
+        add_loc buf e.Symtab.st_loc;
       (* index-array directives are analysis inputs: editing one must miss
          the content-addressed caches and re-analyze every user *)
       add_str buf (Lang.Iprop.to_token e.Symtab.st_iprop))
@@ -267,7 +271,7 @@ let pu_digest buf (m : Ir.module_) pu =
   add_int buf (List.length pu.Ir.pu_formals);
   List.iter (add_int buf) pu.Ir.pu_formals;
   add_symtab_content buf pu.Ir.pu_symtab;
-  add_wn_content buf (ref "") pu.Ir.pu_body;
+  add_wn_content buf (ref "") (Ir.body pu);
   Digest.string (Buffer.contents buf)
 
 let write (m : Ir.module_) =
@@ -503,7 +507,7 @@ let parse text =
                 Ir.pu_name = name;
                 pu_st;
                 pu_formals = formals;
-                pu_body = body;
+                pu_body = Ir.tree body;
                 pu_symtab = symtab;
                 pu_loc = Lang.Loc.make ~file ~line ~col;
                 pu_file = file;

@@ -27,7 +27,10 @@ val pu_digest : Buffer.t -> Ir.module_ -> Ir.pu -> Digest.t
     than {!pu_to_string}; never parsed, only hashed. *)
 
 val symtab_digest : Symtab.t -> Digest.t
-(** Like {!pu_digest}, over a symbol table alone ([Mem_Loc]s left out). *)
+(** Like {!pu_digest}, over a symbol table alone ([Mem_Loc]s left out, and
+    the location of every procedure entry symbol: where a file defines a
+    procedure is no analysis input, so inserting a line in one file keeps
+    the global table's digest). *)
 
 val parse : string -> (Ir.module_, string) result
 (** The reconstructed module carries a stub semantic program (empty

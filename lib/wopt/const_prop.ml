@@ -247,8 +247,8 @@ let run_pu m (pu : Ir.pu) =
   let formals = Hashtbl.create 8 in
   List.iter (fun f -> Hashtbl.replace formals f ()) pu.Ir.pu_formals;
   let ctx = { m; pu; formals; st = zero_stats } in
-  let body, _ = walk_stmt ctx Env.empty pu.Ir.pu_body in
-  ({ pu with Ir.pu_body = body }, ctx.st)
+  let body, _ = walk_stmt ctx Env.empty (Ir.body pu) in
+  (Ir.with_body pu body, ctx.st)
 
 let run (m : Ir.module_) =
   let stats = ref zero_stats in

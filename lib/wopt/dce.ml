@@ -29,7 +29,7 @@ let observed_scalars (pu : Ir.pu) =
       | Wn.OPR_LDID | Wn.OPR_LDA | Wn.OPR_IDNAME ->
         Hashtbl.replace tbl w.Wn.st_idx ()
       | _ -> ())
-    pu.Ir.pu_body;
+    (Ir.body pu);
   tbl
 
 let is_local_scalar m pu code =
@@ -96,10 +96,9 @@ let run_pu m (pu : Ir.pu) =
       { w with Wn.kids = [| Wn.kid w 0; clean_stmt (Wn.kid w 1) |] }
     | _ -> w
   in
-  let body =
-    { pu.Ir.pu_body with Wn.kids = [| clean_stmt (Wn.kid pu.Ir.pu_body 0) |] }
-  in
-  ({ pu with Ir.pu_body = body }, !stats)
+  let entry = Ir.body pu in
+  let body = { entry with Wn.kids = [| clean_stmt (Wn.kid entry 0) |] } in
+  (Ir.with_body pu body, !stats)
 
 let run (m : Ir.module_) =
   let stats = ref zero in

@@ -180,6 +180,23 @@ for f in project.rgn project.dgn project.cfg; do
 done
 cmp "$out/fnone.json" "$out/fwarm.json"
 
+echo "== smoke: warm runs that read cached bodies == no cache (gen-small) =="
+# the cache above holds every file's body; --wopt and diffcheck ask for
+# them (read on demand), and must print and write what a no-cache run does
+for flags in "--wopt" "--analyses bounds,diffcheck"; do
+  rm -rf "$out/bwarm" "$out/bnone"
+  # shellcheck disable=SC2086
+  dune exec bin/uhc.exe -- "$out/fsrc"/*.f $flags --cache-dir "$out/fcache2" \
+    -o "$out/bwarm" | grep -v '^wrote ' >"$out/bwarm.txt"
+  # shellcheck disable=SC2086
+  dune exec bin/uhc.exe -- "$out/fsrc"/*.f $flags -o "$out/bnone" \
+    | grep -v '^wrote ' >"$out/bnone.txt"
+  cmp "$out/bnone.txt" "$out/bwarm.txt"
+  for f in project.rgn project.dgn project.cfg; do
+    cmp "$out/bnone/$f" "$out/bwarm/$f"
+  done
+done
+
 echo "== smoke: bench gen --json =="
 dune exec bench/main.exe -- gen --json --out "$out/BENCH_gen.json" >/dev/null
 test -s "$out/BENCH_gen.json"

@@ -9,7 +9,7 @@ let first_loop pu =
     (fun w ->
       if w.Whirl.Wn.operator = Whirl.Wn.OPR_DO_LOOP && !loop = None then
         loop := Some w)
-    pu.Whirl.Ir.pu_body;
+    (Whirl.Ir.body pu);
   Option.get !loop
 
 let test_jacobi_analysis () =
@@ -86,7 +86,7 @@ let test_matmul_loop_verdicts () =
   Whirl.Wn.preorder
     (fun w ->
       if w.Whirl.Wn.operator = Whirl.Wn.OPR_DO_LOOP then loops := w :: !loops)
-    dgemm.Whirl.Ir.pu_body;
+    (Whirl.Ir.body dgemm);
   let k_loop = List.nth (List.rev !loops) 1 in
   let vk =
     Ipa.Parallel.loop_parallel m r.Ipa.Analyze.r_summaries dgemm k_loop

@@ -489,8 +489,9 @@ let test_reintern_paths () =
 (* ---- fresh uhc processes over one cache directory --------------------- *)
 
 (* One uhc process over [files], written into [dir]/src: the .rgn/.dgn/.cfg
-   contents it writes and a counter of its --metrics file. *)
-let uhc_run ~dir ?cache ?(flags = []) files =
+   contents it writes and a counter of its --metrics file; [stdout] gets
+   what it printed, without [wrote] lines and uhc's own messages. *)
+let uhc_run ~dir ?cache ?(flags = []) ?stdout files =
   let src = Filename.concat dir "src" and out = Filename.concat dir "out" in
   List.iter
     (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
@@ -516,7 +517,17 @@ let uhc_run ~dir ?cache ?(flags = []) files =
       @ flags)
   in
   (match Test_cli.run_capture cmd with
-  | Unix.WEXITED 0, _ -> ()
+  | Unix.WEXITED 0, output ->
+    Option.iter
+      (fun r ->
+        r :=
+          String.split_on_char '\n' output
+          |> List.filter (fun l ->
+                 not
+                   (String.starts_with ~prefix:"wrote " l
+                   || String.starts_with ~prefix:"uhc: " l))
+          |> String.concat "\n")
+      stdout
   | _, output -> Alcotest.failf "%s failed:\n%s" cmd output);
   let read f =
     In_channel.with_open_bin (Filename.concat out f) In_channel.input_all
@@ -590,6 +601,204 @@ let test_fresh_process_paths () =
       [ "--wopt"; "--fuse" ]
   end
 
+(* A warm frontend load defers every cached file's bodies; a collection
+   that misses asks for them on the pool's domains, and each file is read
+   once.  A failed read or decode of the tree entry re-lowers the file,
+   with the store's diagnostic, and changes no output. *)
+let test_bodies_from_pool () =
+  let files = corpus_files "gen-small" in
+  let nfiles = List.length files in
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  ignore (Frontend_cache.load ~store:(Engine_store.create ~dir ()) files);
+  let want = render (Engine.analyze (lower files)) in
+  List.iter
+    (fun (specs, jobs) ->
+      let what = Printf.sprintf "[%s] jobs %d" (String.concat "," specs) jobs in
+      let plan =
+        match Fault.parse_specs specs with
+        | Ok p -> p
+        | Error e -> Alcotest.failf "%s: %s" what e
+      in
+      let store = Engine_store.create ~dir () in
+      let m0 = Obs.Metrics.snapshot () in
+      let got =
+        Fault.with_plan plan (fun () ->
+            let fr = Frontend_cache.load ~store files in
+            (* no analysis store: every PU's collection misses *)
+            Engine.run ~carried:fr.Frontend_cache.fr_carried
+              (Engine.config ~jobs ()) fr.Frontend_cache.fr_module)
+      in
+      let d = Obs.Metrics.diff (Obs.Metrics.snapshot ()) m0 in
+      check_same_output what want (render got.Engine.e_result);
+      let faulted = plan <> [] in
+      Alcotest.(check int) (what ^ ": trees decoded")
+        (if faulted then 0 else nfiles)
+        (Obs.Metrics.value d "frontend.body.decoded");
+      Alcotest.(check int) (what ^ ": files lowered again")
+        (if faulted then nfiles else 0)
+        (Obs.Metrics.value d "frontend.body.relowered");
+      Alcotest.(check (list string)) (what ^ ": one diagnostic per file")
+        (if faulted then
+           List.init nfiles (fun _ ->
+               Fault.site_name (List.hd plan).Fault.sp_site)
+         else [])
+        (List.map
+           (fun (g : Fault.Diag.t) -> g.Fault.Diag.d_site)
+           (Engine_store.drain_diags store)))
+    [
+      ([], 1);
+      ([], 4);
+      ([ "store.read:1.0:7:fw-" ], 1);
+      ([ "store.read:1.0:7:fw-" ], 4);
+      ([ "store.marshal:1.0:7:fw-" ], 1);
+      ([ "store.marshal:1.0:7:fw-" ], 4);
+    ]
+
+(* uhc processes on gen-small: a warm run reads no body it does not
+   collect again, and every run that does read bodies equals its no-cache
+   run. *)
+let test_fresh_process_bodies () =
+  if Test_cli.binaries_present () then begin
+    let dir = fresh_dir () in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let cache = Filename.concat dir "cache" in
+    let files = corpus_files "gen-small" in
+    let nfiles = List.length files in
+    let per_file = Corpus.Gen.default.Corpus.Gen.g_pus_per_file in
+    ignore (uhc_run ~dir ~cache files);
+    let same ?(dir = dir) what ?(flags = []) got_out got_stdout edited =
+      let stdout = ref "" in
+      let want, _ = uhc_run ~dir ~flags ~stdout edited in
+      check_same_output what want got_out;
+      Alcotest.(check string) (what ^ ": stdout") !stdout got_stdout
+    in
+    (* a one-file edit: no tree is read *)
+    let edited =
+      List.mapi
+        (fun i f ->
+          if i = 3 then
+            match edit_one f with Some f' -> f' | None -> Alcotest.fail "edit"
+          else f)
+        files
+    in
+    let stdout = ref "" in
+    let out, c = uhc_run ~dir ~cache ~stdout edited in
+    Alcotest.(check (list int)) "edit: no tree decoded or lowered again"
+      [ 0; 0 ]
+      [ c "frontend.body.decoded"; c "frontend.body.relowered" ];
+    same "edit" out !stdout edited;
+    (* a line inserted in the first file moves its later procedures'
+       locations: only that file's PUs miss collection *)
+    let inserted =
+      match edited with
+      | (name, src) :: rest ->
+        let found = ref false in
+        let lines =
+          List.concat_map
+            (fun l ->
+              if
+                (not !found)
+                && String.starts_with ~prefix:"      subroutine s0_1(" l
+              then begin
+                found := true;
+                [ l; "      integer zzins" ]
+              end
+              else [ l ])
+            (String.split_on_char '\n' src)
+        in
+        if not !found then Alcotest.failf "%s: no s0_1" name;
+        (name, String.concat "\n" lines) :: rest
+      | [] -> Alcotest.fail "no files"
+    in
+    let out, c = uhc_run ~dir ~cache ~stdout inserted in
+    let misses = c "engine.collect.misses" in
+    Alcotest.(check bool)
+      (Printf.sprintf "line insert: %d collect misses, all in one file" misses)
+      true
+      (misses > 0 && misses <= per_file);
+    Alcotest.(check int) "line insert: no tree decoded" 0
+      (c "frontend.body.decoded");
+    same "line insert" out !stdout inserted;
+    (* the runs that read bodies of a cached module, each file's once *)
+    List.iter
+      (fun flags ->
+        let what = String.concat " " flags in
+        let out, c = uhc_run ~dir ~cache ~flags ~stdout inserted in
+        let read = c "frontend.body.decoded" in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %d trees decoded, at most one per file" what
+             read)
+          true
+          (read > 0 && read <= nfiles && c "frontend.body.relowered" = 0);
+        same what ~flags out !stdout inserted)
+      [
+        [ "--wopt" ];
+        [ "--fuse" ];
+        [ "--autopar" ];
+        [ "--analyses"; "bounds,diffcheck" ];
+      ];
+    (* the interpreter stops at gen-small's first out-of-bounds access:
+       run the programs that finish *)
+    List.iter
+      (fun corpus ->
+        let dir = Filename.concat dir corpus in
+        Sys.mkdir dir 0o755;
+        let cache = Filename.concat dir "cache" in
+        let files = corpus_files corpus in
+        ignore (uhc_run ~dir ~cache files);
+        let flags = [ "--run" ] in
+        let out, c = uhc_run ~dir ~cache ~flags ~stdout files in
+        Alcotest.(check int) (corpus ^ " --run: trees decoded")
+          (List.length files) (c "frontend.body.decoded");
+        same ~dir (corpus ^ " --run") ~flags out !stdout files)
+      [ "fig1"; "matrix" ];
+    (* faults on the tree entries only: every file is lowered again, with
+       the store's diagnostic, at any --jobs; a decode failure quarantines
+       the entry, and the next run heals it *)
+    List.iter
+      (fun (site, jobs) ->
+        let flags =
+          [ "--analyses"; "bounds,diffcheck"; "--jobs"; string_of_int jobs ]
+        in
+        let what = Printf.sprintf "%s faults, jobs %d" site jobs in
+        let diags = Filename.concat dir "diags.json" in
+        let out, c =
+          uhc_run ~dir ~cache ~stdout
+            ~flags:
+              (flags
+              @ [ "--fault-spec"; site ^ ":1.0:7:fw-"; "--diagnostics"; diags ])
+            inserted
+        in
+        Alcotest.(check (list int)) (what ^ ": decoded, lowered again")
+          [ 0; nfiles ]
+          [ c "frontend.body.decoded"; c "frontend.body.relowered" ];
+        (match
+           Fault.Diag.parse
+             (In_channel.with_open_bin diags In_channel.input_all)
+         with
+        | Ok ds ->
+          Alcotest.(check int) (what ^ ": one diagnostic per file") nfiles
+            (List.length
+               (List.filter
+                  (fun (g : Fault.Diag.t) -> g.Fault.Diag.d_site = site)
+                  ds))
+        | Error e -> Alcotest.failf "%s: %s" diags e);
+        same what ~flags out !stdout inserted;
+        (* a quarantined tree entry left with its segment, set aside at
+           the end of the run: the next run writes it again *)
+        let _, c = uhc_run ~dir ~cache inserted in
+        Alcotest.(check int) (what ^ ": next run's body misses")
+          (if site = "store.marshal" then nfiles else 0)
+          (c "frontend.artifact.body.misses"))
+      [
+        ("store.read", 1);
+        ("store.read", 4);
+        ("store.marshal", 1);
+        ("store.marshal", 4);
+      ]
+  end
+
 let suite =
   [
     Alcotest.test_case "parallel and warm byte-identical" `Slow
@@ -612,4 +821,8 @@ let suite =
       test_reintern_paths;
     Alcotest.test_case "fresh processes: carried digests, remap on id shift"
       `Quick test_fresh_process_paths;
+    Alcotest.test_case "pool domains read each file's trees once" `Quick
+      test_bodies_from_pool;
+    Alcotest.test_case "fresh processes: bodies read on demand" `Quick
+      test_fresh_process_bodies;
   ]

@@ -37,18 +37,23 @@ let check_same what files ((fr : Frontend_cache.result), _) =
     (what ^ ": program equal") true
     (program_image want.Whirl.Ir.m_program
     = program_image got.Whirl.Ir.m_program);
-  (* the carried digests name the module's own PUs, in order, and equal
-     the digest computed now, before and after layout *)
+  (* every body reads back through the accessor above (so a cached load
+     checks that its tree entry round-trips); the carried values name the
+     module's own PUs, in order, and equal what is computed from the body
+     now, the digest before and after layout *)
   let buf = Buffer.create 4096 in
   let carried when_ =
     Alcotest.(check bool)
-      (what ^ ": carried digests " ^ when_) true
-      (List.length fr.Frontend_cache.fr_digests
+      (what ^ ": carried values " ^ when_) true
+      (List.length fr.Frontend_cache.fr_carried
        = List.length got.Whirl.Ir.m_pus
       && List.for_all2
-           (fun pu (pu', d) ->
-             pu == pu' && d = Whirl.Whirl_io.pu_digest buf got pu)
-           got.Whirl.Ir.m_pus fr.Frontend_cache.fr_digests)
+           (fun pu (pu', (c : Engine_store.carried)) ->
+             pu == pu'
+             && c.Engine_store.ca_digest = Whirl.Whirl_io.pu_digest buf got pu
+             && c.Engine_store.ca_sites = Ipa.Callgraph.sites_of got pu
+             && c.Engine_store.ca_cfg = Cfg.build pu)
+           got.Whirl.Ir.m_pus fr.Frontend_cache.fr_carried)
   in
   carried "before layout";
   Whirl.Layout.assign got;
@@ -225,21 +230,26 @@ let test_duplicate_procedure () =
   Alcotest.(check string) "warm: same message" want
     (message (fun () -> load dir files))
 
+(* damage the second half of the first payload of namespace [ns] inside
+   its segment; the path of that segment *)
+let corrupt_first dir ns =
+  let path, off, len =
+    Test_engine.payloads (Test_engine.schema_dir dir)
+    |> List.filter (fun (_, ns', _, _, _) -> ns' = ns)
+    |> List.sort (fun (_, _, a, _, _) (_, _, b, _, _) -> compare a b)
+    |> function
+    | (seg, _, _, off, len) :: _ -> (seg, off, len)
+    | [] -> Alcotest.failf "no %s entry on disk" ns
+  in
+  Test_engine.overwrite path (off + (len / 2))
+    (String.make (len - (len / 2)) '\000');
+  path
+
 let test_corrupt_artifact () =
   let files = [ main_f; work_f; func_f "real" ] in
   let dir = Test_engine.fresh_dir () in
   ignore (load dir files);
-  (* damage the second half of one body's payload inside its segment *)
-  let path, off, len =
-    Test_engine.payloads (Test_engine.schema_dir dir)
-    |> List.filter (fun (_, ns, _, _, _) -> ns = "fb")
-    |> List.sort (fun (_, _, a, _, _) (_, _, b, _, _) -> compare a b)
-    |> function
-    | (seg, _, _, off, len) :: _ -> (seg, off, len)
-    | [] -> Alcotest.fail "no body artifact on disk"
-  in
-  Test_engine.overwrite path (off + (len / 2))
-    (String.make (len - (len / 2)) '\000');
+  let path = corrupt_first dir "fb" in
   let q0 = Test_fault.mget "store.quarantined" in
   let fr = load dir files in
   check_same "after corruption" files fr;
@@ -248,6 +258,33 @@ let test_corrupt_artifact () =
     (Test_fault.mget "store.quarantined" - q0);
   Alcotest.(check bool) "evidence kept aside" true
     (Sys.file_exists (path ^ ".quarantined"));
+  check_stats "healed" [ 3; 0; 3; 0 ] (load dir files)
+
+(* A damaged tree entry is found only when a body is asked for: that file
+   is lowered again, and once a publish has set the segment aside, the
+   next load writes its trees again. *)
+let test_corrupt_trees () =
+  let files = [ main_f; work_f; func_f "real" ] in
+  let dir = Test_engine.fresh_dir () in
+  ignore (load dir files);
+  let path = corrupt_first dir "fw" in
+  let q0 = Test_fault.mget "store.quarantined" in
+  let r0 = Test_fault.mget "frontend.body.relowered" in
+  let store = Engine_store.create ~dir () in
+  let fr = counted (fun () -> Frontend_cache.load ~store files) in
+  check_stats "after corruption: the artifacts hit" [ 3; 0; 3; 0 ] fr;
+  check_same "after corruption" files fr;
+  Alcotest.(check (list int)) "quarantined and lowered again once" [ 1; 1 ]
+    [
+      Test_fault.mget "store.quarantined" - q0;
+      Test_fault.mget "frontend.body.relowered" - r0;
+    ];
+  Engine_store.publish store;
+  Alcotest.(check bool) "evidence kept aside" true
+    (Sys.file_exists (path ^ ".quarantined"));
+  let fr = load dir files in
+  check_stats "trees gone: a body miss" [ 3; 0; 2; 1 ] fr;
+  check_same "trees written again" files fr;
   check_stats "healed" [ 3; 0; 3; 0 ] (load dir files)
 
 let test_keep_going_never_caches_bad_file () =
@@ -290,6 +327,8 @@ let suite =
       test_duplicate_procedure;
     Alcotest.test_case "corrupt artifact quarantined and recomputed" `Quick
       test_corrupt_artifact;
+    Alcotest.test_case "corrupt trees re-lowered, then written again" `Quick
+      test_corrupt_trees;
     Alcotest.test_case "keep-going never caches an unparsable file" `Quick
       test_keep_going_never_caches_bad_file;
     Alcotest.test_case "no store: plain composition" `Quick test_no_store;

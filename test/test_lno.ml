@@ -7,12 +7,12 @@ let find_loops pu =
   Whirl.Wn.preorder
     (fun w ->
       if w.Whirl.Wn.operator = Whirl.Wn.OPR_DO_LOOP then loops := w :: !loops)
-    pu.Whirl.Ir.pu_body;
+    (Whirl.Ir.body pu);
   List.rev !loops
 
 let top_loops pu =
   (* loops that are direct statements of the function body block *)
-  let body = Whirl.Wn.kid pu.Whirl.Ir.pu_body 0 in
+  let body = Whirl.Wn.kid (Whirl.Ir.body pu) 0 in
   Array.to_list body.Whirl.Wn.kids
   |> List.filter (fun w -> w.Whirl.Wn.operator = Whirl.Wn.OPR_DO_LOOP)
 

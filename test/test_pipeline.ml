@@ -343,7 +343,7 @@ let test_loop_parallel () =
     (fun w ->
       if w.Whirl.Wn.operator = Whirl.Wn.OPR_DO_LOOP && !loop = None then
         loop := Some w)
-    p1.Whirl.Ir.pu_body;
+    (Whirl.Ir.body p1);
   let verdict =
     Parallel.loop_parallel m result.Analyze.r_summaries p1 (Option.get !loop)
   in
@@ -355,7 +355,7 @@ let test_loop_parallel () =
     (fun w ->
       if w.Whirl.Wn.operator = Whirl.Wn.OPR_DO_LOOP && !loop2 = None then
         loop2 := Some w)
-    add.Whirl.Ir.pu_body;
+    (Whirl.Ir.body add);
   let verdict2 =
     Parallel.loop_parallel m result.Analyze.r_summaries add (Option.get !loop2)
   in

@@ -38,7 +38,7 @@ let find_array_node pu =
   let found = ref None in
   Wn.preorder
     (fun w -> if w.Wn.operator = Wn.OPR_ARRAY && !found = None then found := Some w)
-    pu.Ir.pu_body;
+    (Ir.body pu);
   Option.get !found
 
 let test_array_convention_fortran () =
@@ -122,9 +122,9 @@ let test_layout_deterministic () =
 let test_wn_counts () =
   let m = lower_src [ fortran_2d ] in
   let pu = Option.get (Ir.find_pu m "t") in
-  let loops = Wn.count (fun w -> w.Wn.operator = Wn.OPR_DO_LOOP) pu.Ir.pu_body in
+  let loops = Wn.count (fun w -> w.Wn.operator = Wn.OPR_DO_LOOP) (Ir.body pu) in
   Alcotest.(check int) "4 nested loops" 4 loops;
-  let stores = Wn.count (fun w -> w.Wn.operator = Wn.OPR_ISTORE) pu.Ir.pu_body in
+  let stores = Wn.count (fun w -> w.Wn.operator = Wn.OPR_ISTORE) (Ir.body pu) in
   Alcotest.(check int) "1 store" 1 stores
 
 let test_address_formula_docs () =

@@ -17,7 +17,7 @@ let test_tree_roundtrip () =
       Alcotest.(check bool)
         (pu.Whirl.Ir.pu_name ^ " tree identical")
         true
-        (Whirl.Wn.equal_tree pu.Whirl.Ir.pu_body pu'.Whirl.Ir.pu_body);
+        (Whirl.Wn.equal_tree (Whirl.Ir.body pu) (Whirl.Ir.body pu'));
       Alcotest.(check (list int)) "formals" pu.Whirl.Ir.pu_formals
         pu'.Whirl.Ir.pu_formals)
     m.Whirl.Ir.m_pus m'.Whirl.Ir.m_pus

@@ -126,7 +126,7 @@ let test_dce_dead_store_and_unreachable () =
   let pu = Option.get (Whirl.Ir.find_pu m' "s") in
   let stids =
     Whirl.Wn.count (fun w -> w.Whirl.Wn.operator = Whirl.Wn.OPR_STID)
-      pu.Whirl.Ir.pu_body
+      (Whirl.Ir.body pu)
   in
   Alcotest.(check int) "only the live store remains" 1 stids
 
