@@ -704,8 +704,7 @@ type bound = Present | Floor of float | Ceiling of float | True
 let gates =
   let present bench prefix = List.map (fun n -> (bench, prefix ^ n, Present)) in
   let ctx =
-    [ "ctx_contexts"; "ctx_cut_hits"; "ctx_bound_hits"; "ctx_elims";
-      "ctx_activity_reorders" ]
+    [ "ctx_contexts"; "ctx_bound_hits"; "ctx_elims" ]
   in
   (* bounds and gen measure the same seed-42 corpus *)
   let sparse_proven = Floor 3000. in
@@ -782,10 +781,8 @@ let int n = Obs.Json.Num (float_of_int n)
 let ctx_counts (d : Linear.Solver_stats.t) =
   List.map
     (fun (k, n) -> (k, int n))
-    [ ("ctx_contexts", d.ctx_contexts); ("ctx_cut_hits", d.ctx_cut_hits);
-      ("ctx_bound_hits", d.ctx_bound_hits); ("ctx_proj_hits", d.ctx_proj_hits);
-      ("ctx_elims", d.ctx_elims);
-      ("ctx_activity_reorders", d.ctx_activity_reorders) ]
+    [ ("ctx_contexts", d.ctx_contexts); ("ctx_bound_hits", d.ctx_bound_hits);
+      ("ctx_proj_hits", d.ctx_proj_hits); ("ctx_elims", d.ctx_elims) ]
 
 (* a measured float kept to [d] decimals *)
 let fixed d x =
@@ -1154,11 +1151,10 @@ let bench_solver ~json ~out () =
     speedup;
   Printf.printf
     "learned core: %d box-refuted, %d syntactic, %d FM runs; %d contexts, %d \
-     cut hits, %d bound hits, %d proj hits, %d elims, %d reorders\n"
+     bound hits, %d proj hits, %d elims\n"
     d_learned.box_refutations d_learned.syntactic_hits d_learned.fm_runs
-    d_learned.ctx_contexts d_learned.ctx_cut_hits d_learned.ctx_bound_hits
-    d_learned.ctx_proj_hits d_learned.ctx_elims
-    d_learned.ctx_activity_reorders;
+    d_learned.ctx_contexts d_learned.ctx_bound_hits d_learned.ctx_proj_hits
+    d_learned.ctx_elims;
   Printf.printf "analysis wall: reference %.4fs, learned %.4fs\n" wall_ref
     wall_learned;
   (* ---- micro: harvested region systems through each query *)
@@ -1222,12 +1218,12 @@ let bench_solver ~json ~out () =
     "micro (%d systems x %d passes):\n\
     \  feasible: reference %.4fs, learned cold %.4fs (%d small-path), learned \
      memo %.4fs\n\
-    \  implies:  reference %.4fs, learned %.4fs (%d cut hits, %d bound hits, \
-     %d memo hits)\n\
+    \  implies:  reference %.4fs, learned %.4fs (%d bound hits, %d memo \
+     hits)\n\
     \  project:  %.4fs (exact eliminator, context-memoized)\n"
     (List.length systems) passes feas_reference feas_cold small_runs feas_memo
-    impl_reference impl_learned d_impl_learned.ctx_cut_hits
-    d_impl_learned.ctx_bound_hits d_impl_learned.implies_memo_hits proj;
+    impl_reference impl_learned d_impl_learned.ctx_bound_hits
+    d_impl_learned.implies_memo_hits proj;
   (* ---- machine-readable record *)
   write_record ~json ~out "solver"
     [ ("corpus", Str "nas-lu");
@@ -1558,12 +1554,10 @@ let bench_regions ~json ~out () =
   Printf.printf "reference fold (Region.Reference.join_sys): %.4fs\n" ref_wall;
   Printf.printf
     "learned union_many: %d implies queries (%d memo hits, %d \
-     saved by interned ids; %d cut hits, %d bound hits, %d elims, %d \
-     reorders), %.3f ms implies wall, %.4fs => %.1fx%s\n"
+     saved by interned ids; %d bound hits, %d elims), %.3f ms implies wall, \
+     %.4fs => %.1fx%s\n"
     d_learned.implies_queries d_learned.implies_memo_hits
-    saved d_learned.ctx_cut_hits
-    d_learned.ctx_bound_hits d_learned.ctx_elims
-    d_learned.ctx_activity_reorders
+    saved d_learned.ctx_bound_hits d_learned.ctx_elims
     (float_of_int d_learned.implies_wall_ns /. 1e6)
     learned_wall speedup
     (if speedup_ok then "" else "  (below the floor!)");

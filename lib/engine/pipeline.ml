@@ -338,23 +338,36 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
             (fun (report, _) ->
               Format.printf "@[<v>%a@]@?" Analyses.Report.render report)
             outcomes));
-    if cfg.execute then begin
-      let outcome =
+    (* a program that stops with a runtime error is the program's fault,
+       not uhc's: say where, still write the outputs, and exit 1 *)
+    let run_failed =
+      cfg.execute
+      &&
+      match
         Obs.Span.with_ ~cat:"phase" ~name:"execute" (fun () -> Interp.run m)
-      in
-      print_string outcome.Interp.out_text;
-      Printf.printf "(%d statements executed)\n" outcome.Interp.out_steps;
-      if cfg.dump_callgraph then begin
-        (* the dynamic call graph with feedback information (Dragon Fig 5) *)
-        let project =
-          Dragon.Project.make ~name:cfg.project ~dgn:result.Ipa.Analyze.r_dgn
-            ()
-        in
-        print_string
-          (Dragon.Graphs.callgraph_ascii ~feedback:outcome.Interp.out_calls
-             project)
-      end
-    end;
+      with
+      | outcome ->
+        print_string outcome.Interp.out_text;
+        Printf.printf "(%d statements executed)\n" outcome.Interp.out_steps;
+        if cfg.dump_callgraph then begin
+          (* the dynamic call graph with feedback information (Dragon Fig 5) *)
+          let project =
+            Dragon.Project.make ~name:cfg.project
+              ~dgn:result.Ipa.Analyze.r_dgn ()
+          in
+          print_string
+            (Dragon.Graphs.callgraph_ascii ~feedback:outcome.Interp.out_calls
+               project)
+        end;
+        false
+      | exception Interp.Runtime_error (msg, loc) ->
+        Printf.eprintf "uhc: %s: runtime error: %s\n%!" (Lang.Loc.to_string loc)
+          msg;
+        true
+      | exception Interp.Out_of_fuel ->
+        prerr_endline "uhc: --run stopped: statement budget exhausted";
+        true
+    in
     (match cfg.out_dir with
     | None -> ()
     | Some dir ->
@@ -425,7 +438,7 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
       (Ipa.Callgraph.node_count result.Ipa.Analyze.r_callgraph)
       (Ipa.Callgraph.edge_count result.Ipa.Analyze.r_callgraph)
       (List.length result.Ipa.Analyze.r_rows);
-    0
+    if run_failed then 1 else 0
   with
   | No_input -> 2
   | Lang.Diag.Frontend_error d ->

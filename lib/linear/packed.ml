@@ -8,13 +8,12 @@ open Numeric
    over these rows is pure integer arithmetic: no [Rat.t] allocation, no
    [Var.Map] traversal per coefficient.
 
-   Exactness contract: with [~tighten:false], [feasible] decides rational
-   feasibility exactly (same answer as the reference eliminator in
-   {!System}).  With [~tighten:true], GCD tightening may additionally refute
-   systems that are rationally feasible but integer-infeasible; such a
-   refutation is reported as [Infeasible_tightened] so the caller can re-run
-   exactly.  A [Feasible] answer is exact in both modes (tightening only
-   shrinks the solution set). *)
+   Exactness contract: [feasible] decides rational feasibility exactly (same
+   answer as the reference eliminator in {!System}).  Each step is a plain
+   Fourier-Motzkin projection (equality substitution, or every lower bound
+   paired with every upper bound), rows are only divided by their own gcd,
+   and the one row ever dropped is one implied by a kept row with the same
+   coefficients and a tighter constant. *)
 
 exception Not_packable
 
@@ -23,8 +22,6 @@ type row = {
   cs : int array;  (* non-zero integer coefficients, parallel to [ids] *)
   k : int;  (* constant term *)
   eq : bool;  (* [true] for equalities, [false] for [<= 0] *)
-  anc : int;  (* bitset of original ancestor rows (Imbert counting);
-                 0 means "untracked" and disables pruning *)
 }
 
 type t = row array
@@ -64,7 +61,7 @@ let pack_constr c =
     terms;
   let kc = Expr.constant e in
   if not (Rat.is_integer kc) || Rat.num kc = min_int then raise Not_packable;
-  { ids; cs; k = Rat.to_int kc; eq = Constr.op c = Constr.Eq; anc = 0 }
+  { ids; cs; k = Rat.to_int kc; eq = Constr.op c = Constr.Eq }
 
 let pack cs = Array.of_list (List.map pack_constr cs)
 
@@ -93,7 +90,7 @@ let coeff_of v r =
 
 (* [combine m1 r1 m2 r2] is the row [m1*r1 + m2*r2] with zero coefficients
    squeezed out (merge of two sorted term arrays). *)
-let combine m1 r1 m2 r2 ~eq ~anc =
+let combine m1 r1 m2 r2 ~eq =
   let n1 = Array.length r1.ids and n2 = Array.length r2.ids in
   let ids = Array.make (n1 + n2) 0 and cs = Array.make (n1 + n2) 0 in
   let i = ref 0 and j = ref 0 and out = ref 0 in
@@ -133,7 +130,6 @@ let combine m1 r1 m2 r2 ~eq ~anc =
     cs = Array.sub cs 0 !out;
     k = cadd (cmul m1 r1.k) (cmul m2 r2.k);
     eq;
-    anc;
   }
 
 (* Exact normalization: divide the whole row (coefficients and constant) by
@@ -146,26 +142,6 @@ let normalize_exact r =
     let g = !g in
     if g <= 1 then r
     else { r with cs = Array.map (fun c -> c / g) r.cs; k = r.k / g }
-  end
-
-(* GCD tightening of an integer inequality: divide the variable coefficients
-   by their gcd [g] and round the constant up ([c.v + k <= 0] becomes
-   [(c/g).v + ceil(k/g) <= 0]).  Exact on integer points; strictly stronger
-   on rational points when [g] does not divide [k], in which case [strict]
-   is flagged so a refutation can be re-checked exactly. *)
-let tighten_row strict r =
-  if r.eq || is_const r then r
-  else begin
-    let g = ref 0 in
-    Array.iter (fun c -> g := Rat.gcd !g c) r.cs;
-    let g = !g in
-    if g <= 1 then r
-    else begin
-      let q = r.k / g and m = r.k mod g in
-      let k' = if m > 0 then q + 1 else q in
-      if m <> 0 then strict := true;
-      { r with cs = Array.map (fun c -> c / g) r.cs; k = k' }
-    end
   end
 
 (* ---------- interval bounding boxes ---------- *)
@@ -268,8 +244,6 @@ let box_implies box rows =
 
 exception Infeasible_exc
 
-type outcome = Feasible | Infeasible | Infeasible_tightened
-
 (* Split [rows] into constant rows (checked, dropped) and live rows. *)
 let check_consts rows =
   List.filter
@@ -307,23 +281,14 @@ let rec eq_phase rows =
         let g = Rat.gcd a c in
         let m1 = abs a / g in
         let m2 = cneg (if a > 0 then c / g else cneg (c / g)) in
-        normalize_exact (combine m1 r m2 e ~eq:r.eq ~anc:0)
+        normalize_exact (combine m1 r m2 e ~eq:r.eq)
       end
     in
     eq_phase (check_consts (List.map subst rest))
 
-let popcount n =
-  let rec go n acc = if n = 0 then acc else go (n land (n - 1)) (acc + 1) in
-  go n 0
-
-(* Inequality phase: pure Fourier-Motzkin with exact row normalization,
-   dominance pruning, and Imbert's redundancy bound.  [step] is the 1-based
-   index of the elimination being performed; a derived row whose ancestor
-   set (union of the two parents' — parent-count sums would overcount
-   shared history and prune sound rows) has more than [step + 1] members is
-   redundant and dropped.  No tightening happens here: Imbert's theorem is
-   about exact conic combinations, so tightened rows would void it. *)
-let rec ineq_phase ?prio step rows =
+(* Inequality phase: pure Fourier-Motzkin with exact row normalization and
+   dominance pruning. *)
+let rec ineq_phase rows =
   match rows with
   | [] -> ()
   | _ ->
@@ -354,32 +319,7 @@ let rec ineq_phase ?prio step rows =
           if cost < bcost || (cost = bcost && id < bid) then
             best := Some (id, cost))
       occ;
-    let v =
-      match !best with
-      | None -> assert false
-      | Some (bid, bcost) -> (
-        match prio with
-        | None -> bid
-        | Some act ->
-          (* activity override: among the variables whose elimination cost
-             is within 2x of the cheapest, prefer the most active one
-             (ties: smallest id).  Any order is exact for FM, so this only
-             redistributes work, never changes the answer. *)
-          let limit = 2 * bcost in
-          let chosen = ref (bid, act bid) in
-          Hashtbl.iter
-            (fun id (nl, nu) ->
-              let cost = !nl * !nu in
-              if cost <= limit then begin
-                let a = act id in
-                let cid, ca = !chosen in
-                if a > ca || (a = ca && id < cid) then chosen := (id, a)
-              end)
-            occ;
-          let cid, _ = !chosen in
-          if cid <> bid then Solver_stats.ctx_activity_reorder ();
-          cid)
-    in
+    let v = match !best with None -> assert false | Some (id, _) -> id in
     let lows, ups, free =
       List.fold_left
         (fun (lows, ups, free) r ->
@@ -391,16 +331,7 @@ let rec ineq_phase ?prio step rows =
     in
     let built = ref 0 and pruned = ref 0 in
     (* dominance table: same coefficient vector -> keep the tightest
-       constant (largest k).  The merged row must carry the INTERSECTION of
-       the two ancestor sets: each pruned row B has an implying survivor A
-       with anc(A) a subset of B's true history, so a descendant of A is
-       never Imbert-pruned in a situation where the corresponding descendant
-       of B would have been kept.  (Keeping the larger — or even just A's
-       own — ancestor set here is unsound: A's descendants could be pruned
-       while the pruned-B descendants that Kohler's criterion relies on were
-       never built, losing constraints and reporting false Feasible.)
-       Under-approximating ancestors only ever disables pruning, which is
-       conservative; anc = 0 (empty) degrades to "never pruned". *)
+       constant (largest k), which implies the others *)
     let dom : (int array * int array, row) Hashtbl.t = Hashtbl.create 64 in
     let keep r =
       let key = (r.ids, r.cs) in
@@ -408,10 +339,7 @@ let rec ineq_phase ?prio step rows =
       | None -> Hashtbl.replace dom key r
       | Some r' ->
         incr pruned;
-        let merged =
-          { (if r.k > r'.k then r else r') with anc = r.anc land r'.anc }
-        in
-        Hashtbl.replace dom key merged
+        if r.k > r'.k then Hashtbl.replace dom key r
     in
     List.iter keep free;
     List.iter
@@ -419,49 +347,25 @@ let rec ineq_phase ?prio step rows =
         List.iter
           (fun (up, cu) ->
             incr built;
-            let anc = lo.anc lor up.anc in
-            if anc <> 0 && popcount anc > step + 1 then incr pruned
-            else begin
-              let ncl = cneg cl in
-              let g = Rat.gcd cu ncl in
-              let r = combine (cu / g) lo (ncl / g) up ~eq:false ~anc in
-              if is_const r then begin
-                if const_infeasible r then raise Infeasible_exc
-              end
-              else keep (normalize_exact r)
-            end)
+            let ncl = cneg cl in
+            let g = Rat.gcd cu ncl in
+            let r = combine (cu / g) lo (ncl / g) up ~eq:false in
+            if is_const r then begin
+              if const_infeasible r then raise Infeasible_exc
+            end
+            else keep (normalize_exact r))
           ups)
         lows;
     Solver_stats.fm_rows_built !built;
     Solver_stats.fm_rows_pruned !pruned;
-    let next = Hashtbl.fold (fun _ r acc -> r :: acc) dom [] in
-    ineq_phase ?prio (step + 1) next
+    ineq_phase (Hashtbl.fold (fun _ r acc -> r :: acc) dom [])
 
-let feasible ?prio ~tighten rows =
+let feasible rows =
   Solver_stats.fm_run ();
-  let strict = ref false in
   try
-    let rows = check_consts (Array.to_list rows) in
-    let rows = eq_phase rows in
-    (* GCD-tighten the starting inequalities only: interleaving tightening
-       with the elimination would break the conic-combination premise of
-       both Imbert's bound and the exactness argument for [Feasible]. *)
-    let rows =
-      if tighten then check_consts (List.map (tighten_row strict) rows)
-      else rows
-    in
-    (* Re-number ancestors after the equality phase so Imbert's bound
-       applies to the pure-inequality run that starts here; with more than
-       62 rows the bitset would overflow, so pruning is disabled (anc 0). *)
-    let n = List.length rows in
-    let rows =
-      if n <= 62 then List.mapi (fun i r -> { r with anc = 1 lsl i }) rows
-      else rows
-    in
-    ineq_phase ?prio 1 rows;
-    Feasible
-  with Infeasible_exc ->
-    if !strict then Infeasible_tightened else Infeasible
+    ineq_phase (eq_phase (check_consts (Array.to_list rows)));
+    true
+  with Infeasible_exc -> false
 
 (* ---------- row introspection (learned contexts) ---------- *)
 

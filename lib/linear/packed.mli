@@ -2,8 +2,10 @@
 
     Constraints whose (already Constr-normalized) coefficients are machine
     integers pack into flat int arrays; Fourier-Motzkin elimination over the
-    packed rows uses pure integer arithmetic with Imbert-style parent
-    counting, dominance pruning, and optional GCD tightening.
+    packed rows uses pure integer arithmetic and is exact: it decides
+    rational feasibility, the same answer as the reference eliminator.  The
+    one pruning it does is dominance (of two rows with the same coefficient
+    vector it keeps the tighter constant).
 
     Any arithmetic overflow raises {!Numeric.Rat.Overflow}; callers fall
     back to the exact rational reference path. *)
@@ -62,23 +64,7 @@ val box_implies : box -> t -> bool
 
 (** {2 Feasibility} *)
 
-type outcome =
-  | Feasible  (** exact in both modes *)
-  | Infeasible  (** exact: no rational solution *)
-  | Infeasible_tightened
-      (** refuted only after strict GCD tightening — rationally the system
-          may still be feasible; re-run with [~tighten:false] for the exact
-          answer *)
-
-val feasible : ?prio:(int -> float) -> tighten:bool -> t -> outcome
-(** Fourier-Motzkin feasibility over the packed rows.  With
-    [~tighten:false] the answer is exactly rational feasibility; with
-    [~tighten:true] GCD tightening shortens eliminations but a refutation
-    that involved strict tightening is reported as [Infeasible_tightened].
-
-    [?prio] supplies a per-variable activity score: among variables whose
-    elimination cost is within 2x of the cheapest, the most active one is
-    eliminated first (learned contexts seed this with conflict activity).
-    Any elimination order is exact, so [prio] never changes the outcome —
-    overridden picks are counted in [Solver_stats.ctx_activity_reorders].
+val feasible : t -> bool
+(** Fourier-Motzkin feasibility over the packed rows: [true] iff the system
+    has a rational solution.
     @raise Numeric.Rat.Overflow on integer overflow. *)

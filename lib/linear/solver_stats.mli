@@ -28,9 +28,8 @@ type t = {
   syntactic_hits : int;  (** [implies] decided without any elimination *)
   fm_runs : int;  (** packed Fourier-Motzkin eliminations performed *)
   fm_rows_built : int;  (** rows produced by FM pair combination *)
-  fm_rows_pruned : int;  (** rows dropped by Imbert counting / dominance *)
-  tighten_fallbacks : int;
-      (** GCD tightening refuted a system; exact re-run was needed *)
+  fm_rows_pruned : int;
+      (** rows dropped by dominance (same coefficients, looser constant) *)
   overflow_fallbacks : int;
       (** packed arithmetic overflowed; query used the reference path *)
   reference_runs : int;  (** queries answered by the reference path *)
@@ -52,16 +51,11 @@ type t = {
           are deliberately untimed (the clock reads would cost more than
           the lookup) *)
   ctx_contexts : int;  (** learned solver contexts created *)
-  ctx_cut_hits : int;
-      (** assumption queries refuted by a learned Farkas cut (a recorded
-          infeasibility threshold dominating the query) *)
   ctx_bound_hits : int;
       (** assumption queries answered by a learned feasibility witness, or
           bounds served from a context *)
   ctx_proj_hits : int;  (** projections served from a context *)
   ctx_elims : int;  (** eliminations paid inside learned contexts *)
-  ctx_activity_reorders : int;
-      (** FM variable picks where activity overrode the min-cost order *)
 }
 
 val query : unit -> unit
@@ -72,7 +66,6 @@ val syntactic_hit : unit -> unit
 val fm_run : unit -> unit
 val fm_rows_built : int -> unit
 val fm_rows_pruned : int -> unit
-val tighten_fallback : unit -> unit
 val overflow_fallback : unit -> unit
 val reference_run : unit -> unit
 val small_run : unit -> unit
@@ -90,11 +83,9 @@ val add_implies_ns : int -> unit
     {!quiet} (see the determinism note above). *)
 
 val ctx_context : unit -> unit
-val ctx_cut_hit : unit -> unit
 val ctx_bound_hit : unit -> unit
 val ctx_proj_hit : unit -> unit
 val ctx_elim : unit -> unit
-val ctx_activity_reorder : unit -> unit
 
 val of_metrics : (string * Obs.Metrics.snapshot) list -> t
 (** The solver counters of a registry snapshot or diff; a counter the

@@ -312,8 +312,7 @@ let h_disjoint_prefilter = Obs.Metrics.histogram "solver.disjoint.prefilter.ns"
 let h_disjoint_eliminated =
   Obs.Metrics.histogram "solver.disjoint.eliminated.ns"
 
-(* Packed feasibility: GCD-tightened first; a refutation that involved
-   strict tightening is re-checked exactly so the answer always equals
+(* Packed feasibility, exact, so the answer always equals
    [ref_feasible_l].  Overflow and unpackable coefficients fall back to the
    reference eliminator.  Also returns which histogram the query belongs
    to: [`Prefilter] when the box check decided it, [`Eliminated] when an
@@ -339,16 +338,7 @@ let compute_feasible t =
       | None ->
         Solver_stats.box_refutation ();
         (false, `Prefilter)
-      | Some _ -> (
-        match Packed.feasible ~tighten:true rows with
-        | Packed.Feasible -> (true, `Eliminated)
-        | Packed.Infeasible -> (false, `Eliminated)
-        | Packed.Infeasible_tightened -> (
-          Solver_stats.tighten_fallback ();
-          match Packed.feasible ~tighten:false rows with
-          | Packed.Feasible -> (true, `Eliminated)
-          | Packed.Infeasible | Packed.Infeasible_tightened ->
-            (false, `Eliminated)))
+      | Some _ -> (Packed.feasible rows, `Eliminated)
     with Packed.Not_packable | Rat.Overflow -> fallback ())
 
 let feasible_hist = function
@@ -408,27 +398,22 @@ let feasible t =
    "[t /\ n] is infeasible".  The learned core answers each such
    assumption query through the persistent {!Context} of [t]:
 
-   - the direction-threshold table first: rational feasibility of
-     [t /\ (d.x <= q)] is monotone in [q] with a single threshold (the
-     infimum of [d.x] over [t], attained for closed rational polyhedra),
-     so one recorded infeasible outcome is a Farkas certificate refuting
-     every tighter [q] by a comparison (cut hit), and one recorded
-     feasible outcome is a witness answering every looser [q] (bound
-     hit) — both exact;
+   - the witness table first: rational feasibility of [t /\ (d.x <= q)] is
+     monotone in [q], so one recorded feasible outcome answers every looser
+     [q] on the same direction (bound hit) — exact;
    - otherwise one packed elimination over the base rows plus the single
-     assumption row, ordered by the context's conflict activity, whose
-     outcome is learned into the table.
+     assumption row; a feasible outcome is learned into the table.
 
    Eliminations triggered here run under [Solver_stats.quiet]: whether a
-   particular query pays an elimination or hits a learned fact depends on
-   query arrival order across domains, so letting them bump the
-   deterministic counters would break jobs-invariance.  The work is
-   counted in the unconditional ctx_* telemetry instead. *)
+   particular query pays an elimination or hits a witness depends on query
+   arrival order across domains, so letting them bump the deterministic
+   counters would break jobs-invariance.  The work is counted in the
+   unconditional ctx_* telemetry instead. *)
 
 (* Direction key of a packed inequality row [cs.x + k <= 0]: the linear
    part divided by its own gcd [g].  Constr normalization folds the
    constant into the gcd, so rows sharing a direction but not a constant
-   normalize differently — the threshold table must renormalize the linear
+   normalize differently — the witness table must renormalize the linear
    part alone.  The query value is [q = -k/g], making the row
    [key.x <= q].  ([pack_constr] guarantees no [min_int] anywhere.) *)
 let dir_of_row r =
@@ -437,23 +422,8 @@ let dir_of_row r =
   let cs' = if g = 1 then cs else Array.map (fun c -> c / g) cs in
   ((Packed.row_ids r, cs'), Rat.make (-Packed.row_const r) g)
 
-(* Occurrence counts over the base rows, seeding the context's activity. *)
-let activity_seed rows () =
-  let occ : (int, int ref) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
-    (fun r ->
-      Array.iter
-        (fun id ->
-          match Hashtbl.find_opt occ id with
-          | Some n -> incr n
-          | None -> Hashtbl.add occ id (ref 1))
-        (Packed.row_ids r))
-    rows;
-  Hashtbl.fold (fun id n acc -> (id, !n) :: acc) occ []
-
 (* Is [t /\ n] feasible, for a single negation constraint [n]?  Exact in
-   every branch (the tighten refutation is re-run exactly before being
-   learned). *)
+   every branch. *)
 let assume_feasible ctx rows t n =
   match Packed.pack_constr n with
   | exception Packed.Not_packable ->
@@ -465,31 +435,18 @@ let assume_feasible ctx rows t n =
       if Packed.const_infeasible nrow then false else feasible t
     else begin
       let key, q = dir_of_row nrow in
-      match Context.check_dir ctx key q with
-      | Some r -> r
-      | None ->
+      Context.witnessed ctx key q
+      || begin
         Solver_stats.ctx_elim ();
-        Context.ensure_activity ctx (activity_seed rows);
-        let prio = Context.prio ctx in
-        let all = Array.append rows [| nrow |] in
         let r =
           Solver_stats.quiet (fun () ->
-              try
-                match Packed.feasible ~prio ~tighten:true all with
-                | Packed.Feasible -> true
-                | Packed.Infeasible -> false
-                | Packed.Infeasible_tightened -> (
-                  match Packed.feasible ~prio ~tighten:false all with
-                  | Packed.Feasible -> true
-                  | Packed.Infeasible | Packed.Infeasible_tightened -> false)
+              try Packed.feasible (Array.append rows [| nrow |])
               with Packed.Not_packable | Rat.Overflow ->
                 ref_feasible_l (norm_l (n :: t.cs)))
         in
-        Context.learn_dir ctx key q r;
-        (* conflict: bump the assumption's variables so later eliminations
-           on this system tackle the contentious dimensions first *)
-        if not r then Context.bump_vars ctx (Packed.row_ids nrow);
+        if r then Context.learn_feasible ctx key q;
         r
+      end
     end
 
 let implies_learned t c =
@@ -531,7 +488,6 @@ let implies_learned t c =
           observe h_implies_prefilter;
           r
         | None ->
-          Context.decay ctx;
           let r =
             List.for_all (fun n -> not (assume_feasible ctx rows t n)) (negations c)
           in

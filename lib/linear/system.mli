@@ -63,11 +63,9 @@ val feasible : t -> bool
     points either, which is the direction the dependence/disjointness tests
     need for soundness.
 
-    Answered by the packed integer solver ({!Packed}) with GCD tightening,
-    Imbert redundancy pruning, and the system's memo record; refutations that
-    depended on strict tightening are re-checked exactly, and overflow falls
-    back to the reference eliminator, so the answer always equals
-    {!Reference.feasible}. *)
+    Answered by the exact packed integer eliminator ({!Packed}) behind the
+    system's memo record; overflow falls back to the reference eliminator,
+    so the answer always equals {!Reference.feasible}. *)
 
 val subst : Var.t -> Expr.t -> t -> t
 
@@ -113,10 +111,9 @@ val sample : t -> (Var.t -> Rat.t) option
 
 (** {2:core Solver core}
 
-    One production query core: the packed integer solver plus persistent
-    per-system {!Context}s — learned direction thresholds (Farkas cuts /
-    feasibility witnesses) answer repeat assumption queries by one
-    rational comparison, eliminations are ordered by conflict activity,
+    One production query core: the exact packed Fourier-Motzkin eliminator
+    plus persistent per-system {!Context}s — feasibility witnesses per
+    direction answer repeat assumption queries by one rational comparison,
     and bounds/projections are memoized per system.  Feasibility queries
     of cost (constraint count times variable count) at most 2 skip packed
     setup and run the reference eliminator directly; routed queries are
@@ -132,8 +129,8 @@ val sample : t -> (Var.t -> Rat.t) option
 
 val clear_cache : unit -> unit
 (** Forget every memo record: feasibility and implies answers with their
-    first-arrival claims, and every learned {!Context} (direction
-    thresholds, activity tables, bounds and projection memos).  One atomic
+    first-arrival claims, and every learned {!Context} (feasibility
+    witnesses, interval box, bounds and projection memos).  One atomic
     epoch bump — a record from an older epoch reads as absent — so it is
     safe while other domains are querying.  Used by benchmarks and tests
     that measure cold solver work; never required for correctness, since

@@ -84,6 +84,15 @@ dune exec bin/uhc.exe -- --corpus gen-small --stats-det --jobs 4 \
   -o "$out/sdet" >"$out/sdet4.txt"
 cmp "$out/sdet1.txt" "$out/sdet4.txt"
 
+echo "== smoke: uhc --stats-det is jobs-invariant (lu) =="
+# LU is the corpus whose learned contexts answer from feasibility witnesses
+# and whose eliminations merge dominated rows
+dune exec bin/uhc.exe -- --corpus lu --stats-det --jobs 1 \
+  -o "$out/ldet" >"$out/ldet1.txt"
+dune exec bin/uhc.exe -- --corpus lu --stats-det --jobs 4 \
+  -o "$out/ldet" >"$out/ldet4.txt"
+cmp "$out/ldet1.txt" "$out/ldet4.txt"
+
 echo "== smoke: uhc --trace/--metrics + dragon profile =="
 dune exec bin/uhc.exe -- --corpus matrix --jobs 2 \
   --trace "$out/trace.json" --metrics "$out/metrics.json" \

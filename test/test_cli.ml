@@ -125,7 +125,22 @@ let test_uhc_run_flag () =
     in
     Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0);
     Alcotest.(check bool) "program output" true
-      (contains out "statements executed")
+      (contains out "statements executed");
+    (* stride indexes out of bounds at run time: one uhc line names the
+       place, the outputs are still written, and the exit code is 1 *)
+    let dir = temp_dir () in
+    let status, out =
+      run_capture
+        (Printf.sprintf "%s --corpus stride --run -o %s" (exe "uhc") dir)
+    in
+    Alcotest.(check bool) "runtime error exits 1" true
+      (status = Unix.WEXITED 1);
+    Alcotest.(check bool) "runtime error named" true
+      (contains out "uhc: stride.f:13:9: runtime error: index -1 out of bounds");
+    Alcotest.(check bool) "no internal error" false
+      (contains out "internal error");
+    Alcotest.(check bool) ".rgn still written" true
+      (Sys.file_exists (Filename.concat dir "project.rgn"))
   end
 
 (* the library entry point reports a usage error as a code, and returns:

@@ -158,35 +158,46 @@ let test_corpora_identical () =
 (* ---------- learned core: query sequences against shared systems ----------
 
    The learned contexts answer later queries from facts recorded by earlier
-   ones (direction thresholds, variable bounds), so correctness depends on
+   ones (feasibility witnesses, variable bounds), so correctness depends on
    the whole query *sequence*, not single queries: ask every constraint
    twice against a shared feasible system and a shared infeasible one, and
-   require each answer to equal the reference eliminator's.  (Clamped
-   regions reuse these same systems through [Region.extent_check]; the
-   corpus test below covers that end to end.) *)
+   require each answer to equal the reference eliminator's.  Each
+   constraint is also asked with its constant shifted by -3, -1, +1 and +3
+   — same direction, so a witness recorded by one copy can answer another
+   — once in ascending and once in descending order of the shift.
+   (Clamped regions reuse these same systems through
+   [Region.extent_check]; the corpus test below covers that end to end.) *)
+
+let shift k c =
+  Constr.make (Expr.add_const (r k) (Constr.expr c)) (Constr.op c)
 
 let prop_learned_sequence =
   QCheck2.Test.make ~name:"learned context sequences = reference" ~count:150
     QCheck2.Gen.(pair gen_system (list_size (int_range 1 12) gen_constr))
     ~print:QCheck2.Print.(pair print_system (list print_constr))
     (fun (s, cs) ->
-      System.clear_cache ();
       (* [s] contains [box] (x <= 6), so demanding x >= 10 is infeasible *)
       let infeas = System.add (Constr.ge (Expr.var x) (e_of_int 10)) s in
+      let agrees sys c =
+        let expected = System.Reference.implies sys c in
+        System.implies sys c = expected && System.implies sys c = expected
+      in
       List.for_all
-        (fun c ->
-          let expected = System.Reference.implies s c in
-          let expected_inf = System.Reference.implies infeas c in
-          System.implies s c = expected
-          && System.implies s c = expected
-          && System.implies infeas c = expected_inf
-          && System.implies infeas c = expected_inf
-          && System.feasible s = System.Reference.feasible s
-          && not (System.feasible infeas))
-        cs)
+        (fun shifts ->
+          System.clear_cache ();
+          List.for_all
+            (fun c ->
+              List.for_all
+                (fun k ->
+                  let c = shift k c in
+                  agrees s c && agrees infeas c)
+                shifts
+              && System.feasible s = System.Reference.feasible s
+              && not (System.feasible infeas))
+            cs)
+        [ [ -3; -1; 0; 1; 3 ]; [ 3; 1; 0; -1; -3 ] ])
 
-(* [clear_cache] must flush the learned contexts and activity tables along
-   with the memos: two identical runs from a cleared state produce the same
+(* [clear_cache] must flush the learned contexts along with the memos: two identical runs from a cleared state produce the same
    deterministic stats block and re-create the same number of contexts —
    nothing carried over can shift either *)
 let test_no_cross_run_leak () =
