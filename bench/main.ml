@@ -735,6 +735,10 @@ let gates =
     ("gen", "pus", Floor 2000.);
     ("gen", "sparse_proven", sparse_proven);
     ("gen", "frontend_speedup", Floor 2.);
+    (* a cold cached frontend allocates 17.1 words per source byte with
+       array-backed token streams and one encoding per tree, 25.1 with
+       the token lists and the second (Marshal) encoding they replaced *)
+    ("gen", "frontend_cold_alloc_words_per_byte", Ceiling 20.);
     (* no proven-safe access faults; every runtime fault has an inspector row *)
     ("gen", "diffcheck.safe_faults", Ceiling 0.);
     ("gen", "diffcheck.uncovered", Ceiling 0.);
@@ -1340,7 +1344,12 @@ let bench_bounds ~json ~out () =
    artifact) and a warm run after a one-file edit (one file recomputed,
    the rest read back).  Medians of 3 cold runs (each on an empty
    directory) and 5 warm runs (each after a new edit). *)
-type frontend_walls = { fe_uncached : float; fe_cold : float; fe_warm : float }
+type frontend_walls = {
+  fe_uncached : float;
+  fe_cold : float;
+  fe_warm : float;
+  fe_cold_alloc : float;  (* words allocated per source byte, cold *)
+}
 
 let bench_frontend files =
   let median xs =
@@ -1382,12 +1391,31 @@ let bench_frontend files =
     | [] -> []
   in
   let warm = median (List.init 5 (fun k -> time (cached (edit k)))) in
+  (* the words a cold cached load allocates per source byte: parse, check,
+     lower, digest and every artifact written.  Measured on the second of
+     two loads, each on an empty directory (the first fills process-wide
+     tables), where the count is deterministic. *)
+  let cold_alloc =
+    let once () =
+      rm ();
+      let a0 = Obs.Sink.allocated_bytes () in
+      ignore (Sys.opaque_identity (cached files ()));
+      Obs.Sink.allocated_bytes () -. a0
+    in
+    ignore (once ());
+    let bytes =
+      List.fold_left (fun acc (_, src) -> acc + String.length src) 0 files
+    in
+    once () /. float_of_int (Sys.word_size / 8) /. float_of_int bytes
+  in
   rm ();
   Printf.printf
     "frontend: uncached %.1f ms  cold (artifacts written) %.1f ms  warm after \
-     a one-file edit %.1f ms  (%.1fx cold/warm)\n"
-    (uncached *. 1e3) (cold *. 1e3) (warm *. 1e3) (cold /. warm);
-  { fe_uncached = uncached; fe_cold = cold; fe_warm = warm }
+     a one-file edit %.1f ms  (%.1fx cold/warm)  cold allocates %.1f words \
+     per source byte\n"
+    (uncached *. 1e3) (cold *. 1e3) (warm *. 1e3) (cold /. warm) cold_alloc;
+  { fe_uncached = uncached; fe_cold = cold; fe_warm = warm;
+    fe_cold_alloc = cold_alloc }
 
 let bench_gen ~json ~out () =
   header "Gen: pinned seed-42 scale corpus + differential harness";
@@ -1457,6 +1485,8 @@ let bench_gen ~json ~out () =
         ("frontend_warm_edit_wall_s", fixed 6 fe.fe_warm);
         ("frontend_speedup", fixed 2 (fe.fe_cold /. fe.fe_warm));
         recorded_bound "gen" "frontend_speedup";
+        ("frontend_cold_alloc_words_per_byte", fixed 2 fe.fe_cold_alloc);
+        recorded_bound "gen" "frontend_cold_alloc_words_per_byte";
         ("diffcheck", Obj (List.map (fun k -> (k, value diff k))
           [ "steps"; "oob_events"; "covered"; "uncovered"; "safe_faults";
             "ok" ])) ]) ]

@@ -208,7 +208,7 @@ let run_ ~carried (cfg : config) (m : Ir.module_) : result =
     timed "digest" (fun sink ->
         let gd = Whirl_io.symtab_digest m.Ir.m_global in
         let keys = Array.make n Digest.(string "") in
-        let scratch = Domain.DLS.new_key (fun () -> Buffer.create 65536) in
+        let scratch = Domain.DLS.new_key Whirl_io.scratch in
         Engine_pool.run ~sink ~jobs
           (Array.init n (fun i () ->
                let d =

@@ -63,6 +63,7 @@ type seg = {
   lock : Mutex.t; (* guards [ic] *)
   mutable ic : in_channel option; (* opened by the first read *)
   mutable damaged : bool; (* set aside by the next publish *)
+  mutable size : int; (* payload bytes its index lists *)
 }
 
 type loc = { seg : seg; off : int; len : int; md5 : Digest.t }
@@ -345,8 +346,10 @@ let observed h f =
    the segment's intact entries into the new segment and renames the file
    aside ([.quarantined]), so the damaged bytes survive for inspection and
    the next run is fully warm.  A handle that opened more than
-   [segment_cap] segments merges them the same way, which bounds the cost
-   of opening a store by a constant, not by the number of past runs.
+   [segment_cap] segments merges the smallest of them the same way (see
+   [carried_segments]), which bounds the cost of opening a store by a
+   constant, not by the number of past runs, without re-reading the whole
+   store every few runs.
 
    Transient I/O errors — injected or real — are retried a few times with
    a short backoff; read exhaustion degrades to a cache miss, write
@@ -360,8 +363,8 @@ let segment_cap = 8
 let max_attempts = 3
 let writer_seq = Atomic.make 0
 
-let new_seg path =
-  { path; lock = Mutex.create (); ic = None; damaged = false }
+let new_seg ?(size = 0) path =
+  { path; lock = Mutex.create (); ic = None; damaged = false; size }
 
 let close_reader seg =
   Mutex.protect seg.lock (fun () ->
@@ -452,7 +455,8 @@ let add_segment t path index =
     quarantined t ~name:(Filename.basename path) "malformed segment index";
     None
   | `Entries es ->
-    let seg = new_seg path in
+    let size = List.fold_left (fun n (_, _, len, _) -> n + len) 0 es in
+    let seg = new_seg ~size path in
     t.segs <- seg :: t.segs;
     locked t (fun () ->
         List.iter
@@ -615,21 +619,27 @@ let find_raw ~keep t ns key =
       end)
 
 (* Decode a verified payload; a decode failure (an injected marshal fault,
-   or corruption the checksum cannot see such as a stale schema) drops the
-   entry — marking its segment damaged — and reads as a miss. *)
-let decode_entry (type a) t ns key (bytes : string) : a option =
+   corruption the checksum cannot see such as a stale schema, or an
+   [Error] from [decode]) drops the entry — marking its segment damaged —
+   and reads as a miss. *)
+let decode_entry t ns key ~decode (bytes : string) =
   let name = entry_name ns key in
   match
-    Fault.inject Fault.Marshal ~key:name;
-    (Marshal.from_string bytes 0 : a)
+    match
+      Fault.inject Fault.Marshal ~key:name;
+      decode bytes
+    with
+    | r -> r
+    | exception (Failure _ | Invalid_argument _ | Fault.Injected _) ->
+      Error "undecodable entry"
   with
-  | entry -> Some entry
-  | exception (Failure _ | Invalid_argument _ | Fault.Injected _) ->
+  | Ok entry -> Some entry
+  | Error reason ->
     let k = full_key ns key in
     (match locked t (fun () -> Hashtbl.find_opt t.table k) with
     | Some ({ at = Some _; _ } as slot) ->
       drop_slot t k slot;
-      quarantined t ~name "undecodable entry"
+      quarantined t ~name reason
     | slot ->
       Option.iter (drop_slot t k) slot;
       Obs.Metrics.Counter.incr c_quarantined;
@@ -637,6 +647,8 @@ let decode_entry (type a) t ns key (bytes : string) : a option =
         (Fault.Diag.make ~site:"store.marshal" ~pu:"*" ~action:"recomputed"
            (Printf.sprintf "cache entry %s undecodable; recomputing" name)));
     None
+
+let unmarshal bytes = Ok (Marshal.from_string bytes 0)
 
 (* ------------------------------------------------------------------ *)
 (* Writes *)
@@ -837,6 +849,7 @@ let seal t sdir =
     Sys.rename w.w_seg.path path;
     close_reader w.w_seg;
     w.w_seg.path <- path;
+    w.w_seg.size <- w.w_pos - header_len;
     t.writer <- None;
     Some w.w_seg
 
@@ -851,12 +864,24 @@ let retire seg =
   end
   else try Sys.remove seg.path with Sys_error _ -> ()
 
+(* The segments a publish carries into its own: every damaged one, and,
+   once the handle opened more than [segment_cap], the smallest ones,
+   enough to leave [segment_cap / 2] (the new one included). *)
+let carried_segments segs =
+  let n = List.length segs in
+  let small =
+    if n <= segment_cap then []
+    else
+      List.sort (fun a b -> compare a.size b.size) segs
+      |> List.filteri (fun i _ -> i <= n - (segment_cap / 2))
+  in
+  List.filter (fun s -> s.damaged || List.memq s small) segs
+
 let publish t =
   match t.sdir with
   | None -> ()
   | Some sdir ->
-    let merging = List.length t.segs > segment_cap in
-    let sources = List.filter (fun s -> merging || s.damaged) t.segs in
+    let sources = carried_segments t.segs in
     if t.writer <> None || sources <> [] then begin
       Option.iter (skip_published_elsewhere t sdir) t.writer;
       let fresh =
@@ -988,10 +1013,10 @@ let encode_summary (p : summary_payload) =
     }
     []
 
-let find_decoded ~keep t ns key =
+let find_decoded ~keep ?(decode = unmarshal) t ns key =
   match find_raw ~keep t ns key with
   | None -> None
-  | Some bytes -> decode_entry t ns key bytes
+  | Some bytes -> decode_entry t ns key ~decode bytes
 
 let add_collect t ~key (p : collect_payload) =
   add_raw ~keep:true t "c" key (encode_collect p)
@@ -1045,10 +1070,11 @@ let add_interface t ~key (i : Lang.Sema.interface) = add_artifact t "fi" key i
 let find_body t ~key : body_artifact option = find_decoded ~keep:false t "fb" key
 let add_body t ~key (b : body_artifact) = add_artifact t "fb" key b
 
-let find_trees t ~key : Whirl.Wn.t array option =
-  find_decoded ~keep:false t "fw" key
+let find_trees t ~key ~decode : Whirl.Wn.t array option =
+  find_decoded ~keep:false ~decode t "fw" key
 
-let add_trees t ~key (w : Whirl.Wn.t array) = add_artifact t "fw" key w
+let add_trees t ~key image =
+  if t.dir <> None then add_raw ~keep:false t "fw" key image
 
 let has_trees t ~key =
   match locked t (fun () -> Hashtbl.find_opt t.table (full_key "fw" key)) with

@@ -65,15 +65,17 @@ val publish : t -> unit
     rename it into place; a no-op without [~dir].  It also carries the
     intact entries of every segment found damaged into the new segment
     and renames the damaged file aside ([.quarantined]), and, when this
-    handle opened more than {!segment_cap} segments, merges all of them
-    into the new one and removes them.  Never raises: a failed write
+    handle opened more than {!segment_cap} segments, merges the smallest
+    of them into the new one and removes them, leaving
+    [segment_cap / 2]: a merge rewrites what recent runs added, not the
+    first cold run's bulk.  Never raises: a failed write
     leaves the entries in memory only ([store.write_errors]) and no temp
     file behind.  {!Engine.run} and {!Frontend_cache.load} publish before
     they return. *)
 
 val segment_cap : int
 (** The number of segments a handle may open before its next {!publish}
-    merges them: a directory holds at most [segment_cap + 2] segments
+    merges them: a directory holds at most [segment_cap + 1] segments
     after any run that publishes twice (frontend and engine). *)
 
 val segment_index : string -> (string * Digest.t * int * int) list option
@@ -123,9 +125,12 @@ val drain_diags : t -> Fault.Diag.t list
     three: its interface (namespace [fi]); its body artifact ([fb]: what
     linking, the module and the engine need of the file's PUs, without
     their WN trees); and, under the same key as [fb], the trees ([fw]),
-    read only when a body is asked for ({!Whirl.Ir.body}).  Their payloads
-    are never held in memory: a process reads each at most once.  Without
-    [~dir] every add is dropped and every find misses. *)
+    read only when a body is asked for ({!Whirl.Ir.body}).  [fi] and [fb]
+    are Marshal images; [fw] is the tree part of the PUs' content images
+    ({!Whirl.Whirl_io.encode_trees}), so a tree read back is checked
+    against the digest its PU carries.  Their payloads are never held in
+    memory: a process reads each at most once.  Without [~dir] every add
+    is dropped and every find misses. *)
 
 type carried = {
   ca_digest : Digest.t;  (** {!Whirl.Whirl_io.pu_digest} *)
@@ -162,12 +167,21 @@ val add_interface : t -> key:Digest.t -> Lang.Sema.interface -> unit
 val find_body : t -> key:Digest.t -> body_artifact option
 val add_body : t -> key:Digest.t -> body_artifact -> unit
 
-val find_trees : t -> key:Digest.t -> Whirl.Wn.t array option
+val find_trees :
+  t ->
+  key:Digest.t ->
+  decode:(string -> (Whirl.Wn.t array, string) result) ->
+  Whirl.Wn.t array option
 (** The WN trees of the body artifact under the same key, in [ba_pus]
-    order.  [None] on a miss and on every failed read or decode, which
-    records its diagnostic like any entry's ({!drain_diags}). *)
+    order, through [decode] ({!Whirl.Whirl_io.decode_trees}, which checks
+    every tree against its PU's carried digest).  [None] on a miss and on
+    every failed read or decode; an [Error] from [decode] quarantines the
+    entry like a corrupt payload, with its message in the diagnostic
+    ({!drain_diags}). *)
 
-val add_trees : t -> key:Digest.t -> Whirl.Wn.t array -> unit
+val add_trees : t -> key:Digest.t -> string -> unit
+(** Stores a file's tree image ({!Whirl.Whirl_io.encode_trees}) as it
+    is: the bytes the PUs' content digests were computed over. *)
 
 val has_trees : t -> key:Digest.t -> bool
 (** Whether the store lists a tree entry under [key], without reading it:

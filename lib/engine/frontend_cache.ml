@@ -13,7 +13,10 @@
      environment digest): pass 2 and the lowering read other files only
      through the linked environment, and nothing after lowering reads a
      procedure's AST body;
-   - the file's WN trees, under the same key in their own entry.
+   - the file's WN trees, under the same key in their own entry: the
+     tree parts of the PUs' content images, the bytes their digests were
+     computed over, so a tree read back is checked against the digest
+     its PU carries before it is used.
 
    A file whose interface and body both hit is never parsed, and its
    trees are read only when some PU's body is asked for ([Ir.deferred]):
@@ -36,6 +39,10 @@ let c_body_misses = Obs.Metrics.counter "frontend.artifact.body.misses"
 let c_body_decoded = Obs.Metrics.counter "frontend.body.decoded"
 let c_body_relowered = Obs.Metrics.counter "frontend.body.relowered"
 let c_digest_computed = Obs.Metrics.counter "engine.digest.computed"
+
+(* images are built and checked in one buffer per domain: a deferred
+   file's trees are decoded on whichever domain asks for them *)
+let scratch = Domain.DLS.new_key Whirl.Whirl_io.scratch
 
 let file_key name contents =
   let b = Buffer.create (String.length name + String.length contents + 16) in
@@ -163,30 +170,39 @@ let load ?store ?(keep_going = false) files =
   let g = Whirl.Lower.globals prog in
   (* set once the module is assembled, before any body can be asked for *)
   let module_ = ref None in
-  let digest buf pu =
+  let digest pu =
     Obs.Metrics.Counter.incr c_digest_computed;
-    Whirl.Whirl_io.pu_digest buf (Option.get !module_) pu
+    Whirl.Whirl_io.pu_digest (Domain.DLS.get scratch) (Option.get !module_) pu
   in
   (* A cached file's trees, read on the first demand for any of its
-     bodies.  A missing or unreadable entry (the store has recorded why)
-     is recovered by lowering the file again against this run's linked
-     environment; the result must be what the carried digests name. *)
-  let trees u key (ba : Engine_store.body_artifact) () =
+     bodies and decoded only if each hashes, behind its PU's header, to
+     the digest the PU carries.  A missing, unreadable or mismatched entry
+     (the store has recorded why) is recovered by lowering the file again
+     against this run's linked environment; the result must be what the
+     carried digests name. *)
+  let trees u key (ba : Engine_store.body_artifact) pus () =
     let heads = ba.Engine_store.ba_pus in
-    match find Engine_store.find_trees key with
-    | Some ws when Array.length ws = List.length heads ->
+    let want (h : Engine_store.pu_header) =
+      h.Engine_store.ph_carried.Engine_store.ca_digest
+    in
+    let decode image =
+      Whirl.Whirl_io.decode_trees (Domain.DLS.get scratch)
+        (Option.get !module_)
+        (List.map2 (fun pu h -> (pu, want h)) !pus heads)
+        image
+    in
+    match find (fun s ~key -> Engine_store.find_trees s ~key ~decode) key with
+    | Some ws ->
       Obs.Metrics.Counter.incr c_body_decoded;
       ws
-    | _ ->
+    | None ->
       Obs.Metrics.Counter.incr c_body_relowered;
       let body = Lang.Sema.check_unit (Lang.Sema.linker env) (parse u) in
-      let buf = Buffer.create 65536 in
       Array.of_list
         (List.map2
-           (fun pi (h : Engine_store.pu_header) ->
+           (fun pi h ->
              let pu = Whirl.Lower.lower_proc g pi in
-             let want = h.Engine_store.ph_carried.Engine_store.ca_digest in
-             if digest buf pu <> want then
+             if digest pu <> want h then
                failwith
                  (Printf.sprintf "%s: %s re-lowered differs from its artifact"
                     u.u_name pu.Whirl.Ir.pu_name);
@@ -199,16 +215,22 @@ let load ?store ?(keep_going = false) files =
         match b with
         | Cached (u, key, ba) ->
           let heads = ba.Engine_store.ba_pus in
-          let bodies = Whirl.Ir.deferred (List.length heads) (trees u key ba) in
-          (b, List.map2 pu_of_header heads bodies)
+          (* the loader checks each tree against the PU it belongs to,
+             and those PUs are made from the bodies it fills *)
+          let pus = ref [] in
+          let bodies =
+            Whirl.Ir.deferred (List.length heads) (trees u key ba pus)
+          in
+          pus := List.map2 pu_of_header heads bodies;
+          (b, !pus)
         | Fresh (_, body) ->
           (b, List.map (Whirl.Lower.lower_proc g) body.Lang.Sema.b_procs))
       bodies
   in
   let m = Whirl.Lower.assemble g prog (List.concat_map snd lowered) in
   module_ := Some m;
-  (* a PU lowered here carries what the engine would read its body for *)
-  let buf = Buffer.create 65536 in
+  (* a PU lowered here carries what the engine would read its body for;
+     with a store, its digest comes from the image its tree entry stores *)
   let carried =
     List.concat_map
       (fun (b, pus) ->
@@ -218,15 +240,25 @@ let load ?store ?(keep_going = false) files =
             (fun pu h -> (pu, h.Engine_store.ph_carried))
             pus ba.Engine_store.ba_pus
         | Fresh (key, body) ->
+          let digests, image =
+            match store with
+            | None -> (List.map digest pus, None)
+            | Some _ ->
+              let ds, image =
+                Whirl.Whirl_io.encode_trees (Domain.DLS.get scratch) m pus
+              in
+              Obs.Metrics.Counter.add c_digest_computed (List.length ds);
+              (ds, Some image)
+          in
           let cs =
-            List.map
-              (fun pu ->
+            List.map2
+              (fun pu d ->
                 {
-                  Engine_store.ca_digest = digest buf pu;
+                  Engine_store.ca_digest = d;
                   ca_sites = Ipa.Callgraph.sites_of m pu;
                   ca_cfg = Cfg.build pu;
                 })
-              pus
+              pus digests
           in
           add Engine_store.add_body key
             {
@@ -236,8 +268,7 @@ let load ?store ?(keep_going = false) files =
                     List.map Lang.Sema.header body.Lang.Sema.b_procs };
               ba_pus = List.map2 header pus cs;
             };
-          add Engine_store.add_trees key
-            (Array.of_list (List.map Whirl.Ir.body pus));
+          Option.iter (add Engine_store.add_trees key) image;
           List.combine pus cs)
       lowered
   in

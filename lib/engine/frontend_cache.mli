@@ -8,15 +8,19 @@
       engine would read the tree for ({!Engine_store.carried}: content
       digest, call sites, CFG) — keyed by (file key,
       {!Lang.Sema.env_digest} of the linked environment);
-    - under the same key, the file's WN trees, read on demand.
+    - under the same key, the file's WN trees, read on demand: the tree
+      parts of the PUs' content images ({!Whirl.Whirl_io.encode_trees}),
+      so one encoding gives a fresh file's digests and its tree entry.
 
     A file whose body artifact hits returns PUs with deferred bodies
     ({!Whirl.Ir.deferred}): the first {!Whirl.Ir.body} asked of any of
     them reads, checks and decodes the file's trees, once per load
     ([frontend.body.decoded] counts them), on whatever domain asks.  A
-    warm run whose collection hits asks for none.  If the tree entry is
-    missing or its read or decode fails (the store records a diagnostic
-    for a failed one, see {!Engine_store.find_trees}), the file is lowered
+    warm run whose collection hits asks for none.  A tree is used only if
+    its bytes hash, behind its PU's header, to the digest the PU carries.
+    If the tree entry is missing, its read or decode fails or a tree
+    does not match its digest (the store records a diagnostic for a
+    failed one, see {!Engine_store.find_trees}), the file is lowered
     again from its source against the load's linked environment
     ([frontend.body.relowered]), and each PU must match its carried
     digest.  A body artifact whose tree entry the store does not list

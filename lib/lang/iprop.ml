@@ -183,17 +183,36 @@ let scan ~fortran src =
       | Some prev -> (name, meet prev t) :: List.remove_assoc name !found
       | None -> (name, t) :: !found)
   in
-  String.split_on_char '\n' src
-  |> List.iter (fun line ->
-         match directive_rest ~fortran line with
-         | None -> ()
-         | Some rest -> (
-           match split_ws rest with
-           | "index" :: name :: props when props <> [] -> (
-             match parse_props props with
-             | Some t when not (is_none t) -> add name t
-             | _ -> ())
-           | _ -> ()));
+  let line l =
+    match directive_rest ~fortran l with
+    | None -> ()
+    | Some rest -> (
+      match split_ws rest with
+      | "index" :: name :: props when props <> [] -> (
+        match parse_props props with
+        | Some t when not (is_none t) -> add name t
+        | _ -> ())
+      | _ -> ())
+  in
+  (* only a line whose first non-blank character starts a directive is
+     cut out of the source *)
+  let lead = if fortran then '!' else '#' in
+  let n = String.length src in
+  let start = ref 0 in
+  while !start < n do
+    let stop = ref !start in
+    while !stop < n && src.[!stop] <> '\n' do incr stop done;
+    let k = ref !start in
+    while
+      !k < !stop
+      && (match src.[!k] with ' ' | '\t' | '\r' | '\012' -> true | _ -> false)
+    do
+      incr k
+    done;
+    if !k < !stop && src.[!k] = lead then
+      line (String.sub src !start (!stop - !start));
+    start := !stop + 1
+  done;
   List.rev !found
 
 let lookup l name = Option.value (List.assoc_opt name l) ~default:none

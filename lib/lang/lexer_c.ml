@@ -2,17 +2,57 @@ let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_alnum c = is_alpha c || is_digit c
 
-let two_char_puncts =
-  [ "=="; "!="; "<="; ">="; "&&"; "||"; "++"; "--"; "+="; "-="; "*="; "/="; "%=" ]
+(* Every punctuation token is one of these constants: lexing one allocates
+   nothing.  [Token.Eof] stands for "not punctuation". *)
+let punct2 c1 c2 =
+  match c1, c2 with
+  | '=', '=' -> Token.Punct "=="
+  | '!', '=' -> Token.Punct "!="
+  | '<', '=' -> Token.Punct "<="
+  | '>', '=' -> Token.Punct ">="
+  | '&', '&' -> Token.Punct "&&"
+  | '|', '|' -> Token.Punct "||"
+  | '+', '+' -> Token.Punct "++"
+  | '-', '-' -> Token.Punct "--"
+  | '+', '=' -> Token.Punct "+="
+  | '-', '=' -> Token.Punct "-="
+  | '*', '=' -> Token.Punct "*="
+  | '/', '=' -> Token.Punct "/="
+  | '%', '=' -> Token.Punct "%="
+  | _ -> Token.Eof
 
-let one_char_puncts = "+-*/%<>=!(){}[];,&|#?:."
+let punct1 = function
+  | '+' -> Token.Punct "+"
+  | '-' -> Token.Punct "-"
+  | '*' -> Token.Punct "*"
+  | '/' -> Token.Punct "/"
+  | '%' -> Token.Punct "%"
+  | '<' -> Token.Punct "<"
+  | '>' -> Token.Punct ">"
+  | '=' -> Token.Punct "="
+  | '!' -> Token.Punct "!"
+  | '(' -> Token.Punct "("
+  | ')' -> Token.Punct ")"
+  | '{' -> Token.Punct "{"
+  | '}' -> Token.Punct "}"
+  | '[' -> Token.Punct "["
+  | ']' -> Token.Punct "]"
+  | ';' -> Token.Punct ";"
+  | ',' -> Token.Punct ","
+  | '&' -> Token.Punct "&"
+  | '|' -> Token.Punct "|"
+  | '#' -> Token.Punct "#"
+  | '?' -> Token.Punct "?"
+  | ':' -> Token.Punct ":"
+  | '.' -> Token.Punct "."
+  | _ -> Token.Eof
 
 let tokenize ~file src =
   let n = String.length src in
-  let tokens = ref [] in
+  let ts = Pstate.lexing ~file in
   let line = ref 1 and bol = ref 0 in
   let loc_at i = Loc.make ~file ~line:!line ~col:(i - !bol + 1) in
-  let emit tok loc = tokens := { Token.tok; loc } :: !tokens in
+  let emit tok i = Pstate.push ts tok ~line:!line ~col:(i - !bol + 1) in
   let i = ref 0 in
   let in_directive = ref false in
   while !i < n do
@@ -21,7 +61,7 @@ let tokenize ~file src =
     | ' ' | '\t' | '\r' -> incr i
     | '\n' ->
       if !in_directive then begin
-        emit Token.Newline (loc_at !i);
+        emit Token.Newline !i;
         in_directive := false
       end;
       incr i;
@@ -72,7 +112,7 @@ let tokenize ~file src =
         end
       in
       scan ();
-      emit (Token.String (Buffer.contents buf)) (loc_at start)
+      emit (Token.String (Buffer.contents buf)) start
     | '\'' ->
       let start = !i in
       incr i;
@@ -94,7 +134,7 @@ let tokenize ~file src =
       if !i >= n || src.[!i] <> '\'' then
         Diag.error (loc_at start) "unterminated character literal";
       incr i;
-      emit (Token.String (String.make 1 ch)) (loc_at start)
+      emit (Token.String (String.make 1 ch)) start
     | c when is_digit c ->
       let start = !i in
       while !i < n && is_digit src.[!i] do incr i done;
@@ -110,43 +150,39 @@ let tokenize ~file src =
         if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
         while !i < n && is_digit src.[!i] do incr i done
       end;
-      (* suffixes f, l, u *)
+      (* the number ends here; suffixes f, l, u follow it *)
+      let text = String.sub src start (!i - start) in
       while
         !i < n
         && (match src.[!i] with 'f' | 'F' | 'l' | 'L' | 'u' | 'U' -> true | _ -> false)
       do
         incr i
       done;
-      let text =
-        String.sub src start (!i - start)
-        |> String.to_seq
-        |> Seq.filter (fun c ->
-               not (List.mem c [ 'f'; 'F'; 'l'; 'L'; 'u'; 'U' ]))
-        |> String.of_seq
-      in
-      if !is_float then emit (Token.Float (float_of_string text)) (loc_at start)
-      else emit (Token.Int (int_of_string text)) (loc_at start)
+      if !is_float then emit (Token.Float (float_of_string text)) start
+      else emit (Token.Int (int_of_string text)) start
     | c when is_alpha c ->
       let start = !i in
       while !i < n && is_alnum src.[!i] do incr i done;
-      emit (Token.Ident (String.sub src start (!i - start))) (loc_at start)
+      emit (Token.Ident (String.sub src start (!i - start))) start
     | '#' ->
       in_directive := true;
-      emit (Token.Punct "#") (loc_at !i);
+      emit (Token.Punct "#") !i;
       incr i
     | _ ->
       let start = !i in
-      let two = if !i + 1 < n then String.sub src !i 2 else "" in
-      if List.mem two two_char_puncts then begin
+      let two = if !i + 1 < n then punct2 c src.[!i + 1] else Token.Eof in
+      if two != Token.Eof then begin
         i := !i + 2;
-        emit (Token.Punct two) (loc_at start)
+        emit two start
       end
-      else if String.contains one_char_puncts c then begin
-        incr i;
-        emit (Token.Punct (String.make 1 c)) (loc_at start)
+      else begin
+        match punct1 c with
+        | Token.Eof -> Diag.error (loc_at start) "unexpected character %C" c
+        | p ->
+          incr i;
+          emit p start
       end
-      else Diag.error (loc_at start) "unexpected character %C" c
   done;
-  if !in_directive then emit Token.Newline (loc_at !i);
-  emit Token.Eof (loc_at !i);
-  List.rev !tokens
+  if !in_directive then emit Token.Newline !i;
+  emit Token.Eof !i;
+  ts

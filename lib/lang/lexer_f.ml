@@ -2,21 +2,68 @@ let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_alnum c = is_alpha c || is_digit c
 
+(* [src.[start .. start+len-1]], lowercased, in one allocation *)
+let lower_sub src start len =
+  let b = Bytes.create len in
+  for k = 0 to len - 1 do
+    Bytes.unsafe_set b k
+      (Char.lowercase_ascii (String.unsafe_get src (start + k)))
+  done;
+  Bytes.unsafe_to_string b
+
+(* Every punctuation token is one of these constants: lexing one allocates
+   nothing.  [Token.Eof] stands for "not punctuation". *)
+let punct1 = function
+  | '+' -> Token.Punct "+"
+  | '-' -> Token.Punct "-"
+  | '*' -> Token.Punct "*"
+  | '/' -> Token.Punct "/"
+  | '(' -> Token.Punct "("
+  | ')' -> Token.Punct ")"
+  | ',' -> Token.Punct ","
+  | '=' -> Token.Punct "="
+  | ':' -> Token.Punct ":"
+  | '<' -> Token.Punct "<"
+  | '>' -> Token.Punct ">"
+  | '[' -> Token.Punct "["
+  | ']' -> Token.Punct "]"
+  | _ -> Token.Eof
+
+let punct2 c1 c2 =
+  match c1, c2 with
+  | '*', '*' -> Token.Punct "**"
+  | '=', '=' -> Token.Punct "=="
+  | '/', '=' -> Token.Punct "!="
+  | '<', '=' -> Token.Punct "<="
+  | '>', '=' -> Token.Punct ">="
+  | ':', ':' -> Token.Punct "::"
+  | _ -> Token.Eof
+
 (* Dotted operator spellings and their canonical punctuation. *)
-let dotted_ops =
-  [
-    ("lt", "<"); ("le", "<="); ("gt", ">"); ("ge", ">=");
-    ("eq", "=="); ("ne", "/=:"); ("and", "&&"); ("or", "||"); ("not", "!");
-  ]
+let dotted_op = function
+  | "lt" -> Token.Punct "<"
+  | "le" -> Token.Punct "<="
+  | "gt" -> Token.Punct ">"
+  | "ge" -> Token.Punct ">="
+  | "eq" -> Token.Punct "=="
+  | "ne" -> Token.Punct "!="
+  | "and" -> Token.Punct "&&"
+  | "or" -> Token.Punct "||"
+  | "not" -> Token.Punct "!"
+  | "true" -> Token.Logic true
+  | "false" -> Token.Logic false
+  | _ -> Token.Eof
 
 let tokenize ~file src =
   let n = String.length src in
-  let tokens = ref [] in
+  let ts = Pstate.lexing ~file in
   let line = ref 1 and bol = ref 0 in
   let loc_at i = Loc.make ~file ~line:!line ~col:(i - !bol + 1) in
-  let emit tok loc = tokens := { Token.tok; loc } :: !tokens in
-  let last_significant () =
-    match !tokens with { Token.tok; _ } :: _ -> Some tok | [] -> None
+  (* true before the first token and right after a Newline *)
+  let at_newline = ref true in
+  let emit tok i =
+    Pstate.push ts tok ~line:!line ~col:(i - !bol + 1);
+    at_newline := false
   in
   let i = ref 0 in
   (* comment line: 'c', 'C' or '*' in column 1 followed by blank/EOL *)
@@ -32,6 +79,12 @@ let tokenize ~file src =
   let skip_to_eol () =
     while !i < n && src.[!i] <> '\n' do incr i done
   in
+  let newline () =
+    if not !at_newline then begin
+      emit Token.Newline !i;
+      at_newline := true
+    end
+  in
   while !i < n do
     let c = src.[!i] in
     if at_comment_line () then skip_to_eol ()
@@ -40,9 +93,7 @@ let tokenize ~file src =
       | ' ' | '\t' | '\r' -> incr i
       | '\n' ->
         (* collapse consecutive newlines; suppress newline after '&' *)
-        (match last_significant () with
-        | Some Token.Newline | None -> ()
-        | Some _ -> emit Token.Newline (loc_at !i));
+        newline ();
         incr i;
         incr line;
         bol := !i
@@ -77,24 +128,18 @@ let tokenize ~file src =
           end
         in
         scan ();
-        emit (Token.String (Buffer.contents buf)) (loc_at start)
+        emit (Token.String (Buffer.contents buf)) start
       | '.' when !i + 1 < n && is_alpha src.[!i + 1] ->
         (* dotted operator or logical literal *)
         let start = !i in
         let j = ref (!i + 1) in
         while !j < n && is_alpha src.[!j] do incr j done;
         if !j < n && src.[!j] = '.' then begin
-          let word = String.lowercase_ascii (String.sub src (!i + 1) (!j - !i - 1)) in
+          let word = lower_sub src (!i + 1) (!j - !i - 1) in
           i := !j + 1;
-          match word with
-          | "true" -> emit (Token.Logic true) (loc_at start)
-          | "false" -> emit (Token.Logic false) (loc_at start)
-          | _ -> (
-            match List.assoc_opt word dotted_ops with
-            | Some p ->
-              let p = if p = "/=:" then "!=" else p in
-              emit (Token.Punct p) (loc_at start)
-            | None -> Diag.error (loc_at start) "unknown operator .%s." word)
+          match dotted_op word with
+          | Token.Eof -> Diag.error (loc_at start) "unknown operator .%s." word
+          | tok -> emit tok start
         end
         else Diag.error (loc_at start) "stray '.'"
       | c when is_digit c || (c = '.' && !i + 1 < n && is_digit src.[!i + 1]) ->
@@ -129,33 +174,27 @@ let tokenize ~file src =
           let text =
             String.map (function 'd' | 'D' -> 'e' | c -> c) text
           in
-          emit (Token.Float (float_of_string text)) (loc_at start)
-        else emit (Token.Int (int_of_string text)) (loc_at start)
+          emit (Token.Float (float_of_string text)) start
+        else emit (Token.Int (int_of_string text)) start
       | c when is_alpha c ->
         let start = !i in
         while !i < n && is_alnum src.[!i] do incr i done;
-        let word = String.lowercase_ascii (String.sub src start (!i - start)) in
-        emit (Token.Ident word) (loc_at start)
+        emit (Token.Ident (lower_sub src start (!i - start))) start
       | _ ->
         let start = !i in
-        let two =
-          if !i + 1 < n then String.sub src !i 2 else ""
-        in
-        let punct, len =
-          match two with
-          | "**" | "==" | "/=" | "<=" | ">=" | "::" -> (two, 2)
-          | _ -> (String.make 1 c, 1)
-        in
-        let punct = if punct = "/=" then "!=" else punct in
-        (match punct with
-        | "+" | "-" | "*" | "/" | "(" | ")" | "," | "=" | ":" | "<" | ">"
-        | "[" | "]" | "**" | "==" | "!=" | "<=" | ">=" | "::" ->
-          i := !i + len;
-          emit (Token.Punct punct) (loc_at start)
-        | _ -> Diag.error (loc_at start) "unexpected character %C" c)
+        let two = if !i + 1 < n then punct2 c src.[!i + 1] else Token.Eof in
+        if two != Token.Eof then begin
+          i := !i + 2;
+          emit two start
+        end
+        else begin
+          match punct1 c with
+          | Token.Eof -> Diag.error (loc_at start) "unexpected character %C" c
+          | p ->
+            incr i;
+            emit p start
+        end
   done;
-  (match last_significant () with
-  | Some Token.Newline | None -> ()
-  | Some _ -> emit Token.Newline (loc_at !i));
-  emit Token.Eof (loc_at !i);
-  List.rev !tokens
+  newline ();
+  emit Token.Eof !i;
+  ts

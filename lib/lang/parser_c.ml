@@ -1,7 +1,5 @@
 open Ast
 
-let punct s = Token.Punct s
-
 let kw p word =
   match Pstate.peek p with
   | Token.Ident s when String.equal s word -> true
@@ -33,22 +31,26 @@ let rec parse_expr p = parse_or p
 
 and parse_or p =
   let rec loop acc =
-    if Pstate.accept p (punct "||") then loop (Binop (Or, acc, parse_and p))
+    if Pstate.accept p (Token.Punct "||") then
+      loop (Binop (Or, acc, parse_and p))
     else acc
   in
   loop (parse_and p)
 
 and parse_and p =
   let rec loop acc =
-    if Pstate.accept p (punct "&&") then loop (Binop (And, acc, parse_eq p))
+    if Pstate.accept p (Token.Punct "&&") then
+      loop (Binop (And, acc, parse_eq p))
     else acc
   in
   loop (parse_eq p)
 
 and parse_eq p =
   let rec loop acc =
-    if Pstate.accept p (punct "==") then loop (Binop (Eq, acc, parse_rel p))
-    else if Pstate.accept p (punct "!=") then loop (Binop (Ne, acc, parse_rel p))
+    if Pstate.accept p (Token.Punct "==") then
+      loop (Binop (Eq, acc, parse_rel p))
+    else if Pstate.accept p (Token.Punct "!=") then
+      loop (Binop (Ne, acc, parse_rel p))
     else acc
   in
   loop (parse_rel p)
@@ -74,29 +76,33 @@ and parse_rel p =
 
 and parse_add p =
   let rec loop acc =
-    if Pstate.accept p (punct "+") then loop (Binop (Add, acc, parse_mul p))
-    else if Pstate.accept p (punct "-") then loop (Binop (Sub, acc, parse_mul p))
+    if Pstate.accept p (Token.Punct "+") then
+      loop (Binop (Add, acc, parse_mul p))
+    else if Pstate.accept p (Token.Punct "-") then
+      loop (Binop (Sub, acc, parse_mul p))
     else acc
   in
   loop (parse_mul p)
 
 and parse_mul p =
   let rec loop acc =
-    if Pstate.accept p (punct "*") then loop (Binop (Mul, acc, parse_unary p))
-    else if Pstate.accept p (punct "/") then loop (Binop (Div, acc, parse_unary p))
-    else if Pstate.accept p (punct "%") then loop (Binop (Mod, acc, parse_unary p))
+    if Pstate.accept p (Token.Punct "*") then
+      loop (Binop (Mul, acc, parse_unary p))
+    else if Pstate.accept p (Token.Punct "/") then
+      loop (Binop (Div, acc, parse_unary p))
+    else if Pstate.accept p (Token.Punct "%") then
+      loop (Binop (Mod, acc, parse_unary p))
     else acc
   in
   loop (parse_unary p)
 
 and parse_unary p =
-  if Pstate.accept p (punct "-") then Unop (Neg, parse_unary p)
-  else if Pstate.accept p (punct "!") then Unop (Not, parse_unary p)
-  else if Pstate.accept p (punct "+") then parse_unary p
+  if Pstate.accept p (Token.Punct "-") then Unop (Neg, parse_unary p)
+  else if Pstate.accept p (Token.Punct "!") then Unop (Not, parse_unary p)
+  else if Pstate.accept p (Token.Punct "+") then parse_unary p
   else parse_postfix p
 
 and parse_postfix p =
-  let loc = Pstate.loc p in
   match Pstate.peek p with
   | Token.Int n ->
     Pstate.skip p;
@@ -110,9 +116,10 @@ and parse_postfix p =
   | Token.Punct "(" ->
     Pstate.skip p;
     let e = parse_expr p in
-    Pstate.expect p (punct ")");
+    Pstate.expect p (Token.Punct ")");
     e
   | Token.Ident name -> (
+    let loc = Pstate.loc p in
     Pstate.skip p;
     match Pstate.peek p with
     | Token.Punct "(" ->
@@ -126,13 +133,13 @@ and parse_postfix p =
   | other -> Pstate.error p "expected expression, found %s" (Token.to_string other)
 
 and parse_args p =
-  if Pstate.accept p (punct ")") then []
+  if Pstate.accept p (Token.Punct ")") then []
   else
     let rec loop acc =
       let e = parse_expr p in
-      if Pstate.accept p (punct ",") then loop (e :: acc)
+      if Pstate.accept p (Token.Punct ",") then loop (e :: acc)
       else begin
-        Pstate.expect p (punct ")");
+        Pstate.expect p (Token.Punct ")");
         List.rev (e :: acc)
       end
     in
@@ -140,9 +147,9 @@ and parse_args p =
 
 and parse_indices p =
   let rec loop acc =
-    if Pstate.accept p (punct "[") then begin
+    if Pstate.accept p (Token.Punct "[") then begin
       let e = parse_expr p in
-      Pstate.expect p (punct "]");
+      Pstate.expect p (Token.Punct "]");
       loop (e :: acc)
     end
     else List.rev acc
@@ -158,12 +165,12 @@ let parse_declarator p dtype =
   let loc = Pstate.loc p in
   let name = Pstate.expect_ident p in
   let rec dims acc =
-    if Pstate.accept p (punct "[") then
-      if Pstate.accept p (punct "]") then
+    if Pstate.accept p (Token.Punct "[") then
+      if Pstate.accept p (Token.Punct "]") then
         dims ({ dim_lo = Int_lit 0; dim_hi = None; dim_assumed_shape = false } :: acc)
       else begin
         let e = parse_expr p in
-        Pstate.expect p (punct "]");
+        Pstate.expect p (Token.Punct "]");
         dims
           ({ dim_lo = Int_lit 0; dim_hi = Some (Binop (Sub, e, Int_lit 1));
              dim_assumed_shape = false }
@@ -193,16 +200,16 @@ type incr_kind =
    own list, attached to the procedure at the end of the definition. *)
 let rec parse_stmt locals p : stmt =
   let loc = Pstate.loc p in
-  if Pstate.accept p (punct ";") then Nop loc
-  else if Token.equal (Pstate.peek p) (punct "{") then begin
+  if Pstate.accept p (Token.Punct ";") then Nop loc
+  else if Token.equal (Pstate.peek p) (Token.Punct "{") then begin
     (* anonymous block: flatten *)
     let body = parse_compound locals p in
     match body with [ s ] -> s | _ -> If (Logic_lit true, body, [], loc)
   end
   else if accept_kw p "if" then begin
-    Pstate.expect p (punct "(");
+    Pstate.expect p (Token.Punct "(");
     let cond = parse_expr p in
-    Pstate.expect p (punct ")");
+    Pstate.expect p (Token.Punct ")");
     let then_body = parse_block_or_stmt locals p in
     let else_body =
       if accept_kw p "else" then parse_block_or_stmt locals p else []
@@ -210,24 +217,24 @@ let rec parse_stmt locals p : stmt =
     If (cond, then_body, else_body, loc)
   end
   else if accept_kw p "while" then begin
-    Pstate.expect p (punct "(");
+    Pstate.expect p (Token.Punct "(");
     let cond = parse_expr p in
-    Pstate.expect p (punct ")");
+    Pstate.expect p (Token.Punct ")");
     let body = parse_block_or_stmt locals p in
     While (cond, body, loc)
   end
   else if accept_kw p "for" then parse_for locals p loc
   else if accept_kw p "return" then begin
-    if Pstate.accept p (punct ";") then Return (None, loc)
+    if Pstate.accept p (Token.Punct ";") then Return (None, loc)
     else begin
       let e = parse_expr p in
-      Pstate.expect p (punct ";");
+      Pstate.expect p (Token.Punct ";");
       Return (Some e, loc)
     end
   end
   else begin
     let s = parse_simple_stmt p in
-    Pstate.expect p (punct ";");
+    Pstate.expect p (Token.Punct ";");
     s
   end
 
@@ -242,7 +249,7 @@ and parse_simple_stmt p : stmt =
     if String.equal name "printf" then Print (args, loc) else Call (name, args, loc)
   | _ ->
     let lv =
-      if Token.equal (Pstate.peek p) (punct "[") then
+      if Token.equal (Pstate.peek p) (Token.Punct "[") then
         Larr (name, parse_indices p, loc)
       else Lvar (name, loc)
     in
@@ -277,13 +284,13 @@ and parse_simple_stmt p : stmt =
     | other -> Pstate.error p "expected assignment operator, found %s" (Token.to_string other))
 
 and parse_block_or_stmt locals p =
-  if Token.equal (Pstate.peek p) (punct "{") then parse_compound locals p
+  if Token.equal (Pstate.peek p) (Token.Punct "{") then parse_compound locals p
   else [ parse_stmt locals p ]
 
 and parse_compound locals p =
-  Pstate.expect p (punct "{");
+  Pstate.expect p (Token.Punct "{");
   let rec loop acc =
-    if Pstate.accept p (punct "}") then List.rev acc
+    if Pstate.accept p (Token.Punct "}") then List.rev acc
     else if Token.equal (Pstate.peek p) Token.Eof then
       Pstate.error p "unterminated block"
     else
@@ -309,26 +316,26 @@ and parse_local_decl locals p =
     let d = parse_declarator p dtype in
     locals := d :: !locals;
     let stmts =
-      if Pstate.accept p (punct "=") then
+      if Pstate.accept p (Token.Punct "=") then
         Assign (Lvar (d.decl_name, d.decl_loc), parse_expr p, d.decl_loc) :: stmts
       else stmts
     in
-    if Pstate.accept p (punct ",") then loop stmts
+    if Pstate.accept p (Token.Punct ",") then loop stmts
     else begin
-      Pstate.expect p (punct ";");
+      Pstate.expect p (Token.Punct ";");
       List.rev stmts
     end
   in
   loop []
 
 and parse_for locals p loc =
-  Pstate.expect p (punct "(");
+  Pstate.expect p (Token.Punct "(");
   let init = parse_simple_stmt p in
-  Pstate.expect p (punct ";");
+  Pstate.expect p (Token.Punct ";");
   let cond = parse_expr p in
-  Pstate.expect p (punct ";");
+  Pstate.expect p (Token.Punct ";");
   let incr = parse_incr p in
-  Pstate.expect p (punct ")");
+  Pstate.expect p (Token.Punct ")");
   let body = parse_block_or_stmt locals p in
   (* canonical pattern: i = e1; i <op> e2; i by step *)
   match init, incr with
@@ -391,9 +398,10 @@ and parse_incr p : incr_kind =
 (* Top level *)
 
 let parse_params p =
-  Pstate.expect p (punct "(");
-  if Pstate.accept p (punct ")") then []
-  else if kw p "void" && Token.equal (Pstate.peek2 p) (punct ")") then begin
+  Pstate.expect p (Token.Punct "(");
+  if Pstate.accept p (Token.Punct ")") then []
+  else if kw p "void" && Token.equal (Pstate.peek2 p) (Token.Punct ")") then
+  begin
     Pstate.skip p;
     Pstate.skip p;
     []
@@ -407,16 +415,15 @@ let parse_params p =
         | None -> Pstate.error p "void parameter must be alone"
       in
       let d = parse_declarator p dtype in
-      if Pstate.accept p (punct ",") then loop (d :: acc)
+      if Pstate.accept p (Token.Punct ",") then loop (d :: acc)
       else begin
-        Pstate.expect p (punct ")");
+        Pstate.expect p (Token.Punct ")");
         List.rev (d :: acc)
       end
     in
     loop []
 
-let parse ~file src =
-  let p = Pstate.make (Lexer_c.tokenize ~file src) in
+let parse_tokens ~file src p =
   let globals = ref [] in
   let consts = ref [] in
   let procs = ref [] in
@@ -451,7 +458,7 @@ let parse ~file src =
       let dtype = dtype_of_kw p t in
       let name_loc = Pstate.loc p in
       let name = Pstate.expect_ident p in
-      if Token.equal (Pstate.peek p) (punct "(") then begin
+      if Token.equal (Pstate.peek p) (Token.Punct "(") then begin
         (* function definition *)
         let params = parse_params p in
         let locals = ref [] in
@@ -484,9 +491,9 @@ let parse ~file src =
         in
         (* re-parse the declarator for [name]: dims follow *)
         let rec dims acc =
-          if Pstate.accept p (punct "[") then begin
+          if Pstate.accept p (Token.Punct "[") then begin
             let e = parse_expr p in
-            Pstate.expect p (punct "]");
+            Pstate.expect p (Token.Punct "]");
             dims
           ({ dim_lo = Int_lit 0; dim_hi = Some (Binop (Sub, e, Int_lit 1));
              dim_assumed_shape = false }
@@ -505,11 +512,11 @@ let parse ~file src =
           }
         in
         let rec more acc =
-          if Pstate.accept p (punct ",") then
+          if Pstate.accept p (Token.Punct ",") then
             let d = parse_declarator p dtype in
             more ({ d with decl_common = Some "global" } :: acc)
           else begin
-            Pstate.expect p (punct ";");
+            Pstate.expect p (Token.Punct ";");
             List.rev acc
           end
         in
@@ -527,3 +534,5 @@ let parse ~file src =
     unit_procs = List.rev !procs;
     unit_iprops = Iprop.scan ~fortran:false src;
   }
+
+let parse ~file src = parse_tokens ~file src (Lexer_c.tokenize ~file src)

@@ -10,4 +10,10 @@
     the declared 0-based bounds preserved. *)
 
 val parse : file:string -> string -> Ast.unit_
-(** @raise Diag.Frontend_error on syntax errors. *)
+(** Lexes and parses one file.
+    @raise Diag.Frontend_error on syntax errors. *)
+
+val parse_tokens : file:string -> string -> Pstate.t -> Ast.unit_
+(** [parse_tokens ~file src p] parses the tokens [p] holds, lexed from
+    [src] ({!parse} is [parse_tokens ~file src (tokenize ~file src)]); the
+    source itself is read only for index-array directives. *)

@@ -17,8 +17,6 @@ let expect_kw p word =
     Pstate.error p "expected keyword %S but found %s" word
       (Token.to_string (Pstate.peek p))
 
-let punct s = Token.Punct s
-
 let skip_newlines p =
   while Pstate.accept p Token.Newline do () done
 
@@ -36,20 +34,22 @@ let rec parse_expr p = parse_or p
 
 and parse_or p =
   let rec loop acc =
-    if Pstate.accept p (punct "||") then loop (Binop (Or, acc, parse_and p))
+    if Pstate.accept p (Token.Punct "||") then
+      loop (Binop (Or, acc, parse_and p))
     else acc
   in
   loop (parse_and p)
 
 and parse_and p =
   let rec loop acc =
-    if Pstate.accept p (punct "&&") then loop (Binop (And, acc, parse_not p))
+    if Pstate.accept p (Token.Punct "&&") then
+      loop (Binop (And, acc, parse_not p))
     else acc
   in
   loop (parse_not p)
 
 and parse_not p =
-  if Pstate.accept p (punct "!") then Unop (Not, parse_not p)
+  if Pstate.accept p (Token.Punct "!") then Unop (Not, parse_not p)
   else parse_cmp p
 
 and parse_cmp p =
@@ -72,38 +72,41 @@ and parse_cmp p =
 
 and parse_add p =
   let first =
-    if Pstate.accept p (punct "-") then Unop (Neg, parse_mul p)
+    if Pstate.accept p (Token.Punct "-") then Unop (Neg, parse_mul p)
     else begin
-      ignore (Pstate.accept p (punct "+"));
+      ignore (Pstate.accept p (Token.Punct "+"));
       parse_mul p
     end
   in
   let rec loop acc =
-    if Pstate.accept p (punct "+") then loop (Binop (Add, acc, parse_mul p))
-    else if Pstate.accept p (punct "-") then loop (Binop (Sub, acc, parse_mul p))
+    if Pstate.accept p (Token.Punct "+") then
+      loop (Binop (Add, acc, parse_mul p))
+    else if Pstate.accept p (Token.Punct "-") then
+      loop (Binop (Sub, acc, parse_mul p))
     else acc
   in
   loop first
 
 and parse_mul p =
   let rec loop acc =
-    if Pstate.accept p (punct "*") then loop (Binop (Mul, acc, parse_unary p))
-    else if Pstate.accept p (punct "/") then loop (Binop (Div, acc, parse_unary p))
+    if Pstate.accept p (Token.Punct "*") then
+      loop (Binop (Mul, acc, parse_unary p))
+    else if Pstate.accept p (Token.Punct "/") then
+      loop (Binop (Div, acc, parse_unary p))
     else acc
   in
   loop (parse_unary p)
 
 and parse_unary p =
-  if Pstate.accept p (punct "-") then Unop (Neg, parse_unary p)
+  if Pstate.accept p (Token.Punct "-") then Unop (Neg, parse_unary p)
   else parse_power p
 
 and parse_power p =
   let base = parse_primary p in
-  if Pstate.accept p (punct "**") then Binop (Pow, base, parse_unary p)
+  if Pstate.accept p (Token.Punct "**") then Binop (Pow, base, parse_unary p)
   else base
 
 and parse_primary p =
-  let loc = Pstate.loc p in
   match Pstate.peek p with
   | Token.Int n ->
     Pstate.skip p;
@@ -120,17 +123,18 @@ and parse_primary p =
   | Token.Punct "(" ->
     Pstate.skip p;
     let e = parse_expr p in
-    Pstate.expect p (punct ")");
+    Pstate.expect p (Token.Punct ")");
     e
   | Token.Ident name ->
+    let loc = Pstate.loc p in
     Pstate.skip p;
-    if Pstate.accept p (punct "(") then begin
+    if Pstate.accept p (Token.Punct "(") then begin
       let args = parse_expr_list p in
-      Pstate.expect p (punct ")");
-      if Pstate.accept p (punct "[") then begin
+      Pstate.expect p (Token.Punct ")");
+      if Pstate.accept p (Token.Punct "[") then begin
         (* coarray remote reference: x(i, j)[img] *)
         let img = parse_expr p in
-        Pstate.expect p (punct "]");
+        Pstate.expect p (Token.Punct "]");
         Coarray_ref (name, args, img, loc)
       end
       else
@@ -141,11 +145,11 @@ and parse_primary p =
   | other -> Pstate.error p "expected expression, found %s" (Token.to_string other)
 
 and parse_expr_list p =
-  if Token.equal (Pstate.peek p) (punct ")") then []
+  if Token.equal (Pstate.peek p) (Token.Punct ")") then []
   else
     let rec loop acc =
       let e = parse_expr p in
-      if Pstate.accept p (punct ",") then loop (e :: acc)
+      if Pstate.accept p (Token.Punct ",") then loop (e :: acc)
       else List.rev (e :: acc)
     in
     loop []
@@ -171,26 +175,26 @@ let parse_dtype p =
 (* one dimension spec: [e], [e1:e2], [*], [e1:*], or the F90 assumed-shape
    [:] (deferred bounds, possibly non-contiguous) *)
 let parse_dim p =
-  if Pstate.accept p (punct "*") then
+  if Pstate.accept p (Token.Punct "*") then
     { dim_lo = Int_lit 1; dim_hi = None; dim_assumed_shape = false }
-  else if Pstate.accept p (punct ":") then
+  else if Pstate.accept p (Token.Punct ":") then
     { dim_lo = Int_lit 1; dim_hi = None; dim_assumed_shape = true }
   else
     let e1 = parse_expr p in
-    if Pstate.accept p (punct ":") then
-      if Pstate.accept p (punct "*") then
+    if Pstate.accept p (Token.Punct ":") then
+      if Pstate.accept p (Token.Punct "*") then
         { dim_lo = e1; dim_hi = None; dim_assumed_shape = false }
       else
         { dim_lo = e1; dim_hi = Some (parse_expr p); dim_assumed_shape = false }
     else { dim_lo = Int_lit 1; dim_hi = Some e1; dim_assumed_shape = false }
 
 let parse_dims p =
-  Pstate.expect p (punct "(");
+  Pstate.expect p (Token.Punct "(");
   let rec loop acc =
     let d = parse_dim p in
-    if Pstate.accept p (punct ",") then loop (d :: acc)
+    if Pstate.accept p (Token.Punct ",") then loop (d :: acc)
     else begin
-      Pstate.expect p (punct ")");
+      Pstate.expect p (Token.Punct ")");
       List.rev (d :: acc)
     end
   in
@@ -199,31 +203,30 @@ let parse_dims p =
 (* [integer a, b(5)], [integer, dimension(1:200,1:200) :: a, b],
    [double precision u(5,65,65,64)] *)
 let parse_type_decl p =
-  let loc = Pstate.loc p in
   let dtype = parse_dtype p in
   let attr_dims =
-    if Pstate.accept p (punct ",") then begin
+    if Pstate.accept p (Token.Punct ",") then begin
       expect_kw p "dimension";
       (* the paper's Fig 1 writes "Integer, Dimension:: A(1:200,1:200)":
          the parenthesized shape on the attribute is optional *)
-      if Token.equal (Pstate.peek p) (punct "(") then Some (parse_dims p)
+      if Token.equal (Pstate.peek p) (Token.Punct "(") then Some (parse_dims p)
       else None
     end
     else None
   in
-  ignore (Pstate.accept p (punct "::"));
+  ignore (Pstate.accept p (Token.Punct "::"));
   let rec names acc =
     let nloc = Pstate.loc p in
     let name = Pstate.expect_ident p in
     let dims =
-      if Token.equal (Pstate.peek p) (punct "(") then parse_dims p
+      if Token.equal (Pstate.peek p) (Token.Punct "(") then parse_dims p
       else match attr_dims with Some d -> d | None -> []
     in
     (* codimension: x(10)[*] declares a coarray *)
     let coarray =
-      if Pstate.accept p (punct "[") then begin
-        Pstate.expect p (punct "*");
-        Pstate.expect p (punct "]");
+      if Pstate.accept p (Token.Punct "[") then begin
+        Pstate.expect p (Token.Punct "*");
+        Pstate.expect p (Token.Punct "]");
         true
       end
       else false
@@ -238,35 +241,35 @@ let parse_type_decl p =
         decl_loc = nloc;
       }
     in
-    if Pstate.accept p (punct ",") then names (d :: acc) else List.rev (d :: acc)
+    if Pstate.accept p (Token.Punct ",") then
+      names (d :: acc) else List.rev (d :: acc)
   in
-  let ds = names [] in
-  ignore loc;
-  ds
+  names []
 
 (* [common /blk/ a, b] returns (block, names) *)
 let parse_common p =
   expect_kw p "common";
-  Pstate.expect p (punct "/");
+  Pstate.expect p (Token.Punct "/");
   let block = Pstate.expect_ident p in
-  Pstate.expect p (punct "/");
+  Pstate.expect p (Token.Punct "/");
   let rec loop acc =
     let n = Pstate.expect_ident p in
-    if Pstate.accept p (punct ",") then loop (n :: acc) else List.rev (n :: acc)
+    if Pstate.accept p (Token.Punct ",") then
+      loop (n :: acc) else List.rev (n :: acc)
   in
   (block, loop [])
 
 (* [parameter (n = 5, m = n + 1)] *)
 let parse_parameter p =
   expect_kw p "parameter";
-  Pstate.expect p (punct "(");
+  Pstate.expect p (Token.Punct "(");
   let rec loop acc =
     let n = Pstate.expect_ident p in
-    Pstate.expect p (punct "=");
+    Pstate.expect p (Token.Punct "=");
     let e = parse_expr p in
-    if Pstate.accept p (punct ",") then loop ((n, e) :: acc)
+    if Pstate.accept p (Token.Punct ",") then loop ((n, e) :: acc)
     else begin
-      Pstate.expect p (punct ")");
+      Pstate.expect p (Token.Punct ")");
       List.rev ((n, e) :: acc)
     end
   in
@@ -280,7 +283,7 @@ let parse_dimension_stmt p =
     let name = Pstate.expect_ident p in
     let dims = parse_dims p in
     let entry = (name, dims, nloc) in
-    if Pstate.accept p (punct ",") then loop (entry :: acc)
+    if Pstate.accept p (Token.Punct ",") then loop (entry :: acc)
     else List.rev (entry :: acc)
   in
   loop []
@@ -293,9 +296,9 @@ let rec parse_stmt p : stmt =
   if accept_kw p "call" then begin
     let name = Pstate.expect_ident p in
     let args =
-      if Pstate.accept p (punct "(") then begin
+      if Pstate.accept p (Token.Punct "(") then begin
         let a = parse_expr_list p in
-        Pstate.expect p (punct ")");
+        Pstate.expect p (Token.Punct ")");
         a
       end
       else []
@@ -312,12 +315,12 @@ let rec parse_stmt p : stmt =
     Nop loc
   end
   else if accept_kw p "print" then begin
-    Pstate.expect p (punct "*");
+    Pstate.expect p (Token.Punct "*");
     let args =
-      if Pstate.accept p (punct ",") then
+      if Pstate.accept p (Token.Punct ",") then
         let rec loop acc =
           let e = parse_expr p in
-          if Pstate.accept p (punct ",") then loop (e :: acc)
+          if Pstate.accept p (Token.Punct ",") then loop (e :: acc)
           else List.rev (e :: acc)
         in
         loop []
@@ -328,18 +331,18 @@ let rec parse_stmt p : stmt =
   end
   else if accept_kw p "write" then begin
     (* write (*, *) list  -- list-directed output, same as print *)
-    Pstate.expect p (punct "(");
-    Pstate.expect p (punct "*");
-    Pstate.expect p (punct ",");
-    Pstate.expect p (punct "*");
-    Pstate.expect p (punct ")");
+    Pstate.expect p (Token.Punct "(");
+    Pstate.expect p (Token.Punct "*");
+    Pstate.expect p (Token.Punct ",");
+    Pstate.expect p (Token.Punct "*");
+    Pstate.expect p (Token.Punct ")");
     let args =
       match Pstate.peek p with
       | Token.Newline | Token.Eof -> []
       | _ ->
         let rec loop acc =
           let e = parse_expr p in
-          if Pstate.accept p (punct ",") then loop (e :: acc)
+          if Pstate.accept p (Token.Punct ",") then loop (e :: acc)
           else List.rev (e :: acc)
         in
         loop []
@@ -354,20 +357,20 @@ let rec parse_stmt p : stmt =
     let nloc = Pstate.loc p in
     let name = Pstate.expect_ident p in
     let lv =
-      if Token.equal (Pstate.peek p) (punct "(") then begin
+      if Token.equal (Pstate.peek p) (Token.Punct "(") then begin
         Pstate.skip p;
         let idx = parse_expr_list p in
-        Pstate.expect p (punct ")");
-        if Pstate.accept p (punct "[") then begin
+        Pstate.expect p (Token.Punct ")");
+        if Pstate.accept p (Token.Punct "[") then begin
           let img = parse_expr p in
-          Pstate.expect p (punct "]");
+          Pstate.expect p (Token.Punct "]");
           Lcoarr (name, idx, img, nloc)
         end
         else Larr (name, idx, nloc)
       end
       else Lvar (name, nloc)
     in
-    Pstate.expect p (punct "=");
+    Pstate.expect p (Token.Punct "=");
     let e = parse_expr p in
     expect_eos p;
     Assign (lv, e, loc)
@@ -376,9 +379,9 @@ let rec parse_stmt p : stmt =
 and parse_if p =
   let loc = Pstate.loc p in
   expect_kw p "if";
-  Pstate.expect p (punct "(");
+  Pstate.expect p (Token.Punct "(");
   let cond = parse_expr p in
-  Pstate.expect p (punct ")");
+  Pstate.expect p (Token.Punct ")");
   if accept_kw p "then" then begin
     expect_eos p;
     let then_body = parse_body p [ "else"; "elseif"; "endif"; "end" ] in
@@ -392,9 +395,9 @@ and parse_if p =
 and parse_if_tail p loc cond then_body =
   if accept_kw p "elseif" then begin
     (* elseif (cond) then *)
-    Pstate.expect p (punct "(");
+    Pstate.expect p (Token.Punct "(");
     let cond2 = parse_expr p in
-    Pstate.expect p (punct ")");
+    Pstate.expect p (Token.Punct ")");
     expect_kw p "then";
     expect_eos p;
     let body2 = parse_body p [ "else"; "elseif"; "endif"; "end" ] in
@@ -403,9 +406,9 @@ and parse_if_tail p loc cond then_body =
   end
   else if accept_kw p "else" then
     if accept_kw p "if" then begin
-      Pstate.expect p (punct "(");
+      Pstate.expect p (Token.Punct "(");
       let cond2 = parse_expr p in
-      Pstate.expect p (punct ")");
+      Pstate.expect p (Token.Punct ")");
       expect_kw p "then";
       expect_eos p;
       let body2 = parse_body p [ "else"; "elseif"; "endif"; "end" ] in
@@ -435,9 +438,9 @@ and parse_do p =
   let loc = Pstate.loc p in
   expect_kw p "do";
   if accept_kw p "while" then begin
-    Pstate.expect p (punct "(");
+    Pstate.expect p (Token.Punct "(");
     let cond = parse_expr p in
-    Pstate.expect p (punct ")");
+    Pstate.expect p (Token.Punct ")");
     expect_eos p;
     let body = parse_body p [ "enddo"; "end" ] in
     close_do p;
@@ -445,11 +448,13 @@ and parse_do p =
   end
   else begin
     let var = Pstate.expect_ident p in
-    Pstate.expect p (punct "=");
+    Pstate.expect p (Token.Punct "=");
     let lo = parse_expr p in
-    Pstate.expect p (punct ",");
+    Pstate.expect p (Token.Punct ",");
     let hi = parse_expr p in
-    let step = if Pstate.accept p (punct ",") then Some (parse_expr p) else None in
+    let step =
+      if Pstate.accept p (Token.Punct ",") then Some (parse_expr p) else None
+    in
     expect_eos p;
     let body = parse_body p [ "enddo"; "end" ] in
     close_do p;
@@ -472,7 +477,11 @@ and parse_body p terminators =
   skip_newlines p;
   let rec loop acc =
     if Token.equal (Pstate.peek p) Token.Eof then List.rev acc
-    else if List.exists (fun t -> kw p t) terminators then List.rev acc
+    else if
+      match Pstate.peek p with
+      | Token.Ident s -> List.mem s terminators
+      | _ -> false
+    then List.rev acc
     else begin
       let s = parse_stmt p in
       skip_newlines p;
@@ -546,14 +555,14 @@ let parse_proc_header p =
     end
   in
   let params =
-    if Pstate.accept p (punct "(") then begin
-      if Pstate.accept p (punct ")") then []
+    if Pstate.accept p (Token.Punct "(") then begin
+      if Pstate.accept p (Token.Punct ")") then []
       else
         let rec loop acc =
           let n = Pstate.expect_ident p in
-          if Pstate.accept p (punct ",") then loop (n :: acc)
+          if Pstate.accept p (Token.Punct ",") then loop (n :: acc)
           else begin
-            Pstate.expect p (punct ")");
+            Pstate.expect p (Token.Punct ")");
             List.rev (n :: acc)
           end
         in
@@ -638,8 +647,7 @@ let parse_proc p =
     proc_loc = loc;
   }
 
-let parse ~file src =
-  let p = Pstate.make (Lexer_f.tokenize ~file src) in
+let parse_tokens ~file src p =
   skip_newlines p;
   let rec loop procs =
     skip_newlines p;
@@ -655,3 +663,5 @@ let parse ~file src =
     unit_procs = procs;
     unit_iprops = Iprop.scan ~fortran:true src;
   }
+
+let parse ~file src = parse_tokens ~file src (Lexer_f.tokenize ~file src)

@@ -8,8 +8,6 @@ type t =
   | Newline
   | Eof
 
-type spanned = { tok : t; loc : Loc.t }
-
 let equal a b =
   match a, b with
   | Ident x, Ident y | String x, String y | Punct x, Punct y -> String.equal x y

@@ -13,8 +13,6 @@ type t =
                         only the Fortran lexer emits it *)
   | Eof
 
-type spanned = { tok : t; loc : Loc.t }
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

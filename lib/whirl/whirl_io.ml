@@ -144,61 +144,143 @@ let write_pu buf (m : Ir.module_) pu =
    (one [Printf.sprintf] per WN node is what makes [write] too slow to run
    on every cache probe), and minus every [st_mem_loc]: [Layout] derives
    those from the table alone (and, for a PU, its module position), so an
-   image reads the same before and after layout.  Never parsed — only
-   hashed. *)
+   image reads the same before and after layout.
 
-let add_int buf x = Buffer.add_int64_le buf (Int64.of_int x)
+   A PU's image is a prefix (header, formals, local symbol table) followed
+   by its tree part.  The frontend cache stores the tree parts as a file's
+   tree entry, and [decode_trees] reads them back: every tree field is
+   encoded losslessly, and a decoded tree is accepted only if its stored
+   bytes, behind the prefix rebuilt from the PU, hash to the PU's digest.
 
-let add_str buf s =
-  add_int buf (String.length s);
-  Buffer.add_string buf s
+   Images are built in a [scratch]: a growable byte array whose ranges can
+   be hashed in place, so encoding a file's PUs copies no image. *)
 
-let add_loc buf loc =
-  add_str buf (Lang.Loc.file loc);
-  add_int buf (Lang.Loc.line loc);
-  add_int buf (Lang.Loc.col loc)
+type scratch = { mutable b : Bytes.t; mutable len : int }
 
-let add_symtab_content buf st =
+let scratch () = { b = Bytes.create 4096; len = 0 }
+
+let reserve s k =
+  if s.len + k > Bytes.length s.b then begin
+    let b = Bytes.create (max (s.len + k) (2 * Bytes.length s.b)) in
+    Bytes.blit s.b 0 b 0 s.len;
+    s.b <- b
+  end
+
+let add_char s c =
+  reserve s 1;
+  Bytes.unsafe_set s.b s.len c;
+  s.len <- s.len + 1
+
+let add_bytes s src off len =
+  reserve s len;
+  Bytes.blit_string src off s.b s.len len;
+  s.len <- s.len + len
+
+let add_i64 s x =
+  reserve s 8;
+  Bytes.set_int64_le s.b s.len x;
+  s.len <- s.len + 8
+
+(* [x]'s [k] low bytes, little-endian, the sign extended: the bytes of
+   [Int64.of_int x] (k = 8) or [Int32.of_int x] (k = 4), without boxing *)
+let add_le s x k =
+  reserve s k;
+  for i = 0 to k - 1 do
+    Bytes.unsafe_set s.b (s.len + i)
+      (Char.unsafe_chr ((x asr (8 * i)) land 0xff))
+  done;
+  s.len <- s.len + k
+
+let add_int s x = add_le s x 8
+
+let add_str s str =
+  add_int s (String.length str);
+  add_bytes s str 0 (String.length str)
+
+let add_loc s loc =
+  add_str s (Lang.Loc.file loc);
+  add_int s (Lang.Loc.line loc);
+  add_int s (Lang.Loc.col loc)
+
+let add_symtab_content s st =
   let rec tys i =
     match Symtab.ty st i with
     | exception Invalid_argument _ -> ()
     | Symtab.Ty_scalar d ->
-      Buffer.add_char buf 'S';
-      add_str buf (dtype_name d);
+      add_char s 'S';
+      add_str s (dtype_name d);
       tys (i + 1)
     | Symtab.Ty_array { elem; dims; contiguous } ->
-      Buffer.add_char buf 'A';
-      add_str buf (dtype_name elem);
-      Buffer.add_char buf (if contiguous then 'c' else 'n');
-      add_int buf (List.length dims);
+      add_char s 'A';
+      add_str s (dtype_name elem);
+      add_char s (if contiguous then 'c' else 'n');
+      add_int s (List.length dims);
       List.iter
         (fun (lo, hi) ->
-          add_int buf (Option.value lo ~default:min_int);
-          add_int buf (Option.value hi ~default:min_int))
+          add_int s (Option.value lo ~default:min_int);
+          add_int s (Option.value hi ~default:min_int))
         dims;
       tys (i + 1)
   in
   tys 0;
   Symtab.iter_st st (fun _ e ->
-      Buffer.add_char buf 's';
-      add_str buf e.Symtab.st_name;
-      add_int buf e.Symtab.st_ty;
-      add_str buf (sclass_str e.Symtab.st_sclass);
+      add_char s 's';
+      add_str s e.Symtab.st_name;
+      add_int s e.Symtab.st_ty;
+      add_str s (sclass_str e.Symtab.st_sclass);
       (* a procedure entry symbol's location is where its file defines it:
          no analysis result reads it, and keeping it would make a line
          inserted above one procedure miss every PU of the program *)
       if e.Symtab.st_sclass <> Symtab.Sclass_text then
-        add_loc buf e.Symtab.st_loc;
+        add_loc s e.Symtab.st_loc;
       (* index-array directives are analysis inputs: editing one must miss
          the content-addressed caches and re-analyze every user *)
-      add_str buf (Lang.Iprop.to_token e.Symtab.st_iprop))
+      add_str s (Lang.Iprop.to_token e.Symtab.st_iprop))
 
-let add_i32 buf x = Buffer.add_int32_le buf (Int32.of_int x)
+let operators = Array.of_list all_operators
 
-let operator_tag =
-  let tbl = Hashtbl.create 64 in
-  List.iteri (fun i op -> Hashtbl.replace tbl op (Char.chr i)) all_operators;
-  fun op -> try Hashtbl.find tbl op with Not_found -> '\255'
+(* an operator's position in [all_operators] *)
+let operator_tag = function
+  | Wn.OPR_FUNC_ENTRY -> '\000'
+  | Wn.OPR_BLOCK -> '\001'
+  | Wn.OPR_DO_LOOP -> '\002'
+  | Wn.OPR_WHILE_DO -> '\003'
+  | Wn.OPR_IF -> '\004'
+  | Wn.OPR_STID -> '\005'
+  | Wn.OPR_LDID -> '\006'
+  | Wn.OPR_ISTORE -> '\007'
+  | Wn.OPR_ILOAD -> '\008'
+  | Wn.OPR_ARRAY -> '\009'
+  | Wn.OPR_COIDX -> '\010'
+  | Wn.OPR_LDA -> '\011'
+  | Wn.OPR_IDNAME -> '\012'
+  | Wn.OPR_CALL -> '\013'
+  | Wn.OPR_PARM -> '\014'
+  | Wn.OPR_INTCONST -> '\015'
+  | Wn.OPR_CONST -> '\016'
+  | Wn.OPR_STRCONST -> '\017'
+  | Wn.OPR_ADD -> '\018'
+  | Wn.OPR_SUB -> '\019'
+  | Wn.OPR_MPY -> '\020'
+  | Wn.OPR_DIV -> '\021'
+  | Wn.OPR_MOD -> '\022'
+  | Wn.OPR_NEG -> '\023'
+  | Wn.OPR_EQ -> '\024'
+  | Wn.OPR_NE -> '\025'
+  | Wn.OPR_LT -> '\026'
+  | Wn.OPR_LE -> '\027'
+  | Wn.OPR_GT -> '\028'
+  | Wn.OPR_GE -> '\029'
+  | Wn.OPR_LAND -> '\030'
+  | Wn.OPR_LIOR -> '\031'
+  | Wn.OPR_LNOT -> '\032'
+  | Wn.OPR_INTRINSIC_OP -> '\033'
+  | Wn.OPR_RETURN -> '\034'
+  | Wn.OPR_IO -> '\035'
+  | Wn.OPR_NOP -> '\036'
+
+let dtypes =
+  Lang.Ast.[| Int_t; Real_t; Double_t; Char_t; Logical_t |]
 
 let dtype_tag = function
   | Lang.Ast.Int_t -> '\001'
@@ -209,70 +291,242 @@ let dtype_tag = function
 
 let res_tag = function None -> '\000' | Some d -> dtype_tag d
 
+(* Small non-negative ints (nearly every field) take one byte, other
+   32-bit ints a marker and four bytes; the rest (and [Int32.min_int],
+   their escape) add eight more bytes. *)
+let add_ci s x =
+  if x >= 0 && x < 255 then add_char s (Char.unsafe_chr x)
+  else begin
+    add_char s '\255';
+    if x > -0x8000_0000 && x <= 0x7fff_ffff then add_le s x 4
+    else begin
+      add_le s (-0x8000_0000) 4;
+      add_int s x
+    end
+  end
+
 (* The file component of WN locations is almost always the same string
    (physically) as the previous node's, so it is run-length memoized; the
    fallback writes the full length-prefixed string, which keeps the
    encoding injective. *)
-(* Small non-negative ints (nearly every field) take one byte; anything
-   else pays a marker plus four bytes.  Decoding would be unambiguous, so
-   the encoding stays injective. *)
-let add_ci buf x =
-  if x >= 0 && x < 255 then Buffer.add_char buf (Char.unsafe_chr x)
-  else begin
-    Buffer.add_char buf '\255';
-    add_i32 buf x
-  end
-
-let rec add_wn_content buf last_file (w : Wn.t) =
-  Buffer.add_char buf (operator_tag w.Wn.operator);
-  add_ci buf w.Wn.st_idx;
-  add_ci buf w.Wn.offset;
-  add_ci buf w.Wn.elem_size;
+let rec add_wn_content s last_file (w : Wn.t) =
+  add_char s (operator_tag w.Wn.operator);
+  add_ci s w.Wn.st_idx;
+  add_ci s w.Wn.offset;
+  add_ci s w.Wn.elem_size;
   (* const_val/flt_val/str_val are zero/empty on all but constant nodes *)
-  (if w.Wn.const_val = 0 then Buffer.add_char buf '\000'
+  (if w.Wn.const_val = 0 then add_char s '\000'
    else begin
-     Buffer.add_char buf '\001';
-     add_int buf w.Wn.const_val
+     add_char s '\001';
+     add_int s w.Wn.const_val
    end);
-  (if Int64.bits_of_float w.Wn.flt_val = 0L then Buffer.add_char buf '\000'
+  (if Int64.bits_of_float w.Wn.flt_val = 0L then add_char s '\000'
    else begin
-     Buffer.add_char buf '\001';
-     Buffer.add_int64_le buf (Int64.bits_of_float w.Wn.flt_val)
+     add_char s '\001';
+     add_i64 s (Int64.bits_of_float w.Wn.flt_val)
    end);
-  Buffer.add_char buf (res_tag w.Wn.res);
+  add_char s (res_tag w.Wn.res);
   let f = Lang.Loc.file w.Wn.linenum in
-  if f == !last_file then Buffer.add_char buf '='
+  if f == !last_file then add_char s '='
   else begin
-    Buffer.add_char buf '#';
-    add_str buf f;
+    add_char s '#';
+    add_str s f;
     last_file := f
   end;
-  add_ci buf (Lang.Loc.line w.Wn.linenum);
-  add_ci buf (Lang.Loc.col w.Wn.linenum);
-  (if w.Wn.str_val = "" then Buffer.add_char buf '\000'
+  add_ci s (Lang.Loc.line w.Wn.linenum);
+  add_ci s (Lang.Loc.col w.Wn.linenum);
+  (if w.Wn.str_val = "" then add_char s '\000'
    else begin
-     Buffer.add_char buf '\001';
-     add_ci buf (String.length w.Wn.str_val);
-     Buffer.add_string buf w.Wn.str_val
+     add_char s '\001';
+     add_ci s (String.length w.Wn.str_val);
+     add_bytes s w.Wn.str_val 0 (String.length w.Wn.str_val)
    end);
-  add_ci buf (Array.length w.Wn.kids);
-  Array.iter (add_wn_content buf last_file) w.Wn.kids
+  add_ci s (Array.length w.Wn.kids);
+  for i = 0 to Array.length w.Wn.kids - 1 do
+    add_wn_content s last_file w.Wn.kids.(i)
+  done
 
-let pu_digest buf (m : Ir.module_) pu =
-  Buffer.clear buf;
-  add_str buf pu.Ir.pu_name;
-  add_int buf pu.Ir.pu_st;
-  add_str buf pu.Ir.pu_file;
-  add_str buf pu.Ir.pu_object;
-  Buffer.add_char buf
+(* everything of a PU's image before its tree part *)
+let add_prefix s (m : Ir.module_) pu =
+  add_str s pu.Ir.pu_name;
+  add_int s pu.Ir.pu_st;
+  add_str s pu.Ir.pu_file;
+  add_str s pu.Ir.pu_object;
+  add_char s
     (match pu.Ir.pu_lang with Lang.Ast.Fortran -> 'f' | Lang.Ast.C -> 'c');
-  add_loc buf pu.Ir.pu_loc;
-  add_str buf (kind_str (proc_kind m pu.Ir.pu_name));
-  add_int buf (List.length pu.Ir.pu_formals);
-  List.iter (add_int buf) pu.Ir.pu_formals;
-  add_symtab_content buf pu.Ir.pu_symtab;
-  add_wn_content buf (ref "") (Ir.body pu);
-  Digest.string (Buffer.contents buf)
+  add_loc s pu.Ir.pu_loc;
+  add_str s (kind_str (proc_kind m pu.Ir.pu_name));
+  add_int s (List.length pu.Ir.pu_formals);
+  List.iter (add_int s) pu.Ir.pu_formals;
+  add_symtab_content s pu.Ir.pu_symtab
+
+let digest_from s off = Digest.subbytes s.b off (s.len - off)
+
+let pu_digest s m pu =
+  s.len <- 0;
+  add_prefix s m pu;
+  add_wn_content s (ref "") (Ir.body pu);
+  digest_from s 0
+
+let encode_trees s m pus =
+  s.len <- 0;
+  let parts =
+    List.map
+      (fun pu ->
+        let start = s.len in
+        add_prefix s m pu;
+        let tree = s.len in
+        add_wn_content s (ref "") (Ir.body pu);
+        (digest_from s start, tree, s.len - tree))
+      pus
+  in
+  let size = List.fold_left (fun n (_, _, len) -> n + len) 0 parts in
+  let out = Bytes.create size in
+  let _ =
+    List.fold_left
+      (fun pos (_, off, len) ->
+        Bytes.blit s.b off out pos len;
+        pos + len)
+      0 parts
+  in
+  (List.map (fun (d, _, _) -> d) parts, Bytes.unsafe_to_string out)
+
+(* Decoding a tree part.  Every read is bounds-checked and every tag
+   range-checked: bad input raises [Bad_image] only, which
+   [decode_trees] turns into an [Error]. *)
+
+exception Bad_image of string
+
+let bad fmt = Printf.ksprintf (fun e -> raise (Bad_image e)) fmt
+
+type reader = { src : string; mutable pos : int }
+
+let need r k =
+  if k < 0 || r.pos > String.length r.src - k then
+    bad "truncated at byte %d" r.pos
+
+let get_char r =
+  need r 1;
+  let c = String.unsafe_get r.src r.pos in
+  r.pos <- r.pos + 1;
+  c
+
+let get_i64 r =
+  need r 8;
+  let x = String.get_int64_le r.src r.pos in
+  r.pos <- r.pos + 8;
+  x
+
+(* the [k] little-endian bytes at the cursor, sign-extended from bit
+   [8k - 1] (k = 4), or taken modulo 2^63 as [Int64.to_int] does (k = 8) *)
+let get_le r k =
+  need r k;
+  let x = ref 0 in
+  for i = k - 1 downto 0 do
+    x := (!x lsl 8) lor Char.code (String.unsafe_get r.src (r.pos + i))
+  done;
+  r.pos <- r.pos + k;
+  if k = 4 && !x >= 0x8000_0000 then !x - 0x1_0000_0000 else !x
+
+let get_int r = get_le r 8
+
+let get_ci r =
+  match get_char r with
+  | '\255' ->
+    let x = get_le r 4 in
+    if x = -0x8000_0000 then get_int r else x
+  | c -> Char.code c
+
+let get_sub r len =
+  need r len;
+  let str = String.sub r.src r.pos len in
+  r.pos <- r.pos + len;
+  str
+
+(* a node takes at least this many bytes: a bound on any kid count *)
+let min_node = 12
+
+let rec get_wn r files last_file last_loc =
+  let tag = Char.code (get_char r) in
+  if tag >= Array.length operators then bad "operator tag %d" tag;
+  let operator = operators.(tag) in
+  let st_idx = get_ci r in
+  let offset = get_ci r in
+  let elem_size = get_ci r in
+  let const_val =
+    match get_char r with
+    | '\000' -> 0
+    | '\001' -> get_int r
+    | _ -> bad "constant flag at byte %d" (r.pos - 1)
+  in
+  let flt_val =
+    match get_char r with
+    | '\000' -> 0.
+    | '\001' -> Int64.float_of_bits (get_i64 r)
+    | _ -> bad "float flag at byte %d" (r.pos - 1)
+  in
+  let res =
+    match Char.code (get_char r) with
+    | 0 -> None
+    | k when k <= Array.length dtypes -> Some dtypes.(k - 1)
+    | k -> bad "result type tag %d" k
+  in
+  (match get_char r with
+  | '=' -> ()
+  | '#' ->
+    let file = get_sub r (get_int r) in
+    (* one string per file name, as in the lowered trees *)
+    last_file :=
+      (match List.find_opt (String.equal file) !files with
+      | Some f -> f
+      | None ->
+        files := file :: !files;
+        file)
+  | _ -> bad "file marker at byte %d" (r.pos - 1));
+  let line = get_ci r in
+  let col = get_ci r in
+  let file = !last_file in
+  let linenum =
+    let l = !last_loc in
+    if Lang.Loc.line l = line && Lang.Loc.col l = col && Lang.Loc.file l == file
+    then l
+    else begin
+      let l = Lang.Loc.make ~file ~line ~col in
+      last_loc := l;
+      l
+    end
+  in
+  let str_val =
+    match get_char r with
+    | '\000' -> ""
+    | '\001' -> get_sub r (get_ci r)
+    | _ -> bad "string flag at byte %d" (r.pos - 1)
+  in
+  let nkids = get_ci r in
+  if nkids < 0 || nkids > (String.length r.src - r.pos) / min_node then
+    bad "kid count %d at byte %d" nkids r.pos;
+  let kids = Array.init nkids (fun _ -> get_wn r files last_file last_loc) in
+  { Wn.operator; kids; linenum; offset; elem_size; const_val; flt_val;
+    str_val; st_idx; res }
+
+let decode_trees s m pus src =
+  let r = { src; pos = 0 } and files = ref [] in
+  match
+    List.map
+      (fun ((pu : Ir.pu), want) ->
+        let start = r.pos in
+        let w = get_wn r files (ref "") (ref Lang.Loc.dummy) in
+        s.len <- 0;
+        add_prefix s m pu;
+        add_bytes s src start (r.pos - start);
+        if not (Digest.equal (digest_from s 0) want) then
+          bad "%s: image does not match its digest" pu.Ir.pu_name;
+        w)
+      pus
+  with
+  | ws when r.pos = String.length src -> Ok (Array.of_list ws)
+  | _ -> Error (Printf.sprintf "%d trailing bytes" (String.length src - r.pos))
+  | exception Bad_image e -> Error e
 
 let write (m : Ir.module_) =
   let buf = Buffer.create 4096 in
@@ -289,9 +543,9 @@ let pu_to_string m pu =
   Buffer.contents buf
 
 let symtab_digest st =
-  let buf = Buffer.create 4096 in
-  add_symtab_content buf st;
-  Digest.string (Buffer.contents buf)
+  let s = scratch () in
+  add_symtab_content s st;
+  digest_from s 0
 
 (* ------------------------------------------------------------------ *)
 (* Parsing *)

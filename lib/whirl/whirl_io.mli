@@ -7,7 +7,11 @@
     The format is a line-oriented text dump: the global symbol table, then
     each PU with its local table, formals, and its WN tree in preorder with
     explicit depths.  Everything a WN carries (Table I's fields) round-trips
-    bit-exactly; floats are written in hexadecimal notation. *)
+    bit-exactly; floats are written in hexadecimal notation.
+
+    A second, binary encoding is the {e content image} of a PU: what the
+    engine's content digests hash ({!pu_digest}) and what the frontend
+    cache stores a file's trees as ({!encode_trees}, {!decode_trees}). *)
 
 val write : Ir.module_ -> string
 
@@ -17,14 +21,41 @@ val pu_to_string : Ir.module_ -> Ir.pu -> string
     tree.  Because the format round-trips bit-exactly, this string is a
     faithful content key for the PU. *)
 
-val pu_digest : Buffer.t -> Ir.module_ -> Ir.pu -> Digest.t
+type scratch
+(** A reusable buffer that content images are built in.  Not shareable
+    between domains: callers keep one per domain. *)
+
+val scratch : unit -> scratch
+
+val pu_digest : scratch -> Ir.module_ -> Ir.pu -> Digest.t
 (** The digest of a compact binary image of everything {!pu_to_string}
     serializes (header, formals, local symbol table, the WN tree) except
     the [Mem_Loc]s, which {!Layout} derives from the local table and the
     PU's module position.  So the digest is the same before and after
-    layout.  The image is built in the given buffer, which is cleared
-    first: callers reuse one per domain.  An order of magnitude cheaper
-    than {!pu_to_string}; never parsed, only hashed. *)
+    layout.  The image is a prefix (header, formals, symbol table)
+    followed by the tree part, built in the given scratch buffer and
+    hashed in place.  An order of magnitude cheaper than
+    {!pu_to_string}. *)
+
+val encode_trees :
+  scratch -> Ir.module_ -> Ir.pu list -> Digest.t list * string
+(** [encode_trees s m pus]: each PU's {!pu_digest}, and the tree parts of
+    their images concatenated in order.  Every image is encoded once, into
+    [s], and the trees are copied out once: the frontend cache stores the
+    string as a file's tree entry. *)
+
+val decode_trees :
+  scratch ->
+  Ir.module_ ->
+  (Ir.pu * Digest.t) list ->
+  string ->
+  (Wn.t array, string) result
+(** [decode_trees s m pus image] reads back the trees {!encode_trees}
+    wrote for [pus] (their bodies are not read): every field of every
+    node.  Each tree is accepted only if its bytes, behind the prefix
+    rebuilt from its PU, hash to the digest paired with it, so an [Ok]
+    tree is the one that digest names.  Total: a truncated, altered or
+    over-long image is an [Error], never an exception. *)
 
 val symtab_digest : Symtab.t -> Digest.t
 (** Like {!pu_digest}, over a symbol table alone ([Mem_Loc]s left out, and

@@ -189,22 +189,37 @@ for f in project.rgn project.dgn project.cfg; do
 done
 cmp "$out/fnone.json" "$out/fwarm.json"
 
-echo "== smoke: warm runs that read cached bodies == no cache (gen-small) =="
-# the cache above holds every file's body; --wopt and diffcheck ask for
-# them (read on demand), and must print and write what a no-cache run does
-for flags in "--wopt" "--analyses bounds,diffcheck"; do
+echo "== smoke: warm runs that read cached bodies == no cache (gen-small, lu, matrix) =="
+# the caches hold every file's body; --wopt, --autopar and diffcheck ask
+# for them (decoded from the tree entries on demand), and must print and
+# write what a no-cache run does.  matrix is C: its trees come from the C
+# lexer.  (diffcheck interprets the program: lu runs out of statements.)
+bodies_match() { # cache-dir flags source-args...
+  cache=$1 flags=$2
+  shift 2
   rm -rf "$out/bwarm" "$out/bnone"
   # shellcheck disable=SC2086
-  dune exec bin/uhc.exe -- "$out/fsrc"/*.f $flags --cache-dir "$out/fcache2" \
+  dune exec bin/uhc.exe -- "$@" $flags --cache-dir "$cache" \
     -o "$out/bwarm" | grep -v '^wrote ' >"$out/bwarm.txt"
   # shellcheck disable=SC2086
-  dune exec bin/uhc.exe -- "$out/fsrc"/*.f $flags -o "$out/bnone" \
+  dune exec bin/uhc.exe -- "$@" $flags -o "$out/bnone" \
     | grep -v '^wrote ' >"$out/bnone.txt"
   cmp "$out/bnone.txt" "$out/bwarm.txt"
   for f in project.rgn project.dgn project.cfg; do
     cmp "$out/bnone/$f" "$out/bwarm/$f"
   done
+}
+for flags in "--wopt" "--autopar" "--analyses bounds,diffcheck"; do
+  bodies_match "$out/fcache2" "$flags" "$out/fsrc"/*.f
 done
+for corpus in lu matrix; do
+  dune exec bin/uhc.exe -- --corpus $corpus --cache-dir "$out/bcache_$corpus" \
+    -o "$out/bcold_$corpus" >/dev/null
+  for flags in "--wopt" "--autopar"; do
+    bodies_match "$out/bcache_$corpus" "$flags" --corpus $corpus
+  done
+done
+bodies_match "$out/bcache_matrix" "--analyses bounds,diffcheck" --corpus matrix
 
 echo "== smoke: bench gen --json =="
 dune exec bench/main.exe -- gen --json --out "$out/BENCH_gen.json" >/dev/null

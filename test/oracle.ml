@@ -278,3 +278,335 @@ let rows (m : Ir.module_) (infos : (string * Ipa.Collect.pu_info) list) =
         }
         :: !rows);
   List.rev !rows
+
+(* ------------------------------------------------------------------ *)
+(* Lexers: the list-building tokenizers the array-backed streams of
+   [Lang.Pstate] replaced, one spanned record (token and location) per
+   token.  test_lang parses their tokens with the production parsers and
+   checks that the ASTs and diagnostics equal the production lexers'. *)
+
+type spanned = { tok : Lang.Token.t; loc : Lang.Loc.t }
+
+module Token = Lang.Token
+module Loc = Lang.Loc
+module Diag = Lang.Diag
+
+let is_digit c = c >= '0' && c <= '9'
+let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let is_alnum c = is_alpha c || is_digit c
+
+module Lexer_f = struct
+  (* Dotted operator spellings and their canonical punctuation. *)
+  let dotted_ops =
+    [
+      ("lt", "<"); ("le", "<="); ("gt", ">"); ("ge", ">=");
+      ("eq", "=="); ("ne", "/=:"); ("and", "&&"); ("or", "||"); ("not", "!");
+    ]
+
+  let tokenize ~file src =
+    let n = String.length src in
+    let tokens = ref [] in
+    let line = ref 1 and bol = ref 0 in
+    let loc_at i = Loc.make ~file ~line:!line ~col:(i - !bol + 1) in
+    let emit tok loc = tokens := { tok; loc } :: !tokens in
+    let last_significant () =
+      match !tokens with { tok; _ } :: _ -> Some tok | [] -> None
+    in
+    let i = ref 0 in
+    (* comment line: 'c', 'C' or '*' in column 1 followed by blank/EOL *)
+    let at_comment_line () =
+      !i = !bol
+      && !i < n
+      && (match src.[!i] with
+         | 'c' | 'C' | '*' ->
+           !i + 1 >= n || src.[!i + 1] = ' ' || src.[!i + 1] = '\n'
+             || src.[!i + 1] = '\t' || src.[!i + 1] = '\r'
+         | _ -> false)
+    in
+    let skip_to_eol () =
+      while !i < n && src.[!i] <> '\n' do incr i done
+    in
+    while !i < n do
+      let c = src.[!i] in
+      if at_comment_line () then skip_to_eol ()
+      else
+        match c with
+        | ' ' | '\t' | '\r' -> incr i
+        | '\n' ->
+          (* collapse consecutive newlines; suppress newline after '&' *)
+          (match last_significant () with
+          | Some Token.Newline | None -> ()
+          | Some _ -> emit Token.Newline (loc_at !i));
+          incr i;
+          incr line;
+          bol := !i
+        | '&' ->
+          (* continuation: swallow to end of line including the newline *)
+          incr i;
+          skip_to_eol ();
+          if !i < n then begin
+            incr i;
+            incr line;
+            bol := !i
+          end
+        | '!' -> skip_to_eol ()
+        | '\'' | '"' ->
+          let quote = c in
+          let start = !i in
+          let buf = Buffer.create 16 in
+          incr i;
+          let rec scan () =
+            if !i >= n then Diag.error (loc_at start) "unterminated string"
+            else if src.[!i] = quote then
+              if !i + 1 < n && src.[!i + 1] = quote then begin
+                Buffer.add_char buf quote;
+                i := !i + 2;
+                scan ()
+              end
+              else incr i
+            else begin
+              Buffer.add_char buf src.[!i];
+              incr i;
+              scan ()
+            end
+          in
+          scan ();
+          emit (Token.String (Buffer.contents buf)) (loc_at start)
+        | '.' when !i + 1 < n && is_alpha src.[!i + 1] ->
+          (* dotted operator or logical literal *)
+          let start = !i in
+          let j = ref (!i + 1) in
+          while !j < n && is_alpha src.[!j] do incr j done;
+          if !j < n && src.[!j] = '.' then begin
+            let word = String.lowercase_ascii (String.sub src (!i + 1) (!j - !i - 1)) in
+            i := !j + 1;
+            match word with
+            | "true" -> emit (Token.Logic true) (loc_at start)
+            | "false" -> emit (Token.Logic false) (loc_at start)
+            | _ -> (
+              match List.assoc_opt word dotted_ops with
+              | Some p ->
+                let p = if p = "/=:" then "!=" else p in
+                emit (Token.Punct p) (loc_at start)
+              | None -> Diag.error (loc_at start) "unknown operator .%s." word)
+          end
+          else Diag.error (loc_at start) "stray '.'"
+        | c when is_digit c || (c = '.' && !i + 1 < n && is_digit src.[!i + 1]) ->
+          let start = !i in
+          while !i < n && is_digit src.[!i] do incr i done;
+          let is_float = ref false in
+          if
+            !i < n && src.[!i] = '.'
+            && not (!i + 1 < n && is_alpha src.[!i + 1])
+            (* 1.lt.2 must not eat the dot *)
+          then begin
+            is_float := true;
+            incr i;
+            while !i < n && is_digit src.[!i] do incr i done
+          end;
+          (* exponent: e, d (double), with optional sign *)
+          if
+            !i < n
+            && (match src.[!i] with 'e' | 'E' | 'd' | 'D' -> true | _ -> false)
+            && (!i + 1 < n
+               && (is_digit src.[!i + 1]
+                  || ((src.[!i + 1] = '+' || src.[!i + 1] = '-')
+                     && !i + 2 < n && is_digit src.[!i + 2])))
+          then begin
+            is_float := true;
+            incr i;
+            if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
+            while !i < n && is_digit src.[!i] do incr i done
+          end;
+          let text = String.sub src start (!i - start) in
+          if !is_float then
+            let text =
+              String.map (function 'd' | 'D' -> 'e' | c -> c) text
+            in
+            emit (Token.Float (float_of_string text)) (loc_at start)
+          else emit (Token.Int (int_of_string text)) (loc_at start)
+        | c when is_alpha c ->
+          let start = !i in
+          while !i < n && is_alnum src.[!i] do incr i done;
+          let word = String.lowercase_ascii (String.sub src start (!i - start)) in
+          emit (Token.Ident word) (loc_at start)
+        | _ ->
+          let start = !i in
+          let two =
+            if !i + 1 < n then String.sub src !i 2 else ""
+          in
+          let punct, len =
+            match two with
+            | "**" | "==" | "/=" | "<=" | ">=" | "::" -> (two, 2)
+            | _ -> (String.make 1 c, 1)
+          in
+          let punct = if punct = "/=" then "!=" else punct in
+          (match punct with
+          | "+" | "-" | "*" | "/" | "(" | ")" | "," | "=" | ":" | "<" | ">"
+          | "[" | "]" | "**" | "==" | "!=" | "<=" | ">=" | "::" ->
+            i := !i + len;
+            emit (Token.Punct punct) (loc_at start)
+          | _ -> Diag.error (loc_at start) "unexpected character %C" c)
+    done;
+    (match last_significant () with
+    | Some Token.Newline | None -> ()
+    | Some _ -> emit Token.Newline (loc_at !i));
+    emit Token.Eof (loc_at !i);
+    List.rev !tokens
+end
+
+module Lexer_c = struct
+  let two_char_puncts =
+    [ "=="; "!="; "<="; ">="; "&&"; "||"; "++"; "--"; "+="; "-="; "*="; "/="; "%=" ]
+
+  let one_char_puncts = "+-*/%<>=!(){}[];,&|#?:."
+
+  let tokenize ~file src =
+    let n = String.length src in
+    let tokens = ref [] in
+    let line = ref 1 and bol = ref 0 in
+    let loc_at i = Loc.make ~file ~line:!line ~col:(i - !bol + 1) in
+    let emit tok loc = tokens := { tok; loc } :: !tokens in
+    let i = ref 0 in
+    let in_directive = ref false in
+    while !i < n do
+      let c = src.[!i] in
+      match c with
+      | ' ' | '\t' | '\r' -> incr i
+      | '\n' ->
+        if !in_directive then begin
+          emit Token.Newline (loc_at !i);
+          in_directive := false
+        end;
+        incr i;
+        incr line;
+        bol := !i
+      | '/' when !i + 1 < n && src.[!i + 1] = '/' ->
+        while !i < n && src.[!i] <> '\n' do incr i done
+      | '/' when !i + 1 < n && src.[!i + 1] = '*' ->
+        let start = !i in
+        i := !i + 2;
+        let rec scan () =
+          if !i + 1 >= n then Diag.error (loc_at start) "unterminated comment"
+          else if src.[!i] = '*' && src.[!i + 1] = '/' then i := !i + 2
+          else begin
+            if src.[!i] = '\n' then begin
+              incr line;
+              bol := !i + 1
+            end;
+            incr i;
+            scan ()
+          end
+        in
+        scan ()
+      | '"' ->
+        let start = !i in
+        let buf = Buffer.create 16 in
+        incr i;
+        let rec scan () =
+          if !i >= n then Diag.error (loc_at start) "unterminated string"
+          else if src.[!i] = '\\' && !i + 1 < n then begin
+            (let c =
+               match src.[!i + 1] with
+               | 'n' -> '\n'
+               | 't' -> '\t'
+               | 'r' -> '\r'
+               | '0' -> '\000'
+               | c -> c
+             in
+             Buffer.add_char buf c);
+            i := !i + 2;
+            scan ()
+          end
+          else if src.[!i] = '"' then incr i
+          else begin
+            Buffer.add_char buf src.[!i];
+            incr i;
+            scan ()
+          end
+        in
+        scan ();
+        emit (Token.String (Buffer.contents buf)) (loc_at start)
+      | '\'' ->
+        let start = !i in
+        incr i;
+        if !i >= n then Diag.error (loc_at start) "unterminated character literal";
+        let ch =
+          if src.[!i] = '\\' && !i + 1 < n then begin
+            i := !i + 2;
+            match src.[!i - 1] with
+            | 'n' -> '\n'
+            | 't' -> '\t'
+            | '0' -> '\000'
+            | c -> c
+          end
+          else begin
+            incr i;
+            src.[!i - 1]
+          end
+        in
+        if !i >= n || src.[!i] <> '\'' then
+          Diag.error (loc_at start) "unterminated character literal";
+        incr i;
+        emit (Token.String (String.make 1 ch)) (loc_at start)
+      | c when is_digit c ->
+        let start = !i in
+        while !i < n && is_digit src.[!i] do incr i done;
+        let is_float = ref false in
+        if !i < n && src.[!i] = '.' then begin
+          is_float := true;
+          incr i;
+          while !i < n && is_digit src.[!i] do incr i done
+        end;
+        if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
+          is_float := true;
+          incr i;
+          if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
+          while !i < n && is_digit src.[!i] do incr i done
+        end;
+        (* suffixes f, l, u *)
+        while
+          !i < n
+          && (match src.[!i] with 'f' | 'F' | 'l' | 'L' | 'u' | 'U' -> true | _ -> false)
+        do
+          incr i
+        done;
+        let text =
+          String.sub src start (!i - start)
+          |> String.to_seq
+          |> Seq.filter (fun c ->
+                 not (List.mem c [ 'f'; 'F'; 'l'; 'L'; 'u'; 'U' ]))
+          |> String.of_seq
+        in
+        if !is_float then emit (Token.Float (float_of_string text)) (loc_at start)
+        else emit (Token.Int (int_of_string text)) (loc_at start)
+      | c when is_alpha c ->
+        let start = !i in
+        while !i < n && is_alnum src.[!i] do incr i done;
+        emit (Token.Ident (String.sub src start (!i - start))) (loc_at start)
+      | '#' ->
+        in_directive := true;
+        emit (Token.Punct "#") (loc_at !i);
+        incr i
+      | _ ->
+        let start = !i in
+        let two = if !i + 1 < n then String.sub src !i 2 else "" in
+        if List.mem two two_char_puncts then begin
+          i := !i + 2;
+          emit (Token.Punct two) (loc_at start)
+        end
+        else if String.contains one_char_puncts c then begin
+          incr i;
+          emit (Token.Punct (String.make 1 c)) (loc_at start)
+        end
+        else Diag.error (loc_at start) "unexpected character %C" c
+    done;
+    if !in_directive then emit Token.Newline (loc_at !i);
+    emit Token.Eof (loc_at !i);
+    List.rev !tokens
+end
+
+(* a reference token list as a parser's stream *)
+let stream ~file toks =
+  Lang.Pstate.of_list ~file
+    (List.map (fun s -> (s.tok, Loc.line s.loc, Loc.col s.loc)) toks)

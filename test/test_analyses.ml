@@ -125,37 +125,36 @@ let test_report_schema () =
   | Error e -> Alcotest.failf "Report.parse rejects its own output: %s" e);
   (* dragon report prints exactly the tables uhc printed, for a whole
      file with a report that has no rows (stride's permissions) *)
-  if Test_cli.binaries_present () then begin
-    let dir = Test_cli.temp_dir () in
-    let file = Filename.concat dir "report.json" in
-    let stdout_of cmd =
-      let out = Filename.concat dir "stdout" in
-      let code = Sys.command (Printf.sprintf "%s > %s 2>/dev/null" cmd out) in
-      Alcotest.(check int) (cmd ^ " exits 0") 0 code;
-      In_channel.with_open_bin out In_channel.input_all
-    in
-    let uhc =
-      stdout_of
-        (Printf.sprintf
-           "%s --corpus stride --analyses bounds,permissions,regions \
-            --report %s"
-           (Test_cli.exe "uhc") file)
-    in
-    (* the tables are what uhc prints before its "wrote" line *)
-    let rec tables = function
-      | l :: _ when String.starts_with ~prefix:"wrote " l -> ""
-      | l :: rest -> l ^ "\n" ^ tables rest
-      | [] -> Alcotest.failf "uhc printed no wrote line: %s" uhc
-    in
-    let tables = tables (String.split_on_char '\n' uhc) in
-    Alcotest.(check bool) "a report without rows" true
-      (Test_cli.contains tables
-         "== analysis: permissions ==\nprocedures=0  read_preconditions=0  \
-          write_preconditions=0\nProc  Array");
-    Alcotest.(check string) "dragon report = uhc tables" tables
-      (stdout_of (Printf.sprintf "%s report %s" (Test_cli.exe "dragon") file));
-    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
-  end
+  Test_cli.require_binaries ();
+  let dir = Test_cli.temp_dir () in
+  let file = Filename.concat dir "report.json" in
+  let stdout_of cmd =
+    let out = Filename.concat dir "stdout" in
+    let code = Sys.command (Printf.sprintf "%s > %s 2>/dev/null" cmd out) in
+    Alcotest.(check int) (cmd ^ " exits 0") 0 code;
+    In_channel.with_open_bin out In_channel.input_all
+  in
+  let uhc =
+    stdout_of
+      (Printf.sprintf
+         "%s --corpus stride --analyses bounds,permissions,regions \
+          --report %s"
+         (Test_cli.exe "uhc") file)
+  in
+  (* the tables are what uhc prints before its "wrote" line *)
+  let rec tables = function
+    | l :: _ when String.starts_with ~prefix:"wrote " l -> ""
+    | l :: rest -> l ^ "\n" ^ tables rest
+    | [] -> Alcotest.failf "uhc printed no wrote line: %s" uhc
+  in
+  let tables = tables (String.split_on_char '\n' uhc) in
+  Alcotest.(check bool) "a report without rows" true
+    (Test_cli.contains tables
+       "== analysis: permissions ==\nprocedures=0  read_preconditions=0  \
+        write_preconditions=0\nProc  Array");
+  Alcotest.(check string) "dragon report = uhc tables" tables
+    (stdout_of (Printf.sprintf "%s report %s" (Test_cli.exe "dragon") file));
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzz: bounds verdicts against the interpreter.

@@ -1,9 +1,11 @@
 (* End-to-end CLI tests: the uhc and dragon binaries as processes, through
    the on-disk project workflow of the paper's Section V-B. *)
 
+(* the binaries sit next to this test executable's directory
+   (_build/default/{test,bin}), whatever the working directory *)
 let exe name =
-  (* tests run from _build/default/test; the binaries are siblings *)
-  Filename.concat (Filename.concat ".." "bin") (name ^ ".exe")
+  let build = Filename.dirname (Filename.dirname Sys.executable_name) in
+  Filename.concat (Filename.concat build "bin") (name ^ ".exe")
 
 let run_capture cmd =
   let ic = Unix.open_process_in (cmd ^ " 2>&1") in
@@ -27,121 +29,118 @@ let temp_dir () =
   Sys.mkdir d 0o755;
   d
 
-let binaries_present () =
-  Sys.file_exists (exe "uhc") && Sys.file_exists (exe "dragon")
+(* a test that runs the binaries fails, never passes empty, without them *)
+let require_binaries () =
+  List.iter
+    (fun name ->
+      if not (Sys.file_exists (exe name)) then
+        Alcotest.failf "%s not found (build it first: dune build)" (exe name))
+    [ "uhc"; "dragon" ]
 
 let test_uhc_project_workflow () =
-  if not (binaries_present ()) then ()
-  else begin
-    let dir = temp_dir () in
-    let status, out =
-      run_capture
-        (Printf.sprintf "%s --corpus matrix -o %s -p matrix" (exe "uhc") dir)
-    in
-    Alcotest.(check bool) "uhc exits 0" true (status = Unix.WEXITED 0);
-    Alcotest.(check bool) "reports rows" true (contains out "array-region rows");
-    Alcotest.(check bool) ".rgn written" true
-      (Sys.file_exists (Filename.concat dir "matrix.rgn"));
-    Alcotest.(check bool) ".dgn written" true
-      (Sys.file_exists (Filename.concat dir "matrix.dgn"));
-    Alcotest.(check bool) ".cfg written" true
-      (Sys.file_exists (Filename.concat dir "matrix.cfg"));
-    Alcotest.(check bool) "source copied" true
-      (Sys.file_exists (Filename.concat dir "matrix.c"));
-    (* dragon over the project *)
-    let status, out =
-      run_capture
-        (Printf.sprintf "%s table -d %s -p matrix --find aarr" (exe "dragon") dir)
-    in
-    Alcotest.(check bool) "dragon exits 0" true (status = Unix.WEXITED 0);
-    Alcotest.(check bool) "find reports" true (contains out "5 row(s)");
-    let _, out =
-      run_capture (Printf.sprintf "%s advise -d %s -p matrix" (exe "dragon") dir)
-    in
-    Alcotest.(check bool) "advisor output" true (contains out "copyin");
-    let _, out =
-      run_capture
-        (Printf.sprintf "%s callgraph -d %s -p matrix --dot" (exe "dragon") dir)
-    in
-    Alcotest.(check bool) "dot graph" true (contains out "digraph")
-  end
+  require_binaries ();
+  let dir = temp_dir () in
+  let status, out =
+    run_capture
+      (Printf.sprintf "%s --corpus matrix -o %s -p matrix" (exe "uhc") dir)
+  in
+  Alcotest.(check bool) "uhc exits 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check bool) "reports rows" true (contains out "array-region rows");
+  Alcotest.(check bool) ".rgn written" true
+    (Sys.file_exists (Filename.concat dir "matrix.rgn"));
+  Alcotest.(check bool) ".dgn written" true
+    (Sys.file_exists (Filename.concat dir "matrix.dgn"));
+  Alcotest.(check bool) ".cfg written" true
+    (Sys.file_exists (Filename.concat dir "matrix.cfg"));
+  Alcotest.(check bool) "source copied" true
+    (Sys.file_exists (Filename.concat dir "matrix.c"));
+  (* dragon over the project *)
+  let status, out =
+    run_capture
+      (Printf.sprintf "%s table -d %s -p matrix --find aarr" (exe "dragon") dir)
+  in
+  Alcotest.(check bool) "dragon exits 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check bool) "find reports" true (contains out "5 row(s)");
+  let _, out =
+    run_capture (Printf.sprintf "%s advise -d %s -p matrix" (exe "dragon") dir)
+  in
+  Alcotest.(check bool) "advisor output" true (contains out "copyin");
+  let _, out =
+    run_capture
+      (Printf.sprintf "%s callgraph -d %s -p matrix --dot" (exe "dragon") dir)
+  in
+  Alcotest.(check bool) "dot graph" true (contains out "digraph")
 
 let test_uhc_error_handling () =
-  if not (binaries_present ()) then ()
-  else begin
-    let status, _ = run_capture (exe "uhc") in
-    Alcotest.(check bool) "no inputs: exit 2" true (status = Unix.WEXITED 2);
-    let bad = Filename.temp_file "bad" ".f" in
-    let oc = open_out bad in
-    output_string oc "      program broken\n      do i = \n      end\n";
-    close_out oc;
-    let status, out = run_capture (Printf.sprintf "%s %s" (exe "uhc") bad) in
-    Alcotest.(check bool) "syntax error: exit 1" true (status = Unix.WEXITED 1);
-    Alcotest.(check bool) "diagnostic printed" true (contains out "error");
-    (* --workers survives only for existing command lines: 0 is accepted,
-       any other count is a usage error that points at --jobs *)
-    let status, out =
-      run_capture
-        (Printf.sprintf "%s --corpus matrix --workers 2" (exe "uhc"))
-    in
-    Alcotest.(check bool) "--workers 2: nonzero exit" true
-      (status <> Unix.WEXITED 0);
-    Alcotest.(check bool) "--workers 2: message names --jobs" true
-      (contains out "--jobs");
-    let dir = temp_dir () in
-    (* the benchmark's command line *)
-    let status, out =
-      run_capture
-        (Printf.sprintf
-           "%s --corpus matrix --cache-dir %s --analyses bounds,permissions \
-            --report %s -o %s --jobs 1 --workers 0"
-           (exe "uhc")
-           (Filename.quote (Filename.concat dir "cache"))
-           (Filename.quote (Filename.concat dir "report.json"))
-           (Filename.quote (Filename.concat dir "out")))
-    in
-    if status <> Unix.WEXITED 0 then
-      Alcotest.failf "--workers 0 failed; its output:\n%s" out;
-    Alcotest.(check bool) "--workers 0: report written" true
-      (Sys.file_exists (Filename.concat dir "report.json"))
-  end
+  require_binaries ();
+  let status, _ = run_capture (exe "uhc") in
+  Alcotest.(check bool) "no inputs: exit 2" true (status = Unix.WEXITED 2);
+  let bad = Filename.temp_file "bad" ".f" in
+  let oc = open_out bad in
+  output_string oc "      program broken\n      do i = \n      end\n";
+  close_out oc;
+  let status, out = run_capture (Printf.sprintf "%s %s" (exe "uhc") bad) in
+  Alcotest.(check bool) "syntax error: exit 1" true (status = Unix.WEXITED 1);
+  Alcotest.(check bool) "diagnostic printed" true (contains out "error");
+  (* --workers survives only for existing command lines: 0 is accepted,
+     any other count is a usage error that points at --jobs *)
+  let status, out =
+    run_capture
+      (Printf.sprintf "%s --corpus matrix --workers 2" (exe "uhc"))
+  in
+  Alcotest.(check bool) "--workers 2: nonzero exit" true
+    (status <> Unix.WEXITED 0);
+  Alcotest.(check bool) "--workers 2: message names --jobs" true
+    (contains out "--jobs");
+  let dir = temp_dir () in
+  (* the benchmark's command line *)
+  let status, out =
+    run_capture
+      (Printf.sprintf
+         "%s --corpus matrix --cache-dir %s --analyses bounds,permissions \
+          --report %s -o %s --jobs 1 --workers 0"
+         (exe "uhc")
+         (Filename.quote (Filename.concat dir "cache"))
+         (Filename.quote (Filename.concat dir "report.json"))
+         (Filename.quote (Filename.concat dir "out")))
+  in
+  if status <> Unix.WEXITED 0 then
+    Alcotest.failf "--workers 0 failed; its output:\n%s" out;
+  Alcotest.(check bool) "--workers 0: report written" true
+    (Sys.file_exists (Filename.concat dir "report.json"))
 
 let test_dragon_missing_project () =
-  if not (binaries_present ()) then ()
-  else begin
-    let dir = temp_dir () in
-    let status, out =
-      run_capture (Printf.sprintf "%s table -d %s -p nope" (exe "dragon") dir)
-    in
-    Alcotest.(check bool) "exit 1" true (status = Unix.WEXITED 1);
-    Alcotest.(check bool) "mentions missing" true (contains out "missing")
-  end
+  require_binaries ();
+  let dir = temp_dir () in
+  let status, out =
+    run_capture (Printf.sprintf "%s table -d %s -p nope" (exe "dragon") dir)
+  in
+  Alcotest.(check bool) "exit 1" true (status = Unix.WEXITED 1);
+  Alcotest.(check bool) "mentions missing" true (contains out "missing")
 
 let test_uhc_run_flag () =
-  if not (binaries_present ()) then ()
-  else begin
-    let status, out =
-      run_capture (Printf.sprintf "%s --corpus matrix --run" (exe "uhc"))
-    in
-    Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0);
-    Alcotest.(check bool) "program output" true
-      (contains out "statements executed");
-    (* stride indexes out of bounds at run time: one uhc line names the
-       place, the outputs are still written, and the exit code is 1 *)
-    let dir = temp_dir () in
-    let status, out =
-      run_capture
-        (Printf.sprintf "%s --corpus stride --run -o %s" (exe "uhc") dir)
-    in
-    Alcotest.(check bool) "runtime error exits 1" true
-      (status = Unix.WEXITED 1);
-    Alcotest.(check bool) "runtime error named" true
-      (contains out "uhc: stride.f:13:9: runtime error: index -1 out of bounds");
-    Alcotest.(check bool) "no internal error" false
-      (contains out "internal error");
-    Alcotest.(check bool) ".rgn still written" true
-      (Sys.file_exists (Filename.concat dir "project.rgn"))
-  end
+  require_binaries ();
+  let status, out =
+    run_capture (Printf.sprintf "%s --corpus matrix --run" (exe "uhc"))
+  in
+  Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check bool) "program output" true
+    (contains out "statements executed");
+  (* stride indexes out of bounds at run time: one uhc line names the
+     place, the outputs are still written, and the exit code is 1 *)
+  let dir = temp_dir () in
+  let status, out =
+    run_capture
+      (Printf.sprintf "%s --corpus stride --run -o %s" (exe "uhc") dir)
+  in
+  Alcotest.(check bool) "runtime error exits 1" true
+    (status = Unix.WEXITED 1);
+  Alcotest.(check bool) "runtime error named" true
+    (contains out "uhc: stride.f:13:9: runtime error: index -1 out of bounds");
+  Alcotest.(check bool) "no internal error" false
+    (contains out "internal error");
+  Alcotest.(check bool) ".rgn still written" true
+    (Sys.file_exists (Filename.concat dir "project.rgn"))
 
 (* the library entry point reports a usage error as a code, and returns:
    ending the caller's process is uhc's business alone *)

@@ -411,6 +411,47 @@ let test_segments_bounded () =
     (render (Engine.analyze (lower !files)))
     (render warm.Engine.e_result)
 
+(* An edit series on one cache, one PU edited per run: a run that merges
+   segments carries the recent runs' entries, not the whole store, so no
+   run reads much more than a typical one, and the directory stays
+   within [segment_cap + 1] segments. *)
+let test_merge_reads_bounded () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let files = ref (corpus_files "gen-small") in
+  ignore (cached_run dir !files);
+  let cap = Engine_store.segment_cap in
+  let reads =
+    List.init 12 (fun k ->
+        files :=
+          List.mapi
+            (fun i f ->
+              if i <> 3 then f
+              else
+                match edit_one f with
+                | Some f' -> f'
+                | None -> Alcotest.failf "%s: no editable line" (fst f))
+            !files;
+        let m0 = Obs.Metrics.snapshot () in
+        ignore (cached_run dir !files);
+        let d = Obs.Metrics.diff (Obs.Metrics.snapshot ()) m0 in
+        let n = List.length (segments (schema_dir dir)) in
+        if n > cap + 1 then
+          Alcotest.failf "after edit %d: %d segments, cap %d + 1" (k + 1) n cap;
+        Obs.Metrics.value d "store.disk.read_bytes")
+  in
+  let median =
+    let a = Array.of_list reads in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  List.iteri
+    (fun k r ->
+      if float_of_int r >= 1.5 *. float_of_int median then
+        Alcotest.failf "edit %d read %d bytes, median %d (%s)" (k + 1) r median
+          (String.concat " " (List.map string_of_int reads)))
+    reads
+
 (* ---- re-interning: the identity path against the remap path -------- *)
 
 (* every region of a result: each PU's collected accesses, then its
@@ -547,59 +588,58 @@ let uhc_run ~dir ?cache ?(flags = []) ?stdout files =
   ((read "p.rgn", read "p.dgn", read "p.cfg"), counts)
 
 let test_fresh_process_paths () =
-  if Test_cli.binaries_present () then begin
-    let dir = fresh_dir () in
-    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-    let cache = Filename.concat dir "cache" in
-    let files = corpus_files "gen-small" in
-    let n = List.length files * Corpus.Gen.default.Corpus.Gen.g_pus_per_file in
-    let _, cold = uhc_run ~dir ~cache files in
-    Alcotest.(check int) "cold: every PU digested once" n
-      (cold "engine.digest.computed");
-    let _, warm = uhc_run ~dir ~cache files in
-    Alcotest.(check int) "warm: every digest carried" 0
-      (warm "engine.digest.computed");
-    Alcotest.(check int) "warm: every entry on the identity path" 0
-      (warm "store.reintern.remapped");
-    (* a new local in the first subroutine moves the symbolic variable of
-       every later PU's scalars; declared on an existing line, so no
-       procedure's location (part of the global table) moves *)
-    let shifted =
-      match files with
-      | (name, src) :: rest ->
-        let found = ref false in
-        let lines =
-          List.map
-            (fun l ->
-              if (not !found) && String.trim l = "integer d, i" then begin
-                found := true;
-                l ^ ", zznew"
-              end
-              else l)
-            (String.split_on_char '\n' src)
-        in
-        if not !found then Alcotest.failf "%s: no local to extend" name;
-        (name, String.concat "\n" lines) :: rest
-      | [] -> Alcotest.fail "no files"
-    in
-    let out, edited = uhc_run ~dir ~cache shifted in
-    Alcotest.(check bool) "shifted ids: entries remapped" true
-      (edited "store.reintern.remapped" > 0);
-    let want, _ = uhc_run ~dir shifted in
-    check_same_output "shifted ids" want out;
-    (* a transformed PU is never the record the frontend carried a digest
-       for: the engine digests every one *)
-    List.iter
-      (fun flag ->
-        ignore (uhc_run ~dir ~cache ~flags:[ flag ] shifted);
-        let out, warm = uhc_run ~dir ~cache ~flags:[ flag ] shifted in
-        Alcotest.(check int)
-          (flag ^ ": every transformed PU digested") n
-          (warm "engine.digest.computed");
-        let want, _ = uhc_run ~dir ~flags:[ flag ] shifted in
-        check_same_output flag want out)
-      [ "--wopt"; "--fuse" ]
-  end
+  Test_cli.require_binaries ();
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cache = Filename.concat dir "cache" in
+  let files = corpus_files "gen-small" in
+  let n = List.length files * Corpus.Gen.default.Corpus.Gen.g_pus_per_file in
+  let _, cold = uhc_run ~dir ~cache files in
+  Alcotest.(check int) "cold: every PU digested once" n
+    (cold "engine.digest.computed");
+  let _, warm = uhc_run ~dir ~cache files in
+  Alcotest.(check int) "warm: every digest carried" 0
+    (warm "engine.digest.computed");
+  Alcotest.(check int) "warm: every entry on the identity path" 0
+    (warm "store.reintern.remapped");
+  (* a new local in the first subroutine moves the symbolic variable of
+     every later PU's scalars; declared on an existing line, so no
+     procedure's location (part of the global table) moves *)
+  let shifted =
+    match files with
+    | (name, src) :: rest ->
+      let found = ref false in
+      let lines =
+        List.map
+          (fun l ->
+            if (not !found) && String.trim l = "integer d, i" then begin
+              found := true;
+              l ^ ", zznew"
+            end
+            else l)
+          (String.split_on_char '\n' src)
+      in
+      if not !found then Alcotest.failf "%s: no local to extend" name;
+      (name, String.concat "\n" lines) :: rest
+    | [] -> Alcotest.fail "no files"
+  in
+  let out, edited = uhc_run ~dir ~cache shifted in
+  Alcotest.(check bool) "shifted ids: entries remapped" true
+    (edited "store.reintern.remapped" > 0);
+  let want, _ = uhc_run ~dir shifted in
+  check_same_output "shifted ids" want out;
+  (* a transformed PU is never the record the frontend carried a digest
+     for: the engine digests every one *)
+  List.iter
+    (fun flag ->
+      ignore (uhc_run ~dir ~cache ~flags:[ flag ] shifted);
+      let out, warm = uhc_run ~dir ~cache ~flags:[ flag ] shifted in
+      Alcotest.(check int)
+        (flag ^ ": every transformed PU digested") n
+        (warm "engine.digest.computed");
+      let want, _ = uhc_run ~dir ~flags:[ flag ] shifted in
+      check_same_output flag want out)
+    [ "--wopt"; "--fuse" ]
 
 (* A warm frontend load defers every cached file's bodies; a collection
    that misses asks for them on the pool's domains, and each file is read
@@ -659,145 +699,144 @@ let test_bodies_from_pool () =
    collect again, and every run that does read bodies equals its no-cache
    run. *)
 let test_fresh_process_bodies () =
-  if Test_cli.binaries_present () then begin
-    let dir = fresh_dir () in
-    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-    let cache = Filename.concat dir "cache" in
-    let files = corpus_files "gen-small" in
-    let nfiles = List.length files in
-    let per_file = Corpus.Gen.default.Corpus.Gen.g_pus_per_file in
-    ignore (uhc_run ~dir ~cache files);
-    let same ?(dir = dir) what ?(flags = []) got_out got_stdout edited =
-      let stdout = ref "" in
-      let want, _ = uhc_run ~dir ~flags ~stdout edited in
-      check_same_output what want got_out;
-      Alcotest.(check string) (what ^ ": stdout") !stdout got_stdout
-    in
-    (* a one-file edit: no tree is read *)
-    let edited =
-      List.mapi
-        (fun i f ->
-          if i = 3 then
-            match edit_one f with Some f' -> f' | None -> Alcotest.fail "edit"
-          else f)
-        files
-    in
+  Test_cli.require_binaries ();
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cache = Filename.concat dir "cache" in
+  let files = corpus_files "gen-small" in
+  let nfiles = List.length files in
+  let per_file = Corpus.Gen.default.Corpus.Gen.g_pus_per_file in
+  ignore (uhc_run ~dir ~cache files);
+  let same ?(dir = dir) what ?(flags = []) got_out got_stdout edited =
     let stdout = ref "" in
-    let out, c = uhc_run ~dir ~cache ~stdout edited in
-    Alcotest.(check (list int)) "edit: no tree decoded or lowered again"
-      [ 0; 0 ]
-      [ c "frontend.body.decoded"; c "frontend.body.relowered" ];
-    same "edit" out !stdout edited;
-    (* a line inserted in the first file moves its later procedures'
-       locations: only that file's PUs miss collection *)
-    let inserted =
-      match edited with
-      | (name, src) :: rest ->
-        let found = ref false in
-        let lines =
-          List.concat_map
-            (fun l ->
-              if
-                (not !found)
-                && String.starts_with ~prefix:"      subroutine s0_1(" l
-              then begin
-                found := true;
-                [ l; "      integer zzins" ]
-              end
-              else [ l ])
-            (String.split_on_char '\n' src)
-        in
-        if not !found then Alcotest.failf "%s: no s0_1" name;
-        (name, String.concat "\n" lines) :: rest
-      | [] -> Alcotest.fail "no files"
-    in
-    let out, c = uhc_run ~dir ~cache ~stdout inserted in
-    let misses = c "engine.collect.misses" in
-    Alcotest.(check bool)
-      (Printf.sprintf "line insert: %d collect misses, all in one file" misses)
-      true
-      (misses > 0 && misses <= per_file);
-    Alcotest.(check int) "line insert: no tree decoded" 0
-      (c "frontend.body.decoded");
-    same "line insert" out !stdout inserted;
-    (* the runs that read bodies of a cached module, each file's once *)
-    List.iter
-      (fun flags ->
-        let what = String.concat " " flags in
-        let out, c = uhc_run ~dir ~cache ~flags ~stdout inserted in
-        let read = c "frontend.body.decoded" in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %d trees decoded, at most one per file" what
-             read)
-          true
-          (read > 0 && read <= nfiles && c "frontend.body.relowered" = 0);
-        same what ~flags out !stdout inserted)
-      [
-        [ "--wopt" ];
-        [ "--fuse" ];
-        [ "--autopar" ];
-        [ "--analyses"; "bounds,diffcheck" ];
-      ];
-    (* the interpreter stops at gen-small's first out-of-bounds access:
-       run the programs that finish *)
-    List.iter
-      (fun corpus ->
-        let dir = Filename.concat dir corpus in
-        Sys.mkdir dir 0o755;
-        let cache = Filename.concat dir "cache" in
-        let files = corpus_files corpus in
-        ignore (uhc_run ~dir ~cache files);
-        let flags = [ "--run" ] in
-        let out, c = uhc_run ~dir ~cache ~flags ~stdout files in
-        Alcotest.(check int) (corpus ^ " --run: trees decoded")
-          (List.length files) (c "frontend.body.decoded");
-        same ~dir (corpus ^ " --run") ~flags out !stdout files)
-      [ "fig1"; "matrix" ];
-    (* faults on the tree entries only: every file is lowered again, with
-       the store's diagnostic, at any --jobs; a decode failure quarantines
-       the entry, and the next run heals it *)
-    List.iter
-      (fun (site, jobs) ->
-        let flags =
-          [ "--analyses"; "bounds,diffcheck"; "--jobs"; string_of_int jobs ]
-        in
-        let what = Printf.sprintf "%s faults, jobs %d" site jobs in
-        let diags = Filename.concat dir "diags.json" in
-        let out, c =
-          uhc_run ~dir ~cache ~stdout
-            ~flags:
-              (flags
-              @ [ "--fault-spec"; site ^ ":1.0:7:fw-"; "--diagnostics"; diags ])
-            inserted
-        in
-        Alcotest.(check (list int)) (what ^ ": decoded, lowered again")
-          [ 0; nfiles ]
-          [ c "frontend.body.decoded"; c "frontend.body.relowered" ];
-        (match
-           Fault.Diag.parse
-             (In_channel.with_open_bin diags In_channel.input_all)
-         with
-        | Ok ds ->
-          Alcotest.(check int) (what ^ ": one diagnostic per file") nfiles
-            (List.length
-               (List.filter
-                  (fun (g : Fault.Diag.t) -> g.Fault.Diag.d_site = site)
-                  ds))
-        | Error e -> Alcotest.failf "%s: %s" diags e);
-        same what ~flags out !stdout inserted;
-        (* a quarantined tree entry left with its segment, set aside at
-           the end of the run: the next run writes it again *)
-        let _, c = uhc_run ~dir ~cache inserted in
-        Alcotest.(check int) (what ^ ": next run's body misses")
-          (if site = "store.marshal" then nfiles else 0)
-          (c "frontend.artifact.body.misses"))
-      [
-        ("store.read", 1);
-        ("store.read", 4);
-        ("store.marshal", 1);
-        ("store.marshal", 4);
-      ]
-  end
+    let want, _ = uhc_run ~dir ~flags ~stdout edited in
+    check_same_output what want got_out;
+    Alcotest.(check string) (what ^ ": stdout") !stdout got_stdout
+  in
+  (* a one-file edit: no tree is read *)
+  let edited =
+    List.mapi
+      (fun i f ->
+        if i = 3 then
+          match edit_one f with Some f' -> f' | None -> Alcotest.fail "edit"
+        else f)
+      files
+  in
+  let stdout = ref "" in
+  let out, c = uhc_run ~dir ~cache ~stdout edited in
+  Alcotest.(check (list int)) "edit: no tree decoded or lowered again"
+    [ 0; 0 ]
+    [ c "frontend.body.decoded"; c "frontend.body.relowered" ];
+  same "edit" out !stdout edited;
+  (* a line inserted in the first file moves its later procedures'
+     locations: only that file's PUs miss collection *)
+  let inserted =
+    match edited with
+    | (name, src) :: rest ->
+      let found = ref false in
+      let lines =
+        List.concat_map
+          (fun l ->
+            if
+              (not !found)
+              && String.starts_with ~prefix:"      subroutine s0_1(" l
+            then begin
+              found := true;
+              [ l; "      integer zzins" ]
+            end
+            else [ l ])
+          (String.split_on_char '\n' src)
+      in
+      if not !found then Alcotest.failf "%s: no s0_1" name;
+      (name, String.concat "\n" lines) :: rest
+    | [] -> Alcotest.fail "no files"
+  in
+  let out, c = uhc_run ~dir ~cache ~stdout inserted in
+  let misses = c "engine.collect.misses" in
+  Alcotest.(check bool)
+    (Printf.sprintf "line insert: %d collect misses, all in one file" misses)
+    true
+    (misses > 0 && misses <= per_file);
+  Alcotest.(check int) "line insert: no tree decoded" 0
+    (c "frontend.body.decoded");
+  same "line insert" out !stdout inserted;
+  (* the runs that read bodies of a cached module, each file's once *)
+  List.iter
+    (fun flags ->
+      let what = String.concat " " flags in
+      let out, c = uhc_run ~dir ~cache ~flags ~stdout inserted in
+      let read = c "frontend.body.decoded" in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d trees decoded, at most one per file" what
+           read)
+        true
+        (read > 0 && read <= nfiles && c "frontend.body.relowered" = 0);
+      same what ~flags out !stdout inserted)
+    [
+      [ "--wopt" ];
+      [ "--fuse" ];
+      [ "--autopar" ];
+      [ "--analyses"; "bounds,diffcheck" ];
+    ];
+  (* the interpreter stops at gen-small's first out-of-bounds access:
+     run the programs that finish *)
+  List.iter
+    (fun corpus ->
+      let dir = Filename.concat dir corpus in
+      Sys.mkdir dir 0o755;
+      let cache = Filename.concat dir "cache" in
+      let files = corpus_files corpus in
+      ignore (uhc_run ~dir ~cache files);
+      let flags = [ "--run" ] in
+      let out, c = uhc_run ~dir ~cache ~flags ~stdout files in
+      Alcotest.(check int) (corpus ^ " --run: trees decoded")
+        (List.length files) (c "frontend.body.decoded");
+      same ~dir (corpus ^ " --run") ~flags out !stdout files)
+    [ "fig1"; "matrix" ];
+  (* faults on the tree entries only: every file is lowered again, with
+     the store's diagnostic, at any --jobs; a decode failure quarantines
+     the entry, and the next run heals it *)
+  List.iter
+    (fun (site, jobs) ->
+      let flags =
+        [ "--analyses"; "bounds,diffcheck"; "--jobs"; string_of_int jobs ]
+      in
+      let what = Printf.sprintf "%s faults, jobs %d" site jobs in
+      let diags = Filename.concat dir "diags.json" in
+      let out, c =
+        uhc_run ~dir ~cache ~stdout
+          ~flags:
+            (flags
+            @ [ "--fault-spec"; site ^ ":1.0:7:fw-"; "--diagnostics"; diags ])
+          inserted
+      in
+      Alcotest.(check (list int)) (what ^ ": decoded, lowered again")
+        [ 0; nfiles ]
+        [ c "frontend.body.decoded"; c "frontend.body.relowered" ];
+      (match
+         Fault.Diag.parse
+           (In_channel.with_open_bin diags In_channel.input_all)
+       with
+      | Ok ds ->
+        Alcotest.(check int) (what ^ ": one diagnostic per file") nfiles
+          (List.length
+             (List.filter
+                (fun (g : Fault.Diag.t) -> g.Fault.Diag.d_site = site)
+                ds))
+      | Error e -> Alcotest.failf "%s: %s" diags e);
+      same what ~flags out !stdout inserted;
+      (* a quarantined tree entry left with its segment, set aside at
+         the end of the run: the next run writes it again *)
+      let _, c = uhc_run ~dir ~cache inserted in
+      Alcotest.(check int) (what ^ ": next run's body misses")
+        (if site = "store.marshal" then nfiles else 0)
+        (c "frontend.artifact.body.misses"))
+    [
+      ("store.read", 1);
+      ("store.read", 4);
+      ("store.marshal", 1);
+      ("store.marshal", 4);
+    ]
 
 let suite =
   [
@@ -817,6 +856,8 @@ let suite =
       test_cold_run_few_files;
     Alcotest.test_case "segment count stays bounded" `Quick
       test_segments_bounded;
+    Alcotest.test_case "merging runs read about as much as the others" `Quick
+      test_merge_reads_bounded;
     Alcotest.test_case "identity re-interning equals the remap path" `Quick
       test_reintern_paths;
     Alcotest.test_case "fresh processes: carried digests, remap on id shift"

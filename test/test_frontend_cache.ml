@@ -41,7 +41,7 @@ let check_same what files ((fr : Frontend_cache.result), _) =
      checks that its tree entry round-trips); the carried values name the
      module's own PUs, in order, and equal what is computed from the body
      now, the digest before and after layout *)
-  let buf = Buffer.create 4096 in
+  let buf = Whirl.Whirl_io.scratch () in
   let carried when_ =
     Alcotest.(check bool)
       (what ^ ": carried values " ^ when_) true
@@ -287,6 +287,91 @@ let test_corrupt_trees () =
   check_same "trees written again" files fr;
   check_stats "healed" [ 3; 0; 3; 0 ] (load dir files)
 
+(* Replace the payload at [off] of the segment [path] with [bytes] of the
+   same length, and rewrite its MD5 in the index and the index's MD5 in
+   the trailer: a payload the store's checksum accepts. *)
+let reseal path off bytes =
+  let seg = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  Bytes.blit_string bytes 0 seg off (String.length bytes);
+  let size = Bytes.length seg in
+  let trailer = size - 32 in
+  let index_off = Int64.to_int (Bytes.get_int64_le seg trailer) in
+  let rec patch pos =
+    if pos >= trailer then Alcotest.fail "payload not in the index"
+    else
+      let kl = Char.code (Bytes.get seg pos) in
+      let entry_off = Int64.to_int (Bytes.get_int64_le seg (pos + 1 + kl)) in
+      if entry_off = off then
+        Bytes.blit_string (Digest.string bytes) 0 seg (pos + 17 + kl) 16
+      else patch (pos + 33 + kl)
+  in
+  patch index_off;
+  Bytes.blit_string
+    (Digest.subbytes seg index_off (trailer - index_off))
+    0 seg (trailer + 8) 16;
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc seg)
+
+(* A tree entry is the tree part of its PUs' content images, and is used
+   only if it hashes to the digests the PUs carry: an entry with a valid
+   checksum holding another program's trees (one constant changed) is
+   quarantined with one diagnostic, and the file is lowered again. *)
+let test_trees_checked_against_digests () =
+  let files = [ main_f; work_f; func_f "real" ] in
+  let other = ("main.f", {|      program main
+      real a(10)
+      common /blk/ a
+      call work(6)
+      end
+|}) in
+  let dir = Test_engine.fresh_dir () in
+  ignore (load dir files);
+  let image files =
+    let m = oracle files in
+    let pus =
+      List.filter
+        (fun pu -> pu.Whirl.Ir.pu_file = "main.f")
+        m.Whirl.Ir.m_pus
+    in
+    snd (Whirl.Whirl_io.encode_trees (Whirl.Whirl_io.scratch ()) m pus)
+  in
+  let mine = image files and theirs = image (other :: List.tl files) in
+  Alcotest.(check int) "same length" (String.length mine) (String.length theirs);
+  let path, off =
+    Test_engine.payloads (Test_engine.schema_dir dir)
+    |> List.find_map (fun (seg, ns, _, off, len) ->
+           let bytes =
+             In_channel.with_open_bin seg (fun ic ->
+                 In_channel.seek ic (Int64.of_int off);
+                 really_input_string ic len)
+           in
+           if ns = "fw" && bytes = mine then Some (seg, off) else None)
+    |> function
+    | Some p -> p
+    | None -> Alcotest.fail "main.f's tree entry is not its image"
+  in
+  reseal path off theirs;
+  let q0 = Test_fault.mget "store.quarantined" in
+  let r0 = Test_fault.mget "frontend.body.relowered" in
+  let store = Engine_store.create ~dir () in
+  let fr = counted (fun () -> Frontend_cache.load ~store files) in
+  check_stats "the artifacts hit" [ 3; 0; 3; 0 ] fr;
+  check_same "after the swap" files fr;
+  Alcotest.(check (list int)) "quarantined and lowered again once" [ 1; 1 ]
+    [
+      Test_fault.mget "store.quarantined" - q0;
+      Test_fault.mget "frontend.body.relowered" - r0;
+    ];
+  (match Engine_store.drain_diags store with
+  | [ d ] ->
+    Alcotest.(check string) "a store diagnostic" "store.marshal"
+      d.Fault.Diag.d_site;
+    Alcotest.(check bool) "naming the digest" true
+      (Test_cli.contains d.Fault.Diag.d_detail "does not match its digest")
+  | ds -> Alcotest.failf "%d diagnostics" (List.length ds));
+  let run m = Test_engine.render (Engine.analyze m) in
+  Test_engine.check_same_output "the run" (run (oracle files))
+    (run (fst fr).Frontend_cache.fr_module)
+
 let test_keep_going_never_caches_bad_file () =
   let files = [ main_f; work_f; func_f "real"; ("bad.f", "      subroutine (\n") ] in
   let dir = Test_engine.fresh_dir () in
@@ -329,6 +414,8 @@ let suite =
       test_corrupt_artifact;
     Alcotest.test_case "corrupt trees re-lowered, then written again" `Quick
       test_corrupt_trees;
+    Alcotest.test_case "trees checked against the carried digests" `Quick
+      test_trees_checked_against_digests;
     Alcotest.test_case "keep-going never caches an unparsable file" `Quick
       test_keep_going_never_caches_bad_file;
     Alcotest.test_case "no store: plain composition" `Quick test_no_store;

@@ -136,21 +136,26 @@ let test_f_if () =
   | [ (Ast.Binop (Ast.And, _, _), [ _ ], [ _ ]) ] -> ()
   | _ -> Alcotest.fail "expected one if with .and. condition and else branch"
 
+(* the tokens of a stream, up to its end *)
+let tokens p =
+  let rec go acc =
+    match Pstate.next p with
+    | Token.Eof -> List.rev acc
+    | tok -> go (tok :: acc)
+  in
+  go []
+
 let test_f_dotted_ops () =
-  let toks = Lexer_f.tokenize ~file:"t.f" "x .lt. y .and. a .ne. b\n" in
+  let toks = tokens (Lexer_f.tokenize ~file:"t.f" "x .lt. y .and. a .ne. b\n") in
   let puncts =
-    List.filter_map
-      (function { Token.tok = Token.Punct p; _ } -> Some p | _ -> None)
-      toks
+    List.filter_map (function Token.Punct p -> Some p | _ -> None) toks
   in
   Alcotest.(check (list string)) "dotted ops" [ "<"; "&&"; "!=" ] puncts
 
 let test_f_double_literal () =
-  let toks = Lexer_f.tokenize ~file:"t.f" "x = 1.5d0 + 2.0e-1\n" in
+  let toks = tokens (Lexer_f.tokenize ~file:"t.f" "x = 1.5d0 + 2.0e-1\n") in
   let floats =
-    List.filter_map
-      (function { Token.tok = Token.Float f; _ } -> Some f | _ -> None)
-      toks
+    List.filter_map (function Token.Float f -> Some f | _ -> None) toks
   in
   Alcotest.(check int) "two floats" 2 (List.length floats);
   Alcotest.(check bool) "d-exponent value" true (List.nth floats 0 = 1.5);
@@ -309,6 +314,100 @@ let test_object_name () =
   let main = Sema.String_map.find "main" prog.Sema.prog_procs in
   Alcotest.(check string) "object" "main.o" main.Sema.pi_object
 
+(* ---- the array-backed lexers against the list-building reference ---- *)
+
+(* a parse's outcome: its AST, its diagnostic, or any other exception *)
+type outcome = Parsed of Ast.unit_ | Diagnosed of Diag.t | Raised of string
+
+let outcome f =
+  match f () with
+  | ast -> Parsed ast
+  | exception Diag.Frontend_error d -> Diagnosed d
+  | exception e -> Raised (Printexc.to_string e)
+
+let parse_both ~file src =
+  let c = Filename.check_suffix file ".c" in
+  let prod =
+    outcome (fun () ->
+        if c then Parser_c.parse ~file src else Parser_f.parse ~file src)
+  in
+  let reference =
+    outcome (fun () ->
+        if c then
+          Parser_c.parse_tokens ~file src
+            (Oracle.stream ~file (Oracle.Lexer_c.tokenize ~file src))
+        else
+          Parser_f.parse_tokens ~file src
+            (Oracle.stream ~file (Oracle.Lexer_f.tokenize ~file src)))
+  in
+  (prod, reference)
+
+let describe = function
+  | Parsed u -> Printf.sprintf "parsed (%d procedures)" (List.length u.Ast.unit_procs)
+  | Diagnosed d -> Diag.to_string d
+  | Raised e -> "raised " ^ e
+
+let corpus_sources () =
+  Corpus.Nas_lu.files ()
+  @ Corpus.Gen.generate Corpus.Gen.default
+  @ [ Corpus.Small.matrix_c; Corpus.Small.fig1_f; Corpus.Small.stride_f ]
+
+let test_lexers_match_reference () =
+  List.iter
+    (fun (file, src) ->
+      match parse_both ~file src with
+      | Parsed a, Parsed b ->
+        (* polymorphic equality: every location and literal included *)
+        Alcotest.(check bool) (file ^ ": same AST") true (a = b)
+      | prod, reference ->
+        Alcotest.failf "%s: production %s, reference %s" file (describe prod)
+          (describe reference))
+    (corpus_sources ())
+
+(* One edit of a source: at [pos] (taken modulo its length), drop [del]
+   bytes and insert [ins]. *)
+let fragments =
+  [ "("; ")"; "."; ".lt."; ".and"; ".true."; ".x."; "&"; "&\n"; "\n"; "\n\n";
+    "'"; "\""; "''"; "/*"; "*/"; "//"; "!"; "c "; "\nc x\n"; "*"; "**"; "#";
+    "#define M 3\n"; "="; "=="; "/="; "::"; ","; ";"; "{"; "}"; "["; "]";
+    " "; "\t"; "x"; "A1"; "do"; "end"; "if"; "then"; "1"; "1.5d0"; "2.e-1";
+    "1e"; "3f"; "0.5"; "9999999999999999999"; "$"; "@"; "\\" ]
+
+let gen_mutated =
+  let open QCheck2.Gen in
+  let sources =
+    Array.of_list
+      [ Corpus.Small.matrix_c; Corpus.Small.fig1_f; Corpus.Small.stride_f;
+        List.hd (Corpus.Gen.generate Corpus.Gen.default);
+        List.nth (Corpus.Nas_lu.files ()) 1 ]
+  in
+  let edit = triple nat (int_range 0 3) (oneofl fragments) in
+  let* k = int_range 0 (Array.length sources - 1) in
+  let* edits = list_size (int_range 1 4) edit in
+  let file, src = sources.(k) in
+  let apply src (pos, del, ins) =
+    let n = String.length src in
+    let pos = if n = 0 then 0 else pos mod n in
+    let del = min del (n - pos) in
+    String.sub src 0 pos ^ ins ^ String.sub src (pos + del) (n - pos - del)
+  in
+  return (file, List.fold_left apply src edits)
+
+let prop_mutated_sources =
+  QCheck2.Test.make ~name:"mutated sources: production = reference lexer"
+    ~count:300 gen_mutated
+    ~print:(fun (file, src) -> file ^ ":\n" ^ src)
+    (fun (file, src) ->
+      match parse_both ~file src with
+      | Parsed a, Parsed b -> a = b
+      | Diagnosed a, Diagnosed b ->
+        Loc.equal a.Diag.loc b.Diag.loc
+        && String.equal a.Diag.message b.Diag.message
+      | Raised a, Raised b -> String.equal a b
+      | prod, reference ->
+        QCheck2.Test.fail_reportf "production %s, reference %s"
+          (describe prod) (describe reference))
+
 let suite =
   [
     Alcotest.test_case "fortran structure" `Quick test_f_structure;
@@ -329,4 +428,7 @@ let suite =
     Alcotest.test_case "sema undeclared (C)" `Quick test_sema_undeclared_c;
     Alcotest.test_case "write statement" `Quick test_write_statement;
     Alcotest.test_case "object naming" `Quick test_object_name;
+    Alcotest.test_case "corpora: lexers = reference lexers" `Quick
+      test_lexers_match_reference;
+    QCheck_alcotest.to_alcotest prop_mutated_sources;
   ]

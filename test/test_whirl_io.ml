@@ -110,6 +110,127 @@ let test_prefixes_never_raise () =
     check lu (first_pu_end + ((n - first_pu_end) * k / 50))
   done
 
+
+(* ---- content images: the tree entries of the frontend cache ---------- *)
+
+let lowered files = Whirl.Lower.lower (Lang.Frontend.load ~files)
+
+(* every one of the ten fields, the locations' files included *)
+let rec same_wn path (a : Whirl.Wn.t) (b : Whirl.Wn.t) =
+  let field name ok = if not ok then Alcotest.failf "%s: %s differs" path name in
+  field "operator" (a.Whirl.Wn.operator = b.Whirl.Wn.operator);
+  field "linenum" (Lang.Loc.equal a.Whirl.Wn.linenum b.Whirl.Wn.linenum);
+  field "offset" (a.Whirl.Wn.offset = b.Whirl.Wn.offset);
+  field "elem_size" (a.Whirl.Wn.elem_size = b.Whirl.Wn.elem_size);
+  field "const_val" (a.Whirl.Wn.const_val = b.Whirl.Wn.const_val);
+  field "flt_val"
+    (Int64.equal
+       (Int64.bits_of_float a.Whirl.Wn.flt_val)
+       (Int64.bits_of_float b.Whirl.Wn.flt_val));
+  field "str_val" (String.equal a.Whirl.Wn.str_val b.Whirl.Wn.str_val);
+  field "st_idx" (a.Whirl.Wn.st_idx = b.Whirl.Wn.st_idx);
+  field "res" (a.Whirl.Wn.res = b.Whirl.Wn.res);
+  field "kids" (Array.length a.Whirl.Wn.kids = Array.length b.Whirl.Wn.kids);
+  Array.iteri
+    (fun i k -> same_wn (Printf.sprintf "%s.%d" path i) k b.Whirl.Wn.kids.(i))
+    a.Whirl.Wn.kids
+
+(* a module's PUs grouped by source file, in module order: what one tree
+   entry holds *)
+let by_file (m : Whirl.Ir.module_) =
+  List.fold_left
+    (fun acc (pu : Whirl.Ir.pu) ->
+      match acc with
+      | (f, pus) :: rest when String.equal f pu.Whirl.Ir.pu_file ->
+        (f, pu :: pus) :: rest
+      | _ -> (pu.Whirl.Ir.pu_file, [ pu ]) :: acc)
+    [] m.Whirl.Ir.m_pus
+  |> List.rev_map (fun (f, pus) -> (f, List.rev pus))
+
+let test_images_decode () =
+  let s = Whirl.Whirl_io.scratch () in
+  List.iter
+    (fun (corpus, files) ->
+      let m = lowered files in
+      List.iter
+        (fun (file, pus) ->
+          let ds, image = Whirl.Whirl_io.encode_trees s m pus in
+          List.iter2
+            (fun pu d ->
+              if d <> Whirl.Whirl_io.pu_digest s m pu then
+                Alcotest.failf "%s %s: digest differs from pu_digest" corpus
+                  pu.Whirl.Ir.pu_name)
+            pus ds;
+          match
+            Whirl.Whirl_io.decode_trees s m (List.combine pus ds) image
+          with
+          | Error e -> Alcotest.failf "%s %s: %s" corpus file e
+          | Ok ws ->
+            List.iteri
+              (fun i pu ->
+                same_wn
+                  (Printf.sprintf "%s %s" corpus pu.Whirl.Ir.pu_name)
+                  (Whirl.Ir.body pu) ws.(i))
+              pus)
+        (by_file m))
+    [
+      ("lu", Corpus.Nas_lu.files ());
+      ("gen", Corpus.Gen.(generate (standard ())));
+      ("gen-small", Corpus.Gen.(generate default));
+      ("matrix", [ Corpus.Small.matrix_c ]);
+      ("fig1", [ Corpus.Small.fig1_f ]);
+      ("stride", [ Corpus.Small.stride_f ]);
+    ]
+
+(* A damaged tree entry is an [Error], never an exception and never a
+   tree: every truncation and every flipped byte of small files' images,
+   spread positions of a larger one, and a trailing byte. *)
+let test_damaged_images () =
+  let s = Whirl.Whirl_io.scratch () in
+  let check what m pus ds image =
+    match Whirl.Whirl_io.decode_trees s m (List.combine pus ds) image with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s decoded" what
+    | exception e ->
+      Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  List.iter
+    (fun (files, every) ->
+      let m = lowered files in
+      let groups = by_file m in
+      (* NAS LU: one of its files, whose PUs call into the others *)
+      let groups = if every then groups else [ List.nth groups 1 ] in
+      List.iter
+        (fun (file, pus) ->
+          let ds, image = Whirl.Whirl_io.encode_trees s m pus in
+          let n = String.length image in
+          let positions =
+            if every then List.init n Fun.id
+            else List.init 200 (fun k -> k * n / 200)
+          in
+          List.iter
+            (fun i ->
+              check
+                (Printf.sprintf "%s cut at %d/%d" file i n)
+                m pus ds (String.sub image 0 i);
+              List.iter
+                (fun x ->
+                  let b = Bytes.of_string image in
+                  Bytes.set b i (Char.chr (Char.code image.[i] lxor x));
+                  check
+                    (Printf.sprintf "%s byte %d/%d xor %d" file i n x)
+                    m pus ds (Bytes.to_string b))
+                [ 0x01; 0x80; 0xff ])
+            positions;
+          check (file ^ " with a trailing byte") m pus ds (image ^ "\000"))
+        groups)
+    [
+      ([ Corpus.Small.fig1_f ], true);
+      ([ Corpus.Small.matrix_c ], true);
+      ([ Corpus.Small.stride_f ], true);
+      (Corpus.Nas_lu.files (), false);
+    ]
+
 let suite =
   [
 
@@ -123,4 +244,8 @@ let suite =
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "truncated images never raise" `Quick
       test_prefixes_never_raise;
+    Alcotest.test_case "tree images decode to the bodies (six corpora)" `Quick
+      test_images_decode;
+    Alcotest.test_case "damaged tree images are errors" `Quick
+      test_damaged_images;
   ]
