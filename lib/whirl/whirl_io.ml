@@ -1,7 +1,10 @@
-(* Line-oriented WHIRL dump/reload.  See the .mli for the format sketch. *)
+(* WHIRL content images: the .B file format, the engine's PU digests and
+   the frontend cache's tree entries, one encoding and one decoder.  See
+   the .mli for the layout. *)
 
-let all_operators =
-  [
+(* indexed by an operator's tag byte, [operator_tag] *)
+let operators =
+  [|
     Wn.OPR_FUNC_ENTRY; Wn.OPR_BLOCK; Wn.OPR_DO_LOOP; Wn.OPR_WHILE_DO;
     Wn.OPR_IF; Wn.OPR_STID; Wn.OPR_LDID; Wn.OPR_ISTORE; Wn.OPR_ILOAD;
     Wn.OPR_ARRAY; Wn.OPR_COIDX; Wn.OPR_LDA; Wn.OPR_IDNAME; Wn.OPR_CALL;
@@ -10,38 +13,9 @@ let all_operators =
     Wn.OPR_NE; Wn.OPR_LT; Wn.OPR_LE; Wn.OPR_GT; Wn.OPR_GE; Wn.OPR_LAND;
     Wn.OPR_LIOR; Wn.OPR_LNOT; Wn.OPR_INTRINSIC_OP; Wn.OPR_RETURN; Wn.OPR_IO;
     Wn.OPR_NOP;
-  ]
-
-let operator_of_name =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun op -> Hashtbl.replace tbl (Wn.operator_name op) op) all_operators;
-  fun name -> Hashtbl.find_opt tbl name
+  |]
 
 let dtype_name = Lang.Ast.dtype_name
-
-let dtype_of_name = function
-  | "int" -> Some Lang.Ast.Int_t
-  | "real" -> Some Lang.Ast.Real_t
-  | "double" -> Some Lang.Ast.Double_t
-  | "char" -> Some Lang.Ast.Char_t
-  | "logical" -> Some Lang.Ast.Logical_t
-  | _ -> None
-
-let res_name = function None -> "-" | Some d -> dtype_name d
-
-let res_of_name = function "-" -> Ok None | s -> (
-  match dtype_of_name s with
-  | Some d -> Ok (Some d)
-  | None -> Error (Printf.sprintf "bad result type %S" s))
-
-let bound_str = function None -> "?" | Some n -> string_of_int n
-
-let bound_of_str = function
-  | "?" -> Ok None
-  | s -> (
-    match int_of_string_opt s with
-    | Some n -> Ok (Some n)
-    | None -> Error (Printf.sprintf "bad bound %S" s))
 
 let sclass_str = function
   | Symtab.Sclass_auto -> "auto"
@@ -49,108 +23,29 @@ let sclass_str = function
   | Symtab.Sclass_common b -> "common:" ^ b
   | Symtab.Sclass_text -> "text"
 
-let sclass_of_str s =
-  match s with
-  | "auto" -> Ok Symtab.Sclass_auto
-  | "formal" -> Ok Symtab.Sclass_formal
-  | "text" -> Ok Symtab.Sclass_text
-  | _ ->
-    if String.length s > 7 && String.sub s 0 7 = "common:" then
-      Ok (Symtab.Sclass_common (String.sub s 7 (String.length s - 7)))
-    else Error (Printf.sprintf "bad storage class %S" s)
-
-(* ------------------------------------------------------------------ *)
-(* Writing *)
-
-let write_symtab buf st =
-  (* types, in index order *)
-  let rec tys i =
-    match Symtab.ty st i with
-    | exception Invalid_argument _ -> ()
-    | Symtab.Ty_scalar d ->
-      Buffer.add_string buf (Printf.sprintf "ty scalar %s\n" (dtype_name d));
-      tys (i + 1)
-    | Symtab.Ty_array { elem; dims; contiguous } ->
-      Buffer.add_string buf
-        (Printf.sprintf "ty array %s %d %d %s\n" (dtype_name elem)
-           (if contiguous then 1 else 0)
-           (List.length dims)
-           (String.concat " "
-              (List.map
-                 (fun (lo, hi) -> bound_str lo ^ ":" ^ bound_str hi)
-                 dims)));
-      tys (i + 1)
-  in
-  tys 0;
-  Symtab.iter_st st (fun _ e ->
-      Buffer.add_string buf
-        (Printf.sprintf "st %s %d %s %d %S %d %d %s\n" e.Symtab.st_name
-           e.Symtab.st_ty (sclass_str e.Symtab.st_sclass) e.Symtab.st_mem_loc
-           (Lang.Loc.file e.Symtab.st_loc)
-           (Lang.Loc.line e.Symtab.st_loc)
-           (Lang.Loc.col e.Symtab.st_loc)
-           (Lang.Iprop.to_token e.Symtab.st_iprop)))
-
-let rec write_wn buf depth (w : Wn.t) =
-  Buffer.add_string buf
-    (Printf.sprintf "wn %d %s %d %d %d %d %h %s %S %d %d %S\n" depth
-       (Wn.operator_name w.Wn.operator)
-       w.Wn.st_idx w.Wn.offset w.Wn.elem_size w.Wn.const_val w.Wn.flt_val
-       (res_name w.Wn.res)
-       (Lang.Loc.file w.Wn.linenum)
-       (Lang.Loc.line w.Wn.linenum)
-       (Lang.Loc.col w.Wn.linenum)
-       w.Wn.str_val);
-  Array.iter (write_wn buf (depth + 1)) w.Wn.kids
-
 let kind_str = function
   | Lang.Ast.Program -> "program"
   | Lang.Ast.Subroutine -> "subroutine"
   | Lang.Ast.Function d -> "function:" ^ dtype_name d
-
-let kind_of_str s =
-  match s with
-  | "program" -> Ok Lang.Ast.Program
-  | "subroutine" -> Ok Lang.Ast.Subroutine
-  | _ ->
-    if String.length s > 9 && String.sub s 0 9 = "function:" then
-      match dtype_of_name (String.sub s 9 (String.length s - 9)) with
-      | Some d -> Ok (Lang.Ast.Function d)
-      | None -> Error (Printf.sprintf "bad function kind %S" s)
-    else Error (Printf.sprintf "bad procedure kind %S" s)
 
 let proc_kind m name =
   match Lang.Sema.String_map.find_opt name m.Ir.m_program.Lang.Sema.prog_procs with
   | Some pi -> pi.Lang.Sema.pi_proc.Lang.Ast.proc_kind
   | None -> Lang.Ast.Subroutine
 
-let write_pu buf (m : Ir.module_) pu =
-  Buffer.add_string buf
-    (Printf.sprintf "pu %s %d %S %S %s %d %d %s\n" pu.Ir.pu_name
-       pu.Ir.pu_st pu.Ir.pu_file pu.Ir.pu_object
-       (match pu.Ir.pu_lang with Lang.Ast.Fortran -> "fortran" | Lang.Ast.C -> "c")
-       (Lang.Loc.line pu.Ir.pu_loc)
-       (Lang.Loc.col pu.Ir.pu_loc)
-       (kind_str (proc_kind m pu.Ir.pu_name)));
-  Buffer.add_string buf
-    (Printf.sprintf "formals %s\n"
-       (String.concat " " (List.map string_of_int pu.Ir.pu_formals)));
-  write_symtab buf pu.Ir.pu_symtab;
-  write_wn buf 0 (Ir.body pu);
-  Buffer.add_string buf "endpu\n"
+(* ------------------------------------------------------------------ *)
+(* Encoding *)
 
-(* Content images for the engine's digests: a compact binary encoding of
-   the fields the textual format round-trips, minus the formatting cost
-   (one [Printf.sprintf] per WN node is what makes [write] too slow to run
-   on every cache probe), and minus every [st_mem_loc]: [Layout] derives
-   those from the table alone (and, for a PU, its module position), so an
-   image reads the same before and after layout.
+(* Content images: a compact binary encoding of a module's symbol tables,
+   PU headers and trees.  Every field is encoded losslessly except
+   [st_mem_loc]: [Layout] derives those from the table alone (and, for a
+   PU, its module position), so an image reads the same before and after
+   layout.
 
    A PU's image is a prefix (header, formals, local symbol table) followed
-   by its tree part.  The frontend cache stores the tree parts as a file's
-   tree entry, and [decode_trees] reads them back: every tree field is
-   encoded losslessly, and a decoded tree is accepted only if its stored
-   bytes, behind the prefix rebuilt from the PU, hash to the PU's digest.
+   by its tree part.  The engine digests it, the frontend cache stores the
+   tree parts as a file's tree entry, and a .B file is the whole module's
+   images behind its global table.
 
    Images are built in a [scratch]: a growable byte array whose ranges can
    be hashed in place, so encoding a file's PUs copies no image. *)
@@ -202,7 +97,7 @@ let add_loc s loc =
   add_int s (Lang.Loc.line loc);
   add_int s (Lang.Loc.col loc)
 
-let add_symtab_content s st =
+let add_symtab_content ~entry_locs s st =
   let rec tys i =
     match Symtab.ty st i with
     | exception Invalid_argument _ -> ()
@@ -229,17 +124,16 @@ let add_symtab_content s st =
       add_int s e.Symtab.st_ty;
       add_str s (sclass_str e.Symtab.st_sclass);
       (* a procedure entry symbol's location is where its file defines it:
-         no analysis result reads it, and keeping it would make a line
-         inserted above one procedure miss every PU of the program *)
-      if e.Symtab.st_sclass <> Symtab.Sclass_text then
+         no analysis result reads it, and keeping it in a digest would make
+         a line inserted above one procedure miss every PU of the program.
+         A .B file keeps it, so the module it holds reads back whole. *)
+      if entry_locs || e.Symtab.st_sclass <> Symtab.Sclass_text then
         add_loc s e.Symtab.st_loc;
       (* index-array directives are analysis inputs: editing one must miss
          the content-addressed caches and re-analyze every user *)
       add_str s (Lang.Iprop.to_token e.Symtab.st_iprop))
 
-let operators = Array.of_list all_operators
-
-(* an operator's position in [all_operators] *)
+(* an operator's position in [operators] *)
 let operator_tag = function
   | Wn.OPR_FUNC_ENTRY -> '\000'
   | Wn.OPR_BLOCK -> '\001'
@@ -305,10 +199,11 @@ let add_ci s x =
     end
   end
 
-(* The file component of WN locations is almost always the same string
-   (physically) as the previous node's, so it is run-length memoized; the
-   fallback writes the full length-prefixed string, which keeps the
-   encoding injective. *)
+(* The file component of WN locations is almost always the previous
+   node's, so it is run-length memoized: compared by value, so a tree's
+   image does not depend on how its nodes share strings.  The fallback
+   writes the full length-prefixed string, which keeps the encoding
+   injective. *)
 let rec add_wn_content s last_file (w : Wn.t) =
   add_char s (operator_tag w.Wn.operator);
   add_ci s w.Wn.st_idx;
@@ -327,7 +222,7 @@ let rec add_wn_content s last_file (w : Wn.t) =
    end);
   add_char s (res_tag w.Wn.res);
   let f = Lang.Loc.file w.Wn.linenum in
-  if f == !last_file then add_char s '='
+  if String.equal f !last_file then add_char s '='
   else begin
     add_char s '#';
     add_str s f;
@@ -358,7 +253,7 @@ let add_prefix s (m : Ir.module_) pu =
   add_str s (kind_str (proc_kind m pu.Ir.pu_name));
   add_int s (List.length pu.Ir.pu_formals);
   List.iter (add_int s) pu.Ir.pu_formals;
-  add_symtab_content s pu.Ir.pu_symtab
+  add_symtab_content ~entry_locs:false s pu.Ir.pu_symtab
 
 let digest_from s off = Digest.subbytes s.b off (s.len - off)
 
@@ -391,9 +286,37 @@ let encode_trees s m pus =
   in
   (List.map (fun (d, _, _) -> d) parts, Bytes.unsafe_to_string out)
 
-(* Decoding a tree part.  Every read is bounds-checked and every tag
-   range-checked: bad input raises [Bad_image] only, which
-   [decode_trees] turns into an [Error]. *)
+let symtab_digest st =
+  let s = scratch () in
+  add_symtab_content ~entry_locs:false s st;
+  digest_from s 0
+
+(* a .B file's first bytes: no text file starts with DEL *)
+let magic = "\x7fWHIRL\n"
+let version = '\001'
+
+let write (m : Ir.module_) =
+  let s = scratch () in
+  add_bytes s magic 0 (String.length magic);
+  add_char s version;
+  add_symtab_content ~entry_locs:true s m.Ir.m_global;
+  List.iter
+    (fun pu ->
+      add_char s 'p';
+      add_prefix s m pu;
+      add_wn_content s (ref "") (Ir.body pu))
+    m.Ir.m_pus;
+  add_char s 'e';
+  let d = digest_from s 0 in
+  add_bytes s d 0 (String.length d);
+  Bytes.sub_string s.b 0 s.len
+
+(* ------------------------------------------------------------------ *)
+(* Decoding *)
+
+(* Every read is bounds-checked and every tag range-checked: bad input
+   raises [Bad_image] only, which [decode_trees] and [parse] turn into an
+   [Error]. *)
 
 exception Bad_image of string
 
@@ -405,9 +328,12 @@ let need r k =
   if k < 0 || r.pos > String.length r.src - k then
     bad "truncated at byte %d" r.pos
 
-let get_char r =
+let peek r =
   need r 1;
-  let c = String.unsafe_get r.src r.pos in
+  String.unsafe_get r.src r.pos
+
+let get_char r =
+  let c = peek r in
   r.pos <- r.pos + 1;
   c
 
@@ -443,10 +369,92 @@ let get_sub r len =
   r.pos <- r.pos + len;
   str
 
+let get_str r = get_sub r (get_int r)
+
+(* a count of items that take at least [size] bytes each, bounded by what
+   is left of the input *)
+let get_count r size what =
+  let n = get_int r in
+  if n < 0 || n > (String.length r.src - r.pos) / size then
+    bad "%s count %d at byte %d" what n r.pos;
+  n
+
+let get_loc r =
+  let file = get_str r in
+  let line = get_int r in
+  let col = get_int r in
+  Lang.Loc.make ~file ~line ~col
+
+let dtype_of_name name =
+  match Array.find_opt (fun d -> dtype_name d = name) dtypes with
+  | Some d -> d
+  | None -> bad "type name %S" name
+
+let get_symtab ~entry_locs r =
+  let st = Symtab.create () in
+  let rec tys i =
+    match peek r with
+    | ('S' | 'A') as tag ->
+      r.pos <- r.pos + 1;
+      let elem = dtype_of_name (get_str r) in
+      let kind =
+        if tag = 'S' then Symtab.Ty_scalar elem
+        else
+          let contiguous =
+            match get_char r with
+            | 'c' -> true
+            | 'n' -> false
+            | _ -> bad "contiguity flag at byte %d" (r.pos - 1)
+          in
+          let bound () =
+            let x = get_int r in
+            if x = min_int then None else Some x
+          in
+          let dims =
+            List.init (get_count r 16 "dimension") (fun _ ->
+                let lo = bound () in
+                (lo, bound ()))
+          in
+          Symtab.Ty_array { elem; dims; contiguous }
+      in
+      (* types are interned: a repeated one would shift every index after it *)
+      if Symtab.intern_ty st kind <> i then bad "type %d repeats an earlier one" i;
+      tys (i + 1)
+    | _ -> i
+  in
+  let ntys = tys 0 in
+  while peek r = 's' do
+    r.pos <- r.pos + 1;
+    let name = get_str r in
+    let ty = get_int r in
+    if ty < 0 || ty >= ntys then bad "symbol %S: type %d" name ty;
+    let sclass =
+      match get_str r with
+      | "auto" -> Symtab.Sclass_auto
+      | "formal" -> Symtab.Sclass_formal
+      | "text" -> Symtab.Sclass_text
+      | c when String.starts_with ~prefix:"common:" c ->
+        Symtab.Sclass_common (String.sub c 7 (String.length c - 7))
+      | c -> bad "symbol %S: storage class %S" name c
+    in
+    let loc =
+      if entry_locs || sclass <> Symtab.Sclass_text then get_loc r
+      else Lang.Loc.dummy
+    in
+    let iprop =
+      let tok = get_str r in
+      match Lang.Iprop.of_token tok with
+      | Some p -> p
+      | None -> bad "symbol %S: index properties %S" name tok
+    in
+    ignore (Symtab.enter_st st ~iprop ~name ~ty ~sclass ~loc ())
+  done;
+  st
+
 (* a node takes at least this many bytes: a bound on any kid count *)
 let min_node = 12
 
-let rec get_wn r files last_file last_loc =
+let rec get_wn r last_file last_loc =
   let tag = Char.code (get_char r) in
   if tag >= Array.length operators then bad "operator tag %d" tag;
   let operator = operators.(tag) in
@@ -473,15 +481,7 @@ let rec get_wn r files last_file last_loc =
   in
   (match get_char r with
   | '=' -> ()
-  | '#' ->
-    let file = get_sub r (get_int r) in
-    (* one string per file name, as in the lowered trees *)
-    last_file :=
-      (match List.find_opt (String.equal file) !files with
-      | Some f -> f
-      | None ->
-        files := file :: !files;
-        file)
+  | '#' -> last_file := get_str r
   | _ -> bad "file marker at byte %d" (r.pos - 1));
   let line = get_ci r in
   let col = get_ci r in
@@ -505,17 +505,19 @@ let rec get_wn r files last_file last_loc =
   let nkids = get_ci r in
   if nkids < 0 || nkids > (String.length r.src - r.pos) / min_node then
     bad "kid count %d at byte %d" nkids r.pos;
-  let kids = Array.init nkids (fun _ -> get_wn r files last_file last_loc) in
+  let kids = Array.init nkids (fun _ -> get_wn r last_file last_loc) in
   { Wn.operator; kids; linenum; offset; elem_size; const_val; flt_val;
     str_val; st_idx; res }
 
+let get_tree r = get_wn r (ref "") (ref Lang.Loc.dummy)
+
 let decode_trees s m pus src =
-  let r = { src; pos = 0 } and files = ref [] in
+  let r = { src; pos = 0 } in
   match
     List.map
       (fun ((pu : Ir.pu), want) ->
         let start = r.pos in
-        let w = get_wn r files (ref "") (ref Lang.Loc.dummy) in
+        let w = get_tree r in
         s.len <- 0;
         add_prefix s m pu;
         add_bytes s src start (r.pos - start);
@@ -528,289 +530,116 @@ let decode_trees s m pus src =
   | _ -> Error (Printf.sprintf "%d trailing bytes" (String.length src - r.pos))
   | exception Bad_image e -> Error e
 
-let write (m : Ir.module_) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "whirl 1\nglobal\n";
-  write_symtab buf m.Ir.m_global;
-  Buffer.add_string buf "endglobal\n";
-  List.iter (write_pu buf m) m.Ir.m_pus;
-  Buffer.add_string buf "endmodule\n";
-  Buffer.contents buf
+(* a PU's image, and its procedure kind *)
+let get_pu r =
+  let pu_name = get_str r in
+  let pu_st = get_int r in
+  let pu_file = get_str r in
+  let pu_object = get_str r in
+  let pu_lang =
+    match get_char r with
+    | 'f' -> Lang.Ast.Fortran
+    | 'c' -> Lang.Ast.C
+    | _ -> bad "%s: language tag at byte %d" pu_name (r.pos - 1)
+  in
+  let pu_loc = get_loc r in
+  let kind =
+    match get_str r with
+    | "program" -> Lang.Ast.Program
+    | "subroutine" -> Lang.Ast.Subroutine
+    | k when String.starts_with ~prefix:"function:" k ->
+      Lang.Ast.Function (dtype_of_name (String.sub k 9 (String.length k - 9)))
+    | k -> bad "%s: procedure kind %S" pu_name k
+  in
+  let pu_formals = List.init (get_count r 8 "formal") (fun _ -> get_int r) in
+  let pu_symtab = get_symtab ~entry_locs:false r in
+  let pu_body = Ir.tree (get_tree r) in
+  ( { Ir.pu_name; pu_st; pu_formals; pu_body; pu_symtab; pu_loc; pu_file;
+      pu_object; pu_lang },
+    kind )
 
-let pu_to_string m pu =
-  let buf = Buffer.create 1024 in
-  write_pu buf m pu;
-  Buffer.contents buf
-
-let symtab_digest st =
-  let s = scratch () in
-  add_symtab_content s st;
-  digest_from s 0
-
-(* ------------------------------------------------------------------ *)
-(* Parsing *)
-
-type cursor = { mutable lines : string list; mutable lineno : int }
-
-exception Parse_error of string
-
-let fail c fmt =
-  Printf.ksprintf (fun s -> raise (Parse_error (Printf.sprintf "line %d: %s" c.lineno s))) fmt
-
-let peek_line c =
-  match c.lines with [] -> None | l :: _ -> Some l
-
-let next_line c =
-  match c.lines with
-  | [] -> fail c "unexpected end of file"
-  | l :: rest ->
-    c.lines <- rest;
-    c.lineno <- c.lineno + 1;
-    l
-
-let expect_line c expected =
-  let l = next_line c in
-  if String.trim l <> expected then fail c "expected %S, got %S" expected l
-
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-(* read "ty"/"st" lines into a fresh symtab *)
-let parse_symtab c =
-  let st = Symtab.create () in
-  let ok = ref true in
-  while !ok do
-    match peek_line c with
-    | Some l when starts_with "ty " l ->
-      ignore (next_line c);
-      let parts =
-        String.split_on_char ' ' (String.trim l) |> List.filter (( <> ) "")
-      in
-      (match parts with
-      | [ "ty"; "scalar"; d ] -> (
-        match dtype_of_name d with
-        | Some d -> ignore (Symtab.intern_ty st (Symtab.Ty_scalar d))
-        | None -> fail c "bad scalar type %S" d)
-      | "ty" :: "array" :: d :: contig :: _n :: dims -> (
-        match dtype_of_name d with
-        | None -> fail c "bad array element type %S" d
-        | Some elem ->
-          let dims =
-            List.map
-              (fun spec ->
-                match String.split_on_char ':' spec with
-                | [ lo; hi ] -> (
-                  match bound_of_str lo, bound_of_str hi with
-                  | Ok lo, Ok hi -> (lo, hi)
-                  | Error e, _ | _, Error e -> fail c "%s" e)
-                | _ -> fail c "bad dimension spec %S" spec)
-              dims
-          in
-          ignore
-            (Symtab.intern_ty st
-               (Symtab.Ty_array { elem; dims; contiguous = contig = "1" })))
-      | _ -> fail c "bad ty line %S" l)
-    | Some l when starts_with "st " l ->
-      ignore (next_line c);
-      (try
-         Scanf.sscanf l "st %s %d %s %d %S %d %d %s"
-           (fun name ty sclass mem file line col iptok ->
-             match sclass_of_str sclass with
-             | Error e -> fail c "%s" e
-             | Ok sclass ->
-               (* legacy lines have no property token; unknown tokens
-                  degrade to no assertions — never strengthen an answer
-                  from an unparsed field *)
-               let iprop =
-                 if iptok = "" then Lang.Iprop.none
-                 else
-                   Option.value
-                     (Lang.Iprop.of_token iptok)
-                     ~default:Lang.Iprop.none
-               in
-               let idx =
-                 Symtab.enter_st st ~iprop ~name ~ty ~sclass
-                   ~loc:(Lang.Loc.make ~file ~line ~col) ()
-               in
-               (Symtab.st st idx).Symtab.st_mem_loc <- mem)
-       with Scanf.Scan_failure _ | Failure _ -> fail c "bad st line %S" l)
-    | _ -> ok := false
-  done;
-  st
-
-type proto_wn = {
-  pw_depth : int;
-  pw_node : Wn.t;  (* without kids *)
-}
-
-let parse_wn_lines c =
-  let protos = ref [] in
-  let ok = ref true in
-  while !ok do
-    match peek_line c with
-    | Some l when starts_with "wn " l ->
-      ignore (next_line c);
-      (try
-         Scanf.sscanf l "wn %d %s %d %d %d %d %h %s %S %d %d %S"
-           (fun depth opname st_idx offset elem_size const_val flt_val res
-                file line col str_val ->
-             match operator_of_name opname, res_of_name res with
-             | None, _ -> fail c "unknown operator %S" opname
-             | _, Error e -> fail c "%s" e
-             | Some operator, Ok res ->
-               let node =
-                 {
-                   Wn.operator;
-                   kids = [||];
-                   linenum = Lang.Loc.make ~file ~line ~col;
-                   offset;
-                   elem_size;
-                   const_val;
-                   flt_val;
-                   str_val;
-                   st_idx;
-                   res;
-                 }
-               in
-               protos := { pw_depth = depth; pw_node = node } :: !protos)
-       with Scanf.Scan_failure _ | Failure _ -> fail c "bad wn line %S" l)
-    | _ -> ok := false
-  done;
-  List.rev !protos
-
-(* rebuild the tree from the preorder/depth list *)
-let rec build_tree protos depth =
-  match protos with
-  | p :: rest when p.pw_depth = depth ->
-    let kids, rest = build_kids rest (depth + 1) in
-    ({ p.pw_node with Wn.kids = Array.of_list kids }, rest)
-  | _ -> raise (Parse_error "malformed WN tree")
-
-and build_kids protos depth =
-  match protos with
-  | p :: _ when p.pw_depth = depth ->
-    let kid, rest = build_tree protos depth in
-    let kids, rest = build_kids rest depth in
-    (kid :: kids, rest)
-  | _ -> ([], protos)
-
-let stub_proc name kind file line =
+(* what the analysis, the interpreter and the writers read of a procedure:
+   its kind, file and object, but an empty body *)
+let stub_proc (pu : Ir.pu) kind =
   {
-    Lang.Ast.proc_name = name;
-    proc_kind = kind;
-    proc_params = [];
-    proc_decls = [];
-    proc_consts = [];
-    proc_body = [];
-    proc_loc = Lang.Loc.make ~file ~line ~col:1;
+    Lang.Sema.pi_proc =
+      {
+        Lang.Ast.proc_name = pu.Ir.pu_name;
+        proc_kind = kind;
+        proc_params = [];
+        proc_decls = [];
+        proc_consts = [];
+        proc_body = [];
+        proc_loc =
+          Lang.Loc.make ~file:pu.Ir.pu_file ~line:(Lang.Loc.line pu.Ir.pu_loc)
+            ~col:1;
+      };
+    pi_symbols = Lang.Sema.String_map.empty;
+    pi_file = pu.Ir.pu_file;
+    pi_object = pu.Ir.pu_object;
+    pi_language = pu.Ir.pu_lang;
   }
 
-let parse text =
-  let c =
-    { lines = String.split_on_char '\n' text
-              |> List.filter (fun l -> String.trim l <> "");
-      lineno = 0 }
+let decode_module r =
+  let m_global = get_symtab ~entry_locs:true r in
+  let rec pus acc =
+    match get_char r with
+    | 'p' -> pus (get_pu r :: acc)
+    | 'e' -> List.rev acc
+    | _ -> bad "PU marker at byte %d" (r.pos - 1)
   in
-  try
-    expect_line c "whirl 1";
-    expect_line c "global";
-    let global = parse_symtab c in
-    expect_line c "endglobal";
-    let pus = ref [] in
-    let procs = ref Lang.Sema.String_map.empty in
-    let order = ref [] in
-    let files = ref [] in
-    let ok = ref true in
-    while !ok do
-      match peek_line c with
-      | Some l when starts_with "pu " l ->
-        ignore (next_line c);
-        Scanf.sscanf l "pu %s %d %S %S %s %d %d %s"
-          (fun name pu_st file object_ lang line col kind ->
-            let lang =
-              match lang with
-              | "fortran" -> Lang.Ast.Fortran
-              | "c" -> Lang.Ast.C
-              | other -> fail c "bad language %S" other
-            in
-            let kind =
-              match kind_of_str kind with
-              | Ok k -> k
-              | Error e -> fail c "%s" e
-            in
-            let formals_line = next_line c in
-            if not (starts_with "formals" formals_line) then
-              fail c "expected formals line, got %S" formals_line;
-            let formals =
-              String.split_on_char ' ' (String.trim formals_line)
-              |> List.tl
-              |> List.filter (( <> ) "")
-              |> List.map (fun s ->
-                     match int_of_string_opt s with
-                     | Some n -> n
-                     | None -> fail c "bad formal index %S" s)
-            in
-            let symtab = parse_symtab c in
-            let protos = parse_wn_lines c in
-            let body, leftover = build_tree protos 0 in
-            if leftover <> [] then fail c "trailing WN lines in %s" name;
-            expect_line c "endpu";
-            let pu =
-              {
-                Ir.pu_name = name;
-                pu_st;
-                pu_formals = formals;
-                pu_body = Ir.tree body;
-                pu_symtab = symtab;
-                pu_loc = Lang.Loc.make ~file ~line ~col;
-                pu_file = file;
-                pu_object = object_;
-                pu_lang = lang;
-              }
-            in
-            pus := pu :: !pus;
-            order := name :: !order;
-            if not (List.mem file !files) then files := file :: !files;
-            procs :=
-              Lang.Sema.String_map.add name
-                {
-                  Lang.Sema.pi_proc = stub_proc name kind file line;
-                  pi_symbols = Lang.Sema.String_map.empty;
-                  pi_file = file;
-                  pi_object = object_;
-                  pi_language = lang;
-                }
-                !procs)
-      | Some "endmodule" ->
-        ignore (next_line c);
-        ok := false
-      | Some other -> fail c "unexpected line %S" other
-      | None -> fail c "missing endmodule"
-    done;
-    let program =
-      {
-        Lang.Sema.prog_procs = !procs;
-        prog_order = List.rev !order;
-        prog_globals = Lang.Sema.String_map.empty;
-        prog_global_scalars = Lang.Sema.String_map.empty;
-        prog_files = List.rev !files;
-        prog_warnings = [];
-      }
-    in
-    Ok
-      {
-        Ir.m_id = Ir.fresh_module_id ();
-        m_global = global;
-        m_pus = List.rev !pus;
-        m_program = program;
-      }
-  with
-  | Parse_error e -> Error e
-  | Scanf.Scan_failure e -> Error e
-  (* sscanf on a truncated line: its input ends before the format does *)
-  | End_of_file -> Error (Printf.sprintf "line %d: truncated line" c.lineno)
-  | Failure e -> Error (Printf.sprintf "line %d: %s" c.lineno e)
+  let pus = pus [] in
+  if r.pos <> String.length r.src then
+    bad "%d trailing bytes" (String.length r.src - r.pos);
+  let files =
+    List.fold_left
+      (fun acc ((pu : Ir.pu), _) ->
+        if List.mem pu.Ir.pu_file acc then acc else pu.Ir.pu_file :: acc)
+      [] pus
+  in
+  let m =
+    {
+      Ir.m_id = Ir.fresh_module_id ();
+      m_global;
+      m_pus = List.map fst pus;
+      m_program =
+        {
+          Lang.Sema.prog_procs =
+            List.fold_left
+              (fun map ((pu : Ir.pu), kind) ->
+                Lang.Sema.String_map.add pu.Ir.pu_name (stub_proc pu kind) map)
+              Lang.Sema.String_map.empty pus;
+          prog_order = List.map (fun ((pu : Ir.pu), _) -> pu.Ir.pu_name) pus;
+          prog_globals = Lang.Sema.String_map.empty;
+          prog_global_scalars = Lang.Sema.String_map.empty;
+          prog_files = List.rev files;
+          prog_warnings = [];
+        };
+    }
+  in
+  Layout.assign m;
+  m
+
+let parse text =
+  let n = String.length text and h = String.length magic in
+  (* an MD5 digest's 16 bytes end the image *)
+  let body = n - 16 in
+  if n < h || not (String.equal (String.sub text 0 h) magic) then
+    Error "not a WHIRL image"
+  else if body <= h then Error "truncated WHIRL image"
+  else if text.[h] <> version then
+    Error
+      (Printf.sprintf "WHIRL image version %d; this build reads version %d"
+         (Char.code text.[h]) (Char.code version))
+  else if
+    not
+      (Digest.equal (Digest.substring text 0 body)
+         (String.sub text body 16))
+  then Error "WHIRL image checksum mismatch"
+  else
+    match decode_module { src = String.sub text 0 body; pos = h + 1 } with
+    | m -> Ok m
+    | exception Bad_image e -> Error e
 
 let save ~path m =
   let oc = open_out_bin path in

@@ -4,22 +4,21 @@
     one, and analysis can start from it instead of source, which is exactly
     how the real pipeline decouples front ends from IPA.
 
-    The format is a line-oriented text dump: the global symbol table, then
-    each PU with its local table, formals, and its WN tree in preorder with
-    explicit depths.  Everything a WN carries (Table I's fields) round-trips
-    bit-exactly; floats are written in hexadecimal notation.
+    One binary encoding serves every use: the {e content image}.  A PU's
+    image is a prefix (header, formals, local symbol table) followed by its
+    tree part (every node's ten fields, preorder, floats as their bits).
+    The engine's content digests hash it ({!pu_digest}), the frontend cache
+    stores a file's tree parts ({!encode_trees}, {!decode_trees}), and a
+    [.B] file is a module's images:
 
-    A second, binary encoding is the {e content image} of a PU: what the
-    engine's content digests hash ({!pu_digest}) and what the frontend
-    cache stores a file's trees as ({!encode_trees}, {!decode_trees}). *)
+    - a magic and a version byte;
+    - the global symbol table, procedure entry locations included;
+    - per PU, a marker byte, its prefix and its tree part;
+    - an end marker, then the MD5 of every byte before it.
 
-val write : Ir.module_ -> string
-
-val pu_to_string : Ir.module_ -> Ir.pu -> string
-(** The serialized block of one PU exactly as it appears inside {!write}:
-    header, formals, local symbol table (including [Mem_Loc]s), and the WN
-    tree.  Because the format round-trips bit-exactly, this string is a
-    faithful content key for the PU. *)
+    No image holds a [Mem_Loc]: {!Layout} derives them from the tables and
+    the PU positions, and {!parse} runs it.  Text [.B] files of older
+    builds are not read: {!parse} answers them with an [Error]. *)
 
 type scratch
 (** A reusable buffer that content images are built in.  Not shareable
@@ -28,14 +27,10 @@ type scratch
 val scratch : unit -> scratch
 
 val pu_digest : scratch -> Ir.module_ -> Ir.pu -> Digest.t
-(** The digest of a compact binary image of everything {!pu_to_string}
-    serializes (header, formals, local symbol table, the WN tree) except
-    the [Mem_Loc]s, which {!Layout} derives from the local table and the
-    PU's module position.  So the digest is the same before and after
-    layout.  The image is a prefix (header, formals, symbol table)
-    followed by the tree part, built in the given scratch buffer and
-    hashed in place.  An order of magnitude cheaper than
-    {!pu_to_string}. *)
+(** The digest of the PU's content image, built in the given scratch
+    buffer and hashed in place.  It holds no [Mem_Loc], so it is the same
+    before and after layout, and it compares location file names by value,
+    so it does not depend on how the tree's nodes share strings. *)
 
 val encode_trees :
   scratch -> Ir.module_ -> Ir.pu list -> Digest.t list * string
@@ -63,10 +58,16 @@ val symtab_digest : Symtab.t -> Digest.t
     procedure is no analysis input, so inserting a line in one file keeps
     the global table's digest). *)
 
+val write : Ir.module_ -> string
+(** The module's [.B] image (layout above). *)
+
 val parse : string -> (Ir.module_, string) result
-(** The reconstructed module carries a stub semantic program (empty
-    procedure bodies, correct kinds and files): enough for the analysis,
-    the interpreter, and the writers, but not for re-running Sema. *)
+(** Reads back what {!write} wrote and runs {!Layout.assign} on it.  The
+    module carries a stub semantic program (empty procedure bodies,
+    correct kinds, files and order): enough for the analysis, the
+    interpreter, and the writers, but not for re-running Sema.  Total: a
+    foreign, truncated or altered image is an [Error], never an exception
+    (the trailing MD5 rejects a damaged file before it is decoded). *)
 
 val save : path:string -> Ir.module_ -> unit
 val load : path:string -> (Ir.module_, string) result

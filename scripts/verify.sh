@@ -34,6 +34,23 @@ dune exec bin/uhc.exe -- --corpus lu -o "$out" --jobs 4 --stats
 test -s "$out/project.rgn"
 test -s "$out/project.dgn"
 
+echo "== smoke: uhc FILE.B writes what the source run writes (lu, matrix) =="
+# --emit-whirl, then a run that resumes from the file: outputs, report and
+# stdout (less the wrote lines) equal the run from source
+for corpus in lu matrix; do
+  dune exec bin/uhc.exe -- --corpus $corpus --analyses bounds,permissions \
+    --report "$out/bsrc_$corpus.json" --emit-whirl "$out/$corpus.B" \
+    -o "$out/bsrc_$corpus" | grep -v '^wrote ' >"$out/bsrc_$corpus.txt"
+  dune exec bin/uhc.exe -- "$out/$corpus.B" --analyses bounds,permissions \
+    --report "$out/bB_$corpus.json" -o "$out/bB_$corpus" \
+    | grep -v '^wrote ' >"$out/bB_$corpus.txt"
+  cmp "$out/bsrc_$corpus.txt" "$out/bB_$corpus.txt"
+  cmp "$out/bsrc_$corpus.json" "$out/bB_$corpus.json"
+  for f in project.rgn project.dgn project.cfg; do
+    cmp "$out/bsrc_$corpus/$f" "$out/bB_$corpus/$f"
+  done
+done
+
 echo "== committed BENCH_*.json pass check-json =="
 dune exec bench/main.exe -- check-json BENCH_*.json
 

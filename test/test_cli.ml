@@ -142,6 +142,51 @@ let test_uhc_run_flag () =
   Alcotest.(check bool) ".rgn still written" true
     (Sys.file_exists (Filename.concat dir "project.rgn"))
 
+(* uhc --emit-whirl FILE.B, then uhc FILE.B: the run that resumes from
+   the WHIRL file writes and prints what the run from source did.  Printed
+   means stdout less the [wrote] lines (the source run also copies its
+   sources) and the [wopt:] line of an optimizing source run, whose
+   optimized module is what the file holds. *)
+let test_uhc_whirl_file ~source ~run () =
+  require_binaries ();
+  let dir = temp_dir () in
+  let path name = Filename.concat dir name in
+  let read name = In_channel.with_open_bin (path name) In_channel.input_all in
+  let uhc name args =
+    let out = path name in
+    let cmd =
+      Printf.sprintf
+        "%s %s%s --analyses bounds,permissions --report %s -o %s >%s 2>%s"
+        (exe "uhc") args
+        (if run then " --run" else "")
+        (Filename.quote (path (name ^ ".json")))
+        (Filename.quote out)
+        (Filename.quote (path (name ^ ".out")))
+        (Filename.quote (path (name ^ ".err")))
+    in
+    if Sys.command cmd <> 0 then
+      Alcotest.failf "%s failed:\n%s" cmd (read (name ^ ".err"));
+    String.split_on_char '\n' (read (name ^ ".out"))
+    |> List.filter (fun l ->
+           not
+             (String.starts_with ~prefix:"wrote " l
+             || String.starts_with ~prefix:"wopt: " l))
+  in
+  let b = path "prog.B" in
+  let from_source =
+    uhc "source" (Printf.sprintf "%s --emit-whirl %s" source (Filename.quote b))
+  in
+  let from_whirl = uhc "whirl" (Filename.quote b) in
+  Alcotest.(check (list string)) "stdout" from_source from_whirl;
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check bool) (b ^ " equal") true (String.equal (read a) (read b)))
+    (("source.json", "whirl.json")
+    :: List.map
+         (fun f -> (Filename.concat "source" f, Filename.concat "whirl" f))
+         [ "project.rgn"; "project.dgn"; "project.cfg" ]);
+  ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
+
 (* the library entry point reports a usage error as a code, and returns:
    ending the caller's process is uhc's business alone *)
 let test_pipeline_no_input () =
@@ -158,3 +203,15 @@ let suite =
     Alcotest.test_case "dragon missing project" `Quick test_dragon_missing_project;
     Alcotest.test_case "uhc --run" `Quick test_uhc_run_flag;
   ]
+  @ List.map
+      (fun (name, source, run) ->
+        Alcotest.test_case ("uhc FILE.B equals the source run: " ^ name) `Quick
+          (test_uhc_whirl_file ~source ~run))
+      [
+        ("lu", "--corpus lu", false);
+        ("lu --wopt", "--corpus lu --wopt", false);
+        ("matrix", "--corpus matrix", true);
+        ("fig1", "--corpus fig1", true);
+        ("stride", "--corpus stride", false);
+        ("gen-small", "--corpus gen-small", false);
+      ]
