@@ -723,12 +723,14 @@ let gates =
        print: 2266 bytes with the streaming writers, 7842 with the
        per-access formatting they replaced *)
     ("engine", "output_alloc_per_row", Ceiling 2500.);
-    (* a one-file edit digests only the edited file's PUs, and re-interns
-       every stored entry without renaming a variable *)
+    (* a one-file edit digests only the edited file's PUs ... *)
     ("engine", "edit_digests_beyond_file", Ceiling 0.);
-    ("engine", "edit_entries_remapped", Ceiling 0.);
     (* ... and reads no file's WN trees: every other file's PUs hit *)
     ("engine", "edit_bodies_decoded", Ceiling 0.);
+    (* an added local moves no other file's symbolic variables: their PUs
+       hit, and the warm outputs are a cold run's *)
+    ("engine", "decl_edit_collect_misses_beyond_file", Ceiling 0.);
+    ("engine", "decl_edit_outputs_equal", True);
     ("bounds", "corpora.corpus=gen.sparse_proven", sparse_proven);
     (* the scale the generated corpus keeps *)
     ("gen", "files", Floor 200.);
@@ -831,17 +833,27 @@ let write_record ~json ~out bench members =
    cold and warm in-process engine wall on LU and gen-small, the files
    one cold gen-small run publishes, the collect phase of a cold
    gen-small run with how often its access shapes repeat, and what a
-   one-file gen-small edit recomputes in a fresh uhc process. *)
+   one-file edit and a declaration edit of gen-small recompute in fresh
+   uhc processes. *)
 
-(* A one-file edit of gen-small as a user makes it: a cold uhc run over
-   the sources on disk, a line-preserving edit of one file, and a warm
-   uhc run.  Each run is a new process, so symbolic variables get the ids
-   the stored entries were written with.  The warm run's counters: PU
-   digests computed (the edited file's, as the frontend lowers them),
-   store entries re-interned by renaming, and cached files whose WN trees
-   were decoded.  uhc is the [bin/uhc.exe]
-   beside this executable's directory, so it must be built. *)
-let one_file_edit files ~dir =
+(* Two edits of gen-small as a user makes them, each run a new uhc process
+   over the sources on disk and one cache directory: a cold run; a
+   line-preserving edit of one file and a warm run; then one added
+   [integer] local in the first subroutine and a warm run.  The value
+   edit's counters: PU digests computed (the edited file's, as the
+   frontend lowers them) and cached files whose WN trees were decoded.
+   The declaration edit's: collect misses, and whether its .rgn/.dgn/.cfg
+   equal a run of the same sources without a cache.  uhc is the
+   [bin/uhc.exe] beside this executable's directory, so it must be
+   built. *)
+type edits = {
+  ed_computed : int;
+  ed_decoded : int;
+  ed_decl_misses : int;
+  ed_decl_equal : bool;
+}
+
+let gen_small_edits files ~dir =
   let uhc =
     List.fold_left Filename.concat
       (Filename.dirname Sys.executable_name)
@@ -859,50 +871,77 @@ let one_file_edit files ~dir =
   in
   List.iter write files;
   let metrics = Filename.concat dir "metrics.json" in
-  let run () =
+  (* one uhc run writing into [dir]/[out]; its metrics diff *)
+  let run ?(cache = true) out =
     let cmd =
       String.concat " "
         (List.map Filename.quote
            ([ uhc ]
            @ List.map (fun (name, _) -> Filename.concat src name) files
-           @ [ "-o"; dir; "-p"; "p"; "--no-ledger"; "--cache-dir";
-               Filename.concat dir "cache"; "--metrics"; metrics ]))
+           @ [ "-o"; Filename.concat dir out; "-p"; "p"; "--no-ledger";
+               "--metrics"; metrics ]
+           @ if cache then [ "--cache-dir"; Filename.concat dir "cache" ]
+             else []))
     in
     if Sys.command (cmd ^ " >/dev/null 2>&1") <> 0 then
-      failwith ("bench engine: failed: " ^ cmd)
+      failwith ("bench engine: failed: " ^ cmd);
+    match
+      Result.bind
+        (Obs.Json.parse (In_channel.with_open_bin metrics In_channel.input_all))
+        (fun doc ->
+          match Obs.Json.member "metrics" doc with
+          | Some l -> Obs.Metrics.of_json l
+          | None -> Error "no metrics member")
+    with
+    | Ok d -> d
+    | Error e -> failwith (metrics ^ ": " ^ e)
   in
-  run ();
+  (* [f] applied to the lines of file [i] *)
+  let edit i f =
+    let name, contents = List.nth files i in
+    write (name, String.concat "\n" (f (String.split_on_char '\n' contents)))
+  in
+  ignore (run "out");
   (* " + 0" after the last assignment of the second file (the first
      holds main) *)
-  let name, contents = List.nth files 1 in
-  let lines = String.split_on_char '\n' contents in
-  let last =
-    List.fold_left
-      (fun (i, found) l ->
-        ( i + 1,
-          if String.contains l '=' && not (String.contains l '!') then i
-          else found ))
-      (0, -1) lines
-    |> snd
+  edit 1 (fun lines ->
+      let last =
+        List.fold_left
+          (fun (i, found) l ->
+            ( i + 1,
+              if String.contains l '=' && not (String.contains l '!') then i
+              else found ))
+          (0, -1) lines
+        |> snd
+      in
+      List.mapi (fun i l -> if i = last then l ^ " + 0" else l) lines);
+  let value = run "out" in
+  edit 0 (fun lines ->
+      let first = ref true in
+      List.concat_map
+        (fun l ->
+          if !first && String.trim l = "integer d, i" then begin
+            first := false;
+            [ l; "      integer zzextra" ]
+          end
+          else [ l ])
+        lines);
+  let decl = run "out" in
+  ignore (run ~cache:false "nocache");
+  let read out f =
+    In_channel.with_open_bin
+      (Filename.concat (Filename.concat dir out) f)
+      In_channel.input_all
   in
-  write
-    ( name,
-      String.concat "\n"
-        (List.mapi (fun i l -> if i = last then l ^ " + 0" else l) lines) );
-  run ();
-  match
-    Result.bind
-      (Obs.Json.parse (In_channel.with_open_bin metrics In_channel.input_all))
-      (fun doc ->
-        match Obs.Json.member "metrics" doc with
-        | Some l -> Obs.Metrics.of_json l
-        | None -> Error "no metrics member")
-  with
-  | Ok d ->
-    ( Obs.Metrics.value d "engine.digest.computed",
-      Obs.Metrics.value d "store.reintern.remapped",
-      Obs.Metrics.value d "frontend.body.decoded" )
-  | Error e -> failwith (metrics ^ ": " ^ e)
+  {
+    ed_computed = Obs.Metrics.value value "engine.digest.computed";
+    ed_decoded = Obs.Metrics.value value "frontend.body.decoded";
+    ed_decl_misses = Obs.Metrics.value decl "engine.collect.misses";
+    ed_decl_equal =
+      List.for_all
+        (fun f -> read "out" f = read "nocache" f)
+        [ "p.rgn"; "p.dgn"; "p.cfg" ];
+  }
 
 let bench_engine ~json ~out () =
   header "Engine: parallel + incremental analysis (NAS LU, gen-small)";
@@ -1042,9 +1081,10 @@ let bench_engine ~json ~out () =
     once ()
   in
   let edit_pus = Corpus.Gen.default.Corpus.Gen.g_pus_per_file in
-  let edit_computed, edit_remapped, edit_decoded =
-    Fun.protect ~finally:rm (fun () -> one_file_edit gs_files ~dir)
+  let edits =
+    Fun.protect ~finally:rm (fun () -> gen_small_edits gs_files ~dir)
   in
+  let decl_beyond = max 0 (edits.ed_decl_misses - edit_pus) in
   Printf.printf "disk cache, LU: cold %.4fs, warm %.4fs (%.1fx)\n" lu_cold
     lu_warm (lu_cold /. lu_warm);
   Printf.printf "disk cache, gen-small: cold %.4fs, warm %.4fs (%.1fx)\n"
@@ -1056,8 +1096,13 @@ let bench_engine ~json ~out () =
     (if cold_files = 1 then "" else "s");
   Printf.printf
     "one-file gen-small edit (%d PUs in the file): %d PU digests computed, \
-     %d store entries remapped, %d bodies decoded\n"
-    edit_pus edit_computed edit_remapped edit_decoded;
+     %d bodies decoded\n"
+    edit_pus edits.ed_computed edits.ed_decoded;
+  Printf.printf
+    "declaration edit (one added local): %d collect misses (%d beyond the \
+     file), outputs %s a no-cache run\n"
+    edits.ed_decl_misses decl_beyond
+    (if edits.ed_decl_equal then "equal" else "DIFFER from");
   Printf.printf
     "cold gen-small collect: %.4fs, %.2f regions requested per distinct shape\n"
     gs_collect shape_reuse;
@@ -1082,14 +1127,16 @@ let bench_engine ~json ~out () =
         recorded_bound "engine" "shape_reuse";
         ("output_alloc_per_row", fixed 1 output_alloc_per_row);
         recorded_bound "engine" "output_alloc_per_row";
-        ("edit_digests_computed", int edit_computed);
+        ("edit_digests_computed", int edits.ed_computed);
         ("edit_file_pus", int edit_pus);
-        ("edit_digests_beyond_file", int (edit_computed - edit_pus));
+        ("edit_digests_beyond_file", int (edits.ed_computed - edit_pus));
         recorded_bound "engine" "edit_digests_beyond_file";
-        ("edit_entries_remapped", int edit_remapped);
-        recorded_bound "engine" "edit_entries_remapped";
-        ("edit_bodies_decoded", int edit_decoded);
-        recorded_bound "engine" "edit_bodies_decoded" ]) ]
+        ("edit_bodies_decoded", int edits.ed_decoded);
+        recorded_bound "engine" "edit_bodies_decoded";
+        ("decl_edit_collect_misses", int edits.ed_decl_misses);
+        ("decl_edit_collect_misses_beyond_file", int decl_beyond);
+        recorded_bound "engine" "decl_edit_collect_misses_beyond_file";
+        ("decl_edit_outputs_equal", Bool edits.ed_decl_equal) ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Solver: the production core against the reference eliminator, end to

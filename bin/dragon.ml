@@ -99,6 +99,20 @@ let grep_cmd =
   in
   let run dir project needle word =
     let p = load dir project in
+    (* a search over missing files would print 0 hits, as if it had looked *)
+    (match
+       List.filter
+         (fun (src, _) -> not (List.mem_assoc src p.Dragon.Project.sources))
+         p.Dragon.Project.dgn.Rgnfile.Files.dgn_sources
+     with
+    | [] -> ()
+    | missing ->
+      Printf.eprintf
+        "dragon: the sources of project %s are missing: %s (a project \
+         written from a .B file has no source copies)\n"
+        project
+        (String.concat ", " (List.map fst missing));
+      exit 1);
     let hits =
       if word then Dragon.Browse.grep_array p needle
       else Dragon.Browse.grep p needle

@@ -18,12 +18,14 @@
      *interprocedural* summary, so editing one PU invalidates exactly that
      PU and its transitive callers.
 
-   Determinism: symbolic-variable ids are pre-assigned by
-   [Collect.intern_module_syms] before any fan-out, every task writes only
-   its own slot, and summary propagation runs level-by-level over the SCC
-   DAG with the members of one SCC processed sequentially in call-graph
-   order — the exact schedule the serial path uses.  Parallel, cached and
-   serial runs therefore produce byte-identical outputs. *)
+   Determinism: a symbolic variable's id is computed from the PU's module
+   position and st code ([Collect.sym_var]), never minted in schedule
+   order, so a cache hit names the variables this run computes; every
+   task writes only its own slot, and summary propagation runs
+   level-by-level over the SCC DAG with the members of one SCC processed
+   sequentially in call-graph order — the exact schedule the serial path
+   uses.  Parallel, cached and serial runs therefore produce
+   byte-identical outputs. *)
 
 open Whirl
 
@@ -190,11 +192,10 @@ let run_ ~carried (cfg : config) (m : Ir.module_) : result =
       if i < Array.length a && fst a.(i) == pus.(i) then Some (snd a.(i))
       else None
   in
-  (* ---- prepare: layout, symbolic variables, call graph -------------- *)
+  (* ---- prepare: layout, call graph --------------------------------- *)
   let cg =
     timed "prepare" (fun _ ->
         Layout.assign m;
-        Ipa.Collect.intern_module_syms m;
         Ipa.Callgraph.build m
           ~sites:(fun i ->
             Option.map (fun c -> c.Engine_store.ca_sites) (carried i)))
@@ -242,7 +243,7 @@ let run_ ~carried (cfg : config) (m : Ir.module_) : result =
            Fault.inject Fault.Pool ~key:("collect:" ^ pu.Ir.pu_name);
            match cfg.store with
            | Some store -> (
-             match Engine_store.find_collect store ~m ~key:key1.(i) with
+             match Engine_store.find_collect store ~key:key1.(i) with
              | Some p ->
                collect_hit.(i) <- true;
                infos.(i) <-
@@ -350,7 +351,7 @@ let run_ ~carried (cfg : config) (m : Ir.module_) : result =
           match key2.(i) with
           | None -> ()
           | Some key -> (
-            match Engine_store.find_summary store ~m ~key with
+            match Engine_store.find_summary store ~key with
             | Some p ->
               summary_hit.(i) <- true;
               summaries.(i) <- Some p.Engine_store.sp_summary;

@@ -2,22 +2,21 @@
 
    Keys are MD5 digests computed by the engine from serialized WHIRL (see
    Engine): identical content — identical key, whatever process computed it.
-   Values are Marshal images of collection results / summaries, plus enough
-   metadata to re-intern their symbolic variables against the *current*
-   process's registry:
+   Values are Marshal images of collection results / summaries, plus the
+   writer's variable-id counter:
 
-   - [en_counter] is the variable-id counter snapshot at save time; loading
-     advances the live counter past it so freshly minted ids can never
-     collide with deserialized ones;
-   - [en_syms] records, for every [Sym] variable in the value, which
-     (procedure, st) it stood for.  On load those are looked up through
-     [Ipa.Collect.sym_var], so a region loaded from disk constrains the very
-     same variables a fresh analysis of the module would.  When all of
-     them kept their ids, the value is re-interned as it is (see
-     "Re-interning").
-
-   Induction variables need no such treatment: they never escape their PU,
-   so keeping their (counter-bumped) ids is enough.
+   - a hit names the same symbolic variables the reading process computes.
+     [Ipa.Collect.sym_var] derives each id from what [key1] digests (the
+     global table index, or the owner's module position and st code), and
+     a name from the same tables.  A collect entry is keyed by its PU's
+     [key1]; a summary entry by [key2], which folds in the [key1] of the
+     PU and of every transitive callee, the only PUs whose variables its
+     regions name.  So a stored value is re-interned as it is (see
+     "Re-interning"), never renamed;
+   - [en_counter] is the writer's variable-id counter at save time: loading
+     advances the live counter past it, so an induction variable minted
+     here never collides with a deserialized one.  Induction variables
+     never escape their PU, so keeping their ids is enough.
 
    On-disk entries live under [dir/<schema>/], where <schema> is the
    build fingerprint (Build_info: a digest of the library sources, the
@@ -41,18 +40,15 @@ type summary_payload = {
 
 type 'a entry = {
   en_counter : int;
-  en_syms : (int * string * int * string) list;
-      (* saved var id, owning procedure ("" = global), st code, name *)
   en_writer : Digest.t;
       (* the writing process ([writer_token]): its intern ids name the same
          content in every entry it wrote *)
   en_value : 'a;
 }
 
-(* How a decoded entry's values are rebuilt in this process: its variables,
-   its expressions and its systems (see "Re-interning"). *)
+(* How a decoded entry's values are rebuilt in this process: its
+   expressions and its systems (see "Re-interning"). *)
 type relink = {
-  rl_var : Linear.Var.t -> Linear.Var.t;
   rl_expr : Linear.Expr.t -> Linear.Expr.t;
   rl_sys : Linear.System.t -> Linear.System.t;
 }
@@ -87,7 +83,7 @@ type t = {
   mutable segs : seg list; (* published segments this handle indexed *)
   mutable writer : writer option;
   mutable diags : Fault.Diag.t list; (* degradation events, newest first *)
-  identity : (Digest.t, relink) Hashtbl.t; (* per writer, see [identity] *)
+  relinks : (Digest.t, relink) Hashtbl.t; (* per writer, see [writer_relink] *)
 }
 
 let schema_token = String.sub Build_info.fingerprint 0 12
@@ -106,72 +102,15 @@ let name_of_key k =
 let locked t f = Mutex.protect t.mutex f
 
 (* ------------------------------------------------------------------ *)
-(* Variable bookkeeping *)
-
-let add_expr e acc =
-  List.fold_left (fun a v -> Linear.Var.Set.add v a) acc (Linear.Expr.vars e)
-
-let add_affine r acc =
-  match r with
-  | Affine.Affine e -> add_expr e acc
-  | Affine.Sparse { Affine.sp_inner = Some e; _ } -> add_expr e acc
-  | Affine.Sparse _ | Affine.Messy -> acc
-
-let add_region (r : Region.t) acc =
-  let acc = Linear.Var.Set.union (Linear.System.vars r.Region.sys) acc in
-  List.fold_left
-    (fun a (d : Region.dim) ->
-      let a =
-        match d.Region.lb with Region.Bsym e -> add_expr e a | _ -> a
-      in
-      match d.Region.ub with Region.Bsym e -> add_expr e a | _ -> a)
-    acc (Region.dim_list r)
-
-let add_access (a : Ipa.Collect.access) acc =
-  add_region a.Ipa.Collect.ac_region acc
-
-let add_loop ((_, lc) : int * Region.loop_ctx) acc =
-  Linear.Var.Set.add lc.Region.lc_var
-    (add_affine lc.Region.lc_lo (add_affine lc.Region.lc_hi acc))
-
-let add_site (s : Ipa.Collect.site) acc =
-  let acc =
-    List.fold_left
-      (fun a arg ->
-        match arg with
-        | Ipa.Collect.Arg_array_elem (_, coords) ->
-          List.fold_left (fun a c -> add_affine c a) a coords
-        | Ipa.Collect.Arg_value r -> add_affine r a
-        | Ipa.Collect.Arg_array_whole _ | Ipa.Collect.Arg_scalar_ref _ -> a)
-      acc s.Ipa.Collect.s_args
-  in
-  List.fold_left (fun a l -> add_loop l a) acc s.Ipa.Collect.s_loops
-
-let add_summary (s : Ipa.Summary.t) acc =
-  List.fold_left
-    (fun a (e : Ipa.Summary.entry) -> add_region e.Ipa.Summary.e_region a)
-    acc s
-
-let syms_of vars =
-  Linear.Var.Set.fold
-    (fun v acc ->
-      if Linear.Var.is_sym v then
-        match Ipa.Collect.sym_info v with
-        | Some (owner, st) ->
-          (Linear.Var.id v, owner, st, Linear.Var.name v) :: acc
-        | None -> acc
-      else acc)
-    vars []
-
-(* ------------------------------------------------------------------ *)
 (* Re-interning
 
-   A decoded entry holds the writer's values: canonical there, but not
-   interned here.  Each is rebuilt through one [relink].  The writer's
-   intern ids name contents across everything that process wrote, so a
-   relink memoizes on them: on the identity path once per writer for the
-   whole run (the entries of one cold run share most of their systems),
-   on the remap path once per entry. *)
+   A decoded entry holds the writer's values: canonical there, and over
+   the variables this process computes (see the header), but not interned
+   here.  Each is rebuilt through its writer's [relink], which only looks
+   up intern ids.  The writer's intern ids name contents across everything
+   that process wrote, so a relink memoizes on them once per writer for
+   the whole run (the entries of one cold run share most of their
+   systems). *)
 
 let writer_token =
   Digest.string
@@ -191,56 +130,16 @@ let memo id f =
       Mutex.protect lock (fun () -> Hashtbl.replace tbl k y);
       y
 
-(* Every symbolic variable kept its id (and name): the stored values are
-   canonical as they are, and only their intern ids are looked up.  It
-   does not depend on the entry, so one serves every entry of a writer. *)
-let identity_relink () =
+(* The stored values are canonical as they are: only their intern ids are
+   looked up.  It does not depend on the entry, so one serves every entry
+   of a writer. *)
+let new_relink () =
   let expr = memo Linear.Expr.id Linear.Expr.reintern in
   let constr = memo Linear.Constr.id (Linear.Constr.reintern expr) in
   {
-    rl_var = Fun.id;
     rl_expr = expr;
     rl_sys = memo Linear.System.id (Linear.System.reintern constr);
   }
-
-(* Some symbolic variable moved: rename through [f], re-normalizing every
-   constraint and re-sorting every system. *)
-let remap_relink f =
-  {
-    rl_var = f;
-    rl_expr = memo Linear.Expr.id (Linear.Expr.map_vars f);
-    rl_sys = memo Linear.System.id (Linear.System.map_vars f);
-  }
-
-let c_remapped = Obs.Metrics.counter "store.reintern.remapped"
-
-(* The relink of an entry: the identity path when every [en_syms] variable
-   resolves through [Ipa.Collect.sym_var] to the id and name it was saved
-   with (a fresh process over an unchanged symbol layout), the remap path
-   otherwise.  [identity writer] is the store's identity relink for the
-   entry's writer. *)
-let relink_of ~identity m (entry : _ entry) =
-  let live =
-    List.map
-      (fun (id, owner, st, name) ->
-        (id, name, Ipa.Collect.sym_var ~m ~pu:owner ~st ~name))
-      entry.en_syms
-  in
-  if
-    List.for_all
-      (fun (id, name, v) ->
-        Linear.Var.id v = id && String.equal (Linear.Var.name v) name)
-      live
-  then identity entry.en_writer
-  else begin
-    Obs.Metrics.Counter.incr c_remapped;
-    let tbl = Hashtbl.create 16 in
-    List.iter (fun (id, _, v) -> Hashtbl.replace tbl id v) live;
-    remap_relink (fun v ->
-        match Hashtbl.find_opt tbl (Linear.Var.id v) with
-        | Some v' -> v'
-        | None -> v)
-  end
 
 let relink_region rl = Region.reintern ~expr:rl.rl_expr ~sys:rl.rl_sys
 
@@ -254,10 +153,9 @@ let relink_affine rl = function
 let relink_loop rl ((st, lc) : int * Region.loop_ctx) =
   ( st,
     {
-      Region.lc_var = rl.rl_var lc.Region.lc_var;
-      lc_lo = relink_affine rl lc.Region.lc_lo;
+      lc with
+      Region.lc_lo = relink_affine rl lc.Region.lc_lo;
       lc_hi = relink_affine rl lc.Region.lc_hi;
-      lc_step = lc.Region.lc_step;
     } )
 
 let relink_access rl (a : Ipa.Collect.access) =
@@ -495,7 +393,7 @@ let create ?dir () =
       segs = [];
       writer = None;
       diags = [];
-      identity = Hashtbl.create 4;
+      relinks = Hashtbl.create 4;
     }
   in
   List.iter (fun (p, index) -> ignore (add_segment t p index)) indexes;
@@ -920,28 +818,28 @@ let publish t =
    [find_*] route the verified bytes through [decode_entry] (fault
    injection, quarantine) before re-interning them. *)
 
-(* the identity relink of [writer]'s entries, one per writer per handle *)
-let identity t writer =
+(* the relink of [writer]'s entries, one per writer per handle *)
+let writer_relink t writer =
   locked t (fun () ->
-      match Hashtbl.find_opt t.identity writer with
+      match Hashtbl.find_opt t.relinks writer with
       | Some rl -> rl
       | None ->
-        let rl = identity_relink () in
-        Hashtbl.add t.identity writer rl;
+        let rl = new_relink () in
+        Hashtbl.add t.relinks writer rl;
         rl)
 
-let collect_of_entry t ~m (entry : collect_payload entry) : collect_payload =
+let collect_of_entry t (entry : collect_payload entry) : collect_payload =
   Linear.Var.advance_past entry.en_counter;
-  let rl = relink_of ~identity:(identity t) m entry in
+  let rl = writer_relink t entry.en_writer in
   let p = entry.en_value in
   {
     cp_accesses = List.map (relink_access rl) p.cp_accesses;
     cp_sites = List.map (relink_site rl) p.cp_sites;
   }
 
-let summary_of_entry t ~m (entry : summary_payload entry) : summary_payload =
+let summary_of_entry t (entry : summary_payload entry) : summary_payload =
   Linear.Var.advance_past entry.en_counter;
-  let rl = relink_of ~identity:(identity t) m entry in
+  let rl = writer_relink t entry.en_writer in
   let p = entry.en_value in
   {
     sp_summary = relink_summary rl p.sp_summary;
@@ -967,17 +865,9 @@ let detach_access detach (a : Ipa.Collect.access) =
   { a with ac_region = detach a.Ipa.Collect.ac_region }
 
 let encode_collect (p : collect_payload) =
-  let vars =
-    List.fold_left
-      (fun a s -> add_site s a)
-      (List.fold_left (fun a x -> add_access x a) Linear.Var.Set.empty
-         p.cp_accesses)
-      p.cp_sites
-  in
   Marshal.to_string
     {
       en_counter = Linear.Var.current ();
-      en_syms = syms_of vars;
       en_writer = writer_token;
       en_value =
         {
@@ -989,17 +879,10 @@ let encode_collect (p : collect_payload) =
     []
 
 let encode_summary (p : summary_payload) =
-  let vars =
-    add_summary p.sp_summary
-      (List.fold_left
-         (fun a x -> add_access x a)
-         Linear.Var.Set.empty p.sp_propagated)
-  in
   let detach = region_detacher () in
   Marshal.to_string
     {
       en_counter = Linear.Var.current ();
-      en_syms = syms_of vars;
       en_writer = writer_token;
       en_value =
         {
@@ -1021,14 +904,14 @@ let find_decoded ~keep ?(decode = unmarshal) t ns key =
 let add_collect t ~key (p : collect_payload) =
   add_raw ~keep:true t "c" key (encode_collect p)
 
-let find_collect t ~m ~key : collect_payload option =
-  Option.map (collect_of_entry t ~m) (find_decoded ~keep:true t "c" key)
+let find_collect t ~key : collect_payload option =
+  Option.map (collect_of_entry t) (find_decoded ~keep:true t "c" key)
 
 let add_summary t ~key (p : summary_payload) =
   add_raw ~keep:true t "s" key (encode_summary p)
 
-let find_summary t ~m ~key : summary_payload option =
-  Option.map (summary_of_entry t ~m) (find_decoded ~keep:true t "s" key)
+let find_summary t ~key : summary_payload option =
+  Option.map (summary_of_entry t) (find_decoded ~keep:true t "s" key)
 
 (* ------------------------------------------------------------------ *)
 (* Frontend artifacts: disk only, never held in memory.  Each is read at

@@ -6,17 +6,17 @@
     disk — so repeated tool invocations over unchanged sources only
     re-analyze what changed.
 
-    Loaded values are re-interned: symbolic variables inside cached regions
-    are resolved through the current process's [Ipa.Collect.sym_var]
-    registry, so a cache hit yields structures indistinguishable from a
-    fresh analysis.  When every one resolves to the id it was saved with
-    (a fresh process over an unchanged symbol layout: the usual warm run),
-    the stored expressions, constraints and systems are already canonical
-    and are only looked up ({!Linear.System.reintern}: the identity path);
-    otherwise they are renamed, re-normalized and re-sorted (the remap
-    path, counted in [store.reintern.remapped]).  Both give the same
-    values.  On the identity path each distinct expression, constraint
-    and system one writer stored is rebuilt once per handle.  Lookups are
+    A hit names the same symbolic variables the reading process computes:
+    [Ipa.Collect.sym_var] derives each variable's id from what [key1]
+    digests (the global table index, or the owner's module position and
+    st code), a collect entry is keyed by its PU's [key1], and a summary
+    entry by [key2], which folds in the [key1] of every PU whose variables
+    it can name (the PU and its transitive callees).  So loaded values are
+    only re-interned: the stored expressions, constraints and systems are
+    already canonical and their intern ids are looked up
+    ({!Linear.System.reintern}), each distinct one a writer stored once
+    per handle.  A cache hit yields structures indistinguishable from a
+    fresh analysis.  Lookups are
     safe to issue from several domains concurrently; additions and
     {!publish} are expected from the coordinating domain.
 
@@ -85,8 +85,7 @@ val segment_index : string -> (string * Digest.t * int * int) list option
 
 val add_collect : t -> key:Digest.t -> collect_payload -> unit
 
-val find_collect :
-  t -> m:Whirl.Ir.module_ -> key:Digest.t -> collect_payload option
+val find_collect : t -> key:Digest.t -> collect_payload option
 (** [None] on a genuine miss and on any unreadable/corrupt entry.
 
     The store self-heals: every on-disk payload is checked against the MD5
@@ -101,8 +100,7 @@ val find_collect :
 
 val add_summary : t -> key:Digest.t -> summary_payload -> unit
 
-val find_summary :
-  t -> m:Whirl.Ir.module_ -> key:Digest.t -> summary_payload option
+val find_summary : t -> key:Digest.t -> summary_payload option
 
 val dir : t -> string option
 (** The backing directory, if the store is disk-backed. *)

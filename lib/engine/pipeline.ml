@@ -119,8 +119,9 @@ let load_inputs ~keep_going ~diags paths corpus =
           None)
       paths
 
-(* Nothing to analyze and no tolerated fault to blame: a usage error. *)
-exception No_input
+(* A usage error (exit code 2): nothing to analyze and no tolerated fault
+   to blame, or inputs that name two programs. *)
+exception Usage of string
 
 (* What the ledger record needs from inside the body: the digest of the
    inputs actually analyzed and the engine's per-PU cache entries (of the
@@ -142,6 +143,8 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
         (Printf.sprintf "unknown analyses: %s (available: %s)"
            (String.concat ", " unknown)
            (String.concat ", " (Analyses.Registry.names ()))));
+    if cfg.corpus <> None && cfg.paths <> [] then
+      raise (Usage "--corpus and FILE arguments exclude each other");
     (* a single .B input resumes from a serialized WHIRL file, skipping the
        front ends entirely -- the paper's multi-phase pipeline *)
     let from_whirl =
@@ -169,12 +172,13 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
            files);
        Digest.to_hex (Digest.string (Buffer.contents b)));
     if files = [] && from_whirl = None then begin
-      prerr_endline "uhc: no input files";
-      if cfg.keep_going && (cfg.paths <> [] || cfg.corpus <> None) then
+      if cfg.keep_going && (cfg.paths <> [] || cfg.corpus <> None) then begin
         (* every input was skipped by a tolerated fault: degraded, not a
            usage error *)
+        prerr_endline "uhc: no input files";
         failwith "no analyzable input files survived"
-      else raise No_input
+      end
+      else raise (Usage "no input files")
     end;
     (* one store for the whole invocation, opened before the frontend: it
        holds the per-file frontend artifacts too, and the --fuse
@@ -440,7 +444,9 @@ let exec_body ~metrics0 ~diags ~outputs ~stats ~reports ~ledger_acc
       (List.length result.Ipa.Analyze.r_rows);
     if run_failed then 1 else 0
   with
-  | No_input -> 2
+  | Usage msg ->
+    prerr_endline ("uhc: " ^ msg);
+    2
   | Lang.Diag.Frontend_error d ->
     Printf.eprintf "%s\n" (Lang.Diag.to_string d);
     1

@@ -82,7 +82,8 @@ type config = {
 type result = {
   r_code : int;
       (** process exit code: 0 ok, 1 failure, 2 on a malformed
-          [fault_specs] entry or when there is no input at all *)
+          [fault_specs] entry, when there is no input at all, or when
+          both [corpus] and [paths] are given *)
   r_outputs : string list;
       (** files written, in write order: project [.rgn]/[.dgn]/[.cfg],
           [.ipl] units, emitted WHIRL, report JSON, diagnostics JSON *)

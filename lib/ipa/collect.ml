@@ -30,62 +30,71 @@ type pu_info = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Stable symbolic variables for scalars *)
+(* Symbolic variables for scalars
 
-let sym_registry : (int * string * int, Linear.Var.t) Hashtbl.t =
-  Hashtbl.create 64
+   A scalar's variable is computed, not minted: its id is [band lsl 24 +
+   index], band 0 for the global table (index: the global table index),
+   band [i + 1] for the PU at module position [i] (index: the st code).
+   That is what the engine's [key1] digests, so an edit in one PU moves no
+   other PU's ids, and a stored entry that hits names the variables this
+   process computes.  Ids order bound terms as they render: subscripts
+   (negative), globals, each PU's locals in module and table order, then
+   minted variables.  Each domain keeps the PU positions of the last
+   module it asked about. *)
 
-let sym_reverse : (int, string * int) Hashtbl.t = Hashtbl.create 64
+let band_bits = 24
 
-(* Per-PU collection runs on several domains at once; the registry is the
-   one piece of state they share, so it is guarded.  Determinism of the
-   variable ids is handled separately by {!intern_module_syms}. *)
-let sym_mutex = Mutex.create ()
+type memo = {
+  mo_pus : Ir.pu list;  (* the module's, physically *)
+  mo_at : Ir.pu array;  (* by module position *)
+  mo_pos : (string, int) Hashtbl.t;
+}
 
-let sym_var ~m ~pu ~st ~name =
-  let key =
-    if Ir.is_global_idx st then (m.Ir.m_id, "", st) else (m.Ir.m_id, pu, st)
+let memo_slot = Domain.DLS.new_key (fun () -> ref None)
+
+let memo (m : Ir.module_) =
+  let slot = Domain.DLS.get memo_slot in
+  match !slot with
+  | Some mo when mo.mo_pus == m.Ir.m_pus -> mo
+  | _ ->
+    let at = Array.of_list m.Ir.m_pus in
+    let pos = Hashtbl.create (2 * Array.length at + 1) in
+    Array.iteri (fun i pu -> Hashtbl.replace pos pu.Ir.pu_name i) at;
+    let mo = { mo_pus = m.Ir.m_pus; mo_at = at; mo_pos = pos } in
+    slot := Some mo;
+    mo
+
+let sym_var ~m ~pu ~st =
+  let band, table, index =
+    if Ir.is_global_idx st then (0, m.Ir.m_global, st - Ir.global_base)
+    else
+      let mo = memo m in
+      match Hashtbl.find_opt mo.mo_pos pu with
+      | Some i -> (i + 1, mo.mo_at.(i).Ir.pu_symtab, st)
+      | None -> invalid_arg ("Collect.sym_var: no procedure " ^ pu)
   in
-  Mutex.lock sym_mutex;
-  let v =
-    match Hashtbl.find_opt sym_registry key with
-    | Some v -> v
-    | None ->
-      let v = Linear.Var.fresh ~name Linear.Var.Sym in
-      Hashtbl.add sym_registry key v;
-      let _, owner, code = key in
-      Hashtbl.replace sym_reverse (Linear.Var.id v) (owner, code);
-      v
+  if index lsr band_bits <> 0 then invalid_arg "Collect.sym_var: bad st";
+  Linear.Var.sym ~id:((band lsl band_bits) lor index)
+    ~name:(Symtab.st table index).Symtab.st_name
+
+let sym_info (m : Ir.module_) v =
+  let id = Linear.Var.id v and at = (memo m).mo_at in
+  let band = id asr band_bits and index = id land ((1 lsl band_bits) - 1) in
+  let decoded =
+    if (not (Linear.Var.is_sym v)) || id < 0 then None
+    else if band = 0 then Some ("", m.Ir.m_global, Ir.encode_global index)
+    else if band <= Array.length at then
+      let pu = at.(band - 1) in
+      Some (pu.Ir.pu_name, pu.Ir.pu_symtab, index)
+    else None
   in
-  Mutex.unlock sym_mutex;
-  v
-
-let sym_info v =
-  Mutex.lock sym_mutex;
-  let r = Hashtbl.find_opt sym_reverse (Linear.Var.id v) in
-  Mutex.unlock sym_mutex;
-  r
-
-let intern_module_syms (m : Ir.module_) =
-  (* Pre-register the symbolic variable of every scalar symbol, globals
-     first then each PU's locals in definition order.  After this pass the
-     parallel collection phase only ever *looks up* symbolic variables, so
-     their ids — and hence the rendered order of symbolic bound terms — no
-     longer depend on the schedule. *)
-  Symtab.iter_st m.Ir.m_global (fun idx e ->
-      match Symtab.ty m.Ir.m_global e.Symtab.st_ty with
-      | Symtab.Ty_scalar _ ->
-        ignore
-          (sym_var ~m ~pu:"" ~st:(Ir.encode_global idx) ~name:e.Symtab.st_name)
-      | Symtab.Ty_array _ -> ());
-  List.iter
-    (fun pu ->
-      Symtab.iter_st pu.Ir.pu_symtab (fun idx e ->
-          match Symtab.ty pu.Ir.pu_symtab e.Symtab.st_ty with
-          | Symtab.Ty_scalar _ ->
-            ignore (sym_var ~m ~pu:pu.Ir.pu_name ~st:idx ~name:e.Symtab.st_name)
-          | Symtab.Ty_array _ -> ()))
-    m.Ir.m_pus
+  match decoded with
+  | Some (owner, table, st)
+    when index < Symtab.st_count table
+         && String.equal (Symtab.st table index).Symtab.st_name
+              (Linear.Var.name v) ->
+    Some (owner, st)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 
@@ -130,11 +139,9 @@ let is_array m pu st =
    - The strided-loop counters ([#k]) are minted inside [of_subscripts],
      after everything else the shape mentions, so they follow every other
      variable in both builds.
-   - A non-loop variable is normally interned before the walk
-     ({!intern_module_syms}) and precedes every loop variable; the key
-     still records how many enclosing loop variables precede it, so a
-     variable minted mid-walk cannot alias a shape where it sits
-     elsewhere in the order.
+   - A scalar's variable has a computed id ({!sym_var}), below every loop
+     variable; the key still records how many enclosing loop variables
+     precede each non-loop variable, so it does not rest on that.
    Subscript variables have fixed negative ids and never appear here. *)
 type key_var =
   | K_loop of int  (* nesting position, 0 = outermost *)
@@ -171,10 +178,9 @@ module Shape_tbl = Hashtbl.Make (struct
   let hash k = Hashtbl.hash_param 64 256 k
 end)
 
-(* Shared by every domain collecting PUs of one run; guarded like the
-   symbolic-variable registry.  Regions are built outside the lock, so two
-   domains may race on one shape: both build the same region and the
-   first stored one wins. *)
+(* Shared by every domain collecting PUs of one run, so it is guarded.
+   Regions are built outside the lock, so two domains may race on one
+   shape: both build the same region and the first stored one wins. *)
 type shapes = {
   sh_tbl : Region.t Shape_tbl.t;
   sh_lock : Mutex.t;
@@ -277,9 +283,7 @@ let affine_env s =
       (fun st ->
         match List.assoc_opt st s.loops with
         | Some lc -> Some lc.Region.lc_var
-        | None ->
-          let name = Ir.st_name s.m s.pu st in
-          Some (sym_var ~m:s.m ~pu:s.pu.Ir.pu_name ~st ~name));
+        | None -> Some (sym_var ~m:s.m ~pu:s.pu.Ir.pu_name ~st));
     const_of_st = (fun _ -> None);
     iprop_of_st = (fun st -> (Ir.st_entry s.m s.pu st).Symtab.st_iprop);
   }
@@ -503,7 +507,7 @@ let loop_bounds_for m pu (loop : Wn.t) var =
     {
       Affine.var_of_st =
         (fun st ->
-          Some (sym_var ~m ~pu:pu.Ir.pu_name ~st ~name:(Ir.st_name m pu st)));
+          Some (sym_var ~m ~pu:pu.Ir.pu_name ~st));
       const_of_st = (fun _ -> None);
       iprop_of_st = (fun st -> (Ir.st_entry m pu st).Symtab.st_iprop);
     }

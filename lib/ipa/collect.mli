@@ -46,28 +46,25 @@ type pu_info = {
   p_sites : site list;
 }
 
-val sym_var :
-  m:Whirl.Ir.module_ -> pu:string -> st:int -> name:string -> Linear.Var.t
-(** The stable symbolic variable standing for a scalar; global-encoded
-    symbols share one variable across all procedures of the module.  Keyed
-    by the module id, so independently analyzed modules never share
-    variables. *)
+val sym_var : m:Whirl.Ir.module_ -> pu:string -> st:int -> Linear.Var.t
+(** The symbolic variable standing for a scalar, named as its symbol:
+    global-encoded symbols share one variable across all procedures of the
+    module.  Its id is computed from what the engine's [key1] digests —
+    the global table index for a global, the owner's module position and
+    the st code for a local — so it is the same in every process that
+    analyzes the same module, and an edit in one PU moves no other PU's
+    ids.  Any domain may call it.
+    @raise Invalid_argument if [pu] names no procedure of [m] (for a
+    local [st]) or [st] no symbol. *)
 
-val sym_info : Linear.Var.t -> (string * int) option
-(** Inverse of {!sym_var}: the (procedure, st) a symbolic variable stands
-    for; the procedure is [""] for globals.  [None] for variables that were
-    not created through the registry. *)
+val sym_info : Whirl.Ir.module_ -> Linear.Var.t -> (string * int) option
+(** Inverse of {!sym_var} on [m]: the (procedure, st) a symbolic variable
+    stands for, decoded from its id; the procedure is [""] for globals.
+    [None] for variables {!sym_var} did not compute for [m]'s symbols. *)
 
 val extents_of : Whirl.Ir.module_ -> Whirl.Ir.pu -> int -> int option list
 (** Row-major declared extents of an array symbol ([None] per unknown
     dimension). *)
-
-val intern_module_syms : Whirl.Ir.module_ -> unit
-(** Pre-register the symbolic variables of every scalar symbol of the
-    module (globals first, then per-PU locals, in table order).  The engine
-    calls this before fanning {!run_pu} out across domains so that symbolic
-    variable ids are independent of the parallel schedule — which is what
-    makes parallel output byte-identical to serial output. *)
 
 type shapes
 (** A run's shape memo: one region per distinct access shape (the extents,
@@ -87,8 +84,7 @@ val shapes_distinct : shapes -> int
 
 val run_pu : shapes -> Whirl.Ir.module_ -> Whirl.Ir.pu -> pu_info
 (** Collection for a single PU (one unit of the engine's parallel work
-    queue).  Only touches shared state through the guarded symbolic-variable
-    registry and the guarded shape memo. *)
+    queue).  Only touches shared state through the guarded shape memo. *)
 
 val run_body : Whirl.Ir.module_ -> Whirl.Ir.pu -> Whirl.Wn.t -> pu_info
 (** Walks one statement subtree with an empty loop context: enclosing

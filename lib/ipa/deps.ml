@@ -22,7 +22,7 @@ let bound_constraints m pu (loop : Wn.t) var = Collect.loop_bounds_for m pu loop
 
 let ivar_sym m pu (loop : Wn.t) =
   let st = (Wn.kid loop 0).Wn.st_idx in
-  Collect.sym_var ~m ~pu:pu.Ir.pu_name ~st ~name:(Ir.st_name m pu st)
+  Collect.sym_var ~m ~pu:pu.Ir.pu_name ~st
 
 let body_effects m summaries pu (wn : Wn.t) =
   let info = Collect.run_body m pu wn in

@@ -10,7 +10,7 @@ let encode_var m v =
   match Var.kind v with
   | Var.Subscript k -> Printf.sprintf "d%d" k
   | Var.Sym -> (
-    match Collect.sym_info v with
+    match Collect.sym_info m v with
     | Some ("", code) ->
       (* global scalar *)
       let name =
@@ -37,19 +37,19 @@ let decode_var m token =
       match Symtab.find_st m.Ir.m_global name with
       | Some idx ->
         let st = Ir.encode_global idx in
-        Ok (Collect.sym_var ~m ~pu:"" ~st ~name)
+        Ok (Collect.sym_var ~m ~pu:"" ~st)
       | None -> Error (Printf.sprintf "unknown global scalar %S" name))
     | [ "s"; owner; name ] -> (
       match Ir.find_pu m owner with
       | None -> Error (Printf.sprintf "unknown procedure %S" owner)
       | Some pu -> (
         match Symtab.find_st pu.Ir.pu_symtab name with
-        | Some st -> Ok (Collect.sym_var ~m ~pu:owner ~st ~name)
+        | Some st -> Ok (Collect.sym_var ~m ~pu:owner ~st)
         | None -> (
           match Symtab.find_st m.Ir.m_global name with
           | Some idx ->
             let st = Ir.encode_global idx in
-            Ok (Collect.sym_var ~m ~pu:"" ~st ~name)
+            Ok (Collect.sym_var ~m ~pu:"" ~st)
           | None ->
             Error (Printf.sprintf "unknown scalar %S in %S" name owner))))
     | _ -> Error (Printf.sprintf "bad variable token %S" token)

@@ -8,9 +8,9 @@
     compilation unit, as text.  Regions serialize as their constraint
     systems; variables are written symbolically ([d0..dn] for subscript
     dimensions, [s:<proc>:<name>] for symbolic scalars, [s:@:<name>] for
-    global scalars) and re-resolved against the loading module through the
-    same registry the collector uses, so a summary written by one process
-    translates identically in another. *)
+    global scalars) and re-resolved against the loading module through
+    {!Collect.sym_var}, so a summary written by one process translates
+    identically in another. *)
 
 val write_unit : Whirl.Ir.module_ -> (string * Summary.t) list -> string
 

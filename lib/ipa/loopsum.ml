@@ -41,18 +41,14 @@ let summarize_loop m summaries pu (loop : Wn.t) =
   let env =
     {
       Affine.var_of_st =
-        (fun st ->
-          Some
-            (Collect.sym_var ~m ~pu:pu.Ir.pu_name ~st
-               ~name:(Ir.st_name m pu st)));
+        (fun st -> Some (Collect.sym_var ~m ~pu:pu.Ir.pu_name ~st));
       const_of_st = (fun _ -> None);
       iprop_of_st = (fun st -> (Ir.st_entry m pu st).Symtab.st_iprop);
     }
   in
   let lc =
     {
-      Region.lc_var = Collect.sym_var ~m ~pu:pu.Ir.pu_name ~st:ivar_st
-          ~name:(Ir.st_name m pu ivar_st);
+      Region.lc_var = Collect.sym_var ~m ~pu:pu.Ir.pu_name ~st:ivar_st;
       lc_lo = Affine.of_wn env (Wn.kid loop 1);
       lc_hi = Affine.of_wn env (Wn.kid loop 2);
       lc_step =

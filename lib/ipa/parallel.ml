@@ -80,7 +80,7 @@ let loop_parallel m summaries pu (w : Wn.t) =
     invalid_arg "Parallel.loop_parallel: not a DO_LOOP";
   let ivar_st = (Wn.kid w 0).Wn.st_idx in
   let ivar_name = Ir.st_name m pu ivar_st in
-  let v = Collect.sym_var ~m ~pu:pu.Ir.pu_name ~st:ivar_st ~name:ivar_name in
+  let v = Collect.sym_var ~m ~pu:pu.Ir.pu_name ~st:ivar_st in
   let v' = Var.fresh ~name:(ivar_name ^ "'") Var.Sym in
   let body = Wn.kid w 4 in
   let info = Collect.run_body m pu body in

@@ -224,7 +224,6 @@ let scalar_substitution m ~caller ~callee ~(site : Collect.site) =
         | Symtab.Ty_scalar _ -> (
           let formal_var =
             Collect.sym_var ~m ~pu:callee.Ir.pu_name ~st:formal_st
-              ~name:formal_entry.Symtab.st_name
           in
           match arg with
           | Collect.Arg_value (Affine.Affine e) ->
@@ -235,9 +234,8 @@ let scalar_substitution m ~caller ~callee ~(site : Collect.site) =
               match List.assoc_opt st' site.Collect.s_loops with
               | Some lc -> Linear.Expr.var lc.Region.lc_var
               | None ->
-                let name = Ir.st_name m caller st' in
                 Linear.Expr.var
-                  (Collect.sym_var ~m ~pu:caller.Ir.pu_name ~st:st' ~name)
+                  (Collect.sym_var ~m ~pu:caller.Ir.pu_name ~st:st')
             in
             subst := (formal_var, e) :: !subst
           | _ -> ())

@@ -67,8 +67,6 @@ let is_trivial t =
 
 let subst v e t = make (Expr.subst v e t.expr) t.op
 
-let map_vars f t = make (Expr.map_vars f t.expr) t.op
-
 let reintern expr t = mk (expr t.expr) t.op
 
 let holds valuation t =

@@ -35,9 +35,6 @@ val is_trivial : t -> bool option
 
 val subst : Var.t -> Expr.t -> t -> t
 
-val map_vars : (Var.t -> Var.t) -> t -> t
-(** Rename variables; the result is re-normalized. *)
-
 val reintern : (Expr.t -> Expr.t) -> t -> t
 (** [reintern expr c] is the canonical value of a deserialized constraint
     whose expression [expr] re-interns ({!Expr.reintern}, possibly

@@ -76,22 +76,9 @@ let subst v e t =
     let without = mk (Var.Map.remove v t.terms) t.constant in
     add without (scale c e)
 
-let map_vars f t =
-  let terms =
-    Var.Map.fold
-      (fun v c acc ->
-        let v' = f v in
-        Var.Map.update v'
-          (function
-            | None -> norm_coeff c
-            | Some c0 -> norm_coeff (Rat.add c0 c))
-          acc)
-      t.terms Var.Map.empty
-  in
-  mk terms t.constant
-
-(* [hash] is structural over variable ids and coefficients, so a stored one
-   is still right when the ids are *)
+(* [hash] is structural over variable ids and coefficients, and a stored
+   entry's variables are the ones this process computes, so the stored
+   hash is still right *)
 let reintern t = I.intern { t with id = -1 }
 
 let eval valuation t =

@@ -32,16 +32,11 @@ val is_const : t -> bool
 val subst : Var.t -> t -> t -> t
 (** [subst v e t] replaces [v] by [e] in [t]. *)
 
-val map_vars : (Var.t -> Var.t) -> t -> t
-(** Renames every variable through the function (coefficients of variables
-    mapped together are summed).  Used by the engine's cache to re-intern
-    deserialized symbolic variables. *)
-
 val reintern : t -> t
 (** The canonical value of a deserialized expression whose variables are
-    the live ones (same ids): its content and stored {!hash} are kept, only
-    the intern id is looked up.  The engine cache's fast path; an
-    expression whose variables moved goes through {!map_vars}. *)
+    the live ones (same ids and names, as every engine cache hit's are):
+    its content and stored {!hash} are kept, only the intern id is looked
+    up. *)
 
 val eval : (Var.t -> Rat.t) -> t -> Rat.t
 (** @raise Not_found if the valuation lacks a variable of [t]. *)

@@ -28,7 +28,7 @@ val detach : t -> t
 (** The same constraints without the process-local caches (packed rows and
     memo record): the form a Marshal image may carry.  Not canonical and
     never to be queried — a loaded image must be re-interned first
-    ({!reintern}, or any constructor such as {!map_vars}). *)
+    ({!reintern}). *)
 
 val equal : t -> t -> bool
 (** Structural equality of the canonical forms, answered by id. *)
@@ -68,9 +68,6 @@ val feasible : t -> bool
     so the answer always equals {!Reference.feasible}. *)
 
 val subst : Var.t -> Expr.t -> t -> t
-
-val map_vars : (Var.t -> Var.t) -> t -> t
-(** Rename variables in every constraint (re-normalized and re-sorted). *)
 
 val reintern : (Constr.t -> Constr.t) -> t -> t
 (** [reintern constr s] is the canonical system of a deserialized (detached)

@@ -5,11 +5,18 @@ type kind =
 
 type t = { id : int; name : string; kind : kind }
 
-(* The id counter is atomic so that [fresh] is safe to call from several
-   domains at once (the engine fans per-PU collection out in parallel). *)
-let counter = Atomic.make 0
+(* Ids below [sym_limit] are computed by the caller ([sym]); [fresh] mints
+   above it.  The counter is atomic so that [fresh] is safe to call from
+   several domains at once (the engine fans per-PU collection out in
+   parallel). *)
+let sym_limit = 1 lsl 48
+let counter = Atomic.make sym_limit
 
 let fresh ~name kind = { id = Atomic.fetch_and_add counter 1 + 1; name; kind }
+
+let sym ~id ~name =
+  if id < 0 || id >= sym_limit then invalid_arg "Var.sym: id out of range";
+  { id; name; kind = Sym }
 
 let current () = Atomic.get counter
 
@@ -49,8 +56,13 @@ let is_subscript t = match t.kind with Subscript _ -> true | Ivar | Sym -> false
 let is_ivar t = match t.kind with Ivar -> true | Subscript _ | Sym -> false
 let is_sym t = match t.kind with Sym -> true | Subscript _ | Ivar -> false
 
-let compare a b = Int.compare a.id b.id
-let equal a b = a.id = b.id
+(* Computed ids are unique within one module, not across modules: an id
+   tie between two variables is broken on the name. *)
+let compare a b =
+  let c = Int.compare a.id b.id in
+  if c <> 0 || a == b then c else String.compare a.name b.name
+
+let equal a b = a == b || (a.id = b.id && String.equal a.name b.name)
 
 let pp ppf t = Format.pp_print_string ppf t.name
 

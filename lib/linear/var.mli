@@ -17,8 +17,16 @@ type kind =
 type t = private { id : int; name : string; kind : kind }
 
 val fresh : name:string -> kind -> t
-(** Allocates a globally unique variable.  Safe to call concurrently from
-    several domains. *)
+(** Allocates a globally unique variable, with an id above every id
+    {!sym} takes.  Safe to call concurrently from several domains. *)
+
+val sym : id:int -> name:string -> t
+(** The [Sym] variable with a caller-computed id, [0 <= id < 2^48]
+    (see [Ipa.Collect.sym_var]): the same [id] and [name] give an equal
+    variable in every process.  Ids are unique within one module's
+    analysis only; {!compare} and {!equal} break an id tie on the name, so
+    two modules' variables that share an id but not a name stay distinct.
+    @raise Invalid_argument if [id] is out of range. *)
 
 val current : unit -> int
 (** The last id handed out by {!fresh} — a snapshot the engine's on-disk
@@ -41,6 +49,8 @@ val is_ivar : t -> bool
 val is_sym : t -> bool
 
 val compare : t -> t -> int
+(** By id, then (for an id tie of distinct values) by name. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

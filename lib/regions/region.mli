@@ -132,9 +132,9 @@ val reintern :
 (** [r] with its system passed through [sys] and its symbolic triplet
     bounds through [expr], preserving (not recomputing) the triplet view.
     The engine cache re-interns a deserialized region with it, so it
-    renders byte-identically to the original: through
-    {!Linear.Expr.reintern}/{!Linear.System.reintern} when the region's
-    variables kept their ids, through [map_vars] when they moved. *)
+    renders byte-identically to the original, through
+    {!Linear.Expr.reintern}/{!Linear.System.reintern}: a cache hit's
+    variables are the ones this process computes. *)
 
 val detach : (Linear.System.t -> Linear.System.t) -> t -> t
 (** [detach d r] is [r] over [d] of its system, where [d] is

@@ -23,15 +23,10 @@ type pu = {
 }
 
 type module_ = {
-  m_id : int;
   m_global : Symtab.t;
   m_pus : pu list;
   m_program : Lang.Sema.program;  (* procedure headers only *)
 }
-
-(* atomic: runs on different domains lower modules at the same time *)
-let module_counter = Atomic.make 0
-let fresh_module_id () = Atomic.fetch_and_add module_counter 1 + 1
 
 let tree w = Tree w
 

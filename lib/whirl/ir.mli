@@ -24,8 +24,6 @@ type pu = {
 }
 
 type module_ = {
-  m_id : int;  (** unique per lowering run: keys caches that must not be
-                   shared between independently analyzed modules *)
   m_global : Symtab.t;
   m_pus : pu list;
   m_program : Lang.Sema.program;
@@ -51,8 +49,6 @@ val deferred : int -> (unit -> Wn.t array) -> body list
     on several domains wait for one load), and must return [n] trees in
     order.  If [load] raises, the exception reaches that caller and the
     next {!body} call loads again. *)
-
-val fresh_module_id : unit -> int
 
 val global_base : int
 

@@ -313,8 +313,7 @@ let lower_proc g (pi : Sema.proc_info) =
 
 let assemble g (prog : Sema.program) pus =
   {
-    Ir.m_id = Ir.fresh_module_id ();
-    m_global = g.g_symtab;
+    Ir.m_global = g.g_symtab;
     m_pus = pus;
     m_program =
       { prog with Sema.prog_procs = SM.map Sema.header prog.Sema.prog_procs };

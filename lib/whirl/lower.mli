@@ -35,7 +35,7 @@ val lower_proc : globals -> Lang.Sema.proc_info -> Ir.pu
 (** @raise Lang.Diag.Frontend_error like {!lower}. *)
 
 val assemble : globals -> Lang.Sema.program -> Ir.pu list -> Ir.module_
-(** The module over [globals]' table, with a fresh {!Ir.fresh_module_id}.
-    [pus] must be in [prog_order].  The module's program keeps procedure
-    headers only ({!Lang.Sema.header}): nothing after lowering reads a
-    procedure's AST body or symbols. *)
+(** The module over [globals]' table.  [pus] must be in [prog_order].
+    The module's program keeps procedure headers only
+    ({!Lang.Sema.header}): nothing after lowering reads a procedure's AST
+    body or symbols. *)

@@ -599,8 +599,7 @@ let decode_module r =
   in
   let m =
     {
-      Ir.m_id = Ir.fresh_module_id ();
-      m_global;
+      Ir.m_global;
       m_pus = List.map fst pus;
       m_program =
         {

@@ -206,6 +206,33 @@ for f in project.rgn project.dgn project.cfg; do
 done
 cmp "$out/fnone.json" "$out/fwarm.json"
 
+echo "== smoke: declaration edit: cold, one added local, warm == no cache =="
+# a symbolic variable's id is computed from its PU's module position and
+# st code, so a local added to one PU moves no other PU's variables: the
+# warm run re-collects only the edited file's PUs, and writes and counts
+# what a no-cache run of the edited sources does
+dune exec bin/uhc.exe -- gen -o "$out/dsrc" >/dev/null
+dune exec bin/uhc.exe -- "$out/dsrc"/*.f --cache-dir "$out/dcache" \
+  -o "$out/dcold" >/dev/null
+sed -i '0,/^      integer d, i$/s//&\n      integer zzextra/' "$out/dsrc/gen_000.f"
+grep -q "^      integer zzextra$" "$out/dsrc/gen_000.f"
+dune exec bin/uhc.exe -- "$out/dsrc"/*.f --cache-dir "$out/dcache" \
+  -o "$out/dwarm" --stats-det >"$out/dwarm.txt"
+dune exec bin/uhc.exe -- "$out/dsrc"/*.f -o "$out/dnone" --stats-det \
+  >"$out/dnone.txt"
+for f in project.rgn project.dgn project.cfg; do
+  cmp "$out/dnone/$f" "$out/dwarm/$f"
+done
+# the cache line differs (hits instead of misses), and the wrote lines
+grep -v -e '^  cache:' -e '^wrote ' "$out/dwarm.txt" >"$out/dwarm.det"
+grep -v -e '^  cache:' -e '^wrote ' "$out/dnone.txt" >"$out/dnone.det"
+cmp "$out/dnone.det" "$out/dwarm.det"
+# gen_000.f holds 4 PUs: no collect miss beyond them
+misses=$(sed -n 's/^  cache: collect [0-9]* hit \/ \([0-9]*\) miss.*/\1/p' \
+  "$out/dwarm.txt")
+test "$misses" -ge 1
+test "$misses" -le 4
+
 echo "== smoke: warm runs that read cached bodies == no cache (gen-small, lu, matrix) =="
 # the caches hold every file's body; --wopt, --autopar and diffcheck ask
 # for them (decoded from the tree entries on demand), and must print and

@@ -109,6 +109,41 @@ let test_uhc_error_handling () =
   Alcotest.(check bool) "--workers 0: report written" true
     (Sys.file_exists (Filename.concat dir "report.json"))
 
+(* --corpus names a whole program: FILE arguments beside it are a usage
+   error, never silently dropped *)
+let test_uhc_corpus_with_files () =
+  require_binaries ();
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () ->
+      ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+  @@ fun () ->
+  let b = Filename.concat dir "fig1.B" in
+  let status, out =
+    run_capture
+      (Printf.sprintf "%s --corpus fig1 --emit-whirl %s -o %s" (exe "uhc")
+         (Filename.quote b)
+         (Filename.quote (Filename.concat dir "fig1")))
+  in
+  if status <> Unix.WEXITED 0 then
+    Alcotest.failf "--emit-whirl failed:\n%s" out;
+  let src = Filename.concat dir "prog.f" in
+  Out_channel.with_open_bin src (fun oc ->
+      output_string oc (snd Corpus.Small.fig1_f));
+  List.iter
+    (fun input ->
+      let out_dir = Filename.concat dir "out" in
+      let status, out =
+        run_capture
+          (Printf.sprintf "%s %s --corpus matrix -o %s" (exe "uhc")
+             (Filename.quote input) (Filename.quote out_dir))
+      in
+      Alcotest.(check bool) (input ^ ": exit 2") true (status = Unix.WEXITED 2);
+      Alcotest.(check bool) (input ^ ": message names --corpus") true
+        (contains out "--corpus");
+      Alcotest.(check bool) (input ^ ": nothing written") false
+        (Sys.file_exists (Filename.concat out_dir "project.rgn")))
+    [ b; src ]
+
 let test_dragon_missing_project () =
   require_binaries ();
   let dir = temp_dir () in
@@ -187,6 +222,73 @@ let test_uhc_whirl_file ~source ~run () =
          [ "project.rgn"; "project.dgn"; "project.cfg" ]);
   ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
 
+(* The order fixture writes bound terms over several symbolic variables: two
+   formals, a COMMON scalar, and callee locals that reach the caller's rows
+   ([work:k], [inner:t] in [ms]).  Terms render in the order of their
+   variables' ids: globals, then each procedure's locals in module and
+   declaration order.  No corpus writes a constraint over two symbolic
+   variables, so only this fixture sees that order change.  Its expected
+   .rgn, .ipl and printed tables were recorded when it was added; every
+   cache state and --jobs setting must reproduce them byte for byte. *)
+let fixture name =
+  (* dune runtest copies the fixtures beside this executable; a plain
+     dune exec finds them in the source tree (_build/default/test/../../..) *)
+  let test_dir = Filename.dirname Sys.executable_name in
+  let beside =
+    List.fold_left Filename.concat test_dir [ "fixtures"; "order" ]
+  in
+  let source =
+    List.fold_left Filename.concat test_dir
+      [ Filename.parent_dir_name; Filename.parent_dir_name;
+        Filename.parent_dir_name; "test"; "fixtures"; "order" ]
+  in
+  Filename.concat (if Sys.file_exists beside then beside else source) name
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_order_fixture () =
+  require_binaries ();
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () ->
+      ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+  @@ fun () ->
+  let cache = Filename.quote (Filename.concat dir "cache") in
+  List.iter
+    (fun (what, flags) ->
+      let out = Filename.quote (Filename.concat dir what) in
+      let status, printed =
+        run_capture
+          (Printf.sprintf
+             "%s %s -o %s -p order --ipl %s \
+              --analyses bounds,permissions,regions %s"
+             (exe "uhc")
+             (Filename.quote (fixture "order.f"))
+             out out flags)
+      in
+      if status <> Unix.WEXITED 0 then
+        Alcotest.failf "%s: uhc failed:\n%s" what printed;
+      let tables =
+        String.split_on_char '\n' printed
+        |> List.filter (fun l ->
+               not
+                 (String.starts_with ~prefix:"wrote " l
+                 || String.starts_with ~prefix:"uhc: " l))
+        |> String.concat "\n"
+      in
+      Alcotest.(check string) (what ^ ": tables")
+        (read_file (fixture "order.tables")) tables;
+      List.iter
+        (fun f ->
+          Alcotest.(check string) (what ^ ": " ^ f) (read_file (fixture f))
+            (read_file (Filename.concat (Filename.concat dir what) f)))
+        [ "order.rgn"; "order.ipl" ])
+    [
+      ("nocache", "");
+      ("cold", "--jobs 4 --cache-dir " ^ cache);
+      ("warm", "--jobs 4 --cache-dir " ^ cache);
+      ("warm1", "--jobs 1 --cache-dir " ^ cache);
+    ]
+
 (* the library entry point reports a usage error as a code, and returns:
    ending the caller's process is uhc's business alone *)
 let test_pipeline_no_input () =
@@ -200,8 +302,12 @@ let suite =
     Alcotest.test_case "uhc error handling" `Quick test_uhc_error_handling;
     Alcotest.test_case "Pipeline.run without input returns 2" `Quick
       test_pipeline_no_input;
+    Alcotest.test_case "uhc --corpus with FILE arguments" `Quick
+      test_uhc_corpus_with_files;
     Alcotest.test_case "dragon missing project" `Quick test_dragon_missing_project;
     Alcotest.test_case "uhc --run" `Quick test_uhc_run_flag;
+    Alcotest.test_case "uhc order fixture byte-identical" `Quick
+      test_order_fixture;
   ]
   @ List.map
       (fun (name, source, run) ->

@@ -298,6 +298,43 @@ let test_coverage () =
     Alcotest.(check int) "20 percent" 20 c.Dragon.Advisor.cv_percent
   | l -> Alcotest.failf "expected one entry, got %d" (List.length l)
 
+(* dragon grep searches the project's source copies; a project written
+   from a .B file has none, and grep says so instead of finding nothing *)
+let test_grep_without_sources () =
+  Test_cli.require_binaries ();
+  let dir = Test_cli.temp_dir () in
+  Fun.protect ~finally:(fun () ->
+      ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+  @@ fun () ->
+  let path = Filename.concat dir in
+  let uhc args =
+    match Test_cli.run_capture (Test_cli.exe "uhc" ^ " " ^ args) with
+    | Unix.WEXITED 0, _ -> ()
+    | _, out -> Alcotest.failf "uhc %s failed:\n%s" args out
+  in
+  uhc
+    (Printf.sprintf "--corpus matrix --emit-whirl %s -o %s"
+       (Filename.quote (path "m.B"))
+       (Filename.quote (path "src")));
+  uhc
+    (Printf.sprintf "%s -o %s"
+       (Filename.quote (path "m.B"))
+       (Filename.quote (path "b")));
+  let grep project_dir =
+    Test_cli.run_capture
+      (Printf.sprintf "%s grep -d %s -p project aarr" (Test_cli.exe "dragon")
+         (Filename.quote (path project_dir)))
+  in
+  let status, out = grep "src" in
+  Alcotest.(check bool) "with sources: exit 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check bool) "with sources: hits" true (contains out "5 hit(s)");
+  let status, out = grep "b" in
+  Alcotest.(check bool) "without sources: exit 1" true
+    (status = Unix.WEXITED 1);
+  Alcotest.(check bool) "names the missing source" true
+    (contains out "missing: matrix.c");
+  Alcotest.(check bool) "prints no hit count" false (contains out "hit(s)")
+
 let suite =
   [
     Alcotest.test_case "coverage" `Quick test_coverage;
@@ -311,6 +348,8 @@ let suite =
     Alcotest.test_case "table scope filter" `Quick test_table_scope_filter;
     Alcotest.test_case "scopes order" `Quick test_scopes_order;
     Alcotest.test_case "grep" `Quick test_grep;
+    Alcotest.test_case "grep without source copies" `Quick
+      test_grep_without_sources;
     Alcotest.test_case "show excerpt" `Quick test_show_excerpt;
     Alcotest.test_case "locate row" `Quick test_locate_row;
     Alcotest.test_case "callgraph views" `Quick test_callgraph_views;

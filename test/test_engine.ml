@@ -452,7 +452,7 @@ let test_merge_reads_bounded () =
           (String.concat " " (List.map string_of_int reads)))
     reads
 
-(* ---- re-interning: the identity path against the remap path -------- *)
+(* ---- re-interning: stored entries name the variables a run computes -- *)
 
 (* every region of a result: each PU's collected accesses, then its
    summary entries *)
@@ -465,13 +465,12 @@ let regions (r : Ipa.Analyze.result) =
           (try List.assoc name r.Ipa.Analyze.r_summaries with Not_found -> []))
     r.Ipa.Analyze.r_infos
 
-let check_regions what ~translate want got =
+let check_regions what want got =
   let want = regions want and got = regions got in
   Alcotest.(check int) (what ^ ": region count") (List.length want)
     (List.length got);
   List.iter2
     (fun a b ->
-      let b = translate b in
       if
         not
           (Linear.System.equal a.Regions.Region.sys b.Regions.Region.sys
@@ -483,49 +482,62 @@ let check_regions what ~translate want got =
           (Format.asprintf "%a" Regions.Region.pp b))
     want got
 
-let test_reintern_paths () =
+(* a second lowering of the same sources computes the same symbolic
+   variables, so it hits every entry the first stored, and the values it
+   reads back equal a fresh computation *)
+let test_second_lowering () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let files = corpus_files "gen-small" in
-  let remapped = Obs.Metrics.counter "store.reintern.remapped" in
   let run m =
-    let r0 = Obs.Metrics.Counter.get remapped in
-    let r =
-      Engine.run (Engine.config ~store:(Engine_store.create ~dir ()) ()) m
-    in
-    (r, Obs.Metrics.Counter.get remapped - r0)
+    Engine.run (Engine.config ~store:(Engine_store.create ~dir ()) ()) m
   in
-  let m = lower files in
-  let cold, _ = run m in
-  (* the same module again: every symbolic variable keeps its id, so every
-     entry takes the identity path *)
-  let ident, n_ident = run m in
-  let st = ident.Engine.e_stats in
-  Alcotest.(check int) "identity: all collect hits" st.Engine.Stats.s_pus
+  ignore (run (lower files));
+  let warm = run (lower files) in
+  let st = warm.Engine.e_stats in
+  Alcotest.(check int) "all collect hits" st.Engine.Stats.s_pus
     st.Engine.Stats.s_collect_hits;
-  Alcotest.(check int) "identity: all summary hits" st.Engine.Stats.s_pus
+  Alcotest.(check int) "all summary hits" st.Engine.Stats.s_pus
     st.Engine.Stats.s_summary_hits;
-  Alcotest.(check int) "identity: nothing remapped" 0 n_ident;
-  check_regions "identity path = computed" ~translate:Fun.id
-    cold.Engine.e_result ident.Engine.e_result;
-  (* a new lowering mints new symbolic variables: the remap path *)
-  let remap, n_remap = run (lower files) in
-  Alcotest.(check bool) "new module: entries remapped" true (n_remap > 0);
-  (* its regions, over the first module's variables *)
-  let g v =
-    match Ipa.Collect.sym_info v with
-    | Some (owner, st) when Linear.Var.is_sym v ->
-      Ipa.Collect.sym_var ~m ~pu:owner ~st ~name:(Linear.Var.name v)
-    | _ -> v
+  let fresh = Engine.analyze (lower files) in
+  check_regions "second lowering = computed" fresh warm.Engine.e_result;
+  check_same_output "second lowering" (render fresh)
+    (render warm.Engine.e_result)
+
+(* Two programs of one shape: the local at the same module position and st
+   code has the same id in both, under another name.  Analyzed in one
+   process, interleaved, each renders its own names. *)
+let test_same_id_other_name () =
+  let prog local =
+    ( "p.f",
+      Printf.sprintf
+        "      program p\n\
+        \      integer a(1:100)\n\
+        \      call s(a, 10)\n\
+        \      end\n\n\
+        \      subroutine s(a, n)\n\
+        \      integer a(1:100)\n\
+        \      integer n, %s, i\n\
+        \      %s = n / 2\n\
+        \      do i = %s, n + %s\n\
+        \        a(i) = i\n\
+        \      end do\n\
+        \      end\n"
+        local local local local )
   in
-  check_regions "remap path = identity path"
-    ~translate:
-      (Regions.Region.reintern ~expr:(Linear.Expr.map_vars g)
-         ~sys:(Linear.System.map_vars g))
-    ident.Engine.e_result remap.Engine.e_result;
-  let want = render cold.Engine.e_result in
-  check_same_output "identity path" want (render ident.Engine.e_result);
-  check_same_output "remap path" want (render remap.Engine.e_result)
+  let rgn local =
+    let rgn, _, _ = render (Engine.analyze (lower [ prog local ])) in
+    rgn
+  in
+  let k1 = rgn "k" and t1 = rgn "t" in
+  let k2 = rgn "k" and t2 = rgn "t" in
+  Alcotest.(check string) "k program stable" k1 k2;
+  Alcotest.(check string) "t program stable" t1 t2;
+  Alcotest.(check string) "t program renders t"
+    (String.concat "t" (String.split_on_char 'k' k1))
+    t1;
+  Alcotest.(check bool) "rows name the local" true
+    (Test_cli.contains k1 ",n + k,")
 
 (* ---- fresh uhc processes over one cache directory --------------------- *)
 
@@ -600,10 +612,8 @@ let test_fresh_process_paths () =
   let _, warm = uhc_run ~dir ~cache files in
   Alcotest.(check int) "warm: every digest carried" 0
     (warm "engine.digest.computed");
-  Alcotest.(check int) "warm: every entry on the identity path" 0
-    (warm "store.reintern.remapped");
-  (* a new local in the first subroutine moves the symbolic variable of
-     every later PU's scalars; declared on an existing line, so no
+  (* a new local in the first subroutine: ids are computed per PU, so no
+     other PU's entries move; declared on an existing line, so no
      procedure's location (part of the global table) moves *)
   let shifted =
     match files with
@@ -623,11 +633,19 @@ let test_fresh_process_paths () =
       (name, String.concat "\n" lines) :: rest
     | [] -> Alcotest.fail "no files"
   in
-  let out, edited = uhc_run ~dir ~cache shifted in
-  Alcotest.(check bool) "shifted ids: entries remapped" true
-    (edited "store.reintern.remapped" > 0);
+  let pus_per_file = Corpus.Gen.default.Corpus.Gen.g_pus_per_file in
   let want, _ = uhc_run ~dir shifted in
-  check_same_output "shifted ids" want out;
+  let out, edited = uhc_run ~dir ~cache shifted in
+  let misses = edited "engine.collect.misses" in
+  if misses < 1 || misses > pus_per_file then
+    Alcotest.failf
+      "declaration edit: %d collect misses, the edited file has %d PUs"
+      misses pus_per_file;
+  check_same_output "declaration edit" want out;
+  let out, warm = uhc_run ~dir ~cache shifted in
+  Alcotest.(check int) "warm after the declaration edit: all hits" 0
+    (warm "engine.collect.misses");
+  check_same_output "warm after the declaration edit" want out;
   (* a transformed PU is never the record the frontend carried a digest
      for: the engine digests every one *)
   List.iter
@@ -858,9 +876,11 @@ let suite =
       test_segments_bounded;
     Alcotest.test_case "merging runs read about as much as the others" `Quick
       test_merge_reads_bounded;
-    Alcotest.test_case "identity re-interning equals the remap path" `Quick
-      test_reintern_paths;
-    Alcotest.test_case "fresh processes: carried digests, remap on id shift"
+    Alcotest.test_case "second lowering hits every entry" `Quick
+      test_second_lowering;
+    Alcotest.test_case "same id, other name: own names" `Quick
+      test_same_id_other_name;
+    Alcotest.test_case "fresh processes: carried digests, declaration edit"
       `Quick test_fresh_process_paths;
     Alcotest.test_case "pool domains read each file's trees once" `Quick
       test_bodies_from_pool;

@@ -532,7 +532,6 @@ let test_shape_key_parts () =
   let m =
     Whirl.Lower.lower (Lang.Frontend.load ~files:[ ("shp.f", shape_src) ])
   in
-  Ipa.Collect.intern_module_syms m;
   let pu = Option.get (Whirl.Ir.find_pu m "shp") in
   let shapes = Ipa.Collect.shapes () in
   let info = Ipa.Collect.run_pu shapes m pu in
